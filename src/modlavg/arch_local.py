@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .numerics import (
@@ -33,7 +32,6 @@ from .numerics import (
 )
 
 __all__ = [
-    "ArchParams",
     "default_formal_degree",
     "matrix_coefficient",
     "alternating_weight_sum",
@@ -57,26 +55,6 @@ def default_formal_degree(k: int) -> float:
 def _check_weight(k: int) -> None:
     if k % 2 != 0 or k < 4:
         raise ValueError(f"weight k = {k} must be an even integer >= 4")
-
-
-@dataclass(frozen=True)
-class ArchParams:
-    """Weight, regularization exponents and formal degree."""
-
-    k: int
-    s1: complex = 0.0
-    s2: complex = 0.0
-    d: float | None = None  # defaults to (k-1)/2
-
-    def __post_init__(self):
-        _check_weight(self.k)
-        half = self.k / 2.0
-        if not (-half < complex(self.s1).real < half):
-            raise ValueError("Re s1 must lie in (-k/2, k/2)")
-        if not (-half < complex(self.s2).real < half):
-            raise ValueError("Re s2 must lie in (-k/2, k/2)")
-        if self.d is None:
-            object.__setattr__(self, "d", default_formal_degree(self.k))
 
 
 def matrix_coefficient(g, k: int, d: float) -> complex:

@@ -290,27 +290,6 @@ def _divisors(m: int) -> list:
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class TraceTable:
-    """Exact traces m -> Tr T_m on the weight-k cusp space of level N."""
-
-    level: int
-    weight: int
-    traces: dict
-
-    @property
-    def dimension(self) -> int:
-        return self.traces[1]
-
-
-def trace_table(N: int, k: int, m_max: int) -> TraceTable:
-    traces = {m: eichler_selberg_trace(N, k, m)
-              for m in range(1, m_max + 1) if m % N != 0}
-    if traces[1] != dim_cusp_forms(N, k) or traces[1] < 0:
-        raise AccuracyError("trace of the identity disagrees with the dimension")
-    return TraceTable(level=N, weight=k, traces=traces)
-
-
 def dim_cusp_forms(N: int, k: int) -> int:
     """Dimension of the weight-k cusp space at prime level N by the
     genus/elliptic-point formula (independent of the trace formula)."""

@@ -14,21 +14,14 @@ from . import arch_local, measures, padic_local
 from .arith import load_eigenforms
 from .errors import InvariantViolation
 from .harness import ExperimentConfig, run_experiment
-from .lvalues import central_value, fricke_sign, petersson_norm
+from .lvalues import central_value, petersson_norm
 
 
 def _cmd_measures(args) -> int:
-    split = measures.SatakeMeasure(p=args.p, sign=+1)
-    inert = measures.SatakeMeasure(p=args.p, sign=-1)
     if args.csv:
-        print("x,split,inert,sato_tate")
-        for i in range(args.grid + 1):
-            x = -2.0 + 4.0 * i / args.grid
-            print(f"{x!r},{measures.density(split, x)!r},"
-                  f"{measures.density(inert, x)!r},"
-                  f"{measures.sato_tate_density(x)!r}")
+        print(measures.density_csv(args.p, args.grid), end="")
         return 0
-    m = split if args.delta > 0 else inert
+    m = measures.SatakeMeasure(p=args.p, sign=args.delta)
     print(f"p = {args.p}, sign = {args.delta:+d}")
     print(f"mass = {measures.mass(m)!r}")
     ok = True
@@ -97,10 +90,9 @@ def _cmd_lvalues(args) -> int:
     code = 0
     for f in forms:
         try:
-            w = fricke_sign(f)
             cv = central_value(f)
             nrm = petersson_norm(f)
-            line = (f"{f.label}: w = {w:+d}, L(1/2) = {cv.value!r}, "
+            line = (f"{f.label}: w = {cv.fricke:+d}, L(1/2) = {cv.value!r}, "
                     f"norm = {nrm!r}")
             if args.twist:
                 cvt = central_value(f, twist=args.twist)

@@ -43,7 +43,6 @@ from .errors import AccuracyError, InvariantViolation
 from .lvalues import (
     CompletedL,
     central_value,
-    fricke_sign,
     petersson_norm,
     petersson_norm_terms,
 )
@@ -224,7 +223,7 @@ def _level_rows(cfg: ExperimentConfig, N: int) -> list:
             "central_twisted": cvt.value,
             "eps": cv.eps,
             "eps_twisted": cvt.eps,
-            "fricke": fricke_sign(f),
+            "fricke": cv.fricke,
             "norm": nrm,
             "contribution": cv.value * cvt.value / nrm,
         })
@@ -492,11 +491,4 @@ def _write_outputs(cfg: ExperimentConfig, report: AverageReport) -> None:
                 )
     with open(os.path.join(cfg.output_dir, "density.csv"), "w",
               encoding="utf-8") as fh:
-        fh.write("x,split,inert,sato_tate\n")
-        split = measures.SatakeMeasure(p=cfg.aux_prime, sign=+1)
-        inert = measures.SatakeMeasure(p=cfg.aux_prime, sign=-1)
-        for i in range(401):
-            x = -2.0 + 4.0 * i / 400
-            fh.write(f"{x!r},{measures.density(split, x)!r},"
-                     f"{measures.density(inert, x)!r},"
-                     f"{measures.sato_tate_density(x)!r}\n")
+        fh.write(measures.density_csv(cfg.aux_prime, 400))

@@ -10,11 +10,17 @@ normalization used by callers is s_an = s - (k-1)/2, so the central point
 is s_an = 1/2.  Twists by a quadratic character of fundamental discriminant
 D coprime to N have conductor N D^2.
 
+Every value of a form in the upper half plane comes from one evaluator,
+q_expansion_eval: a Horner sum truncated at the fewest stored coefficients
+whose certified tail is within QEXP_TAIL_TOL, refusing when the stored
+coefficients cannot reach it.  The Fricke sign, the Mellin route and the
+Petersson norm all use it.
+
 Central values are computed along two routes: a smoothed approximate
 functional equation with incomplete-Gamma weights, and (untwisted) direct
 Mellin quadrature of the q-expansion split at 1/sqrt(N) through the Fricke
 involution.  The Fricke sign itself is measured numerically with a wide
-margin, never assumed.
+margin, never assumed, and once per central value.
 """
 
 from __future__ import annotations
@@ -50,6 +56,10 @@ __all__ = [
 # q-expansion evaluation with certified tails
 # ---------------------------------------------------------------------------
 
+# absolute tail every q-expansion value is certified to
+QEXP_TAIL_TOL = 1e-17
+
+
 def _tail_bound(k: int, y: float, start: int) -> float:
     """Upper bound for sum_{n >= start} n^{(k+1)/2} e^{-2 pi n y}.
 
@@ -65,35 +75,40 @@ def _tail_bound(k: int, y: float, start: int) -> float:
     return first / (1.0 - ratio)
 
 
-def q_expansion_eval(form: Eigenform, z: complex, tol: float = 1e-12) -> complex:
-    """Value of the form at z (Im z > 0) from its stored coefficients.
+def q_expansion_eval(form: Eigenform, z):
+    """Value of the form at z (Im z > 0), a point or an array of points,
+    from its stored coefficients.
 
-    Raises InsufficientCoefficients when the certified tail bound at Im z
-    exceeds ``tol``.
+    Sums the first n coefficients, n the fewest whose certified tail at the
+    lowest point is within QEXP_TAIL_TOL; raises InsufficientCoefficients
+    when the stored coefficients cannot reach that bound.
     """
-    y = complex(z).imag
-    if y <= 0:
+    zs = np.asarray(z, dtype=complex)
+    if zs.size == 0 or not np.all(zs.imag > 0):
         raise DomainError("need Im z > 0")
-    n_max = form.n_max
-    if _tail_bound(form.weight, y, n_max + 1) > tol:
+    k, y, n_max = form.weight, float(zs.imag.min()), form.n_max
+    # the tail bound does not increase with its start, so bisect; n_max + 1
+    # means no stored count suffices
+    n, hi = 0, n_max + 1
+    while n < hi:
+        mid = (n + hi) // 2
+        if _tail_bound(k, y, mid + 1) <= QEXP_TAIL_TOL:
+            hi = mid
+        else:
+            n = mid + 1
+    if n > n_max:
         raise InsufficientCoefficients(
-            f"{form.label}: tail at Im z = {y:.4f} exceeds {tol:.1e} "
+            f"{form.label}: tail at Im z = {y:.4f} exceeds {QEXP_TAIL_TOL:.0e} "
             f"with {n_max} coefficients"
         )
-    q = np.exp(2j * math.pi * complex(z))
-    acc = 0.0 + 0.0j
-    for c in reversed(form.coeffs):
-        acc = acc * q + c
-    return acc * q
-
-
-def _qexp_eval_grid(coeffs, z_arr: np.ndarray) -> np.ndarray:
-    """Vectorized Horner evaluation over an array of points."""
-    q = np.exp(2j * np.pi * z_arr)
+    # a point goes through the same array arithmetic as a batch, so both
+    # give the same bits
+    q = np.exp(2j * np.pi * np.atleast_1d(zs))
     acc = np.zeros_like(q)
-    for c in reversed(coeffs):
+    for c in reversed(form.coeffs[:n]):
         acc = acc * q + c
-    return acc * q
+    values = acc * q
+    return complex(values[0]) if zs.ndim == 0 else values
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +252,14 @@ class CompletedL:
 
     # -- direct Mellin quadrature (untwisted) -------------------------------
 
-    def lambda_mellin(self, s: float, w: int | None = None) -> float:
+    def lambda_mellin(self, s: float, w: int) -> float:
         """Completed value by quadrature of the q-expansion, split at
-        1/sqrt(N) through the Fricke involution.  Untwisted forms only."""
+        1/sqrt(N) through the Fricke involution with sign ``w``.  Untwisted
+        forms only."""
         if self.twist is not None:
             raise DomainError("Mellin path implemented for untwisted forms")
         form = self.form
         N, k = form.level, form.weight
-        if w is None:
-            w = fricke_sign(form)
         y0 = 1.0 / math.sqrt(N)
 
         def j_integral(sv):
@@ -269,6 +283,7 @@ class CentralValue:
     forced_zero: bool
     afe: float
     mellin: float | None
+    fricke: int | None  # measured Fricke sign; None when twisted
 
 
 def central_value(form: Eigenform, twist: int | None = None,
@@ -276,8 +291,9 @@ def central_value(form: Eigenform, twist: int | None = None,
     """Central L-value in the analytic normalization (s_an = 1/2).
 
     Untwisted values are computed by both the smoothed-sum and Mellin
-    routes, which must agree to ``tol`` relative.  A sign eps = -1 forces
-    the value 0, reported through the flag.
+    routes, which must agree to ``tol`` relative; the Mellin route uses the
+    Fricke sign, measured once and returned.  A sign eps = -1 forces the
+    value 0, reported through the flag.
     """
     comp = CompletedL(form, twist=twist)
     k = form.weight
@@ -286,9 +302,10 @@ def central_value(form: Eigenform, twist: int | None = None,
                     * (2.0 * math.pi) ** (-s_c) * math.gamma(s_c))
     lam_afe = comp.lambda_afe(s_c)
     afe = lam_afe / gamma_factor
-    mellin = None
+    mellin = fricke = None
     if twist is None:
-        lam_mel = comp.lambda_mellin(s_c)
+        fricke = fricke_sign(form)
+        lam_mel = comp.lambda_mellin(s_c, fricke)
         mellin = lam_mel / gamma_factor
         scale = max(abs(afe), abs(mellin), 1e-12)
         if abs(afe - mellin) / scale > tol:
@@ -298,9 +315,9 @@ def central_value(form: Eigenform, twist: int | None = None,
             )
     if comp.eps == -1:
         return CentralValue(value=0.0, eps=-1, forced_zero=True,
-                            afe=afe, mellin=mellin)
+                            afe=afe, mellin=mellin, fricke=fricke)
     return CentralValue(value=afe, eps=+1, forced_zero=False,
-                        afe=afe, mellin=mellin)
+                        afe=afe, mellin=mellin, fricke=fricke)
 
 
 # ---------------------------------------------------------------------------
@@ -338,27 +355,21 @@ def petersson_norm(form: Eigenform, x_panels: int = NORM_X_PANELS,
     The domain is unfolded to (N+1) translates of the standard modular
     triangle; translates near the lower cusp are evaluated through the
     Fricke identity, which turns them into values of phi at height >=
-    sqrt(3)/(2N).  Fixed composite Gauss-Legendre panels keep the result
-    deterministic and allow mesh-refinement convergence checks.
+    sqrt(3)/(2N); q_expansion_eval certifies the tail of every value.
+    Fixed composite Gauss-Legendre panels keep the result deterministic and
+    allow mesh-refinement convergence checks.
     """
     N, k = form.level, form.weight
     xs, wxs = _gl_panels(-0.5, 0.5, x_panels, order, log_scale=False)
     total = 0.0
-    coeffs = np.asarray(form.coeffs, dtype=float)
-    # tail check at the lowest height reached after unfolding
-    y_floor = math.sqrt(3.0) / (2.0 * N)
-    if _tail_bound(k, y_floor, form.n_max + 1) > 1e-10:
-        raise InsufficientCoefficients(
-            f"{form.label}: not enough coefficients for the norm integral"
-        )
     for x, wx in zip(xs, wxs):
         y_low = math.sqrt(max(1.0 - x * x, 0.0))
         ys, wys = _gl_panels(y_low, y_cut, y_panels, order, log_scale=True)
         z = x + 1j * ys
-        vals = np.abs(_qexp_eval_grid(coeffs, z)) ** 2
+        vals = np.abs(q_expansion_eval(form, z)) ** 2
         for j in range(N):
             zj = (z + j) / N
-            vals += np.abs(_qexp_eval_grid(coeffs, zj)) ** 2 / N ** k
+            vals += np.abs(q_expansion_eval(form, zj)) ** 2 / N ** k
         integrand = ys ** (k - 2.0) * vals
         total += wx * float(np.sum(wys * integrand))
     return float(total)

@@ -31,6 +31,7 @@ __all__ = [
     "SatakePolynomial",
     "density",
     "sato_tate_density",
+    "density_csv",
     "mass",
     "satake_poly",
     "coset_list",
@@ -81,6 +82,19 @@ def sato_tate_density(x: float) -> float:
     if not -2.0 <= x <= 2.0:
         raise DomainError(f"x = {x} outside [-2, 2]")
     return math.sqrt(max(4.0 - x * x, 0.0)) / (2.0 * math.pi)
+
+
+def density_csv(p: int, grid: int) -> str:
+    """CSV table of the split, inert and Sato-Tate densities at the grid + 1
+    equally spaced points of [-2, 2], with a header line."""
+    split = SatakeMeasure(p=p, sign=+1)
+    inert = SatakeMeasure(p=p, sign=-1)
+    lines = ["x,split,inert,sato_tate\n"]
+    for i in range(grid + 1):
+        x = -2.0 + 4.0 * i / grid
+        lines.append(f"{x!r},{density(split, x)!r},{density(inert, x)!r},"
+                     f"{sato_tate_density(x)!r}\n")
+    return "".join(lines)
 
 
 def _integrate_against(m: SatakeMeasure, f, rel_tol=1e-12) -> float:

@@ -22,9 +22,7 @@ __all__ = [
     "IntegralResult",
     "interval",
     "half_line",
-    "full_line",
     "rect",
-    "half_plane_strip",
     "quadrant",
     "integrate",
     "log_gamma",
@@ -47,19 +45,9 @@ def half_line() -> tuple:
     return ("half_line",)
 
 
-def full_line() -> tuple:
-    """The domain (-oo, oo)."""
-    return ("line",)
-
-
 def rect(dom_x: tuple, dom_y: tuple) -> tuple:
     """Tensor product of two 1-d domains, integrated iteratively."""
     return ("rect", dom_x, dom_y)
-
-
-def half_plane_strip() -> tuple:
-    """The domain (-oo, oo) x (0, oo)."""
-    return ("rect", full_line(), half_line())
 
 
 def quadrant() -> tuple:
@@ -137,10 +125,6 @@ def _integrate_1d(f, dom, spec):
                 return 0.0j
             w = 1.0 - u
             return _f(u / w) / (w * w)
-    elif kind == "line":
-        lo = _integrate_1d(lambda t: f(-t), half_line(), spec)
-        hi = _integrate_1d(f, half_line(), spec)
-        return (lo[0] + hi[0], lo[1] + hi[1])
     else:
         raise ValueError(f"unknown 1-d domain kind {kind!r}")
 
@@ -160,8 +144,8 @@ def _integrate_1d(f, dom, spec):
 def integrate(f, spec: QuadratureSpec) -> IntegralResult:
     """Adaptive quadrature of ``f`` over ``spec.domain``.
 
-    1-d domains are finite intervals, the half line [0, oo) (via the
-    substitution t = u/(1-u)) or the full line.  2-d domains are tensor
+    1-d domains are finite intervals or the half line [0, oo) (via the
+    substitution t = u/(1-u)).  2-d domains are tensor
     products handled as iterated 1-d integrals.  The result carries an error
     estimate and a converged flag; use ``.require()`` to raise on failure.
     """

@@ -117,12 +117,6 @@ class TestEichlerSelberg:
         with pytest.raises(ValueError):
             ar.eichler_selberg_trace(5, 4, 10)
 
-    def test_trace_table(self):
-        table = ar.trace_table(7, 4, 20)
-        assert table.dimension == 1
-        assert 7 not in table.traces
-        assert table.traces[2] == ar.eichler_selberg_trace(7, 4, 2)
-
 
 class TestEigenforms:
     def test_load_and_validate(self):

@@ -6,6 +6,7 @@ import pytest
 from modlavg import cli
 from modlavg import harness as hs
 from modlavg import lvalues as lv
+from modlavg.arith import load_eigenforms
 from modlavg.errors import AccuracyError, InvariantViolation
 
 
@@ -208,6 +209,24 @@ class TestIdentityCheck:
         with pytest.raises(AccuracyError,
                            match="7.4.a: central-value paths disagree"):
             hs._level_rows(cfg, 7)
+
+    def test_fricke_sign_measured_once_per_form(self, cfg, monkeypatch):
+        calls = []
+        measure = lv.fricke_sign
+
+        def counted(form, *args, **kwargs):
+            calls.append(form.label)
+            return measure(form, *args, **kwargs)
+
+        monkeypatch.setattr(hs, "_FORM_CACHE", {})
+        monkeypatch.setattr(lv, "fricke_sign", counted)
+        # a sign measured by the harness itself counts as well
+        monkeypatch.setattr(hs, "fricke_sign", counted, raising=False)
+        rows = hs._level_rows(cfg, 11)
+        assert sorted(calls) == ["11.4.a", "11.4.b"]
+        stored = {f.label: f.atkin_lehner for f in load_eigenforms(cfg.data_path)}
+        for r in rows:
+            assert r["fricke"] == stored[r["label"]]
 
     def test_inaccurate_twisted_value_refused(self, cfg, monkeypatch):
         monkeypatch.setattr(hs, "_FORM_CACHE", {})

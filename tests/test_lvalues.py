@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from modlavg import lvalues as lv
@@ -28,8 +29,30 @@ class TestQExpansion:
         z = 0.21 + 0.6j
         doubled = Eigenform(level=7, weight=4, label="x",
                             coeffs=[2 * c for c in f.coeffs])
-        assert lv.q_expansion_eval(doubled, z, tol=1e-6) == pytest.approx(
+        assert lv.q_expansion_eval(doubled, z) == pytest.approx(
             2.0 * lv.q_expansion_eval(f, z), rel=1e-13)
+
+    def test_array_equals_points(self, forms):
+        for f in forms.values():
+            for y in (0.08, 0.3, 2.0):
+                zs = np.linspace(-0.5, 0.5, 9) + 1j * y
+                values = lv.q_expansion_eval(f, zs)
+                assert values.shape == zs.shape
+                for z, v in zip(zs, values):
+                    assert lv.q_expansion_eval(f, z) == v
+
+    def test_truncated_tail_within_tolerance(self, forms):
+        # the full Horner sum over all stored coefficients is the reference
+        for f in forms.values():
+            for y in (0.08, 0.3, 2.0):
+                zs = np.linspace(-0.5, 0.5, 9) + 1j * y
+                q = np.exp(2j * np.pi * zs)
+                full = np.zeros_like(q)
+                for c in reversed(f.coeffs):
+                    full = full * q + c
+                full *= q
+                gap = np.max(np.abs(lv.q_expansion_eval(f, zs) - full))
+                assert gap <= lv.QEXP_TAIL_TOL
 
     def test_insufficient_coefficients(self, forms):
         f = forms["5.4.a"]
@@ -39,6 +62,8 @@ class TestQExpansion:
     def test_domain(self, forms):
         with pytest.raises(DomainError):
             lv.q_expansion_eval(forms["5.4.a"], 0.3 - 1j)
+        with pytest.raises(DomainError):
+            lv.q_expansion_eval(forms["5.4.a"], np.array([0.3 + 1j, 0.1]))
 
 
 class TestFrickeSign:
@@ -127,6 +152,13 @@ class TestPeterssonNorm:
         coarse = lv.petersson_norm(f, x_panels=4, y_panels=7, order=8)
         fine = lv.petersson_norm(f, x_panels=8, y_panels=14, order=8)
         assert abs(coarse - fine) <= 1e-5 * abs(fine)
+
+    def test_insufficient_coefficients(self, forms):
+        f = forms["11.4.a"]
+        cut = Eigenform(level=11, weight=4, label="cut",
+                        coeffs=list(f.coeffs[:50]))
+        with pytest.raises(InsufficientCoefficients):
+            lv.petersson_norm(cut)
 
     def test_deterministic(self, forms):
         f = forms["5.4.a"]
