@@ -21,6 +21,8 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 from .errors import DomainError
 from .numerics import (
     QuadratureSpec,
@@ -133,20 +135,16 @@ def singular_term_quadrature(k: int, j: int, s1: complex, s2: complex,
     vanishes, which is what this returns (the sign factor is kept).
     """
     s = complex(s1) + complex(s2)
+    # odd power of sgn: the a > 0 and a < 0 halves cancel exactly
+    sign = 1.0 if (1 + k - j) % 2 == 0 else 0.0
 
     def f(a, b):
-        if a <= 0.0 or b <= 0.0:
-            return 0.0
-        sign = 1.0 if (1 + k - j) % 2 == 0 else 0.0
-        if sign == 0.0:
-            # odd power of sgn: the a > 0 and a < 0 halves cancel exactly
-            return 0.0
-        return (
-            2.0
-            * b ** (k / 2.0 + complex(s2) - 1.0)
-            * a ** (k - j - s - 1.0)
-            * (b + 1.0) ** j
-            / (a * a + (b + 1.0) ** 2) ** k
+        # (b+1)^j / (a^2 + (b+1)^2)^k through logs, which cannot overflow
+        return sign * 2.0 * np.exp(
+            (k / 2.0 + complex(s2) - 1.0) * np.log(b)
+            + (k - j - s - 1.0) * np.log(a)
+            + j * np.log1p(b)
+            - 2.0 * k * np.log(np.hypot(a, b + 1.0))
         )
 
     spec = QuadratureSpec(domain=quadrant(), rel_tol=rel_tol, abs_tol=1e-12)
@@ -196,10 +194,13 @@ def singular_upper_quadrature(k: int, s1: complex, s2: complex,
     s = complex(s1) + complex(s2)
 
     def f(a, b):
-        if a <= 0.0 or b <= 0.0:
-            return 0.0j
-        bracket = complex(b + 1.0, -a) ** (-k) - complex(b + 1.0, a) ** (-k)
-        return b ** (k / 2.0 + complex(s2) - 1.0) * a ** (-s - 1.0) * bracket
+        # with b + 1 + ia = r e^(i theta) the bracket is 2i r^(-k) sin(k theta),
+        # which keeps its relative accuracy as a -> 0
+        theta = np.arctan2(a, b + 1.0)
+        power = np.exp((k / 2.0 + complex(s2) - 1.0) * np.log(b)
+                       - (s + 1.0) * np.log(a)
+                       - k * np.log(np.hypot(a, b + 1.0)))
+        return 2.0j * np.sin(k * theta) * power
 
     spec = QuadratureSpec(domain=quadrant(), rel_tol=rel_tol, abs_tol=1e-12)
     return d * 2.0 ** k * integrate(f, spec).require()
@@ -222,10 +223,12 @@ def singular_lower_quadrature(k: int, s1: complex, s2: complex,
     s = complex(s1) + complex(s2)
 
     def f(a, b):
-        if a <= 0.0 or b <= 0.0:
-            return 0.0j
-        bracket = complex(a + 1.0, b) ** (-k) - complex(a + 1.0, -b) ** (-k)
-        return a ** (k / 2.0 - complex(s1) - 1.0) * b ** (s - 1.0) * bracket
+        # with a + 1 + ib = r e^(i phi) the bracket is -2i r^(-k) sin(k phi)
+        phi = np.arctan2(b, a + 1.0)
+        power = np.exp((k / 2.0 - complex(s1) - 1.0) * np.log(a)
+                       + (s - 1.0) * np.log(b)
+                       - k * np.log(np.hypot(a + 1.0, b)))
+        return -2.0j * np.sin(k * phi) * power
 
     spec = QuadratureSpec(domain=quadrant(), rel_tol=rel_tol, abs_tol=1e-12)
     return d * 2.0 ** k * integrate(f, spec).require()
@@ -242,10 +245,9 @@ def _quadrant_integral(k: int, x: float, eps: int, dlt: int, nu: int,
     sigma = k / 2.0 + complex(s2)
 
     def f(a, b):
-        if a <= 0.0 or b <= 0.0:
-            return 0.0j
-        den = complex(a * x + eps * b, dlt * (a * b + nu)) ** k
-        return a ** (rho - 1.0) * b ** (sigma - 1.0) / den
+        den = (a * x + eps * b) + 1j * (dlt * (a * b + nu))
+        return np.exp((rho - 1.0) * np.log(a) + (sigma - 1.0) * np.log(b)
+                      - k * np.log(den))
 
     spec = QuadratureSpec(domain=quadrant(), rel_tol=rel_tol, abs_tol=1e-13)
     return integrate(f, spec).require()

@@ -324,8 +324,9 @@ def central_value(form: Eigenform, twist: int | None = None,
 # Petersson norm
 # ---------------------------------------------------------------------------
 
-def _gl_panels(a: float, b: float, panels: int, order: int, log_scale: bool):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+def _gl_panels(a: float, b: float, panels: int, rule: tuple, log_scale: bool):
+    """Composite Gauss-Legendre mesh on [a, b] from ``rule`` = leggauss(order)."""
+    nodes, weights = rule
     xs, ws = [], []
     if log_scale:
         edges = np.exp(np.linspace(math.log(a), math.log(b), panels + 1))
@@ -360,11 +361,12 @@ def petersson_norm(form: Eigenform, x_panels: int = NORM_X_PANELS,
     allow mesh-refinement convergence checks.
     """
     N, k = form.level, form.weight
-    xs, wxs = _gl_panels(-0.5, 0.5, x_panels, order, log_scale=False)
+    rule = np.polynomial.legendre.leggauss(order)
+    xs, wxs = _gl_panels(-0.5, 0.5, x_panels, rule, log_scale=False)
     total = 0.0
     for x, wx in zip(xs, wxs):
         y_low = math.sqrt(max(1.0 - x * x, 0.0))
-        ys, wys = _gl_panels(y_low, y_cut, y_panels, order, log_scale=True)
+        ys, wys = _gl_panels(y_low, y_cut, y_panels, rule, log_scale=True)
         z = x + 1j * ys
         vals = np.abs(q_expansion_eval(form, z)) ** 2
         for j in range(N):

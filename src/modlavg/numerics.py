@@ -1,8 +1,12 @@
-"""Special functions and adaptive quadrature used by every other module.
+"""Special functions and quadrature used by every other module.
 
 All arithmetic is double precision.  Series are accumulated with compensated
-summation.  Quadrature is deterministic: identical inputs give bit-identical
-outputs.
+summation.  1-d integrals use adaptive quadrature (``scipy.integrate.quad``).
+The one 2-d domain, the quadrant (0, oo)^2, uses a fixed tensor
+double-exponential (exp-sinh) rule evaluated on numpy arrays; its error is
+the gap between two step sizes plus the weight the rule puts on its outermost
+nodes (Takahasi-Mori 1974; Mori-Sugihara, J. Comput. Appl. Math. 127, 2001).
+Quadrature is deterministic: identical inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ __all__ = [
     "IntegralResult",
     "interval",
     "half_line",
-    "rect",
     "quadrant",
     "integrate",
     "log_gamma",
@@ -45,19 +48,16 @@ def half_line() -> tuple:
     return ("half_line",)
 
 
-def rect(dom_x: tuple, dom_y: tuple) -> tuple:
-    """Tensor product of two 1-d domains, integrated iteratively."""
-    return ("rect", dom_x, dom_y)
-
-
 def quadrant() -> tuple:
-    """The domain (0, oo) x (0, oo)."""
-    return ("rect", half_line(), half_line())
+    """The domain (0, oo) x (0, oo).  Its integrand is a numpy-vectorised
+    ``f(a, b)``: it receives broadcastable arrays of strictly positive
+    nodes and returns an array of their broadcast shape."""
+    return ("quadrant",)
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances, subdivision budget and domain for one integral."""
+    """Tolerances, subdivision budget (1-d only) and domain for one integral."""
 
     domain: tuple = field(default_factory=lambda: interval(0.0, 1.0))
     rel_tol: float = 1e-10
@@ -141,39 +141,83 @@ def _integrate_1d(f, dom, spec):
     return complex(re, im), er + ei
 
 
+# exp-sinh rule on the quadrant: nodes a = exp(pi/2 sinh t) at t = i h for
+# |t| <= _DE_T_MAX; the fine step is 1/_DE_STEPS_PER_UNIT and every other
+# node gives the coarse step 2h, so the two estimates share evaluations
+_DE_T_MAX = 4.5
+_DE_STEPS_PER_UNIT = 32
+_DE_BLOCK_ROWS = 32          # integrand rows evaluated at once; even
+_DE_ROUNDOFF_ULPS = 4.0      # roundoff term, in ulps of sum |w f|
+
+
+def _exp_sinh_rule() -> tuple:
+    """Nodes and fine-step weights of the 1-d exp-sinh rule on (0, oo)."""
+    n = int(round(_DE_T_MAX * _DE_STEPS_PER_UNIT))
+    h = 1.0 / _DE_STEPS_PER_UNIT
+    t = np.arange(-n, n + 1) * h
+    u = 0.5 * math.pi * np.sinh(t)
+    nodes = np.exp(u)
+    weights = h * 0.5 * math.pi * np.cosh(t) * nodes
+    return nodes, weights
+
+
+_DE_NODES, _DE_WEIGHTS = _exp_sinh_rule()
+
+
+def _integrate_quadrant(f) -> tuple:
+    """Tensor exp-sinh rule for a vectorised f over (0, oo)^2.
+
+    Returns (value at the fine step, error).  The error adds the gap to the
+    coarse step, the sum of |w f| over the outermost rows and columns (a
+    witness of the truncation at |t| = _DE_T_MAX) and _DE_ROUNDOFF_ULPS ulps
+    of the sum of |w f|.
+    """
+    a, w = _DE_NODES, _DE_WEIGHTS
+    n = a.size
+    fine = even = 0.0j          # the coarse-step value is 4 * even
+    mass = edge = 0.0
+    for lo in range(0, n, _DE_BLOCK_ROWS):
+        hi = min(lo + _DE_BLOCK_ROWS, n)
+        with np.errstate(all="ignore"):
+            vals = np.broadcast_to(f(a[lo:hi, None], a[None, :]), (hi - lo, n))
+            terms = w[lo:hi, None] * w[None, :] * vals
+        if np.isnan(terms).any():
+            raise DomainError("integrand returned NaN")
+        size = np.abs(terms)
+        fine += complex(terms.sum())
+        even += complex(terms[::2, ::2].sum())
+        mass += float(size.sum())
+        edge += float(size[:, 0].sum() + size[:, -1].sum())
+        if lo == 0:
+            edge += float(size[0, 1:-1].sum())
+        if hi == n:
+            edge += float(size[-1, 1:-1].sum())
+    err = (abs(fine - 4.0 * even) + edge
+           + _DE_ROUNDOFF_ULPS * np.finfo(float).eps * mass)
+    return fine, float(err) if math.isfinite(err) else math.inf
+
+
 def integrate(f, spec: QuadratureSpec) -> IntegralResult:
-    """Adaptive quadrature of ``f`` over ``spec.domain``.
+    """Quadrature of ``f`` over ``spec.domain``.
 
     1-d domains are finite intervals or the half line [0, oo) (via the
-    substitution t = u/(1-u)).  2-d domains are tensor
-    products handled as iterated 1-d integrals.  The result carries an error
-    estimate and a converged flag; use ``.require()`` to raise on failure.
+    substitution t = u/(1-u)), integrated adaptively.  The 2-d domain is
+    the quadrant, integrated by a fixed tensor double-exponential rule with
+    step sizes 1/16 and 1/32 on |t| <= 4.5; its error is the gap between
+    the two steps plus the weight on the outermost nodes and a roundoff
+    term.  The result carries an error estimate and a converged flag; use
+    ``.require()`` to raise on failure.
     """
     dom = spec.domain
-    if dom[0] == "rect":
-        dom_x, dom_y = dom[1], dom[2]
-        inner_spec = QuadratureSpec(
-            domain=dom_y,
-            rel_tol=spec.rel_tol * 0.1,
-            abs_tol=spec.abs_tol * 0.1,
-            max_subdivisions=spec.max_subdivisions,
-        )
-
-        inner_err = [0.0]
-
-        def outer(x):
-            val, err = _integrate_1d(lambda y: f(x, y), dom_y, inner_spec)
-            inner_err[0] = max(inner_err[0], err)
-            return val
-
-        val, err = _integrate_1d(outer, dom_x, spec)
-        err = err + inner_err[0]
+    if dom[0] == "quadrant":
+        val, err = _integrate_quadrant(f)
+        slack = 1.0
     else:
         val, err = _integrate_1d(f, dom, spec)
-
+        # quad error estimates are conservative; allow a small factor of slack
+        slack = 50.0
     tol = spec.abs_tol + spec.rel_tol * abs(val)
-    # quad error estimates are conservative; allow a small factor of slack
-    converged = bool(err <= 50.0 * tol + 1e-300)
+    converged = bool(err <= slack * tol + 1e-300)
     return IntegralResult(value=val, error=float(err), converged=converged)
 
 

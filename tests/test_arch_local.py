@@ -70,7 +70,7 @@ class TestUpperSingular:
         for j in range(1, k, 2):
             closed = al.singular_term_closed(k, j, *s)
             quad = al.singular_term_quadrature(k, j, *s)
-            assert abs(closed - quad) <= 1e-7 * abs(closed)
+            assert abs(closed - quad) <= 1e-10 * abs(closed)
 
     def test_even_terms_vanish(self):
         for j in (2, 4):
@@ -82,7 +82,7 @@ class TestUpperSingular:
     def test_assembly_vs_quadrature(self, k, s):
         closed = al.singular_upper_closed(k, *s)
         quad = al.singular_upper_quadrature(k, *s)
-        assert abs(closed - quad) <= 1e-6 * abs(closed)
+        assert abs(closed - quad) <= 1e-10 * abs(closed)
 
     def test_purely_imaginary_at_origin(self):
         for k in (4, 6, 8):
@@ -117,7 +117,7 @@ class TestLowerSingular:
     def test_reflection_relation(self):
         lo = al.singular_lower_quadrature(4, 0.07, 0.02)
         refl = -al.singular_upper_closed(4, -0.02, -0.07)
-        assert abs(lo - refl) <= 1e-6 * abs(refl)
+        assert abs(lo - refl) <= 1e-10 * abs(refl)
 
     def test_support_positive_axis(self):
         # the lower-orbit test function vanishes for negative first variable
@@ -133,7 +133,7 @@ class TestRegularIntegrals:
     def test_spot_agreement(self):
         qd = al.regular_integral_quadrature(4, 0.5, 0.02, 0.015)
         cl = al.regular_integral_closed(4, 0.5, 0.02, 0.015)
-        assert abs(qd - cl) <= 1e-6 * abs(cl)
+        assert abs(qd - cl) <= 1e-10 * abs(cl)
 
     def test_random_agreement(self):
         rng = random.Random(99)
@@ -144,7 +144,7 @@ class TestRegularIntegrals:
             s2 = rng.uniform(0.02, 0.08)
             qd = al.regular_integral_quadrature(k, x, s1, s2)
             cl = al.regular_integral_closed(k, x, s1, s2)
-            assert abs(qd - cl) <= 1e-5 * abs(cl), (k, x, s1, s2)
+            assert abs(qd - cl) <= 1e-10 * abs(cl), (k, x, s1, s2)
 
     def test_excluded_points(self):
         with pytest.raises(DomainError):

@@ -1,11 +1,15 @@
 import cmath
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
+from scipy.special import k1
 
+from modlavg import arch_local as al
 from modlavg import numerics as nm
-from modlavg.errors import DomainError, PoleError
+from modlavg.errors import AccuracyError, DomainError, PoleError
 
 
 def euler_beta_quadrature(z, w):
@@ -157,7 +161,7 @@ class TestIntegrate:
     def test_2d_quadrant(self):
         # int over the quadrant of e^(-x-y) = 1
         spec = nm.QuadratureSpec(domain=nm.quadrant(), rel_tol=1e-10)
-        res = nm.integrate(lambda x, y: math.exp(-x - y), spec)
+        res = nm.integrate(lambda x, y: np.exp(-x - y), spec)
         assert res.require().real == pytest.approx(1.0, rel=1e-9)
 
     def test_spec_validation(self):
@@ -165,3 +169,79 @@ class TestIntegrate:
             nm.QuadratureSpec(rel_tol=-1.0)
         with pytest.raises(ValueError):
             nm.QuadratureSpec(max_subdivisions=0)
+
+
+def _criterion_points():
+    """(name, closed form, quadrature call, prefactor of its integrals) at
+    the points of acceptance criteria 05 and 07."""
+    points = []
+    for k in (4, 6, 8):
+        d = al.default_formal_degree(k)
+        for s in ((0.0, 0.0), (0.1, -0.05), (-0.07, 0.02)):
+            points.append((f"upper k={k} s={s}", al.singular_upper_closed(k, *s),
+                           lambda k=k, s=s: al.singular_upper_quadrature(k, *s),
+                           d * 2.0 ** k))
+    points.append(("lower k=4 s=(0.07, 0.02)", -al.singular_upper_closed(4, -0.02, -0.07),
+                   lambda: al.singular_lower_quadrature(4, 0.07, 0.02), 1.5 * 2.0 ** 4))
+    rng = random.Random(7)
+    for _ in range(10):
+        k = rng.choice([4, 6])
+        x = rng.choice([rng.uniform(0.1, 0.9), rng.uniform(1.1, 2.9)])
+        s1, s2 = rng.uniform(0.02, 0.09), rng.uniform(0.02, 0.09)
+        points.append((f"regular k={k} x={x:.4f}", al.regular_integral_closed(k, x, s1, s2),
+                       lambda k=k, x=x, s1=s1, s2=s2: al.regular_integral_quadrature(k, x, s1, s2),
+                       abs(1.0 - x) ** (k / 2.0)))
+    return points
+
+
+CRITERION_POINTS = _criterion_points()
+
+
+class TestQuadrantRule:
+    """The tensor exp-sinh rule on (0, oo)^2 and its error witness."""
+
+    SPEC = nm.QuadratureSpec(domain=nm.quadrant(), rel_tol=1e-10)
+
+    def test_gamma_product(self):
+        # Gamma(1/2) Gamma(3/2) = pi/2
+        res = nm.integrate(lambda a, b: a ** -0.5 * b ** 0.5 * np.exp(-a - b), self.SPEC)
+        assert abs(res.require() - math.pi / 2.0) <= 1e-13
+
+    def test_truncation_refused(self):
+        # a^(-0.9999) keeps its weight far past the outermost nodes
+        res = nm.integrate(lambda a, b: a ** -0.9999 * np.exp(-a - b), self.SPEC)
+        with pytest.raises(AccuracyError):
+            res.require()
+
+    def test_nan_flagged(self):
+        with pytest.raises(DomainError):
+            nm.integrate(lambda a, b: np.where(a > 2.0, np.nan, np.exp(-a - b)), self.SPEC)
+
+    def test_no_runtime_warning_escapes(self):
+        # exp(a) overflows and exp(-1/b) underflows at the extreme nodes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = nm.integrate(
+                lambda a, b: np.exp(-1.0 / b - b) / (1.0 + np.exp(a)), self.SPEC)
+            al.singular_upper_quadrature(8, 0.1, -0.05)
+            al.singular_lower_quadrature(4, 0.07, 0.02)
+            al.regular_integral_quadrature(6, 1.8342, 0.0461, 0.0624)
+        # int_0^oo e^(-1/b - b) db = 2 K_1(2), int_0^oo da / (1 + e^a) = log 2
+        assert res.require().real == pytest.approx(2.0 * k1(2.0) * math.log(2.0),
+                                                   rel=1e-12)
+
+    @pytest.mark.parametrize("name, closed, quadrature, scale", CRITERION_POINTS,
+                             ids=[p[0] for p in CRITERION_POINTS])
+    def test_error_covers_gap_to_closed_form(self, monkeypatch, name, closed,
+                                             quadrature, scale):
+        results = []
+
+        def recording(f, spec):
+            res = nm.integrate(f, spec)
+            results.append(res)
+            return res
+
+        monkeypatch.setattr(al, "integrate", recording)
+        value = quadrature()
+        error = scale * math.fsum(r.error for r in results)
+        assert abs(value - closed) <= error, name
