@@ -3,6 +3,10 @@
 The eigenform data shipped with the package is the primary source of Hecke
 eigenvalues; the Eichler-Selberg trace formula implemented here serves as an
 independent cross-check and as the dimension/trace oracle for small spaces.
+It is written with Hurwitz class numbers H(n), the count of all reduced
+forms of discriminant -n with x^2 + y^2 and x^2 + xy + y^2 (and multiples)
+weighted 1/2 and 1/3, and H(0) = -1/12; one sieve over reduced forms gives
+the table of 12 H(n) up to a bound, so every trace is an integer sum.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import AccuracyError, InvariantViolation
 from .numerics import IntegralResult, QuadratureSpec, integrate, interval
@@ -167,8 +173,8 @@ def l_zero_via_l_one(D: int) -> float:
 @lru_cache(maxsize=None)
 def class_number_weighted(disc: int) -> Fraction:
     """Weighted class number h_w of a discriminant disc < 0 (0 or 1 mod 4):
-    the count of reduced binary quadratic forms, with discs -3 and -4
-    weighted by 1/3 and 1/2."""
+    reduced primitive forms counted one discriminant at a time, discs -3
+    and -4 weighted 1/3 and 1/2 (the tests' oracle for the Hurwitz sieve)."""
     if disc >= 0 or disc % 4 not in (0, 1):
         raise ValueError(f"invalid discriminant {disc}")
     n = -disc
@@ -209,22 +215,47 @@ def psi_index(N: int) -> int:
     return N + 1
 
 
-def _roots_mod(t: int, m: int, mod: int) -> int:
-    return sum(1 for x in range(mod) if (x * x - t * x + m) % mod == 0)
-
-
 def _check_prime(N: int) -> None:
     if N < 2 or any(N % d == 0 for d in range(2, int(math.isqrt(N)) + 1)):
         raise ValueError(f"N = {N} is not prime")
+
+
+@lru_cache(maxsize=None)
+def _hurwitz12(X: int) -> tuple:
+    """12 H(n) for 0 <= n <= X, H the Hurwitz class number; 12 H(0) = -1.
+
+    One sieve over the reduced forms (a, b, c), |b| <= a <= c, primitive or
+    not, with 4ac - b^2 <= X: each adds 12 at n = 4ac - b^2, except the
+    multiples a(x^2 + y^2) and a(x^2 + xy + y^2), which add 6 and 4.
+    """
+    h = np.zeros(X + 1)
+    for a in range(1, math.isqrt(X // 3) + 1):
+        b = np.arange(a + 1)[:, None]
+        c = np.arange(a, (X + a * a) // (4 * a) + 1)
+        n = 4 * a * c - b * b
+        # (a, b, c) and (a, -b, c) are distinct reduced forms iff 0 < b < a < c
+        w = np.where((b == 0) | (b == a) | (c == a), 12, 24)
+        w[0, 0], w[a, 0] = 6, 4
+        keep = n <= X
+        h += np.bincount(n[keep], weights=w[keep], minlength=X + 1)
+    h[0] = -1
+    return tuple(h.astype(np.int64).tolist())
 
 
 def eichler_selberg_trace(N: int, k: int, m: int) -> int:
     """Trace of the m-th Hecke operator on weight-k cusp forms of prime
     level N, trivial character, for gcd(m, N) = 1 and even k >= 4.
 
-    Elliptic orbits are weighted by class numbers times local solution
-    counts; the square-trace boundary carries the index, and the split
-    (divisor) orbits carry the mod-N solution count of (x-d)(x-d').
+    In Hurwitz form, with n = 4m - t^2 and P_k = gegenbauer_coefficient,
+
+        Tr T_m = -1/2 sum_{t^2 <= 4m} P_k(t, m) [r (H(n) - H(n/N^2))
+                 + (N + 1) H(n/N^2)] - sum_{d | m} min(d, m/d)^(k-1),
+
+    where r = 1 + ((t^2 - 4m) / N) counts the roots of x^2 - t x + m mod N
+    (orders maximal at N), H(n/N^2) is 0 unless N^2 | n (orders whose
+    conductor N divides embed N + 1 times), and H(0) = -1/12 makes the
+    t^2 = 4m term the identity's index term.  The sum runs in integers
+    over one sieved table of 12 H; the result is exact.
     """
     _check_prime(N)
     if k % 2 or k < 4:
@@ -232,50 +263,18 @@ def eichler_selberg_trace(N: int, k: int, m: int) -> int:
     if m < 1 or math.gcd(m, N) != 1:
         raise ValueError("need m >= 1 with gcd(m, N) = 1")
 
-    psi = psi_index(N)
-    total = Fraction(0)
-
-    # elliptic and identity-boundary terms: t^2 <= 4m
-    tmax = math.isqrt(4 * m)
-    for t in range(-tmax, tmax + 1):
-        d = t * t - 4 * m
-        pk = gegenbauer_coefficient(k, t, m)
-        if d == 0:
-            total -= Fraction(pk) * Fraction(-psi, 12) * Fraction(1, 2)
-            continue
-        # sum over square divisors f^2 | d with d/f^2 a discriminant
-        h_term = Fraction(0)
-        f = 1
-        while f * f <= -d:
-            if d % (f * f) == 0:
-                df = d // (f * f)
-                if df % 4 in (0, 1):
-                    h_term += class_number_weighted(df) * _embedding_count(t, m, f, d, N)
-            f += 1
-        total -= Fraction(pk) * h_term * Fraction(1, 2)
-
-    # split (divisor) terms; each of the two cusps of a prime level
-    # contributes weight phi(gcd(c, N/c)) = 1, independent of the pair
-    for dd in _divisors(m):
-        d2 = m // dd
-        w = min(dd, d2) ** (k - 1)
-        total -= Fraction(w * 2, 2)
-
-    if total.denominator != 1:
-        raise AccuracyError(f"trace formula returned non-integer {total}")
-    return int(total)
-
-
-def _embedding_count(t: int, m: int, f: int, d: int, N: int) -> int:
-    """Local weight at N of the order of discriminant d / f^2.
-
-    For orders maximal at N this is the number of roots of x^2 - t x + m
-    modulo N; when N divides the conductor f the order embeds with
-    multiplicity N + 1 (validated against the exact q-expansion traces).
-    """
-    if f % N != 0:
-        return _roots_mod(t, m, N)
-    return N + 1
+    h12 = _hurwitz12(1 << (4 * m - 1).bit_length())
+    psi, total = psi_index(N), 0
+    for t in range(math.isqrt(4 * m) + 1):
+        n = 4 * m - t * t
+        h_n, h_nN = h12[n], (h12[n // (N * N)] if n % (N * N) == 0 else 0)
+        r = 1 + kronecker(-n, N)
+        term = gegenbauer_coefficient(k, t, m) * (r * (h_n - h_nN) + psi * h_nN)
+        # P_k(-t, m) = P_k(t, m) at even k, so -t repeats the term of t
+        total += term if t == 0 else 2 * term
+    if total % 24:
+        raise AccuracyError(f"trace formula returned non-integer {Fraction(-total, 24)}")
+    return -total // 24 - sum(min(d, m // d) ** (k - 1) for d in _divisors(m))
 
 
 def _divisors(m: int) -> list:

@@ -16,10 +16,12 @@ the source bookkeeping leaves implicit.  The report records both together
 with the observed ratios, so no normalization dispute is hidden.
 
 With the basic auxiliary test function the identity is exact at finite
-level, so the report's ``envelope`` checks, at every level with forms,
-|S_N - 2 c_assembled L(1, chi)| and the documented ratio to the printed
-constant against an error budget (``identity_budget``, ``identity_check``)
-whose per-form terms the accuracy witnesses of the computation bear out.
+level in the stable range N > |D|, and ExperimentConfig refuses a level
+with forms outside it.  The report's ``envelope`` checks, at every level
+with forms, |S_N - 2 c_assembled L(1, chi)| and the documented ratio to the
+printed constant against an error budget (``identity_budget``,
+``identity_check``) whose per-form terms the accuracy witnesses of the
+computation bear out.
 """
 
 from __future__ import annotations
@@ -101,6 +103,12 @@ class ExperimentConfig:
                 raise InvariantViolation(f"level {N} fails chi(-N) = 1")
             if p % N == 0 or D % N == 0:
                 raise InvariantViolation(f"level {N} divides the auxiliary data")
+            # outside the stable range S_N misses 2 c L(1, chi) by O(1),
+            # e.g. by -3/4 relative at (D, N) = (-8, 7)
+            if N <= abs(D) and dim_cusp_forms(N, self.weight) > 0:
+                raise InvariantViolation(
+                    f"level N = {N} with D = {D} lies outside the stable "
+                    f"range N > |D|")
         if self.data_path is None:
             self.data_path = default_data_path()
 

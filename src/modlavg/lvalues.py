@@ -63,13 +63,15 @@ QEXP_TAIL_TOL = 1e-17
 def _tail_bound(k: int, y: float, start: int) -> float:
     """Upper bound for sum_{n >= start} n^{(k+1)/2} e^{-2 pi n y}.
 
-    Uses |c_n| <= d(n) n^{(k-1)/2} <= n^{(k+1)/2} and a geometric majorant
-    valid once the summand is decreasing by a fixed ratio.
+    Uses |c_n| <= d(n) n^{(k-1)/2} <= n^{(k+1)/2} and a geometric majorant:
+    the ratio of consecutive summands, (1 + 1/n)^{(k+1)/2} e^{-2 pi y},
+    decreases in n, so its value at ``start`` bounds every later one and
+    the majorant holds whenever that value is below 1.
     """
     a = (k + 1) / 2.0
     t = math.exp(-2.0 * math.pi * y)
     ratio = (1.0 + 1.0 / start) ** a * t
-    if ratio >= 0.9:
+    if ratio >= 1.0:
         return math.inf
     first = start ** a * t ** start
     return first / (1.0 - ratio)

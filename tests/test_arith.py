@@ -81,6 +81,35 @@ class TestClassNumbers:
             ar.class_number_weighted(-5)
 
 
+class TestHurwitzSieve:
+    def test_sieve_matches_reduced_form_counts(self):
+        # 12 H(n) = 12 sum over f^2 | n of h_w(-n / f^2), class numbers
+        # counted one discriminant at a time
+        h12 = ar._hurwitz12(4096)
+        assert h12[0] == -1
+        for n in range(1, 3000):
+            expected = sum(12 * ar.class_number_weighted(-n // (f * f))
+                           for f in range(1, math.isqrt(n) + 1)
+                           if n % (f * f) == 0 and (n // (f * f)) % 4 in (0, 3))
+            assert h12[n] == expected, n
+            if n % 4 in (1, 2):
+                assert h12[n] == 0, n
+
+    def test_hurwitz_kronecker_relation(self):
+        # sum_t H(4n - t^2) = 2 sigma(n) - sum_{d | n} min(d, n/d), H(0) = -1/12
+        h12 = ar._hurwitz12(8192)
+        for n in range(1, 2000):
+            tmax = math.isqrt(4 * n)
+            lhs = sum(h12[4 * n - t * t] for t in range(-tmax, tmax + 1))
+            divisors = [d for d in range(1, n + 1) if n % d == 0]
+            rhs = 24 * sum(divisors) - 12 * sum(min(d, n // d) for d in divisors)
+            assert lhs == rhs, n
+
+    def test_table_is_cached_per_bound(self):
+        assert ar._hurwitz12(64) is ar._hurwitz12(64)
+        assert ar._hurwitz12(64) == ar._hurwitz12(128)[:65]
+
+
 class TestEichlerSelberg:
     def test_t1_equals_dimension(self):
         for N in (3, 5, 7, 11, 13, 19, 23, 31, 41):
@@ -88,9 +117,20 @@ class TestEichlerSelberg:
                 assert ar.eichler_selberg_trace(N, k, 1) == ar.dim_cusp_forms(N, k)
 
     def test_against_qexp_oracle(self):
-        sp = mf.CuspSpace(5, 4, length=200)
-        for m in [m for m in range(1, 25) if m % 5]:
-            assert sp.trace_hecke(m) == ar.eichler_selberg_trace(5, 4, m)
+        for N in (5, 7, 11):
+            sp = mf.CuspSpace(N, 4, length=200)
+            for m in [m for m in range(1, 25) if m % N]:
+                assert sp.trace_hecke(m) == ar.eichler_selberg_trace(N, 4, m), (N, m)
+
+    def test_exact_beyond_int64(self):
+        # at k = 40 the traces pass 2^63; they stay exact Python ints within
+        # the Deligne bound dim * 2 p^((k-1)/2)
+        dim = ar.dim_cusp_forms(13, 40)
+        assert ar.eichler_selberg_trace(13, 40, 1) == dim
+        for p in (389, 397):
+            tr = ar.eichler_selberg_trace(13, 40, p)
+            assert type(tr) is int and abs(tr) > 2 ** 63
+            assert abs(tr) <= 2 * dim * p ** 19.5
 
     def test_conductor_corner_cases(self):
         # discriminants divisible by N^2 exercise the nonmaximal embedding

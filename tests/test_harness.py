@@ -29,6 +29,13 @@ class TestConfig:
             hs.ExperimentConfig(discriminant=-4, weight=4, aux_prime=13,
                                 levels=[5])
 
+    def test_level_outside_stable_range(self):
+        # chi_{-8}(-7) = 1 and level 7 has a form, but 7 <= |D| = 8
+        with pytest.raises(InvariantViolation,
+                           match=r"N = 7 with D = -8 .*stable range N > \|D\|"):
+            hs.ExperimentConfig(discriminant=-8, weight=4, aux_prime=13,
+                                levels=[7])
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
@@ -260,6 +267,14 @@ class TestCLI:
         }))
         assert cli.main(["average", "--config", str(path)]) == 0
         assert (tmp_path / "out" / "report.json").exists()
+
+    def test_average_outside_stable_range(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "discriminant": -8, "weight": 4, "aux_prime": 13, "levels": [7],
+        }))
+        assert cli.main(["average", "--config", str(path)]) == 2
+        assert "stable range N > |D|" in capsys.readouterr().err
 
     def test_lvalues_command(self, capsys):
         assert cli.main(["lvalues", "--forms", hs.default_data_path(),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,9 +44,10 @@ class TestQExpansion:
                     assert lv.q_expansion_eval(f, z) == v
 
     def test_truncated_tail_within_tolerance(self, forms):
-        # the full Horner sum over all stored coefficients is the reference
+        # the full Horner sum over all stored coefficients is the reference;
+        # sqrt(3)/118 is the norm's lowest height at level 59
         for f in forms.values():
-            for y in (0.08, 0.3, 2.0):
+            for y in (0.08, 0.3, 2.0, math.sqrt(3.0) / 118.0):
                 zs = np.linspace(-0.5, 0.5, 9) + 1j * y
                 q = np.exp(2j * np.pi * zs)
                 full = np.zeros_like(q)
@@ -53,6 +56,16 @@ class TestQExpansion:
                 full *= q
                 gap = np.max(np.abs(lv.q_expansion_eval(f, zs) - full))
                 assert gap <= lv.QEXP_TAIL_TOL
+
+    def test_tail_bound_at_lowest_norm_height(self):
+        # sqrt(3)/(2N) at N = 59: e^(-2 pi y) = 0.912, so the majorant's
+        # ratio lies between 0.9 and 1 at every start
+        y = math.sqrt(3.0) / 118.0
+        t = math.exp(-2.0 * math.pi * y)
+        for start in (40, 100, 600, 1500):
+            bound = lv._tail_bound(4, y, start)
+            brute = math.fsum(n ** 2.5 * t ** n for n in range(start, start + 5000))
+            assert math.isfinite(bound) and bound >= brute, start
 
     def test_insufficient_coefficients(self, forms):
         f = forms["5.4.a"]
