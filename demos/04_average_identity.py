@@ -55,7 +55,7 @@ for key, what in (("assembled", "|S - 2 c_assembled L|"),
         print(f"    level {N:2d}: deviation {r['deviation']:.3e}   "
               f"budget {r['budget']:.3e}   "
               f"{'within budget' if r['deviation'] <= r['budget'] else 'EXCEEDS budget'}")
-    print(f"    identity holds at every level: {env['ok']}")
+print(f"  identity holds at every level with forms: {report.ok}")
 
 print("\nnormalization ledger:")
 for line in report.normalization_ledger:

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate the eigenform coefficient files shipped in modlavg/data.
 
-Builds the weight-4 newforms of levels 5, 7 and 11 from exact q-expansion
-linear algebra (Eisenstein / eta-product bases + Hecke diagonalization) and
-writes them as JSON-lines records.  Run from the repository root:
+Builds the weight-4 newforms of levels 5, 7 and 11 from the Eichler-Selberg
+trace formula (``modlavg.newforms``: Hecke translates of the trace form,
+the exact matrix of T_2, its eigenvectors, and the Atkin-Lehner sign that
+the measured Fricke sign accepts) and writes them as JSON-lines records.
+Run from the repository root:
 
     python3 scripts/generate_eigenform_data.py [n_max]
 """
@@ -14,7 +16,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from modlavg.arith import dump_eigenforms, load_eigenforms  # noqa: E402
-from modlavg.modforms import newforms_qexp  # noqa: E402
+from modlavg.newforms import newforms  # noqa: E402
 
 
 def main():
@@ -23,7 +25,7 @@ def main():
     out_dir.mkdir(parents=True, exist_ok=True)
     forms = []
     for level in (5, 7, 11):
-        batch = newforms_qexp(level, 4, n_max=n_max)
+        batch = newforms(level, 4, n_max)
         for f in batch:
             print(f"{f.label}: n_max={f.n_max} atkin_lehner={f.atkin_lehner} "
                   f"c2={f.coeffs[1]}")

@@ -8,6 +8,7 @@ from . import (  # noqa: F401
     lvalues,
     measures,
     modforms,
+    newforms,
     numerics,
     padic_local,
     reg_tail,

@@ -6,7 +6,8 @@ independent cross-check and as the dimension/trace oracle for small spaces.
 It is written with Hurwitz class numbers H(n), the count of all reduced
 forms of discriminant -n with x^2 + y^2 and x^2 + xy + y^2 (and multiples)
 weighted 1/2 and 1/3, and H(0) = -1/12; one sieve over reduced forms gives
-the table of 12 H(n) up to a bound, so every trace is an integer sum.
+the table of 12 H(n) up to a bound, so every trace is an integer sum.  Exact
+row reduction over Q serves the newform generator and the q-expansion oracle.
 """
 
 from __future__ import annotations
@@ -287,6 +288,37 @@ def _divisors(m: int) -> list:
                 out.append(m // d)
         d += 1
     return sorted(out)
+
+
+def _rref(rows: list) -> tuple:
+    """Reduced row echelon form over Q and its pivot columns."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        mat[r] = [x / mat[r][col] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(col)
+    return mat, pivots
+
+
+def _kernel(rows: list) -> list:
+    """Basis of the right kernel of a rational matrix."""
+    red, pivots = _rref(rows)
+    out = []
+    for free in (c for c in range(len(rows[0])) if c not in pivots):
+        vec = [Fraction(int(c == free)) for c in range(len(rows[0]))]
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r][free]
+        out.append(vec)
+    return out
 
 
 def dim_cusp_forms(N: int, k: int) -> int:

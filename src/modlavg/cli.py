@@ -112,11 +112,7 @@ def _cmd_average(args) -> int:
         print(f"report written to {cfg.output_dir}")
     else:
         print(report.to_json())
-    ok = report.envelope["printed"]["ok"] and report.envelope["assembled"]["ok"]
-    for lvl in report.levels:
-        if lvl["forms"] and lvl["spectral_full"] <= 0:
-            ok = False
-    return 0 if ok else 1
+    return 0 if report.ok else 1
 
 
 def main(argv=None) -> int:

@@ -1,11 +1,12 @@
-"""Exact q-expansion models of the cusp spaces at prime level.
+"""Exact q-expansion models of the cusp spaces at prime level: the oracle
+for Hecke traces.
 
 Spaces are built from Eisenstein series, the weight-2 level series
 E2(z) - N E2(Nz), and (at level 11) the weight-2 eta-product cusp form.
 Everything is exact integer/rational arithmetic on truncated q-series, so
-Hecke traces computed here are an independent oracle for the trace formula,
-and the eigenform q-expansions extracted here are the source of the shipped
-coefficient data files.
+the Hecke traces computed here check the Eichler-Selberg trace formula
+(levels 5, 7 and 11) from an independent construction; the newforms
+themselves come from the trace formula (see ``newforms``).
 
 Only prime level and even weight 4 <= k < 12 are supported (such spaces are
 entirely new).
@@ -14,13 +15,12 @@ entirely new).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import dim_cusp_forms, Eigenform
+from .arith import _divisors, _kernel, _rref, dim_cusp_forms
 from .errors import InvariantViolation
 
-__all__ = ["CuspSpace", "newforms_qexp"]
+__all__ = ["CuspSpace"]
 
 
 # ---------------------------------------------------------------------------
@@ -110,38 +110,6 @@ def eta_product_11(L):
 
 
 # ---------------------------------------------------------------------------
-# number field helper for irrational eigenvalue pairs
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Quad:
-    """u + v sqrt(disc) with rational u, v."""
-
-    u: Fraction
-    v: Fraction
-    disc: int
-
-    def __add__(self, o):
-        return Quad(self.u + o.u, self.v + o.v, self.disc)
-
-    def __sub__(self, o):
-        return Quad(self.u - o.u, self.v - o.v, self.disc)
-
-    def __mul__(self, o):
-        if isinstance(o, Quad):
-            return Quad(self.u * o.u + self.disc * self.v * o.v,
-                        self.u * o.v + self.v * o.u, self.disc)
-        return Quad(self.u * o, self.v * o, self.disc)
-
-    def inverse(self):
-        nrm = self.u * self.u - self.disc * self.v * self.v
-        return Quad(self.u / nrm, -self.v / nrm, self.disc)
-
-    def to_float(self):
-        return float(self.u) + float(self.v) * math.sqrt(self.disc)
-
-
-# ---------------------------------------------------------------------------
 # the cusp space
 # ---------------------------------------------------------------------------
 
@@ -201,7 +169,7 @@ class CuspSpace:
         rows, picked = [], []
         for series, wconst in candidates:
             trial = rows + [[Fraction(c) for c in series[:ncols]]]
-            if _rank(trial) > len(rows):
+            if len(_rref(trial)[1]) > len(rows):
                 rows = trial
                 picked.append((series, wconst))
             if len(picked) == dim_m:
@@ -217,7 +185,7 @@ class CuspSpace:
             [Fraction(series[0]) for series, _ in picked],
             [wconst for _, wconst in picked],
         ]
-        kernel = _nullspace(sys_rows)
+        kernel = _kernel(sys_rows)
         if len(kernel) != self.dim:
             raise InvariantViolation(
                 f"cusp cut gave dimension {len(kernel)}, expected {self.dim}"
@@ -256,7 +224,7 @@ class CuspSpace:
         out = [Fraction(0)] * out_len
         for n in range(1, out_len):
             total = Fraction(0)
-            for d in _divs(math.gcd(m, n)):
+            for d in _divisors(math.gcd(m, n)):
                 if N % d == 0 and d > 1:
                     continue
                 idx = m * n // (d * d)
@@ -287,73 +255,11 @@ class CuspSpace:
         return int(tr)
 
 
-def _divs(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d * d != n:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
 def _first_nonzero(vec):
     for i, x in enumerate(vec):
         if x:
             return i
     raise InvariantViolation("zero vector in cusp basis")
-
-
-def _rank(rows):
-    mat = [row[:] for row in rows]
-    rank, ncols = 0, len(mat[0]) if mat else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = Fraction(1) / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
-def _nullspace(rows):
-    """Kernel basis of a small rational system (rows are functionals)."""
-    ncols = len(rows[0])
-    mat = [row[:] for row in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = Fraction(1) / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    out = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc]
-        out.append(vec)
-    return out
 
 
 def _echelon_series(basis):
@@ -373,121 +279,3 @@ def _echelon_series(basis):
                     w[n] -= f * head[n]
         done.append(head)
     return done
-
-
-# ---------------------------------------------------------------------------
-# eigenform extraction
-# ---------------------------------------------------------------------------
-
-def newforms_qexp(N: int, k: int, n_max: int = 100) -> list:
-    """Eigenforms of the (entirely new) cusp space, as Eigenform records.
-
-    Coefficients come out exact for rational forms and as floats through
-    exact quadratic-field arithmetic otherwise.  The Atkin-Lehner sign is
-    read off the level coefficient: c_N = -w N^(k/2-1).
-    """
-    space = CuspSpace(N, k, length=max(n_max + 1, 4 * (N + 1), 60))
-    dim = space.dim
-    if dim == 0:
-        return []
-    if dim == 1:
-        vec = space.basis[0]
-        lead = vec[1]
-        coeffs = [vec[n] / lead for n in range(1, n_max + 1)]
-        return [_finalize(N, k, "a", coeffs)]
-    if dim == 2:
-        tmat = space.hecke_matrix(2)
-        tr = tmat[0][0] + tmat[1][1]
-        det = tmat[0][0] * tmat[1][1] - tmat[0][1] * tmat[1][0]
-        disc = tr * tr - 4 * det
-        b0, b1 = space.basis
-        if _is_rational_square(disc):
-            root = _fraction_sqrt(disc)
-            out = []
-            for tag, lam in (("a", (tr + root) / 2), ("b", (tr - root) / 2)):
-                combo = _eigvec_combo(tmat, lam, b0, b1, n_max)
-                out.append(_finalize(N, k, tag, combo))
-            return out
-        # conjugate pair in Q(sqrt(disc_int))
-        disc_int, scale = _normalize_disc(disc)
-        out = []
-        for tag, sgn in (("a", 1), ("b", -1)):
-            lam = Quad(tr / 2, sgn * scale / 2, disc_int)
-            combo = _eigvec_combo_quad(tmat, lam, b0, b1, n_max)
-            out.append(_finalize(N, k, tag, combo))
-        return out
-    raise NotImplementedError("newform extraction implemented for dim <= 2")
-
-
-def _eigvec_combo(tmat, lam, b0, b1, n_max):
-    a, b = tmat[0][0], tmat[0][1]
-    if b == 0:
-        raise InvariantViolation("degenerate Hecke matrix")
-    x = (lam - a) / b
-    series = [b0[n] + x * b1[n] for n in range(n_max + 1)]
-    lead = series[1]
-    return [series[n] / lead for n in range(1, n_max + 1)]
-
-
-def _eigvec_combo_quad(tmat, lam, b0, b1, n_max):
-    disc = lam.disc
-    a = Quad(tmat[0][0], Fraction(0), disc)
-    b = Quad(tmat[0][1], Fraction(0), disc)
-    x = (lam - a) * b.inverse()
-    series = [Quad(Fraction(b0[n]), Fraction(0), disc) + x * b1[n]
-              for n in range(n_max + 1)]
-    lead_inv = series[1].inverse()
-    return [(series[n] * lead_inv) for n in range(1, n_max + 1)]
-
-
-def _is_rational_square(x: Fraction) -> bool:
-    if x < 0:
-        return False
-    return (math.isqrt(x.numerator) ** 2 == x.numerator
-            and math.isqrt(x.denominator) ** 2 == x.denominator)
-
-
-def _fraction_sqrt(x: Fraction) -> Fraction:
-    return Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
-
-
-def _normalize_disc(disc: Fraction):
-    """Write sqrt(disc) = scale * sqrt(d) with d a squarefree-ish integer."""
-    num, den = disc.numerator, disc.denominator
-    d = num * den  # sqrt(num/den) = sqrt(num*den)/den
-    scale = Fraction(1, den)
-    f = 2
-    while f * f <= d:
-        while d % (f * f) == 0:
-            d //= f * f
-            scale *= f
-        f += 1
-    return d, scale
-
-
-def _finalize(N, k, tag, coeffs):
-    out = []
-    for c in coeffs:
-        if isinstance(c, Quad):
-            if c.v == 0 and c.u.denominator == 1:
-                out.append(int(c.u))
-            else:
-                out.append(c.to_float())
-        elif isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise InvariantViolation(
-                    f"non-integral rational coefficient {c} at level {N}"
-                )
-            out.append(int(c))
-        else:
-            out.append(int(c))
-    # Atkin-Lehner sign from the level coefficient
-    w = None
-    if N <= len(out):
-        cN = out[N - 1]
-        target = N ** (k // 2 - 1)
-        if isinstance(cN, int) and abs(cN) == target:
-            w = -1 if cN > 0 else +1
-    form = Eigenform(level=N, weight=k, label=f"{N}.{k}.{tag}",
-                     coeffs=out, atkin_lehner=w)
-    return form

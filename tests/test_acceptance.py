@@ -277,8 +277,8 @@ def test_criterion_12_average_trend():
                    if lvl["forms"])
     finite = all(math.isfinite(v) for v in l1.values())
 
-    # (b) the finite-level identity at each level, within its error budget
-    env_ok = rep.envelope["printed"]["ok"] and rep.envelope["assembled"]["ok"]
+    # (b) the finite-level identity at each level with forms, within its
+    # error budget and with S_N > 0 (the report's one verdict)
     failed = sorted(set(rep.envelope["printed"]["violations"])
                     | set(rep.envelope["assembled"]["violations"]))
     identity = ", ".join(
@@ -295,7 +295,7 @@ def test_criterion_12_average_trend():
         zeros = [r for r in audit["rows"] if r["value"] == 0.0]
         audit_ok &= len(zeros) == 4
 
-    ok = positive and finite and env_ok and audit_ok
+    ok = rep.ok and finite and audit_ok
     report(12, ok,
            f"bin-share distances {', '.join(f'{N}: {v:.3f}' for N, v in sorted(l1.items()))}; "
            f"{'positive' if positive else 'NOT all positive'} sums; "

@@ -156,6 +156,22 @@ class TestRunExperiment:
         report = hs.run_experiment(cfg)
         assert report.levels == []
         assert report.constants["c_printed"] > 0
+        assert not report.ok  # nothing was checked
+
+    def test_data_file_read_once(self, cfg, monkeypatch):
+        calls = []
+        load = hs.load_eigenforms
+
+        def counted(path, *args, **kwargs):
+            calls.append(path)
+            return load(path, *args, **kwargs)
+
+        monkeypatch.setattr(hs, "_FORM_CACHE", {})
+        monkeypatch.setattr(hs, "load_eigenforms", counted)
+        hs.run_experiment(cfg)
+        assert len(calls) == 1  # cold: one read serves levels 3, 7 and 11
+        hs.run_experiment(cfg)
+        assert len(calls) == 1  # warm: no read
 
     def test_level_independence_of_sums(self, cfg):
         report = hs.run_experiment(cfg)
@@ -167,8 +183,10 @@ class TestRunExperiment:
 
     def test_envelope_sections(self, cfg):
         report = hs.run_experiment(cfg)
+        assert report.ok
         for key in ("printed", "assembled"):
-            assert report.envelope[key]["ok"]
+            assert sorted(report.envelope[key]["rows"]) == [7, 11]
+        assert "ok" not in json.loads(report.to_json())
 
 
 class TestIdentityCheck:
@@ -201,6 +219,15 @@ class TestIdentityCheck:
                 for key in ("printed", "assembled"):
                     assert not out[key]["ok"]
                     assert out[key]["violations"] == [N]
+
+    def test_nonpositive_sum_fails(self, cfg):
+        c = hs.run_experiment(cfg).constants
+        # a budget wide enough to pass any deviation does not pass S_N <= 0
+        out = hs.identity_check({7: 0.0, 11: 1.0}, {7: 1e300, 11: 1e300}, 4,
+                                c["c_printed"], c["c_assembled"], c["L1"])
+        for key in ("printed", "assembled"):
+            assert out[key]["violations"] == [7]
+            assert not out[key]["ok"]
 
     def test_inaccurate_central_value_refused(self, cfg, monkeypatch):
         # a 1e-12 AFE-vs-Mellin gap passes central_value's default tolerance
@@ -267,6 +294,14 @@ class TestCLI:
         }))
         assert cli.main(["average", "--config", str(path)]) == 0
         assert (tmp_path / "out" / "report.json").exists()
+
+    def test_average_without_forms_fails(self, tmp_path, capsys):
+        # level 3 has no forms at weight 4, so the identity is not checked
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "discriminant": -4, "weight": 4, "aux_prime": 13, "levels": [3],
+        }))
+        assert cli.main(["average", "--config", str(path)]) == 1
 
     def test_average_outside_stable_range(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
