@@ -42,12 +42,7 @@ from .arith import (
     load_eigenforms,
 )
 from .errors import AccuracyError, InvariantViolation
-from .lvalues import (
-    CompletedL,
-    central_value,
-    petersson_norm,
-    petersson_norm_terms,
-)
+from .lvalues import NORM_TOL, central_value, petersson_norm
 from .numerics import QuadratureSpec, integrate, interval
 
 __all__ = [
@@ -223,11 +218,10 @@ def _level_rows(cfg: ExperimentConfig, N: int, forms: list | None = None) -> lis
     for f in sorted(forms, key=lambda g: g.label):
         cv = central_value(f, tol=CENTRAL_WITNESS_TOL)
         cvt = central_value(f, twist=cfg.discriminant)
-        spread = CompletedL(f, twist=cfg.discriminant).fe_residual(cfg.weight / 2.0)
-        if not spread <= CENTRAL_WITNESS_TOL:
+        if not cvt.spread <= CENTRAL_WITNESS_TOL:
             raise AccuracyError(
                 f"level {N}, {f.label}: twisted split-point spread "
-                f"{spread:.2e} exceeds {CENTRAL_WITNESS_TOL:.0e}"
+                f"{cvt.spread:.2e} exceeds {CENTRAL_WITNESS_TOL:.0e}"
             )
         nrm = petersson_norm(f)
         rows.append({
@@ -374,19 +368,16 @@ class AverageReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def identity_budget(rows: list, N: int, target: float,
-                    target_rel_error: float) -> float:
-    """Absolute error budget for |S_N - target| at level N.
+def identity_budget(rows: list, target: float, target_rel_error: float) -> float:
+    """Absolute error budget for |S_N - target| at one level.
 
     Each contribution L(1/2, f) L(1/2, f x chi) / <f, f> carries, relative
     to itself, CENTRAL_WITNESS_TOL for each of its two central values and
-    the rounding of its Petersson norm (the number of terms the norm sums
-    times the unit roundoff); the target carries ``target_rel_error``.
-    The truncation error of the norm's fixed quadrature mesh has no witness
-    and is not covered.
+    NORM_TOL for its norm, whose mesh-doubling witness covers the mesh
+    error; the target carries ``target_rel_error``.  Only constants enter,
+    so rows from any source get the same budget.
     """
-    form_rel = (2.0 * CENTRAL_WITNESS_TOL
-                + petersson_norm_terms(N) * UNIT_ROUNDOFF)
+    form_rel = 2.0 * CENTRAL_WITNESS_TOL + NORM_TOL
     return (math.fsum(abs(r["contribution"]) for r in rows) * form_rel
             + abs(target) * target_rel_error)
 
@@ -464,7 +455,7 @@ def run_experiment(cfg: ExperimentConfig) -> AverageReport:
         })
         if rows:
             sums[N] = s_full
-            budgets[N] = identity_budget(rows, N, target, target_rel_error)
+            budgets[N] = identity_budget(rows, target, target_rel_error)
 
     prop = proportionality_test(cfg) if len(cfg.levels) >= 3 else {}
     envelope = identity_check(sums, budgets, k, c_printed, c_asm, l_one)

@@ -21,6 +21,10 @@ functional equation with incomplete-Gamma weights, and (untwisted) direct
 Mellin quadrature of the q-expansion split at 1/sqrt(N) through the Fricke
 involution.  The Fricke sign itself is measured numerically with a wide
 margin, never assumed, and once per central value.
+
+The Petersson norm takes the cusps at infinity and 0 exactly above heights
+1 and 1/N, by Parseval, and meshes only the band between the unit arc and
+height 1, checking that mesh against itself with every panel count doubled.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ __all__ = [
     "central_value",
     "CentralValue",
     "petersson_norm",
-    "petersson_norm_terms",
     "oldform_mellin_ratio",
 ]
 
@@ -286,6 +289,7 @@ class CentralValue:
     afe: float
     mellin: float | None
     fricke: int | None  # measured Fricke sign; None when twisted
+    spread: float | None  # split-point spread at the center; None untwisted
 
 
 def central_value(form: Eigenform, twist: int | None = None,
@@ -294,7 +298,8 @@ def central_value(form: Eigenform, twist: int | None = None,
 
     Untwisted values are computed by both the smoothed-sum and Mellin
     routes, which must agree to ``tol`` relative; the Mellin route uses the
-    Fricke sign, measured once and returned.  A sign eps = -1 forces the
+    Fricke sign, measured once and returned; twisted values return their
+    split-point spread at the center instead.  A sign eps = -1 forces the
     value 0, reported through the flag.
     """
     comp = CompletedL(form, twist=twist)
@@ -304,7 +309,7 @@ def central_value(form: Eigenform, twist: int | None = None,
                     * (2.0 * math.pi) ** (-s_c) * math.gamma(s_c))
     lam_afe = comp.lambda_afe(s_c)
     afe = lam_afe / gamma_factor
-    mellin = fricke = None
+    mellin = fricke = spread = None
     if twist is None:
         fricke = fricke_sign(form)
         lam_mel = comp.lambda_mellin(s_c, fricke)
@@ -315,75 +320,89 @@ def central_value(form: Eigenform, twist: int | None = None,
                 f"{form.label}: central-value paths disagree "
                 f"(afe {afe:.12e}, mellin {mellin:.12e})"
             )
-    if comp.eps == -1:
-        return CentralValue(value=0.0, eps=-1, forced_zero=True,
-                            afe=afe, mellin=mellin, fricke=fricke)
-    return CentralValue(value=afe, eps=+1, forced_zero=False,
-                        afe=afe, mellin=mellin, fricke=fricke)
+    else:
+        spread = comp.fe_residual(s_c)
+    forced_zero = comp.eps == -1
+    return CentralValue(value=0.0 if forced_zero else afe, eps=comp.eps,
+                        forced_zero=forced_zero, afe=afe, mellin=mellin,
+                        fricke=fricke, spread=spread)
 
 
 # ---------------------------------------------------------------------------
 # Petersson norm
 # ---------------------------------------------------------------------------
 
-def _gl_panels(a: float, b: float, panels: int, rule: tuple, log_scale: bool):
+def _gl_panels(a: float, b: float, panels: int, rule: tuple):
     """Composite Gauss-Legendre mesh on [a, b] from ``rule`` = leggauss(order)."""
     nodes, weights = rule
-    xs, ws = [], []
-    if log_scale:
-        edges = np.exp(np.linspace(math.log(a), math.log(b), panels + 1))
-    else:
-        edges = np.linspace(a, b, panels + 1)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        xs.append(mid + half * nodes)
-        ws.append(half * weights)
-    return np.concatenate(xs), np.concatenate(ws)
+    edges = np.linspace(a, b, panels + 1)[:, None]
+    half, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[1:] + edges[:-1])
+    return (mid + half * nodes).ravel(), (half * weights).ravel()
 
 
-# default Gauss-Legendre mesh of petersson_norm: panels across the strip,
-# log-spaced panels up the height, and nodes per panel
+# default Gauss-Legendre mesh of the band below height 1: panels across
+# the strip, panels up the band, and nodes per panel
 NORM_X_PANELS = 6
-NORM_Y_PANELS = 10
+NORM_Y_PANELS = 2
 NORM_ORDER = 12
+# largest relative change of the norm allowed when every panel count doubles
+NORM_TOL = 1e-13
+
+
+def _cusp_strip(form: Eigenform, Y: float) -> float:
+    """Integral of y^(k-2) |phi|^2 over one period above height Y, by
+    Parseval: sum |c_n|^2 Gamma(k-1, 4 pi n Y) / (4 pi n)^(k-1).  Past the
+    stored coefficients |c_n|^2 <= n^(k+1) and Gamma(a, x) <= x^(a-1) e^-x
+    / (1 - (a-1)/x) bound the sum by Y^(k-2) / (4 pi (1 - (k-2)/x)) times
+    _tail_bound; that must fall below the last bit of the stored sum."""
+    k, m = form.weight, form.n_max + 1
+    n = np.arange(1, m, dtype=float)
+    c = np.asarray(form.coeffs, dtype=float)
+    total = float(np.sum(c * c * scipy.special.gammaincc(k - 1, 4.0 * math.pi * n * Y)
+                         * math.gamma(k - 1) / (4.0 * math.pi * n) ** (k - 1)))
+    x = 4.0 * math.pi * m * Y
+    tail = (Y ** (k - 2) / (4.0 * math.pi * (1.0 - (k - 2) / x))
+            * _tail_bound(2 * k - 1, 2.0 * Y, m)) if x > k - 2 else math.inf
+    if not tail <= 2.0 ** -53 * total:
+        raise InsufficientCoefficients(f"{form.label}: cusp strip above height "
+                                       f"{Y:.4f} has a tail of {tail:.2e}")
+    return total
 
 
 def petersson_norm(form: Eigenform, x_panels: int = NORM_X_PANELS,
-                   y_panels: int = NORM_Y_PANELS, order: int = NORM_ORDER,
-                   y_cut: float = 36.0) -> float:
-    """Petersson norm: the integral of y^(k-2) |phi|^2 over a fundamental
-    domain of the level group.
-
-    The domain is unfolded to (N+1) translates of the standard modular
-    triangle; translates near the lower cusp are evaluated through the
-    Fricke identity, which turns them into values of phi at height >=
-    sqrt(3)/(2N); q_expansion_eval certifies the tail of every value.
-    Fixed composite Gauss-Legendre panels keep the result deterministic and
-    allow mesh-refinement convergence checks.
+                   y_panels: int = NORM_Y_PANELS,
+                   order: int = NORM_ORDER) -> float:
+    """Petersson norm: the integral of y^(k-2) |phi|^2 dx dy over a
+    fundamental domain of the level group, the standard triangle F and the
+    N pieces -1/(F + j) at the cusp 0, which the Fricke involution (keeping
+    y^k |phi|^2) carries to (F + j)/N.  F above height 1 and the (F + j)/N
+    above height 1/N each fill one period strip, given exactly by Parseval.
+    The band |x| <= 1/2, sqrt(1 - x^2) <= y <= 1 and its N images are
+    meshed, with one evaluator call for each; the same mesh with every
+    panel count doubled gives the value, and a change beyond NORM_TOL of
+    the norm raises AccuracyError.
     """
     N, k = form.level, form.weight
     rule = np.polynomial.legendre.leggauss(order)
-    xs, wxs = _gl_panels(-0.5, 0.5, x_panels, rule, log_scale=False)
-    total = 0.0
-    for x, wx in zip(xs, wxs):
-        y_low = math.sqrt(max(1.0 - x * x, 0.0))
-        ys, wys = _gl_panels(y_low, y_cut, y_panels, rule, log_scale=True)
-        z = x + 1j * ys
+    bands = []
+    for m in (1, 2):
+        xs, wxs = _gl_panels(-0.5, 0.5, m * x_panels, rule)
+        ts, wts = _gl_panels(0.0, 1.0, m * y_panels, rule)
+        y_low = np.sqrt(1.0 - xs * xs)[:, None]
+        ys = y_low + (1.0 - y_low) * ts
+        z = xs[:, None] + 1j * ys
         vals = np.abs(q_expansion_eval(form, z)) ** 2
         for j in range(N):
-            zj = (z + j) / N
-            vals += np.abs(q_expansion_eval(form, zj)) ** 2 / N ** k
-        integrand = ys ** (k - 2.0) * vals
-        total += wx * float(np.sum(wys * integrand))
-    return float(total)
-
-
-def petersson_norm_terms(level: int) -> int:
-    """Number of positive terms petersson_norm adds up on its default mesh:
-    level + 1 values of |phi|^2 at each node.  Times the unit roundoff it
-    is the stated rounding term of that sum, relative to the norm."""
-    return (level + 1) * NORM_X_PANELS * NORM_ORDER * NORM_Y_PANELS * NORM_ORDER
+            vals += np.abs(q_expansion_eval(form, (z + j) / N)) ** 2 / N ** k
+        weights = wxs[:, None] * (1.0 - y_low) * wts * ys ** (k - 2.0)
+        bands.append(float(np.sum(weights * vals)))
+    coarse, fine = bands
+    norm = _cusp_strip(form, 1.0) + _cusp_strip(form, 1.0 / N) + fine
+    if not abs(fine - coarse) <= NORM_TOL * norm:
+        raise AccuracyError(
+            f"{form.label}: Petersson norm moves by {abs(fine - coarse) / norm:.2e} "
+            f"relative when the mesh doubles, above {NORM_TOL:.0e}")
+    return norm
 
 
 # ---------------------------------------------------------------------------

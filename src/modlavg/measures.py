@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arith import _check_prime
 from .errors import DomainError, PoleError
 from .numerics import QuadratureSpec, integrate, interval
 
@@ -45,11 +46,6 @@ __all__ = [
     "density_change_of_variables_check",
     "sato_tate_limit_check",
 ]
-
-
-def _check_prime(p: int) -> None:
-    if p < 2 or any(p % q == 0 for q in range(2, int(math.isqrt(p)) + 1)):
-        raise ValueError(f"p = {p} is not prime")
 
 
 @dataclass(frozen=True)

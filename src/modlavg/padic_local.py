@@ -4,13 +4,14 @@ Local integrals of the torus-period kind reduce, place by place, to sums of
 unit-coset cell weights over the valuations (v(a), v(b)) of the two torus
 variables.  A cell is accepted iff some central scaling puts the orbit
 matrix into the place's test-function support; that membership depends only
-on valuations and is decided exactly here, for four supports:
+on valuations and is decided exactly here, for three supports:
 
   * unramified maximal (Z_q K_q),
   * level (Z_N K_0(N), with the 1/V_N = N+1 volume normalization),
   * Hecke double coset of signature (r, r') with r >= r' (Smith invariants:
-    content exactly r', determinant valuation r + r'),
-  * the ramified support is not enumerated; only Gauss sums live here.
+    content exactly r', determinant valuation r + r').
+
+Ramified places are not enumerated; only their Gauss sums live here.
 
 Orbits are the regular family (parameterized by v(x), v(1-x)) and the five
 singular representatives; weights are tracked exactly as Laurent data in
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .arith import kronecker
+from .arith import _check_prime, kronecker
 from .errors import InvariantViolation, PoleError, WindowError
 
 __all__ = [
@@ -50,25 +51,20 @@ INF = 10 ** 9  # valuation of a zero entry
 @dataclass(frozen=True)
 class PlaceSpec:
     q: int
-    kind: str = "unramified"  # unramified | level | hecke | ramified
-    chi_q: int = +1           # character value at q (0 when ramified)
+    kind: str = "unramified"  # unramified | level | hecke
+    chi_q: int = +1           # character value at q
     r: int = 0                # Hecke signature, r >= r2
     r2: int = 0
-    conductor_exp: int = 0    # >= 1 for ramified kind
     level_volume: bool = True  # carry the 1/V_N = q + 1 prefactor
 
     def __post_init__(self):
-        if self.q < 2 or any(self.q % d == 0 for d in range(2, int(math.isqrt(self.q)) + 1)):
-            raise ValueError(f"q = {self.q} is not prime")
-        if self.kind not in ("unramified", "level", "hecke", "ramified"):
+        _check_prime(self.q)
+        if self.kind not in ("unramified", "level", "hecke"):
             raise ValueError(f"unknown place kind {self.kind!r}")
         if self.kind == "hecke" and self.r < self.r2:
             raise ValueError("hecke signature requires r >= r'")
-        if self.kind == "ramified":
-            if self.conductor_exp < 1:
-                raise ValueError("ramified place needs conductor exponent >= 1")
-        elif self.chi_q not in (+1, -1):
-            raise ValueError("chi_q must be +1 or -1 at an unramified place")
+        if self.chi_q not in (+1, -1):
+            raise ValueError("chi_q must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -127,8 +123,6 @@ def _weight_exponents(orbit: OrbitDatum, va: int, vb: int) -> tuple:
 
 def membership_oracle(place: PlaceSpec, orbit: OrbitDatum, va: int, vb: int) -> bool:
     """True iff some central scaling lands the orbit matrix in the support."""
-    if place.kind == "ramified":
-        raise ValueError("ramified supports are not enumerated")
     entries, det_v = _entry_valuations(orbit, va, vb)
 
     if place.kind == "hecke":

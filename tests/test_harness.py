@@ -6,8 +6,9 @@ import pytest
 from modlavg import cli
 from modlavg import harness as hs
 from modlavg import lvalues as lv
-from modlavg.arith import load_eigenforms
+from modlavg.arith import dump_eigenforms, load_eigenforms
 from modlavg.errors import AccuracyError, InvariantViolation
+from modlavg.newforms import newforms
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +270,18 @@ class TestIdentityCheck:
         with pytest.raises(AccuracyError,
                            match="level 7, 7.4.a: twisted split-point spread"):
             hs._level_rows(cfg, 7)
+
+
+def test_identity_holds_at_level_19_with_generated_forms(tmp_path):
+    # the images (z + j)/N of the triangle tile a full strip above height
+    # 1/N; stopping them at height 36/N misses the identity at N = 19 by
+    # 4.5e-9 relative, far outside its budget
+    path = tmp_path / "forms19.jsonl"
+    dump_eigenforms(newforms(19, 4, 400), path)
+    rep = hs.run_experiment(hs.ExperimentConfig(
+        discriminant=-4, weight=4, aux_prime=13, levels=[19],
+        data_path=str(path)))
+    assert rep.ok
 
 
 class TestCLI:

@@ -6,6 +6,7 @@ import pytest
 from modlavg import lvalues as lv
 from modlavg.arith import Eigenform, load_eigenforms
 from modlavg.errors import (
+    AccuracyError,
     DomainError,
     InsufficientCoefficients,
     InvariantViolation,
@@ -176,6 +177,38 @@ class TestPeterssonNorm:
     def test_deterministic(self, forms):
         f = forms["5.4.a"]
         assert lv.petersson_norm(f) == lv.petersson_norm(f)
+
+    def test_cusp_strips_match_brute_quadrature(self, forms):
+        # Parseval against a 40 x 80 Gauss-Legendre rule over 2 <= y <= 6,
+        # for the cusp at infinity and for the N images (z + j)/N, which
+        # together tile one period between heights 2/N and 6/N
+        f = forms["11.4.a"]
+        N, k = f.level, f.weight
+        rule = np.polynomial.legendre.leggauss(20)
+        xs, wxs = lv._gl_panels(-0.5, 0.5, 2, rule)
+        ys, wys = lv._gl_panels(2.0, 6.0, 4, rule)
+        z = xs[:, None] + 1j * ys
+        w = wxs[:, None] * wys * ys ** (k - 2)
+        top = np.sum(w * np.abs(lv.q_expansion_eval(f, z)) ** 2)
+        images = sum(np.sum(w * np.abs(lv.q_expansion_eval(f, (z + j) / N)) ** 2)
+                     for j in range(N)) / N ** k
+        assert top == pytest.approx(
+            lv._cusp_strip(f, 2.0) - lv._cusp_strip(f, 6.0), rel=1e-12)
+        assert images == pytest.approx(
+            lv._cusp_strip(f, 2.0 / N) - lv._cusp_strip(f, 6.0 / N), rel=1e-12)
+        # the images' band is not negligible: about 0.31 of the norm
+        assert images > 0.1 * lv.petersson_norm(f)
+
+    def test_strip_tail_refused(self, forms):
+        f = forms["11.4.a"]
+        cut = Eigenform(level=11, weight=4, label="cut",
+                        coeffs=list(f.coeffs[:10]))
+        with pytest.raises(InsufficientCoefficients, match="cusp strip"):
+            lv._cusp_strip(cut, 1.0 / 11)
+
+    def test_coarse_mesh_refused(self, forms):
+        with pytest.raises(AccuracyError, match="7.4.a: Petersson norm moves"):
+            lv.petersson_norm(forms["7.4.a"], x_panels=2, y_panels=1, order=4)
 
 
 class TestOldformShift:
