@@ -126,8 +126,7 @@ def singular_term_closed(k: int, j: int, s1: complex, s2: complex) -> complex:
     return cmath.exp(log_val)
 
 
-def singular_term_quadrature(k: int, j: int, s1: complex, s2: complex,
-                             rel_tol: float = 1e-9) -> complex:
+def singular_term_quadrature(k: int, j: int, s1: complex, s2: complex) -> complex:
     """2-d quadrature of the j-th term's double integral over the quadrant.
 
     For odd j this equals the factored Gamma form; for even j the underlying
@@ -147,7 +146,7 @@ def singular_term_quadrature(k: int, j: int, s1: complex, s2: complex,
             - 2.0 * k * np.log(np.hypot(a, b + 1.0))
         )
 
-    spec = QuadratureSpec(domain=quadrant(), rel_tol=rel_tol, abs_tol=1e-12)
+    spec = QuadratureSpec(domain=quadrant(), rel_tol=1e-9, abs_tol=1e-12)
     return integrate(f, spec).require()
 
 
@@ -180,8 +179,7 @@ def singular_upper_display(k: int, d: float | None = None) -> complex:
 
 
 def singular_upper_quadrature(k: int, s1: complex, s2: complex,
-                              d: float | None = None,
-                              rel_tol: float = 1e-9) -> complex:
+                              d: float | None = None) -> complex:
     """Direct quadrature of the defining double integral of the upper
     singular orbit, after folding the sign character onto (0, oo):
 
@@ -202,13 +200,12 @@ def singular_upper_quadrature(k: int, s1: complex, s2: complex,
                        - k * np.log(np.hypot(a, b + 1.0)))
         return 2.0j * np.sin(k * theta) * power
 
-    spec = QuadratureSpec(domain=quadrant(), rel_tol=rel_tol, abs_tol=1e-12)
+    spec = QuadratureSpec(domain=quadrant(), rel_tol=1e-9, abs_tol=1e-12)
     return d * 2.0 ** k * integrate(f, spec).require()
 
 
 def singular_lower_quadrature(k: int, s1: complex, s2: complex,
-                              d: float | None = None,
-                              rel_tol: float = 1e-9) -> complex:
+                              d: float | None = None) -> complex:
     """Direct quadrature of the lower-triangular singular orbit integral:
 
     d 2^k Int Int a^(k/2-s1-1) b^(s1+s2-1)
@@ -230,7 +227,7 @@ def singular_lower_quadrature(k: int, s1: complex, s2: complex,
                        - k * np.log(np.hypot(a + 1.0, b)))
         return -2.0j * np.sin(k * phi) * power
 
-    spec = QuadratureSpec(domain=quadrant(), rel_tol=rel_tol, abs_tol=1e-12)
+    spec = QuadratureSpec(domain=quadrant(), rel_tol=1e-9, abs_tol=1e-12)
     return d * 2.0 ** k * integrate(f, spec).require()
 
 
@@ -239,7 +236,7 @@ def singular_lower_quadrature(k: int, s1: complex, s2: complex,
 # ---------------------------------------------------------------------------
 
 def _quadrant_integral(k: int, x: float, eps: int, dlt: int, nu: int,
-                       s1: complex, s2: complex, rel_tol: float) -> complex:
+                       s1: complex, s2: complex) -> complex:
     """Int over (0,oo)^2 of a^(rho-1) b^(sigma-1) / (a x + eps b + dlt i (a b + nu))^k."""
     rho = k / 2.0 - complex(s1)
     sigma = k / 2.0 + complex(s2)
@@ -249,12 +246,11 @@ def _quadrant_integral(k: int, x: float, eps: int, dlt: int, nu: int,
         return np.exp((rho - 1.0) * np.log(a) + (sigma - 1.0) * np.log(b)
                       - k * np.log(den))
 
-    spec = QuadratureSpec(domain=quadrant(), rel_tol=rel_tol, abs_tol=1e-13)
+    spec = QuadratureSpec(domain=quadrant(), rel_tol=1e-9, abs_tol=1e-13)
     return integrate(f, spec).require()
 
 
-def regular_integral_quadrature(k: int, x: float, s1: complex, s2: complex,
-                                rel_tol: float = 1e-9) -> complex:
+def regular_integral_quadrature(k: int, x: float, s1: complex, s2: complex) -> complex:
     """Regular orbital integral at the real point x, by quadrature.
 
     Zero for x < 0; for 0 < x < 1 and x > 1 the integral splits into the
@@ -266,11 +262,11 @@ def regular_integral_quadrature(k: int, x: float, s1: complex, s2: complex,
     if x < 0.0:
         return 0.0j
     if x < 1.0:
-        i1 = _quadrant_integral(k, x, -1, +1, +1, s1, s2, rel_tol)
-        i2 = _quadrant_integral(k, x, -1, -1, +1, s1, s2, rel_tol)
+        i1 = _quadrant_integral(k, x, -1, +1, +1, s1, s2)
+        i2 = _quadrant_integral(k, x, -1, -1, +1, s1, s2)
         return (1.0 - x) ** (k / 2.0) * (i1 - (-1.0) ** k * i2)
-    i1 = _quadrant_integral(k, x, +1, -1, -1, s1, s2, rel_tol)
-    i2 = _quadrant_integral(k, x, +1, +1, -1, s1, s2, rel_tol)
+    i1 = _quadrant_integral(k, x, +1, -1, -1, s1, s2)
+    i2 = _quadrant_integral(k, x, +1, +1, -1, s1, s2)
     return (x - 1.0) ** (k / 2.0) * (i1 - (-1.0) ** k * i2)
 
 

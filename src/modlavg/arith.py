@@ -7,7 +7,8 @@ It is written with Hurwitz class numbers H(n), the count of all reduced
 forms of discriminant -n with x^2 + y^2 and x^2 + xy + y^2 (and multiples)
 weighted 1/2 and 1/3, and H(0) = -1/12; one sieve over reduced forms gives
 the table of 12 H(n) up to a bound, so every trace is an integer sum.  Exact
-row reduction over Q serves the newform generator and the q-expansion oracle.
+row reduction over Q and trial-division factorization serve the newform
+generator, the q-expansion oracle and the local and regular-tail modules.
 """
 
 from __future__ import annotations
@@ -91,12 +92,22 @@ def is_fundamental_discriminant(D: int) -> bool:
 
 
 def _squarefree(n: int) -> bool:
+    return all(e == 1 for e in _factorize(n).values())
+
+
+def _factorize(n: int) -> dict:
+    """Prime factorization {p: e} of n >= 1 by trial division, primes in
+    increasing order; {} for n = 1."""
+    out = {}
     d = 2
     while d * d <= n:
-        if n % (d * d) == 0:
-            return False
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
         d += 1
-    return True
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +394,7 @@ class Eigenform:
     def is_rational(self) -> bool:
         return all(isinstance(c, int) for c in self.coeffs)
 
-    def validate(self, tol: float = 1e-8) -> None:
+    def validate(self) -> None:
         k, N = self.weight, self.level
         if self.c(1) != 1:
             raise InvariantViolation(f"{self.label}: c_1 = {self.c(1)} != 1")
@@ -391,7 +402,7 @@ class Eigenform:
         scale = max(abs(float(c)) for c in self.coeffs) + 1.0
 
         def close(x, y):
-            return abs(x - y) <= tol * scale
+            return abs(x - y) <= 1e-8 * scale
 
         for p in _primes_up_to(nmax):
             if p != N and abs(self.a(p)) > 2.0 + 1e-9:
@@ -441,7 +452,7 @@ def _parse_coeff(x):
     raise InvariantViolation(f"bad coefficient entry {x!r}")
 
 
-def load_eigenforms(path, validate: bool = True) -> list:
+def load_eigenforms(path) -> list:
     """Read newform records from a JSON-lines file and validate them.
 
     Each line holds a flat object {schema, level, weight, label,
@@ -469,8 +480,7 @@ def load_eigenforms(path, validate: bool = True) -> list:
                 coeffs=[_parse_coeff(c) for c in rec["coeffs"]],
                 atkin_lehner=rec.get("atkin_lehner"),
             )
-            if validate:
-                form.validate()
+            form.validate()
             forms.append(form)
     return forms
 
@@ -514,22 +524,10 @@ def hecke_extend(prime_coeffs: dict, N: int, k: int, n_max: int) -> list:
             r += 1
     for n in range(2, n_max + 1):
         if c[n] is None:
-            # factor out the largest prime power
-            p = _smallest_prime_factor(n)
-            pe = p
-            while n % (pe * p) == 0:
-                pe *= p
-            c[n] = c[pe] * c[n // pe]
+            # split off the power of the smallest prime
+            p, e = min(_factorize(n).items())
+            c[n] = c[p ** e] * c[n // p ** e]
     return c[1:]
-
-
-def _smallest_prime_factor(n: int) -> int:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
 
 
 def admissible_levels(D: int, p: int, bound: int, max_dim: int | None = None,

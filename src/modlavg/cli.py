@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: measures, verify-local, verify-arch, constants, lvalues,
-average.  Every subcommand exits nonzero when an invariant check fails.
+average.  Exit codes: 0 when every check passes, 1 when a check the
+subcommand makes fails (for ``average``: the identity does not hold), 2 on
+a typed package error, reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import sys
 
 from . import arch_local, measures, padic_local
 from .arith import load_eigenforms
-from .errors import InvariantViolation
+from .errors import ModlavgError
 from .harness import ExperimentConfig, run_experiment
 from .lvalues import central_value, petersson_norm
 
@@ -99,8 +101,8 @@ def _cmd_lvalues(args) -> int:
                 line += (f", L(1/2, twist {args.twist}) = {cvt.value!r} "
                          f"(eps = {cvt.eps:+d})")
             print(line)
-        except InvariantViolation as exc:
-            print(f"{f.label}: INVARIANT VIOLATION: {exc}")
+        except ModlavgError as exc:
+            print(f"{f.label}: {type(exc).__name__}: {exc}")
             code = 1
     return code
 
@@ -159,8 +161,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
+    except ModlavgError as exc:
+        print(f"modlavg {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

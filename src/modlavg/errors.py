@@ -1,29 +1,33 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, all under ModlavgError."""
 
 
-class PoleError(ValueError):
+class ModlavgError(Exception):
+    """Base of every typed error; each subclass also keeps its builtin base."""
+
+
+class PoleError(ModlavgError, ValueError):
     """Evaluation requested at a pole of the function."""
 
 
-class DomainError(ValueError):
+class DomainError(ModlavgError, ValueError):
     """Argument outside the supported domain (e.g. on a branch cut)."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(ModlavgError, RuntimeError):
     """A series or transformation failed to converge."""
 
 
-class AccuracyError(RuntimeError):
+class AccuracyError(ModlavgError, RuntimeError):
     """A quadrature result did not meet the requested tolerance."""
 
 
-class WindowError(ValueError):
+class WindowError(ModlavgError, ValueError):
     """An enumeration window was too small to contain the support."""
 
 
-class InvariantViolation(ValueError):
+class InvariantViolation(ModlavgError, ValueError):
     """Loaded data failed a structural invariant check."""
 
 
-class InsufficientCoefficients(ValueError):
+class InsufficientCoefficients(ModlavgError, ValueError):
     """Not enough series coefficients for the requested accuracy."""

@@ -43,7 +43,6 @@ from .arith import (
 )
 from .errors import AccuracyError, InvariantViolation
 from .lvalues import NORM_TOL, central_value, petersson_norm
-from .numerics import QuadratureSpec, integrate, interval
 
 __all__ = [
     "ExperimentConfig",
@@ -131,20 +130,8 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 def measure_mass(cfg: ExperimentConfig, lo: float, hi: float) -> float:
-    """Mass of the split/inert measure on [lo, hi], by quadrature in the
-    angle coordinate."""
-    m = cfg.measure
-    lo, hi = max(lo, -2.0), min(hi, 2.0)
-    if lo >= hi:
-        return 0.0
-    th_lo, th_hi = math.acos(hi / 2.0), math.acos(lo / 2.0)
-    spec = QuadratureSpec(domain=interval(th_lo, th_hi), rel_tol=1e-12,
-                          abs_tol=1e-14)
-    res = integrate(
-        lambda th: measures.density(m, 2.0 * math.cos(th)) * 2.0 * math.sin(th),
-        spec,
-    )
-    return res.require().real
+    """Mass of the config's split/inert measure on [lo, hi]."""
+    return measures.mass(cfg.measure, lo, hi)
 
 
 def gamma_c(s: float) -> float:
@@ -291,7 +278,11 @@ def proportionality_test(cfg: ExperimentConfig) -> dict:
 # geometric audit
 # ---------------------------------------------------------------------------
 
-def geometric_side_audit(cfg: ExperimentConfig, N: int, window: int = 10) -> dict:
+# valuation window of the enumeration that shows the swapped orbits vanish
+AUDIT_WINDOW = 10
+
+
+def geometric_side_audit(cfg: ExperimentConfig, N: int) -> dict:
     """Itemized singular-orbit table at level N with the basic auxiliary
     test function, plus the truncated regular-tail bound."""
     D, k = cfg.discriminant, cfg.weight
@@ -306,7 +297,7 @@ def geometric_side_audit(cfg: ExperimentConfig, N: int, window: int = 10) -> dic
     swap_cells = 0
     for kind in ("swap_upper", "swap_lower"):
         res = padic_local.brute_force_integral(
-            place, padic_local.OrbitDatum(kind=kind), window
+            place, padic_local.OrbitDatum(kind=kind), AUDIT_WINDOW
         )
         swap_cells += len(res.cells)
 
@@ -319,9 +310,9 @@ def geometric_side_audit(cfg: ExperimentConfig, N: int, window: int = 10) -> dic
         {"orbit": "identity", "value": 0.0, "status": "axiom (nontrivial character)"},
         {"orbit": "swap", "value": 0.0, "status": "axiom (nontrivial character)"},
         {"orbit": "swap_upper", "value": 0.0,
-         "status": f"verified-by-oracle ({swap_cells} cells in window {window})"},
+         "status": f"verified-by-oracle ({swap_cells} cells in window {AUDIT_WINDOW})"},
         {"orbit": "swap_lower", "value": 0.0,
-         "status": f"verified-by-oracle ({swap_cells} cells in window {window})"},
+         "status": f"verified-by-oracle ({swap_cells} cells in window {AUDIT_WINDOW})"},
         {"orbit": "upper", "value": upper_val, "status": "evaluated"},
         {"orbit": "lower", "value": lower_val, "status": "evaluated"},
     ]

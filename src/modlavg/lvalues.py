@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.special
 
 from .arith import Eigenform, kronecker
@@ -43,6 +42,7 @@ from .errors import (
     InsufficientCoefficients,
     InvariantViolation,
 )
+from .numerics import QuadratureSpec, integrate, interval
 
 __all__ = [
     "q_expansion_eval",
@@ -120,11 +120,11 @@ def q_expansion_eval(form: Eigenform, z):
 # Fricke sign
 # ---------------------------------------------------------------------------
 
-def fricke_sign(form: Eigenform, margin: float = 1e3) -> int:
+def fricke_sign(form: Eigenform) -> int:
     """Sign w in phi(-1/(N z)) = w N^{k/2} z^k phi(z), measured numerically.
 
     Both candidate signs are scored on sample points; the winner must beat
-    the loser by ``margin``, else the sign is reported ambiguous.
+    the loser by a factor of 1e3, else the sign is reported ambiguous.
     """
     N, k = form.level, form.weight
     rt = math.sqrt(N)
@@ -139,7 +139,7 @@ def fricke_sign(form: Eigenform, margin: float = 1e3) -> int:
         for w in (+1, -1):
             res[w] = max(res[w], abs(lhs - w * rhs) / scale)
     best = +1 if res[+1] < res[-1] else -1
-    if res[-best] < margin * res[best]:
+    if res[-best] < 1e3 * res[best]:
         raise InvariantViolation(
             f"{form.label}: ambiguous Fricke sign (residuals {res})"
         )
@@ -265,16 +265,16 @@ class CompletedL:
             raise DomainError("Mellin path implemented for untwisted forms")
         form = self.form
         N, k = form.level, form.weight
-        y0 = 1.0 / math.sqrt(N)
+        spec = QuadratureSpec(domain=interval(1.0 / math.sqrt(N), 40.0),
+                              rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=300)
 
         def j_integral(sv):
             def f(y):
                 return (q_expansion_eval(form, 1j * y) * y ** (sv - 1.0)).real
-            val, err = scipy.integrate.quad(f, y0, 40.0, epsabs=1e-14,
-                                            epsrel=1e-12, limit=300)
-            if err > 1e-9:
-                raise AccuracyError(f"Mellin quadrature error {err:.2e}")
-            return val
+            res = integrate(f, spec)
+            if not res.converged:
+                raise AccuracyError(f"{form.label}: Mellin quadrature error {res.error:.2e}")
+            return res.real
 
         eps_arith = w * (-1) ** (k // 2)
         return (N ** (s / 2.0) * j_integral(s)

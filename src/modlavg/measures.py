@@ -12,8 +12,9 @@ as p grows.  The module also provides the Hecke-operator transfer polynomials
 independent coset-sum oracle for them, and the generating density F with its
 even/odd coefficient series.
 
-Internally integrals over x in [-2, 2] use the substitution x = 2 cos(theta),
-theta in [0, pi], which removes the square-root endpoint behaviour.
+Every integral against a density on [-2, 2] (masses, moments) goes through
+one helper in the angle x = 2 cos(theta), which removes the square-root
+endpoint behaviour.
 """
 
 from __future__ import annotations
@@ -93,29 +94,25 @@ def density_csv(p: int, grid: int) -> str:
     return "".join(lines)
 
 
-def _integrate_against(m: SatakeMeasure, f, rel_tol=1e-12) -> float:
-    """Integral of f(x) against the measure, in the theta coordinate."""
-    p = m.p
-    c = math.sqrt(p) + 1.0 / math.sqrt(p)
+def _integrate_against(dens, f, lo: float = -2.0, hi: float = 2.0) -> float:
+    """Integral of f(x) dens(x) dx over [lo, hi] clamped to [-2, 2] (0.0 if
+    empty), in the angle coordinate: dx = 2 sin(theta) dtheta."""
+    lo, hi = max(lo, -2.0), min(hi, 2.0)
+    if lo >= hi:
+        return 0.0
 
-    if m.sign == +1:
-        def w(th):
-            s = math.sin(th)
-            return (p - 1) / math.pi * (2.0 * s * s) / (c - 2.0 * math.cos(th)) ** 2
-    else:
-        def w(th):
-            s = math.sin(th)
-            x = 2.0 * math.cos(th)
-            return (p + 1) / math.pi * (2.0 * s * s) / (c * c - x * x)
+    def g(th):
+        x = 2.0 * math.cos(th)
+        return f(x) * dens(x) * 2.0 * math.sin(th)
 
-    spec = QuadratureSpec(domain=interval(0.0, math.pi),
-                          rel_tol=rel_tol, abs_tol=1e-14)
-    res = integrate(lambda th: f(2.0 * math.cos(th)) * w(th), spec)
-    return res.require().real
+    spec = QuadratureSpec(domain=interval(math.acos(hi / 2.0), math.acos(lo / 2.0)),
+                          rel_tol=1e-12, abs_tol=1e-14)
+    return integrate(g, spec).require().real
 
 
-def mass(m: SatakeMeasure) -> float:
-    return _integrate_against(m, lambda x: 1.0)
+def mass(m: SatakeMeasure, lo: float = -2.0, hi: float = 2.0) -> float:
+    """Mass of the measure on [lo, hi] (clamped to [-2, 2])."""
+    return _integrate_against(lambda x: density(m, x), lambda x: 1.0, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -216,24 +213,17 @@ def moment(m: SatakeMeasure, n: int) -> float:
         raise ValueError("index n must be >= 0")
     psi = satake_poly(n, m.p)
     scale = m.p ** (n / 2.0)
-    return scale * _integrate_against(m, psi.evaluate)
+    return scale * _integrate_against(lambda x: density(m, x), psi.evaluate)
 
 
 def basis_moment(m: SatakeMeasure, n: int) -> float:
     """Integral of the basis function X_n (X_0 = 2) against the measure."""
-    return _integrate_against(m, lambda x: chebyshev_x(n, x))
+    return _integrate_against(lambda x: density(m, x), lambda x: chebyshev_x(n, x))
 
 
 def sato_tate_basis_moment(n: int) -> float:
     """Integral of X_n against the semicircle measure (2 for n = 0, else 0)."""
-    spec = QuadratureSpec(domain=interval(0.0, math.pi), rel_tol=1e-12,
-                          abs_tol=1e-14)
-    res = integrate(
-        lambda th: chebyshev_x(n, 2.0 * math.cos(th))
-        * (2.0 / math.pi) * math.sin(th) ** 2,
-        spec,
-    )
-    return res.require().real
+    return _integrate_against(sato_tate_density, lambda x: chebyshev_x(n, x))
 
 
 # ---------------------------------------------------------------------------

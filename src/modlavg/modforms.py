@@ -6,7 +6,9 @@ E2(z) - N E2(Nz), and (at level 11) the weight-2 eta-product cusp form.
 Everything is exact integer/rational arithmetic on truncated q-series, so
 the Hecke traces computed here check the Eichler-Selberg trace formula
 (levels 5, 7 and 11) from an independent construction; the newforms
-themselves come from the trace formula (see ``newforms``).
+themselves come from the trace formula (see ``newforms``).  The cusp basis
+is kept in reduced row echelon form (``arith._rref``), so the coordinates
+of a cusp series are its coefficients at the pivot q-powers.
 
 Only prime level and even weight 4 <= k < 12 are supported (such spaces are
 entirely new).
@@ -140,7 +142,7 @@ class CuspSpace:
         names = sorted(gens)
         out = []
 
-        def rec(idx, weight, series, wconst, used):
+        def rec(idx, weight, series, wconst):
             if weight == k:
                 out.append((series, wconst))
                 return
@@ -148,16 +150,16 @@ class CuspSpace:
                 return
             name = names[idx]
             g_series, g_w, g_wc = gens[name]
-            rec(idx + 1, weight, series, wconst, used)
+            rec(idx + 1, weight, series, wconst)
             s, wc, w = series, wconst, weight
             while w + g_w <= k:
                 s = mul_series(s, g_series, self.L)
                 wc = wc * g_wc
                 w += g_w
-                rec(idx + 1, w, s, wc, used + [name])
+                rec(idx + 1, w, s, wc)
 
         one = [1] + [0] * (self.L - 1)
-        rec(0, 0, one, Fraction(1), [])
+        rec(0, 0, one, Fraction(1))
         return out
 
     def _build_space(self, candidates):
@@ -198,20 +200,19 @@ class CuspSpace:
                     for n, an in enumerate(series):
                         vec[n] += coef * an
             basis.append(vec)
-        # echelonize against leading q-powers for coordinate solves
-        self.basis = _echelon_series(basis)
-        self.pivots = [_first_nonzero(v) for v in self.basis]
+        # reduced echelon form: coordinates are read off at the pivots
+        self.basis, self.pivots = _rref(basis)
         for v in self.basis:
             assert v[0] == 0
 
     # -- linear algebra over the q-expansion model --------------------------
 
     def coordinates(self, series):
-        """Coordinates of a cusp q-series in the echelon basis."""
+        """Coordinates of a cusp q-series in the echelon basis, and the rest."""
         work = list(series)
         coords = []
         for vec, piv in zip(self.basis, self.pivots):
-            c = Fraction(work[piv]) / vec[piv]
+            c = Fraction(series[piv])
             coords.append(c)
             if c:
                 for n in range(min(len(work), self.L)):
@@ -240,7 +241,7 @@ class CuspSpace:
         cols = []
         for vec in self.basis:
             img = self.hecke_image(vec, m, rows_needed + 1)
-            coords, rem = self.coordinates(img + [Fraction(0)] * 0)
+            coords, rem = self.coordinates(img)
             if any(rem[: rows_needed]):
                 raise InvariantViolation(f"T_{m} image left the cusp space")
             cols.append(coords)
@@ -254,28 +255,3 @@ class CuspSpace:
             raise InvariantViolation(f"non-integral Hecke trace {tr}")
         return int(tr)
 
-
-def _first_nonzero(vec):
-    for i, x in enumerate(vec):
-        if x:
-            return i
-    raise InvariantViolation("zero vector in cusp basis")
-
-
-def _echelon_series(basis):
-    """Reduce cusp-series vectors so leading q-powers are distinct."""
-    work = [v[:] for v in basis]
-    done = []
-    while work:
-        work.sort(key=_first_nonzero)
-        head = work.pop(0)
-        piv = _first_nonzero(head)
-        lead = head[piv]
-        head = [x / lead for x in head]
-        for w in work:
-            if w[piv]:
-                f = w[piv]
-                for n in range(len(w)):
-                    w[n] -= f * head[n]
-        done.append(head)
-    return done

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .arith import _check_prime, kronecker
+from .arith import _check_prime, _factorize, kronecker
 from .errors import InvariantViolation, PoleError, WindowError
 
 __all__ = [
@@ -55,7 +55,6 @@ class PlaceSpec:
     chi_q: int = +1           # character value at q
     r: int = 0                # Hecke signature, r >= r2
     r2: int = 0
-    level_volume: bool = True  # carry the 1/V_N = q + 1 prefactor
 
     def __post_init__(self):
         _check_prime(self.q)
@@ -197,7 +196,7 @@ class LaurentValue:
 
 
 def _volume_factor(place: PlaceSpec) -> int:
-    if place.kind == "level" and place.level_volume:
+    if place.kind == "level":
         return place.q + 1  # 1 / V_N under vol(K Z / Z) = 1
     return 1
 
@@ -416,17 +415,7 @@ def gauss_sum(D: int) -> complex:
 def local_conductor_exponents(D: int) -> dict:
     """Prime factorization q -> m of the conductor |D|; the local Gauss sum
     at each ramified q has absolute value q^{m/2}."""
-    n = abs(D)
-    out = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    return _factorize(abs(D))
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,15 @@ support conditions are indexed by integers n with n - M divisible by the
 level, where M is a fixed modulus built from the twist conductor and the
 auxiliary prime.  Their sizes are controlled by a subpolynomial divisor
 function g and the archimedean decay (1 - x)^{k/2} at x = (n - M)/n; this
-module provides the pieces and empirical envelope checks.
+module provides the pieces and empirical envelope checks.  Factorizations
+come from ``arith._factorize``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .arith import _factorize
 
 __all__ = [
     "TailQuery",
@@ -39,19 +42,6 @@ class TailQuery:
             raise ValueError("epsilon must be positive")
         if self.n_max < self.level + self.modulus:
             raise ValueError("n_max too small")
-
-
-def _factorize(n: int) -> dict:
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def g_of_n(n: int) -> int:
@@ -119,7 +109,7 @@ def regular_term_bound(n: int, M: int, k: int) -> float:
     if n <= M:
         raise ValueError("need n > M")
     fac_n = _factorize(n)
-    fac_nm = _factorize(n - M) if n - M > 1 else {}
+    fac_nm = _factorize(n - M)
     primes = set(fac_n) | set(fac_nm)
     prod = 1.0
     for q in primes:

@@ -110,6 +110,16 @@ class TestHurwitzSieve:
         assert ar._hurwitz12(64) == ar._hurwitz12(128)[:65]
 
 
+class TestFactorize:
+    def test_products_of_primes(self):
+        for n in range(1, 5000):
+            fac = ar._factorize(n)
+            assert math.prod(q ** e for q, e in fac.items()) == n, n
+            assert list(fac) == sorted(fac) and all(e >= 1 for e in fac.values())
+            for q in fac:
+                ar._check_prime(q)
+
+
 class TestEichlerSelberg:
     def test_t1_equals_dimension(self):
         for N in (3, 5, 7, 11, 13, 19, 23, 31, 41):
@@ -131,6 +141,14 @@ class TestEichlerSelberg:
             tr = ar.eichler_selberg_trace(13, 40, p)
             assert type(tr) is int and abs(tr) > 2 ** 63
             assert abs(tr) <= 2 * dim * p ** 19.5
+
+    def test_cusp_basis_in_reduced_echelon_form(self):
+        for N in (5, 7, 11):
+            sp = mf.CuspSpace(N, 4, length=200)
+            assert len(sp.basis) == len(sp.pivots) == sp.dim
+            for i, vec in enumerate(sp.basis):
+                for j, piv in enumerate(sp.pivots):
+                    assert vec[piv] == (i == j), (N, i, j)
 
     def test_conductor_corner_cases(self):
         # discriminants divisible by N^2 exercise the nonmaximal embedding

@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
 from modlavg import cli
 from modlavg import harness as hs
 from modlavg import lvalues as lv
+from modlavg import measures as ms
 from modlavg.arith import dump_eigenforms, load_eigenforms
 from modlavg.errors import AccuracyError, InvariantViolation
 from modlavg.newforms import newforms
@@ -65,6 +69,10 @@ class TestMeasureMass:
 
     def test_empty(self, cfg):
         assert hs.measure_mass(cfg, 0.3, 0.3) == 0.0
+
+    def test_is_the_measure_mass(self, cfg):
+        for lo, hi in [(-2.0, 2.0), (-0.5, 0.5), (-3.0, 1.0), (1.0, 0.0)]:
+            assert hs.measure_mass(cfg, lo, hi) == ms.mass(cfg.measure, lo, hi)
 
 
 class TestGeometricPrediction:
@@ -323,6 +331,30 @@ class TestCLI:
         }))
         assert cli.main(["average", "--config", str(path)]) == 2
         assert "stable range N > |D|" in capsys.readouterr().err
+
+    def test_typed_error_exits_2_with_one_line(self, tmp_path):
+        # 11.4.a cut to 50 coefficients cannot reach the AFE sums' length
+        with open(hs.default_data_path(), encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh if line.strip()]
+        for rec in records:
+            if rec["label"] == "11.4.a":
+                rec["coeffs"] = rec["coeffs"][:50]
+        data = tmp_path / "truncated.jsonl"
+        data.write_text("".join(json.dumps(r) + "\n" for r in records))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "discriminant": -4, "weight": 4, "aux_prime": 13,
+            "levels": [3, 7, 11], "data_path": str(data),
+        }))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-m", "modlavg.cli", "average", "--config", str(config)],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        assert run.returncode == 2
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1 and "11.4.a" in lines[0], run.stderr
+        assert "Traceback" not in run.stderr
 
     def test_lvalues_command(self, capsys):
         assert cli.main(["lvalues", "--forms", hs.default_data_path(),

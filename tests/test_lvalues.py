@@ -150,6 +150,20 @@ class TestCentralValues:
             assert prod >= 0.0
             assert prod > 0.0  # observed nonvanishing, reported
 
+    def test_mellin_refuses_noisy_integrand(self, forms, monkeypatch):
+        # relative noise of 1e-6 on every evaluation keeps the Fricke sign
+        # clear but leaves the Mellin quadrature far outside its tolerance
+        clean = lv.q_expansion_eval
+        rng = np.random.default_rng(1)
+
+        def noisy(form, z):
+            v = clean(form, z)
+            return v * (1.0 + 1e-6 * rng.standard_normal(np.shape(v)))
+
+        monkeypatch.setattr(lv, "q_expansion_eval", noisy)
+        with pytest.raises(AccuracyError, match=r"7\.4\.a: Mellin quadrature"):
+            lv.central_value(forms["7.4.a"])
+
     def test_spot_value_positive(self, forms):
         cv = lv.central_value(forms["5.4.a"])
         assert cv.value > 0.3  # frozen location; exact digits tracked below

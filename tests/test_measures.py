@@ -42,6 +42,26 @@ class TestDensity:
             ms.SatakeMeasure(p=6, sign=+1)
 
 
+class TestMass:
+    @pytest.mark.parametrize("p,sign", [(2, +1), (3, -1), (13, +1), (13, -1)])
+    def test_additive_across_split_points(self, p, sign):
+        m = ms.SatakeMeasure(p=p, sign=sign)
+        for lo, mid, hi in [(-2.0, 0.0, 2.0), (-1.5, 0.3, 1.9), (-2.0, 1.99, 2.0)]:
+            whole = ms.mass(m, lo, hi)
+            assert abs(ms.mass(m, lo, mid) + ms.mass(m, mid, hi) - whole) <= 1e-13
+
+    def test_clamped_to_support(self):
+        m = ms.SatakeMeasure(p=3, sign=-1)
+        assert ms.mass(m, -5.0, 7.0) == ms.mass(m)
+        assert ms.mass(m, -3.0, 0.5) == ms.mass(m, -2.0, 0.5)
+        assert ms.mass(m, 2.5, 3.0) == 0.0
+
+    def test_empty_range(self):
+        m = ms.SatakeMeasure(p=5, sign=+1)
+        assert ms.mass(m, 0.3, 0.3) == 0.0
+        assert ms.mass(m, 1.0, -1.0) == 0.0
+
+
 class TestSatakePolynomials:
     def test_constant(self):
         assert ms.satake_poly(0, 3).evaluate(0.77) == 1.0

@@ -75,16 +75,15 @@ class TestOracleClosedFormEquality:
             == pytest.approx(2.0)
         assert pl.regular_closed_form(place, 0, 0).evaluate(+1, 3, 0, 0) \
             == pytest.approx(1.0)
-        lvl = pl.PlaceSpec(q=7, kind="level", chi_q=-1, level_volume=False)
+        # the single cell chi(7)^-1 = -1, times the 1/V_N = q + 1 = 8 prefactor
+        lvl = pl.PlaceSpec(q=7, kind="level", chi_q=-1)
         assert pl.regular_closed_form(lvl, 1, 0).evaluate(-1, 7, 0, 0) \
-            == pytest.approx(-1.0)
+            == pytest.approx(-8.0)
 
     def test_level_volume_prefactor(self):
-        with_vol = pl.PlaceSpec(q=7, kind="level", chi_q=-1)
-        without = pl.PlaceSpec(q=7, kind="level", chi_q=-1, level_volume=False)
-        a = pl.regular_closed_form(with_vol, 2, 0).as_dict()
-        b = pl.regular_closed_form(without, 2, 0).as_dict()
-        assert a == {mn: 8 * c for mn, c in b.items()}
+        # two unit cells, each weighted by 1/V_N = q + 1 = 8
+        lvl = pl.PlaceSpec(q=7, kind="level", chi_q=-1)
+        assert pl.regular_closed_form(lvl, 2, 0).as_dict() == {(-1, 1): 8, (-2, 2): 8}
 
     def test_parity_invariant(self):
         for q in (2, 5):
