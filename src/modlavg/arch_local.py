@@ -56,7 +56,7 @@ def default_formal_degree(k: int) -> float:
 
 def _check_weight(k: int) -> None:
     if k % 2 != 0 or k < 4:
-        raise ValueError(f"weight k = {k} must be an even integer >= 4")
+        raise DomainError(f"weight k = {k} must be an even integer >= 4")
 
 
 def matrix_coefficient(g, k: int, d: float) -> complex:

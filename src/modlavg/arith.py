@@ -7,8 +7,9 @@ It is written with Hurwitz class numbers H(n), the count of all reduced
 forms of discriminant -n with x^2 + y^2 and x^2 + xy + y^2 (and multiples)
 weighted 1/2 and 1/3, and H(0) = -1/12; one sieve over reduced forms gives
 the table of 12 H(n) up to a bound, so every trace is an integer sum.  Exact
-row reduction over Q and trial-division factorization serve the newform
-generator, the q-expansion oracle and the local and regular-tail modules.
+row reduction over Q, trial-division factorization and one smallest-prime-
+factor sieve serve the newform generator, the q-expansion oracle and the
+local and regular-tail modules.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AccuracyError, InvariantViolation
+from .errors import AccuracyError, DomainError, InvariantViolation
 from .numerics import IntegralResult, QuadratureSpec, integrate, interval
 
 __all__ = [
@@ -229,7 +230,7 @@ def psi_index(N: int) -> int:
 
 def _check_prime(N: int) -> None:
     if N < 2 or any(N % d == 0 for d in range(2, int(math.isqrt(N)) + 1)):
-        raise ValueError(f"N = {N} is not prime")
+        raise DomainError(f"N = {N} is not prime")
 
 
 @lru_cache(maxsize=None)
@@ -433,13 +434,21 @@ class Eigenform:
                         )
 
 
+def _smallest_prime_factors(n: int) -> np.ndarray:
+    """spf[m] = the smallest prime factor of m for 2 <= m <= n (spf[0] = 0,
+    spf[1] = 1): the one sieve behind range factorization."""
+    spf = np.arange(n + 1)
+    for p in range(2, math.isqrt(n) + 1):
+        if spf[p] == p:
+            # primes come in increasing order, so a set entry is never larger
+            multiples = spf[p * p::p]
+            np.minimum(multiples, p, out=multiples)
+    return spf
+
+
 def _primes_up_to(n: int) -> list:
-    sieve = bytearray([1]) * (n + 1)
-    sieve[:2] = b"\x00\x00"
-    for i in range(2, int(math.isqrt(n)) + 1):
-        if sieve[i]:
-            sieve[i * i:: i] = b"\x00" * len(range(i * i, n + 1, i))
-    return [i for i in range(2, n + 1) if sieve[i]]
+    # spf[m] == m at m = 0, 1 and at the primes
+    return np.flatnonzero(_smallest_prime_factors(n) == np.arange(n + 1))[2:].tolist()
 
 
 def _parse_coeff(x):

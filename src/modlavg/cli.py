@@ -3,7 +3,8 @@
 Subcommands: measures, verify-local, verify-arch, constants, lvalues,
 average.  Exit codes: 0 when every check passes, 1 when a check the
 subcommand makes fails (for ``average``: the identity does not hold), 2 on
-a typed package error, reported as one line on stderr.
+a typed package error or an unreadable or unwritable file, reported as one
+line on stderr.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ModlavgError as exc:
+    except (ModlavgError, OSError) as exc:
         print(f"modlavg {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

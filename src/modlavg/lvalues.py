@@ -266,9 +266,11 @@ class CompletedL:
         form = self.form
         N, k = form.level, form.weight
         spec = QuadratureSpec(domain=interval(1.0 / math.sqrt(N), 40.0),
-                              rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=300)
+                              rel_tol=1e-12, abs_tol=1e-14)
 
         def j_integral(sv):
+            # one evaluator call per integral: the lowest node, 1/sqrt(N),
+            # sets the coefficient count for every node
             def f(y):
                 return (q_expansion_eval(form, 1j * y) * y ** (sv - 1.0)).real
             res = integrate(f, spec)

@@ -6,14 +6,15 @@ level, where M is a fixed modulus built from the twist conductor and the
 auxiliary prime.  Their sizes are controlled by a subpolynomial divisor
 function g and the archimedean decay (1 - x)^{k/2} at x = (n - M)/n; this
 module provides the pieces and empirical envelope checks.  Factorizations
-come from ``arith._factorize``.
+come from ``arith._factorize`` and, over a range, from its sieve
+``arith._smallest_prime_factors``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import _factorize
+from .arith import _factorize, _smallest_prime_factors
 
 __all__ = [
     "TailQuery",
@@ -58,18 +59,12 @@ def g_of_n(n: int) -> int:
 def subpolynomial_check(epsilon: float, n_max: int) -> dict:
     """Scan g(n) / n^epsilon up to n_max; returns the maximum and argmax.
 
-    Uses a smallest-prime-factor sieve so the scan is linear-ish.
+    g(n) is g(m) e for n = p^e m with p the smallest prime factor of n, read
+    off ``arith._smallest_prime_factors``, so the scan is linear-ish.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    spf = list(range(n_max + 1))
-    i = 2
-    while i * i <= n_max:
-        if spf[i] == i:
-            for j in range(i * i, n_max + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
-        i += 1
+    spf = _smallest_prime_factors(n_max).tolist()
     g = [0, 1] + [0] * (n_max - 1)
     best, arg = 1.0, 1
     for n in range(2, n_max + 1):

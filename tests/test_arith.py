@@ -119,6 +119,12 @@ class TestFactorize:
             for q in fac:
                 ar._check_prime(q)
 
+    def test_sieve_agrees_with_trial_division(self):
+        spf = ar._smallest_prime_factors(5000)
+        assert all(spf[n] == min(ar._factorize(n)) for n in range(2, 5001))
+        assert ar._primes_up_to(5000) == [n for n in range(2, 5001) if ar._factorize(n) == {n: 1}]
+        assert ar._primes_up_to(1) == [] and ar._primes_up_to(2) == [2]
+
 
 class TestEichlerSelberg:
     def test_t1_equals_dimension(self):

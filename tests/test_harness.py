@@ -356,6 +356,20 @@ class TestCLI:
         assert len(lines) == 1 and "11.4.a" in lines[0], run.stderr
         assert "Traceback" not in run.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["measures", "--p", "4"],
+        ["verify-local", "--q", "4"],
+        ["verify-arch", "--k", "5"],
+        ["constants", "--k", "3"],
+        ["lvalues", "--forms", "/nonexistent/forms.jsonl"],
+        ["average", "--config", "/nonexistent/config.json"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_bad_input_exits_2_with_one_line(self, capsys, argv):
+        # exit 1 is a failed check; bad input is exit 2 with no traceback
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+
     def test_lvalues_command(self, capsys):
         assert cli.main(["lvalues", "--forms", hs.default_data_path(),
                          "--twist", "-4"]) == 0

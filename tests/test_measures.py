@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from modlavg import measures as ms
@@ -20,6 +21,20 @@ class TestDensity:
         m = ms.SatakeMeasure(p=2, sign=+1)
         with pytest.raises(DomainError):
             ms.density(m, 2.5)
+        with pytest.raises(DomainError, match="2.5"):
+            ms.density(m, np.array([0.0, 2.5, 1.0]))
+        with pytest.raises(DomainError):
+            ms.sato_tate_density(np.array([-2.0, np.nan]))
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_batch_equals_points(self, sign):
+        # density.csv evaluates a column in one call; each entry must have
+        # the bits of the point value
+        m = ms.SatakeMeasure(p=13, sign=sign)
+        xs = -2.0 + 4.0 * np.arange(401) / 400
+        assert ms.density(m, xs).tolist() == [ms.density(m, x) for x in xs.tolist()]
+        assert ms.sato_tate_density(xs).tolist() == [ms.sato_tate_density(x)
+                                                     for x in xs.tolist()]
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     @pytest.mark.parametrize("sign", [+1, -1])

@@ -1,13 +1,17 @@
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from scipy.special import k1
+from scipy.special import hyp2f1, k1
 
 from modlavg import arch_local as al
+from modlavg import arith as ar
 from modlavg import numerics as nm
 from modlavg.errors import AccuracyError, DomainError, PoleError
 
@@ -143,14 +147,14 @@ class TestIntegrate:
     def test_semicircle_mass(self):
         spec = nm.QuadratureSpec(domain=nm.interval(-2.0, 2.0), rel_tol=1e-12)
         res = nm.integrate(
-            lambda x: math.sqrt(max(4.0 - x * x, 0.0)) / (2.0 * math.pi), spec
+            lambda x: np.sqrt(np.maximum(4.0 - x * x, 0.0)) / (2.0 * math.pi), spec
         )
         assert res.require().real == pytest.approx(1.0, rel=1e-10)
 
     def test_deterministic(self):
         spec = nm.QuadratureSpec(domain=nm.interval(0.0, 3.0), rel_tol=1e-11)
-        r1 = nm.integrate(lambda t: math.exp(-t) * math.sin(3 * t), spec)
-        r2 = nm.integrate(lambda t: math.exp(-t) * math.sin(3 * t), spec)
+        r1 = nm.integrate(lambda t: np.exp(-t) * np.sin(3 * t), spec)
+        r2 = nm.integrate(lambda t: np.exp(-t) * np.sin(3 * t), spec)
         assert r1.value == r2.value and r1.error == r2.error
 
     def test_nan_flagged(self):
@@ -167,8 +171,81 @@ class TestIntegrate:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             nm.QuadratureSpec(rel_tol=-1.0)
-        with pytest.raises(ValueError):
-            nm.QuadratureSpec(max_subdivisions=0)
+
+
+class TestLineRule:
+    """The exp-sinh rule on the half line and, through x = a + (b - a) s/(1 + s),
+    on finite intervals."""
+
+    KNOWN = [
+        ("L(1, chi_-4)", None, math.pi / 4.0),
+        ("B(1.5, 2.5)", (nm.half_line(), lambda t: t ** 0.5 / (1.0 + t) ** 4),
+         math.gamma(1.5) * math.gamma(2.5) / math.gamma(4.0)),
+        ("2 K_1(2)", (nm.half_line(), lambda t: np.exp(-t - 1.0 / t)), 2.0 * k1(2.0)),
+        ("Euler 2F1(2.5, 2; 4; 0.3)",
+         (nm.interval(0.0, 1.0), lambda t: t * (1.0 - t) * (1.0 - 0.3 * t) ** -2.5),
+         hyp2f1(2.5, 2.0, 4.0, 0.3) * math.gamma(2.0) * math.gamma(2.0) / math.gamma(4.0)),
+        ("Euler 2F1(2, 1.5; 4.25; -1.8)",
+         (nm.interval(0.0, 1.0),
+          lambda t: t ** 0.5 * (1.0 - t) ** 1.75 * (1.0 + 1.8 * t) ** -2.0),
+         hyp2f1(2.0, 1.5, 4.25, -1.8) * math.gamma(1.5) * math.gamma(2.75)
+         / math.gamma(4.25)),
+    ]
+
+    @pytest.mark.parametrize("name, integral, known", KNOWN, ids=[k[0] for k in KNOWN])
+    def test_error_covers_gap_to_known_value(self, name, integral, known):
+        if integral is None:
+            res = ar.dirichlet_l_one(-4)
+        else:
+            domain, f = integral
+            res = nm.integrate(f, nm.QuadratureSpec(domain=domain, rel_tol=1e-13,
+                                                    abs_tol=1e-14))
+        assert res.converged
+        # the known values are themselves rounded: scipy's 2F1 at z = -1.8 is
+        # 6 ulps off, so they get 8 ulps of their own
+        assert abs(res.value - known) <= res.error + 8 * np.finfo(float).eps * abs(known), name
+
+    @pytest.mark.parametrize("domain, f", [
+        (nm.interval(0.0, 1.0), lambda t: t ** -0.9999),
+        (nm.half_line(), lambda t: 1.0 / (1.0 + t)),
+        # the nodes next to t = 1 round onto it, where the integrand is infinite
+        (nm.interval(0.0, 1.0), lambda t: (1.0 - t) ** -0.5),
+        (nm.quadrant(), lambda a, b: np.where(a > 1e29, np.inf, np.exp(-a - b))),
+    ], ids=["interval", "half_line", "infinite at b", "infinite on the quadrant"])
+    def test_refused(self, domain, f):
+        # the weight past the outermost nodes is not negligible, or infinite
+        with pytest.raises(AccuracyError):
+            nm.integrate(f, nm.QuadratureSpec(domain=domain)).require()
+
+    @pytest.mark.parametrize("domain", [nm.interval(0.0, 1.0), nm.half_line()],
+                             ids=["interval", "half_line"])
+    def test_nan_flagged(self, domain):
+        # one NaN among the nodes is enough
+        with pytest.raises(DomainError):
+            nm.integrate(lambda t: np.where(t > 0.5, np.nan, np.exp(-t)),
+                         nm.QuadratureSpec(domain=domain))
+
+    def test_no_runtime_warning_escapes(self):
+        # exp(t) overflows and exp(-1/t) underflows at the extreme nodes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = nm.integrate(lambda t: np.exp(-1.0 / t) / (1.0 + np.exp(t)),
+                               nm.QuadratureSpec(domain=nm.half_line()))
+            nm.integrate(lambda t: 1.0 / t, nm.QuadratureSpec(domain=nm.interval(0.0, 1.0)))
+        assert res.converged
+
+    def test_complex_integrand(self):
+        # int_0^oo e^(-t) (1 + i t) dt = 1 + i
+        res = nm.integrate(lambda t: np.exp(-t) * (1.0 + 1.0j * t),
+                           nm.QuadratureSpec(domain=nm.half_line(), rel_tol=1e-13))
+        assert abs(res.require() - (1.0 + 1.0j)) <= res.error
+
+    def test_import_leaves_out_scipy_integrate(self):
+        code = "import sys, modlavg; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert out.stdout.strip() == "False"
 
 
 def _criterion_points():
