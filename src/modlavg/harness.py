@@ -16,10 +16,11 @@ the source bookkeeping leaves implicit.  The report records both together
 with the observed ratios, so no normalization dispute is hidden.
 
 With the basic auxiliary test function the identity is exact at finite
-level in the stable range N > |D|, and ExperimentConfig refuses a level
-with forms outside it.  The report's ``envelope`` checks, at every level
-with forms, |S_N - 2 c_assembled L(1, chi)| and the documented ratio to the
-printed constant against an error budget (``identity_budget``,
+level in the stable range N > |D|.  ExperimentConfig refuses a level with
+forms outside it, and its default selection leaves such levels out.  The
+report's ``envelope`` checks, at every level with forms,
+|S_N - 2 c_assembled L(1, chi)| and the documented ratio to the printed
+constant against an error budget (``identity_budget``,
 ``identity_check``) whose per-form terms the accuracy witnesses of the
 computation bear out.
 """
@@ -71,7 +72,7 @@ class ExperimentConfig:
     weight: int
     aux_prime: int
     interval: tuple = (-2.0, 2.0)
-    levels: list | None = None  # None selects all admissible small levels
+    levels: list | None = None  # None: admissible small levels in the stable range
     data_path: str | None = None
     bins: int = 4
     level_bound: int = 60
@@ -89,17 +90,22 @@ class ExperimentConfig:
         lo, hi = self.interval
         if not (-2.0 <= lo <= hi <= 2.0):
             raise InvariantViolation("interval must be a subinterval of [-2, 2]")
+
+        def unstable(N):
+            # outside the stable range S_N misses 2 c L(1, chi) by O(1),
+            # e.g. by -3/4 relative at (D, N) = (-8, 7)
+            return N <= abs(D) and dim_cusp_forms(N, self.weight) > 0
+
         if self.levels is None:
-            self.levels = admissible_levels(D, p, self.level_bound,
-                                            max_dim=self.max_dim, k=self.weight)
+            self.levels = [N for N in admissible_levels(
+                D, p, self.level_bound, max_dim=self.max_dim, k=self.weight)
+                if not unstable(N)]
         for N in self.levels:
             if kronecker(D, -N) != 1:
                 raise InvariantViolation(f"level {N} fails chi(-N) = 1")
             if p % N == 0 or D % N == 0:
                 raise InvariantViolation(f"level {N} divides the auxiliary data")
-            # outside the stable range S_N misses 2 c L(1, chi) by O(1),
-            # e.g. by -3/4 relative at (D, N) = (-8, 7)
-            if N <= abs(D) and dim_cusp_forms(N, self.weight) > 0:
+            if unstable(N):
                 raise InvariantViolation(
                     f"level N = {N} with D = {D} lies outside the stable "
                     f"range N > |D|")

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .arith import Eigenform, kronecker
 from .errors import (
@@ -42,7 +41,7 @@ from .errors import (
     InsufficientCoefficients,
     InvariantViolation,
 )
-from .numerics import QuadratureSpec, integrate, interval
+from .numerics import QuadratureSpec, gamma_upper, integrate, interval
 
 __all__ = [
     "q_expansion_eval",
@@ -51,7 +50,6 @@ __all__ = [
     "central_value",
     "CentralValue",
     "petersson_norm",
-    "oldform_mellin_ratio",
 ]
 
 
@@ -168,6 +166,7 @@ class CompletedL:
             if math.gcd(self.form.level, self.twist) != 1:
                 raise InvariantViolation("twist discriminant must be prime to N")
         self._coeffs = self._twisted_coeffs()
+        self._sums = {}  # (s, t_split) -> the two sums; eps does not enter
         if self.eps is None:
             self.eps = self._determine_eps()
 
@@ -187,7 +186,10 @@ class CompletedL:
     # -- smoothed approximate functional equation ---------------------------
 
     def _afe_sums(self, s: float, t_split: float) -> tuple:
-        """The two incomplete-Gamma sums at arithmetic s, split point t."""
+        """The two incomplete-Gamma sums at arithmetic s, split point t,
+        computed once for each pair."""
+        if (s, t_split) in self._sums:
+            return self._sums[s, t_split]
         k = self.form.weight
         q_root = math.sqrt(self.conductor)
         coeffs = self._coeffs
@@ -202,10 +204,9 @@ class CompletedL:
         c = np.asarray(coeffs[:n_stop], dtype=float)
         x1 = 2.0 * math.pi * n * t_split / q_root
         x2 = 2.0 * math.pi * n / (t_split * q_root)
-        g1 = scipy.special.gammaincc(s, x1) * scipy.special.gamma(s)
-        g2 = scipy.special.gammaincc(k - s, x2) * scipy.special.gamma(k - s)
-        sum1 = float(np.sum(c * (2.0 * math.pi * n) ** (-s) * g1))
-        sum2 = float(np.sum(c * (2.0 * math.pi * n) ** (s - k) * g2))
+        sum1 = float(np.sum(c * (2.0 * math.pi * n) ** (-s) * gamma_upper(s, x1)))
+        sum2 = float(np.sum(c * (2.0 * math.pi * n) ** (s - k) * gamma_upper(k - s, x2)))
+        self._sums[s, t_split] = sum1, sum2
         return sum1, sum2
 
     def lambda_afe(self, s: float, t_split: float = 1.0,
@@ -360,8 +361,8 @@ def _cusp_strip(form: Eigenform, Y: float) -> float:
     k, m = form.weight, form.n_max + 1
     n = np.arange(1, m, dtype=float)
     c = np.asarray(form.coeffs, dtype=float)
-    total = float(np.sum(c * c * scipy.special.gammaincc(k - 1, 4.0 * math.pi * n * Y)
-                         * math.gamma(k - 1) / (4.0 * math.pi * n) ** (k - 1)))
+    total = float(np.sum(c * c * gamma_upper(k - 1, 4.0 * math.pi * n * Y)
+                         / (4.0 * math.pi * n) ** (k - 1)))
     x = 4.0 * math.pi * m * Y
     tail = (Y ** (k - 2) / (4.0 * math.pi * (1.0 - (k - 2) / x))
             * _tail_bound(2 * k - 1, 2.0 * Y, m)) if x > k - 2 else math.inf
@@ -405,19 +406,3 @@ def petersson_norm(form: Eigenform, x_panels: int = NORM_X_PANELS,
             f"{form.label}: Petersson norm moves by {abs(fine - coarse) / norm:.2e} "
             f"relative when the mesh doubles, above {NORM_TOL:.0e}")
     return norm
-
-
-# ---------------------------------------------------------------------------
-# the oldform Mellin shift (series identity)
-# ---------------------------------------------------------------------------
-
-def oldform_mellin_ratio(coeffs, N: int, s: complex, n_terms: int | None = None) -> complex:
-    """Ratio L(s, g_N) / L(s, g) for the level-raising shift g_N with
-    coefficients N * c_{n/N}; equals N^{1-s} term by term."""
-    if n_terms is None:
-        n_terms = len(coeffs)
-    num = sum(N * c / (N * n) ** complex(s)
-              for n, c in enumerate(coeffs[: n_terms // N], start=1))
-    den = sum(c / n ** complex(s)
-              for n, c in enumerate(coeffs[: n_terms // N], start=1))
-    return num / den

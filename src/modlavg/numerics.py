@@ -9,15 +9,23 @@ between two step sizes, plus the weight on the outermost nodes, plus a few
 ulps of sum |w f| (Takahasi-Mori 1974; Mori-Sugihara, J. Comput. Appl. Math.
 127, 2001).  Quadrature is deterministic: identical inputs give
 bit-identical outputs.
+
+The special functions need nothing beyond numpy.  log Gamma is the Stirling
+series after the recurrence has carried Re z up to 12, with the reflection
+formula below Re z = 1/2 (DLMF 5.11.1, 5.5.1, 5.5.3); on the real axis it
+is math.lgamma.  The upper incomplete Gamma(a, x) is a finite sum for
+integer a (DLMF sec. 8.4).  For other a it is Gamma(a) less the power
+series of gamma(a, x) below x = a + 1, and Legendre's continued fraction,
+by the modified Lentz method, from there on (DLMF secs. 8.7, 8.9).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.special
 
 from .errors import AccuracyError, ConvergenceError, DomainError, PoleError
 
@@ -31,6 +39,7 @@ __all__ = [
     "log_gamma",
     "gamma",
     "beta",
+    "gamma_upper",
     "hyp2f1",
 ]
 
@@ -197,11 +206,73 @@ def _is_nonpositive_integer(z: complex) -> bool:
     return z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real)
 
 
+# log Gamma: recurrence up to Re z >= _STIRLING_MIN_RE, then the Stirling
+# series with the coefficients B_2m / (2m (2m - 1)), m = 1..8, whose next
+# term is below 1e-18 there
+_STIRLING_MIN_RE = 12.0
+_STIRLING_COEFFS = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
+                    1.0 / 1188.0, -691.0 / 360360.0, 1.0 / 156.0,
+                    -3617.0 / 122400.0)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _log_gamma_stirling(z: complex) -> complex:
+    """Stirling series for Re z >= _STIRLING_MIN_RE (DLMF 5.11.1)."""
+    r = 1.0 / z
+    r2 = r * r
+    series = 0.0j
+    for c in reversed(_STIRLING_COEFFS):
+        series = series * r2 + c
+    return (z - 0.5) * cmath.log(z) - z + _HALF_LOG_2PI + series * r
+
+
+def _log_gamma_right(z: complex) -> complex:
+    """Principal log Gamma for Re z >= 1/2 and Im z >= 0: shift up to the
+    Stirling region and take out log(z (z+1) ... (z+n-1)).  The factors
+    turn the product counter-clockwise; each time its imaginary part turns
+    negative its argument has passed pi, so the principal log of the
+    product is 2 pi i short."""
+    n = max(0, math.ceil(_STIRLING_MIN_RE - z.real))
+    prod, flips = 1.0 + 0.0j, 0
+    for j in range(n):
+        before = prod.imag
+        prod *= z + j
+        flips += before >= 0.0 > prod.imag
+    return _log_gamma_stirling(z + n) - cmath.log(prod) - 2j * math.pi * flips
+
+
 def log_gamma(z: complex) -> complex:
-    """Principal branch of log Gamma."""
+    """Principal branch of log Gamma: analytic off (-oo, 0], real on the
+    positive axis; on the negative axis the limit from Im z > 0 (from
+    below when Im z is -0.0).
+
+    On the real axis math.lgamma gives the modulus.  Elsewhere Re z >= 1/2
+    goes by recurrence and the Stirling series, and Re z < 1/2 by the
+    reflection log pi - log Gamma(1 - z) - log sin(pi z), with the log of
+    the sine continued analytically over the upper half plane (DLMF 5.5.3).
+    """
+    z = complex(z)
     if _is_nonpositive_integer(z):
         raise PoleError(f"log_gamma pole at z = {z}")
-    return complex(scipy.special.loggamma(complex(z)))
+    if math.copysign(1.0, z.imag) < 0.0:
+        return log_gamma(z.conjugate()).conjugate()
+    if z.imag == 0.0:
+        # lgamma gives log |Gamma|; from above, each pole passed on the way
+        # down from 0 turns the argument by -pi
+        x = z.real
+        return complex(math.lgamma(x), -math.pi * math.ceil(-x) if x < 0.0 else 0.0)
+    if z.real >= 0.5:
+        return _log_gamma_right(z)
+    # for Im z >= 0, sin(pi z) = (i/2) e^(-i pi z) (1 - e^(2 pi i z)) with
+    # |e^(2 pi i z)| <= 1, and 1 - e^(2 pi i z) = -expm1(2 pi i w), w = z
+    # less the nearest integer, in real arithmetic
+    x, y = z.real, z.imag
+    a, b = -2.0 * math.pi * y, 2.0 * math.pi * (x - round(x))
+    one_minus_q = complex(2.0 * math.sin(0.5 * b) ** 2 - math.expm1(a) * math.cos(b),
+                          -math.exp(a) * math.sin(b))
+    log_sin = (complex(math.pi * y - math.log(2.0), math.pi * (0.5 - x))
+               + cmath.log(one_minus_q))
+    return math.log(math.pi) - log_gamma(1.0 - z) - log_sin
 
 
 def gamma(z: complex) -> complex:
@@ -216,6 +287,81 @@ def beta(z: complex, w: complex) -> complex:
     if _is_nonpositive_integer(complex(z) + complex(w)):
         raise PoleError(f"beta: z + w = {complex(z)+complex(w)} is a Gamma pole")
     return np.exp(log_gamma(z) + log_gamma(w) - log_gamma(complex(z) + complex(w)))
+
+
+# ---------------------------------------------------------------------------
+# upper incomplete Gamma
+# ---------------------------------------------------------------------------
+
+# the series and the continued fraction stop once every new term or factor
+# is within _GAMMA_INC_TOL of nothing or of 1; a few ulps, since a factor
+# that has converged still rounds to 1 +- eps
+_GAMMA_INC_TOL = 4.0 * np.finfo(float).eps
+_GAMMA_INC_MAX_TERMS = 400
+
+
+def _gamma_lower_series(a: float, x: np.ndarray) -> np.ndarray:
+    """gamma(a, x) = x^a e^-x sum_n x^n / (a (a+1) ... (a+n)) (DLMF sec. 8.7),
+    for x < a + 1, where the terms fall from the first.  The last term
+    relative to the sum grows with x, so the largest x decides the stop."""
+    term = np.full_like(x, 1.0 / a)
+    total = term.copy()
+    top = int(np.argmax(x))
+    for n in range(1, _GAMMA_INC_MAX_TERMS):
+        term *= x / (a + n)
+        total += term
+        if term[top] <= _GAMMA_INC_TOL * total[top]:
+            return np.exp(a * np.log(x) - x) * total
+    raise ConvergenceError(f"incomplete Gamma series did not converge at a = {a}")
+
+
+def _gamma_upper_fraction(a: float, x: np.ndarray) -> np.ndarray:
+    """Gamma(a, x) = x^a e^-x / (x + 1 - a - 1 (1 - a) / (x + 3 - a - ...))
+    (Legendre; DLMF sec. 8.9) by the modified Lentz method, for x >= a + 1.
+    There the Lentz divisors stay above half the partial denominators
+    (checked for 0 < a <= 30), so they need no guard against 0."""
+    b = x + 1.0 - a
+    c = math.inf
+    d = 1.0 / b
+    h = d.copy()
+    for i in range(1, _GAMMA_INC_MAX_TERMS):
+        an = -i * (i - a)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        step = d * c
+        h *= step
+        if np.abs(step - 1.0).max() <= _GAMMA_INC_TOL:
+            return np.exp(a * np.log(x) - x) * h
+    raise ConvergenceError(f"incomplete Gamma fraction did not converge at a = {a}")
+
+
+def gamma_upper(a: float, x) -> np.ndarray:
+    """Upper incomplete Gamma(a, x), the integral of t^(a-1) e^-t over
+    [x, oo), for real a > 0 at every point of an array of x > 0.
+
+    Integer a is the finite sum (a-1)! e^-x sum_(j<a) x^j / j! (DLMF sec. 8.4);
+    other a take Gamma(a) less the series of gamma(a, x) below x = a + 1,
+    and the continued fraction from there on.
+    """
+    a = float(a)
+    x = np.asarray(x, dtype=float)
+    if not a > 0.0:
+        raise DomainError(f"gamma_upper needs a > 0, got a = {a}")
+    if not np.all(x > 0.0):
+        raise DomainError("gamma_upper needs every x > 0")
+    if a.is_integer():
+        acc = np.ones_like(x)
+        for j in range(int(a) - 1, 0, -1):
+            acc = 1.0 + acc * x / j
+        return math.factorial(int(a) - 1) * np.exp(-x) * acc
+    out = np.empty_like(x)
+    low = x < a + 1.0
+    if low.any():
+        out[low] = math.gamma(a) - _gamma_lower_series(a, x[low])
+    if not low.all():
+        out[~low] = _gamma_upper_fraction(a, x[~low])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from modlavg import cli
 from modlavg import harness as hs
 from modlavg import lvalues as lv
 from modlavg import measures as ms
-from modlavg.arith import dump_eigenforms, load_eigenforms
+from modlavg.arith import dim_cusp_forms, dump_eigenforms, load_eigenforms
 from modlavg.errors import AccuracyError, InvariantViolation
 from modlavg.newforms import newforms
 
@@ -40,6 +40,14 @@ class TestConfig:
                            match=r"N = 7 with D = -8 .*stable range N > \|D\|"):
             hs.ExperimentConfig(discriminant=-8, weight=4, aux_prime=13,
                                 levels=[7])
+
+    @pytest.mark.parametrize("D, levels", [(-7, [3]), (-8, []), (-11, [2])])
+    def test_default_levels_skip_unstable(self, D, levels):
+        # admissible_levels gives 3, 5 / 5, 7 / 2, 7: levels 5 and 7 have
+        # forms and lie at or below |D|, levels 2 and 3 have none
+        c = hs.ExperimentConfig(discriminant=D, weight=4, aux_prime=13)
+        assert c.levels == levels
+        assert all(N > abs(D) or dim_cusp_forms(N, 4) == 0 for N in c.levels)
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"

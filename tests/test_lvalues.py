@@ -223,11 +223,3 @@ class TestPeterssonNorm:
     def test_coarse_mesh_refused(self, forms):
         with pytest.raises(AccuracyError, match="7.4.a: Petersson norm moves"):
             lv.petersson_norm(forms["7.4.a"], x_panels=2, y_panels=1, order=4)
-
-
-class TestOldformShift:
-    def test_mellin_ratio(self):
-        coeffs = [1, -4, 2, 8, -5, -8, 6, 0, -23, 20] * 30
-        for s in (0.5, 1.0 + 0.3j, 1.3):
-            ratio = lv.oldform_mellin_ratio(coeffs, 7, s, n_terms=280)
-            assert ratio == pytest.approx(7 ** (1 - complex(s)), rel=1e-12)
