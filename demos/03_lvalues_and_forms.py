@@ -2,7 +2,7 @@
 """Newforms, central L-values and Petersson norms.
 
 Loads the shipped eigenform coefficient tables (validated on load against
-the Hecke recursion, multiplicativity and the eigenvalue bound), measures
+the eigenvalue bound and the Hecke extension of their primes), measures
 each form's Fricke sign directly from its q-expansion, computes central
 values along two independent routes, and integrates the Petersson norms.
 """

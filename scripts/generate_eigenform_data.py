@@ -32,7 +32,7 @@ def main():
         forms.extend(batch)
     path = out_dir / "eigenforms_k4.jsonl"
     dump_eigenforms(forms, path)
-    # round-trip validation (Hecke recursion, eigenvalue bound, c_1 = 1)
+    # round-trip validation (c_1 = 1, eigenvalue bound, Hecke extension)
     reloaded = load_eigenforms(path)
     assert [f.label for f in reloaded] == [f.label for f in forms]
     print(f"wrote {path} ({len(forms)} forms), validation passed")

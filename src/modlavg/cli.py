@@ -15,12 +15,14 @@ import sys
 
 from . import arch_local, measures, padic_local
 from .arith import load_eigenforms
-from .errors import ModlavgError
+from .errors import DomainError, ModlavgError
 from .harness import ExperimentConfig, run_experiment
 from .lvalues import central_value, petersson_norm
 
 
 def _cmd_measures(args) -> int:
+    if args.max_n < 0 or args.grid < 1:
+        raise DomainError("need --max-n >= 0 and --grid >= 1")
     if args.csv:
         print(measures.density_csv(args.p, args.grid), end="")
         return 0
@@ -38,6 +40,8 @@ def _cmd_measures(args) -> int:
 
 
 def _cmd_verify_local(args) -> int:
+    if args.vmax < 0:
+        raise DomainError("need --vmax >= 0")
     place = {
         "unramified": padic_local.PlaceSpec(q=args.q, kind="unramified", chi_q=args.delta),
         "level": padic_local.PlaceSpec(q=args.q, kind="level", chi_q=args.delta),

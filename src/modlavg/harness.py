@@ -27,6 +27,7 @@ computation bear out.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 
 from . import arch_local, measures, padic_local, reg_tail
 from .arith import (
+    _factorize,
     admissible_levels,
     dim_cusp_forms,
     dirichlet_l,
@@ -66,6 +68,12 @@ def default_data_path() -> str:
     return os.path.join(here, "data", "eigenforms_k4.jsonl")
 
 
+# the default levels: admissible up to this bound, with at most 2 forms
+DEFAULT_LEVEL_BOUND, DEFAULT_MAX_DIM = 60, 2
+# bounds the sieve over configured levels: no data file holds N (k - 1) / 12 forms
+MAX_LEVEL = 10 ** 6
+
+
 @dataclass
 class ExperimentConfig:
     discriminant: int
@@ -75,36 +83,47 @@ class ExperimentConfig:
     levels: list | None = None  # None: admissible small levels in the stable range
     data_path: str | None = None
     bins: int = 4
-    level_bound: int = 60
-    max_dim: int = 2
     output_dir: str | None = None
 
     def __post_init__(self):
-        D, p = self.discriminant, self.aux_prime
+        D, k, p = self.discriminant, self.weight, self.aux_prime
+        for name in ("discriminant", "weight", "aux_prime", "bins"):
+            if type(getattr(self, name)) is not int:
+                raise InvariantViolation(f"{name} must be an integer")
         if not (D < 0 and is_fundamental_discriminant(D)):
             raise InvariantViolation(f"D = {D} is not a negative fundamental discriminant")
-        if self.weight % 2 or self.weight < 4:
+        if k % 2 or k < 4:
             raise InvariantViolation("weight must be even and >= 4")
-        if kronecker(D, p) not in (+1, -1):
-            raise InvariantViolation("auxiliary prime must not divide D")
-        lo, hi = self.interval
-        if not (-2.0 <= lo <= hi <= 2.0):
+        if _factorize(p) != {p: 1} or D % p == 0:
+            raise InvariantViolation(f"auxiliary prime {p} must be a prime not dividing D")
+        if self.bins < 1:
+            raise InvariantViolation("bins must be >= 1")
+        iv = self.interval
+        if not (isinstance(iv, (list, tuple)) and len(iv) == 2
+                and all(type(x) is int or isinstance(x, float) for x in iv)):
+            raise InvariantViolation("interval must be two numbers")
+        lo, hi = self.interval = tuple(iv)
+        if not (-2.0 <= lo <= hi <= 2.0):  # NaN and infinities fail too
             raise InvariantViolation("interval must be a subinterval of [-2, 2]")
 
         def unstable(N):
             # outside the stable range S_N misses 2 c L(1, chi) by O(1),
             # e.g. by -3/4 relative at (D, N) = (-8, 7)
-            return N <= abs(D) and dim_cusp_forms(N, self.weight) > 0
+            return N <= abs(D) and dim_cusp_forms(N, k) > 0
 
         if self.levels is None:
-            self.levels = [N for N in admissible_levels(
-                D, p, self.level_bound, max_dim=self.max_dim, k=self.weight)
-                if not unstable(N)]
-        for N in self.levels:
-            if kronecker(D, -N) != 1:
-                raise InvariantViolation(f"level {N} fails chi(-N) = 1")
-            if p % N == 0 or D % N == 0:
-                raise InvariantViolation(f"level {N} divides the auxiliary data")
+            self.levels = [N for N in admissible_levels(D, p, DEFAULT_LEVEL_BOUND)
+                           if dim_cusp_forms(N, k) <= DEFAULT_MAX_DIM and not unstable(N)]
+        levels = self.levels
+        if not (isinstance(levels, (list, tuple)) and all(
+                type(N) is int and N <= MAX_LEVEL for N in levels)
+                and len(set(levels)) == len(levels)):
+            raise InvariantViolation(f"levels must be distinct integers <= {MAX_LEVEL}")
+        admissible = admissible_levels(D, p, max(levels, default=1))
+        for N in levels:
+            if N not in admissible:
+                raise InvariantViolation(f"level {N} is not admissible: it must be a prime "
+                                         "with chi_D(-N) = 1 dividing neither p nor D")
             if unstable(N):
                 raise InvariantViolation(
                     f"level N = {N} with D = {D} lies outside the stable "
@@ -115,14 +134,20 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        known = {"discriminant", "weight", "aux_prime", "interval", "levels",
-                 "data_path", "bins", "level_bound", "max_dim", "output_dir"}
-        bad = set(raw) - known
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise InvariantViolation(f"{path}: parse error: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise InvariantViolation(f"{path}: config is not a JSON object")
+        fields = dataclasses.fields(cls)
+        bad = set(raw) - {f.name for f in fields}
         if bad:
             raise InvariantViolation(f"unknown config fields {sorted(bad)}")
-        if "interval" in raw:
-            raw["interval"] = tuple(raw["interval"])
+        missing = [f.name for f in fields
+                   if f.default is dataclasses.MISSING and f.name not in raw]
+        if missing:
+            raise InvariantViolation(f"missing config fields {missing}")
         return cls(**raw)
 
     @property
@@ -245,10 +270,6 @@ def spectral_sum(cfg: ExperimentConfig, N: int, lo: float, hi: float) -> dict:
     }
 
 
-def _bin_edges(bins: int) -> list:
-    return [-2.0 + 4.0 * i / bins for i in range(bins + 1)]
-
-
 def proportionality_test(cfg: ExperimentConfig) -> dict:
     """Bin-share vectors of the spectral mass against the measure masses.
 
@@ -257,10 +278,8 @@ def proportionality_test(cfg: ExperimentConfig) -> dict:
     """
     if len(cfg.levels) < 3:
         raise InvariantViolation("need at least 3 levels")
-    edges = _bin_edges(cfg.bins)
-    masses = []
-    for i in range(cfg.bins):
-        masses.append(measure_mass(cfg, edges[i], edges[i + 1]))
+    edges = [-2.0 + 4.0 * i / cfg.bins for i in range(cfg.bins + 1)]
+    masses = [measure_mass(cfg, lo, hi) for lo, hi in zip(edges, edges[1:])]
     out = {"edges": edges, "measure_masses": masses, "levels": {}}
     for N in cfg.levels:
         rows = _level_rows(cfg, N)

@@ -155,9 +155,6 @@ class SatakePolynomial:
             total = total + cf * base
         return total
 
-    def __call__(self, x):
-        return self.evaluate(x)
-
 
 def satake_poly(n: int, p: int) -> SatakePolynomial:
     if n < 0:

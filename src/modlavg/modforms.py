@@ -16,10 +16,9 @@ entirely new).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .arith import _divisors, _kernel, _rref, dim_cusp_forms
+from .arith import _kernel, _rref, dim_cusp_forms, hecke_coefficient
 from .errors import InvariantViolation
 
 __all__ = ["CuspSpace"]
@@ -221,18 +220,8 @@ class CuspSpace:
 
     def hecke_image(self, series, m, out_len):
         """T_m on a level-N weight-k q-series (gcd(m, N) = 1), or U_N."""
-        k, N = self.k, self.N
-        out = [Fraction(0)] * out_len
-        for n in range(1, out_len):
-            total = Fraction(0)
-            for d in _divisors(math.gcd(m, n)):
-                if N % d == 0 and d > 1:
-                    continue
-                idx = m * n // (d * d)
-                if idx < len(series):
-                    total += d ** (k - 1) * Fraction(series[idx])
-            out[n] = total
-        return out
+        return [0] + [hecke_coefficient(series.__getitem__, m, n, self.k, self.N)
+                      for n in range(1, out_len)]
 
     def hecke_matrix(self, m):
         rows_needed = max(self.pivots) + 1
@@ -240,7 +229,7 @@ class CuspSpace:
             raise ValueError(f"series too short for T_{m}")
         cols = []
         for vec in self.basis:
-            img = self.hecke_image(vec, m, rows_needed + 1)
+            img = self.hecke_image(vec, m, rows_needed)
             coords, rem = self.coordinates(img)
             if any(rem[: rows_needed]):
                 raise InvariantViolation(f"T_{m} image left the cusp space")

@@ -6,10 +6,11 @@ newforms.  The Hecke translates T_m t (m prime to N) therefore span the
 space, and their coefficients at n prime to N are integers given by the
 trace formula alone,
 
-    (T_m t)_n = Tr(T_m T_n) = sum_{d | (m, n)} d^(k-1) Tr T_(mn/d^2).
+    (T_m t)_n = Tr(T_m T_n) = sum_{d | (m, n)} d^(k-1) Tr T_(mn/d^2),
 
-A basis of translates, the exact matrix of T_2 on it and its eigenvectors
-give each newform's prime coefficients; ``hecke_extend`` fills in the rest.
+``hecke_coefficient`` on the traces.  A basis of translates, the exact
+matrix of T_2 on it and its eigenvectors give each newform's prime
+coefficients; ``hecke_extend`` fills in the rest.
 Rational forms come out as exact integers; the Atkin-Lehner sign w is the
 one of the two candidates c_N = -w N^(k/2-1) that ``fricke_sign`` accepts.
 """
@@ -17,20 +18,19 @@ one of the two candidates c_N = -w N^(k/2-1) that ``fricke_sign`` accepts.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .arith import (
     Eigenform,
-    _divisors,
     _kernel,
     _primes_up_to,
     _rref,
     dim_cusp_forms,
     eichler_selberg_trace,
+    hecke_coefficient,
     hecke_extend,
 )
 from .errors import DomainError, InvariantViolation
@@ -48,10 +48,7 @@ def newforms(N: int, k: int, n_max: int) -> list:
     if dim == 0:
         return []
     trace = lru_cache(maxsize=None)(lambda m: eichler_selberg_trace(N, k, m))
-
-    def translate(m: int, n: int) -> int:
-        return sum(d ** (k - 1) * trace(m * n // (d * d))
-                   for d in _divisors(math.gcd(m, n)))
+    translate = partial(hecke_coefficient, trace, k=k, N=N)  # (T_m t)_n
 
     cols = list(itertools.islice((n for n in itertools.count(1) if n % N),
                                  4 * dim + 20))
@@ -67,11 +64,10 @@ def newforms(N: int, k: int, n_max: int) -> list:
         raise InvariantViolation(
             f"trace-form translates span {len(basis)} of {dim} dimensions at N = {N}")
 
-    # T_ell (T_m t) = sum_{d | (ell, m)} d^(k-1) T_(ell m / d^2) t, solved in
-    # the basis: column i of M holds the coordinates of T_ell on basis[i]
+    # T_ell applied to each translate T_m t, solved in the basis: column i
+    # of M holds the coordinates of T_ell on basis[i]
     ell = 3 if N == 2 else 2
-    images = [[sum(d ** (k - 1) * translate(ell * m // (d * d), n)
-                   for d in _divisors(math.gcd(ell, m))) for m in basis]
+    images = [[hecke_coefficient(partial(translate, m), ell, n, k, N) for m in basis]
               for n in cols]
     red, pivots = _rref([[row[j] for row in rows] + img
                          for j, img in enumerate(images)])

@@ -167,15 +167,6 @@ class LaurentValue:
     def as_dict(self) -> dict:
         return dict(self.terms)
 
-    def __add__(self, other: "LaurentValue") -> "LaurentValue":
-        d = self.as_dict()
-        for mn, c in other.terms:
-            d[mn] = d.get(mn, 0) + c
-        return LaurentValue.from_dict(d)
-
-    def scaled(self, c: int) -> "LaurentValue":
-        return LaurentValue.from_dict({mn: c * v for mn, v in self.terms})
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -1,13 +1,21 @@
+import dataclasses
 import json
 import math
 import random
+import re
 
 import pytest
 
 from modlavg import arith as ar
+from modlavg import cli
 from modlavg import modforms as mf
 from modlavg.errors import InvariantViolation
 from modlavg.harness import default_data_path
+
+
+@pytest.fixture(scope="module")
+def shipped():
+    return {f.label: f for f in ar.load_eigenforms(default_data_path())}
 
 
 class TestKronecker:
@@ -214,6 +222,29 @@ class TestEigenforms:
         with pytest.raises(InvariantViolation, match="deligne"):
             ar.load_eigenforms(path)
 
+    @pytest.mark.parametrize("label, n, delta", [
+        ("5.4.a", 4, 1),  # prime-power recursion
+        ("5.4.a", 25, 1),  # recursion at p = N
+        ("5.4.a", 6, 1),  # multiplicativity
+        ("7.4.a", 49, 7),
+        ("11.4.b", 1000, 1),
+        ("11.4.a", 121, 1e-3),  # 2.5e-7 of the bound d(121) 121^(3/2)
+    ])
+    def test_corrupted_coefficient_refused(self, shipped, label, n, delta):
+        form = shipped[label]
+        coeffs = list(form.coeffs)
+        coeffs[n - 1] += delta
+        bad = dataclasses.replace(form, coeffs=coeffs)
+        with pytest.raises(InvariantViolation,
+                           match=rf"^{label}: .*\(n = {n}, relation = hecke\)$"):
+            bad.validate()
+
+    def test_divisor_counts(self):
+        d = ar._divisor_counts(3000)
+        assert d[0] == 0
+        for n in range(1, 3001):
+            assert d[n] == sum(1 for j in range(1, n + 1) if n % j == 0), n
+
     def test_schema_required(self, tmp_path):
         rec = {"level": 5, "weight": 4, "label": "x", "coeffs": [1]}
         path = tmp_path / "bad.jsonl"
@@ -228,6 +259,66 @@ class TestEigenforms:
             ar.load_eigenforms(path)
 
 
+class TestMalformedRecords:
+    GOOD = json.dumps({"schema": 1, "level": 5, "weight": 4, "label": "ok",
+                       "coeffs": [1, -4, 2, 8, -5, -8]})
+
+    @pytest.mark.parametrize("record, match", [
+        ([1, 2], "record is not a JSON object"),
+        ("5.4.a", "record is not a JSON object"),
+        ({"schema": 1, "level": 5, "weight": 4, "coeffs": [1]}, "record lacks label"),
+        ({"schema": 1, "label": "x", "coeffs": [1]}, "record lacks level, weight"),
+        ({"schema": 1, "level": 5, "weight": 4, "label": "x"}, "record lacks coeffs"),
+        ({"schema": 1, "level": 5, "weight": 4, "label": "x", "coeffs": []},
+         "coeffs must be a non-empty list"),
+        ({"schema": 1, "level": 5, "weight": 4, "label": "x", "coeffs": 1},
+         "coeffs must be a non-empty list"),
+        ({"schema": 1, "level": "5", "weight": 4, "label": "x", "coeffs": [1]},
+         "level and weight must be integers"),
+        ({"schema": 1, "level": 5, "weight": True, "label": "x", "coeffs": [1]},
+         "level and weight must be integers"),
+        ({"schema": 1, "level": 5, "weight": 4, "label": "x", "coeffs": [True]},
+         "bad coefficient c_1 = True"),
+        ({"schema": 1, "level": 5, "weight": 4, "label": "x", "coeffs": [1, "-4x"]},
+         "bad coefficient c_2 = '-4x'"),
+        ({"schema": 1, "level": 5, "weight": 4, "label": "x", "coeffs": [1, "nan"]},
+         "bad coefficient c_2 = 'nan'"),
+        ({"schema": 1, "level": 5, "weight": 4, "label": "x", "coeffs": [1, None]},
+         "bad coefficient c_2 = None"),
+    ], ids=lambda x: x if isinstance(x, str) else None)
+    def test_refused_naming_path_and_line(self, tmp_path, capsys, record, match):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(self.GOOD + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(InvariantViolation, match=f"^{path}:2: {re.escape(match)}$"):
+            ar.load_eigenforms(path)
+        # the CLI reports it as bad input: exit 2, one line, no traceback
+        assert cli.main(["lvalues", "--forms", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{path}:2: " in err, err
+
+
+class TestHeckeCoefficient:
+    @pytest.mark.parametrize("label", ["5.4.a", "7.4.a"])
+    def test_eigenform_is_an_eigenvector(self, shipped, label):
+        # T_m f = c_m f for m prime to N, and U_N f = c_N f, in integers
+        f = shipped[label]
+        N = f.level
+        for m in [m for m in range(1, f.n_max + 1) if m % N] + [N]:
+            for n in range(1, f.n_max // m + 1):
+                assert ar.hecke_coefficient(f.c, m, n, 4, N) == f.c(m) * f.c(n), (m, n)
+
+    def test_skips_divisors_divisible_by_the_level(self):
+        # gcd(10, 10) has divisors 1, 2, 5, 10: at N = 5 only 1 and 2 count,
+        # at N = 3 all four
+        coeff = {100: 7, 25: 3, 4: 11, 1: 13}.__getitem__
+        assert ar.hecke_coefficient(coeff, 10, 10, 4, 5) == 7 + 2 ** 3 * 3
+        assert ar.hecke_coefficient(coeff, 10, 10, 4, 3) == 7 + 8 * 3 + 125 * 11 + 1000 * 13
+
+    def test_index_past_the_series_raises(self):
+        with pytest.raises(IndexError):
+            ar.hecke_coefficient([0, 1, 2].__getitem__, 2, 2, 4, 5)
+
+
 class TestHeckeExtend:
     def test_prime_power_recursion(self):
         k = 4
@@ -239,14 +330,15 @@ class TestHeckeExtend:
         assert table[0] == 1
         assert table[3] == (-4) ** 2 - 2 ** (k - 1)  # c_4 = c_2^2 - 2^(k-1)
 
-    def test_matches_reference_tables(self):
-        forms = ar.load_eigenforms(default_data_path())
-        for f in forms:
-            if f.level not in (5, 7):
-                continue
-            primes = {p: f.c(p) for p in ar._primes_up_to(500)}
-            table = ar.hecke_extend(primes, f.level, f.weight, 500)
-            assert table == f.coeffs[:500]
+    def test_matches_reference_tables(self, shipped):
+        # integer forms exactly; the decimal pair within 5 eps n^(3/2)
+        for f in shipped.values():
+            primes = {p: f.c(p) for p in ar._primes_up_to(f.n_max)}
+            table = ar.hecke_extend(primes, f.level, f.weight, f.n_max)
+            if f.is_rational():
+                assert table == f.coeffs
+            for n, (c, e) in enumerate(zip(f.coeffs, table), start=1):
+                assert abs(c - e) <= 5 * 2.0 ** -52 * n ** 1.5, (f.label, n)
 
     def test_missing_prime(self):
         with pytest.raises(InvariantViolation, match="c_3"):
@@ -270,10 +362,6 @@ class TestDim2Extraction:
 
 
 class TestAdmissibleLevels:
-    def test_headline_configuration(self):
-        levels = ar.admissible_levels(-4, 13, 60, max_dim=2, k=4)
-        assert levels == [3, 7, 11]
-
     def test_without_dim_filter(self):
         levels = ar.admissible_levels(-4, 13, 30)
         assert levels == [3, 7, 11, 19, 23]

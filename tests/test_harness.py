@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -57,6 +59,71 @@ class TestConfig:
         }))
         c = hs.ExperimentConfig.from_file(path)
         assert c.interval == (-2.0, 0.5) and c.levels == [7, 11]
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"bins": 0}, "bins must be >= 1"),
+        ({"bins": -2}, "bins must be >= 1"),
+        ({"bins": True}, "bins must be an integer"),
+        ({"bins": 2.0}, "bins must be an integer"),
+        ({"weight": 4.0}, "weight must be an integer"),
+        ({"discriminant": "-4"}, "discriminant must be an integer"),
+        ({"aux_prime": 4}, "auxiliary prime 4 must be a prime not dividing D"),
+        ({"aux_prime": 1}, "auxiliary prime 1 must be a prime"),
+        ({"aux_prime": 2}, "auxiliary prime 2 must be a prime not dividing D"),
+        ({"levels": [7, 7, 11]}, "levels must be distinct integers"),
+        ({"levels": [3, 7, "11"]}, "levels must be distinct integers"),
+        ({"levels": [3, 7, True]}, "levels must be distinct integers"),
+        ({"levels": 7}, "levels must be distinct integers"),
+        ({"levels": [3, 7, 10 ** 12 + 39]}, "levels must be distinct integers <= 1000000"),
+        ({"levels": [3, 7, 9]}, "level 9 is not admissible"),
+        ({"levels": [3, 5]}, "level 5 is not admissible"),
+        ({"levels": [13]}, "level 13 is not admissible"),
+        ({"interval": [1.0]}, "interval must be two numbers"),
+        ({"interval": [-1.0, "2"]}, "interval must be two numbers"),
+        ({"interval": [-1.0, float("nan")]}, "subinterval of [-2, 2]"),
+        ({"interval": [-1.0, float("inf")]}, "subinterval of [-2, 2]"),
+        ({"interval": 1.0}, "interval must be two numbers"),
+        ({"interval": [1.0, -1.0]}, "subinterval of [-2, 2]"),
+        ({"weight": None}, "weight must be an integer"),
+        ({"weight": 4, "aux_prime": 13, "discriminant": -4, "zap": 1},
+         "unknown config fields ['zap']"),
+    ], ids=lambda x: json.dumps(x) if isinstance(x, dict) else None)
+    def test_malformed_config_exits_2_with_one_line(self, tmp_path, capsys,
+                                                     fields, match):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"discriminant": -4, "weight": 4,
+                                    "aux_prime": 13, **fields}))
+        with pytest.raises(InvariantViolation, match=re.escape(match)):
+            hs.ExperimentConfig.from_file(path)
+        assert cli.main(["average", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and match in err, err
+
+    @pytest.mark.parametrize("text, match", [
+        ('{"discriminant": -4, "weight": 4}', "missing config fields ['aux_prime']"),
+        ("[-4, 4, 13]", "config is not a JSON object"),
+        ("{not json", "parse error"),
+    ])
+    def test_malformed_config_file(self, tmp_path, text, match):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(InvariantViolation, match=re.escape(match)):
+            hs.ExperimentConfig.from_file(path)
+
+    def test_sweep_config_constructs(self, cfg):
+        # the shape of the benchmark's warm calls: float tuple interval,
+        # list levels, bins 2 to 8
+        for bins in range(2, 9):
+            c = hs.ExperimentConfig(
+                discriminant=cfg.discriminant, weight=cfg.weight,
+                aux_prime=cfg.aux_prime, interval=(-1.25, 0.5),
+                levels=list(cfg.levels), data_path=cfg.data_path, bins=bins)
+            assert c.interval == (-1.25, 0.5) and c.levels == [3, 7, 11]
+
+    def test_eight_settable_fields(self):
+        assert [f.name for f in dataclasses.fields(hs.ExperimentConfig)] == [
+            "discriminant", "weight", "aux_prime", "interval", "levels",
+            "data_path", "bins", "output_dir"]
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -371,6 +438,10 @@ class TestCLI:
         ["constants", "--k", "3"],
         ["lvalues", "--forms", "/nonexistent/forms.jsonl"],
         ["average", "--config", "/nonexistent/config.json"],
+        ["verify-local", "--vmax", "-3"],
+        ["measures", "--csv", "--grid", "-3"],
+        ["measures", "--grid", "0"],
+        ["measures", "--max-n", "-2"],
     ], ids=lambda argv: " ".join(argv[:2]))
     def test_bad_input_exits_2_with_one_line(self, capsys, argv):
         # exit 1 is a failed check; bad input is exit 2 with no traceback
