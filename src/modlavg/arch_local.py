@@ -59,10 +59,11 @@ def _check_weight(k: int) -> None:
         raise DomainError(f"weight k = {k} must be an even integer >= 4")
 
 
-def matrix_coefficient(g, k: int, d: float) -> complex:
+def matrix_coefficient(g, k: int) -> complex:
     """Value of the test function at a 2x2 real matrix g.
 
-    d * (2 sqrt(det g))^k / (a + d_entry + i(b - c))^k for det g > 0, else 0.
+    d * (2 sqrt(det g))^k / (a + d_entry + i(b - c))^k for det g > 0, else
+    0, with d the formal degree.
     """
     _check_weight(k)
     (a, b), (c, dd) = (g[0][0], g[0][1]), (g[1][0], g[1][1])
@@ -71,7 +72,7 @@ def matrix_coefficient(g, k: int, d: float) -> complex:
         return 0.0j
     num = (2.0 * math.sqrt(det)) ** k
     den = complex(a + dd, b - c) ** k
-    return d * num / den
+    return default_formal_degree(k) * num / den
 
 
 # ---------------------------------------------------------------------------
@@ -96,12 +97,20 @@ def alternating_weight_sum(k: int) -> int:
     return total
 
 
-def leading_constant(k: int, d: float) -> float:
-    """c_k = d 2^k pi (k ((k/2-1)!)^2 / (k-1)!) h(k), with h the printed sum."""
+def leading_constant(k: int) -> float:
+    """c_k = d 2^k pi (k ((k/2-1)!)^2 / (k-1)!) h(k), with d the formal
+    degree and h the printed sum.  Raises DomainError when c_k overflows a
+    float."""
     _check_weight(k)
     m = k // 2
     ratio = k * math.factorial(m - 1) ** 2 / math.factorial(k - 1)
-    return d * 2.0 ** k * math.pi * ratio * alternating_weight_sum(k)
+    try:
+        c = default_formal_degree(k) * 2.0 ** k * math.pi * ratio * alternating_weight_sum(k)
+    except OverflowError:
+        c = math.inf
+    if not math.isfinite(c):
+        raise DomainError(f"c_k overflows a float at weight k = {k}")
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -150,20 +159,17 @@ def singular_term_quadrature(k: int, j: int, s1: complex, s2: complex) -> comple
     return integrate(f, spec).require()
 
 
-def singular_upper_closed(k: int, s1: complex, s2: complex,
-                          d: float | None = None) -> complex:
+def singular_upper_closed(k: int, s1: complex, s2: complex) -> complex:
     """Closed form of the upper singular integral: the binomial assembly
     2^k d sum over odd j of C(k,j) i^(k-j) times the Gamma-factored term."""
     _check_weight(k)
-    if d is None:
-        d = default_formal_degree(k)
     total = 0.0j
     for j in range(1, k, 2):
         total += math.comb(k, j) * 1j ** (k - j) * singular_term_closed(k, j, s1, s2)
-    return 2.0 ** k * d * total
+    return 2.0 ** k * default_formal_degree(k) * total
 
 
-def singular_upper_display(k: int, d: float | None = None) -> complex:
+def singular_upper_display(k: int) -> complex:
     """The printed closed form at s1 = s2 = 0:
     -2^k i pi d k ((k/2-1)!)^2 h(k) / (k-1)!.
 
@@ -171,15 +177,13 @@ def singular_upper_display(k: int, d: float | None = None) -> complex:
     but it does not agree with the Gamma assembly (see the test suite).
     """
     _check_weight(k)
-    if d is None:
-        d = default_formal_degree(k)
     m = k // 2
     ratio = k * math.factorial(m - 1) ** 2 / math.factorial(k - 1)
-    return -(2.0 ** k) * 1j * math.pi * d * ratio * alternating_weight_sum(k)
+    return (-(2.0 ** k) * 1j * math.pi * default_formal_degree(k) * ratio
+            * alternating_weight_sum(k))
 
 
-def singular_upper_quadrature(k: int, s1: complex, s2: complex,
-                              d: float | None = None) -> complex:
+def singular_upper_quadrature(k: int, s1: complex, s2: complex) -> complex:
     """Direct quadrature of the defining double integral of the upper
     singular orbit, after folding the sign character onto (0, oo):
 
@@ -187,8 +191,6 @@ def singular_upper_quadrature(k: int, s1: complex, s2: complex,
                   [ (b+1-ia)^(-k) - (b+1+ia)^(-k) ] da db
     """
     _check_weight(k)
-    if d is None:
-        d = default_formal_degree(k)
     s = complex(s1) + complex(s2)
 
     def f(a, b):
@@ -201,11 +203,10 @@ def singular_upper_quadrature(k: int, s1: complex, s2: complex,
         return 2.0j * np.sin(k * theta) * power
 
     spec = QuadratureSpec(domain=quadrant(), rel_tol=1e-9, abs_tol=1e-12)
-    return d * 2.0 ** k * integrate(f, spec).require()
+    return default_formal_degree(k) * 2.0 ** k * integrate(f, spec).require()
 
 
-def singular_lower_quadrature(k: int, s1: complex, s2: complex,
-                              d: float | None = None) -> complex:
+def singular_lower_quadrature(k: int, s1: complex, s2: complex) -> complex:
     """Direct quadrature of the lower-triangular singular orbit integral:
 
     d 2^k Int Int a^(k/2-s1-1) b^(s1+s2-1)
@@ -215,8 +216,6 @@ def singular_lower_quadrature(k: int, s1: complex, s2: complex,
     on a > 0.
     """
     _check_weight(k)
-    if d is None:
-        d = default_formal_degree(k)
     s = complex(s1) + complex(s2)
 
     def f(a, b):
@@ -228,7 +227,7 @@ def singular_lower_quadrature(k: int, s1: complex, s2: complex,
         return -2.0j * np.sin(k * phi) * power
 
     spec = QuadratureSpec(domain=quadrant(), rel_tol=1e-9, abs_tol=1e-12)
-    return d * 2.0 ** k * integrate(f, spec).require()
+    return default_formal_degree(k) * 2.0 ** k * integrate(f, spec).require()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import math
 import sys
 
 from . import arch_local, measures, padic_local
-from .arith import load_eigenforms
+from .arith import is_fundamental_discriminant, load_eigenforms
 from .errors import DomainError, ModlavgError
 from .harness import ExperimentConfig, run_experiment
 from .lvalues import central_value, petersson_norm
@@ -85,14 +85,16 @@ def _cmd_verify_arch(args) -> int:
 def _cmd_constants(args) -> int:
     k = args.k
     h = arch_local.alternating_weight_sum(k)
-    d = arch_local.default_formal_degree(k)
-    c = arch_local.leading_constant(k, d)
-    print(f"k = {k}: h(k) = {h}, formal degree = {d}, "
+    c = arch_local.leading_constant(k)
+    print(f"k = {k}: h(k) = {h}, "
+          f"formal degree = {arch_local.default_formal_degree(k)}, "
           f"c_k = {c!r} (= {c / math.pi!r} * pi)")
     return 0
 
 
 def _cmd_lvalues(args) -> int:
+    if args.twist is not None and not is_fundamental_discriminant(args.twist):
+        raise DomainError(f"--twist {args.twist} is not a fundamental discriminant")
     forms = load_eigenforms(args.forms)
     code = 0
     for f in forms:
@@ -101,7 +103,7 @@ def _cmd_lvalues(args) -> int:
             nrm = petersson_norm(f)
             line = (f"{f.label}: w = {cv.fricke:+d}, L(1/2) = {cv.value!r}, "
                     f"norm = {nrm!r}")
-            if args.twist:
+            if args.twist is not None:
                 cvt = central_value(f, twist=args.twist)
                 line += (f", L(1/2, twist {args.twist}) = {cvt.value!r} "
                          f"(eps = {cvt.eps:+d})")

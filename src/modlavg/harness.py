@@ -53,7 +53,6 @@ __all__ = [
     "default_data_path",
     "measure_mass",
     "spectral_sum",
-    "geometric_prediction",
     "assembled_constant",
     "proportionality_test",
     "geometric_side_audit",
@@ -98,6 +97,9 @@ class ExperimentConfig:
             raise InvariantViolation(f"auxiliary prime {p} must be a prime not dividing D")
         if self.bins < 1:
             raise InvariantViolation("bins must be >= 1")
+        for name in ("data_path", "output_dir"):
+            if not isinstance(getattr(self, name), (str, os.PathLike, type(None))):
+                raise InvariantViolation(f"{name} must be a path or null")
         iv = self.interval
         if not (isinstance(iv, (list, tuple)) and len(iv) == 2
                 and all(type(x) is int or isinstance(x, float) for x in iv)):
@@ -175,20 +177,6 @@ def assembled_constant(k: int) -> float:
     including the implicit archimedean factor."""
     upper = arch_local.singular_upper_closed(k, 0.0, 0.0)
     return 4.0 * abs(upper) / gamma_c(k / 2.0)
-
-
-def geometric_prediction(cfg: ExperimentConfig, lo: float, hi: float,
-                         constant: str = "printed") -> float:
-    """2 * mass * c_k * L(1, chi) with the printed or assembled constant."""
-    k = cfg.weight
-    if constant == "printed":
-        c_k = arch_local.leading_constant(k, arch_local.default_formal_degree(k))
-    elif constant == "assembled":
-        c_k = assembled_constant(k)
-    else:
-        raise ValueError("constant must be 'printed' or 'assembled'")
-    mass = measure_mass(cfg, lo, hi)
-    return 2.0 * mass * c_k * dirichlet_l(cfg.discriminant, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +299,9 @@ def geometric_side_audit(cfg: ExperimentConfig, N: int) -> dict:
     """Itemized singular-orbit table at level N with the basic auxiliary
     test function, plus the truncated regular-tail bound."""
     D, k = cfg.discriminant, cfg.weight
-    d_formal = arch_local.default_formal_degree(k)
     gauss = padic_local.gauss_sum(D)
     l_zero = dirichlet_l(D, 0)
-    upper_arch = arch_local.singular_upper_closed(k, 0.0, 0.0, d_formal)
+    upper_arch = arch_local.singular_upper_closed(k, 0.0, 0.0)
     vol_inv = N + 1  # 1 / V_N
 
     # swapped singular orbits vanish at the level place: verified by sweep
@@ -438,9 +425,11 @@ def run_experiment(cfg: ExperimentConfig) -> AverageReport:
     lo, hi = cfg.interval
     l_res = dirichlet_l_one(D)
     l_one = l_res.require().real
-    c_printed = arch_local.leading_constant(k, arch_local.default_formal_degree(k))
+    c_printed = arch_local.leading_constant(k)
     c_asm = assembled_constant(k)
     mass_j = measure_mass(cfg, lo, hi)
+    g_printed = 2.0 * mass_j * c_printed * l_one
+    g_asm = 2.0 * mass_j * c_asm * l_one
 
     target = 2.0 * c_asm * l_one
     target_rel_error = abs(l_res.error / l_one) + CONSTANT_ULPS * UNIT_ROUNDOFF
@@ -453,8 +442,6 @@ def run_experiment(cfg: ExperimentConfig) -> AverageReport:
         rows = _level_rows(cfg, N, forms)
         s_full = math.fsum(r["contribution"] for r in rows)
         s_j = spectral_sum(cfg, N, lo, hi)["value"]
-        g_printed = 2.0 * mass_j * c_printed * l_one
-        g_asm = 2.0 * mass_j * c_asm * l_one
         audit = geometric_side_audit(cfg, N)
         level_reports.append({
             "level": N,

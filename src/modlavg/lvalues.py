@@ -30,11 +30,11 @@ height 1, checking that mesh against itself with every panel count doubled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import Eigenform, kronecker
+from .arith import Eigenform, is_fundamental_discriminant, kronecker
 from .errors import (
     AccuracyError,
     DomainError,
@@ -159,16 +159,18 @@ class CompletedL:
 
     form: Eigenform
     twist: int | None = None  # fundamental discriminant D < 0
-    eps: int | None = None    # functional-equation sign (arithmetic center)
+    # functional-equation sign (arithmetic center), measured at construction
+    eps: int = field(init=False)
 
     def __post_init__(self):
         if self.twist is not None:
+            if not is_fundamental_discriminant(self.twist):
+                raise DomainError(f"twist {self.twist} is not a fundamental discriminant")
             if math.gcd(self.form.level, self.twist) != 1:
                 raise InvariantViolation("twist discriminant must be prime to N")
         self._coeffs = self._twisted_coeffs()
         self._sums = {}  # (s, t_split) -> the two sums; eps does not enter
-        if self.eps is None:
-            self.eps = self._determine_eps()
+        self.eps = self._determine_eps()
 
     @property
     def conductor(self) -> int:

@@ -91,7 +91,9 @@ def sato_tate_density(x):
 
 def density_csv(p: int, grid: int) -> str:
     """CSV table of the split, inert and Sato-Tate densities at the grid + 1
-    equally spaced points of [-2, 2], with a header line."""
+    equally spaced points of [-2, 2], with a header line; grid >= 1."""
+    if grid < 1:
+        raise DomainError(f"density grid {grid} must be >= 1")
     x = -2.0 + 4.0 * np.arange(grid + 1) / grid
     columns = (x, density(SatakeMeasure(p=p, sign=+1), x),
                density(SatakeMeasure(p=p, sign=-1), x), sato_tate_density(x))
@@ -265,18 +267,21 @@ def spectral_density(p: int, delta: complex, s: complex) -> complex:
     return (1.0 - p ** (2.0 * complex(s))) / denom
 
 
-def spectral_density_series(p: int, delta: complex, s: complex,
-                            terms: int = 50) -> complex:
+# coefficients per parity part in spectral_density_series
+SERIES_TERMS = 50
+
+
+def spectral_density_series(p: int, delta: complex, s: complex) -> complex:
     """Truncated series for the density, summed by parity depth.
 
-    ``terms`` counts coefficients per parity part (even indices up to
-    2*terms, odd up to 2*terms - 1), so the truncation error is of order
-    p^(-terms) times a linear factor.
+    SERIES_TERMS counts coefficients per parity part (even indices up to
+    2*SERIES_TERMS, odd up to 2*SERIES_TERMS - 1), so the truncation error
+    is of order p^(-SERIES_TERMS) times a linear factor.
     """
     t = p ** (complex(s) - 0.5)
     total = 1.0 + 0.0j
     tn = 1.0 + 0.0j
-    for n in range(1, 2 * terms + 1):
+    for n in range(1, 2 * SERIES_TERMS + 1):
         tn = tn * t
         total += series_coefficient(n, p, delta) * tn
     return total
@@ -289,12 +294,17 @@ def real_part_density(p: int, s: complex) -> complex:
     return 0.5 * num / den
 
 
-def density_change_of_variables_check(p: int, grid_points: int = 1000) -> float:
+# interior points of [-2, 2] at which the transported density is compared
+CHECK_GRID_POINTS = 1000
+
+
+def density_change_of_variables_check(p: int) -> float:
     """Transport the s-line density to [-2, 2] and compare with the split
-    density pointwise; returns the maximum discrepancy over the grid."""
+    density pointwise at CHECK_GRID_POINTS interior points; returns the
+    maximum discrepancy."""
     m = SatakeMeasure(p=p, sign=+1)
     logp = math.log(p)
-    xs = np.linspace(-2.0, 2.0, grid_points + 2)[1:-1]
+    xs = np.linspace(-2.0, 2.0, CHECK_GRID_POINTS + 2)[1:-1]
     worst = 0.0
     for x in xs:
         theta = math.acos(x / 2.0)

@@ -250,8 +250,11 @@ def log_gamma(z: complex) -> complex:
     goes by recurrence and the Stirling series, and Re z < 1/2 by the
     reflection log pi - log Gamma(1 - z) - log sin(pi z), with the log of
     the sine continued analytically over the upper half plane (DLMF 5.5.3).
+    A non-finite z raises DomainError and a pole PoleError.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"log_gamma needs a finite argument, got z = {z}")
     if _is_nonpositive_integer(z):
         raise PoleError(f"log_gamma pole at z = {z}")
     if math.copysign(1.0, z.imag) < 0.0:

@@ -284,7 +284,7 @@ def hecke_transform_closed(q: int, delta: int, n: int, s1: complex, s2: complex,
     side "upper": cells along v(b) = n - 2*alpha; the closed form is
         q^{-n s2} L_q(-s1-s2) + delta^-n q^{-n s1} L_q(-s1-s2)
         + sum_{alpha=1}^{n-1} delta^-alpha q^{-alpha s1} q^{-(n-alpha) s2};
-    side "lower": the mirrored三 sum
+    side "lower": the mirrored sum
         delta^-n q^{n s1} L_q(s1+s2) + q^{n s2} L_q(s1+s2)
         + q^{n s1} delta^-n sum_{alpha=1}^{n-1} (delta q^{s2-s1})^alpha.
 
@@ -413,15 +413,20 @@ def local_conductor_exponents(D: int) -> dict:
 # reflection checks
 # ---------------------------------------------------------------------------
 
-def n_minus_reflection_check(q: int, delta: int, window: int = 12) -> dict:
+# valuation window of the enumerations in n_minus_reflection_check
+REFLECTION_WINDOW = 12
+
+
+def n_minus_reflection_check(q: int, delta: int) -> dict:
     """Check the lower/upper singular reflection at an unramified place and
-    the level-place closed form, by exact enumeration.
+    the level-place closed form, by exact enumeration over the valuation
+    window REFLECTION_WINDOW.
 
     Returns the observed discrepancies (all should be zero / tiny).
     """
     place = PlaceSpec(q=q, kind="unramified", chi_q=delta)
-    up = brute_force_integral(place, OrbitDatum(kind="upper"), window).value
-    lo = brute_force_integral(place, OrbitDatum(kind="lower"), window).value
+    up = brute_force_integral(place, OrbitDatum(kind="upper"), REFLECTION_WINDOW).value
+    lo = brute_force_integral(place, OrbitDatum(kind="lower"), REFLECTION_WINDOW).value
     laurent_gap = 0
     refl = up.reflected(delta).as_dict()
     lod = lo.as_dict()
@@ -430,19 +435,19 @@ def n_minus_reflection_check(q: int, delta: int, window: int = 12) -> dict:
 
     # level place: lower orbit sums to (q+1) chi(q) q^{-s1-s2} L_q(s1+s2)
     lvl = PlaceSpec(q=q, kind="level", chi_q=delta)
-    lo_lvl = brute_force_integral(lvl, OrbitDatum(kind="lower"), window).value
+    lo_lvl = brute_force_integral(lvl, OrbitDatum(kind="lower"), REFLECTION_WINDOW).value
     s1, s2 = 0.111, 0.073
     closed = (q + 1) * delta * q ** (-(s1 + s2)) * _local_l(delta, q, s1 + s2)
     # subtract the geometric tail beyond the window
     ratio = delta * q ** (-(s1 + s2))
-    tail = (q + 1) * ratio ** (window + 1) / (1.0 - ratio)
+    tail = (q + 1) * ratio ** (REFLECTION_WINDOW + 1) / (1.0 - ratio)
     level_gap = abs(lo_lvl.evaluate(delta, q, s1, s2) - (closed - tail))
 
     # with the basic support the singular integrals ARE the local L-factors:
     # every Laurent coefficient along the geometric diagonal equals 1, which
     # is the exact statement that the normalized quotients are identically 1
-    f_up = up.as_dict() == {(j, -j): 1 for j in range(window + 1)}
-    f_lo = lo.as_dict() == {(-j, j): 1 for j in range(window + 1)}
+    f_up = up.as_dict() == {(j, -j): 1 for j in range(REFLECTION_WINDOW + 1)}
+    f_lo = lo.as_dict() == {(-j, j): 1 for j in range(REFLECTION_WINDOW + 1)}
     return {
         "laurent_gap": laurent_gap,
         "level_gap": level_gap,

@@ -12,37 +12,15 @@ come from ``arith._factorize`` and, over a range, from its sieve
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .arith import _factorize, _smallest_prime_factors
 
 __all__ = [
-    "TailQuery",
     "g_of_n",
     "subpolynomial_check",
     "tail_sum",
     "regular_term_bound",
     "tail_envelope",
 ]
-
-
-@dataclass(frozen=True)
-class TailQuery:
-    level: int
-    weight: int
-    modulus: int
-    epsilon: float
-    n_max: int
-
-    def __post_init__(self):
-        if self.level < 2 or self.modulus % self.level == 0:
-            raise ValueError("level must be a prime not dividing the modulus")
-        if self.weight % 2 or self.weight < 4:
-            raise ValueError("weight must be even and >= 4")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.n_max < self.level + self.modulus:
-            raise ValueError("n_max too small")
 
 
 def g_of_n(n: int) -> int:

@@ -54,7 +54,7 @@ def test_criterion_03_spectral_density():
             for _ in range(20):
                 s = 1j * rng.uniform(0.0, period)
                 closed = ms.spectral_density(p, delta, s)
-                series = ms.spectral_density_series(p, delta, s, terms=50)
+                series = ms.spectral_density_series(p, delta, s)
                 worst_series = max(worst_series, abs(closed - series))
     worst_re = 0.0
     for p in (2, 3):
@@ -63,7 +63,7 @@ def test_criterion_03_spectral_density():
             lhs = 0.5 * (ms.spectral_density(p, 1.0, s)
                          + ms.spectral_density(p, 1.0, -s))
             worst_re = max(worst_re, abs(lhs - ms.real_part_density(p, s)))
-    worst_cov = max(ms.density_change_of_variables_check(p, 1000)
+    worst_cov = max(ms.density_change_of_variables_check(p)
                     for p in (2, 3))
     ok = worst_series <= 1e-10 and worst_re <= 1e-10 and worst_cov <= 1e-12
     report(3, ok,
@@ -107,8 +107,8 @@ def test_criterion_05_arch_closed_forms():
 
 def test_criterion_06_constants():
     h4 = al.alternating_weight_sum(4)
-    c4_gap = abs(al.leading_constant(4, 1.5) - 80.0 * math.pi) / (80.0 * math.pi)
-    positive = all(al.leading_constant(k, (k - 1) / 2.0) > 0 for k in (4, 6, 8, 10, 12))
+    c4_gap = abs(al.leading_constant(4) - 80.0 * math.pi) / (80.0 * math.pi)
+    positive = all(al.leading_constant(k) > 0 for k in (4, 6, 8, 10, 12))
     integral = all(isinstance(al.alternating_weight_sum(k), int)
                    for k in (4, 6, 8, 10, 12))
     ok = h4 == 5 and c4_gap <= 1e-12 and positive and integral

@@ -10,17 +10,17 @@ from modlavg.errors import DomainError
 class TestMatrixCoefficient:
     def test_identity_value(self):
         g = ((1.0, 0.0), (0.0, 1.0))
-        assert al.matrix_coefficient(g, 4, 1.5) == pytest.approx(1.5)
+        assert al.matrix_coefficient(g, 4) == pytest.approx(1.5)
 
     def test_negative_determinant(self):
         g = ((1.0, 0.0), (0.0, -1.0))
-        assert al.matrix_coefficient(g, 4, 1.5) == 0.0
+        assert al.matrix_coefficient(g, 4) == 0.0
 
     def test_diagonal_formula(self):
         b, k, d = 2.7, 6, 2.5
         g = ((b, 0.0), (0.0, 1.0))
         expected = d * (2.0 * math.sqrt(b)) ** k / (b + 1.0) ** k
-        assert al.matrix_coefficient(g, k, d) == pytest.approx(expected, rel=1e-14)
+        assert al.matrix_coefficient(g, k) == pytest.approx(expected, rel=1e-14)
 
 
 class TestConstants:
@@ -40,23 +40,26 @@ class TestConstants:
             assert isinstance(got, int)
 
     def test_c4_value(self):
-        assert al.leading_constant(4, 1.5) == pytest.approx(80.0 * math.pi,
+        assert al.leading_constant(4) == pytest.approx(80.0 * math.pi,
                                                             rel=1e-12)
 
     def test_positivity(self):
         for k in (4, 6, 8, 10, 12):
-            assert al.leading_constant(k, (k - 1) / 2.0) > 0
+            assert al.leading_constant(k) > 0
             assert al.alternating_weight_sum(k) > 0
 
-    def test_linear_in_degree(self):
-        assert al.leading_constant(6, 5.0) == pytest.approx(
-            2.0 * al.leading_constant(6, 2.5), rel=1e-15)
+    def test_overflow_refused(self):
+        # c_168 ~ 9.6e304 is the last weight whose c_k is a float
+        assert math.isfinite(al.leading_constant(168))
+        for k in (170, 400):
+            with pytest.raises(DomainError, match="overflows"):
+                al.leading_constant(k)
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             al.alternating_weight_sum(5)
         with pytest.raises(ValueError):
-            al.leading_constant(2, 0.5)
+            al.leading_constant(2)
 
 
 class TestUpperSingular:
@@ -92,9 +95,8 @@ class TestUpperSingular:
     def test_printed_display_magnitude_is_ck(self):
         # the two printed formula paths agree exactly by construction
         for k in (4, 6, 8, 10):
-            d = al.default_formal_degree(k)
-            disp = al.singular_upper_display(k, d)
-            assert abs(disp) == pytest.approx(al.leading_constant(k, d),
+            disp = al.singular_upper_display(k)
+            assert abs(disp) == pytest.approx(al.leading_constant(k),
                                               rel=1e-15)
             assert disp.real == 0.0
 
@@ -122,7 +124,7 @@ class TestLowerSingular:
     def test_support_positive_axis(self):
         # the lower-orbit test function vanishes for negative first variable
         g = ((-0.5, 0.0), (0.8, 1.0))
-        assert al.matrix_coefficient(g, 4, 1.5) == 0.0
+        assert al.matrix_coefficient(g, 4) == 0.0
 
 
 class TestRegularIntegrals:

@@ -85,6 +85,8 @@ class TestConfig:
         ({"interval": 1.0}, "interval must be two numbers"),
         ({"interval": [1.0, -1.0]}, "subinterval of [-2, 2]"),
         ({"weight": None}, "weight must be an integer"),
+        ({"data_path": 0}, "data_path must be a path or null"),
+        ({"output_dir": 5}, "output_dir must be a path or null"),
         ({"weight": 4, "aux_prime": 13, "discriminant": -4, "zap": 1},
          "unknown config fields ['zap']"),
     ], ids=lambda x: json.dumps(x) if isinstance(x, dict) else None)
@@ -152,14 +154,11 @@ class TestMeasureMass:
 
 class TestGeometricPrediction:
     def test_full_interval_printed_constant(self, cfg):
-        # 2 * c_4 * L(1, chi) with c_4 = 80 pi and L = pi/4
-        got = hs.geometric_prediction(cfg, -2.0, 2.0, constant="printed")
-        assert got == pytest.approx(40.0 * math.pi ** 2, rel=1e-10)
-
-    def test_monotone_in_interval(self, cfg):
-        a = hs.geometric_prediction(cfg, -1.0, 0.5)
-        b = hs.geometric_prediction(cfg, -1.5, 1.0)
-        assert 0.0 <= a <= b
+        # 2 * c_4 * L(1, chi) with c_4 = 80 pi and L = pi/4, at every level
+        assert cfg.interval == (-2.0, 2.0)
+        for lvl in hs.run_experiment(cfg).levels:
+            assert lvl["prediction_printed"] == pytest.approx(40.0 * math.pi ** 2,
+                                                              rel=1e-10)
 
     def test_assembled_constant_value(self, cfg):
         # 4 |I_upper| / Gamma_C(2) = 4 * 4 pi * 2 pi^2 = 32 pi^3 at k = 4
@@ -442,6 +441,11 @@ class TestCLI:
         ["measures", "--csv", "--grid", "-3"],
         ["measures", "--grid", "0"],
         ["measures", "--max-n", "-2"],
+        pytest.param(["verify-arch", "--s1", "nan"], id="verify-arch --s1 nan"),
+        pytest.param(["verify-arch", "--s1", "inf"], id="verify-arch --s1 inf"),
+        pytest.param(["constants", "--k", "400"], id="constants --k 400"),
+        *(pytest.param(["lvalues", "--forms", hs.default_data_path(), "--twist", D],
+                       id=f"lvalues --twist {D}") for D in ("1", "0", "-12")),
     ], ids=lambda argv: " ".join(argv[:2]))
     def test_bad_input_exits_2_with_one_line(self, capsys, argv):
         # exit 1 is a failed check; bad input is exit 2 with no traceback

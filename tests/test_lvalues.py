@@ -129,6 +129,16 @@ class TestFunctionalEquation:
         with pytest.raises(InvariantViolation):
             lv.CompletedL(forms["5.4.a"], twist=-20)
 
+    @pytest.mark.parametrize("D", [1, 0, -12, -16])
+    def test_twist_must_be_fundamental(self, forms, D):
+        with pytest.raises(DomainError, match="fundamental discriminant"):
+            lv.CompletedL(forms["7.4.a"], twist=D)
+
+    def test_sign_is_measured_not_set(self, forms):
+        with pytest.raises(TypeError):
+            lv.CompletedL(forms["7.4.a"], eps=+1)
+        assert lv.CompletedL(forms["7.4.a"]).eps in (+1, -1)
+
 
 class TestCentralValues:
     def test_dual_paths_agree(self, forms):

@@ -56,6 +56,12 @@ class TestDensity:
         with pytest.raises(ValueError):
             ms.SatakeMeasure(p=6, sign=+1)
 
+    @pytest.mark.parametrize("grid", [0, -3])
+    def test_csv_grid_must_be_positive(self, grid):
+        with pytest.raises(DomainError, match="grid"):
+            ms.density_csv(2, grid)
+        assert ms.density_csv(2, 1).count("\n") == 3  # header and x = -2, 2
+
 
 class TestMass:
     @pytest.mark.parametrize("p,sign", [(2, +1), (3, -1), (13, +1), (13, -1)])
@@ -162,7 +168,7 @@ class TestSpectralDensity:
         for _ in range(20):
             s = 1j * rng.uniform(0.0, period)
             closed = ms.spectral_density(p, delta, s)
-            series = ms.spectral_density_series(p, delta, s, terms=50)
+            series = ms.spectral_density_series(p, delta, s)
             assert abs(closed - series) <= 1e-10
 
     def test_real_part_display(self):
@@ -189,7 +195,7 @@ class TestSpectralDensity:
 class TestChangeOfVariables:
     @pytest.mark.parametrize("p", [2, 3])
     def test_pointwise(self, p):
-        assert ms.density_change_of_variables_check(p, grid_points=1000) <= 1e-12
+        assert ms.density_change_of_variables_check(p) <= 1e-12
 
     def test_endpoints(self):
         m = ms.SatakeMeasure(p=2, sign=+1)

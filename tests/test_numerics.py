@@ -54,6 +54,12 @@ class TestLogGamma:
         with pytest.raises(PoleError):
             nm.log_gamma(-3.0)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf,
+                                   complex(1.0, math.nan), complex(-0.5, math.inf)])
+    def test_nonfinite_refused(self, z):
+        with pytest.raises(DomainError, match="finite"):
+            nm.log_gamma(z)
+
     def test_recurrence_random_box(self):
         rng = random.Random(20240811)
         for _ in range(100):

@@ -94,12 +94,3 @@ class TestEnvelope:
             ratios.append(out["ratio"])
         assert max(ratios) <= 20.0 * min(ratios)
         assert all(r > 0 for r in ratios)
-
-    def test_query_validation(self):
-        with pytest.raises(ValueError):
-            rt.TailQuery(level=101, weight=4, modulus=202, epsilon=0.1,
-                         n_max=10 ** 4)
-        with pytest.raises(ValueError):
-            rt.TailQuery(level=101, weight=5, modulus=4, epsilon=0.1,
-                         n_max=10 ** 4)
-        rt.TailQuery(level=101, weight=4, modulus=4, epsilon=0.1, n_max=10 ** 4)
