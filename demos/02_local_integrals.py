@@ -2,7 +2,7 @@
 """Local orbital integrals: every closed form against an independent oracle.
 
 Archimedean side: the degenerate (triangular) orbit integrals of the
-discrete-series matrix coefficient have Gamma-factor closed forms; the
+discrete-series matrix coefficient have a one-term Gamma closed form; the
 regular orbits have Beta * Beta * 2F1 closed forms.  Both are checked here
 against direct 2-d quadrature.
 
@@ -19,9 +19,9 @@ from modlavg import padic_local as pl
 print("archimedean degenerate orbit (upper triangular), k = 4:")
 closed = al.singular_upper_closed(4, 0.0, 0.0)
 quad = al.singular_upper_quadrature(4, 0.0, 0.0)
-print(f"  Gamma assembly  = {closed:.12f}")
-print(f"  2-d quadrature  = {quad:.12f}")
-print(f"  printed display = {al.singular_upper_display(4):.6f}   "
+print(f"  Gamma closed form = {closed:.12f}")
+print(f"  2-d quadrature    = {quad:.12f}")
+print(f"  printed display   = {al.singular_upper_display(4):.6f}   "
       "(its wrong half-integer Gamma reduction is visible here)")
 lo = al.singular_lower_quadrature(4, 0.05, 0.03)
 refl = -al.singular_upper_closed(4, -0.03, -0.05)

@@ -1,16 +1,20 @@
 """Archimedean local integrals for the weight-k discrete-series test function.
 
-The test function is the formal degree times the conjugate lowest-weight
-matrix coefficient; it is supported on positive-determinant matrices.  This
-module evaluates:
+The test function is the formal degree d = (k-1)/2 times the conjugate
+lowest-weight matrix coefficient; it is supported on positive-determinant
+matrices.  This module evaluates:
 
   * the two singular torus integrals (over the upper and lower triangular
-    degenerate orbits), each both in closed form via Gamma factors and by
-    direct 2-d quadrature of the defining double integral;
+    degenerate orbits) by direct 2-d quadrature of the defining double
+    integral, and the upper one in closed form as one Gamma product;
   * the printed constant h(k) and the leading constant c_k built from it,
     in exact integer arithmetic;
   * the regular orbital integrals, by quadrature over the positive quadrant
     and via a Beta * Beta * 2F1 closed form.
+
+With s = s1 + s2 that product is I_upper = i sqrt(pi) d 2^(k-s) Gamma(k/2+s1)
+Gamma(k/2+s2) Gamma((1-s)/2) / (Gamma(k) Gamma(1+s/2)) on the convergence
+domain Re s < 1, Re(k/2 + s_i) > 0: two Beta integrals, reflection, duplication.
 
 Every closed form here is cross-checked against quadrature in the test
 suite; the quadrature path is the ground truth.
@@ -23,9 +27,11 @@ import math
 
 import numpy as np
 
+from .arith import _check_weight
 from .errors import DomainError
 from .numerics import (
     QuadratureSpec,
+    _is_nonpositive_integer,
     beta,
     hyp2f1,
     integrate,
@@ -41,8 +47,6 @@ __all__ = [
     "singular_upper_closed",
     "singular_upper_display",
     "singular_upper_quadrature",
-    "singular_term_closed",
-    "singular_term_quadrature",
     "singular_lower_quadrature",
     "regular_integral_closed",
     "regular_integral_quadrature",
@@ -54,9 +58,13 @@ def default_formal_degree(k: int) -> float:
     return (k - 1) / 2.0
 
 
-def _check_weight(k: int) -> None:
-    if k % 2 != 0 or k < 4:
-        raise DomainError(f"weight k = {k} must be an even integer >= 4")
+def _scale(k: int) -> float:
+    """d 2^k, in front of c_k and both singular integrals; DomainError on overflow."""
+    _check_weight(k)
+    try:
+        return math.ldexp(default_formal_degree(k), k)
+    except OverflowError:
+        raise DomainError(f"d 2^k overflows a float at weight k = {k}") from None
 
 
 def matrix_coefficient(g, k: int) -> complex:
@@ -86,15 +94,13 @@ def alternating_weight_sum(k: int) -> int:
     """
     _check_weight(k)
     m = k // 2
-    total = 1
-    for n in range(0, m - 1):
-        total += (
-            math.comb(k, 2 * n + 1)
-            * (-1) ** (m - n)
-            * math.factorial(m + n - 1)
-            * math.factorial(m - n - 2)
-        )
-    return total
+    return 1 + sum(
+        math.comb(k, 2 * n + 1)
+        * (-1) ** (m - n)
+        * math.factorial(m + n - 1)
+        * math.factorial(m - n - 2)
+        for n in range(m - 1)
+    )
 
 
 def leading_constant(k: int) -> float:
@@ -105,8 +111,8 @@ def leading_constant(k: int) -> float:
     m = k // 2
     ratio = k * math.factorial(m - 1) ** 2 / math.factorial(k - 1)
     try:
-        c = default_formal_degree(k) * 2.0 ** k * math.pi * ratio * alternating_weight_sum(k)
-    except OverflowError:
+        c = _scale(k) * math.pi * ratio * alternating_weight_sum(k)
+    except OverflowError:  # h(k) itself is too large for a float
         c = math.inf
     if not math.isfinite(c):
         raise DomainError(f"c_k overflows a float at weight k = {k}")
@@ -114,73 +120,36 @@ def leading_constant(k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# singular integrals: upper-triangular orbit
+# singular integrals: upper and lower triangular orbits
 # ---------------------------------------------------------------------------
 
-def singular_term_closed(k: int, j: int, s1: complex, s2: complex) -> complex:
-    """Factored Gamma form of the j-th binomial term.
-
-    Gamma((k-j-s)/2) Gamma((k+j+s)/2) Gamma(k/2+s2) Gamma(k/2+s1)
-    / (Gamma(k) Gamma(k+s)), with s = s1 + s2.
-    """
-    s = complex(s1) + complex(s2)
-    log_val = (
-        log_gamma((k - j - s) / 2.0)
-        + log_gamma((k + j + s) / 2.0)
-        + log_gamma(k / 2.0 + s2)
-        + log_gamma(k / 2.0 + s1)
-        - log_gamma(k)
-        - log_gamma(k + s)
-    )
-    return cmath.exp(log_val)
-
-
-def singular_term_quadrature(k: int, j: int, s1: complex, s2: complex) -> complex:
-    """2-d quadrature of the j-th term's double integral over the quadrant.
-
-    For odd j this equals the factored Gamma form; for even j the underlying
-    integrand is odd in the first variable and the full-line combination
-    vanishes, which is what this returns (the sign factor is kept).
-    """
-    s = complex(s1) + complex(s2)
-    # odd power of sgn: the a > 0 and a < 0 halves cancel exactly
-    sign = 1.0 if (1 + k - j) % 2 == 0 else 0.0
-
-    def f(a, b):
-        # (b+1)^j / (a^2 + (b+1)^2)^k through logs, which cannot overflow
-        return sign * 2.0 * np.exp(
-            (k / 2.0 + complex(s2) - 1.0) * np.log(b)
-            + (k - j - s - 1.0) * np.log(a)
-            + j * np.log1p(b)
-            - 2.0 * k * np.log(np.hypot(a, b + 1.0))
-        )
-
-    spec = QuadratureSpec(domain=quadrant(), rel_tol=1e-9, abs_tol=1e-12)
-    return integrate(f, spec).require()
-
-
 def singular_upper_closed(k: int, s1: complex, s2: complex) -> complex:
-    """Closed form of the upper singular integral: the binomial assembly
-    2^k d sum over odd j of C(k,j) i^(k-j) times the Gamma-factored term."""
+    """I_upper = i sqrt(pi) d 2^(k-s) Gamma(k/2+s1) Gamma(k/2+s2) Gamma((1-s)/2)
+    / (Gamma(k) Gamma(1+s/2)), s = s1 + s2.  The a-integral is the Mellin
+    transform Int_0^oo t^(mu-1) (1 -+ it)^(-k) dt = e^(+-i pi mu/2) B(mu, k-mu)
+    at mu = -s, the b-integral is B(k/2+s2, k/2+s1), and reflection and
+    duplication fold sin(-pi s/2) Gamma(-s) into the quotient.  Duplication,
+    2^k sqrt(pi) / Gamma(k) = 2 pi / (Gamma(k/2) Gamma((k+1)/2)), also keeps
+    2^k out of the arithmetic.  DomainError outside the convergence domain
+    Re s < 1, Re(k/2 + s_i) > 0; 0 where 1 + s/2 is a pole of Gamma.
+    """
     _check_weight(k)
-    total = 0.0j
-    for j in range(1, k, 2):
-        total += math.comb(k, j) * 1j ** (k - j) * singular_term_closed(k, j, s1, s2)
-    return 2.0 ** k * default_formal_degree(k) * total
+    s = s1 + s2
+    if not (s.real < 1.0 and k / 2.0 + min(s1.real, s2.real) > 0.0):
+        raise DomainError(f"I_upper diverges at k = {k}, (s1, s2) = ({s1}, {s2})")
+    if _is_nonpositive_integer(1.0 + s / 2.0):
+        return 0.0j
+    log_val = (log_gamma(k / 2.0 + s1) + log_gamma(k / 2.0 + s2)
+               + log_gamma((1.0 - s) / 2.0) - s * math.log(2.0)
+               - log_gamma(k / 2.0) - log_gamma((k + 1) / 2.0)
+               - log_gamma(1.0 + s / 2.0))
+    return 2j * math.pi * default_formal_degree(k) * cmath.exp(log_val)
 
 
 def singular_upper_display(k: int) -> complex:
-    """The printed closed form at s1 = s2 = 0:
-    -2^k i pi d k ((k/2-1)!)^2 h(k) / (k-1)!.
-
-    Kept verbatim for comparison; its modulus equals c_k by construction,
-    but it does not agree with the Gamma assembly (see the test suite).
-    """
-    _check_weight(k)
-    m = k // 2
-    ratio = k * math.factorial(m - 1) ** 2 / math.factorial(k - 1)
-    return (-(2.0 ** k) * 1j * math.pi * default_formal_degree(k) * ratio
-            * alternating_weight_sum(k))
+    """The printed closed form at s1 = s2 = 0, -i c_k: kept for comparison,
+    it does not agree with the Gamma closed form (see the test suite)."""
+    return -1j * leading_constant(k)
 
 
 def singular_upper_quadrature(k: int, s1: complex, s2: complex) -> complex:
@@ -190,7 +159,7 @@ def singular_upper_quadrature(k: int, s1: complex, s2: complex) -> complex:
     d 2^k Int Int b^(k/2+s2-1) a^(-s1-s2-1)
                   [ (b+1-ia)^(-k) - (b+1+ia)^(-k) ] da db
     """
-    _check_weight(k)
+    scale = _scale(k)
     s = complex(s1) + complex(s2)
 
     def f(a, b):
@@ -203,7 +172,7 @@ def singular_upper_quadrature(k: int, s1: complex, s2: complex) -> complex:
         return 2.0j * np.sin(k * theta) * power
 
     spec = QuadratureSpec(domain=quadrant(), rel_tol=1e-9, abs_tol=1e-12)
-    return default_formal_degree(k) * 2.0 ** k * integrate(f, spec).require()
+    return scale * integrate(f, spec).require()
 
 
 def singular_lower_quadrature(k: int, s1: complex, s2: complex) -> complex:
@@ -215,7 +184,7 @@ def singular_lower_quadrature(k: int, s1: complex, s2: complex) -> complex:
     Satisfies lower(s1, s2) = -upper(-s2, -s1); the integrand is supported
     on a > 0.
     """
-    _check_weight(k)
+    scale = _scale(k)
     s = complex(s1) + complex(s2)
 
     def f(a, b):
@@ -227,7 +196,7 @@ def singular_lower_quadrature(k: int, s1: complex, s2: complex) -> complex:
         return -2.0j * np.sin(k * phi) * power
 
     spec = QuadratureSpec(domain=quadrant(), rel_tol=1e-9, abs_tol=1e-12)
-    return default_formal_degree(k) * 2.0 ** k * integrate(f, spec).require()
+    return scale * integrate(f, spec).require()
 
 
 # ---------------------------------------------------------------------------

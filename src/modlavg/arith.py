@@ -121,7 +121,7 @@ def _factorize(n: int) -> dict:
 
 def _check_negative_fundamental(D: int) -> None:
     if not (D < 0 and is_fundamental_discriminant(D)):
-        raise ValueError(f"D = {D} is not a negative fundamental discriminant")
+        raise DomainError(f"D = {D} is not a negative fundamental discriminant")
 
 
 def dirichlet_l(D: int, s: float) -> float:
@@ -237,6 +237,11 @@ def _check_prime(N: int) -> None:
         raise DomainError(f"N = {N} is not prime")
 
 
+def _check_weight(k: int) -> None:
+    if k % 2 != 0 or k < 4:
+        raise DomainError(f"weight k = {k} must be an even integer >= 4")
+
+
 @lru_cache(maxsize=None)
 def _hurwitz12(X: int) -> tuple:
     """12 H(n) for 0 <= n <= X, H the Hurwitz class number; 12 H(0) = -1.
@@ -275,8 +280,7 @@ def eichler_selberg_trace(N: int, k: int, m: int) -> int:
     over one sieved table of 12 H; the result is exact.
     """
     _check_prime(N)
-    if k % 2 or k < 4:
-        raise ValueError("k must be even and >= 4")
+    _check_weight(k)
     if m < 1 or math.gcd(m, N) != 1:
         raise ValueError("need m >= 1 with gcd(m, N) = 1")
 
@@ -341,8 +345,7 @@ def dim_cusp_forms(N: int, k: int) -> int:
     """Dimension of the weight-k cusp space at prime level N by the
     genus/elliptic-point formula (independent of the trace formula)."""
     _check_prime(N)
-    if k % 2 or k < 4:
-        raise ValueError("k must be even and >= 4")
+    _check_weight(k)
     if N == 2:
         eps2, eps3 = 1, 0
     elif N == 3:

@@ -193,6 +193,7 @@ CENTRAL_WITNESS_TOL = 1e-13
 # the compensated sum S_N, in units of roundoff
 CONSTANT_ULPS = 4
 # S_N / (2 c_printed L(1, chi)) = c_assembled / c_printed, documented at k = 4
+# c_printed = k h(k) |I_upper(0, 0)|, so that ratio is 4 / (k h(k) Gamma_C(k/2))
 PRINTED_RATIO_K4 = 2.0 * math.pi ** 2 / 5.0
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .arith import _check_prime, _factorize, kronecker
+from .arith import _check_negative_fundamental, _check_prime, _factorize, kronecker
 from .errors import InvariantViolation, PoleError, WindowError
 
 __all__ = [
@@ -391,8 +391,7 @@ def gauss_sum(D: int) -> complex:
 
     Equals i * sqrt(|D|) for the odd quadratic character.
     """
-    if D >= 0:
-        raise ValueError("D must be a negative fundamental discriminant")
+    _check_negative_fundamental(D)
     mod = abs(D)
     re = math.fsum(
         kronecker(D, a) * math.cos(2.0 * math.pi * a / mod) for a in range(1, mod)

@@ -98,11 +98,11 @@ def test_criterion_05_arch_closed_forms():
     refl_gap = abs(lo - refl) / abs(refl)
     val0 = al.singular_upper_closed(4, 0.0, 0.0)
     realness = abs(val0.real) / abs(val0)
-    spot = abs(al.singular_term_closed(4, 1, 0.0, 0.0) - math.pi / 96.0)
-    ok = worst <= 1e-6 and refl_gap <= 1e-6 and realness <= 1e-9 and spot <= 1e-8
+    spot = abs(val0 - 4j * math.pi) / (4.0 * math.pi)
+    ok = worst <= 1e-6 and refl_gap <= 1e-6 and realness <= 1e-9 and spot <= 1e-15
     report(5, ok,
-           f"assembly vs quadrature {worst:.2e}, reflection {refl_gap:.2e}, "
-           f"imaginary purity {realness:.2e}, first-term spot {spot:.2e}")
+           f"closed form vs quadrature {worst:.2e}, reflection {refl_gap:.2e}, "
+           f"imaginary purity {realness:.2e}, spot 4 pi i {spot:.2e}")
 
 
 def test_criterion_06_constants():

@@ -63,22 +63,11 @@ class TestConstants:
 
 
 class TestUpperSingular:
-    def test_i1_spot_value(self):
-        assert al.singular_term_closed(4, 1, 0.0, 0.0).real == pytest.approx(
-            math.pi / 96.0, abs=1e-8)
-
-    @pytest.mark.parametrize("k", [4, 6])
-    @pytest.mark.parametrize("s", [(0.0, 0.0), (0.1, -0.05)])
-    def test_factored_terms_vs_quadrature(self, k, s):
-        for j in range(1, k, 2):
-            closed = al.singular_term_closed(k, j, *s)
-            quad = al.singular_term_quadrature(k, j, *s)
-            assert abs(closed - quad) <= 1e-10 * abs(closed)
-
-    def test_even_terms_vanish(self):
-        for j in (2, 4):
-            val = al.singular_term_quadrature(4, j, 0.05, 0.02)
-            assert abs(val) <= 1e-9
+    def test_origin_value(self):
+        # i sqrt(pi) d 2^k Gamma(2)^2 Gamma(1/2) / Gamma(4) = 4 pi i at k = 4
+        val = al.singular_upper_closed(4, 0.0, 0.0)
+        assert val.real == 0.0
+        assert abs(val.imag - 4.0 * math.pi) <= 2 * math.ulp(4.0 * math.pi)
 
     @pytest.mark.parametrize("k", [4, 6, 8])
     @pytest.mark.parametrize("s", [(0.0, 0.0), (0.1, -0.05), (-0.07, 0.02)])
@@ -86,6 +75,36 @@ class TestUpperSingular:
         closed = al.singular_upper_closed(k, *s)
         quad = al.singular_upper_quadrature(k, *s)
         assert abs(closed - quad) <= 1e-10 * abs(closed)
+
+    @pytest.mark.parametrize("k", [100, 120, 200])
+    def test_high_weight_vs_quadrature(self, k):
+        # a sum of k/2 binomial terms lost 4.6e-7, 3.9e-5 and 1.02 here
+        closed = al.singular_upper_closed(k, 0.0, 0.0)
+        quad = al.singular_upper_quadrature(k, 0.0, 0.0)
+        assert abs(closed - quad) <= 1e-12 * abs(closed)
+
+    def test_complex_exponents_vs_quadrature(self):
+        closed = al.singular_upper_closed(6, 0.1 + 0.2j, -0.3j)
+        quad = al.singular_upper_quadrature(6, 0.1 + 0.2j, -0.3j)
+        assert abs(closed - quad) <= 1e-10 * abs(closed)
+
+    @pytest.mark.parametrize("s", [(0.6, 0.5), (-2.5, 0.1), (0.1, -2.05)])
+    def test_divergent_points_refused(self, s):
+        # Re s < 1 and Re(k/2 + s_i) > 0 is where the double integral converges
+        with pytest.raises(DomainError, match="diverges"):
+            al.singular_upper_closed(4, *s)
+
+    def test_zero_at_gamma_pole(self):
+        # 1 + s/2 = 0: the a-integral's sin(pi s/2) vanishes
+        assert al.singular_upper_closed(4, -1.5, -0.5) == 0j
+
+    @pytest.mark.parametrize("quadrature", [al.singular_upper_quadrature,
+                                            al.singular_lower_quadrature])
+    def test_quadrature_overflow_refused(self, quadrature):
+        # d 2^k overflows a float from k = 1016 on; the closed form needs no 2^k
+        with pytest.raises(DomainError, match="overflows"):
+            quadrature(1100, 0.0, 0.0)
+        assert math.isfinite(abs(al.singular_upper_closed(1100, 0.0, 0.0)))
 
     def test_purely_imaginary_at_origin(self):
         for k in (4, 6, 8):
@@ -102,7 +121,7 @@ class TestUpperSingular:
 
     @pytest.mark.xfail(strict=True, reason=(
         "the printed closed form rests on a wrong half-integer Gamma "
-        "reduction; the Gamma-factor assembly (which quadrature confirms) "
+        "reduction; the Gamma closed form (which quadrature confirms) "
         "gives a different value, e.g. +i(8/3)pi d against -80 pi i at k=4"))
     def test_printed_display_equals_assembly(self):
         disp = al.singular_upper_display(4)

@@ -9,7 +9,7 @@ import pytest
 from modlavg import arith as ar
 from modlavg import cli
 from modlavg import modforms as mf
-from modlavg.errors import InvariantViolation
+from modlavg.errors import DomainError, InvariantViolation
 from modlavg.harness import default_data_path
 
 
@@ -71,7 +71,7 @@ class TestDirichlet:
     def test_unsupported_s(self):
         with pytest.raises(ValueError):
             ar.dirichlet_l(-4, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="fundamental"):
             ar.dirichlet_l(5, 1)
 
 
@@ -188,6 +188,14 @@ class TestEichlerSelberg:
     def test_gcd_rejected(self):
         with pytest.raises(ValueError):
             ar.eichler_selberg_trace(5, 4, 10)
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_weight_refused(self, k):
+        # one weight rule for the trace formula, the dimension formula and arch_local
+        for call in (lambda: ar.eichler_selberg_trace(5, k, 2),
+                     lambda: ar.dim_cusp_forms(5, k)):
+            with pytest.raises(DomainError, match="even integer >= 4"):
+                call()
 
 
 class TestEigenforms:

@@ -162,8 +162,21 @@ class TestGeometricPrediction:
 
     def test_assembled_constant_value(self, cfg):
         # 4 |I_upper| / Gamma_C(2) = 4 * 4 pi * 2 pi^2 = 32 pi^3 at k = 4
-        assert hs.assembled_constant(4) == pytest.approx(32.0 * math.pi ** 3,
-                                                         rel=1e-10)
+        expected = 32.0 * math.pi ** 3
+        assert abs(hs.assembled_constant(4) - expected) <= 2 * math.ulp(expected)
+
+    @pytest.mark.parametrize("k", [4, 6, 8, 10, 12])
+    def test_printed_constant_is_k_h_times_upper(self, k):
+        # both constants carry pi d 2^k Gamma(k/2)^2 / Gamma(k) = |I_upper(0, 0)|
+        from modlavg import arch_local
+        upper = abs(arch_local.singular_upper_closed(k, 0.0, 0.0))
+        assert arch_local.leading_constant(k) == pytest.approx(
+            k * arch_local.alternating_weight_sum(k) * upper, rel=1e-13)
+
+    def test_printed_ratio_k4(self):
+        # c_assembled / c_printed = 4 / (k h(k) Gamma_C(k/2)), with h(4) = 5
+        assert hs.PRINTED_RATIO_K4 == pytest.approx(
+            4.0 / (4 * 5 * hs.gamma_c(2.0)), rel=1e-15)
 
 
 class TestSpectralSums:
@@ -444,6 +457,9 @@ class TestCLI:
         pytest.param(["verify-arch", "--s1", "nan"], id="verify-arch --s1 nan"),
         pytest.param(["verify-arch", "--s1", "inf"], id="verify-arch --s1 inf"),
         pytest.param(["constants", "--k", "400"], id="constants --k 400"),
+        pytest.param(["verify-arch", "--k", "1100"], id="verify-arch --k 1100"),
+        pytest.param(["verify-arch", "--s1", "0.6", "--s2", "0.5"],
+                     id="verify-arch --s1 0.6 --s2 0.5"),
         *(pytest.param(["lvalues", "--forms", hs.default_data_path(), "--twist", D],
                        id=f"lvalues --twist {D}") for D in ("1", "0", "-12")),
     ], ids=lambda argv: " ".join(argv[:2]))

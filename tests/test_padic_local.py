@@ -3,7 +3,7 @@ import math
 import pytest
 
 from modlavg import padic_local as pl
-from modlavg.errors import InvariantViolation, PoleError, WindowError
+from modlavg.errors import DomainError, InvariantViolation, PoleError, WindowError
 
 
 def valid_orbit_data(vmax):
@@ -276,6 +276,11 @@ class TestGaussSums:
     def test_nonnegative_rejected(self):
         with pytest.raises(ValueError):
             pl.gauss_sum(5)
+
+    def test_non_fundamental_rejected(self):
+        # -12 = 4 * (-3) is not fundamental; its character sum is about 7e-16 i
+        with pytest.raises(DomainError, match="fundamental"):
+            pl.gauss_sum(-12)
 
 
 class TestReflection:
