@@ -16,15 +16,24 @@ Ramified places are not enumerated; only their Gauss sums live here.
 Orbits are the regular family (parameterized by v(x), v(1-x)) and the five
 singular representatives; weights are tracked exactly as Laurent data in
 (chi(q) q^{s1}, q^{-s2}).
+
+The membership rule is one function over integer arrays of valuations, so a
+window of cells is decided in blocks of rows, exactly (integer arithmetic
+throughout; a zero matrix entry has no valuation and is left out of the
+rule, not given a sentinel one); ``membership_oracle`` is that rule at one
+cell.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .arith import _check_negative_fundamental, _check_prime, _factorize, kronecker
-from .errors import InvariantViolation, PoleError, WindowError
+from .errors import DomainError, InvariantViolation, PoleError, WindowError
 
 __all__ = [
     "PlaceSpec",
@@ -41,7 +50,7 @@ __all__ = [
     "n_minus_reflection_check",
 ]
 
-INF = 10 ** 9  # valuation of a zero entry
+_BLOCK_ROWS = 32  # rows of v(a) that brute_force_integral decides at once
 
 
 # ---------------------------------------------------------------------------
@@ -59,11 +68,11 @@ class PlaceSpec:
     def __post_init__(self):
         _check_prime(self.q)
         if self.kind not in ("unramified", "level", "hecke"):
-            raise ValueError(f"unknown place kind {self.kind!r}")
+            raise DomainError(f"unknown place kind {self.kind!r}")
         if self.kind == "hecke" and self.r < self.r2:
-            raise ValueError("hecke signature requires r >= r'")
+            raise DomainError("hecke signature requires r >= r'")
         if self.chi_q not in (+1, -1):
-            raise ValueError("chi_q must be +1 or -1")
+            raise DomainError("chi_q must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -81,7 +90,7 @@ class OrbitDatum:
 
     def __post_init__(self):
         if self.kind not in ("regular", "upper", "lower", "swap_upper", "swap_lower"):
-            raise ValueError(f"unknown orbit kind {self.kind!r}")
+            raise DomainError(f"unknown orbit kind {self.kind!r}")
         if self.kind == "regular":
             # x + (1 - x) = 1 forces the valuation pattern below
             ok = (
@@ -95,21 +104,22 @@ class OrbitDatum:
                 )
 
 
-def _entry_valuations(orbit: OrbitDatum, va: int, vb: int) -> tuple:
-    """Valuations of the four matrix entries and of the determinant."""
+def _entry_valuations(orbit: OrbitDatum, va, vb) -> tuple:
+    """Valuations of the four matrix entries (None for a zero entry) and of
+    the determinant, elementwise over integer arrays va, vb."""
     if orbit.kind == "regular":
         return (va + vb, va + orbit.vx, vb, 0), va + vb + orbit.v1mx
     if orbit.kind == "upper":      # [[b, a], [0, 1]]
-        return (vb, va, INF, 0), vb
+        return (vb, va, None, 0), vb
     if orbit.kind == "lower":      # [[a, 0], [b, 1]]
-        return (va, INF, vb, 0), va
+        return (va, None, vb, 0), va
     if orbit.kind == "swap_upper":  # [[0, a], [b, 1]]
-        return (INF, va, vb, 0), va + vb
+        return (None, va, vb, 0), va + vb
     # swap_lower: [[ab, a], [b, 0]]
-    return (va + vb, va, vb, INF), va + vb
+    return (va + vb, va, vb, None), va + vb
 
 
-def _weight_exponents(orbit: OrbitDatum, va: int, vb: int) -> tuple:
+def _weight_exponents(orbit: OrbitDatum, va, vb) -> tuple:
     """Exponent pair (m, n) of the cell weight (chi(q) q^{s1})^m q^{-n s2}."""
     if orbit.kind == "regular":
         return va, vb
@@ -120,33 +130,34 @@ def _weight_exponents(orbit: OrbitDatum, va: int, vb: int) -> tuple:
     return va, vb  # both swapped orbits carry the regular-shaped weight
 
 
+def _accepted(place: PlaceSpec, orbit: OrbitDatum, va, vb):
+    """Elementwise over integer arrays va, vb: True iff some central scaling
+    lands the orbit matrix of the cell (va, vb) in the support."""
+    entries, det_v = _entry_valuations(orbit, va, vb)
+    hecke = place.kind == "hecke"
+    floor = place.r2 if hecke else 0
+    lam2 = (place.r + place.r2 if hecke else 0) - det_v
+    lam = lam2 // 2
+    # operators only, so a single cell (Python ints) takes no numpy call
+    ok = lam2 % 2 == 0
+    on_floor = False  # the Hecke content is exactly q^r': an entry on the floor
+    for e in entries:
+        if e is not None:
+            shifted = e + lam
+            ok = ok & (shifted >= floor)
+            if hecke:
+                on_floor = on_floor | (shifted == floor)
+    if hecke:
+        ok = ok & on_floor
+    if place.kind == "level":
+        # the lower-left entry must be nonzero and fall in the maximal ideal
+        ok = ok & (entries[2] is not None and entries[2] + lam >= 1)
+    return ok
+
+
 def membership_oracle(place: PlaceSpec, orbit: OrbitDatum, va: int, vb: int) -> bool:
     """True iff some central scaling lands the orbit matrix in the support."""
-    entries, det_v = _entry_valuations(orbit, va, vb)
-
-    if place.kind == "hecke":
-        target_det = place.r + place.r2
-        floor = place.r2
-    else:
-        target_det = 0
-        floor = 0
-
-    lam2 = target_det - det_v
-    if lam2 % 2 != 0:
-        return False
-    lam = lam2 // 2
-
-    shifted = [e + lam for e in entries if e < INF // 2]
-    if any(e < floor for e in shifted):
-        return False
-    if place.kind == "level":
-        # lower-left entry must fall in the maximal ideal
-        if entries[2] >= INF // 2 or entries[2] + lam < 1:
-            return False
-        return True
-    if place.kind == "hecke":
-        return min(shifted) == floor
-    return True
+    return bool(_accepted(place, orbit, va, vb))
 
 
 # ---------------------------------------------------------------------------
@@ -203,39 +214,41 @@ def brute_force_integral(place: PlaceSpec, orbit: OrbitDatum,
                          window: int) -> BruteForceResult:
     """Sum accepted cell weights over |v(a)|, |v(b)| <= window, exactly.
 
-    Regular orbits have bounded support; if it touches the window edge a
-    WindowError is raised.  Singular orbits have one-sided infinite
-    geometric support, so a touched boundary is reported, not an error.
+    The cells are decided _BLOCK_ROWS rows of v(a) at a time, so the
+    temporaries stay bounded as the window grows.  Regular orbits have
+    bounded support; if it touches the window edge a WindowError is raised.
+    Singular orbits have one-sided infinite geometric support, so a touched
+    boundary is reported, not an error.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    d: dict = {}
-    cells = []
-    touched = False
-    for va in range(-window, window + 1):
-        for vb in range(-window, window + 1):
-            if not membership_oracle(place, orbit, va, vb):
-                continue
-            if abs(va) == window or abs(vb) == window:
-                touched = True
-            cells.append((va, vb))
-            mn = _weight_exponents(orbit, va, vb)
-            d[mn] = d.get(mn, 0) + 1
+    if type(window) is not int or window < 1:
+        raise DomainError(f"window must be an int >= 1, got {window!r}")
+    vb_row = np.arange(-window, window + 1)
+    va_hits, vb_hits = [], []
+    for lo in range(-window, window + 1, _BLOCK_ROWS):
+        va_col = np.arange(lo, min(lo + _BLOCK_ROWS, window + 1))[:, None]
+        rows, cols = np.nonzero(_accepted(place, orbit, va_col, vb_row))
+        va_hits.append(va_col[rows, 0])
+        vb_hits.append(vb_row[cols])
+    va, vb = np.concatenate(va_hits), np.concatenate(vb_hits)
+    touched = bool(np.any((np.abs(va) == window) | (np.abs(vb) == window)))
     if touched and orbit.kind == "regular":
         raise WindowError(
             f"regular-orbit support touches the window boundary (B={window})"
         )
+    m, n = _weight_exponents(orbit, va, vb)
+    counts = Counter(zip(m.tolist(), n.tolist()))
     vol = _volume_factor(place)
-    val = LaurentValue.from_dict({mn: vol * c for mn, c in d.items()})
+    val = LaurentValue.from_dict({mn: vol * c for mn, c in counts.items()})
+    # blocks run up v(a) and np.nonzero is row-major, so the cells are sorted
     return BruteForceResult(value=val, touched_boundary=touched,
-                            cells=tuple(sorted(cells)))
+                            cells=tuple(zip(va.tolist(), vb.tolist())))
 
 
 def support_box(place: PlaceSpec, orbit: OrbitDatum) -> tuple:
     """Predicted support box ((va_lo, va_hi), (vb_lo, vb_hi)) for regular
     orbits at an unramified place, from the eliminated inequality system."""
     if orbit.kind != "regular" or place.kind != "unramified":
-        raise ValueError("support box is stated for regular unramified orbits")
+        raise DomainError("support box is stated for regular unramified orbits")
     w, vx = orbit.v1mx, orbit.vx
     return (w - vx, -w), (w, vx - w)
 
@@ -262,7 +275,7 @@ def regular_closed_form(place: PlaceSpec, vx: int, v1mx: int) -> LaurentValue:
             return LaurentValue()
         vol = _volume_factor(place)
         return LaurentValue.from_dict({(-n, n): vol for n in range(1, vx + 1)})
-    raise ValueError(f"no closed form for place kind {place.kind!r}")
+    raise DomainError(f"no closed form for place kind {place.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +305,7 @@ def hecke_transform_closed(q: int, delta: int, n: int, s1: complex, s2: complex,
     appropriate side).
     """
     if n < 0:
-        raise ValueError("index n must be >= 0")
+        raise DomainError("index n must be >= 0")
     s1, s2 = complex(s1), complex(s2)
     if side == "upper":
         lfac = _local_l(delta, q, -(s1 + s2))
@@ -312,7 +325,7 @@ def hecke_transform_closed(q: int, delta: int, n: int, s1: complex, s2: complex,
         mid = sum((delta * q ** (s2 - s1)) ** alpha for alpha in range(1, n))
         total += q ** (n * s1) * delta ** (-n) * mid
         return total
-    raise ValueError("side must be 'upper' or 'lower'")
+    raise DomainError("side must be 'upper' or 'lower'")
 
 
 def hecke_transform_quotient(q: int, delta: int, n: int, s1: complex, s2: complex,
@@ -322,7 +335,7 @@ def hecke_transform_quotient(q: int, delta: int, n: int, s1: complex, s2: comple
     Tends to 2 (delta = +1) and 0 (delta = -1) for every n >= 1.
     """
     if n < 0:
-        raise ValueError("index n must be >= 0")
+        raise DomainError("index n must be >= 0")
     s1, s2 = complex(s1), complex(s2)
     if n == 0:
         return 1.0 + 0.0j
@@ -339,14 +352,14 @@ def hecke_transform_quotient(q: int, delta: int, n: int, s1: complex, s2: comple
             (delta * q ** (s2 - s1)) ** a for a in range(1, n)
         )
         return quot + pole_inv * mid
-    raise ValueError("side must be 'upper' or 'lower'")
+    raise DomainError("side must be 'upper' or 'lower'")
 
 
 def hecke_singular_window(q: int, n: int, side: str, window: int) -> LaurentValue:
     """Window-clipped Laurent data of the three coset families, for exact
     comparison against the brute-force enumeration."""
     if n < 0 or window < n + 1:
-        raise ValueError("need window > n")
+        raise DomainError("need window > n")
     d: dict = {}
 
     def add(m, nn):
@@ -369,7 +382,7 @@ def hecke_singular_window(q: int, n: int, side: str, window: int) -> LaurentValu
         for alpha in range(1, n):
             add((n - 2 * alpha) - (-alpha), -alpha)
     else:
-        raise ValueError("side must be 'upper' or 'lower'")
+        raise DomainError("side must be 'upper' or 'lower'")
     if n == 0:
         # the two extreme families coincide; remove the double count
         d = {}

@@ -7,12 +7,19 @@ auxiliary prime.  Their sizes are controlled by a subpolynomial divisor
 function g and the archimedean decay (1 - x)^{k/2} at x = (n - M)/n; this
 module provides the pieces and empirical envelope checks.  Factorizations
 come from ``arith._factorize`` and, over a range, from its sieve
-``arith._smallest_prime_factors``.
+``arith._smallest_prime_factors``.  Ranges of n are handled as integer
+arrays (the table of g, the valuations behind each orbit's prime product);
+only the float terms and their running sum are formed one orbit at a time.
 """
 
 from __future__ import annotations
 
-from .arith import _factorize, _smallest_prime_factors
+import math
+
+import numpy as np
+
+from .arith import _factorize, _primes_up_to, _smallest_prime_factors
+from .errors import DomainError
 
 __all__ = [
     "g_of_n",
@@ -27,32 +34,47 @@ def g_of_n(n: int) -> int:
     """Product of the exponents in the factorization of n; 1 on squarefree
     numbers and on n = 1 (empty product)."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise DomainError("n must be positive")
     out = 1
     for e in _factorize(n).values():
         out *= e
     return out
 
 
-def subpolynomial_check(epsilon: float, n_max: int) -> dict:
-    """Scan g(n) / n^epsilon up to n_max; returns the maximum and argmax.
+def _g_table(n_max: int) -> np.ndarray:
+    """g(n) for 0 <= n <= n_max as exact integers (g(0) = 0 is a filler).
 
-    g(n) is g(m) e for n = p^e m with p the smallest prime factor of n, read
-    off ``arith._smallest_prime_factors``, so the scan is linear-ish.
+    g is 1 off the multiples of squares, so one pass over the multiples of
+    p^j, j >= 2, for each prime p <= sqrt(n_max) builds the whole table.
     """
+    g = np.ones(n_max + 1, dtype=np.int64)
+    g[0] = 0
+    for p in _primes_up_to(math.isqrt(n_max)):
+        # on the multiples i p^2 of p^2: v_p(i p^2) = 2 + v_p(i)
+        v_p = np.full(n_max // (p * p) + 1, 2, dtype=np.int64)
+        pj = p
+        while p * p * pj <= n_max:
+            v_p[::pj] += 1
+            pj *= p
+        g[::p * p] *= v_p
+    return g
+
+
+def subpolynomial_check(epsilon: float, n_max: int) -> dict:
+    """Scan g(n) / n^epsilon up to n_max; returns the maximum and argmax
+    (the first n attaining it)."""
     if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    spf = _smallest_prime_factors(n_max).tolist()
-    g = [0, 1] + [0] * (n_max - 1)
+        raise DomainError("epsilon must be positive")
+    if n_max < 1:
+        raise DomainError("n_max must be positive")
+    g = _g_table(n_max)
+    # n^epsilon grows with n, so each value of g peaks at its first n: only
+    # those n can hold the maximum, and they are scanned in increasing order
+    first = np.full(int(g.max()) + 1, n_max + 1)
+    np.minimum.at(first, g[1:], np.arange(1, n_max + 1))
     best, arg = 1.0, 1
-    for n in range(2, n_max + 1):
-        p = spf[n]
-        m, e = n, 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        g[n] = g[m] * e
-        val = g[n] / n ** epsilon
+    for n in sorted(first[first <= n_max].tolist()):
+        val = int(g[n]) / n ** epsilon
         if val > best:
             best, arg = val, n
     return {"max": best, "argmax": arg}
@@ -63,7 +85,7 @@ def tail_sum(N: int, M: int, u: float, n_max: int) -> dict:
     integral-test bound for the truncated remainder, and the ratio of the
     total against N^(-u)."""
     if u <= 1:
-        raise ValueError("need u > 1")
+        raise DomainError("need u > 1")
     total = 0.0
     m = 1
     while m * N + M <= n_max:
@@ -76,28 +98,59 @@ def tail_sum(N: int, M: int, u: float, n_max: int) -> dict:
             "total_bound": bound, "ratio_vs_level": bound * N ** u}
 
 
+def _divide_out(rest: np.ndarray, p) -> np.ndarray:
+    """Divide every power of p (a prime, or one prime per entry) out of the
+    entries of rest above 1, in place; returns the exponents removed."""
+    p = np.broadcast_to(p, rest.shape)
+    e = np.zeros_like(rest)
+    div = (rest > 1) & (rest % p == 0)
+    while div.any():
+        rest[div] //= p[div]
+        e[div] += 1
+        div &= rest % p == 0
+    return e
+
+
+def _term_bounds(n: np.ndarray, M: int, k: int) -> list:
+    """regular_term_bound at every entry of the integer array n (all > M).
+
+    The primes of M are divided out of n and n - M directly; what is left of
+    n and of n - M is coprime, so each other prime divides one side only and
+    is peeled off with the smallest-prime-factor sieve.  Each prime's factor
+    is an integer, so the float product is exact below 2^53 in any order.
+    The terms follow one orbit at a time in Python floats.
+    """
+    n = n.astype(np.int64)
+    size = n.size
+    rest = np.concatenate([n, n - M])
+    prod = np.ones(size)
+    for q in _factorize(abs(M)):
+        e = _divide_out(rest, q)
+        delta = e[size:] - e[:size]
+        prod *= np.maximum(1, M * delta * delta)
+    spf = _smallest_prime_factors(int(rest.max(initial=1)))
+    while np.any(rest > 1):
+        factor = np.maximum(1, M * _divide_out(rest, spf[rest]) ** 2)
+        prod *= factor[:size] * factor[size:]
+    return [c * (M / m) ** (k / 2.0) for c, m in zip(prod.tolist(), n.tolist())]
+
+
 def regular_term_bound(n: int, M: int, k: int) -> float:
     """Crude per-orbit bound: archimedean decay (M/n)^(k/2) times the
-    product over primes of M * v_q((n-M)/n)^2 (at least 1 per prime)."""
+    product over primes of M * v_q((n-M)/n)^2 (at least 1 per prime).
+
+    The one-orbit case of tail_envelope's rule; it sieves up to n, so its
+    memory grows as 8 bytes per integer up to n."""
     if n <= M:
-        raise ValueError("need n > M")
-    fac_n = _factorize(n)
-    fac_nm = _factorize(n - M)
-    primes = set(fac_n) | set(fac_nm)
-    prod = 1.0
-    for q in primes:
-        delta = fac_nm.get(q, 0) - fac_n.get(q, 0)
-        prod *= max(1.0, M * delta * delta)
-    return prod * (M / n) ** (k / 2.0)
+        raise DomainError("need n > M")
+    return _term_bounds(np.array([n]), M, k)[0]
 
 
 def tail_envelope(N: int, M: int, k: int, n_max: int) -> dict:
     """Sum of the per-orbit bounds over n = mN + M <= n_max, compared with
     the level-decay envelope N^(-k/2 + 0.1)."""
     total = 0.0
-    m = 1
-    while m * N + M <= n_max:
-        total += regular_term_bound(m * N + M, M, k)
-        m += 1
+    for term in _term_bounds(np.arange(N + M, n_max + 1, N), M, k):
+        total += term
     env = N ** (-k / 2.0 + 0.1)
     return {"sum": total, "envelope": env, "ratio": total / env}

@@ -443,6 +443,16 @@ class TestCLI:
         assert len(lines) == 1 and "11.4.a" in lines[0], run.stderr
         assert "Traceback" not in run.stderr
 
+    def test_verify_local_non_prime_exits_2(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        run = subprocess.run(
+            [sys.executable, "-m", "modlavg.cli", "verify-local", "--q", "4"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+            cwd=tmp_path, timeout=120)
+        assert run.returncode == 2
+        assert run.stderr.splitlines() == [
+            "modlavg verify-local: DomainError: N = 4 is not prime"], run.stderr
+
     @pytest.mark.parametrize("argv", [
         ["measures", "--p", "4"],
         ["verify-local", "--q", "4"],

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -48,6 +49,88 @@ class TestMembership:
             pl.OrbitDatum(kind="regular", vx=2, v1mx=1)
         with pytest.raises(InvariantViolation):
             pl.OrbitDatum(kind="regular", vx=-1, v1mx=-2)
+
+
+HECKE_SIGNATURES = [(r, r2) for r in range(4) for r2 in range(r + 1)]
+SINGULAR_KINDS = ("upper", "lower", "swap_upper", "swap_lower")
+ENUMERATION_ORBITS = (
+    [pl.OrbitDatum(kind="regular", vx=vx, v1mx=w) for vx, w in valid_orbit_data(4)]
+    + [pl.OrbitDatum(kind=kind) for kind in SINGULAR_KINDS]
+)
+
+
+def accepted_cells(place, orbit, window):
+    """The cells of the window that membership_oracle accepts, one call per
+    cell, rows of v(a) in increasing order."""
+    return [(va, vb)
+            for va in range(-window, window + 1) for vb in range(-window, window + 1)
+            if pl.membership_oracle(place, orbit, va, vb)]
+
+
+def loop_enumeration(place, orbit, window, cells):
+    """brute_force_integral by its definition, from the accepted cells of a
+    window at least as wide."""
+    cells = tuple((va, vb) for va, vb in cells if max(abs(va), abs(vb)) <= window)
+    touched = any(max(abs(va), abs(vb)) == window for va, vb in cells)
+    if touched and orbit.kind == "regular":
+        raise WindowError("touched")
+    weights = {}
+    for va, vb in cells:
+        mn = pl._weight_exponents(orbit, va, vb)
+        weights[mn] = weights.get(mn, 0) + 1
+    vol = place.q + 1 if place.kind == "level" else 1
+    value = pl.LaurentValue.from_dict({mn: vol * c for mn, c in weights.items()})
+    return value, touched, cells
+
+
+class TestArrayEnumeration:
+    @pytest.mark.parametrize("kind, r, r2", [("unramified", 0, 0), ("level", 0, 0)]
+                             + [("hecke", r, r2) for r, r2 in HECKE_SIGNATURES])
+    def test_matches_loop_over_oracle(self, kind, r, r2):
+        for q in (2, 3, 5, 7):
+            for delta in (+1, -1):
+                place = pl.PlaceSpec(q=q, kind=kind, chi_q=delta, r=r, r2=r2)
+                for orbit in ENUMERATION_ORBITS:
+                    cells = accepted_cells(place, orbit, 14)
+                    for window in (6, 10, 14):
+                        try:
+                            expected = loop_enumeration(place, orbit, window, cells)
+                        except WindowError:
+                            with pytest.raises(WindowError):
+                                pl.brute_force_integral(place, orbit, window)
+                            continue
+                        res = pl.brute_force_integral(place, orbit, window)
+                        assert (res.value, res.touched_boundary, res.cells) == expected
+                        assert all(type(v) is int for cell in res.cells for v in cell)
+                        assert all(type(v) is int
+                                   for (m, n), c in res.value.terms for v in (m, n, c))
+
+    def test_oracle_returns_bool(self):
+        place = pl.PlaceSpec(q=3, kind="hecke", r=2, r2=1)
+        for orbit in ENUMERATION_ORBITS:
+            assert type(pl.membership_oracle(place, orbit, 1, -1)) is bool
+
+    @pytest.mark.parametrize("window", [10.0, True, 0, -3, "10"])
+    def test_window_must_be_positive_int(self, window):
+        place = pl.PlaceSpec(q=3, kind="unramified")
+        with pytest.raises(DomainError, match="window"):
+            pl.brute_force_integral(place, pl.OrbitDatum(kind="upper"), window)
+
+    def test_memory_bounded_at_window_400(self):
+        # rows are decided in blocks, so no temporary spans the 801 x 801
+        # window; deciding it in one block peaks at 7 to 49 MB (numpy 2.4)
+        place = pl.PlaceSpec(q=3, kind="hecke", r=3, r2=1)
+        orbits = [pl.OrbitDatum(kind="regular", vx=5, v1mx=0)]
+        orbits += [pl.OrbitDatum(kind=kind) for kind in SINGULAR_KINDS]
+        for orbit in orbits:
+            pl.brute_force_integral(place, orbit, 12)  # warm imports and caches
+            tracemalloc.start()
+            try:
+                pl.brute_force_integral(place, orbit, 400)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2 ** 20, (orbit.kind, peak)
 
 
 class TestOracleClosedFormEquality:

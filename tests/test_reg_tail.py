@@ -4,6 +4,30 @@ import random
 import pytest
 
 from modlavg import reg_tail as rt
+from modlavg.errors import DomainError
+
+
+def trial_factor(n):
+    """{p: e} of n >= 1 by trial division."""
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def reference_term(n, M, k):
+    """regular_term_bound by its definition, one prime at a time."""
+    fac_n, fac_nm = trial_factor(n), trial_factor(n - M)
+    prod = 1.0
+    for q in sorted(set(fac_n) | set(fac_nm)):
+        delta = fac_nm.get(q, 0) - fac_n.get(q, 0)
+        prod *= max(1.0, M * delta * delta)
+    return prod * (M / n) ** (k / 2.0)
 
 
 class TestG:
@@ -46,8 +70,28 @@ class TestSubpolynomial:
         assert vals[59] < 1.0
 
     def test_epsilon_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             rt.subpolynomial_check(-0.1, 100)
+
+    def test_n_max_validation(self):
+        with pytest.raises(DomainError):
+            rt.subpolynomial_check(0.5, 0)
+
+    @pytest.mark.parametrize("n_max", [1, 8, 9, 1024, 2187, 3000])
+    def test_table_is_g_of_n(self, n_max):
+        # prime powers end the table on the last multiple of p^j
+        table = rt._g_table(n_max).tolist()
+        assert table[1:] == [rt.g_of_n(n) for n in range(1, n_max + 1)]
+
+    @pytest.mark.parametrize("epsilon", [0.5, 0.25, 0.1])
+    def test_scan_matches_loop(self, epsilon):
+        # the first n with the largest g(n) / n^epsilon, scanned one n at a time
+        best, arg = 1.0, 1
+        for n in range(2, 5001):
+            val = rt.g_of_n(n) / n ** epsilon
+            if val > best:
+                best, arg = val, n
+        assert rt.subpolynomial_check(epsilon, 5000) == {"max": best, "argmax": arg}
 
 
 class TestTailSum:
@@ -82,7 +126,7 @@ class TestTailSum:
         assert abs(slope + u) < 0.1
 
     def test_u_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             rt.tail_sum(101, 4, 1.0, 10 ** 4)
 
 
@@ -94,3 +138,24 @@ class TestEnvelope:
             ratios.append(out["ratio"])
         assert max(ratios) <= 20.0 * min(ratios)
         assert all(r > 0 for r in ratios)
+
+    @pytest.mark.parametrize("M", [3, 4, 7, 8, 15, 20, 24])
+    def test_bit_identical_to_trial_division(self, M):
+        # n and n - M share the primes of M that divide m N
+        for N in (3, 7, 11, 19, 59, 101):
+            for k in (4, 6, 12):
+                total = 0.0
+                for n in range(N + M, 200 * N + 1, N):
+                    total += reference_term(n, M, k)
+                env = N ** (-k / 2.0 + 0.1)
+                out = rt.tail_envelope(N, M, k, n_max=200 * N)
+                assert out == {"sum": total, "envelope": env, "ratio": total / env}
+
+    def test_term_bound_is_one_orbit(self):
+        for M in (4, 24):
+            for n in range(M + 1, 2000, 13):
+                assert rt.regular_term_bound(n, M, 6) == reference_term(n, M, 6)
+
+    def test_term_bound_validation(self):
+        with pytest.raises(DomainError):
+            rt.regular_term_bound(4, 4, 4)
