@@ -3,13 +3,15 @@
 
 Loads the shipped eigenform coefficient tables (validated on load against
 the eigenvalue bound and the Hecke extension of their primes), measures
-each form's Fricke sign directly from its q-expansion, computes central
-values along two independent routes, and integrates the Petersson norms.
+each form's Fricke sign directly from its q-expansion, computes L(1/2, f)
+and L(1/2, f x chi_-4) along two routes each (the smoothed functional
+equation and Mellin quadrature, with the sign that Fricke sign predicts),
+and integrates the Petersson norms.
 """
 
 from modlavg.arith import eichler_selberg_trace, load_eigenforms
 from modlavg.harness import default_data_path
-from modlavg.lvalues import CompletedL, central_value, petersson_norm
+from modlavg.lvalues import CompletedL, central_value, fricke_sign, petersson_norm
 
 forms = load_eigenforms(default_data_path())
 print(f"loaded {len(forms)} newforms from {default_data_path()}")
@@ -25,13 +27,14 @@ for p in (2, 3, 13):
 
 print("\nper-form analytic data:")
 for f in forms:
-    cv = central_value(f)
-    cvt = central_value(f, twist=-4)
+    w = fricke_sign(f)
+    cv = central_value(f, w)
+    cvt = central_value(f, w, twist=-4)
     nrm = petersson_norm(f)
-    print(f"  {f.label}: w = {cv.fricke:+d}, L(1/2) = {cv.value:.8f} "
+    print(f"  {f.label}: w = {w:+d}, L(1/2) = {cv.value:.8f} "
           f"(two paths differ by {abs(cv.afe - cv.mellin):.1e}), "
-          f"L(1/2, twisted by -4) = {cvt.value:.8f} (sign {cvt.eps:+d}), "
-          f"norm = {nrm:.8e}")
+          f"L(1/2, twisted by -4) = {cvt.value:.8f} (sign {cvt.eps:+d}, "
+          f"paths differ by {abs(cvt.afe - cvt.mellin):.1e}), norm = {nrm:.8e}")
 
 print("\nfunctional-equation residuals (split-point variation):")
 for f in forms[:2]:

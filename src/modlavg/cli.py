@@ -17,7 +17,7 @@ from . import arch_local, measures, padic_local
 from .arith import is_fundamental_discriminant, load_eigenforms
 from .errors import DomainError, ModlavgError
 from .harness import ExperimentConfig, run_experiment
-from .lvalues import central_value, petersson_norm
+from .lvalues import central_value, fricke_sign, petersson_norm
 
 
 def _cmd_measures(args) -> int:
@@ -99,12 +99,13 @@ def _cmd_lvalues(args) -> int:
     code = 0
     for f in forms:
         try:
-            cv = central_value(f)
+            w = fricke_sign(f)
+            cv = central_value(f, w)
             nrm = petersson_norm(f)
-            line = (f"{f.label}: w = {cv.fricke:+d}, L(1/2) = {cv.value!r}, "
+            line = (f"{f.label}: w = {w:+d}, L(1/2) = {cv.value!r}, "
                     f"norm = {nrm!r}")
             if args.twist is not None:
-                cvt = central_value(f, twist=args.twist)
+                cvt = central_value(f, w, twist=args.twist)
                 line += (f", L(1/2, twist {args.twist}) = {cvt.value!r} "
                          f"(eps = {cvt.eps:+d})")
             print(line)

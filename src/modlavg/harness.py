@@ -44,8 +44,14 @@ from .arith import (
     kronecker,
     load_eigenforms,
 )
-from .errors import AccuracyError, InvariantViolation
-from .lvalues import NORM_TOL, central_value, petersson_norm
+from .errors import InvariantViolation
+from .lvalues import (
+    CENTRAL_WITNESS_TOL,
+    NORM_TOL,
+    central_value,
+    fricke_sign,
+    petersson_norm,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -186,9 +192,6 @@ def assembled_constant(k: int) -> float:
 _FORM_CACHE: dict = {}
 
 UNIT_ROUNDOFF = 2.0 ** -53
-# relative error stated for every central value in the identity budget;
-# _level_rows refuses a form whose accuracy witnesses do not bear it out
-CENTRAL_WITNESS_TOL = 1e-13
 # the closed-form constants, the product 2 c L(1, chi) and the rounding of
 # the compensated sum S_N, in units of roundoff
 CONSTANT_ULPS = 4
@@ -205,10 +208,9 @@ def _level_rows(cfg: ExperimentConfig, N: int, forms: list | None = None) -> lis
     """Per-newform data at level N: eigenvalue, values, norm, weight.
 
     ``forms`` is the parsed data file; it is read here when not given.
-    Both central values must show a relative accuracy witness within
-    CENTRAL_WITNESS_TOL: the AFE-vs-Mellin gap of the untwisted value,
-    which central_value checks, and the split-point spread of the twisted
-    one.
+    The Fricke sign is measured once per form and serves both central
+    values, which central_value refuses unless their sign is the one it
+    predicts and both accuracy witnesses lie within CENTRAL_WITNESS_TOL.
     """
     key = _form_key(cfg, N)
     if key in _FORM_CACHE:
@@ -223,13 +225,9 @@ def _level_rows(cfg: ExperimentConfig, N: int, forms: list | None = None) -> lis
         )
     rows = []
     for f in sorted(forms, key=lambda g: g.label):
-        cv = central_value(f, tol=CENTRAL_WITNESS_TOL)
-        cvt = central_value(f, twist=cfg.discriminant)
-        if not cvt.spread <= CENTRAL_WITNESS_TOL:
-            raise AccuracyError(
-                f"level {N}, {f.label}: twisted split-point spread "
-                f"{cvt.spread:.2e} exceeds {CENTRAL_WITNESS_TOL:.0e}"
-            )
+        w = fricke_sign(f)
+        cv = central_value(f, w)
+        cvt = central_value(f, w, twist=cfg.discriminant)
         nrm = petersson_norm(f)
         rows.append({
             "label": f.label,
@@ -238,7 +236,7 @@ def _level_rows(cfg: ExperimentConfig, N: int, forms: list | None = None) -> lis
             "central_twisted": cvt.value,
             "eps": cv.eps,
             "eps_twisted": cvt.eps,
-            "fricke": cv.fricke,
+            "fricke": w,
             "norm": nrm,
             "contribution": cv.value * cvt.value / nrm,
         })

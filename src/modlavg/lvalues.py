@@ -16,11 +16,17 @@ whose certified tail is within QEXP_TAIL_TOL, refusing when the stored
 coefficients cannot reach it.  The Fricke sign, the Mellin route and the
 Petersson norm all use it.
 
-Central values are computed along two routes: a smoothed approximate
-functional equation with incomplete-Gamma weights, and (untwisted) direct
-Mellin quadrature of the q-expansion split at 1/sqrt(N) through the Fricke
-involution.  The Fricke sign itself is measured numerically with a wide
-margin, never assumed, and once per central value.
+L(1/2, f) and L(1/2, f x chi_D) take one path, with the trivial character
+and C = N in the first case.  Each is computed along two routes: a smoothed
+approximate functional equation with incomplete-Gamma weights, and Mellin
+quadrature of the q-expansion of f x chi_D over [1/sqrt(C), oo), the rest
+carried there by the Fricke involution of level C.  The Fricke sign w of f
+is measured numerically with a wide margin, never assumed, once per form by
+the caller; it predicts the sign w (-1)^(k/2) chi_D(-N) that the smoothed
+sum measures (Atkin-Li 1978), and the Mellin route uses that sign.  The two
+routes split the same integral at the same point, so their gap witnesses
+the numerics; the spread of the smoothed sum over split points witnesses
+the functional equation.  Both must be within CENTRAL_WITNESS_TOL.
 
 The Petersson norm takes the cusps at infinity and 0 exactly above heights
 1 and 1/N, by Parseval, and meshes only the band between the unit arc and
@@ -41,7 +47,7 @@ from .errors import (
     InsufficientCoefficients,
     InvariantViolation,
 )
-from .numerics import QuadratureSpec, gamma_upper, integrate, interval
+from .numerics import QuadratureSpec, gamma_upper, half_line, integrate
 
 __all__ = [
     "q_expansion_eval",
@@ -153,6 +159,22 @@ def fricke_sign(form: Eigenform) -> int:
 # completed L-functions
 # ---------------------------------------------------------------------------
 
+# split points t of the smoothed sum.  With the right sign the completed
+# value does not depend on t, and Lambda(k - s, t) = eps Lambda(s, 1/t) holds
+# term by term, so the spread over these points also witnesses s -> k - s
+SPLIT_POINTS = (0.75, 1.0, 1.3)
+# relative error stated for every central value: its AFE-vs-Mellin gap and
+# its split-point spread must each be within it
+CENTRAL_WITNESS_TOL = 1e-13
+
+
+def _twisted_coeffs(coeffs: list, D: int) -> list:
+    """chi_D(n) c_n for n >= 1.  For fundamental D (and D = 1) chi_D is a
+    character mod |D|, so it takes one Kronecker symbol per residue."""
+    chi = [kronecker(D, r) for r in range(abs(D))]
+    return [chi[n % abs(D)] * c for n, c in enumerate(coeffs, start=1)]
+
+
 @dataclass
 class CompletedL:
     """Completed L-function of a form, optionally twisted by chi_D."""
@@ -163,27 +185,31 @@ class CompletedL:
     eps: int = field(init=False)
 
     def __post_init__(self):
-        if self.twist is not None:
-            if not is_fundamental_discriminant(self.twist):
-                raise DomainError(f"twist {self.twist} is not a fundamental discriminant")
-            if math.gcd(self.form.level, self.twist) != 1:
+        form = self.form
+        if self.twist is None:
+            D, label = 1, form.label  # the trivial character
+        else:
+            D, label = self.twist, f"{form.label} twisted by {self.twist}"
+            if not is_fundamental_discriminant(D):
+                raise DomainError(f"twist {D} is not a fundamental discriminant")
+            if math.gcd(form.level, D) != 1:
                 raise InvariantViolation("twist discriminant must be prime to N")
-        self._coeffs = self._twisted_coeffs()
-        self._sums = {}  # (s, t_split) -> the two sums; eps does not enter
-        self.eps = self._determine_eps()
+        self._chi_minus_level = kronecker(D, -form.level)
+        # f x chi_D, a newform of level N D^2 (Atkin-Li 1978)
+        self.series = Eigenform(level=form.level * D * D, weight=form.weight,
+                                label=label, coeffs=_twisted_coeffs(form.coeffs, D))
+        self._sums = {}  # (s, t) -> the two sums; eps does not enter
+        self.eps, self._scale = self._determine_eps()
 
     @property
     def conductor(self) -> int:
-        if self.twist is None:
-            return self.form.level
-        return self.form.level * self.twist * self.twist
+        return self.series.level
 
-    def _twisted_coeffs(self):
-        if self.twist is None:
-            return list(self.form.coeffs)
-        D = self.twist
-        return [kronecker(D, n) * c
-                for n, c in enumerate(self.form.coeffs, start=1)]
+    def predicted_eps(self, w: int) -> int:
+        """The sign w (-1)^(k/2) chi_D(-N) that the Fricke sign w of the form
+        predicts: chi_D(-N) w is the Fricke sign of f x chi_D at level N D^2
+        (Atkin-Li 1978), and chi is trivial when untwisted."""
+        return w * (-1) ** (self.form.weight // 2) * self._chi_minus_level
 
     # -- smoothed approximate functional equation ---------------------------
 
@@ -194,12 +220,12 @@ class CompletedL:
             return self._sums[s, t_split]
         k = self.form.weight
         q_root = math.sqrt(self.conductor)
-        coeffs = self._coeffs
+        coeffs = self.series.coeffs
         x_cut = 50.0
         n_stop = int(x_cut * q_root / (2.0 * math.pi * min(t_split, 1.0 / t_split))) + 2
         if n_stop > len(coeffs):
             raise InsufficientCoefficients(
-                f"{self.form.label}: need {n_stop} coefficients for the "
+                f"{self.series.label}: need {n_stop} coefficients for the "
                 f"functional-equation sums, have {len(coeffs)}"
             )
         n = np.arange(1, n_stop + 1, dtype=float)
@@ -211,126 +237,115 @@ class CompletedL:
         self._sums[s, t_split] = sum1, sum2
         return sum1, sum2
 
-    def lambda_afe(self, s: float, t_split: float = 1.0,
-                   eps: int | None = None) -> float:
-        """Completed value at arithmetic s via the smoothed sum."""
-        if eps is None:
-            eps = self.eps
+    def _split_value(self, s: float, t_split: float, eps: int) -> float:
+        """Completed value at arithmetic s by the smoothed sum split at t,
+        with sign eps."""
         cond = self.conductor
         sum1, sum2 = self._afe_sums(s, t_split)
         return cond ** (s / 2.0) * sum1 + eps * cond ** ((self.form.weight - s) / 2.0) * sum2
 
-    def _determine_eps(self) -> int:
-        """Pick the sign making the completed value split-point independent."""
-        k = self.form.weight
-        s_test = k / 2.0 + 0.35
-        spread = {}
-        for eps in (+1, -1):
-            vals = [self.lambda_afe(s_test, t, eps) for t in (0.7, 1.0, 1.4)]
-            spread[eps] = max(vals) - min(vals)
-        scale = max(abs(self.lambda_afe(s_test, 1.0, +1)), 1e-30)
-        best = +1 if spread[+1] < spread[-1] else -1
-        if spread[-best] < 1e3 * (spread[best] + 1e-16 * scale):
-            raise InvariantViolation(
-                f"{self.form.label}: functional-equation sign ambiguous "
-                f"(spreads {spread})"
-            )
-        return best
+    def lambda_afe(self, s: float) -> float:
+        """Completed value at arithmetic s via the smoothed sum split at 1."""
+        return self._split_value(s, 1.0, self.eps)
 
-    def _scale(self) -> float:
-        """Natural size of the completed function (for residuals at points
-        where the value itself vanishes, e.g. odd-sign centers)."""
-        return abs(self.lambda_afe(self.form.weight / 2.0 + 0.35, 1.0)) + 1e-300
+    def _spread(self, s: float, eps: int) -> tuple:
+        """Range and largest modulus of the completed value at arithmetic s
+        over SPLIT_POINTS, with sign eps."""
+        vals = [self._split_value(s, t, eps) for t in SPLIT_POINTS]
+        return max(vals) - min(vals), max(abs(v) for v in vals)
+
+    def _determine_eps(self) -> tuple:
+        """The sign making the completed value split-point independent, and
+        that value's size: the natural scale of the function, for residuals
+        where the value itself vanishes, e.g. odd-sign centers."""
+        # right of the center, where an odd sign does not force the value to 0
+        s_test = self.form.weight / 2.0 + 0.35
+        spread = {eps: self._spread(s_test, eps) for eps in (+1, -1)}
+        best = +1 if spread[+1][0] < spread[-1][0] else -1
+        width, scale = spread[best]
+        if spread[-best][0] < 1e3 * (width + 1e-16 * scale):
+            raise InvariantViolation(
+                f"{self.series.label}: functional-equation sign ambiguous "
+                f"(spreads {spread[+1][0]:.2e} at +1, {spread[-1][0]:.2e} at -1)"
+            )
+        return best, scale + 1e-300
 
     def fe_residual(self, s: float) -> float:
         """Split-point variation of the completed value at arithmetic s,
         relative to the larger of the local and natural scales; small iff
-        the assumed functional equation holds."""
-        vals = [self.lambda_afe(s, t) for t in (0.75, 1.0, 1.3)]
-        ref = max(max(abs(v) for v in vals), self._scale())
-        return (max(vals) - min(vals)) / ref
+        the functional equation holds with the measured sign."""
+        spread, size = self._spread(s, self.eps)
+        return spread / max(size, self._scale)
 
-    def fe_symmetry_residual(self, s: float) -> float:
-        """|Lambda(s) - eps Lambda(k - s)| relative, with the two sides
-        computed at different split points (non-trivial check)."""
-        k = self.form.weight
-        a = self.lambda_afe(s, 0.85)
-        b = self.lambda_afe(k - s, 1.2)
-        return abs(a - self.eps * b) / max(abs(a), self._scale())
-
-    # -- direct Mellin quadrature (untwisted) -------------------------------
+    # -- direct Mellin quadrature -------------------------------------------
 
     def lambda_mellin(self, s: float, w: int) -> float:
-        """Completed value by quadrature of the q-expansion, split at
-        1/sqrt(N) through the Fricke involution with sign ``w``.  Untwisted
-        forms only."""
-        if self.twist is not None:
-            raise DomainError("Mellin path implemented for untwisted forms")
-        form = self.form
-        N, k = form.level, form.weight
-        spec = QuadratureSpec(domain=interval(1.0 / math.sqrt(N), 40.0),
+        """Completed value by quadrature of the q-expansion of f x chi_D over
+        [1/sqrt(C), oo); the Fricke involution of level C = N D^2 carries the
+        rest there, with the sign that the form's Fricke sign ``w`` predicts."""
+        series, cond, k = self.series, self.conductor, self.form.weight
+        spec = QuadratureSpec(domain=half_line(1.0 / math.sqrt(cond)),
                               rel_tol=1e-12, abs_tol=1e-14)
 
         def j_integral(sv):
-            # one evaluator call per integral: the lowest node, 1/sqrt(N),
+            # one evaluator call per integral: the lowest node, 1/sqrt(C),
             # sets the coefficient count for every node
             def f(y):
-                return (q_expansion_eval(form, 1j * y) * y ** (sv - 1.0)).real
+                return (q_expansion_eval(series, 1j * y) * y ** (sv - 1.0)).real
             res = integrate(f, spec)
             if not res.converged:
-                raise AccuracyError(f"{form.label}: Mellin quadrature error {res.error:.2e}")
+                raise AccuracyError(f"{series.label}: Mellin quadrature error {res.error:.2e}")
             return res.real
 
-        eps_arith = w * (-1) ** (k // 2)
-        return (N ** (s / 2.0) * j_integral(s)
-                + eps_arith * N ** ((k - s) / 2.0) * j_integral(k - s))
+        return (cond ** (s / 2.0) * j_integral(s)
+                + self.predicted_eps(w) * cond ** ((k - s) / 2.0) * j_integral(k - s))
 
 
 @dataclass(frozen=True)
 class CentralValue:
-    value: float
+    value: float  # the AFE value, or 0 when eps = -1
     eps: int
-    forced_zero: bool
     afe: float
-    mellin: float | None
-    fricke: int | None  # measured Fricke sign; None when twisted
-    spread: float | None  # split-point spread at the center; None untwisted
+    mellin: float
+    spread: float  # split-point spread at the center
 
 
-def central_value(form: Eigenform, twist: int | None = None,
-                  tol: float = 1e-8) -> CentralValue:
-    """Central L-value in the analytic normalization (s_an = 1/2).
+def central_value(form: Eigenform, w: int, twist: int | None = None) -> CentralValue:
+    """Central value of L(s, f), or of L(s, f x chi_D), in the analytic
+    normalization (s_an = 1/2); ``w`` is the form's measured Fricke sign.
 
-    Untwisted values are computed by both the smoothed-sum and Mellin
-    routes, which must agree to ``tol`` relative; the Mellin route uses the
-    Fricke sign, measured once and returned; twisted values return their
-    split-point spread at the center instead.  A sign eps = -1 forces the
-    value 0, reported through the flag.
+    The sign the smoothed sum measures must be the one w predicts
+    (InvariantViolation).  The smoothed sum at t = 1 and the Mellin route
+    must agree, and the split-point spread must be small, each within
+    CENTRAL_WITNESS_TOL relative (AccuracyError).  Both routes split one
+    integral at the same point, so their gap witnesses the numerics and
+    cannot see the functional equation or its sign; the spread witnesses
+    those.  A sign eps = -1 forces the value 0.
     """
     comp = CompletedL(form, twist=twist)
-    k = form.weight
+    name, k = comp.series.label, form.weight
+    predicted = comp.predicted_eps(w)
+    if comp.eps != predicted:
+        raise InvariantViolation(
+            f"{name}: measured functional-equation sign {comp.eps:+d}, but the "
+            f"Fricke sign {w:+d} predicts {predicted:+d}")
     s_c = k / 2.0
     gamma_factor = (comp.conductor ** (s_c / 2.0)
                     * (2.0 * math.pi) ** (-s_c) * math.gamma(s_c))
-    lam_afe = comp.lambda_afe(s_c)
-    afe = lam_afe / gamma_factor
-    mellin = fricke = spread = None
-    if twist is None:
-        fricke = fricke_sign(form)
-        lam_mel = comp.lambda_mellin(s_c, fricke)
-        mellin = lam_mel / gamma_factor
-        scale = max(abs(afe), abs(mellin), 1e-12)
-        if abs(afe - mellin) / scale > tol:
-            raise AccuracyError(
-                f"{form.label}: central-value paths disagree "
-                f"(afe {afe:.12e}, mellin {mellin:.12e})"
-            )
-    else:
-        spread = comp.fe_residual(s_c)
-    forced_zero = comp.eps == -1
-    return CentralValue(value=0.0 if forced_zero else afe, eps=comp.eps,
-                        forced_zero=forced_zero, afe=afe, mellin=mellin,
-                        fricke=fricke, spread=spread)
+    afe = comp.lambda_afe(s_c) / gamma_factor
+    mellin = comp.lambda_mellin(s_c, w) / gamma_factor
+    scale = max(abs(afe), abs(mellin), 1e-12)
+    if not abs(afe - mellin) / scale <= CENTRAL_WITNESS_TOL:
+        raise AccuracyError(
+            f"{name}: central-value paths disagree "
+            f"(afe {afe:.12e}, mellin {mellin:.12e})"
+        )
+    spread = comp.fe_residual(s_c)
+    if not spread <= CENTRAL_WITNESS_TOL:
+        raise AccuracyError(f"{name}: split-point spread {spread:.2e} "
+                            f"exceeds {CENTRAL_WITNESS_TOL:.0e}")
+    return CentralValue(value=0.0 if comp.eps == -1 else afe, eps=comp.eps,
+                        afe=afe, mellin=mellin, spread=spread)
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +360,8 @@ def _gl_panels(a: float, b: float, panels: int, rule: tuple):
     return (mid + half * nodes).ravel(), (half * weights).ravel()
 
 
-# default Gauss-Legendre mesh of the band below height 1: panels across
-# the strip, panels up the band, and nodes per panel
+# Gauss-Legendre mesh of the band below height 1: panels across the strip,
+# panels up the band, and nodes per panel
 NORM_X_PANELS = 6
 NORM_Y_PANELS = 2
 NORM_ORDER = 12
@@ -374,25 +389,24 @@ def _cusp_strip(form: Eigenform, Y: float) -> float:
     return total
 
 
-def petersson_norm(form: Eigenform, x_panels: int = NORM_X_PANELS,
-                   y_panels: int = NORM_Y_PANELS,
-                   order: int = NORM_ORDER) -> float:
+def petersson_norm(form: Eigenform) -> float:
     """Petersson norm: the integral of y^(k-2) |phi|^2 dx dy over a
     fundamental domain of the level group, the standard triangle F and the
     N pieces -1/(F + j) at the cusp 0, which the Fricke involution (keeping
     y^k |phi|^2) carries to (F + j)/N.  F above height 1 and the (F + j)/N
     above height 1/N each fill one period strip, given exactly by Parseval.
     The band |x| <= 1/2, sqrt(1 - x^2) <= y <= 1 and its N images are
-    meshed, with one evaluator call for each; the same mesh with every
-    panel count doubled gives the value, and a change beyond NORM_TOL of
-    the norm raises AccuracyError.
+    meshed (NORM_X_PANELS x NORM_Y_PANELS panels of NORM_ORDER nodes), with
+    one evaluator call for each; the same mesh with every panel count
+    doubled gives the value, and a change beyond NORM_TOL of the norm
+    raises AccuracyError.
     """
     N, k = form.level, form.weight
-    rule = np.polynomial.legendre.leggauss(order)
+    rule = np.polynomial.legendre.leggauss(NORM_ORDER)
     bands = []
     for m in (1, 2):
-        xs, wxs = _gl_panels(-0.5, 0.5, m * x_panels, rule)
-        ts, wts = _gl_panels(0.0, 1.0, m * y_panels, rule)
+        xs, wxs = _gl_panels(-0.5, 0.5, m * NORM_X_PANELS, rule)
+        ts, wts = _gl_panels(0.0, 1.0, m * NORM_Y_PANELS, rule)
         y_low = np.sqrt(1.0 - xs * xs)[:, None]
         ys = y_low + (1.0 - y_low) * ts
         z = xs[:, None] + 1j * ys

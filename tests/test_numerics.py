@@ -18,7 +18,7 @@ from modlavg.errors import AccuracyError, DomainError, PoleError
 
 def euler_beta_quadrature(z, w):
     """Independent oracle: the half-line integral representation."""
-    spec = nm.QuadratureSpec(domain=nm.half_line(), rel_tol=1e-13, abs_tol=1e-14)
+    spec = nm.QuadratureSpec(domain=nm.half_line(0.0), rel_tol=1e-13, abs_tol=1e-14)
     res = nm.integrate(lambda t: t ** (z - 1.0) / (1.0 + t) ** (z + w), spec)
     return res.require()
 
@@ -198,7 +198,7 @@ class TestIntegrate:
         assert nm.integrate(lambda t: 1.0, spec).require().real == pytest.approx(1.0)
 
     def test_half_line_beta(self):
-        spec = nm.QuadratureSpec(domain=nm.half_line(), rel_tol=1e-12)
+        spec = nm.QuadratureSpec(domain=nm.half_line(0.0), rel_tol=1e-12)
         res = nm.integrate(lambda t: t ** 0.5 / (1.0 + t) ** 3, spec)
         assert res.require().real == pytest.approx(math.pi / 8.0, rel=1e-11)
 
@@ -232,14 +232,16 @@ class TestIntegrate:
 
 
 class TestLineRule:
-    """The exp-sinh rule on the half line and, through x = a + (b - a) s/(1 + s),
-    on finite intervals."""
+    """The exp-sinh rule on half lines through x = a + s and on finite
+    intervals through x = a + (b - a) s/(1 + s)."""
 
     KNOWN = [
         ("L(1, chi_-4)", None, math.pi / 4.0),
-        ("B(1.5, 2.5)", (nm.half_line(), lambda t: t ** 0.5 / (1.0 + t) ** 4),
+        ("B(1.5, 2.5)", (nm.half_line(0.0), lambda t: t ** 0.5 / (1.0 + t) ** 4),
          math.gamma(1.5) * math.gamma(2.5) / math.gamma(4.0)),
-        ("2 K_1(2)", (nm.half_line(), lambda t: np.exp(-t - 1.0 / t)), 2.0 * k1(2.0)),
+        ("2 K_1(2)", (nm.half_line(0.0), lambda t: np.exp(-t - 1.0 / t)), 2.0 * k1(2.0)),
+        ("Gamma(2.5, 1.5)", (nm.half_line(1.5), lambda t: t ** 1.5 * np.exp(-t)),
+         gammaincc(2.5, 1.5) * gamma(2.5)),
         ("Euler 2F1(2.5, 2; 4; 0.3)",
          (nm.interval(0.0, 1.0), lambda t: t * (1.0 - t) * (1.0 - 0.3 * t) ** -2.5),
          hyp2f1(2.5, 2.0, 4.0, 0.3) * math.gamma(2.0) * math.gamma(2.0) / math.gamma(4.0)),
@@ -265,7 +267,7 @@ class TestLineRule:
 
     @pytest.mark.parametrize("domain, f", [
         (nm.interval(0.0, 1.0), lambda t: t ** -0.9999),
-        (nm.half_line(), lambda t: 1.0 / (1.0 + t)),
+        (nm.half_line(0.0), lambda t: 1.0 / (1.0 + t)),
         # the nodes next to t = 1 round onto it, where the integrand is infinite
         (nm.interval(0.0, 1.0), lambda t: (1.0 - t) ** -0.5),
         (nm.quadrant(), lambda a, b: np.where(a > 1e29, np.inf, np.exp(-a - b))),
@@ -275,7 +277,7 @@ class TestLineRule:
         with pytest.raises(AccuracyError):
             nm.integrate(f, nm.QuadratureSpec(domain=domain)).require()
 
-    @pytest.mark.parametrize("domain", [nm.interval(0.0, 1.0), nm.half_line()],
+    @pytest.mark.parametrize("domain", [nm.interval(0.0, 1.0), nm.half_line(0.0)],
                              ids=["interval", "half_line"])
     def test_nan_flagged(self, domain):
         # one NaN among the nodes is enough
@@ -288,14 +290,14 @@ class TestLineRule:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = nm.integrate(lambda t: np.exp(-1.0 / t) / (1.0 + np.exp(t)),
-                               nm.QuadratureSpec(domain=nm.half_line()))
+                               nm.QuadratureSpec(domain=nm.half_line(0.0)))
             nm.integrate(lambda t: 1.0 / t, nm.QuadratureSpec(domain=nm.interval(0.0, 1.0)))
         assert res.converged
 
     def test_complex_integrand(self):
         # int_0^oo e^(-t) (1 + i t) dt = 1 + i
         res = nm.integrate(lambda t: np.exp(-t) * (1.0 + 1.0j * t),
-                           nm.QuadratureSpec(domain=nm.half_line(), rel_tol=1e-13))
+                           nm.QuadratureSpec(domain=nm.half_line(0.0), rel_tol=1e-13))
         assert abs(res.require() - (1.0 + 1.0j)) <= res.error
 
     def test_import_leaves_out_scipy(self):
