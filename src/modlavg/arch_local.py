@@ -171,7 +171,12 @@ def singular_upper_quadrature(k: int, s1: complex, s2: complex) -> complex:
                        - k * np.log(np.hypot(a, b + 1.0)))
         return 2.0j * np.sin(k * theta) * power
 
-    spec = QuadratureSpec(domain=quadrant(), rel_tol=1e-9, abs_tol=1e-12)
+    # abs_tol holds for the returned value, after the factor d 2^k, so it
+    # cannot swamp rel_tol at high weight, where the integral is tiny (about
+    # 1e-300 at k = 1000).  The step gap grows with k as sin(k theta)
+    # oscillates faster: 1.4e-8 relative at k = 200, whose value is within
+    # 1e-13 of the closed form, hence rel_tol 1e-7; 5e-2 at k = 1000, refused
+    spec = QuadratureSpec(domain=quadrant(), rel_tol=1e-7, abs_tol=1e-12 / scale)
     return scale * integrate(f, spec).require()
 
 
@@ -195,7 +200,8 @@ def singular_lower_quadrature(k: int, s1: complex, s2: complex) -> complex:
                        - k * np.log(np.hypot(a + 1.0, b)))
         return -2.0j * np.sin(k * phi) * power
 
-    spec = QuadratureSpec(domain=quadrant(), rel_tol=1e-9, abs_tol=1e-12)
+    # the tolerances of singular_upper_quadrature
+    spec = QuadratureSpec(domain=quadrant(), rel_tol=1e-7, abs_tol=1e-12 / scale)
     return scale * integrate(f, spec).require()
 
 

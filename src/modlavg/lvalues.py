@@ -10,11 +10,12 @@ normalization used by callers is s_an = s - (k-1)/2, so the central point
 is s_an = 1/2.  Twists by a quadratic character of fundamental discriminant
 D coprime to N have conductor N D^2.
 
-Every value of a form in the upper half plane comes from one evaluator,
-q_expansion_eval: a Horner sum truncated at the fewest stored coefficients
-whose certified tail is within QEXP_TAIL_TOL, refusing when the stored
-coefficients cannot reach it.  The Fricke sign, the Mellin route and the
-Petersson norm all use it.
+Every value of a form in the upper half plane is a Horner sum truncated at
+the fewest stored coefficients whose certified tail is within QEXP_TAIL_TOL
+(_certified_count), refusing when the stored coefficients cannot reach it.
+The Fricke sign, the Mellin route and the Petersson norm take the values
+from one evaluator, q_expansion_eval, except the norm's N cusp images,
+whose squared moduli it sums in one pass over the residue classes mod N.
 
 L(1/2, f) and L(1/2, f x chi_D) take one path, with the trivial character
 and C = N in the first case.  Each is computed along two routes: a smoothed
@@ -30,7 +31,8 @@ the functional equation.  Both must be within CENTRAL_WITNESS_TOL.
 
 The Petersson norm takes the cusps at infinity and 0 exactly above heights
 1 and 1/N, by Parseval, and meshes only the band between the unit arc and
-height 1, checking that mesh against itself with every panel count doubled.
+height 1 and its N images, checking that mesh against itself with every
+panel count doubled.
 """
 
 from __future__ import annotations
@@ -84,18 +86,11 @@ def _tail_bound(k: int, y: float, start: int) -> float:
     return first / (1.0 - ratio)
 
 
-def q_expansion_eval(form: Eigenform, z):
-    """Value of the form at z (Im z > 0), a point or an array of points,
-    from its stored coefficients.
-
-    Sums the first n coefficients, n the fewest whose certified tail at the
-    lowest point is within QEXP_TAIL_TOL; raises InsufficientCoefficients
-    when the stored coefficients cannot reach that bound.
-    """
-    zs = np.asarray(z, dtype=complex)
-    if zs.size == 0 or not np.all(zs.imag > 0):
-        raise DomainError("need Im z > 0")
-    k, y, n_max = form.weight, float(zs.imag.min()), form.n_max
+def _certified_count(form: Eigenform, y: float) -> int:
+    """The fewest leading coefficients whose certified tail at height y is
+    within QEXP_TAIL_TOL; InsufficientCoefficients when the stored
+    coefficients cannot reach that bound."""
+    k, n_max = form.weight, form.n_max
     # the tail bound does not increase with its start, so bisect; n_max + 1
     # means no stored count suffices
     n, hi = 0, n_max + 1
@@ -110,6 +105,21 @@ def q_expansion_eval(form: Eigenform, z):
             f"{form.label}: tail at Im z = {y:.4f} exceeds {QEXP_TAIL_TOL:.0e} "
             f"with {n_max} coefficients"
         )
+    return n
+
+
+def q_expansion_eval(form: Eigenform, z):
+    """Value of the form at z (Im z > 0), a point or an array of points,
+    from its stored coefficients.
+
+    Sums the first n coefficients, n the fewest whose certified tail at the
+    lowest point is within QEXP_TAIL_TOL; raises InsufficientCoefficients
+    when the stored coefficients cannot reach that bound.
+    """
+    zs = np.asarray(z, dtype=complex)
+    if zs.size == 0 or not np.all(zs.imag > 0):
+        raise DomainError("need Im z > 0")
+    n = _certified_count(form, float(zs.imag.min()))
     # a point goes through the same array arithmetic as a batch, so both
     # give the same bits
     q = np.exp(2j * np.pi * np.atleast_1d(zs))
@@ -389,6 +399,31 @@ def _cusp_strip(form: Eigenform, Y: float) -> float:
     return total
 
 
+def _cusp_images(form: Eigenform, z: np.ndarray) -> np.ndarray:
+    """sum_(j mod N) |phi((z + j)/N)|^2 at each point of the array z, in one
+    pass over the coefficients: with n = m N + r, orthogonality of the
+    characters mod N gives
+
+        N sum_(r = 1..N) e^(-4 pi r y/N) |sum_(m >= 0) c_(m N + r) q^m|^2,
+
+    q = e^(2 pi i z), one short Horner sum per residue class.  The images
+    take the coefficients q_expansion_eval would take at their lowest point,
+    so they are certified, and refused, exactly as it would."""
+    N = form.level
+    ys = z.imag
+    n = _certified_count(form, float(ys.min()) / N)
+    q = np.exp(2j * np.pi * z)
+    total = np.zeros(z.shape)
+    # one class at a time on mesh-sized arrays: an (N, mesh) batch costs
+    # memory and is no faster
+    for r in range(1, N + 1):
+        acc = np.zeros_like(q)
+        for c in reversed(form.coeffs[r - 1:n:N]):
+            acc = acc * q + c
+        total += np.exp(-4.0 * np.pi * r / N * ys) * np.abs(acc) ** 2
+    return N * total
+
+
 def petersson_norm(form: Eigenform) -> float:
     """Petersson norm: the integral of y^(k-2) |phi|^2 dx dy over a
     fundamental domain of the level group, the standard triangle F and the
@@ -396,10 +431,11 @@ def petersson_norm(form: Eigenform) -> float:
     y^k |phi|^2) carries to (F + j)/N.  F above height 1 and the (F + j)/N
     above height 1/N each fill one period strip, given exactly by Parseval.
     The band |x| <= 1/2, sqrt(1 - x^2) <= y <= 1 and its N images are
-    meshed (NORM_X_PANELS x NORM_Y_PANELS panels of NORM_ORDER nodes), with
-    one evaluator call for each; the same mesh with every panel count
-    doubled gives the value, and a change beyond NORM_TOL of the norm
-    raises AccuracyError.
+    meshed (NORM_X_PANELS x NORM_Y_PANELS panels of NORM_ORDER nodes): one
+    evaluator call for the band and one pass over the residue classes mod N
+    of the coefficients for all its images (_cusp_images); the same mesh
+    with every panel count doubled gives the value, and a change beyond
+    NORM_TOL of the norm raises AccuracyError.
     """
     N, k = form.level, form.weight
     rule = np.polynomial.legendre.leggauss(NORM_ORDER)
@@ -410,9 +446,7 @@ def petersson_norm(form: Eigenform) -> float:
         y_low = np.sqrt(1.0 - xs * xs)[:, None]
         ys = y_low + (1.0 - y_low) * ts
         z = xs[:, None] + 1j * ys
-        vals = np.abs(q_expansion_eval(form, z)) ** 2
-        for j in range(N):
-            vals += np.abs(q_expansion_eval(form, (z + j) / N)) ** 2 / N ** k
+        vals = np.abs(q_expansion_eval(form, z)) ** 2 + _cusp_images(form, z) / N ** k
         weights = wxs[:, None] * (1.0 - y_low) * wts * ys ** (k - 2.0)
         bands.append(float(np.sum(weights * vals)))
     coarse, fine = bands

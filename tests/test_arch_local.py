@@ -4,7 +4,7 @@ import random
 import pytest
 
 from modlavg import arch_local as al
-from modlavg.errors import DomainError
+from modlavg.errors import AccuracyError, DomainError
 
 
 class TestMatrixCoefficient:
@@ -105,6 +105,19 @@ class TestUpperSingular:
         with pytest.raises(DomainError, match="overflows"):
             quadrature(1100, 0.0, 0.0)
         assert math.isfinite(abs(al.singular_upper_closed(1100, 0.0, 0.0)))
+
+    @pytest.mark.parametrize("quadrature, sign", [(al.singular_upper_quadrature, 1),
+                                                  (al.singular_lower_quadrature, -1)])
+    def test_high_weight_converges_or_refuses(self, quadrature, sign):
+        # at k = 1000 the integral before d 2^k is about 1e-300, so an
+        # absolute tolerance on it would accept any estimate; at the origin
+        # lower = -upper
+        closed = sign * al.singular_upper_closed(1000, 0.0, 0.0)
+        try:
+            quad = quadrature(1000, 0.0, 0.0)
+        except AccuracyError:
+            return
+        assert abs(quad - closed) <= 1e-6 * abs(closed)
 
     def test_purely_imaginary_at_origin(self):
         for k in (4, 6, 8):

@@ -266,8 +266,33 @@ class TestPeterssonNorm:
         f = forms["11.4.a"]
         cut = Eigenform(level=11, weight=4, label="cut",
                         coeffs=list(f.coeffs[:50]))
-        with pytest.raises(InsufficientCoefficients):
+        with pytest.raises(InsufficientCoefficients, match="cut: tail at Im z"):
             lv.petersson_norm(cut)
+
+    def test_class_sum_equals_image_sum(self, forms):
+        # the oracle: one evaluator call for each image (z + j)/N
+        xs = np.linspace(-0.5, 0.5, 7)
+        z = xs[:, None] + 1j * np.linspace(0.9, 1.0, 3)
+        for f in list(forms.values()) + newforms(19, 4, 800):
+            N = f.level
+            images = sum(np.abs(lv.q_expansion_eval(f, (z + j) / N)) ** 2
+                         for j in range(N))
+            classes = lv._cusp_images(f, z)
+            assert np.max(np.abs(classes - images) / images) <= 1e-14, f.label
+
+    def test_one_pass_for_all_images(self, forms, monkeypatch):
+        # each mesh takes one evaluator call for the band and one pass over
+        # the full coefficient count for its N images, not one call for each
+        f = forms["11.4.a"]
+        evaluated, counted = [], []
+        evaluate, count = lv.q_expansion_eval, lv._certified_count
+        monkeypatch.setattr(lv, "q_expansion_eval",
+                            lambda form, z: evaluated.append(z) or evaluate(form, z))
+        monkeypatch.setattr(lv, "_certified_count",
+                            lambda form, y: counted.append(y) or count(form, y))
+        lv.petersson_norm(f)
+        assert len(evaluated) <= 2
+        assert len([y for y in counted if y < 1.0 / f.level]) <= 2
 
     def test_deterministic(self, forms):
         f = forms["5.4.a"]
