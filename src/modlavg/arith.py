@@ -134,7 +134,7 @@ def dirichlet_l(D: int, s: float) -> float:
     if s == 0:
         return l_zero_finite_sum(D)
     if s != 1:
-        raise ValueError("only s = 0 and s = 1 are supported")
+        raise DomainError("only s = 0 and s = 1 are supported")
     return dirichlet_l_one(D).require().real
 
 
@@ -193,7 +193,7 @@ def class_number_weighted(disc: int) -> Fraction:
     reduced primitive forms counted one discriminant at a time, discs -3
     and -4 weighted 1/3 and 1/2 (the tests' oracle for the Hurwitz sieve)."""
     if disc >= 0 or disc % 4 not in (0, 1):
-        raise ValueError(f"invalid discriminant {disc}")
+        raise DomainError(f"invalid discriminant {disc}")
     n = -disc
     count = 0
     b = n & 1
@@ -282,7 +282,7 @@ def eichler_selberg_trace(N: int, k: int, m: int) -> int:
     _check_prime(N)
     _check_weight(k)
     if m < 1 or math.gcd(m, N) != 1:
-        raise ValueError("need m >= 1 with gcd(m, N) = 1")
+        raise DomainError("need m >= 1 with gcd(m, N) = 1")
 
     h12 = _hurwitz12(1 << (4 * m - 1).bit_length())
     psi, total = psi_index(N), 0

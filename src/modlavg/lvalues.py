@@ -190,7 +190,7 @@ class CompletedL:
     """Completed L-function of a form, optionally twisted by chi_D."""
 
     form: Eigenform
-    twist: int | None = None  # fundamental discriminant D < 0
+    twist: int | None = None  # fundamental discriminant D of either sign, prime to N
     # functional-equation sign (arithmetic center), measured at construction
     eps: int = field(init=False)
 

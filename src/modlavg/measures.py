@@ -59,7 +59,7 @@ class SatakeMeasure:
     def __post_init__(self):
         _check_prime(self.p)
         if self.sign not in (+1, -1):
-            raise ValueError("sign must be +1 or -1")
+            raise DomainError("sign must be +1 or -1")
 
 
 def _check_support(x) -> None:
@@ -160,7 +160,7 @@ class SatakePolynomial:
 
 def satake_poly(n: int, p: int) -> SatakePolynomial:
     if n < 0:
-        raise ValueError("index n must be >= 0")
+        raise DomainError("index n must be >= 0")
     _check_prime(p)
     if n == 0:
         return SatakePolynomial(n=0, p=p, coeffs=((0, 1.0),))
@@ -180,7 +180,7 @@ def coset_list(n: int, p: int) -> list:
     multiplicity counts the admissible top-right entries.
     """
     if n < 0:
-        raise ValueError("index n must be >= 0")
+        raise DomainError("index n must be >= 0")
     _check_prime(p)
     if n == 0:
         return [(0, 0, 1)]
@@ -215,7 +215,7 @@ def moment(m: SatakeMeasure, n: int) -> float:
     contract: 1 for n = 0; for n >= 1, 2 when sign = +1 and 0 when -1.
     """
     if n < 0:
-        raise ValueError("index n must be >= 0")
+        raise DomainError("index n must be >= 0")
     psi = satake_poly(n, m.p)
     scale = m.p ** (n / 2.0)
     return scale * _integrate_against(lambda x: density(m, x), psi.evaluate)
@@ -259,7 +259,7 @@ def spectral_density(p: int, delta: complex, s: complex) -> complex:
     _check_prime(p)
     d = complex(delta)
     if d == 0:
-        raise ValueError("delta must be nonzero")
+        raise DomainError("delta must be nonzero")
     t = p ** (complex(s) - 0.5)
     denom = (1.0 - t / d) * (1.0 - d * t)
     if abs(denom) < 1e-14:
@@ -319,7 +319,7 @@ def sato_tate_limit_check(sign: int, n: int, primes) -> dict:
     """Moments of X_n along a prime sequence, with the semicircle target."""
     primes = list(primes)
     if any(q >= r for q, r in zip(primes, primes[1:])):
-        raise ValueError("prime sequence must be increasing")
+        raise DomainError("prime sequence must be increasing")
     vals = [basis_moment(SatakeMeasure(p=q, sign=sign), n) for q in primes]
     target = sato_tate_basis_moment(n)
     return {"primes": primes, "moments": vals, "limit": target}

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arith import _kernel, _rref, dim_cusp_forms, hecke_coefficient
-from .errors import InvariantViolation
+from .errors import DomainError, InvariantViolation
 
 __all__ = ["CuspSpace"]
 
@@ -56,7 +56,7 @@ def eisenstein(w, L):
     elif w == 6:
         c, r = -504, 5
     else:
-        raise ValueError("only weights 4 and 6")
+        raise DomainError("only weights 4 and 6")
     s = sigma_list(r, L)
     return [1] + [c * s[n] for n in range(1, L)]
 
@@ -119,7 +119,7 @@ class CuspSpace:
 
     def __init__(self, N: int, k: int, length: int = 400):
         if k % 2 or not 4 <= k < 12:
-            raise ValueError("supported weights are even, 4 <= k < 12")
+            raise DomainError("supported weights are even, 4 <= k < 12")
         self.N, self.k, self.L = N, k, length
         self.dim = dim_cusp_forms(N, k)
         # generators: (series, weight, constant term of the Fricke image)
@@ -201,8 +201,9 @@ class CuspSpace:
             basis.append(vec)
         # reduced echelon form: coordinates are read off at the pivots
         self.basis, self.pivots = _rref(basis)
-        for v in self.basis:
-            assert v[0] == 0
+        if any(v[0] != 0 for v in self.basis):
+            raise InvariantViolation(
+                f"a cusp basis series of level {self.N} has a constant term")
 
     # -- linear algebra over the q-expansion model --------------------------
 
@@ -226,7 +227,7 @@ class CuspSpace:
     def hecke_matrix(self, m):
         rows_needed = max(self.pivots) + 1
         if m * rows_needed > self.L:
-            raise ValueError(f"series too short for T_{m}")
+            raise DomainError(f"series too short for T_{m}")
         cols = []
         for vec in self.basis:
             img = self.hecke_image(vec, m, rows_needed)

@@ -77,7 +77,7 @@ class QuadratureSpec:
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be strictly positive")
+            raise DomainError("tolerances must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def _integrate_line(f, dom) -> tuple:
         x = a + (b - a) * s / (1.0 + s)
         w = w * (b - a) / (1.0 + s) ** 2
     else:
-        raise ValueError(f"unknown domain kind {dom[0]!r}")
+        raise DomainError(f"unknown domain kind {dom[0]!r}")
     with np.errstate(all="ignore"):
         terms = w * np.broadcast_to(f(x), x.shape)
     if np.isnan(terms).any():
@@ -375,9 +375,10 @@ def gamma_upper(a: float, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _MAX_2F1_TERMS = 6000
+_2F1_TOL = 1e-16  # a term below this share of the sum, three times running, ends it
 
 
-def _hyp2f1_series(a, b, c, z, tol=1e-16):
+def _hyp2f1_series(a, b, c, z):
     """Gauss series with compensated summation; |z| must be < 1."""
     total = 1.0 + 0.0j
     comp = 0.0j  # Kahan compensation
@@ -393,7 +394,7 @@ def _hyp2f1_series(a, b, c, z, tol=1e-16):
         n += 1
         if term == 0:
             return total
-        if abs(term) <= tol * max(abs(total), 1e-30):
+        if abs(term) <= _2F1_TOL * max(abs(total), 1e-30):
             small_streak += 1
             if small_streak >= 3:
                 return total

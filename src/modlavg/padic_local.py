@@ -15,7 +15,10 @@ Ramified places are not enumerated; only their Gauss sums live here.
 
 Orbits are the regular family (parameterized by v(x), v(1-x)) and the five
 singular representatives; weights are tracked exactly as Laurent data in
-(chi(q) q^{s1}, q^{-s2}).
+(chi(q) q^{s1}, q^{-s2}).  The Hecke singular transforms rest on two
+identities, each stated once: the closed transform is the local L-factor
+times the pole-free quotient, and the lower side is chi(q)^n times the upper
+side at (-s2, -s1), which on Laurent data exchanges the two exponents.
 
 The membership rule is one function over integer arrays of valuations, so a
 window of cells is decided in blocks of rows, exactly (integer arithmetic
@@ -290,109 +293,62 @@ def _local_l(delta: int, q: int, z: complex) -> complex:
     return 1.0 / den
 
 
-def hecke_transform_closed(q: int, delta: int, n: int, s1: complex, s2: complex,
-                           side: str) -> complex:
-    """Value of the singular integral of the n-th double-coset function.
+def _check_hecke(delta: int, n: int, side: str) -> None:
+    """Refuse delta other than +-1, n < 0 and an unknown side, before any arithmetic."""
+    if delta not in (+1, -1):
+        raise DomainError(f"delta must be +1 or -1, got {delta!r}")
+    if type(n) is not int or n < 0:
+        raise DomainError(f"index n must be an int >= 0, got {n!r}")
+    if side not in ("upper", "lower"):
+        raise DomainError(f"side must be 'upper' or 'lower', got {side!r}")
 
-    side "upper": cells along v(b) = n - 2*alpha; the closed form is
-        q^{-n s2} L_q(-s1-s2) + delta^-n q^{-n s1} L_q(-s1-s2)
-        + sum_{alpha=1}^{n-1} delta^-alpha q^{-alpha s1} q^{-(n-alpha) s2};
-    side "lower": the mirrored sum
-        delta^-n q^{n s1} L_q(s1+s2) + q^{n s2} L_q(s1+s2)
-        + q^{n s1} delta^-n sum_{alpha=1}^{n-1} (delta q^{s2-s1})^alpha.
 
-    Raises PoleError at the L-factor pole (delta = +1, s1 + s2 -> 0 on the
-    appropriate side).
-    """
-    if n < 0:
-        raise DomainError("index n must be >= 0")
-    s1, s2 = complex(s1), complex(s2)
-    if side == "upper":
-        lfac = _local_l(delta, q, -(s1 + s2))
-        if n == 0:
-            return lfac
-        total = q ** (-n * s2) * lfac
-        total += delta ** (-n) * q ** (-n * s1) * lfac
-        for alpha in range(1, n):
-            total += delta ** (-alpha) * q ** (-alpha * s1) * q ** (-(n - alpha) * s2)
-        return total
-    if side == "lower":
-        lfac = _local_l(delta, q, s1 + s2)
-        if n == 0:
-            return lfac
-        total = delta ** (-n) * q ** (n * s1) * lfac
-        total += q ** (n * s2) * lfac
-        mid = sum((delta * q ** (s2 - s1)) ** alpha for alpha in range(1, n))
-        total += q ** (n * s1) * delta ** (-n) * mid
-        return total
-    raise DomainError("side must be 'upper' or 'lower'")
+def _upper_cells(n: int) -> tuple:
+    """Exponents (m, n') of the upper cells (chi(q) q^{s1})^m q^{-n' s2}: the
+    heads of the families v(b) = +-n (one family at n = 0), geometric of ratio
+    chi(q) q^{s1+s2} up v(a), and the single cells v(b) = n - 2 alpha, 0 < alpha < n."""
+    return {(0, n), (-n, 0)}, {(-a, n - a) for a in range(1, n)}
 
 
 def hecke_transform_quotient(q: int, delta: int, n: int, s1: complex, s2: complex,
                              side: str) -> complex:
-    """The transform divided by its local L-factor; finite at s = 0.
-
-    Tends to 2 (delta = +1) and 0 (delta = -1) for every n >= 1.
+    """The singular transform of the n-th double-coset function divided by
+    its local L-factor; finite at s = 0, and 1 at n = 0.  The upper side is
+        q^{-n s2} + delta^-n q^{-n s1} + (1 - delta q^{s1+s2})
+            * sum_{alpha=1}^{n-1} delta^-alpha q^{-alpha s1 - (n-alpha) s2},
+    the lower side delta^n times the upper side at (-s2, -s1).  Tends to 2
+    (delta = +1) and 0 (delta = -1) for every n >= 1.
     """
-    if n < 0:
-        raise DomainError("index n must be >= 0")
+    _check_hecke(delta, n, side)
     s1, s2 = complex(s1), complex(s2)
-    if n == 0:
-        return 1.0 + 0.0j
-    if side == "upper":
-        quot = q ** (-n * s2) + delta ** (-n) * q ** (-n * s1)
-        pole_inv = 1.0 - delta * q ** (s1 + s2)
-        mid = sum(delta ** (-a) * q ** (-a * s1) * q ** (-(n - a) * s2)
-                  for a in range(1, n))
-        return quot + pole_inv * mid
     if side == "lower":
-        quot = delta ** (-n) * q ** (n * s1) + q ** (n * s2)
-        pole_inv = 1.0 - delta * q ** (-(s1 + s2))
-        mid = q ** (n * s1) * delta ** (-n) * sum(
-            (delta * q ** (s2 - s1)) ** a for a in range(1, n)
-        )
-        return quot + pole_inv * mid
-    raise DomainError("side must be 'upper' or 'lower'")
+        return delta ** n * hecke_transform_quotient(q, delta, n, -s2, -s1, "upper")
+    x, y = delta * q ** s1, q ** -s2
+    heads, middle = (sum(x ** m * y ** k for m, k in cells) for cells in _upper_cells(n))
+    return heads + (1.0 - delta * q ** (s1 + s2)) * middle
+
+
+def hecke_transform_closed(q: int, delta: int, n: int, s1: complex, s2: complex,
+                           side: str) -> complex:
+    """Value of the singular integral of the n-th double-coset function: the
+    local L-factor L_q(-s1-s2) (upper) or L_q(s1+s2) (lower) times
+    hecke_transform_quotient; PoleError at its pole (delta = +1, s1 + s2 = 0)."""
+    quotient = hecke_transform_quotient(q, delta, n, s1, s2, side)
+    z = complex(s1) + complex(s2)
+    return _local_l(delta, q, -z if side == "upper" else z) * quotient
 
 
 def hecke_singular_window(q: int, n: int, side: str, window: int) -> LaurentValue:
-    """Window-clipped Laurent data of the three coset families, for exact
-    comparison against the brute-force enumeration."""
-    if n < 0 or window < n + 1:
+    """Window-clipped Laurent data of the three coset families (v(a) <= window
+    on the upper side, exponents exchanged on the lower), for exact comparison
+    against the brute-force enumeration; the cells do not depend on chi(q)."""
+    _check_hecke(+1, n, side)
+    if window < n + 1:
         raise DomainError("need window > n")
-    d: dict = {}
-
-    def add(m, nn):
-        d[(m, nn)] = d.get((m, nn), 0) + 1
-
-    if side == "upper":
-        # family v(b) = n: v(a) >= 0; family v(b) = -n: v(a) >= -n;
-        # middle: single cell per 0 < alpha < n
-        for va in range(0, window + 1):
-            add(va, n - va)
-        for va in range(-n, window + 1):
-            add(va, -n - va)
-        for alpha in range(1, n):
-            add(-alpha, n - alpha)
-    elif side == "lower":
-        for vb in range(0, window + 1):
-            add(n - vb, vb)
-        for vb in range(-n, window + 1):
-            add(-n - vb, vb)
-        for alpha in range(1, n):
-            add((n - 2 * alpha) - (-alpha), -alpha)
-    else:
-        raise DomainError("side must be 'upper' or 'lower'")
-    if n == 0:
-        # the two extreme families coincide; remove the double count
-        d = {}
-        if side == "upper":
-            for va in range(0, window + 1):
-                d[(va, -va)] = 1
-        else:
-            for vb in range(0, window + 1):
-                d[(-vb, vb)] = 1
-    return LaurentValue.from_dict(d)
+    heads, middle = _upper_cells(n)
+    cells = middle | {(m + j, k - j) for m, k in heads for j in range(window - m + 1)}
+    upper = LaurentValue.from_dict(dict.fromkeys(cells, 1))
+    return upper if side == "upper" else upper.reflected(+1)
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +411,11 @@ def n_minus_reflection_check(q: int, delta: int) -> dict:
     tail = (q + 1) * ratio ** (REFLECTION_WINDOW + 1) / (1.0 - ratio)
     level_gap = abs(lo_lvl.evaluate(delta, q, s1, s2) - (closed - tail))
 
-    # with the basic support the singular integrals ARE the local L-factors:
-    # every Laurent coefficient along the geometric diagonal equals 1, which
+    # the basic support is the n = 0 double coset, so the singular integrals
+    # ARE the local L-factors: their cells are the n = 0 Hecke window, which
     # is the exact statement that the normalized quotients are identically 1
-    f_up = up.as_dict() == {(j, -j): 1 for j in range(REFLECTION_WINDOW + 1)}
-    f_lo = lo.as_dict() == {(-j, j): 1 for j in range(REFLECTION_WINDOW + 1)}
+    f_up = up == hecke_singular_window(q, 0, "upper", REFLECTION_WINDOW)
+    f_lo = lo == hecke_singular_window(q, 0, "lower", REFLECTION_WINDOW)
     return {
         "laurent_gap": laurent_gap,
         "level_gap": level_gap,

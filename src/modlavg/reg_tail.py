@@ -80,10 +80,17 @@ def subpolynomial_check(epsilon: float, n_max: int) -> dict:
     return {"max": best, "argmax": arg}
 
 
+def _check_level(N: int) -> None:
+    """Refuse a level below 1: the orbits n = mN + M would not advance."""
+    if N < 1:
+        raise DomainError(f"level N must be >= 1, got {N!r}")
+
+
 def tail_sum(N: int, M: int, u: float, n_max: int) -> dict:
     """sum over m >= 1, mN + M <= n_max of (mN + M)^(-u), plus an
     integral-test bound for the truncated remainder, and the ratio of the
     total against N^(-u)."""
+    _check_level(N)
     if u <= 1:
         raise DomainError("need u > 1")
     total = 0.0
@@ -149,6 +156,7 @@ def regular_term_bound(n: int, M: int, k: int) -> float:
 def tail_envelope(N: int, M: int, k: int, n_max: int) -> dict:
     """Sum of the per-orbit bounds over n = mN + M <= n_max, compared with
     the level-decay envelope N^(-k/2 + 0.1)."""
+    _check_level(N)
     total = 0.0
     for term in _term_bounds(np.arange(N + M, n_max + 1, N), M, k):
         total += term

@@ -1,0 +1,44 @@
+"""Every refusal of bad input is a typed error under ModlavgError."""
+
+import pytest
+
+from modlavg import arith, measures, modforms, numerics
+from modlavg.errors import DomainError, InvariantViolation, ModlavgError
+
+REFUSALS = {
+    "dirichlet_l at s = 2": lambda: arith.dirichlet_l(-4, 2),
+    "class_number_weighted of disc > 0": lambda: arith.class_number_weighted(5),
+    "eichler_selberg_trace at m = 0": lambda: arith.eichler_selberg_trace(7, 4, 0),
+    "SatakeMeasure with sign 0": lambda: measures.SatakeMeasure(p=5, sign=0),
+    "satake_poly at n = -1": lambda: measures.satake_poly(-1, 5),
+    "coset_list at n = -1": lambda: measures.coset_list(-1, 5),
+    "moment at n = -1": lambda: measures.moment(measures.SatakeMeasure(p=5, sign=1), -1),
+    "spectral_density at delta = 0": lambda: measures.spectral_density(5, 0, 0.1),
+    "sato_tate_limit_check on decreasing primes":
+        lambda: measures.sato_tate_limit_check(1, 2, [5, 3]),
+    "QuadratureSpec with rel_tol 0": lambda: numerics.QuadratureSpec(rel_tol=0.0),
+    "integrate over an unknown domain kind": lambda: numerics.integrate(
+        lambda x: x, numerics.QuadratureSpec(domain=("disc", 0.0))),
+    "eisenstein of weight 8": lambda: modforms.eisenstein(8, 10),
+    "CuspSpace of weight 12": lambda: modforms.CuspSpace(7, 12),
+    "hecke_matrix past the series": lambda: modforms.CuspSpace(7, 4, 40).hecke_matrix(41),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusal_is_typed(case):
+    with pytest.raises(ModlavgError) as info:
+        REFUSALS[case]()
+    assert isinstance(info.value, DomainError)
+
+
+def test_cusp_basis_constant_term_is_an_invariant(monkeypatch):
+    # the cusp cut forces every constant term to 0; a basis that breaks
+    # this is refused as an invariant violation, not an assertion
+    def rref_with_constant(rows):
+        basis, pivots = arith._rref(rows)
+        return [[1] + list(basis[0][1:])] + basis[1:], pivots
+
+    monkeypatch.setattr(modforms, "_rref", rref_with_constant)
+    with pytest.raises(InvariantViolation, match="constant term"):
+        modforms.CuspSpace(7, 4, 40)

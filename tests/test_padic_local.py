@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -255,12 +256,12 @@ class TestSingularTransforms:
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("side", ["upper", "lower"])
     def test_window_families_match_enumeration(self, q, side):
-        for n in range(5):
-            place = pl.PlaceSpec(q=q, kind="hecke", chi_q=+1, r=n, r2=0)
+        for chi_q, n in itertools.product((+1, -1), range(7)):
+            place = pl.PlaceSpec(q=q, kind="hecke", chi_q=chi_q, r=n, r2=0)
             orbit = pl.OrbitDatum(kind=side)
             brute = pl.brute_force_integral(place, orbit, window=max(8, n + 2))
             fam = pl.hecke_singular_window(q, n, side, window=max(8, n + 2))
-            assert brute.value.as_dict() == fam.as_dict(), (q, side, n)
+            assert brute.value.as_dict() == fam.as_dict(), (q, side, chi_q, n)
 
     def test_closed_form_matches_enumeration_numerically(self):
         # evaluate inside the half-plane where the cell series converges
@@ -330,6 +331,19 @@ class TestSingularTransforms:
     def test_pole_flag(self):
         with pytest.raises(PoleError):
             pl.hecke_transform_closed(3, +1, 2, 0.0, 0.0, "upper")
+
+    @pytest.mark.parametrize("delta, n, side", [
+        (0, 2, "upper"), (2, 2, "lower"), (+1, -1, "upper"), (-1, 0, "sideways"),
+    ])
+    def test_bad_input_refused(self, delta, n, side):
+        # delta is a character value, n an index, side one of two names;
+        # all three are checked before any arithmetic
+        for transform in (pl.hecke_transform_closed, pl.hecke_transform_quotient):
+            with pytest.raises(DomainError):
+                transform(3, delta, n, 0.1, 0.0, side)
+        if delta in (+1, -1):  # the window's cells do not depend on delta
+            with pytest.raises(DomainError):
+                pl.hecke_singular_window(3, n, side, 8)
 
     def test_geometric_series_identity(self):
         # singular upper sum at the basic place matches the truncated local

@@ -159,3 +159,13 @@ class TestEnvelope:
     def test_term_bound_validation(self):
         with pytest.raises(DomainError):
             rt.regular_term_bound(4, 4, 4)
+
+
+@pytest.mark.parametrize("N", [0, -3])
+def test_level_below_one_refused(N):
+    # at N = 0 the orbits mN + M never pass n_max (tail_sum looped forever)
+    # and the envelope divided by zero; both refuse before any work
+    with pytest.raises(DomainError, match="level N"):
+        rt.tail_sum(N, 1, 2.0, 10)
+    with pytest.raises(DomainError, match="level N"):
+        rt.tail_envelope(N, 4, 4, 100)
