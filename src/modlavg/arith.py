@@ -11,8 +11,8 @@ Hecke rule has one home: ``hecke_extend`` (recursion and multiplicativity;
 ``Eigenform.validate`` checks stored tables against it), ``hecke_coefficient``
 (T_m and U_N on coefficients) and ``admissible_levels``.  Exact row reduction
 over Q, trial-division factorization and one smallest-prime-factor sieve
-serve the newform generator, the q-expansion oracle, the Hecke extension and
-the local and regular-tail modules.
+serve the newform generator, the Hecke extension and the local and
+regular-tail modules.
 """
 
 from __future__ import annotations
@@ -406,11 +406,19 @@ class Eigenform:
         return all(isinstance(c, int) for c in self.coeffs)
 
     def validate(self) -> None:
-        """c_1 = 1, the eigenvalue bound at each prime p != N, and every c_n
-        equal to ``hecke_extend`` of the stored primes (HECKE_REL_TOL)."""
+        """c_1 = 1, c_N = -w N^(k/2-1) for a sign w (the stored Atkin-Lehner
+        sign, if any), the eigenvalue bound at each prime p != N, and every
+        c_n equal to ``hecke_extend`` of the stored primes (HECKE_REL_TOL)."""
         k, N, n_max = self.weight, self.level, self.n_max
         if self.c(1) != 1:
             raise InvariantViolation(f"{self.label}: c_1 = {self.c(1)} != 1")
+        w, root = self.atkin_lehner, N ** (k // 2 - 1)
+        signs = (1, -1) if w is None else (w,)
+        if N <= n_max and not any(abs(self.c(N) + s * root) <= HECKE_REL_TOL * root
+                                  for s in signs):
+            raise InvariantViolation(
+                f"{self.label}: c_{N} = {self.c(N)!r} is not -w {N}^{k // 2 - 1} for "
+                f"w = {'+1 or -1' if w is None else w} (n = {N}, relation = atkin-lehner)")
         primes = _primes_up_to(n_max)
         for p in primes:
             if p != N and abs(self.a(p)) > 2.0 + 1e-9:
@@ -465,6 +473,8 @@ def _parse_record(rec, where: str) -> Eigenform:
         raise InvariantViolation(f"{where}: record lacks {', '.join(missing)}")
     if not all(type(rec[key]) is int for key in ("level", "weight")):
         raise InvariantViolation(f"{where}: level and weight must be integers")
+    if rec.get("atkin_lehner") not in (None, 1, -1) or type(rec.get("atkin_lehner")) is bool:
+        raise InvariantViolation(f"{where}: atkin_lehner must be 1 or -1")
     raw = rec["coeffs"]
     if not isinstance(raw, list) or not raw:
         raise InvariantViolation(f"{where}: coeffs must be a non-empty list")

@@ -2,7 +2,8 @@
 
 Subcommands: measures, verify-local, verify-arch, constants, lvalues,
 average.  Exit codes: 0 when every check passes, 1 when a check the
-subcommand makes fails (for ``average``: the identity does not hold), 2 on
+subcommand makes fails (for ``average``: the identity does not hold; for
+``lvalues``: any typed error of one form other than a refused input), 2 on
 a typed package error or an unreadable or unwritable file, reported as one
 line on stderr.
 """
@@ -14,7 +15,7 @@ import math
 import sys
 
 from . import arch_local, measures, padic_local
-from .arith import is_fundamental_discriminant, load_eigenforms
+from .arith import load_eigenforms
 from .errors import DomainError, ModlavgError
 from .harness import ExperimentConfig, run_experiment
 from .lvalues import central_value, fricke_sign, petersson_norm
@@ -93,8 +94,6 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_lvalues(args) -> int:
-    if args.twist is not None and not is_fundamental_discriminant(args.twist):
-        raise DomainError(f"--twist {args.twist} is not a fundamental discriminant")
     forms = load_eigenforms(args.forms)
     code = 0
     for f in forms:
@@ -109,6 +108,8 @@ def _cmd_lvalues(args) -> int:
                 line += (f", L(1/2, twist {args.twist}) = {cvt.value!r} "
                          f"(eps = {cvt.eps:+d})")
             print(line)
+        except DomainError:
+            raise  # bad input, not a failed check
         except ModlavgError as exc:
             print(f"{f.label}: {type(exc).__name__}: {exc}")
             code = 1

@@ -13,21 +13,24 @@ D coprime to N have conductor N D^2.
 Every value of a form in the upper half plane is a Horner sum truncated at
 the fewest stored coefficients whose certified tail is within QEXP_TAIL_TOL
 (_certified_count), refusing when the stored coefficients cannot reach it.
-The Fricke sign, the Mellin route and the Petersson norm take the values
-from one evaluator, q_expansion_eval, except the norm's N cusp images,
-whose squared moduli it sums in one pass over the residue classes mod N.
+The Fricke sign, the modularity rule, the Mellin route and the Petersson
+norm take the values from one evaluator, q_expansion_eval, except the
+norm's N cusp images, whose squared moduli it sums in one pass over the
+residue classes mod N.  The Fricke sign and the modularity rule are rows of
+one automorphy residual |f(gamma z) - J f(z)|, each held to an error budget
+propagated from the evaluation (_side_budget), with no fitted constant.
 
 L(1/2, f) and L(1/2, f x chi_D) take one path, with the trivial character
 and C = N in the first case.  Each is computed along two routes: a smoothed
 approximate functional equation with incomplete-Gamma weights, and Mellin
 quadrature of the q-expansion of f x chi_D over [1/sqrt(C), oo), the rest
 carried there by the Fricke involution of level C.  The Fricke sign w of f
-is measured numerically with a wide margin, never assumed, once per form by
-the caller; it predicts the sign w (-1)^(k/2) chi_D(-N) that the smoothed
-sum measures (Atkin-Li 1978), and the Mellin route uses that sign.  The two
-routes split the same integral at the same point, so their gap witnesses
-the numerics; the spread of the smoothed sum over split points witnesses
-the functional equation.  Both must be within CENTRAL_WITNESS_TOL.
+is measured numerically, never assumed, once per form by the caller; it
+predicts the sign w (-1)^(k/2) chi_D(-N) that the smoothed sum measures
+(Atkin-Li 1978), and the Mellin route uses that sign.  The two routes split
+the same integral at the same point, so their gap witnesses the numerics;
+the spread of the smoothed sum over split points witnesses the functional
+equation.  Both must be within CENTRAL_WITNESS_TOL.
 
 The Petersson norm takes the cusps at infinity and 0 exactly above heights
 1 and 1/N, by Parseval, and meshes only the band between the unit arc and
@@ -39,10 +42,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .arith import Eigenform, is_fundamental_discriminant, kronecker
+from .arith import (
+    HECKE_REL_TOL,
+    Eigenform,
+    _divisor_counts,
+    is_fundamental_discriminant,
+    kronecker,
+)
 from .errors import (
     AccuracyError,
     DomainError,
@@ -54,6 +65,7 @@ from .numerics import QuadratureSpec, gamma_upper, half_line, integrate
 __all__ = [
     "q_expansion_eval",
     "fricke_sign",
+    "modularity_residual",
     "CompletedL",
     "central_value",
     "CentralValue",
@@ -131,38 +143,119 @@ def q_expansion_eval(form: Eigenform, z):
 
 
 # ---------------------------------------------------------------------------
-# Fricke sign
+# automorphy: the Fricke sign and the modularity rule
 # ---------------------------------------------------------------------------
 
-def fricke_sign(form: Eigenform) -> int:
-    """Sign w in phi(-1/(N z)) = w N^{k/2} z^k phi(z), measured numerically.
+# x + i y of the rows: z = (x + i y)/sqrt(N) under W_N, and z = (-d + x +
+# i y)/N under [[a, b], [N, d]], whose image a/N - 1/(N (x + i y)) also lies
+# at height about 1/N
+FRICKE_POINTS = (0.17 + 1.21j, -0.33 + 0.94j, 0.05 + 1.48j, 0.41 + 1.05j, -0.11 + 0.87j)
+MODULARITY_POINTS = (-0.13 + 1.0j, -0.04 + 0.98j, 0.06 + 1.01j, 0.15 + 0.99j)
 
-    Both candidate signs are scored on sample points; the winner must beat
-    the loser by a factor of 1e3, else the sign is reported ambiguous.
-    """
-    N, k = form.level, form.weight
-    rt = math.sqrt(N)
-    samples = [complex(0.17, 1.21) / rt, complex(-0.33, 0.94) / rt,
-               complex(0.05, 1.48) / rt, complex(0.41, 1.05) / rt,
-               complex(-0.11, 0.87) / rt]
-    res = {+1: 0.0, -1: 0.0}
-    for z in samples:
-        lhs = q_expansion_eval(form, -1.0 / (N * z))
-        rhs = N ** (k / 2.0) * z ** k * q_expansion_eval(form, z)
-        scale = max(abs(lhs), abs(rhs), 1e-30)
-        for w in (+1, -1):
-            res[w] = max(res[w], abs(lhs - w * rhs) / scale)
-    best = +1 if res[+1] < res[-1] else -1
-    if res[-best] < 1e3 * res[best]:
-        raise InvariantViolation(
-            f"{form.label}: ambiguous Fricke sign (residuals {res})"
-        )
-    if form.atkin_lehner is not None and form.atkin_lehner != best:
-        raise InvariantViolation(
-            f"{form.label}: measured Fricke sign {best} contradicts stored "
-            f"{form.atkin_lehner}"
-        )
-    return best
+
+def _side_budget(form: Eigenform, w: np.ndarray) -> np.ndarray:
+    """Error budget of q_expansion_eval at the points w, from sums over m <=
+    n, the count the evaluator takes at the lowest point, of |c_m| |q|^m (S),
+    2 pi m |c_m| |q|^m (V) and d(m) m^((k-1)/2) |q|^m (D):
+
+        4 (n + 1) u S + u (3 |w| + 1) V + HECKE_REL_TOL D + QEXP_TAIL_TOL.
+
+    Term m of the Horner sum meets m complex products, each within
+    2 sqrt(2) u (Higham, Accuracy and Stability, Lemma 3.5), and m sums,
+    each within u: (2 sqrt(2) + 1) n u S in all; the rest of 4 (n + 1) u S
+    covers a factor J rounded once, its product with the sum and the final
+    difference.  q = e^(2 pi i w) is within 2 pi u (3 |w| + 1) relative (w
+    rounded once, 2 pi u |w|; its product with 2 pi, 4 pi u |w|; exp, cos
+    and sin, 5 u), and a relative change eta of q moves the sum by eta V /
+    (2 pi).  A table that Eigenform.validate accepts may leave the Hecke
+    extension of its primes by HECKE_REL_TOL d(m) m^((k-1)/2) at each m,
+    which moves the sum by HECKE_REL_TOL D.  The evaluator's certificate
+    bounds its tail by QEXP_TAIL_TOL."""
+    n = _certified_count(form, float(w.imag.min()))
+    m = np.arange(1, n + 1)
+    c = np.abs(np.asarray(form.coeffs[:n], dtype=float))
+    u = 2.0 ** -53  # the unit roundoff
+    deligne = _divisor_counts(n)[1:] * m ** ((form.weight - 1) / 2.0)
+    terms = np.stack([4.0 * (n + 1) * u * c, 2.0 * np.pi * u * m * c, HECKE_REL_TOL * deligne])
+    powers = np.exp(-2.0 * np.pi * np.multiply.outer(w.imag, m))
+    horner, point, data = np.moveaxis(powers @ terms.T, -1, 0)
+    return horner + (3.0 * np.abs(w) + 1.0) * point + data + QEXP_TAIL_TOL
+
+
+def _automorphy_rows(form: Eigenform, z: np.ndarray, gz: np.ndarray, J) -> tuple:
+    """|f(gz) - J f(z)| and its budget, _side_budget at gz plus |J| times
+    _side_budget at z, at each point (J broadcast against z), in one
+    evaluator call per side; gz and J are exact values rounded once."""
+    residual = np.abs(q_expansion_eval(form, gz) - J * q_expansion_eval(form, z))
+    return residual, _side_budget(form, gz) + np.abs(J) * _side_budget(form, z)
+
+
+def _exact_images(z: np.ndarray, mats: list, k: int) -> tuple:
+    """gamma z = a/c - det/(c (c z + d)) and J = (c z + d)^k / det^(k/2),
+    k even, for each integer matrix gamma = (a, b, c, d), c != 0, at the
+    float points of its row of z: computed in rationals, rounded once."""
+    gz, J = np.empty(z.shape, complex), np.empty(z.shape, complex)
+    for i, (a, b, c, d) in enumerate(mats):
+        det = a * d - b * c
+        for j, p in enumerate(z[i]):
+            r, s = c * Fraction(p.real) + d, c * Fraction(p.imag)
+            scale = c * (r * r + s * s)
+            gz[i, j] = complex(Fraction(a, c) - det * r / scale, det * s / scale)
+            jr, ji = Fraction(1), Fraction(0)
+            for _ in range(k):
+                jr, ji = jr * r - ji * s, jr * s + ji * r
+            J[i, j] = complex(jr / det ** (k // 2), ji / det ** (k // 2))
+    return gz, J
+
+
+def fricke_sign(form: Eigenform) -> int:
+    """Sign w in phi(-1/(N z)) = w N^{k/2} z^k phi(z), measured numerically:
+    the rows of W_N = [[0, -1], [N, 0]] at FRICKE_POINTS / sqrt(N) go through
+    _automorphy_rows once, with J for both signs.  The sign whose rows are
+    all within budget while the other sign's are not is the measured one;
+    anything else, or a stored sign it contradicts, is InvariantViolation."""
+    z = np.array([FRICKE_POINTS]) / math.sqrt(form.level)
+    gz, J = _exact_images(z, [(0, -1, form.level, 0)], form.weight)
+    residual, budget = _automorphy_rows(form, z[0], gz[0], np.array([[1.0], [-1.0]]) * J)
+    ratios = np.max(residual / budget, axis=1)
+    passed = [w for w, ratio in zip((+1, -1), ratios) if ratio <= 1.0]
+    if len(passed) != 1:
+        raise InvariantViolation(f"{form.label}: Fricke rows within budget for "
+                                 f"{len(passed)} signs (worst ratios {ratios} at +1, -1)")
+    if form.atkin_lehner not in (None, passed[0]):
+        raise InvariantViolation(f"{form.label}: measured Fricke sign {passed[0]} "
+                                 f"contradicts stored {form.atkin_lehner}")
+    return passed[0]
+
+
+@lru_cache(maxsize=None)
+def _gamma0_rows(N: int, k: int) -> tuple:
+    """The matrices [[a, b], [N, d]], d = 1..N-1, a = d^-1 mod N, as (a, b,
+    N, d); per matrix a row of points (-d + MODULARITY_POINTS)/N; and their
+    images and factors (N z + d)^k."""
+    mats = [(a, (a * d - 1) // N, N, d) for d in range(1, N) for a in [pow(d, -1, N)]]
+    z = (np.arange(-1, -N, -1)[:, None] + np.array(MODULARITY_POINTS)) / N
+    arrays = (z,) + _exact_images(z, mats, k)
+    for a in arrays:
+        a.flags.writeable = False  # cached: every caller shares them
+    return (tuple(mats),) + arrays
+
+
+def _modularity_ratios(form: Eigenform) -> tuple:
+    """The matrices of _gamma0_rows and the worst residual-to-budget ratio
+    of f(gamma z) = (N z + d)^k f(z) at each."""
+    mats, z, gz, J = _gamma0_rows(form.level, form.weight)
+    residual, budget = _automorphy_rows(form, z, gz, J)
+    return mats, np.max(residual / budget, axis=1)
+
+
+def modularity_residual(form: Eigenform) -> float:
+    """The worst ratio of |f(gamma z) - (N z + d)^k f(z)| to its budget over
+    gamma = [[a, b], [N, d]], d = 1..N-1, at (-d + MODULARITY_POINTS)/N, in
+    one evaluator call per side; at most 1 for a form of level N.  The
+    points lie at height about 1/N, so they see the first few N
+    coefficients, past the Sturm bound k (N + 1)/12."""
+    return float(np.max(_modularity_ratios(form)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +296,7 @@ class CompletedL:
             if not is_fundamental_discriminant(D):
                 raise DomainError(f"twist {D} is not a fundamental discriminant")
             if math.gcd(form.level, D) != 1:
-                raise InvariantViolation("twist discriminant must be prime to N")
+                raise DomainError(f"twist {D} is not prime to the level {form.level}")
         self._chi_minus_level = kronecker(D, -form.level)
         # f x chi_D, a newform of level N D^2 (Atkin-Li 1978)
         self.series = Eigenform(level=form.level * D * D, weight=form.weight,

@@ -12,7 +12,9 @@ trace formula alone,
 matrix of T_2 on it and its eigenvectors give each newform's prime
 coefficients; ``hecke_extend`` fills in the rest.
 Rational forms come out as exact integers; the Atkin-Lehner sign w is the
-one of the two candidates c_N = -w N^(k/2-1) that ``fricke_sign`` accepts.
+one of the two candidates c_N = -w N^(k/2-1) that ``fricke_sign`` accepts,
+and every form must pass ``modularity_residual`` (the Gamma0(N) rows), so
+the stored coefficients must reach height about 1/N.
 """
 
 from __future__ import annotations
@@ -34,14 +36,16 @@ from .arith import (
     hecke_extend,
 )
 from .errors import DomainError, InvariantViolation
-from .lvalues import fricke_sign
+from .lvalues import _modularity_ratios, fricke_sign
 
 __all__ = ["newforms"]
 
 
 def newforms(N: int, k: int, n_max: int) -> list:
     """The weight-k newforms of prime level N with n_max coefficients,
-    labelled N.k.a, N.k.b, ... by descending T_2 eigenvalue."""
+    labelled N.k.a, N.k.b, ... by descending T_2 eigenvalue.  A form whose
+    modularity residual exceeds its budget is refused (InvariantViolation),
+    and too few coefficients for its rows (InsufficientCoefficients)."""
     if k >= 12:
         raise DomainError("level-1 cusp forms enter the traces from weight 12 on")
     dim = dim_cusp_forms(N, k)
@@ -107,7 +111,13 @@ def newforms(N: int, k: int, n_max: int) -> list:
                     primes[p] = int(c)
                 else:
                     raise InvariantViolation(f"non-integral c_{p} = {c} at N = {N}")
-        out.append(_with_fricke_sign(N, k, f"{N}.{k}.{_tag(rank)}", primes, n_max))
+        form = _with_fricke_sign(N, k, f"{N}.{k}.{_tag(rank)}", primes, n_max)
+        mats, ratios = _modularity_ratios(form)
+        worst = int(np.argmax(ratios))  # the first NaN, if any
+        if not ratios[worst] <= 1.0:
+            raise InvariantViolation(f"{form.label}: modularity residual {ratios[worst]:.3g} "
+                                     f"of its budget at (a, b, c, d) = {mats[worst]}")
+        out.append(form)
     return out
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -141,10 +142,25 @@ class TestEichlerSelberg:
                 assert ar.eichler_selberg_trace(N, k, 1) == ar.dim_cusp_forms(N, k)
 
     def test_against_qexp_oracle(self):
+        # the seed file's q-expansions: the coefficient sums are the traces,
+        # exact for the integer forms at 5 and 7 and rounded to them at 11
+        # from within HECKE_REL_TOL of dim d(m) m^(3/2)
+        forms = ar.load_eigenforms(default_data_path())
+        divisors = ar._divisor_counts(2000)
         for N in (5, 7, 11):
-            sp = mf.CuspSpace(N, 4, length=200)
-            for m in [m for m in range(1, 25) if m % N]:
-                assert sp.trace_hecke(m) == ar.eichler_selberg_trace(N, 4, m), (N, m)
+            batch = [f for f in forms if f.level == N]
+            assert len(batch) == ar.dim_cusp_forms(N, 4)
+            for m in (m for m in range(1, 2001) if m % N):
+                total = sum(f.c(m) for f in batch)
+                tr = ar.eichler_selberg_trace(N, 4, m)
+                assert abs(total - tr) <= ar.HECKE_REL_TOL * len(batch) * divisors[m] * m ** 1.5
+                assert round(total) == tr and (N == 11 or total == tr), (N, m)
+
+    def test_seed_file_is_the_initial_commit(self):
+        # the trace oracle above must never be regenerated from the trace formula
+        with open(default_data_path(), "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert digest == "e15b3441c1dd6f8b89356bf678daa4ea763482906c6ebb67fa5579046b1bb935"
 
     def test_exact_beyond_int64(self):
         # at k = 40 the traces pass 2^63; they stay exact Python ints within
@@ -156,34 +172,13 @@ class TestEichlerSelberg:
             assert type(tr) is int and abs(tr) > 2 ** 63
             assert abs(tr) <= 2 * dim * p ** 19.5
 
-    def test_cusp_basis_in_reduced_echelon_form(self):
-        for N in (5, 7, 11):
-            sp = mf.CuspSpace(N, 4, length=200)
-            assert len(sp.basis) == len(sp.pivots) == sp.dim
-            for i, vec in enumerate(sp.basis):
-                for j, piv in enumerate(sp.pivots):
-                    assert vec[piv] == (i == j), (N, i, j)
-
     def test_conductor_corner_cases(self):
-        # discriminants divisible by N^2 exercise the nonmaximal embedding
+        # discriminants divisible by N^2 exercise the nonmaximal embedding;
+        # through modforms, the trace shim that the benchmark imports
         sp5 = mf.CuspSpace(5, 4, length=160)
         assert sp5.trace_hecke(31) == ar.eichler_selberg_trace(5, 4, 31)
         sp7 = mf.CuspSpace(7, 4, length=200)
         assert sp7.trace_hecke(43) == ar.eichler_selberg_trace(7, 4, 43)
-
-    def test_reference_data_sums(self):
-        forms = ar.load_eigenforms(default_data_path())
-        primes = [p for p in ar._primes_up_to(50)]
-        for N in (5, 7, 11):
-            batch = [f for f in forms if f.level == N]
-            for p in primes:
-                if p == N:
-                    continue
-                total = sum(f.c(p) for f in batch)
-                tr = ar.eichler_selberg_trace(N, 4, p)
-                assert abs(total - tr) <= 1e-6 * max(abs(tr), 1.0), (N, p)
-                if all(f.is_rational() for f in batch):
-                    assert round(total) == tr
 
     def test_gcd_rejected(self):
         with pytest.raises(ValueError):
@@ -247,6 +242,19 @@ class TestEigenforms:
                            match=rf"^{label}: .*\(n = {n}, relation = hecke\)$"):
             bad.validate()
 
+    @pytest.mark.parametrize("w, c_level", [(-1, -5), (None, -4)])
+    def test_level_coefficient_refused(self, tmp_path, w, c_level):
+        # c_N = -w N^(k/2-1): 5.4.a has c_5 = -5, so w = +1
+        with open(default_data_path(), encoding="utf-8") as fh:
+            rec = json.loads(fh.readline())
+        rec["atkin_lehner"] = w
+        rec["coeffs"][4] = c_level
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(InvariantViolation,
+                           match=r"^5\.4\.a: c_5 = .*\(n = 5, relation = atkin-lehner\)$"):
+            ar.load_eigenforms(path)
+
     def test_divisor_counts(self):
         d = ar._divisor_counts(3000)
         assert d[0] == 0
@@ -293,6 +301,10 @@ class TestMalformedRecords:
          "bad coefficient c_2 = 'nan'"),
         ({"schema": 1, "level": 5, "weight": 4, "label": "x", "coeffs": [1, None]},
          "bad coefficient c_2 = None"),
+        ({"schema": 1, "level": 5, "weight": 4, "label": "x", "atkin_lehner": "+",
+          "coeffs": [1]}, "atkin_lehner must be 1 or -1"),
+        ({"schema": 1, "level": 5, "weight": 4, "label": "x", "atkin_lehner": True,
+          "coeffs": [1]}, "atkin_lehner must be 1 or -1"),
     ], ids=lambda x: x if isinstance(x, str) else None)
     def test_refused_naming_path_and_line(self, tmp_path, capsys, record, match):
         path = tmp_path / "bad.jsonl"

@@ -3,7 +3,7 @@
 import pytest
 
 from modlavg import arith, measures, modforms, numerics
-from modlavg.errors import DomainError, InvariantViolation, ModlavgError
+from modlavg.errors import DomainError, ModlavgError
 
 REFUSALS = {
     "dirichlet_l at s = 2": lambda: arith.dirichlet_l(-4, 2),
@@ -19,9 +19,10 @@ REFUSALS = {
     "QuadratureSpec with rel_tol 0": lambda: numerics.QuadratureSpec(rel_tol=0.0),
     "integrate over an unknown domain kind": lambda: numerics.integrate(
         lambda x: x, numerics.QuadratureSpec(domain=("disc", 0.0))),
-    "eisenstein of weight 8": lambda: modforms.eisenstein(8, 10),
     "CuspSpace of weight 12": lambda: modforms.CuspSpace(7, 12),
-    "hecke_matrix past the series": lambda: modforms.CuspSpace(7, 4, 40).hecke_matrix(41),
+    "CuspSpace at a level the seed file lacks": lambda: modforms.CuspSpace(13, 4),
+    "trace_hecke past the series": lambda: modforms.CuspSpace(7, 4, 40).trace_hecke(41),
+    "trace_hecke not prime to N": lambda: modforms.CuspSpace(7, 4).trace_hecke(14),
 }
 
 
@@ -31,14 +32,3 @@ def test_refusal_is_typed(case):
         REFUSALS[case]()
     assert isinstance(info.value, DomainError)
 
-
-def test_cusp_basis_constant_term_is_an_invariant(monkeypatch):
-    # the cusp cut forces every constant term to 0; a basis that breaks
-    # this is refused as an invariant violation, not an assertion
-    def rref_with_constant(rows):
-        basis, pivots = arith._rref(rows)
-        return [[1] + list(basis[0][1:])] + basis[1:], pivots
-
-    monkeypatch.setattr(modforms, "_rref", rref_with_constant)
-    with pytest.raises(InvariantViolation, match="constant term"):
-        modforms.CuspSpace(7, 4, 40)

@@ -472,7 +472,7 @@ class TestCLI:
         pytest.param(["verify-arch", "--s1", "0.6", "--s2", "0.5"],
                      id="verify-arch --s1 0.6 --s2 0.5"),
         *(pytest.param(["lvalues", "--forms", hs.default_data_path(), "--twist", D],
-                       id=f"lvalues --twist {D}") for D in ("1", "0", "-12")),
+                       id=f"lvalues --twist {D}") for D in ("1", "0", "-12", "5", "-20")),
     ], ids=lambda argv: " ".join(argv[:2]))
     def test_bad_input_exits_2_with_one_line(self, capsys, argv):
         # exit 1 is a failed check; bad input is exit 2 with no traceback

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from modlavg import lvalues as lv
-from modlavg.arith import Eigenform, kronecker, load_eigenforms
+from modlavg.arith import Eigenform, _primes_up_to, hecke_extend, kronecker, load_eigenforms
 from modlavg.errors import (
     AccuracyError,
     DomainError,
@@ -104,6 +105,55 @@ class TestFrickeSign:
         with pytest.raises(InvariantViolation, match="contradicts"):
             lv.fricke_sign(flipped)
 
+    def test_one_evaluator_call_per_side(self, forms, monkeypatch):
+        calls = []
+
+        def counted(form, z):
+            calls.append(np.shape(z))
+            return clean(form, z)
+
+        clean = lv.q_expansion_eval
+        monkeypatch.setattr(lv, "q_expansion_eval", counted)
+        lv.fricke_sign(forms["11.4.b"])
+        assert calls == [(5,), (5,)]
+        calls.clear()
+        lv.modularity_residual(forms["11.4.b"])
+        assert calls == [(10, 4), (10, 4)]
+
+
+class TestModularity:
+    def test_shipped_forms_within_budget(self, forms):
+        for f in forms.values():
+            assert lv.modularity_residual(f) <= 1.0, f.label
+
+    def test_gamma0_rows(self):
+        # ad - bN = 1, and the rows sit at height about 1/N on both sides
+        mats, z, gz, J = lv._gamma0_rows(11, 4)
+        assert [d for *_, d in mats] == list(range(1, 11))
+        for (a, b, c, d), zs, gs, js in zip(mats, z, gz, J):
+            assert c == 11 and a * d - b * c == 1 and 0 < a < 11
+            assert np.allclose((a * zs + b) / (c * zs + d), gs, rtol=1e-12)
+            assert np.allclose((c * zs + d) ** 4, js, rtol=1e-12)
+            assert np.all(0.95 / 11 < gs.imag) and np.all(0.95 / 11 < zs.imag)
+
+    def test_corrupted_c2_exceeds_budget(self, forms):
+        f = forms["7.4.a"]
+        primes = {p: f.c(p) for p in _primes_up_to(f.n_max)}
+        primes[2] += 1
+        bad = dataclasses.replace(f, coeffs=hecke_extend(primes, 7, 4, f.n_max))
+        bad.validate()  # still a Hecke-multiplicative table
+        assert lv.modularity_residual(bad) > 1e6
+        with pytest.raises(InvariantViolation, match="within budget for 0 signs"):
+            lv.fricke_sign(bad)
+
+    def test_rounding_terms_alone_cover_the_shipped_forms(self, forms, monkeypatch):
+        # the data term HECKE_REL_TOL D dominates the budget; the exact
+        # shipped tables stay within it without that term too
+        monkeypatch.setattr(lv, "HECKE_REL_TOL", 0.0)
+        for f in forms.values():
+            assert lv.modularity_residual(f) <= 1.0, f.label
+            assert lv.fricke_sign(f) == f.atkin_lehner
+
 
 SHIPPED = ("5.4.a", "7.4.a", "11.4.a", "11.4.b")
 SWEEP_TWISTS = (-3, -4, -7, -8, -11)
@@ -146,7 +196,7 @@ class TestFunctionalEquation:
         assert comp.conductor == 7 * 16
 
     def test_twist_must_be_coprime(self, forms):
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(DomainError, match="not prime to the level 5"):
             lv.CompletedL(forms["5.4.a"], twist=-20)
 
     @pytest.mark.parametrize("D", [1, 0, -12, -16])

@@ -2,9 +2,9 @@ import pytest
 
 from modlavg import arith as ar
 from modlavg import newforms as nf
-from modlavg.errors import DomainError, InvariantViolation
+from modlavg.errors import DomainError, InsufficientCoefficients, InvariantViolation
 from modlavg.harness import default_data_path
-from modlavg.lvalues import CompletedL, fricke_sign
+from modlavg.lvalues import CompletedL, fricke_sign, modularity_residual
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +50,7 @@ class TestBeyondDimensionTwo:
             f.validate()
             assert f.n_max == 400
             assert fricke_sign(f) == f.atkin_lehner
+            assert modularity_residual(f) <= 1.0
             # the root number of a weight-4 form is its Atkin-Lehner sign
             assert CompletedL(f).eps == f.atkin_lehner
 
@@ -68,6 +69,17 @@ class TestBeyondDimensionTwo:
         rational = [f for f in beyond_dim2[19] if f.is_rational()]
         assert [(f.c(2), f.atkin_lehner) for f in rational] == [(-3, -1)]
         assert [f.c(3) for f in rational] == [-5]
+
+
+def test_level_above_50():
+    # the Gamma0(53) rows sit at height about 1/53 and need about 490
+    # coefficients
+    forms = nf.newforms(53, 4, 560)
+    assert len(forms) == ar.dim_cusp_forms(53, 4)
+    for f in forms:
+        f.validate()
+        assert fricke_sign(f) == f.atkin_lehner
+        assert modularity_residual(f) <= 1.0
 
 
 class TestRefusals:
@@ -89,6 +101,24 @@ class TestRefusals:
                             lambda N, k, m: f[m - 1] + g[m - 1])
         with pytest.raises(InvariantViolation, match="repeated T_2 eigenvalue"):
             nf.newforms(5, 4, 100)
+
+    def test_too_few_coefficients_for_the_modularity_rows(self):
+        with pytest.raises(InsufficientCoefficients, match=r"13\.4\.a: tail"):
+            nf.newforms(13, 4, 100)
+
+    @pytest.mark.parametrize("N, p, match", [
+        # the Fricke rows, at height about 1/sqrt(N), see c_2 ...
+        pytest.param(7, 2, r"7\.4\.a: 0 Atkin-Lehner signs pass", id="c_2 at 7"),
+        # ... but not c_29 at 13, which the Gamma0(13) rows see
+        pytest.param(13, 29, r"13\.4\.a: modularity residual .* at "
+                     r"\(a, b, c, d\) = \(2, 1, 13, 7\)$", id="c_29 at 13"),
+    ])
+    def test_corrupted_coefficient_refused(self, monkeypatch, N, p, match):
+        real = ar.hecke_extend
+        monkeypatch.setattr(nf, "hecke_extend", lambda primes, *rest: real(
+            {**primes, p: primes[p] + 1}, *rest))
+        with pytest.raises(InvariantViolation, match=match):
+            nf.newforms(N, 4, 400)
 
 
 def test_labels_continue_past_z():
