@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,8 +37,6 @@ __all__ = [
     "l_zero_finite_sum",
     "l_zero_via_l_one",
     "class_number_weighted",
-    "gegenbauer_coefficient",
-    "psi_index",
     "eichler_selberg_trace",
     "dim_cusp_forms",
     "Eigenform",
@@ -217,29 +216,29 @@ def class_number_weighted(disc: int) -> Fraction:
     return Fraction(count)
 
 
-def gegenbauer_coefficient(k: int, t: int, m: int) -> int:
-    """Coefficient of x^(k-2) in 1 / (1 - t x + m x^2), exact."""
-    prev, cur = 1, t
-    if k == 2:
-        return prev
-    for _ in range(k - 3):
-        prev, cur = cur, t * cur - m * prev
-    return cur
+def _as_int(x, what: str) -> int:
+    """x as an int; a bool, or anything operator.index refuses (a float, a
+    string), is DomainError naming ``what``."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise DomainError(f"{what} = {x!r} is not an integer")
 
 
-def psi_index(N: int) -> int:
-    """Index of the level subgroup: N + 1 for prime N."""
-    return N + 1
-
-
-def _check_prime(N: int) -> None:
+def _check_prime(N: int) -> int:
+    N = _as_int(N, "N")
     if N < 2 or any(N % d == 0 for d in range(2, int(math.isqrt(N)) + 1)):
         raise DomainError(f"N = {N} is not prime")
+    return N
 
 
-def _check_weight(k: int) -> None:
+def _check_weight(k: int) -> int:
+    k = _as_int(k, "weight k")
     if k % 2 != 0 or k < 4:
         raise DomainError(f"weight k = {k} must be an even integer >= 4")
+    return k
 
 
 @lru_cache(maxsize=None)
@@ -268,7 +267,8 @@ def eichler_selberg_trace(N: int, k: int, m: int) -> int:
     """Trace of the m-th Hecke operator on weight-k cusp forms of prime
     level N, trivial character, for gcd(m, N) = 1 and even k >= 4.
 
-    In Hurwitz form, with n = 4m - t^2 and P_k = gegenbauer_coefficient,
+    In Hurwitz form, with n = 4m - t^2 and P_k(t, m) the coefficient of
+    x^(k-2) in 1 / (1 - t x + m x^2),
 
         Tr T_m = -1/2 sum_{t^2 <= 4m} P_k(t, m) [r (H(n) - H(n/N^2))
                  + (N + 1) H(n/N^2)] - sum_{d | m} min(d, m/d)^(k-1),
@@ -278,24 +278,43 @@ def eichler_selberg_trace(N: int, k: int, m: int) -> int:
     conductor N divides embed N + 1 times), and H(0) = -1/12 makes the
     t^2 = 4m term the identity's index term.  The sum runs in integers
     over one sieved table of 12 H; the result is exact.
+
+    At odd N no term calls a Python function.  The symbol is Euler's
+    criterion: (-n)^((N-1)/2) is 1, 0 or N - 1 mod N (the builtin
+    three-argument pow), so r = 2, 1 or 0 is that power plus 1, mod N.  At
+    N = 2, where the criterion says nothing, r takes ``kronecker``.  P_k
+    runs the recursion P_j = t P_(j-1) - m P_(j-2) from P_2 = 1, P_3 = t
+    in place.  The divisor sum takes d up to s = isqrt(m) once: each
+    d < sqrt(m) stands for itself and m/d, so it is twice the sum of
+    d^(k-1) over d <= s, less s^(k-1) when s^2 = m.
     """
-    _check_prime(N)
-    _check_weight(k)
+    N, k = _check_prime(N), _check_weight(k)
+    m = _as_int(m, "m")
     if m < 1 or math.gcd(m, N) != 1:
         raise DomainError("need m >= 1 with gcd(m, N) = 1")
 
     h12 = _hurwitz12(1 << (4 * m - 1).bit_length())
-    psi, total = psi_index(N), 0
-    for t in range(math.isqrt(4 * m) + 1):
+    NN, half, steps, total = N * N, (N - 1) // 2, range(k - 3), 0
+    for t in range(math.isqrt(4 * m), -1, -1):
         n = 4 * m - t * t
-        h_n, h_nN = h12[n], (h12[n // (N * N)] if n % (N * N) == 0 else 0)
-        r = 1 + kronecker(-n, N)
-        term = gegenbauer_coefficient(k, t, m) * (r * (h_n - h_nN) + psi * h_nN)
-        # P_k(-t, m) = P_k(t, m) at even k, so -t repeats the term of t
-        total += term if t == 0 else 2 * term
+        r = 1 + kronecker(-n, 2) if N == 2 else (pow(-n, half, N) + 1) % N
+        prev, p = 1, t
+        for _ in steps:
+            prev, p = p, t * p - m * prev
+        if n % NN:
+            term = p * r * h12[n]
+        else:
+            h_nN = h12[n // NN]
+            term = p * (r * (h12[n] - h_nN) + (N + 1) * h_nN)
+        total += term
+    # P_k(-t, m) = P_k(t, m) at even k, so -t repeats the term of t; the
+    # loop ends at t = 0, whose term is counted once
+    total = 2 * total - term
     if total % 24:
         raise AccuracyError(f"trace formula returned non-integer {Fraction(-total, 24)}")
-    return -total // 24 - sum(min(d, m // d) ** (k - 1) for d in _divisors(m))
+    s = math.isqrt(m)
+    mins = 2 * sum(d ** (k - 1) for d in range(1, s + 1) if m % d == 0)
+    return -total // 24 - mins + (s ** (k - 1) if s * s == m else 0)
 
 
 def _divisors(m: int) -> list:
@@ -344,8 +363,7 @@ def _kernel(rows: list) -> list:
 def dim_cusp_forms(N: int, k: int) -> int:
     """Dimension of the weight-k cusp space at prime level N by the
     genus/elliptic-point formula (independent of the trace formula)."""
-    _check_prime(N)
-    _check_weight(k)
+    N, k = _check_prime(N), _check_weight(k)
     if N == 2:
         eps2, eps3 = 1, 0
     elif N == 3:

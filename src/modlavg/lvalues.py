@@ -98,24 +98,34 @@ def _tail_bound(k: int, y: float, start: int) -> float:
     return first / (1.0 - ratio)
 
 
-def _certified_count(form: Eigenform, y: float) -> int:
-    """The fewest leading coefficients whose certified tail at height y is
-    within QEXP_TAIL_TOL; InsufficientCoefficients when the stored
-    coefficients cannot reach that bound."""
-    k, n_max = form.weight, form.n_max
-    # the tail bound does not increase with its start, so bisect; n_max + 1
-    # means no stored count suffices
-    n, hi = 0, n_max + 1
+def _tail_count(k: int, y: float) -> int:
+    """The fewest leading coefficients of a weight-k form whose certified
+    tail at height y > 0 is within QEXP_TAIL_TOL."""
+    if not y > 0:
+        raise DomainError(f"need a height y > 0, not {y}")
+    # the tail bound does not increase with its start and is finite from
+    # some start on, so double up to a count that suffices, then bisect
+    hi = 1
+    while _tail_bound(k, y, hi + 1) > QEXP_TAIL_TOL:
+        hi *= 2
+    n = 0
     while n < hi:
         mid = (n + hi) // 2
         if _tail_bound(k, y, mid + 1) <= QEXP_TAIL_TOL:
             hi = mid
         else:
             n = mid + 1
-    if n > n_max:
+    return n
+
+
+def _certified_count(form: Eigenform, y: float) -> int:
+    """_tail_count at height y; InsufficientCoefficients when the stored
+    coefficients cannot reach it."""
+    n = _tail_count(form.weight, y)
+    if n > form.n_max:
         raise InsufficientCoefficients(
             f"{form.label}: tail at Im z = {y:.4f} exceeds {QEXP_TAIL_TOL:.0e} "
-            f"with {n_max} coefficients"
+            f"with {form.n_max} coefficients"
         )
     return n
 
@@ -256,6 +266,16 @@ def modularity_residual(form: Eigenform) -> float:
     points lie at height about 1/N, so they see the first few N
     coefficients, past the Sturm bound k (N + 1)/12."""
     return float(np.max(_modularity_ratios(form)[1]))
+
+
+def _rows_count(N: int, k: int) -> tuple:
+    """The coefficients a form of level N and weight k needs for its Fricke
+    and Gamma0(N) rows (_tail_count at their lowest point), and that height;
+    the Gamma0(N) rows are the lower ones except at N = 2."""
+    z = np.array([FRICKE_POINTS]) / math.sqrt(N)
+    _, z0, gz0, _ = _gamma0_rows(N, k)
+    y = min(float(h.imag.min()) for h in (z, _exact_images(z, [(0, -1, N, 0)], k)[0], z0, gz0))
+    return _tail_count(k, y), y
 
 
 # ---------------------------------------------------------------------------

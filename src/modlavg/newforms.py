@@ -35,8 +35,8 @@ from .arith import (
     hecke_coefficient,
     hecke_extend,
 )
-from .errors import DomainError, InvariantViolation
-from .lvalues import _modularity_ratios, fricke_sign
+from .errors import DomainError, InsufficientCoefficients, InvariantViolation
+from .lvalues import _modularity_ratios, _rows_count, fricke_sign
 
 __all__ = ["newforms"]
 
@@ -44,13 +44,19 @@ __all__ = ["newforms"]
 def newforms(N: int, k: int, n_max: int) -> list:
     """The weight-k newforms of prime level N with n_max coefficients,
     labelled N.k.a, N.k.b, ... by descending T_2 eigenvalue.  A form whose
-    modularity residual exceeds its budget is refused (InvariantViolation),
-    and too few coefficients for its rows (InsufficientCoefficients)."""
+    modularity residual exceeds its budget is refused (InvariantViolation);
+    an n_max below what the Fricke and modularity rows need is refused
+    before any trace is computed (InsufficientCoefficients)."""
     if k >= 12:
         raise DomainError("level-1 cusp forms enter the traces from weight 12 on")
     dim = dim_cusp_forms(N, k)
     if dim == 0:
         return []
+    need, height = _rows_count(N, k)
+    if n_max < need:
+        raise InsufficientCoefficients(
+            f"N = {N}, k = {k}: the Fricke and modularity rows need {need} coefficients "
+            f"(certified tail at Im z = {height:.4f}), n_max = {n_max}")
     trace = lru_cache(maxsize=None)(lambda m: eichler_selberg_trace(N, k, m))
     translate = partial(hecke_coefficient, trace, k=k, N=N)  # (T_m t)_n
 

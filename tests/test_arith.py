@@ -1,9 +1,11 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -140,6 +142,47 @@ class TestEichlerSelberg:
         for N in (3, 5, 7, 11, 13, 19, 23, 31, 41):
             for k in (4, 6, 8, 10):
                 assert ar.eichler_selberg_trace(N, k, 1) == ar.dim_cusp_forms(N, k)
+
+    def test_against_the_literal_sum(self):
+        # the formula of the docstring written out term by term, t of both
+        # signs: the symbol by kronecker, P_k by its own recursion, H(n) as
+        # the sum of h_w(-n/f^2) over f^2 | n, every divisor of m
+        ks, bound = (4, 6, 10, 40), 300
+        gegenbauer = {}  # (t, m) -> {k: P_k(t, m)}
+        divisors = {m: [d for d in range(1, m + 1) if m % d == 0] for m in range(1, bound)}
+        for m in range(1, bound):
+            for t in range(-math.isqrt(4 * m), math.isqrt(4 * m) + 1):
+                seq = [1, t]  # P_2, P_3, ...
+                for _ in range(max(ks) - 3):
+                    seq.append(t * seq[-1] - m * seq[-2])
+                gegenbauer[t, m] = {k: seq[k - 2] for k in ks}
+
+        @functools.lru_cache(maxsize=None)
+        def hurwitz12(n):  # 12 H(n), an integer
+            if n == 0:
+                return -1
+            h = sum((ar.class_number_weighted(-n // (f * f))
+                     for f in range(1, math.isqrt(n) + 1)
+                     if n % (f * f) == 0 and (-n // (f * f)) % 4 in (0, 1)), Fraction(0))
+            assert (12 * h).denominator == 1
+            return int(12 * h)
+
+        nonmaximal = set()
+        for N in (2, 3, 13, 59, 61):
+            for m in (m for m in range(1, bound) if m % N):
+                weights = {}  # t -> 12 [r (H(n) - H(n/N^2)) + (N + 1) H(n/N^2)]
+                for t in range(-math.isqrt(4 * m), math.isqrt(4 * m) + 1):
+                    n = 4 * m - t * t
+                    r = 1 + ar.kronecker(t * t - 4 * m, N)
+                    h_nN = hurwitz12(n // (N * N)) if n % (N * N) == 0 else 0
+                    if n and n % (N * N) == 0:
+                        nonmaximal.add((N, m, t))
+                    weights[t] = r * (hurwitz12(n) - h_nN) + (N + 1) * h_nN
+                for k in ks:
+                    trace = (Fraction(-sum(gegenbauer[t, m][k] * w for t, w in weights.items()), 24)
+                             - sum(min(d, m // d) ** (k - 1) for d in divisors[m]))
+                    assert ar.eichler_selberg_trace(N, k, m) == trace, (N, k, m)
+        assert {(2, 1, 0), (3, 7, 1), (13, 127, 1)} <= nonmaximal
 
     def test_against_qexp_oracle(self):
         # the seed file's q-expansions: the coefficient sums are the traces,

@@ -9,6 +9,11 @@ REFUSALS = {
     "dirichlet_l at s = 2": lambda: arith.dirichlet_l(-4, 2),
     "class_number_weighted of disc > 0": lambda: arith.class_number_weighted(5),
     "eichler_selberg_trace at m = 0": lambda: arith.eichler_selberg_trace(7, 4, 0),
+    "eichler_selberg_trace at m = 3.0": lambda: arith.eichler_selberg_trace(7, 4, 3.0),
+    "eichler_selberg_trace at N = 7.0": lambda: arith.eichler_selberg_trace(7.0, 4, 3),
+    "eichler_selberg_trace at k = 4.0": lambda: arith.eichler_selberg_trace(7, 4.0, 3),
+    "eichler_selberg_trace at m = True": lambda: arith.eichler_selberg_trace(7, 4, True),
+    "dim_cusp_forms at k = 4.0": lambda: arith.dim_cusp_forms(7, 4.0),
     "SatakeMeasure with sign 0": lambda: measures.SatakeMeasure(p=5, sign=0),
     "satake_poly at n = -1": lambda: measures.satake_poly(-1, 5),
     "coset_list at n = -1": lambda: measures.coset_list(-1, 5),

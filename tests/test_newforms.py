@@ -103,8 +103,20 @@ class TestRefusals:
             nf.newforms(5, 4, 100)
 
     def test_too_few_coefficients_for_the_modularity_rows(self):
-        with pytest.raises(InsufficientCoefficients, match=r"13\.4\.a: tail"):
+        with pytest.raises(InsufficientCoefficients, match=(
+                r"^N = 13, k = 4: the Fricke and modularity rows need 109 coefficients "
+                r"\(certified tail at Im z = 0\.0754\), n_max = 100$")):
             nf.newforms(13, 4, 100)
+
+    def test_too_few_coefficients_refused_before_any_trace(self, monkeypatch):
+        # the rows at height about 1/N need about 9N coefficients, a count
+        # known from N and k alone
+        def no_trace(N, k, m):
+            raise AssertionError(f"Tr T_{m} computed before the count was checked")
+        monkeypatch.setattr(nf, "eichler_selberg_trace", no_trace)
+        with pytest.raises(InsufficientCoefficients,
+                           match=r"^N = 61, k = 4: .* need 568 coefficients .*, n_max = 560$"):
+            nf.newforms(61, 4, 560)
 
     @pytest.mark.parametrize("N, p, match", [
         # the Fricke rows, at height about 1/sqrt(N), see c_2 ...
