@@ -158,18 +158,23 @@ def singular_upper_quadrature(k: int, s1: complex, s2: complex) -> complex:
 
     d 2^k Int Int b^(k/2+s2-1) a^(-s1-s2-1)
                   [ (b+1-ia)^(-k) - (b+1+ia)^(-k) ] da db
+
+    With b + 1 + ia = r e^(i theta) the bracket is 2i r^(-k) sin(k theta),
+    which keeps its relative accuracy as a -> 0.  The integrand is computed
+    in real arithmetic wherever the mathematics is real: log r is
+    1/2 log(a^2 + (b+1)^2), the exponent takes s1 and s2 as given, so a
+    real (s1, s2) gives a real exponent and a real exp, and the factor 2i
+    multiplies the finished product.  The nodes lie in [2.0e-31, 5.0e30],
+    so a^2 + (b+1)^2 <= 5.1e61 never overflows.
     """
     scale = _scale(k)
-    s = complex(s1) + complex(s2)
+    s = s1 + s2
 
     def f(a, b):
-        # with b + 1 + ia = r e^(i theta) the bracket is 2i r^(-k) sin(k theta),
-        # which keeps its relative accuracy as a -> 0
         theta = np.arctan2(a, b + 1.0)
-        power = np.exp((k / 2.0 + complex(s2) - 1.0) * np.log(b)
-                       - (s + 1.0) * np.log(a)
-                       - k * np.log(np.hypot(a, b + 1.0)))
-        return 2.0j * np.sin(k * theta) * power
+        exponent = (k / 2.0 + s2 - 1.0) * np.log(b) - (s + 1.0) * np.log(a)
+        exponent -= (k / 2.0) * np.log(a * a + (b + 1.0) ** 2)
+        return 2.0j * (np.sin(k * theta) * np.exp(exponent))
 
     # abs_tol holds for the returned value, after the factor d 2^k, so it
     # cannot swamp rel_tol at high weight, where the integral is tiny (about
@@ -187,18 +192,19 @@ def singular_lower_quadrature(k: int, s1: complex, s2: complex) -> complex:
                   [ (a+1+ib)^(-k) - (a+1-ib)^(-k) ] db da
 
     Satisfies lower(s1, s2) = -upper(-s2, -s1); the integrand is supported
-    on a > 0.
+    on a > 0.  With a + 1 + ib = r e^(i phi) the bracket is -2i r^(-k)
+    sin(k phi), in the real arithmetic of singular_upper_quadrature: log r
+    is 1/2 log((a+1)^2 + b^2), at most 1/2 log(5.1e61) on the nodes, and a
+    real (s1, s2) gives a real exponent.
     """
     scale = _scale(k)
-    s = complex(s1) + complex(s2)
+    s = s1 + s2
 
     def f(a, b):
-        # with a + 1 + ib = r e^(i phi) the bracket is -2i r^(-k) sin(k phi)
         phi = np.arctan2(b, a + 1.0)
-        power = np.exp((k / 2.0 - complex(s1) - 1.0) * np.log(a)
-                       + (s - 1.0) * np.log(b)
-                       - k * np.log(np.hypot(a + 1.0, b)))
-        return -2.0j * np.sin(k * phi) * power
+        exponent = (k / 2.0 - s1 - 1.0) * np.log(a) + (s - 1.0) * np.log(b)
+        exponent -= (k / 2.0) * np.log((a + 1.0) ** 2 + b * b)
+        return -2.0j * (np.sin(k * phi) * np.exp(exponent))
 
     # the tolerances of singular_upper_quadrature
     spec = QuadratureSpec(domain=quadrant(), rel_tol=1e-7, abs_tol=1e-12 / scale)
@@ -209,16 +215,37 @@ def singular_lower_quadrature(k: int, s1: complex, s2: complex) -> complex:
 # regular orbital integrals
 # ---------------------------------------------------------------------------
 
+def _regular_prefactor(k: int, x: float) -> float:
+    """|x - 1|^(k/2), in front of both forms of the regular orbital
+    integral; DomainError when it overflows a float."""
+    try:
+        return abs(x - 1.0) ** (k / 2.0)
+    except OverflowError:
+        raise DomainError(f"|x - 1|^(k/2) overflows a float at k = {k}, x = {x}") from None
+
+
 def _quadrant_integral(k: int, x: float, eps: int, dlt: int, nu: int,
                        s1: complex, s2: complex) -> complex:
-    """Int over (0,oo)^2 of a^(rho-1) b^(sigma-1) / (a x + eps b + dlt i (a b + nu))^k."""
-    rho = k / 2.0 - complex(s1)
-    sigma = k / 2.0 + complex(s2)
+    """Int over (0,oo)^2 of a^(rho-1) b^(sigma-1) / (a x + eps b + dlt i (a b + nu))^k.
+
+    With den = re + i im, log den is 1/2 log(re^2 + im^2) + i atan2(im, re):
+    the real and imaginary parts of one exponent array are filled in and
+    exponentiated in place, and a real (s1, s2) adds no complex arithmetic
+    before the exp.  The nodes lie in [2.0e-31, 5.0e30], so im^2 <= 6.4e122,
+    and re^2 overflows only for x past about 2.7e123.  There the inf gives
+    log = inf and a zero term, the integrand's limit, never a NaN.
+    """
+    rho = k / 2.0 - s1
+    sigma = k / 2.0 + s2
 
     def f(a, b):
-        den = (a * x + eps * b) + 1j * (dlt * (a * b + nu))
-        return np.exp((rho - 1.0) * np.log(a) + (sigma - 1.0) * np.log(b)
-                      - k * np.log(den))
+        re = a * x + eps * b
+        im = dlt * (a * b + nu)
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape), complex)
+        np.add((rho - 1.0) * np.log(a), (sigma - 1.0) * np.log(b), out=out)
+        out.real -= (k / 2.0) * np.log(re * re + im * im)
+        out.imag -= k * np.arctan2(im, re)
+        return np.exp(out, out=out)
 
     spec = QuadratureSpec(domain=quadrant(), rel_tol=1e-9, abs_tol=1e-13)
     return integrate(f, spec).require()
@@ -228,20 +255,24 @@ def regular_integral_quadrature(k: int, x: float, s1: complex, s2: complex) -> c
     """Regular orbital integral at the real point x, by quadrature.
 
     Zero for x < 0; for 0 < x < 1 and x > 1 the integral splits into the
-    two stated quadrant combinations.
+    two stated quadrant combinations.  Each quadrant integrand does real
+    arithmetic wherever the mathematics is real (see _quadrant_integral)
+    and never returns a NaN.  DomainError when |x - 1|^(k/2) overflows a
+    float, before any quadrature.
     """
     _check_weight(k)
     if x == 0.0 or x == 1.0:
         raise DomainError("x must avoid 0 and 1")
     if x < 0.0:
         return 0.0j
+    prefactor = _regular_prefactor(k, x)
     if x < 1.0:
         i1 = _quadrant_integral(k, x, -1, +1, +1, s1, s2)
         i2 = _quadrant_integral(k, x, -1, -1, +1, s1, s2)
-        return (1.0 - x) ** (k / 2.0) * (i1 - (-1.0) ** k * i2)
+        return prefactor * (i1 - (-1.0) ** k * i2)
     i1 = _quadrant_integral(k, x, +1, -1, -1, s1, s2)
     i2 = _quadrant_integral(k, x, +1, +1, -1, s1, s2)
-    return (x - 1.0) ** (k / 2.0) * (i1 - (-1.0) ** k * i2)
+    return prefactor * (i1 - (-1.0) ** k * i2)
 
 
 def regular_integral_closed(k: int, x: float, s1: complex, s2: complex) -> complex:
@@ -257,6 +288,7 @@ def regular_integral_closed(k: int, x: float, s1: complex, s2: complex) -> compl
         raise DomainError("x must avoid 0 and 1")
     if x < 0.0:
         return 0.0j
+    prefactor = _regular_prefactor(k, x)
     rho = k / 2.0 - complex(s1)
     sigma = k / 2.0 + complex(s2)
     common = (
@@ -266,6 +298,6 @@ def regular_integral_closed(k: int, x: float, s1: complex, s2: complex) -> compl
     )
     if x < 1.0:
         phase = cmath.sin(cmath.pi * (rho - sigma - k) / 2.0)
-        return (1.0 - x) ** (k / 2.0) * common * 2.0j * phase
+        return prefactor * common * 2.0j * phase
     phase = cmath.sin(cmath.pi * (rho + sigma - k) / 2.0)
-    return (x - 1.0) ** (k / 2.0) * common * 2.0j * phase
+    return prefactor * common * 2.0j * phase

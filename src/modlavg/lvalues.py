@@ -271,10 +271,14 @@ def modularity_residual(form: Eigenform) -> float:
 def _rows_count(N: int, k: int) -> tuple:
     """The coefficients a form of level N and weight k needs for its Fricke
     and Gamma0(N) rows (_tail_count at their lowest point), and that height;
-    the Gamma0(N) rows are the lower ones except at N = 2."""
-    z = np.array([FRICKE_POINTS]) / math.sqrt(N)
-    _, z0, gz0, _ = _gamma0_rows(N, k)
-    y = min(float(h.imag.min()) for h in (z, _exact_images(z, [(0, -1, N, 0)], k)[0], z0, gz0))
+    the Gamma0(N) rows are the lower ones except at N = 2.  The heights
+    follow from the points w = x + i y alone: y/sqrt(N) and y/(sqrt(N)
+    |w|^2) for the Fricke rows and their images, y/N and y/(N |w|^2) for
+    the Gamma0(N) rows and theirs, so no row is built."""
+    def lowest(points):
+        return min(min(w.imag, w.imag / (w.real ** 2 + w.imag ** 2)) for w in points)
+
+    y = min(lowest(FRICKE_POINTS) / math.sqrt(N), lowest(MODULARITY_POINTS) / N)
     return _tail_count(k, y), y
 
 

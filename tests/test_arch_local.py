@@ -153,6 +153,11 @@ class TestLowerSingular:
         refl = -al.singular_upper_closed(4, -0.02, -0.07)
         assert abs(lo - refl) <= 1e-10 * abs(refl)
 
+    def test_reflection_relation_complex(self):
+        lo = al.singular_lower_quadrature(6, 0.07 + 0.1j, 0.02 - 0.2j)
+        refl = -al.singular_upper_closed(6, -(0.02 - 0.2j), -(0.07 + 0.1j))
+        assert abs(lo - refl) <= 1e-10 * abs(refl)
+
     def test_support_positive_axis(self):
         # the lower-orbit test function vanishes for negative first variable
         g = ((-0.5, 0.0), (0.8, 1.0))
@@ -180,6 +185,22 @@ class TestRegularIntegrals:
             cl = al.regular_integral_closed(k, x, s1, s2)
             assert abs(qd - cl) <= 1e-10 * abs(cl), (k, x, s1, s2)
 
+    @pytest.mark.parametrize("k, x, s1, s2", [(4, 0.5, 0.03 + 0.1j, 0.02 - 0.05j),
+                                              (6, 2.0, 0.03 + 0.1j, 0.02 - 0.05j),
+                                              (4, 0.93, -0.02j, 0.04 + 0.03j)])
+    def test_complex_exponents_agreement(self, k, x, s1, s2):
+        qd = al.regular_integral_quadrature(k, x, s1, s2)
+        cl = al.regular_integral_closed(k, x, s1, s2)
+        assert abs(qd - cl) <= 1e-10 * abs(cl)
+
+    def test_prefactor_overflow_refused_before_quadrature(self, monkeypatch):
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran before the refusal")
+        monkeypatch.setattr(al, "integrate", no_quadrature)
+        for regular in (al.regular_integral_quadrature, al.regular_integral_closed):
+            with pytest.raises(DomainError, match=r"k = 40, x = 1e\+77"):
+                regular(40, 1e77, 0.05, 0.03)
+
     def test_excluded_points(self):
         with pytest.raises(DomainError):
             al.regular_integral_closed(4, 1.0, 0.05, 0.05)
@@ -193,3 +214,18 @@ class TestRegularIntegrals:
         bounds = [v * n ** (k / 2.0) for v, n in zip(vals, ns)]
         assert max(bounds) <= 10.0 * min(b for b in bounds if b > 0)
         assert vals[-1] < vals[0] * 1e-3
+
+
+@pytest.mark.parametrize("quadrature, args", [
+    (al.singular_upper_quadrature, (6, 0.1, -0.05)),
+    (al.singular_lower_quadrature, (4, 0.07, 0.02)),
+    (al.regular_integral_quadrature, (4, 0.4127, 0.0513, 0.0378)),
+    (al.regular_integral_quadrature, (6, 1.8342, 0.0461, 0.0624)),
+])
+def test_real_exponents_as_floats_or_complex(quadrature, args):
+    # one integrand whose dtype follows (s1, s2): real exponents passed as
+    # complex numbers with zero imaginary part give the same integral
+    *head, s1, s2 = args
+    as_float = quadrature(*head, s1, s2)
+    as_complex = quadrature(*head, complex(s1), complex(s2))
+    assert abs(as_float - as_complex) <= 1e-14 * abs(as_float)

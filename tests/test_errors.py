@@ -2,7 +2,7 @@
 
 import pytest
 
-from modlavg import arith, measures, modforms, numerics
+from modlavg import arch_local, arith, measures, modforms, numerics
 from modlavg.errors import DomainError, ModlavgError
 
 REFUSALS = {
@@ -14,6 +14,10 @@ REFUSALS = {
     "eichler_selberg_trace at k = 4.0": lambda: arith.eichler_selberg_trace(7, 4.0, 3),
     "eichler_selberg_trace at m = True": lambda: arith.eichler_selberg_trace(7, 4, True),
     "dim_cusp_forms at k = 4.0": lambda: arith.dim_cusp_forms(7, 4.0),
+    "regular_integral_quadrature with |x - 1|^(k/2) past a float at k = 40":
+        lambda: arch_local.regular_integral_quadrature(40, 1e77, 0.05, 0.03),
+    "regular_integral_quadrature with |x - 1|^(k/2) past a float at k = 4":
+        lambda: arch_local.regular_integral_quadrature(4, 1e160, 0.05, 0.03),
     "SatakeMeasure with sign 0": lambda: measures.SatakeMeasure(p=5, sign=0),
     "satake_poly at n = -1": lambda: measures.satake_poly(-1, 5),
     "coset_list at n = -1": lambda: measures.coset_list(-1, 5),

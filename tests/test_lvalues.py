@@ -136,6 +136,35 @@ class TestModularity:
             assert np.allclose((c * zs + d) ** 4, js, rtol=1e-12)
             assert np.all(0.95 / 11 < gs.imag) and np.all(0.95 / 11 < zs.imag)
 
+    def test_rows_count_from_the_points(self):
+        # the reference builds the rows, as _rows_count once did, and takes
+        # the lowest of the rounded heights of the points and their exact
+        # images (weight 0 skips the factors J); the closed-form heights
+        # are within an ulp of those
+        for N in _primes_up_to(100):
+            z = np.array([lv.FRICKE_POINTS]) / math.sqrt(N)
+            _, z0, gz0, _ = lv._gamma0_rows.__wrapped__(N, 0)
+            rows = (z, lv._exact_images(z, [(0, -1, N, 0)], 0)[0], z0, gz0)
+            y = min(float(h.imag.min()) for h in rows)
+            for k in (4, 6, 8, 10):
+                need, height = lv._rows_count(N, k)
+                assert need == lv._tail_count(k, y), (N, k)
+                assert height == pytest.approx(y, rel=1e-15), (N, k)
+
+    @pytest.mark.parametrize("k", [4, 6, 8, 10])
+    def test_rows_count_immune_to_rounding_of_the_height(self, k):
+        # at every prime N < 1000 the count does not move when the height
+        # moves by far more than the ulp between the closed form and the
+        # rows' own rounded heights
+        for N in _primes_up_to(1000):
+            need, y = lv._rows_count(N, k)
+            assert lv._tail_count(k, y * (1.0 - 1e-12)) == need == lv._tail_count(k, y * (1.0 + 1e-12)), N
+
+    def test_rows_count_builds_no_rows(self):
+        before = lv._gamma0_rows.cache_info().currsize
+        lv._rows_count(1009, 4)
+        assert lv._gamma0_rows.cache_info().currsize == before
+
     def test_corrupted_c2_exceeds_budget(self, forms):
         f = forms["7.4.a"]
         primes = {p: f.c(p) for p in _primes_up_to(f.n_max)}
