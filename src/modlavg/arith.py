@@ -6,13 +6,15 @@ independent cross-check and as the dimension/trace oracle for small spaces.
 It is written with Hurwitz class numbers H(n), the count of all reduced
 forms of discriminant -n with x^2 + y^2 and x^2 + xy + y^2 (and multiples)
 weighted 1/2 and 1/3, and H(0) = -1/12; one sieve over reduced forms gives
-the table of 12 H(n) up to a bound, so every trace is an integer sum.  Each
-Hecke rule has one home: ``hecke_extend`` (recursion and multiplicativity;
-``Eigenform.validate`` checks stored tables against it), ``hecke_coefficient``
-(T_m and U_N on coefficients) and ``admissible_levels``.  Exact row reduction
-over Q, trial-division factorization and one smallest-prime-factor sieve
-serve the newform generator, the Hecke extension and the local and
-regular-tail modules.
+the table of 12 H(n) up to a bound, and ``_root_counts`` the table of root
+counts 1 + (-n | N) for one level and bound (proving N prime once), so
+every trace is an integer sum.  Each Hecke rule has one home:
+``hecke_extend`` (recursion and multiplicativity; ``Eigenform.validate``
+checks stored tables against it), ``hecke_coefficient`` (T_m and U_N on
+coefficients) and ``admissible_levels``.  Exact row reduction over Q,
+trial-division factorization and one smallest-prime-factor sieve serve the
+newform generator, the Hecke extension and the local and regular-tail
+modules.
 """
 
 from __future__ import annotations
@@ -263,6 +265,20 @@ def _hurwitz12(X: int) -> tuple:
     return tuple(h.astype(np.int64).tolist())
 
 
+@lru_cache(maxsize=None)
+def _root_counts(N: int, X: int) -> tuple:
+    """(M, table) with table[n % M] = 1 + (-n | N) for 0 <= n <= X, N prime.
+
+    The Kronecker symbol (-n | N) has period M = N in n at odd N and M = 8
+    at N = 2.  The table holds its first min(M, X + 1) values, so it is
+    never longer than the 12 H table up to X; when M > X + 1, n itself is
+    the index.  N is proved prime here, once per (N, X).
+    """
+    N = _check_prime(N)
+    M = 8 if N == 2 else N
+    return M, bytes(1 + kronecker(-n, N) for n in range(min(M, X + 1)))
+
+
 def eichler_selberg_trace(N: int, k: int, m: int) -> int:
     """Trace of the m-th Hecke operator on weight-k cusp forms of prime
     level N, trivial character, for gcd(m, N) = 1 and even k >= 4.
@@ -279,25 +295,33 @@ def eichler_selberg_trace(N: int, k: int, m: int) -> int:
     t^2 = 4m term the identity's index term.  The sum runs in integers
     over one sieved table of 12 H; the result is exact.
 
-    At odd N no term calls a Python function.  The symbol is Euler's
-    criterion: (-n)^((N-1)/2) is 1, 0 or N - 1 mod N (the builtin
-    three-argument pow), so r = 2, 1 or 0 is that power plus 1, mod N.  At
-    N = 2, where the criterion says nothing, r takes ``kronecker``.  P_k
-    runs the recursion P_j = t P_(j-1) - m P_(j-2) from P_2 = 1, P_3 = t
-    in place.  The divisor sum takes d up to s = isqrt(m) once: each
-    d < sqrt(m) stands for itself and m/d, so it is twice the sum of
-    d^(k-1) over d <= s, less s^(k-1) when s^2 = m.
+    No term calls a Python function.  r is read from ``_root_counts``, one
+    cached table per (N, X) of at most min(M, X + 1) bytes, M the period
+    of the symbol (N, or 8 at N = 2) and X the bound of the 12 H table;
+    building it proves N prime.  A term with r = 0 is skipped, which is
+    exact: r = 0 means N does not divide n, so H(n/N^2) = 0 and the term
+    is 0.  P_k(-t, m) = P_k(t, m) at even k, so the loop runs over t >= 0
+    and counts each t > 0 twice.  P_k runs the recursion
+    P_j = t P_(j-1) - m P_(j-2) from P_2 = 1, P_3 = t in place.  The
+    divisor sum takes d up to s = isqrt(m) once: each d < sqrt(m) stands
+    for itself and m/d, so it is twice the sum of d^(k-1) over d <= s,
+    less s^(k-1) when s^2 = m.
     """
-    N, k = _check_prime(N), _check_weight(k)
+    # an int before the cached table, so that 7.0 never finds 7's entry
+    N, k = _as_int(N, "N"), _check_weight(k)
     m = _as_int(m, "m")
     if m < 1 or math.gcd(m, N) != 1:
         raise DomainError("need m >= 1 with gcd(m, N) = 1")
 
-    h12 = _hurwitz12(1 << (4 * m - 1).bit_length())
-    NN, half, steps, total = N * N, (N - 1) // 2, range(k - 3), 0
+    X = 1 << (4 * m - 1).bit_length()
+    M, roots = _root_counts(N, X)
+    h12 = _hurwitz12(X)
+    NN, steps, total = N * N, range(k - 3), 0
     for t in range(math.isqrt(4 * m), -1, -1):
         n = 4 * m - t * t
-        r = 1 + kronecker(-n, 2) if N == 2 else (pow(-n, half, N) + 1) % N
+        r = roots[n % M]
+        if not r:
+            continue
         prev, p = 1, t
         for _ in steps:
             prev, p = p, t * p - m * prev
@@ -306,10 +330,7 @@ def eichler_selberg_trace(N: int, k: int, m: int) -> int:
         else:
             h_nN = h12[n // NN]
             term = p * (r * (h12[n] - h_nN) + (N + 1) * h_nN)
-        total += term
-    # P_k(-t, m) = P_k(t, m) at even k, so -t repeats the term of t; the
-    # loop ends at t = 0, whose term is counted once
-    total = 2 * total - term
+        total += 2 * term if t else term
     if total % 24:
         raise AccuracyError(f"trace formula returned non-integer {Fraction(-total, 24)}")
     s = math.isqrt(m)
@@ -476,6 +497,8 @@ def _smallest_prime_factors(n: int) -> np.ndarray:
 
 
 def _primes_up_to(n: int) -> list:
+    if n < 2:
+        return []  # no primes, and the sieve takes no negative bound
     # spf[m] == m at m = 0, 1 and at the primes
     return np.flatnonzero(_smallest_prime_factors(n) == np.arange(n + 1))[2:].tolist()
 

@@ -135,6 +135,7 @@ class TestFactorize:
         assert all(spf[n] == min(ar._factorize(n)) for n in range(2, 5001))
         assert ar._primes_up_to(5000) == [n for n in range(2, 5001) if ar._factorize(n) == {n: 1}]
         assert ar._primes_up_to(1) == [] and ar._primes_up_to(2) == [2]
+        assert ar._primes_up_to(-3) == []
 
 
 class TestEichlerSelberg:
@@ -167,9 +168,12 @@ class TestEichlerSelberg:
             assert (12 * h).denominator == 1
             return int(12 * h)
 
+        cases = [(N, bound, ks) for N in (2, 3, 13, 59, 61)]
+        # a level far above every bound: its root table is indexed by n itself
+        cases.append((99991, 60, (4, 6)))
         nonmaximal = set()
-        for N in (2, 3, 13, 59, 61):
-            for m in (m for m in range(1, bound) if m % N):
+        for N, m_bound, ks_N in cases:
+            for m in (m for m in range(1, m_bound) if m % N):
                 weights = {}  # t -> 12 [r (H(n) - H(n/N^2)) + (N + 1) H(n/N^2)]
                 for t in range(-math.isqrt(4 * m), math.isqrt(4 * m) + 1):
                     n = 4 * m - t * t
@@ -178,11 +182,41 @@ class TestEichlerSelberg:
                     if n and n % (N * N) == 0:
                         nonmaximal.add((N, m, t))
                     weights[t] = r * (hurwitz12(n) - h_nN) + (N + 1) * h_nN
-                for k in ks:
+                for k in ks_N:
                     trace = (Fraction(-sum(gegenbauer[t, m][k] * w for t, w in weights.items()), 24)
                              - sum(min(d, m // d) ** (k - 1) for d in divisors[m]))
                     assert ar.eichler_selberg_trace(N, k, m) == trace, (N, k, m)
         assert {(2, 1, 0), (3, 7, 1), (13, 127, 1)} <= nonmaximal
+
+    def test_root_tables(self):
+        # r(n) = 1 + (-n | N) at table[n % M] for every n <= X, in at most
+        # min(M, X + 1) bytes: never more than the 12 H table up to X
+        for N in (2, 3, 59, 99991, 10 ** 9 + 7):
+            for X in (4, 8, 64, 4096):
+                M, table = ar._root_counts(N, X)
+                assert M == (8 if N == 2 else N)
+                assert len(table) == min(M, X + 1), (N, X)
+                assert [table[n % M] for n in range(X + 1)] == [
+                    1 + ar.kronecker(-n, N) for n in range(X + 1)], (N, X)
+
+    def test_primality_proved_once_per_table(self, monkeypatch):
+        proofs = []
+        check_prime = ar._check_prime
+        monkeypatch.setattr(ar, "_check_prime",
+                            lambda N: proofs.append(N) or check_prime(N))
+        ar._root_counts.cache_clear()
+        ar.eichler_selberg_trace(101, 4, 100)   # X = 512
+        ar.eichler_selberg_trace(101, 6, 90)    # X = 512 again
+        assert proofs == [101]
+        ar.eichler_selberg_trace(101, 4, 200)   # X = 1024
+        assert proofs == [101, 101]
+
+    @pytest.mark.parametrize("N", [9, 91])
+    def test_composite_level_refused_on_every_call(self, N):
+        # lru_cache keeps no exception, so no call finds a table for N
+        for _ in range(3):
+            with pytest.raises(DomainError, match=f"N = {N} is not prime"):
+                ar.eichler_selberg_trace(N, 4, 2)
 
     def test_against_qexp_oracle(self):
         # the seed file's q-expansions: the coefficient sums are the traces,
@@ -428,3 +462,4 @@ class TestAdmissibleLevels:
     def test_without_dim_filter(self):
         levels = ar.admissible_levels(-4, 13, 30)
         assert levels == [3, 7, 11, 19, 23]
+        assert ar.admissible_levels(-4, 13, -5) == []

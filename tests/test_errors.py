@@ -2,8 +2,8 @@
 
 import pytest
 
-from modlavg import arch_local, arith, measures, modforms, numerics
-from modlavg.errors import DomainError, ModlavgError
+from modlavg import arch_local, arith, harness, measures, modforms, numerics
+from modlavg.errors import DomainError, InvariantViolation, ModlavgError
 
 REFUSALS = {
     "dirichlet_l at s = 2": lambda: arith.dirichlet_l(-4, 2),
@@ -41,3 +41,16 @@ def test_refusal_is_typed(case):
         REFUSALS[case]()
     assert isinstance(info.value, DomainError)
 
+
+def test_non_integer_level_refused_after_a_trace_at_that_level():
+    # the root-count table is cached per (N, X): 7.0 and True must be refused
+    # before the cache, which a trace at N = 7 has just filled
+    assert arith.eichler_selberg_trace(7, 4, 3) == -2
+    for N in (7.0, True):
+        with pytest.raises(DomainError, match="is not an integer"):
+            arith.eichler_selberg_trace(N, 4, 3)
+
+
+def test_negative_level_refused_by_config():
+    with pytest.raises(InvariantViolation, match="level -3 is not admissible"):
+        harness.ExperimentConfig(discriminant=-4, weight=4, aux_prime=13, levels=[-3])

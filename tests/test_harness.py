@@ -78,6 +78,7 @@ class TestConfig:
         ({"levels": [3, 7, 9]}, "level 9 is not admissible"),
         ({"levels": [3, 5]}, "level 5 is not admissible"),
         ({"levels": [13]}, "level 13 is not admissible"),
+        ({"levels": [-3]}, "level -3 is not admissible"),
         ({"interval": [1.0]}, "interval must be two numbers"),
         ({"interval": [-1.0, "2"]}, "interval must be two numbers"),
         ({"interval": [-1.0, float("nan")]}, "subinterval of [-2, 2]"),
