@@ -28,8 +28,9 @@ import math
 import numpy as np
 
 from .arith import _check_weight
-from .errors import DomainError
+from .errors import AccuracyError, DomainError
 from .numerics import (
+    IntegralResult,
     QuadratureSpec,
     _is_nonpositive_integer,
     beta,
@@ -224,8 +225,13 @@ def _regular_prefactor(k: int, x: float) -> float:
         raise DomainError(f"|x - 1|^(k/2) overflows a float at k = {k}, x = {x}") from None
 
 
+# acceptance of a regular orbital integral: its combined error estimate,
+# after the prefactor, within REGULAR_ABS_TOL + REGULAR_REL_TOL |value|
+REGULAR_REL_TOL, REGULAR_ABS_TOL = 1e-9, 1e-13
+
+
 def _quadrant_integral(k: int, x: float, eps: int, dlt: int, nu: int,
-                       s1: complex, s2: complex) -> complex:
+                       s1: complex, s2: complex) -> IntegralResult:
     """Int over (0,oo)^2 of a^(rho-1) b^(sigma-1) / (a x + eps b + dlt i (a b + nu))^k.
 
     With den = re + i im, log den is 1/2 log(re^2 + im^2) + i atan2(im, re):
@@ -247,8 +253,9 @@ def _quadrant_integral(k: int, x: float, eps: int, dlt: int, nu: int,
         out.imag -= k * np.arctan2(im, re)
         return np.exp(out, out=out)
 
-    spec = QuadratureSpec(domain=quadrant(), rel_tol=1e-9, abs_tol=1e-13)
-    return integrate(f, spec).require()
+    spec = QuadratureSpec(domain=quadrant(), rel_tol=REGULAR_REL_TOL,
+                          abs_tol=REGULAR_ABS_TOL)
+    return integrate(f, spec)
 
 
 def regular_integral_quadrature(k: int, x: float, s1: complex, s2: complex) -> complex:
@@ -258,7 +265,11 @@ def regular_integral_quadrature(k: int, x: float, s1: complex, s2: complex) -> c
     two stated quadrant combinations.  Each quadrant integrand does real
     arithmetic wherever the mathematics is real (see _quadrant_integral)
     and never returns a NaN.  DomainError when |x - 1|^(k/2) overflows a
-    float, before any quadrature.
+    float, before any quadrature.  The value is accepted when its combined
+    error |x - 1|^(k/2) (err_1 + err_2) is within REGULAR_ABS_TOL +
+    REGULAR_REL_TOL |value|, else AccuracyError: at (4, x, 0.05, 0.03) it
+    accepts x <= 150 and refuses x = 200 to 1e65, where the prefactor lifts
+    the quadrants' own errors past the tolerance of the product.
     """
     _check_weight(k)
     if x == 0.0 or x == 1.0:
@@ -269,10 +280,16 @@ def regular_integral_quadrature(k: int, x: float, s1: complex, s2: complex) -> c
     if x < 1.0:
         i1 = _quadrant_integral(k, x, -1, +1, +1, s1, s2)
         i2 = _quadrant_integral(k, x, -1, -1, +1, s1, s2)
-        return prefactor * (i1 - (-1.0) ** k * i2)
-    i1 = _quadrant_integral(k, x, +1, -1, -1, s1, s2)
-    i2 = _quadrant_integral(k, x, +1, +1, -1, s1, s2)
-    return prefactor * (i1 - (-1.0) ** k * i2)
+    else:
+        i1 = _quadrant_integral(k, x, +1, -1, -1, s1, s2)
+        i2 = _quadrant_integral(k, x, +1, +1, -1, s1, s2)
+    value = prefactor * (i1.value - (-1.0) ** k * i2.value)
+    error = prefactor * (i1.error + i2.error)
+    # an infinite or NaN error fails the comparison too
+    if not error <= REGULAR_ABS_TOL + REGULAR_REL_TOL * abs(value):
+        raise AccuracyError(f"regular orbital integral at k = {k}, x = {x}: "
+                            f"error estimate {error:.3e} exceeds tolerance")
+    return value
 
 
 def regular_integral_closed(k: int, x: float, s1: complex, s2: complex) -> complex:

@@ -23,6 +23,14 @@ report's ``envelope`` checks, at every level with forms,
 constant against an error budget (``identity_budget``,
 ``identity_check``) whose per-form terms the accuracy witnesses of the
 computation bear out.
+
+Only the spectral side depends on the interval J.  The per-form rows
+(``_FORM_CACHE``), the bin masses (``_bin_masses``), the swap-orbit sweep
+(``_swap_cells``), the tail bounds (``reg_tail.tail_envelope``) and the
+density table (``measures.density_csv``) are kept for the process, keyed
+on checked integers and the frozen measure, so a warm ``run_experiment``
+at a new J pays for the J-dependent work alone.  Every report is built
+from new dicts and lists: editing one changes no later call.
 """
 
 from __future__ import annotations
@@ -32,9 +40,11 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import arch_local, measures, padic_local, reg_tail
 from .arith import (
+    _as_int,
     _factorize,
     admissible_levels,
     dim_cusp_forms,
@@ -261,12 +271,13 @@ def proportionality_test(cfg: ExperimentConfig) -> dict:
     """Bin-share vectors of the spectral mass against the measure masses.
 
     Binning is exhaustive and exclusive (last bin closed).  Levels with an
-    empty or zero full-interval sum are flagged degenerate.
+    empty or zero full-interval sum are flagged degenerate.  The measure
+    masses of the bins come from the per-process table _bin_masses.
     """
     if len(cfg.levels) < 3:
         raise InvariantViolation("need at least 3 levels")
-    edges = [-2.0 + 4.0 * i / cfg.bins for i in range(cfg.bins + 1)]
-    masses = [measure_mass(cfg, lo, hi) for lo, hi in zip(edges, edges[1:])]
+    edges = _bin_edges(cfg.bins)
+    masses = list(_bin_masses(cfg.measure, cfg.bins))
     out = {"edges": edges, "measure_masses": masses, "levels": {}}
     for N in cfg.levels:
         rows = _level_rows(cfg, N)
@@ -286,6 +297,18 @@ def proportionality_test(cfg: ExperimentConfig) -> dict:
     return out
 
 
+def _bin_edges(bins: int) -> list:
+    return [-2.0 + 4.0 * i / bins for i in range(bins + 1)]
+
+
+@lru_cache(maxsize=None)
+def _bin_masses(measure: measures.SatakeMeasure, bins: int) -> tuple:
+    """Masses of the measure on the bins equal parts of [-2, 2], built once
+    per process for each (measure, bins): they do not depend on J."""
+    edges = _bin_edges(bins)
+    return tuple(measures.mass(measure, lo, hi) for lo, hi in zip(edges, edges[1:]))
+
+
 # ---------------------------------------------------------------------------
 # geometric audit
 # ---------------------------------------------------------------------------
@@ -296,24 +319,21 @@ AUDIT_WINDOW = 10
 
 def geometric_side_audit(cfg: ExperimentConfig, N: int) -> dict:
     """Itemized singular-orbit table at level N with the basic auxiliary
-    test function, plus the truncated regular-tail bound."""
+    test function, plus the truncated regular-tail bound.
+
+    Neither the swap-orbit cell count (_swap_cells) nor the tail bound
+    (reg_tail.tail_envelope) depends on J: each is built once per process
+    for its integers, and the table is new on every call."""
+    N = _as_int(N, "level N")
     D, k = cfg.discriminant, cfg.weight
     gauss = padic_local.gauss_sum(D)
     l_zero = dirichlet_l(D, 0)
     upper_arch = arch_local.singular_upper_closed(k, 0.0, 0.0)
     vol_inv = N + 1  # 1 / V_N
-
-    # swapped singular orbits vanish at the level place: verified by sweep
-    place = padic_local.PlaceSpec(q=N, kind="level", chi_q=kronecker(D, N))
-    swap_cells = 0
-    for kind in ("swap_upper", "swap_lower"):
-        res = padic_local.brute_force_integral(
-            place, padic_local.OrbitDatum(kind=kind), AUDIT_WINDOW
-        )
-        swap_cells += len(res.cells)
+    chi_n = kronecker(D, N)
+    swap_cells = _swap_cells(N, chi_n)
 
     upper_val = (upper_arch / gauss).real * vol_inv * 1.0 * l_zero
-    chi_n = kronecker(D, N)
     lower_val = ((-upper_arch) / gauss).real * chi_n * vol_inv * 1.0 * l_zero
 
     tail = reg_tail.tail_envelope(N, abs(D), k, n_max=200 * N)
@@ -335,6 +355,19 @@ def geometric_side_audit(cfg: ExperimentConfig, N: int) -> dict:
         "upper_lower_gap": abs(upper_val - lower_val) / max(abs(upper_val), 1e-30),
         "regular_tail_bound": tail,
     }
+
+
+@lru_cache(maxsize=None)
+def _swap_cells(N: int, chi_n: int) -> int:
+    """Cells of the two swapped singular orbits at the level place q = N with
+    chi_q = chi_n, in the valuation window AUDIT_WINDOW: the sweep that shows
+    they vanish, run once per process for each (N, chi_n).  Its caller
+    passes N through arith._as_int, so 7.0 and True never find 7's or 1's
+    entry; the place itself proves N prime."""
+    place = padic_local.PlaceSpec(q=N, kind="level", chi_q=chi_n)
+    return sum(len(padic_local.brute_force_integral(
+                   place, padic_local.OrbitDatum(kind=kind), AUDIT_WINDOW).cells)
+               for kind in ("swap_upper", "swap_lower"))
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +477,8 @@ def run_experiment(cfg: ExperimentConfig) -> AverageReport:
         audit = geometric_side_audit(cfg, N)
         level_reports.append({
             "level": N,
-            "forms": rows,
+            # copies: an edit to the report must not reach _FORM_CACHE
+            "forms": [dict(r) for r in rows],
             "spectral_full": s_full,
             "spectral_interval": s_j,
             "interval_share": (s_j / s_full) if s_full else None,

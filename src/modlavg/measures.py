@@ -14,17 +14,19 @@ even/odd coefficient series.
 
 Every integral against a density on [-2, 2] (masses, moments) goes through
 one helper in the angle x = 2 cos(theta), which removes the square-root
-endpoint behaviour.
+endpoint behaviour.  A density table (``density_csv``) depends on p and its
+grid alone, so a process builds it once for each pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .arith import _check_prime
+from .arith import _as_int, _check_prime
 from .errors import DomainError, PoleError
 from .numerics import QuadratureSpec, integrate, interval
 
@@ -91,9 +93,20 @@ def sato_tate_density(x):
 
 def density_csv(p: int, grid: int) -> str:
     """CSV table of the split, inert and Sato-Tate densities at the grid + 1
-    equally spaced points of [-2, 2], with a header line; grid >= 1."""
+    equally spaced points of [-2, 2], with a header line; grid >= 1.
+
+    p must be a prime and grid an int, checked before the table is looked
+    up: _density_table builds it once per process for each (p, grid)."""
+    p = _check_prime(p)
+    grid = _as_int(grid, "density grid")
     if grid < 1:
         raise DomainError(f"density grid {grid} must be >= 1")
+    return _density_table(p, grid)
+
+
+@lru_cache(maxsize=None)
+def _density_table(p: int, grid: int) -> str:
+    """The text of density_csv, keyed on the ints it has checked."""
     x = -2.0 + 4.0 * np.arange(grid + 1) / grid
     columns = (x, density(SatakeMeasure(p=p, sign=+1), x),
                density(SatakeMeasure(p=p, sign=-1), x), sato_tate_density(x))

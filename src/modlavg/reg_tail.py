@@ -10,15 +10,24 @@ come from ``arith._factorize`` and, over a range, from its sieve
 ``arith._smallest_prime_factors``.  Ranges of n are handled as integer
 arrays (the table of g, the valuations behind each orbit's prime product);
 only the float terms and their running sum are formed one orbit at a time.
+The sum of a tail envelope depends on its four integers alone, so a process
+builds it once for each of them.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .arith import _factorize, _primes_up_to, _smallest_prime_factors
+from .arith import (
+    _as_int,
+    _check_weight,
+    _factorize,
+    _primes_up_to,
+    _smallest_prime_factors,
+)
 from .errors import DomainError
 
 __all__ = [
@@ -147,7 +156,10 @@ def regular_term_bound(n: int, M: int, k: int) -> float:
     product over primes of M * v_q((n-M)/n)^2 (at least 1 per prime).
 
     The one-orbit case of tail_envelope's rule; it sieves up to n, so its
-    memory grows as 8 bytes per integer up to n."""
+    memory grows as 8 bytes per integer up to n.  DomainError, before any
+    arithmetic, for a non-integer n or M or a weight that
+    arith._check_weight refuses."""
+    n, M, k = _as_int(n, "n"), _as_int(M, "M"), _check_weight(k)
     if n <= M:
         raise DomainError("need n > M")
     return _term_bounds(np.array([n]), M, k)[0]
@@ -155,10 +167,26 @@ def regular_term_bound(n: int, M: int, k: int) -> float:
 
 def tail_envelope(N: int, M: int, k: int, n_max: int) -> dict:
     """Sum of the per-orbit bounds over n = mN + M <= n_max, compared with
-    the level-decay envelope N^(-k/2 + 0.1)."""
+    the level-decay envelope N^(-k/2 + 0.1).
+
+    DomainError, before any arithmetic, for a non-integer N, M or n_max, a
+    level below 1 or a weight that arith._check_weight refuses.  The sum
+    comes from _tail_sum, built once per process for each (N, M, k, n_max);
+    the dict is new on every call."""
+    N, M = _as_int(N, "level N"), _as_int(M, "M")
+    n_max, k = _as_int(n_max, "n_max"), _check_weight(k)
     _check_level(N)
+    total = _tail_sum(N, M, k, n_max)
+    env = N ** (-k / 2.0 + 0.1)
+    return {"sum": total, "envelope": env, "ratio": total / env}
+
+
+@lru_cache(maxsize=None)
+def _tail_sum(N: int, M: int, k: int, n_max: int) -> float:
+    """The running sum of tail_envelope, whose callers check the integers:
+    only an int may key this cache, so 7.0 and True never find 7's or 1's
+    entry."""
     total = 0.0
     for term in _term_bounds(np.arange(N + M, n_max + 1, N), M, k):
         total += term
-    env = N ** (-k / 2.0 + 0.1)
-    return {"sum": total, "envelope": env, "ratio": total / env}
+    return total

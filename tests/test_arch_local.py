@@ -205,6 +205,18 @@ class TestRegularIntegrals:
         with pytest.raises(DomainError):
             al.regular_integral_closed(4, 1.0, 0.05, 0.05)
 
+    def test_combined_error_held_after_the_prefactor(self):
+        # up to x = 100 the rule meets the closed form; at x = 300 and 999
+        # each quadrant converges on its own, but |x - 1|^(k/2) (err_1 +
+        # err_2) is 3.4e-10 and 1.2e-8 against tolerances near 5e-11 and 7e-11
+        for x in (10.0, 50.0, 100.0):
+            qd = al.regular_integral_quadrature(4, x, 0.05, 0.03)
+            cl = al.regular_integral_closed(4, x, 0.05, 0.03)
+            assert abs(qd - cl) <= 2e-14 * abs(cl)
+        for x in (300.0, 999.0, 1e6, 1e20):
+            with pytest.raises(AccuracyError, match="error estimate"):
+                al.regular_integral_quadrature(4, x, 0.05, 0.03)
+
     def test_decay_in_orbit_parameter(self):
         # |I((n - M)/n)| <= c / n^(k/2) along the surviving orbit family
         k, M, s1, s2 = 4, 3, 0.05, 0.04

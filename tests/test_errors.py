@@ -2,7 +2,7 @@
 
 import pytest
 
-from modlavg import arch_local, arith, harness, measures, modforms, numerics
+from modlavg import arch_local, arith, harness, measures, modforms, numerics, reg_tail
 from modlavg.errors import DomainError, InvariantViolation, ModlavgError
 
 REFUSALS = {
@@ -18,6 +18,16 @@ REFUSALS = {
         lambda: arch_local.regular_integral_quadrature(40, 1e77, 0.05, 0.03),
     "regular_integral_quadrature with |x - 1|^(k/2) past a float at k = 4":
         lambda: arch_local.regular_integral_quadrature(4, 1e160, 0.05, 0.03),
+    "tail_envelope at N = 7.5": lambda: reg_tail.tail_envelope(7.5, 4, 4, 1400),
+    "tail_envelope at M = 4.0": lambda: reg_tail.tail_envelope(7, 4.0, 4, 1400),
+    "tail_envelope at k = 4.5": lambda: reg_tail.tail_envelope(7, 4, 4.5, 1400),
+    "tail_envelope at k = 5": lambda: reg_tail.tail_envelope(7, 4, 5, 1400),
+    "tail_envelope at n_max = 1400.0": lambda: reg_tail.tail_envelope(7, 4, 4, 1400.0),
+    "regular_term_bound at n = 9.0": lambda: reg_tail.regular_term_bound(9.0, 4, 4),
+    "regular_term_bound at M = True": lambda: reg_tail.regular_term_bound(9, True, 4),
+    "regular_term_bound at k = 4.5": lambda: reg_tail.regular_term_bound(9, 4, 4.5),
+    "density_csv at grid 400.0": lambda: measures.density_csv(13, 400.0),
+    "density_csv at p = 13.0": lambda: measures.density_csv(13.0, 400),
     "SatakeMeasure with sign 0": lambda: measures.SatakeMeasure(p=5, sign=0),
     "satake_poly at n = -1": lambda: measures.satake_poly(-1, 5),
     "coset_list at n = -1": lambda: measures.coset_list(-1, 5),
@@ -49,6 +59,28 @@ def test_non_integer_level_refused_after_a_trace_at_that_level():
     for N in (7.0, True):
         with pytest.raises(DomainError, match="is not an integer"):
             arith.eichler_selberg_trace(N, 4, 3)
+
+
+@pytest.mark.parametrize("filled, refused", [
+    # each table is built once per process for its ints; a float or a bool
+    # equal to one of them must be refused before the table is looked up
+    (lambda: reg_tail.tail_envelope(1, 4, 4, 200), [
+        lambda: reg_tail.tail_envelope(True, 4, 4, 200),
+        lambda: reg_tail.tail_envelope(1.0, 4, 4, 200),
+        lambda: reg_tail.tail_envelope(1, 4, 4, 200.0)]),
+    (lambda: measures.density_csv(2, 1), [
+        lambda: measures.density_csv(2, True),
+        lambda: measures.density_csv(2, 1.0)]),
+    (lambda: harness.geometric_side_audit(harness.ExperimentConfig(
+        discriminant=-4, weight=4, aux_prime=13), 7), [
+        lambda: harness.geometric_side_audit(harness.ExperimentConfig(
+            discriminant=-4, weight=4, aux_prime=13), 7.0)]),
+], ids=["tail_envelope", "density_csv", "geometric_side_audit"])
+def test_non_integer_refused_after_the_int_filled_the_table(filled, refused):
+    filled()
+    for call in refused:
+        with pytest.raises(DomainError, match="is not an integer"):
+            call()
 
 
 def test_negative_level_refused_by_config():

@@ -12,6 +12,7 @@ from modlavg import cli
 from modlavg import harness as hs
 from modlavg import lvalues as lv
 from modlavg import measures as ms
+from modlavg import reg_tail as rt
 from modlavg.arith import dim_cusp_forms, dump_eigenforms, load_eigenforms
 from modlavg.errors import AccuracyError, InvariantViolation
 from modlavg.newforms import newforms
@@ -284,6 +285,48 @@ class TestRunExperiment:
         for key in ("printed", "assembled"):
             assert sorted(report.envelope[key]["rows"]) == [7, 11]
         assert "ok" not in json.loads(report.to_json())
+
+    def test_warm_calls_write_the_cold_files(self, monkeypatch, tmp_path):
+        # the per-process tables start empty, so the first run is cold; five
+        # calls at other (J, bins) fill them, and the default config run
+        # again reads them: its three files must equal the cold run's
+        monkeypatch.setattr(hs, "_FORM_CACHE", {})
+        for table in (hs._bin_masses, hs._swap_cells, rt._tail_sum,
+                      ms._density_table):
+            table.cache_clear()
+        names = ("report.json", "forms.csv", "density.csv")
+
+        def run(out, **changes):
+            hs.run_experiment(hs.ExperimentConfig(
+                discriminant=-4, weight=4, aux_prime=13,
+                output_dir=str(tmp_path / out), **changes))
+            return {name: (tmp_path / out / name).read_bytes() for name in names}
+
+        cold = run("cold")
+        for i, (interval, bins) in enumerate([((-1.0, 0.5), 3), ((0.2, 1.9), 7),
+                                              ((-2.0, 2.0), 2), ((1.0, 1.0), 8),
+                                              ((-0.3, 2.0), 4)]):
+            warm = run(f"warm{i}", interval=interval, bins=bins)
+            assert warm["forms.csv"] == cold["forms.csv"]
+            assert warm["density.csv"] == cold["density.csv"]
+        assert run("again") == cold
+
+    def test_editing_a_report_leaves_the_next_call_alone(self, cfg):
+        first = hs.run_experiment(cfg)
+        expected = first.to_json()
+        containers = []
+
+        def collect(obj):
+            if isinstance(obj, (dict, list)):
+                containers.append(obj)
+                for item in (obj.values() if isinstance(obj, dict) else obj):
+                    collect(item)
+
+        for field in dataclasses.fields(first):
+            collect(getattr(first, field.name))
+        for obj in containers:
+            obj.clear()
+        assert hs.run_experiment(cfg).to_json() == expected
 
 
 class TestIdentityCheck:

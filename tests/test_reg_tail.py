@@ -161,6 +161,20 @@ class TestEnvelope:
             rt.regular_term_bound(4, 4, 4)
 
 
+def test_bad_input_refused_before_any_arithmetic(monkeypatch):
+    # a float level was truncated to int64 orbits: 7.5 gave a sum of 31.99
+    def no_terms(*args):
+        raise AssertionError("orbit terms built before the refusal")
+    monkeypatch.setattr(rt, "_term_bounds", no_terms)
+    for args in [(7.5, 4, 4, 1400), (True, 4, 4, 1400), (7, 4, 4.5, 1400),
+                 (7, 4, 6.0, 1400), (7, 4, 4, 1400.0), (7, 4.0, 4, 1400)]:
+        with pytest.raises(DomainError):
+            rt.tail_envelope(*args)
+    for args in [(9.0, 4, 4), (9, 4, 3), (9, 4, True)]:
+        with pytest.raises(DomainError):
+            rt.regular_term_bound(*args)
+
+
 @pytest.mark.parametrize("N", [0, -3])
 def test_level_below_one_refused(N):
     # at N = 0 the orbits mN + M never pass n_max (tail_sum looped forever)
