@@ -30,6 +30,7 @@ import numpy as np
 from .arith import _check_weight
 from .errors import AccuracyError, DomainError
 from .numerics import (
+    _DE_NODES,
     IntegralResult,
     QuadratureSpec,
     _is_nonpositive_integer,
@@ -268,8 +269,12 @@ def regular_integral_quadrature(k: int, x: float, s1: complex, s2: complex) -> c
     float, before any quadrature.  The value is accepted when its combined
     error |x - 1|^(k/2) (err_1 + err_2) is within REGULAR_ABS_TOL +
     REGULAR_REL_TOL |value|, else AccuracyError: at (4, x, 0.05, 0.03) it
-    accepts x <= 150 and refuses x = 200 to 1e65, where the prefactor lifts
-    the quadrants' own errors past the tolerance of the product.
+    accepts x <= 150 and refuses larger x, where the prefactor lifts the
+    quadrants' own errors past the tolerance of the product.  Once 1/x, the
+    scale of a in the quadrant integrands, lies below the smallest node
+    (about 2.0e-31), the integrands underflow on every node and the error
+    estimate shrinks with the value, so such x is AccuracyError before any
+    quadrature.
     """
     _check_weight(k)
     if x == 0.0 or x == 1.0:
@@ -277,6 +282,10 @@ def regular_integral_quadrature(k: int, x: float, s1: complex, s2: complex) -> c
     if x < 0.0:
         return 0.0j
     prefactor = _regular_prefactor(k, x)
+    if 1.0 / x < _DE_NODES[0]:
+        raise AccuracyError(f"regular orbital integral at k = {k}, x = {x}: 1/x "
+                            f"lies below the smallest quadrature node "
+                            f"{_DE_NODES[0]:.1e}")
     if x < 1.0:
         i1 = _quadrant_integral(k, x, -1, +1, +1, s1, s2)
         i2 = _quadrant_integral(k, x, -1, -1, +1, s1, s2)

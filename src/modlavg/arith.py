@@ -120,9 +120,13 @@ def _factorize(n: int) -> dict:
 # Dirichlet L-values at s = 1 and s = 0
 # ---------------------------------------------------------------------------
 
-def _check_negative_fundamental(D: int) -> None:
+def _check_negative_fundamental(D: int) -> int:
+    """D as an int when it is a negative fundamental discriminant; a float
+    or a bool (_as_int) or any other D is DomainError."""
+    D = _as_int(D, "discriminant D")
     if not (D < 0 and is_fundamental_discriminant(D)):
         raise DomainError(f"D = {D} is not a negative fundamental discriminant")
+    return D
 
 
 def dirichlet_l(D: int, s: float) -> float:
@@ -131,7 +135,7 @@ def dirichlet_l(D: int, s: float) -> float:
     s = 1 is the value of ``dirichlet_l_one``; s = 0 uses the finite
     character sum.
     """
-    _check_negative_fundamental(D)
+    D = _check_negative_fundamental(D)
     if s == 0:
         return l_zero_finite_sum(D)
     if s != 1:
@@ -144,9 +148,17 @@ def dirichlet_l_one(D: int) -> IntegralResult:
 
     L(1, chi_D) is the Abel sum of the character series, i.e. the integral
     of P(t) / (1 - t^|D|) over [0, 1] with P the character polynomial; the
-    integrand is smooth since the character has mean zero.
+    integrand is smooth since the character has mean zero.  The quadrature
+    runs once per process for each D (_l_one_table).
     """
-    _check_negative_fundamental(D)
+    return _l_one_table(_check_negative_fundamental(D))
+
+
+@lru_cache(maxsize=None)
+def _l_one_table(D: int) -> IntegralResult:
+    """The quadrature of dirichlet_l_one, whose caller checks D: only an int
+    may key this cache, so -4.0 and True never find -4's or 1's entry.  The
+    result is a frozen IntegralResult, safe to hand to every caller."""
     mod = abs(D)
     chi = [kronecker(D, a) for a in range(mod)]
     # the Abel integrand is P(t)/(1 - t^mod) with P(t) = sum chi(a) t^(a-1);

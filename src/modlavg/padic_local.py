@@ -360,7 +360,7 @@ def gauss_sum(D: int) -> complex:
 
     Equals i * sqrt(|D|) for the odd quadratic character.
     """
-    _check_negative_fundamental(D)
+    D = _check_negative_fundamental(D)
     mod = abs(D)
     re = math.fsum(
         kronecker(D, a) * math.cos(2.0 * math.pi * a / mod) for a in range(1, mod)

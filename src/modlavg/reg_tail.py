@@ -89,17 +89,18 @@ def subpolynomial_check(epsilon: float, n_max: int) -> dict:
     return {"max": best, "argmax": arg}
 
 
-def _check_level(N: int) -> None:
-    """Refuse a level below 1: the orbits n = mN + M would not advance."""
-    if N < 1:
-        raise DomainError(f"level N must be >= 1, got {N!r}")
+def _check_at_least_one(x: int, what: str) -> None:
+    """Refuse a level or orbit modulus below 1: at a level N < 1 the orbits
+    n = mN + M would not advance, and the surviving orbits need M >= 1."""
+    if x < 1:
+        raise DomainError(f"{what} must be >= 1, got {x!r}")
 
 
 def tail_sum(N: int, M: int, u: float, n_max: int) -> dict:
     """sum over m >= 1, mN + M <= n_max of (mN + M)^(-u), plus an
     integral-test bound for the truncated remainder, and the ratio of the
     total against N^(-u)."""
-    _check_level(N)
+    _check_at_least_one(N, "level N")
     if u <= 1:
         raise DomainError("need u > 1")
     total = 0.0
@@ -157,9 +158,10 @@ def regular_term_bound(n: int, M: int, k: int) -> float:
 
     The one-orbit case of tail_envelope's rule; it sieves up to n, so its
     memory grows as 8 bytes per integer up to n.  DomainError, before any
-    arithmetic, for a non-integer n or M or a weight that
-    arith._check_weight refuses."""
+    arithmetic, for a non-integer n or M, a modulus M below 1 or a weight
+    that arith._check_weight refuses."""
     n, M, k = _as_int(n, "n"), _as_int(M, "M"), _check_weight(k)
+    _check_at_least_one(M, "orbit modulus M")
     if n <= M:
         raise DomainError("need n > M")
     return _term_bounds(np.array([n]), M, k)[0]
@@ -170,12 +172,13 @@ def tail_envelope(N: int, M: int, k: int, n_max: int) -> dict:
     the level-decay envelope N^(-k/2 + 0.1).
 
     DomainError, before any arithmetic, for a non-integer N, M or n_max, a
-    level below 1 or a weight that arith._check_weight refuses.  The sum
-    comes from _tail_sum, built once per process for each (N, M, k, n_max);
-    the dict is new on every call."""
+    level or modulus below 1 or a weight that arith._check_weight refuses.
+    The sum comes from _tail_sum, built once per process for each (N, M, k,
+    n_max); the dict is new on every call."""
     N, M = _as_int(N, "level N"), _as_int(M, "M")
     n_max, k = _as_int(n_max, "n_max"), _check_weight(k)
-    _check_level(N)
+    _check_at_least_one(N, "level N")
+    _check_at_least_one(M, "orbit modulus M")
     total = _tail_sum(N, M, k, n_max)
     env = N ** (-k / 2.0 + 0.1)
     return {"sum": total, "envelope": env, "ratio": total / env}

@@ -201,6 +201,16 @@ class TestRegularIntegrals:
             with pytest.raises(DomainError, match=r"k = 40, x = 1e\+77"):
                 regular(40, 1e77, 0.05, 0.03)
 
+    @pytest.mark.parametrize("x", [1e70, 1e100, 1e150])
+    def test_x_past_the_node_range_refused_before_quadrature(self, x, monkeypatch):
+        # 1/x lies below the smallest exp-sinh node: the integrands underflow
+        # on every node, and the rule returned -1.6e-56j at 1e70 and 0j at 1e100
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran before the refusal")
+        monkeypatch.setattr(al, "integrate", no_quadrature)
+        with pytest.raises(AccuracyError, match="smallest quadrature node"):
+            al.regular_integral_quadrature(4, x, 0.05, 0.03)
+
     def test_excluded_points(self):
         with pytest.raises(DomainError):
             al.regular_integral_closed(4, 1.0, 0.05, 0.05)

@@ -2,11 +2,18 @@
 
 import pytest
 
-from modlavg import arch_local, arith, harness, measures, modforms, numerics, reg_tail
+from modlavg import (arch_local, arith, harness, measures, modforms, numerics,
+                     padic_local, reg_tail)
 from modlavg.errors import DomainError, InvariantViolation, ModlavgError
 
 REFUSALS = {
     "dirichlet_l at s = 2": lambda: arith.dirichlet_l(-4, 2),
+    # a float discriminant died in range() with an untyped TypeError
+    "dirichlet_l_one at D = -4.0": lambda: arith.dirichlet_l_one(-4.0),
+    "dirichlet_l at D = -4.0, s = 0": lambda: arith.dirichlet_l(-4.0, 0),
+    "dirichlet_l at D = -4.0, s = 1": lambda: arith.dirichlet_l(-4.0, 1),
+    "l_zero_via_l_one at D = -4.0": lambda: arith.l_zero_via_l_one(-4.0),
+    "gauss_sum at D = -4.0": lambda: padic_local.gauss_sum(-4.0),
     "class_number_weighted of disc > 0": lambda: arith.class_number_weighted(5),
     "eichler_selberg_trace at m = 0": lambda: arith.eichler_selberg_trace(7, 4, 0),
     "eichler_selberg_trace at m = 3.0": lambda: arith.eichler_selberg_trace(7, 4, 3.0),
@@ -26,6 +33,9 @@ REFUSALS = {
     "regular_term_bound at n = 9.0": lambda: reg_tail.regular_term_bound(9.0, 4, 4),
     "regular_term_bound at M = True": lambda: reg_tail.regular_term_bound(9, True, 4),
     "regular_term_bound at k = 4.5": lambda: reg_tail.regular_term_bound(9, 4, 4.5),
+    "tail_envelope at M = 0": lambda: reg_tail.tail_envelope(7, 0, 4, 100),
+    "tail_envelope at M = -4": lambda: reg_tail.tail_envelope(7, -4, 4, 100),
+    "regular_term_bound at M = 0": lambda: reg_tail.regular_term_bound(9, 0, 4),
     "density_csv at grid 400.0": lambda: measures.density_csv(13, 400.0),
     "density_csv at p = 13.0": lambda: measures.density_csv(13.0, 400),
     "SatakeMeasure with sign 0": lambda: measures.SatakeMeasure(p=5, sign=0),

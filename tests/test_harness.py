@@ -8,13 +8,14 @@ import sys
 
 import pytest
 
+from modlavg import arith as ar
 from modlavg import cli
 from modlavg import harness as hs
 from modlavg import lvalues as lv
 from modlavg import measures as ms
 from modlavg import reg_tail as rt
 from modlavg.arith import dim_cusp_forms, dump_eigenforms, load_eigenforms
-from modlavg.errors import AccuracyError, InvariantViolation
+from modlavg.errors import AccuracyError, DomainError, InvariantViolation
 from modlavg.newforms import newforms
 
 
@@ -292,7 +293,7 @@ class TestRunExperiment:
         # again reads them: its three files must equal the cold run's
         monkeypatch.setattr(hs, "_FORM_CACHE", {})
         for table in (hs._bin_masses, hs._swap_cells, rt._tail_sum,
-                      ms._density_table):
+                      ms._density_table, ar._l_one_table):
             table.cache_clear()
         names = ("report.json", "forms.csv", "density.csv")
 
@@ -310,6 +311,50 @@ class TestRunExperiment:
             assert warm["forms.csv"] == cold["forms.csv"]
             assert warm["density.csv"] == cold["density.csv"]
         assert run("again") == cold
+
+    def test_longer_files_are_replaced_without_a_stale_tail(self, tmp_path):
+        names = ("report.json", "forms.csv", "density.csv")
+        cfg = hs.ExperimentConfig(discriminant=-4, weight=4, aux_prime=13,
+                                  output_dir=str(tmp_path / "fresh"))
+        hs.run_experiment(cfg)
+        fresh = {name: (tmp_path / "fresh" / name).read_bytes() for name in names}
+        (tmp_path / "old").mkdir()
+        for name in names:
+            assert len(fresh[name]) < 30_000
+            (tmp_path / "old" / name).write_bytes(b"x" * 30_000)
+        hs.run_experiment(dataclasses.replace(cfg, output_dir=str(tmp_path / "old")))
+        for name in names:
+            assert (tmp_path / "old" / name).read_bytes() == fresh[name]
+
+    def test_warm_calls_into_one_directory_leave_the_fresh_bytes(self, tmp_path):
+        # each warm call rewrites the same three files at another length;
+        # the last one, on the default config, must leave a fresh run's bytes
+        names = ("report.json", "forms.csv", "density.csv")
+        cfg = hs.ExperimentConfig(discriminant=-4, weight=4, aux_prime=13,
+                                  output_dir=str(tmp_path / "fresh"))
+        hs.run_experiment(cfg)
+        shared = dataclasses.replace(cfg, output_dir=str(tmp_path / "shared"))
+        sizes = set()
+        for interval, bins in [((-1.0, 0.5), 3), ((0.2, 1.9), 7),
+                               ((-2.0, 2.0), 2), ((1.0, 1.0), 40)]:
+            hs.run_experiment(dataclasses.replace(shared, interval=interval,
+                                                  bins=bins))
+            sizes.add((tmp_path / "shared" / "report.json").stat().st_size)
+        assert len(sizes) > 1
+        hs.run_experiment(shared)
+        for name in names:
+            assert ((tmp_path / "shared" / name).read_bytes()
+                    == (tmp_path / "fresh" / name).read_bytes())
+
+    def test_l_one_table_refuses_a_float_or_bool_after_the_int(self):
+        # L(1, chi_D) is built once per process for each D: -4.0 and True
+        # must be refused before the table, which the int call has filled
+        assert ar.dirichlet_l_one(-4).require().real == pytest.approx(math.pi / 4)
+        entries = ar._l_one_table.cache_info().currsize
+        for D in (-4.0, True):
+            with pytest.raises(DomainError, match="is not an integer"):
+                ar.dirichlet_l_one(D)
+        assert ar._l_one_table.cache_info().currsize == entries
 
     def test_editing_a_report_leaves_the_next_call_alone(self, cfg):
         first = hs.run_experiment(cfg)

@@ -175,6 +175,18 @@ def test_bad_input_refused_before_any_arithmetic(monkeypatch):
             rt.regular_term_bound(*args)
 
 
+@pytest.mark.parametrize("M", [0, -4])
+def test_modulus_below_one_refused_before_any_arithmetic(M, monkeypatch):
+    # tail_envelope(7, 0, 4, 100) gave a sum of 0.0 and (7, -4, 4, 100) 2.08
+    def no_terms(*args):
+        raise AssertionError("orbit terms built before the refusal")
+    monkeypatch.setattr(rt, "_term_bounds", no_terms)
+    with pytest.raises(DomainError, match="orbit modulus M"):
+        rt.tail_envelope(7, M, 4, 100)
+    with pytest.raises(DomainError, match="orbit modulus M"):
+        rt.regular_term_bound(9, M, 4)
+
+
 @pytest.mark.parametrize("N", [0, -3])
 def test_level_below_one_refused(N):
     # at N = 0 the orbits mN + M never pass n_max (tail_sum looped forever)
