@@ -135,9 +135,9 @@ def dirichlet_l(D: int, s: float) -> float:
     s = 1 is the value of ``dirichlet_l_one``; s = 0 uses the finite
     character sum.
     """
-    D = _check_negative_fundamental(D)
     if s == 0:
-        return l_zero_finite_sum(D)
+        return l_zero_finite_sum(D)  # which checks D
+    D = _check_negative_fundamental(D)
     if s != 1:
         raise DomainError("only s = 0 and s = 1 are supported")
     return dirichlet_l_one(D).require().real
@@ -184,7 +184,9 @@ def _l_one_table(D: int) -> IntegralResult:
 
 
 def l_zero_finite_sum(D: int) -> float:
-    """L(0, chi_D) = -(1/|D|) sum_{a=1}^{|D|} chi_D(a) a, exact rational."""
+    """L(0, chi_D) = -(1/|D|) sum_{a=1}^{|D|} chi_D(a) a, exact rational;
+    D must be a negative fundamental discriminant."""
+    D = _check_negative_fundamental(D)
     mod = abs(D)
     total = sum(kronecker(D, a) * a for a in range(1, mod + 1))
     return -total / mod
@@ -372,25 +374,14 @@ def _rref(rows: list) -> tuple:
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        mat[r] = [x / mat[r][col] for x in mat[r]]
+        if mat[r][col] != 1:  # rows passed in reduced keep their leading 1
+            mat[r] = [x / mat[r][col] for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][col]:
                 f = mat[i][col]
                 mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
         pivots.append(col)
     return mat, pivots
-
-
-def _kernel(rows: list) -> list:
-    """Basis of the right kernel of a rational matrix."""
-    red, pivots = _rref(rows)
-    out = []
-    for free in (c for c in range(len(rows[0])) if c not in pivots):
-        vec = [Fraction(int(c == free)) for c in range(len(rows[0]))]
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][free]
-        out.append(vec)
-    return out
 
 
 def dim_cusp_forms(N: int, k: int) -> int:

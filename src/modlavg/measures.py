@@ -171,9 +171,17 @@ class SatakePolynomial:
         return total
 
 
-def satake_poly(n: int, p: int) -> SatakePolynomial:
+def _check_index(n: int) -> int:
+    """n as an int when it is an index n >= 0 (of a double coset or of X_n);
+    a float or a bool (_as_int) or a negative n is DomainError."""
+    n = _as_int(n, "index n")
     if n < 0:
         raise DomainError("index n must be >= 0")
+    return n
+
+
+def satake_poly(n: int, p: int) -> SatakePolynomial:
+    n = _check_index(n)
     _check_prime(p)
     if n == 0:
         return SatakePolynomial(n=0, p=p, coeffs=((0, 1.0),))
@@ -192,8 +200,7 @@ def coset_list(n: int, p: int) -> list:
     Representatives are upper triangular with diagonal (p^a, p^d); the
     multiplicity counts the admissible top-right entries.
     """
-    if n < 0:
-        raise DomainError("index n must be >= 0")
+    n = _check_index(n)
     _check_prime(p)
     if n == 0:
         return [(0, 0, 1)]
@@ -227,8 +234,7 @@ def moment(m: SatakeMeasure, n: int) -> float:
     Integrates the full transfer p^(n/2) psi_n against the measure.  The
     contract: 1 for n = 0; for n >= 1, 2 when sign = +1 and 0 when -1.
     """
-    if n < 0:
-        raise DomainError("index n must be >= 0")
+    n = _check_index(n)
     psi = satake_poly(n, m.p)
     scale = m.p ** (n / 2.0)
     return scale * _integrate_against(lambda x: density(m, x), psi.evaluate)
@@ -236,6 +242,7 @@ def moment(m: SatakeMeasure, n: int) -> float:
 
 def basis_moment(m: SatakeMeasure, n: int) -> float:
     """Integral of the basis function X_n (X_0 = 2) against the measure."""
+    n = _check_index(n)
     return _integrate_against(lambda x: density(m, x), lambda x: chebyshev_x(n, x))
 
 

@@ -8,18 +8,31 @@ trace formula alone,
 
     (T_m t)_n = Tr(T_m T_n) = sum_{d | (m, n)} d^(k-1) Tr T_(mn/d^2),
 
-``hecke_coefficient`` on the traces.  A basis of translates, the exact
-matrix of T_2 on it and its eigenvectors give each newform's prime
-coefficients; ``hecke_extend`` fills in the rest.
-Rational forms come out as exact integers; the Atkin-Lehner sign w is the
-one of the two candidates c_N = -w N^(k/2-1) that ``fricke_sign`` accepts,
-and every form must pass ``modularity_residual`` (the Gamma0(N) rows), so
-the stored coefficients must reach height about 1/N.
+``hecke_coefficient`` on the traces.  On a basis of translates the matrix
+of T_ell (ell = 2, or 3 at N = 2) is exact, and so are the Krylov vectors
+v_j = T_ell^j t, j <= dim, and the characteristic polynomial chi of T_ell
+that v_dim gives.  Every root lam has the one eigenvector
+
+    u = (chi(T_ell)/(T_ell - lam)) t = sum_j b_j(lam) v_j,
+
+b_j from synthetic division, and c_p = sum_i u_i (T_(m_i) t)_p / sum_i u_i
+Tr T_(m_i); ``hecke_extend`` fills in the other c_n (Stein, Modular Forms:
+A Computational Approach, 2007, on newforms from characteristic
+polynomials).  An integer root runs in Fractions, so its form comes out as
+exact integers; every other root is Newton-refined from a float root of chi
+and evaluated in ``decimal``, at a precision derived from the magnitudes of
+the sums, and a recomputation at twice the digits must give the same
+floats.  The Atkin-Lehner sign w is the one of the two candidates
+c_N = -w N^(k/2-1) that ``fricke_sign`` accepts, and every form must pass
+``modularity_residual`` (the Gamma0(N) rows), so the stored coefficients
+must reach height about 1/N.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from decimal import Context, Decimal, getcontext, localcontext
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -27,7 +40,7 @@ import numpy as np
 
 from .arith import (
     Eigenform,
-    _kernel,
+    _as_int,
     _primes_up_to,
     _rref,
     dim_cusp_forms,
@@ -43,10 +56,13 @@ __all__ = ["newforms"]
 
 def newforms(N: int, k: int, n_max: int) -> list:
     """The weight-k newforms of prime level N with n_max coefficients,
-    labelled N.k.a, N.k.b, ... by descending T_2 eigenvalue.  A form whose
-    modularity residual exceeds its budget is refused (InvariantViolation);
-    an n_max below what the Fricke and modularity rows need is refused
-    before any trace is computed (InsufficientCoefficients)."""
+    labelled N.k.a, N.k.b, ... by descending T_ell eigenvalue.  A form whose
+    modularity residual exceeds its budget, or whose decimal coefficients
+    move under the doubled-precision witness, is refused
+    (InvariantViolation); an n_max that is not an int (DomainError) or is
+    below what the Fricke and modularity rows need
+    (InsufficientCoefficients) is refused before any trace is computed."""
+    n_max = _as_int(n_max, "n_max")
     if k >= 12:
         raise DomainError("level-1 cusp forms enter the traces from weight 12 on")
     dim = dim_cusp_forms(N, k)
@@ -62,12 +78,15 @@ def newforms(N: int, k: int, n_max: int) -> list:
 
     cols = list(itertools.islice((n for n in itertools.count(1) if n % N),
                                  4 * dim + 20))
-    basis, rows = [], []
+    # each candidate is reduced against the rows already in echelon form
+    basis, rows, red = [], [], []
     for m in cols:
         row = [translate(m, n) for n in cols]
-        if len(_rref(rows + [row])[1]) > len(rows):
+        grown, pivots = _rref(red + [row])
+        if len(pivots) > len(basis):
             basis.append(m)
             rows.append(row)
+            red = grown
         if len(basis) == dim:
             break
     else:
@@ -86,38 +105,60 @@ def newforms(N: int, k: int, n_max: int) -> list:
     M = [r[dim:] for r in red[:dim]]
 
     # t has coordinate e_1 and meets every eigenline, so its T_ell-orbit
-    # spans one dimension per distinct eigenvalue
-    krylov = [[Fraction(int(i == 0)) for i in range(dim)]]
-    while len(krylov) < dim:
+    # v_j = T_ell^j t spans one dimension per distinct eigenvalue, and v_dim
+    # on v_0 .. v_(dim-1) gives the characteristic polynomial chi of T_ell
+    krylov = [[int(i == 0) for i in range(dim)]]
+    while len(krylov) <= dim:
         krylov.append([sum(M[i][j] * krylov[-1][j] for j in range(dim))
                        for i in range(dim)])
-    if len(_rref(krylov)[1]) < dim:
+    red, pivots = _rref([list(row) for row in zip(*krylov)])
+    if pivots != list(range(dim)):
         raise InvariantViolation(f"repeated T_{ell} eigenvalue at N = {N}")
+    chi = [-r[dim] for r in red] + [1]  # chi[j] multiplies x^j
+    if any(a.denominator != 1 for a in chi):
+        raise InvariantViolation(f"T_{ell} has a non-integral characteristic "
+                                 f"polynomial at N = {N}")
+    chi = [int(a) for a in chi]
+    # u is an eigenvector up to scale, so integer Krylov vectors serve
+    scale = math.lcm(*(x.denominator for v in krylov for x in v))
+    krylov = [[int(x * scale) for x in v] for v in krylov[:dim]]
+    table = {n: [translate(m, n) for m in basis]
+             for n in [1] + [p for p in _primes_up_to(n_max) if p != N]}
 
-    # rational eigenvalues are integers; each has an exact eigenvector
-    lams, vecs = np.linalg.eig(np.array(M, dtype=float))
-    exact = {}
-    for r in {round(x) for x in lams.real}:
-        shifted = [[M[i][j] - r * (i == j) for j in range(dim)] for i in range(dim)]
-        kernel = _kernel(shifted)
-        if kernel:
-            exact[int(np.argmin(abs(lams - r)))] = kernel[0]
-
-    out = []
-    for rank, i in enumerate(np.argsort(-lams.real)):
-        v = exact.get(int(i), vecs[:, i].real)
-        lead = sum(v[j] * trace(m) for j, m in enumerate(basis))
-        primes = {}
-        for p in _primes_up_to(n_max):
-            if p != N:
-                c = sum(v[j] * translate(m, p) for j, m in enumerate(basis)) / lead
-                if not isinstance(c, Fraction):
-                    primes[p] = float(c)
-                elif c.denominator == 1:
-                    primes[p] = int(c)
-                else:
-                    raise InvariantViolation(f"non-integral c_{p} = {c} at N = {N}")
-        form = _with_fricke_sign(N, k, f"{N}.{k}.{_tag(rank)}", primes, n_max)
+    # labels follow the roots downwards; a root that Newton's method reaches
+    # twice, or out of order, means a seed was too far from its own root
+    seeds = sorted(np.roots(np.array(chi[::-1], dtype=float)).real.tolist(), reverse=True)
+    if len(set(seeds)) < dim:
+        raise InvariantViolation(f"the float roots of T_{ell}'s characteristic "
+                                 f"polynomial are not distinct at N = {N}")
+    out, above = [], math.inf
+    for rank, seed in enumerate(seeds):
+        label = f"{N}.{k}.{_tag(rank)}"
+        digits = _digits(chi, krylov, table, seeds, rank, scale, k)
+        with localcontext(Context(prec=digits)):
+            lam = _newton(chi, Decimal(seed))
+        if not float(lam) < above:
+            raise InvariantViolation(f"{label}: Newton's method from {seed!r} reaches "
+                                     f"{float(lam)!r}, not below the T_{ell} eigenvalue "
+                                     f"{above!r} before it")
+        above = float(lam)
+        nearest = int(lam.to_integral_value())
+        if _horner(chi, nearest)[0] == 0:
+            # a rational root of the monic integral chi is an integer
+            primes = _coefficients(_eigenvector(chi, krylov, Fraction(nearest)), table)
+            for p, c in primes.items():
+                if c.denominator != 1:
+                    raise InvariantViolation(f"{label}: non-integral c_{p} = {c}")
+                primes[p] = int(c)
+        else:
+            primes = _decimal_coefficients(chi, krylov, table, seed, digits)
+            witness = _decimal_coefficients(chi, krylov, table, seed, 2 * digits)
+            for p, c in primes.items():
+                if witness[p] != c:
+                    raise InvariantViolation(
+                        f"{label}: c_{p} = {c!r} at {digits} digits but "
+                        f"{witness[p]!r} at {2 * digits}")
+        form = _with_fricke_sign(N, k, label, primes, n_max)
         mats, ratios = _modularity_ratios(form)
         worst = int(np.argmax(ratios))  # the first NaN, if any
         if not ratios[worst] <= 1.0:
@@ -125,6 +166,88 @@ def newforms(N: int, k: int, n_max: int) -> list:
                                      f"of its budget at (a, b, c, d) = {mats[worst]}")
         out.append(form)
     return out
+
+
+# digits beyond those that hold a coefficient's rounding 2^-52 below its
+# Deligne bound: room for a coefficient far below the bound, and for the
+# error of the root itself
+_GUARD_DIGITS = 10
+_NEWTON_STEPS = 100
+
+
+def _horner(chi: list, x):
+    """chi(x) and chi'(x), chi[j] the coefficient of x^j."""
+    f = df = 0
+    for a in reversed(chi):
+        df = df * x + f
+        f = f * x + a
+    return f, df
+
+
+def _newton(chi: list, x: Decimal) -> Decimal:
+    """The root of chi that Newton's method reaches from x in the current
+    decimal context: the first iterate at which chi is below the rounding of
+    its own Horner sum; InvariantViolation if _NEWTON_STEPS do not reach it."""
+    eps = len(chi) * Decimal(10) ** (1 - getcontext().prec)
+    magnitudes = [abs(a) for a in chi]
+    for _ in range(_NEWTON_STEPS):
+        f, df = _horner(chi, x)
+        if abs(f) <= eps * _horner(magnitudes, abs(x))[0]:  # chi(x) is rounding
+            return x
+        x -= f / df
+    raise InvariantViolation(f"Newton's method does not settle at the root near {x:.6e}")
+
+
+def _eigenvector(chi: list, krylov: list, lam) -> list:
+    """u = sum_j b_j(lam) v_j with chi(x) = (x - lam) sum_j b_j x^j: the
+    eigenvector (chi(T)/(T - lam)) t for the root lam, in the arithmetic of
+    lam.  Synthetic division gives b_(d-1) = 1, b_(j-1) = chi_j + lam b_j."""
+    b, acc = [], 0
+    for a in chi[:0:-1]:
+        acc = acc * lam + a
+        b.append(acc)
+    return [sum(bj * v[i] for bj, v in zip(reversed(b), krylov))
+            for i in range(len(krylov[0]))]
+
+
+def _coefficients(u: list, table: dict) -> dict:
+    """c_p = sum_i u_i (T_(m_i) t)_p / sum_i u_i Tr T_(m_i) for each prime p
+    of table, whose column n holds (T_(m_i) t)_n (n = 1: the traces)."""
+    sums = {n: sum(x * y for x, y in zip(u, col)) for n, col in table.items()}
+    lead = sums.pop(1)
+    return {p: s / lead for p, s in sums.items()}
+
+
+def _decimal_coefficients(chi: list, krylov: list, table: dict, seed: float,
+                          digits: int) -> dict:
+    """The coefficients of the form whose T_ell eigenvalue is the root of chi
+    that Newton's method reaches from seed, all in ``digits`` significant
+    digits, rounded to floats."""
+    with localcontext(Context(prec=digits)):
+        u = _eigenvector(chi, krylov, _newton(chi, Decimal(seed)))
+        return {p: float(c) for p, c in _coefficients(u, table).items()}
+
+
+def _digits(chi: list, krylov: list, table: dict, seeds: list, i: int, scale: int,
+            k: int) -> int:
+    """Significant digits for the sums of _coefficients at the root lam near
+    seeds[i], from their magnitudes at 8 digits.  Each sum is rounded by a
+    few units of 10^-digits times the same sum over |terms|, and the sum at
+    n = 1 is scale chi'(lam) = scale prod (lam - mu) over the other roots mu.
+    The digits hold c_n = sum_n / sum_1 within 2^-52 (16 digits) of its
+    Deligne bound 2 n^((k-1)/2), after the condition number of the root has
+    multiplied the rounding, and add _GUARD_DIGITS."""
+    with localcontext(Context(prec=8)):
+        lam = Decimal(seeds[i])
+        magnitudes = [abs(a) for a in chi]
+        u = _eigenvector(magnitudes, [[abs(x) for x in v] for v in krylov], abs(lam))
+        lead = scale * math.prod(abs(lam - Decimal(mu)) for j, mu in enumerate(seeds)
+                                 if j != i)
+        worst = max(sum(x * abs(y) for x, y in zip(u, col))
+                    / (2 * Decimal(n) ** (Decimal(k - 1) / 2)) for n, col in table.items())
+        # the root is off by 10^-digits of the |terms| of chi(lam) over chi'(lam)
+        cond = 1 + _horner(magnitudes, abs(lam))[0] * scale / lead / max(abs(lam), 1)
+        return 16 + _GUARD_DIGITS + math.ceil((worst / lead * cond).log10())
 
 
 def _tag(i: int) -> str:

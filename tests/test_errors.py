@@ -2,8 +2,8 @@
 
 import pytest
 
-from modlavg import (arch_local, arith, harness, measures, modforms, numerics,
-                     padic_local, reg_tail)
+from modlavg import (arch_local, arith, harness, measures, modforms, newforms,
+                     numerics, padic_local, reg_tail)
 from modlavg.errors import DomainError, InvariantViolation, ModlavgError
 
 REFUSALS = {
@@ -13,6 +13,12 @@ REFUSALS = {
     "dirichlet_l at D = -4.0, s = 0": lambda: arith.dirichlet_l(-4.0, 0),
     "dirichlet_l at D = -4.0, s = 1": lambda: arith.dirichlet_l(-4.0, 1),
     "l_zero_via_l_one at D = -4.0": lambda: arith.l_zero_via_l_one(-4.0),
+    # l_zero_finite_sum died in range() at -4.0 and gave 0.0, 0.667 and -1.0
+    # at D = 5 (positive), -12 (not fundamental) and True
+    "l_zero_finite_sum at D = -4.0": lambda: arith.l_zero_finite_sum(-4.0),
+    "l_zero_finite_sum at D = 5": lambda: arith.l_zero_finite_sum(5),
+    "l_zero_finite_sum at D = -12": lambda: arith.l_zero_finite_sum(-12),
+    "l_zero_finite_sum at D = True": lambda: arith.l_zero_finite_sum(True),
     "gauss_sum at D = -4.0": lambda: padic_local.gauss_sum(-4.0),
     "class_number_weighted of disc > 0": lambda: arith.class_number_weighted(5),
     "eichler_selberg_trace at m = 0": lambda: arith.eichler_selberg_trace(7, 4, 0),
@@ -42,6 +48,16 @@ REFUSALS = {
     "satake_poly at n = -1": lambda: measures.satake_poly(-1, 5),
     "coset_list at n = -1": lambda: measures.coset_list(-1, 5),
     "moment at n = -1": lambda: measures.moment(measures.SatakeMeasure(p=5, sign=1), -1),
+    # a float index gave a polynomial of index 0.5 or died with a TypeError
+    "satake_poly at n = 2.5": lambda: measures.satake_poly(2.5, 13),
+    "coset_list at n = 2.0": lambda: measures.coset_list(2.0, 13),
+    "moment at n = 2.0": lambda: measures.moment(measures.SatakeMeasure(p=13, sign=1), 2.0),
+    "basis_moment at n = 2.0":
+        lambda: measures.basis_moment(measures.SatakeMeasure(p=13, sign=1), 2.0),
+    "basis_moment at n = True":
+        lambda: measures.basis_moment(measures.SatakeMeasure(p=13, sign=1), True),
+    "basis_moment at n = -1":
+        lambda: measures.basis_moment(measures.SatakeMeasure(p=13, sign=1), -1),
     "spectral_density at delta = 0": lambda: measures.spectral_density(5, 0, 0.1),
     "sato_tate_limit_check on decreasing primes":
         lambda: measures.sato_tate_limit_check(1, 2, [5, 3]),
@@ -60,6 +76,15 @@ def test_refusal_is_typed(case):
     with pytest.raises(ModlavgError) as info:
         REFUSALS[case]()
     assert isinstance(info.value, DomainError)
+
+
+def test_float_n_max_refused_before_any_trace(monkeypatch):
+    # newforms(13, 4, 400.0) computed 89 traces, then died with a TypeError
+    def no_trace(N, k, m):
+        raise AssertionError(f"Tr T_{m} computed before n_max was checked")
+    monkeypatch.setattr(newforms, "eichler_selberg_trace", no_trace)
+    with pytest.raises(DomainError, match=r"^n_max = 400\.0 is not an integer$"):
+        newforms.newforms(13, 4, 400.0)
 
 
 def test_non_integer_level_refused_after_a_trace_at_that_level():

@@ -1,10 +1,13 @@
+import math
+from fractions import Fraction
+
 import pytest
 
 from modlavg import arith as ar
 from modlavg import newforms as nf
 from modlavg.errors import DomainError, InsufficientCoefficients, InvariantViolation
 from modlavg.harness import default_data_path
-from modlavg.lvalues import CompletedL, fricke_sign, modularity_residual
+from modlavg.lvalues import CompletedL, central_value, fricke_sign, modularity_residual
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +85,37 @@ def test_level_above_50():
         assert modularity_residual(f) <= 1.0
 
 
+@pytest.fixture(scope="module")
+def level_59():
+    # 14 forms, dimensions up to 4 in one Hecke field; the central values
+    # past level 50 need about 1400 coefficients
+    return nf.newforms(59, 4, 1400)
+
+
+class TestPastLevel50:
+    def test_central_values_pass(self, level_59):
+        # numpy's unrefined eigenvectors gave 59.4.m a split-point spread of
+        # 1.01e-12, above the witness tolerance 1e-13
+        for f in level_59:
+            for twist in (None, -4):
+                central_value(f, f.atkin_lehner, twist=twist)
+
+    def test_coefficient_sums_are_traces_to_the_float_conversions(self, level_59):
+        # each c_p is the float nearest its exact value, so each of the d
+        # conversions moves the sum by at most 2^-53 |c_p| <= 2^-52 p^(3/2)
+        d = len(level_59)
+        for p in ar._primes_up_to(1400):
+            if p != 59:
+                total = math.fsum(f.c(p) for f in level_59)
+                tr = ar.eichler_selberg_trace(59, 4, p)
+                assert abs(total - tr) <= d * 2.0 ** -52 * p ** 1.5, p
+
+    def test_twist_by_minus_8_at_23(self):
+        # refused on its AFE-vs-Mellin gap with numpy's eigenvectors
+        form = {f.label: f for f in nf.newforms(23, 4, 800)}["23.4.e"]
+        central_value(form, form.atkin_lehner, twist=-8)
+
+
 class TestRefusals:
     def test_dimension_zero(self):
         assert nf.newforms(3, 4, 100) == []
@@ -101,6 +135,52 @@ class TestRefusals:
                             lambda N, k, m: f[m - 1] + g[m - 1])
         with pytest.raises(InvariantViolation, match="repeated T_2 eigenvalue"):
             nf.newforms(5, 4, 100)
+
+    def test_integer_root_with_non_integral_coefficient_refused(self, monkeypatch):
+        # the traces of two systems with integer T_2 eigenvalues 2 and -4, the
+        # first with c_3 = 1/2: its integer root runs in Fractions, which
+        # must refuse c_3 rather than round it
+        base = {p: 0 for p in ar._primes_up_to(4000)}
+        f = ar.hecke_extend({**base, 2: 2, 3: Fraction(1, 2)}, 5, 4, 4000)
+        g = ar.hecke_extend({**base, 2: -4, 3: 2}, 5, 4, 4000)
+        monkeypatch.setattr(nf, "dim_cusp_forms", lambda N, k: 2)
+        monkeypatch.setattr(nf, "eichler_selberg_trace",
+                            lambda N, k, m: f[m - 1] + g[m - 1])
+        # rational traces have no decimal magnitudes; both roots are integers
+        monkeypatch.setattr(nf, "_digits", lambda *args: 30)
+        with pytest.raises(InvariantViolation, match=r"^5\.4\.a: non-integral c_3 = 1/2$"):
+            nf.newforms(5, 4, 100)
+
+    @pytest.mark.parametrize("seeds, match", [
+        # chi = x^2 - 2x - 2 at N = 11: two seeds that Newton's method takes
+        # to the same root, and seeds that are not distinct at all
+        ([2.7, 2.8], r"^11\.4\.b: Newton's method from 2\.7 reaches 2\.73\d*, not below "
+                     r"the T_2 eigenvalue 2\.73\d* before it$"),
+        ([2.7, 2.7], r"^the float roots of T_2's characteristic polynomial are not "
+                     r"distinct at N = 11$"),
+    ])
+    def test_seeds_that_miss_a_root_refused(self, monkeypatch, seeds, match):
+        monkeypatch.setattr(nf.np, "roots", lambda coeffs: nf.np.array(seeds))
+        with pytest.raises(InvariantViolation, match=match):
+            nf.newforms(11, 4, 400)
+
+    def test_disagreeing_witness_refused(self, monkeypatch):
+        # every decimal coefficient is computed again at twice the digits; a
+        # float that moves between the two is refused, naming form and prime
+        real = nf._decimal_coefficients
+        seen = []
+
+        def skewed(chi, krylov, table, seed, digits):
+            out = real(chi, krylov, table, seed, digits)
+            if digits in [2 * d for d in seen]:  # the witness: one ulp off at 29
+                out[29] = math.nextafter(out[29], math.inf)
+            seen.append(digits)
+            return out
+
+        monkeypatch.setattr(nf, "_decimal_coefficients", skewed)
+        with pytest.raises(InvariantViolation,
+                           match=r"^11\.4\.a: c_29 = \S+ at \d+ digits but \S+ at \d+$"):
+            nf.newforms(11, 4, 400)
 
     def test_too_few_coefficients_for_the_modularity_rows(self):
         with pytest.raises(InsufficientCoefficients, match=(
