@@ -18,14 +18,15 @@ that v_dim gives.  Every root lam has the one eigenvector
 b_j from synthetic division, and c_p = sum_i u_i (T_(m_i) t)_p / sum_i u_i
 Tr T_(m_i); ``hecke_extend`` fills in the other c_n (Stein, Modular Forms:
 A Computational Approach, 2007, on newforms from characteristic
-polynomials).  An integer root runs in Fractions, so its form comes out as
-exact integers; every other root is Newton-refined from a float root of chi
-and evaluated in ``decimal``, at a precision derived from the magnitudes of
-the sums, and a recomputation at twice the digits must give the same
-floats.  The Atkin-Lehner sign w is the one of the two candidates
-c_N = -w N^(k/2-1) that ``fricke_sign`` accepts, and every form must pass
-``modularity_residual`` (the Gamma0(N) rows), so the stored coefficients
-must reach height about 1/N.
+polynomials).  A root that lies on an integer where chi vanishes runs in
+Fractions, so its form comes out as exact integers; every other root is
+Newton-refined from a float root of chi and evaluated in ``decimal``, at a
+precision derived from the magnitudes of the sums, and a recomputation at
+twice the digits must give the same floats.  The c_p of the forms must sum
+to Tr T_p up to those floats.  The Atkin-Lehner sign w is the one of the
+two candidates c_N = -w N^(k/2-1) that ``fricke_sign`` accepts, and every
+form must pass ``modularity_residual`` (the Gamma0(N) rows), so the stored
+coefficients must reach height about 1/N.
 """
 
 from __future__ import annotations
@@ -58,10 +59,11 @@ def newforms(N: int, k: int, n_max: int) -> list:
     """The weight-k newforms of prime level N with n_max coefficients,
     labelled N.k.a, N.k.b, ... by descending T_ell eigenvalue.  A form whose
     modularity residual exceeds its budget, or whose decimal coefficients
-    move under the doubled-precision witness, is refused
-    (InvariantViolation); an n_max that is not an int (DomainError) or is
-    below what the Fricke and modularity rows need
-    (InsufficientCoefficients) is refused before any trace is computed."""
+    move under the doubled-precision witness, is refused, and so are forms
+    whose c_p do not sum to Tr T_p (InvariantViolation); an n_max that is
+    not an int (DomainError) or is below what the Fricke and modularity rows
+    need (InsufficientCoefficients) is refused before any trace is
+    computed."""
     n_max = _as_int(n_max, "n_max")
     if k >= 12:
         raise DomainError("level-1 cusp forms enter the traces from weight 12 on")
@@ -131,19 +133,26 @@ def newforms(N: int, k: int, n_max: int) -> list:
     if len(set(seeds)) < dim:
         raise InvariantViolation(f"the float roots of T_{ell}'s characteristic "
                                  f"polynomial are not distinct at N = {N}")
-    out, above = [], math.inf
+    out, found, above = [], [], math.inf
     for rank, seed in enumerate(seeds):
         label = f"{N}.{k}.{_tag(rank)}"
         digits = _digits(chi, krylov, table, seeds, rank, scale, k)
         with localcontext(Context(prec=digits)):
             lam = _newton(chi, Decimal(seed))
+            nearest = int(lam.to_integral_value())
+            # chi also vanishes at the integer nearest an irrational root when
+            # that integer is a neighbouring root, so lam must lie on it,
+            # within half the digits Newton's method works in
+            integral = (_horner(chi, nearest)[0] == 0
+                        and abs(lam - nearest) <= Decimal(10) ** -(digits // 2))
+            if not integral:
+                primes = _float_coefficients(chi, krylov, table, lam)
         if not float(lam) < above:
             raise InvariantViolation(f"{label}: Newton's method from {seed!r} reaches "
                                      f"{float(lam)!r}, not below the T_{ell} eigenvalue "
                                      f"{above!r} before it")
         above = float(lam)
-        nearest = int(lam.to_integral_value())
-        if _horner(chi, nearest)[0] == 0:
+        if integral:
             # a rational root of the monic integral chi is an integer
             primes = _coefficients(_eigenvector(chi, krylov, Fraction(nearest)), table)
             for p, c in primes.items():
@@ -151,8 +160,8 @@ def newforms(N: int, k: int, n_max: int) -> list:
                     raise InvariantViolation(f"{label}: non-integral c_{p} = {c}")
                 primes[p] = int(c)
         else:
-            primes = _decimal_coefficients(chi, krylov, table, seed, digits)
-            witness = _decimal_coefficients(chi, krylov, table, seed, 2 * digits)
+            with localcontext(Context(prec=2 * digits)):
+                witness = _float_coefficients(chi, krylov, table, _newton(chi, lam))
             for p, c in primes.items():
                 if witness[p] != c:
                     raise InvariantViolation(
@@ -165,6 +174,16 @@ def newforms(N: int, k: int, n_max: int) -> list:
             raise InvariantViolation(f"{form.label}: modularity residual {ratios[worst]:.3g} "
                                      f"of its budget at (a, b, c, d) = {mats[worst]}")
         out.append(form)
+        found.append(primes)
+
+    # t is the sum of the newforms, so a lost or doubled form moves Tr T_p
+    # by more than the d float conversions, each within one ulp of a c_p
+    # below its Deligne bound 2 p^((k-1)/2)
+    for p in sorted(table.keys() - {1}):
+        total = sum(Fraction(primes[p]) for primes in found)
+        if abs(total - trace(p)) > dim * 2.0 ** -51 * p ** ((k - 1) / 2):
+            raise InvariantViolation(f"N = {N}: the c_{p} of the {dim} forms sum to "
+                                     f"{float(total)!r}, not Tr T_{p} = {trace(p)}")
     return out
 
 
@@ -218,14 +237,11 @@ def _coefficients(u: list, table: dict) -> dict:
     return {p: s / lead for p, s in sums.items()}
 
 
-def _decimal_coefficients(chi: list, krylov: list, table: dict, seed: float,
-                          digits: int) -> dict:
-    """The coefficients of the form whose T_ell eigenvalue is the root of chi
-    that Newton's method reaches from seed, all in ``digits`` significant
-    digits, rounded to floats."""
-    with localcontext(Context(prec=digits)):
-        u = _eigenvector(chi, krylov, _newton(chi, Decimal(seed)))
-        return {p: float(c) for p, c in _coefficients(u, table).items()}
+def _float_coefficients(chi: list, krylov: list, table: dict, lam: Decimal) -> dict:
+    """The coefficients of the form whose T_ell eigenvalue is the root lam of
+    chi, evaluated in the current decimal context and rounded to floats."""
+    return {p: float(c) for p, c in
+            _coefficients(_eigenvector(chi, krylov, lam), table).items()}
 
 
 def _digits(chi: list, krylov: list, table: dict, seeds: list, i: int, scale: int,

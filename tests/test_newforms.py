@@ -1,4 +1,5 @@
 import math
+from decimal import getcontext
 from fractions import Fraction
 
 import pytest
@@ -167,17 +168,18 @@ class TestRefusals:
     def test_disagreeing_witness_refused(self, monkeypatch):
         # every decimal coefficient is computed again at twice the digits; a
         # float that moves between the two is refused, naming form and prime
-        real = nf._decimal_coefficients
+        real = nf._float_coefficients
         seen = []
 
-        def skewed(chi, krylov, table, seed, digits):
-            out = real(chi, krylov, table, seed, digits)
+        def skewed(chi, krylov, table, lam):
+            out = real(chi, krylov, table, lam)
+            digits = getcontext().prec
             if digits in [2 * d for d in seen]:  # the witness: one ulp off at 29
                 out[29] = math.nextafter(out[29], math.inf)
             seen.append(digits)
             return out
 
-        monkeypatch.setattr(nf, "_decimal_coefficients", skewed)
+        monkeypatch.setattr(nf, "_float_coefficients", skewed)
         with pytest.raises(InvariantViolation,
                            match=r"^11\.4\.a: c_29 = \S+ at \d+ digits but \S+ at \d+$"):
             nf.newforms(11, 4, 400)
@@ -215,3 +217,69 @@ class TestRefusals:
 
 def test_labels_continue_past_z():
     assert [nf._tag(i) for i in (0, 25, 26, 27, 52)] == ["a", "z", "ba", "bb", "ca"]
+
+
+class _QuadraticInteger:
+    """a + b sqrt(5), enough of a ring for ``hecke_extend``."""
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _QuadraticInteger(self.a * other, self.b * other)
+        return _QuadraticInteger(self.a * other.a + 5 * self.b * other.b,
+                                 self.a * other.b + self.b * other.a)
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            return _QuadraticInteger(self.a + other, self.b)
+        return _QuadraticInteger(self.a + other.a, self.b + other.b)
+
+
+class TestIntegerRootBesideIrrationalOnes:
+    """chi = (x - 2)(x^2 - 5): the root sqrt 5 rounds to 2, where chi
+    vanishes, yet only the root 2 is integral."""
+
+    @pytest.fixture
+    def fake_level(self, monkeypatch):
+        # an integer system with c_2 = 2 and a conjugate pair with
+        # c_2 = +-sqrt 5; the Fricke and modularity rows of level 5 cannot
+        # hold such made-up forms, so they are left out
+        base = {p: 0 for p in ar._primes_up_to(4000)}
+        f = ar.hecke_extend({**base, 2: 2, 3: 4}, 5, 4, 4000)
+        pair = ar.hecke_extend({**base, 2: _QuadraticInteger(0, 1),
+                                3: _QuadraticInteger(1, 1)}, 5, 4, 4000)
+        traces = [a + 2 * (b if isinstance(b, int) else b.a) for a, b in zip(f, pair)]
+        monkeypatch.setattr(nf, "dim_cusp_forms", lambda N, k: 3)
+        monkeypatch.setattr(nf, "eichler_selberg_trace", lambda N, k, m: traces[m - 1])
+        monkeypatch.setattr(nf, "_with_fricke_sign",
+                            lambda N, k, label, primes, n_max: (label, primes))
+        monkeypatch.setattr(nf, "_modularity_ratios", lambda form: ([None], [0.0]))
+        return traces
+
+    def test_each_root_gives_its_own_form(self, fake_level):
+        forms = dict(nf.newforms(5, 4, 100))
+        assert list(forms) == ["5.4.a", "5.4.b", "5.4.c"]
+        assert [forms[label][2] for label in forms] == [
+            pytest.approx(math.sqrt(5)), 2, pytest.approx(-math.sqrt(5))]
+        assert forms["5.4.b"][3] == 4
+        for p in ar._primes_up_to(100):
+            if p != 5:
+                assert abs(sum(c[p] for c in forms.values()) - fake_level[p - 1]) \
+                    <= 3 * 2.0 ** -52 * p ** 1.5, p
+
+    def test_doubled_form_refused(self, monkeypatch, fake_level):
+        # the first root's form given twice, as when it took the exact path
+        # at its neighbouring integer root: Tr T_p no longer holds
+        real = nf._float_coefficients
+        monkeypatch.setattr(nf, "_float_coefficients", lambda chi, krylov, table, lam: real(
+            chi, krylov, table, nf.Decimal(2) if lam < 0 else lam))
+        with pytest.raises(InvariantViolation,
+                           match=r"^N = 5: the c_2 of the 3 forms sum to \S+, not Tr T_2 = 2$"):
+            nf.newforms(5, 4, 100)
