@@ -4,11 +4,12 @@ JSON-lines eigenform records.
 
 The forms come from the Eichler-Selberg trace formula (``modlavg.newforms``:
 Hecke translates of the trace form, the exact matrix of T_2 and its
-characteristic polynomial, one eigenvector per root, exact at integer roots
-and in witnessed ``decimal`` arithmetic at the others, the Atkin-Lehner
-sign that the measured Fricke sign accepts and the modularity rule).  The shipped file ``src/modlavg/data/
-eigenforms_k4.jsonl`` is the independent trace oracle for that formula, so
-the script refuses to write over it.  Run from the repository root:
+characteristic polynomial, one eigenvector per root, each root isolated by
+Sturm sequences and its coefficients rounded correctly from exact interval
+bounds, exact integers at integer roots, the Atkin-Lehner sign that the
+measured Fricke sign accepts and the modularity rule).  The shipped file
+``src/modlavg/data/eigenforms_k4.jsonl`` is the independent trace oracle
+for that formula, so the script refuses to write over it.  Run from the repository root:
 
     python3 scripts/generate_eigenform_data.py N_MAX OUT.jsonl
 """

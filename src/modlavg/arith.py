@@ -540,10 +540,10 @@ def load_eigenforms(path) -> list:
 
     Each line holds a flat object {schema, level, weight, label,
     atkin_lehner (optional), coeffs}; coefficients are exact integers for
-    rational forms and decimal strings otherwise; a malformed record is
-    refused naming path:line.
+    rational forms and decimal strings otherwise; a malformed record, or
+    one whose label repeats an earlier one, is refused naming path:line.
     """
-    forms = []
+    forms, seen = [], {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -554,6 +554,10 @@ def load_eigenforms(path) -> list:
             except json.JSONDecodeError as exc:
                 raise InvariantViolation(f"{path}:{lineno}: parse error: {exc}") from exc
             form = _parse_record(rec, f"{path}:{lineno}")
+            if form.label in seen:
+                raise InvariantViolation(f"{path}:{lineno}: label {form.label!r} repeats "
+                                         f"line {seen[form.label]}")
+            seen[form.label] = lineno
             form.validate()
             forms.append(form)
     return forms

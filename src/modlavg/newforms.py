@@ -12,28 +12,24 @@ trace formula alone,
 of T_ell (ell = 2, or 3 at N = 2) is exact, and so are the Krylov vectors
 v_j = T_ell^j t, j <= dim, and the characteristic polynomial chi of T_ell
 that v_dim gives.  Every root lam has the one eigenvector
-
-    u = (chi(T_ell)/(T_ell - lam)) t = sum_j b_j(lam) v_j,
-
-b_j from synthetic division, and c_p = sum_i u_i (T_(m_i) t)_p / sum_i u_i
-Tr T_(m_i); ``hecke_extend`` fills in the other c_n (Stein, Modular Forms:
-A Computational Approach, 2007, on newforms from characteristic
-polynomials).  A root that lies on an integer where chi vanishes runs in
-Fractions, so its form comes out as exact integers; every other root is
-Newton-refined from a float root of chi and evaluated in ``decimal``, at a
-precision derived from the magnitudes of the sums, and a recomputation at
-twice the digits must give the same floats.  The c_p of the forms must sum
-to Tr T_p up to those floats.  The Atkin-Lehner sign w is the one of the
-two candidates c_N = -w N^(k/2-1) that ``fricke_sign`` accepts, and every
-form must pass ``modularity_residual`` (the Gamma0(N) rows), so the stored
-coefficients must reach height about 1/N.
+sum_j b_j(lam) v_j, chi(x) = (x - lam) sum_j b_j(lam) x^j, so c_n =
+A_n(lam)/A_1(lam) for integer polynomials A_n (Stein, Modular Forms: A
+Computational Approach, 2007, ch. 7, on newforms from characteristic
+polynomials); ``hecke_extend`` fills in the c_n at composite n.  Sturm
+sequences isolate the roots in dyadic intervals, each is halved until the
+exact bounds of A_p/A_1 on it round to one float, and that float is c_p,
+correctly rounded.  An integer root falls on a dyadic point, where c_p is
+exact and must be an integer.  The c_p of the forms must sum to Tr T_p up
+to those floats.  The Atkin-Lehner sign w is the one of the two candidates
+c_N = -w N^(k/2-1) that ``fricke_sign`` accepts, and every form must pass
+``modularity_residual`` (the Gamma0(N) rows), so the stored coefficients
+must reach height about 1/N.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from decimal import Context, Decimal, getcontext, localcontext
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -57,13 +53,14 @@ __all__ = ["newforms"]
 
 def newforms(N: int, k: int, n_max: int) -> list:
     """The weight-k newforms of prime level N with n_max coefficients,
-    labelled N.k.a, N.k.b, ... by descending T_ell eigenvalue.  A form whose
-    modularity residual exceeds its budget, or whose decimal coefficients
-    move under the doubled-precision witness, is refused, and so are forms
-    whose c_p do not sum to Tr T_p (InvariantViolation); an n_max that is
-    not an int (DomainError) or is below what the Fricke and modularity rows
-    need (InsufficientCoefficients) is refused before any trace is
-    computed."""
+    labelled N.k.a, N.k.b, ... by descending T_ell eigenvalue.  Each c_p is
+    the float nearest its exact value, and an exact integer for a rational
+    form.  A repeated eigenvalue, a characteristic polynomial without dim
+    real roots, a non-integral c_p at an integer root, a form whose
+    modularity residual exceeds its budget and forms whose c_p do not sum
+    to Tr T_p are refused (InvariantViolation); an n_max that is not an int
+    (DomainError) or is below what the Fricke and modularity rows need
+    (InsufficientCoefficients) is refused before any trace is computed."""
     n_max = _as_int(n_max, "n_max")
     if k >= 12:
         raise DomainError("level-1 cusp forms enter the traces from weight 12 on")
@@ -121,52 +118,37 @@ def newforms(N: int, k: int, n_max: int) -> list:
         raise InvariantViolation(f"T_{ell} has a non-integral characteristic "
                                  f"polynomial at N = {N}")
     chi = [int(a) for a in chi]
-    # u is an eigenvector up to scale, so integer Krylov vectors serve
+    # eigenvectors count up to scale, so integer Krylov vectors serve
     scale = math.lcm(*(x.denominator for v in krylov for x in v))
     krylov = [[int(x * scale) for x in v] for v in krylov[:dim]]
-    table = {n: [translate(m, n) for m in basis]
-             for n in [1] + [p for p in _primes_up_to(n_max) if p != N]}
 
-    # labels follow the roots downwards; a root that Newton's method reaches
-    # twice, or out of order, means a seed was too far from its own root
-    seeds = sorted(np.roots(np.array(chi[::-1], dtype=float)).real.tolist(), reverse=True)
-    if len(set(seeds)) < dim:
-        raise InvariantViolation(f"the float roots of T_{ell}'s characteristic "
-                                 f"polynomial are not distinct at N = {N}")
-    out, found, above = [], [], math.inf
-    for rank, seed in enumerate(seeds):
+    # x = B y with B a power of 2 above the Deligne bound 2 ell^((k-1)/2)
+    # puts every root of P(y) = chi(B y) in (-1, 1), integers on dyadic points
+    bound = 1 << math.isqrt(4 * ell ** (k - 1)).bit_length()
+    P = [a * bound ** j for j, a in enumerate(chi)]
+    roots = _isolate(P, bound.bit_length() - 1)
+    if len(roots) != dim:
+        raise InvariantViolation(f"Sturm's theorem counts {len(roots)} real roots of "
+                                 f"T_{ell}'s characteristic polynomial, not {dim}, at N = {N}")
+    # the eigenvector sum_j b_j(x) v_j, chi(X) = (X - x) sum_j b_j(x) X^j, has
+    # coefficient n A_n(x) = sum_e a_e x^e, a_e = sum_j (v_j)_n chi_(j+e+1);
+    # polys holds A_n(B y)
+    polys = {}
+    for n in [1] + [p for p in _primes_up_to(n_max) if p != N]:
+        row = [translate(m, n) for m in basis]
+        w = [sum(x * y for x, y in zip(v, row)) for v in krylov]
+        polys[n] = [bound ** e * sum(w[j] * chi[j + e + 1] for j in range(dim - e))
+                    for e in range(dim)]
+
+    out, found = [], []
+    for rank, root in enumerate(roots):
         label = f"{N}.{k}.{_tag(rank)}"
-        digits = _digits(chi, krylov, table, seeds, rank, scale, k)
-        with localcontext(Context(prec=digits)):
-            lam = _newton(chi, Decimal(seed))
-            nearest = int(lam.to_integral_value())
-            # chi also vanishes at the integer nearest an irrational root when
-            # that integer is a neighbouring root, so lam must lie on it,
-            # within half the digits Newton's method works in
-            integral = (_horner(chi, nearest)[0] == 0
-                        and abs(lam - nearest) <= Decimal(10) ** -(digits // 2))
-            if not integral:
-                primes = _float_coefficients(chi, krylov, table, lam)
-        if not float(lam) < above:
-            raise InvariantViolation(f"{label}: Newton's method from {seed!r} reaches "
-                                     f"{float(lam)!r}, not below the T_{ell} eigenvalue "
-                                     f"{above!r} before it")
-        above = float(lam)
-        if integral:
-            # a rational root of the monic integral chi is an integer
-            primes = _coefficients(_eigenvector(chi, krylov, Fraction(nearest)), table)
+        primes = _rounded(P, polys, root)
+        if not root[2]:  # an integer root, where the coefficients are exact
             for p, c in primes.items():
                 if c.denominator != 1:
                     raise InvariantViolation(f"{label}: non-integral c_{p} = {c}")
                 primes[p] = int(c)
-        else:
-            with localcontext(Context(prec=2 * digits)):
-                witness = _float_coefficients(chi, krylov, table, _newton(chi, lam))
-            for p, c in primes.items():
-                if witness[p] != c:
-                    raise InvariantViolation(
-                        f"{label}: c_{p} = {c!r} at {digits} digits but "
-                        f"{witness[p]!r} at {2 * digits}")
         form = _with_fricke_sign(N, k, label, primes, n_max)
         mats, ratios = _modularity_ratios(form)
         worst = int(np.argmax(ratios))  # the first NaN, if any
@@ -179,7 +161,7 @@ def newforms(N: int, k: int, n_max: int) -> list:
     # t is the sum of the newforms, so a lost or doubled form moves Tr T_p
     # by more than the d float conversions, each within one ulp of a c_p
     # below its Deligne bound 2 p^((k-1)/2)
-    for p in sorted(table.keys() - {1}):
+    for p in sorted(polys.keys() - {1}):
         total = sum(Fraction(primes[p]) for primes in found)
         if abs(total - trace(p)) > dim * 2.0 ** -51 * p ** ((k - 1) / 2):
             raise InvariantViolation(f"N = {N}: the c_{p} of the {dim} forms sum to "
@@ -187,83 +169,99 @@ def newforms(N: int, k: int, n_max: int) -> list:
     return out
 
 
-# digits beyond those that hold a coefficient's rounding 2^-52 below its
-# Deligne bound: room for a coefficient far below the bound, and for the
-# error of the root itself
-_GUARD_DIGITS = 10
-_NEWTON_STEPS = 100
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
 
 
-def _horner(chi: list, x):
-    """chi(x) and chi'(x), chi[j] the coefficient of x^j."""
-    f = df = 0
-    for a in reversed(chi):
-        df = df * x + f
-        f = f * x + a
-    return f, df
+def _value(poly: list, c: int, t: int) -> int:
+    """2^(t deg) poly(c / 2^t), deg = len(poly) - 1, by Horner's rule in
+    integers; poly[e] multiplies y^e."""
+    acc = 0
+    for i, a in enumerate(reversed(poly)):
+        acc = acc * c + a * (1 << t * i)
+    return acc
 
 
-def _newton(chi: list, x: Decimal) -> Decimal:
-    """The root of chi that Newton's method reaches from x in the current
-    decimal context: the first iterate at which chi is below the rounding of
-    its own Horner sum; InvariantViolation if _NEWTON_STEPS do not reach it."""
-    eps = len(chi) * Decimal(10) ** (1 - getcontext().prec)
-    magnitudes = [abs(a) for a in chi]
-    for _ in range(_NEWTON_STEPS):
-        f, df = _horner(chi, x)
-        if abs(f) <= eps * _horner(magnitudes, abs(x))[0]:  # chi(x) is rounding
-            return x
-        x -= f / df
-    raise InvariantViolation(f"Newton's method does not settle at the root near {x:.6e}")
+def _sturm(P: list) -> list:
+    """The Sturm sequence P, P', -rem(P, P'), ... of an integer polynomial,
+    each remainder scaled by a positive factor to coprime integers."""
+    seq = [P, [e * a for e, a in enumerate(P)][1:]]
+    while len(seq[-1]) > 1:
+        f, g = seq[-2], seq[-1]
+        while len(f) >= len(g):  # |lead g| f - q x^shift g, leading term cancelled
+            q, shift = f[-1] * _sign(g[-1]), len(f) - len(g)
+            f = [abs(g[-1]) * a - (q * g[i - shift] if i >= shift else 0)
+                 for i, a in enumerate(f)]
+            while f and not f[-1]:
+                f.pop()
+        if not f:
+            break
+        div = math.gcd(*f)
+        seq.append([-a // div for a in f])
+    return seq
 
 
-def _eigenvector(chi: list, krylov: list, lam) -> list:
-    """u = sum_j b_j(lam) v_j with chi(x) = (x - lam) sum_j b_j x^j: the
-    eigenvector (chi(T)/(T - lam)) t for the root lam, in the arithmetic of
-    lam.  Synthetic division gives b_(d-1) = 1, b_(j-1) = chi_j + lam b_j."""
-    b, acc = [], 0
-    for a in chi[:0:-1]:
-        acc = acc * lam + a
-        b.append(acc)
-    return [sum(bj * v[i] for bj, v in zip(reversed(b), krylov))
-            for i in range(len(krylov[0]))]
+def _isolate(P: list, s0: int) -> list:
+    """One interval per real root of P in (-1, 1], in descending order.
+    Sturm's theorem counts the roots in each dyadic (a, a+1]/2^s, which is
+    halved until it holds one root and s >= s0, so that a root on the grid
+    2^-s0 (an integer x = 2^s0 y) is its upper end.  The root is then
+    (c, t, 0) when it is the upper end c/2^t, else (c, t, sigma): it lies
+    in (c-1, c+1]/2^t, and P has the sign sigma at the upper end."""
+    sturm = _sturm(P)
+
+    def variations(a, s):
+        signs = [v for v in (_sign(_value(q, a, s)) for q in sturm) if v]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    out, pending = [], [(-1, 0), (0, 0)]
+    while pending:  # depth first, upper half first: the roots come out descending
+        a, s = pending.pop()
+        count = variations(a, s) - variations(a + 1, s)
+        if count > 1 or (count and s < s0):
+            pending += [(2 * a, s + 1), (2 * a + 1, s + 1)]
+        elif count:
+            sigma = _sign(_value(P, a + 1, s))
+            out.append((2 * a + 1, s + 1, sigma) if sigma else (a + 1, s, 0))
+    return out
 
 
-def _coefficients(u: list, table: dict) -> dict:
-    """c_p = sum_i u_i (T_(m_i) t)_p / sum_i u_i Tr T_(m_i) for each prime p
-    of table, whose column n holds (T_(m_i) t)_n (n = 1: the traces)."""
-    sums = {n: sum(x * y for x, y in zip(u, col)) for n, col in table.items()}
-    lead = sums.pop(1)
-    return {p: s / lead for p, s in sums.items()}
+def _rounded(P: list, polys: dict, root: tuple) -> dict:
+    """c_n = A_n(y)/A_1(y) for every n of polys but 1, at the root y of P in
+    root's interval (see _isolate): a Fraction at a dyadic root, else the
+    float nearest c_n.  The interval is halved until _quotient decides."""
+    c, t, sigma = root
+    out = {}
+    for n in polys.keys() - {1}:
+        # P never vanishes at the midpoint: a dyadic point is no irrational root
+        while (value := _quotient(polys[n], polys[1], c, t, sigma)) is None:
+            c, t = 2 * c + (1 if _sign(_value(P, c, t)) != sigma else -1), t + 1
+        out[n] = value
+    return out
 
 
-def _float_coefficients(chi: list, krylov: list, table: dict, lam: Decimal) -> dict:
-    """The coefficients of the form whose T_ell eigenvalue is the root lam of
-    chi, evaluated in the current decimal context and rounded to floats."""
-    return {p: float(c) for p, c in
-            _coefficients(_eigenvector(chi, krylov, lam), table).items()}
-
-
-def _digits(chi: list, krylov: list, table: dict, seeds: list, i: int, scale: int,
-            k: int) -> int:
-    """Significant digits for the sums of _coefficients at the root lam near
-    seeds[i], from their magnitudes at 8 digits.  Each sum is rounded by a
-    few units of 10^-digits times the same sum over |terms|, and the sum at
-    n = 1 is scale chi'(lam) = scale prod (lam - mu) over the other roots mu.
-    The digits hold c_n = sum_n / sum_1 within 2^-52 (16 digits) of its
-    Deligne bound 2 n^((k-1)/2), after the condition number of the root has
-    multiplied the rounding, and add _GUARD_DIGITS."""
-    with localcontext(Context(prec=8)):
-        lam = Decimal(seeds[i])
-        magnitudes = [abs(a) for a in chi]
-        u = _eigenvector(magnitudes, [[abs(x) for x in v] for v in krylov], abs(lam))
-        lead = scale * math.prod(abs(lam - Decimal(mu)) for j, mu in enumerate(seeds)
-                                 if j != i)
-        worst = max(sum(x * abs(y) for x, y in zip(u, col))
-                    / (2 * Decimal(n) ** (Decimal(k - 1) / 2)) for n, col in table.items())
-        # the root is off by 10^-digits of the |terms| of chi(lam) over chi'(lam)
-        cond = 1 + _horner(magnitudes, abs(lam))[0] * scale / lead / max(abs(lam), 1)
-        return 16 + _GUARD_DIGITS + math.ceil((worst / lead * cond).log10())
+def _quotient(num: list, den: list, c: int, t: int, sigma: int):
+    """num(y)/den(y) at the root y in the interval (c, t, sigma) of
+    _isolate: exact at a dyadic root, else the float nearest it, or None
+    while the interval is too wide to tell.  For a polynomial A of degree
+    below d = len(num), 2^(t d) A(y) lies within r = 2^(t d) 2^-t sum_e e
+    |a_e| of v = 2^(t d) A(c/2^t), since |y| < 1.  With w +- q of one sign
+    the quotient lies between the four corners (v +- r)/(w +- q), so when
+    they round to one float, so does the quotient."""
+    if not sigma:
+        return Fraction(_value(num, c, t), _value(den, c, t))
+    d = len(num)
+    v, w = (_value(a, c, t) << t for a in (num, den))
+    r, q = (sum(e * abs(x) for e, x in enumerate(a)) << t * (d - 1) for a in (num, den))
+    if r << 52 < abs(v) and q << 52 < abs(w):  # every corner near v/w: no overflow
+        corners = {(v + i) / (w + j) for i in (-r, r) for j in (-q, q)}
+        return corners.pop() if len(corners) == 1 else None
+    # num(y) = A_n(x) is an algebraic integer; unless 0, its norm, a product
+    # over conjugate roots, is at least 1, and each of at most d - 1 other
+    # factors is at most sum_e |a_e|
+    if (abs(v) + r) * sum(map(abs, num)) ** (d - 1) < 1 << t * d:
+        return 0.0
+    return None
 
 
 def _tag(i: int) -> str:

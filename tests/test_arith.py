@@ -382,6 +382,8 @@ class TestMalformedRecords:
           "coeffs": [1]}, "atkin_lehner must be 1 or -1"),
         ({"schema": 1, "level": 5, "weight": 4, "label": "x", "atkin_lehner": True,
           "coeffs": [1]}, "atkin_lehner must be 1 or -1"),
+        # a form given twice passes a count of forms per level
+        (json.loads(GOOD), "label 'ok' repeats line 1"),
     ], ids=lambda x: x if isinstance(x, str) else None)
     def test_refused_naming_path_and_line(self, tmp_path, capsys, record, match):
         path = tmp_path / "bad.jsonl"

@@ -1,5 +1,6 @@
+import hashlib
+import json
 import math
-from decimal import getcontext
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,25 @@ class TestShippedLevels:
             assert len(f.coeffs) == len(ref.coeffs) == 2000
             for n, (c, r) in enumerate(zip(f.coeffs, ref.coeffs), start=1):
                 assert abs(c - r) <= 1e-12 * max(1.0, abs(r)), (f.label, n)
+
+
+def test_level_11_correctly_rounded():
+    # c_p = Tr T_p/2 +- beta_p sqrt 3 in Z[sqrt 3], the ring of the Hecke
+    # field of chi = x^2 - 2x - 2; beta_p read off the floats, the exact
+    # value is bracketed by isqrt within 2^-200 and must round to the float
+    forms = nf.newforms(11, 4, 2000)
+    K = 200
+    for p in ar._primes_up_to(2000):
+        if p == 11:
+            continue
+        tr = ar.eichler_selberg_trace(11, 4, p)
+        assert tr % 2 == 0, p
+        beta = round((forms[0].c(p) - forms[1].c(p)) / (2 * math.sqrt(3)))
+        for f, b in zip(forms, (beta, -beta)):
+            r = math.isqrt(3 * b * b << 2 * K)  # |b| sqrt 3 in (r, r + 1) / 2^K
+            lo, hi = (r, r + 1) if b > 0 else (-r - 1, -r) if b < 0 else (0, 0)
+            base = tr // 2 << K
+            assert f.c(p) == (base + lo) / (1 << K) == (base + hi) / (1 << K), (f.label, p)
 
 
 class TestBeyondDimensionTwo:
@@ -111,6 +131,12 @@ class TestPastLevel50:
                 tr = ar.eichler_selberg_trace(59, 4, p)
                 assert abs(total - tr) <= d * 2.0 ** -52 * p ** 1.5, p
 
+    def test_coefficients_pinned(self, level_59):
+        # the correctly rounded floats, pinned so that any change shows
+        dump = json.dumps([[f.label, f.atkin_lehner, f.coeffs] for f in level_59])
+        assert hashlib.sha256(dump.encode()).hexdigest() == (
+            "a3a69423b1934de4cc6fa7609e9d8acb0fbeccd8ad9753355ec1f2b0024adb70")
+
     def test_twist_by_minus_8_at_23(self):
         # refused on its AFE-vs-Mellin gap with numpy's eigenvectors
         form = {f.label: f for f in nf.newforms(23, 4, 800)}["23.4.e"]
@@ -139,50 +165,30 @@ class TestRefusals:
 
     def test_integer_root_with_non_integral_coefficient_refused(self, monkeypatch):
         # the traces of two systems with integer T_2 eigenvalues 2 and -4, the
-        # first with c_3 = 1/2: its integer root runs in Fractions, which
-        # must refuse c_3 rather than round it
+        # first with c_3 = 1/2: its integer root gives exact coefficients,
+        # and c_3 must be refused rather than rounded
         base = {p: 0 for p in ar._primes_up_to(4000)}
         f = ar.hecke_extend({**base, 2: 2, 3: Fraction(1, 2)}, 5, 4, 4000)
         g = ar.hecke_extend({**base, 2: -4, 3: 2}, 5, 4, 4000)
         monkeypatch.setattr(nf, "dim_cusp_forms", lambda N, k: 2)
         monkeypatch.setattr(nf, "eichler_selberg_trace",
                             lambda N, k, m: f[m - 1] + g[m - 1])
-        # rational traces have no decimal magnitudes; both roots are integers
-        monkeypatch.setattr(nf, "_digits", lambda *args: 30)
         with pytest.raises(InvariantViolation, match=r"^5\.4\.a: non-integral c_3 = 1/2$"):
             nf.newforms(5, 4, 100)
 
-    @pytest.mark.parametrize("seeds, match", [
-        # chi = x^2 - 2x - 2 at N = 11: two seeds that Newton's method takes
-        # to the same root, and seeds that are not distinct at all
-        ([2.7, 2.8], r"^11\.4\.b: Newton's method from 2\.7 reaches 2\.73\d*, not below "
-                     r"the T_2 eigenvalue 2\.73\d* before it$"),
-        ([2.7, 2.7], r"^the float roots of T_2's characteristic polynomial are not "
-                     r"distinct at N = 11$"),
-    ])
-    def test_seeds_that_miss_a_root_refused(self, monkeypatch, seeds, match):
-        monkeypatch.setattr(nf.np, "roots", lambda coeffs: nf.np.array(seeds))
-        with pytest.raises(InvariantViolation, match=match):
-            nf.newforms(11, 4, 400)
-
-    def test_disagreeing_witness_refused(self, monkeypatch):
-        # every decimal coefficient is computed again at twice the digits; a
-        # float that moves between the two is refused, naming form and prime
-        real = nf._float_coefficients
-        seen = []
-
-        def skewed(chi, krylov, table, lam):
-            out = real(chi, krylov, table, lam)
-            digits = getcontext().prec
-            if digits in [2 * d for d in seen]:  # the witness: one ulp off at 29
-                out[29] = math.nextafter(out[29], math.inf)
-            seen.append(digits)
-            return out
-
-        monkeypatch.setattr(nf, "_float_coefficients", skewed)
-        with pytest.raises(InvariantViolation,
-                           match=r"^11\.4\.a: c_29 = \S+ at \d+ digits but \S+ at \d+$"):
-            nf.newforms(11, 4, 400)
+    def test_complex_roots_refused(self, monkeypatch):
+        # the traces of a conjugate pair with c_2 = 1 +- i: chi = x^2 - 2x + 2
+        # has no real root
+        base = {p: 0 for p in ar._primes_up_to(4000)}
+        pair = ar.hecke_extend({**base, 2: _QuadraticInteger(1, 1, -1),
+                                3: _QuadraticInteger(1, 1, -1)}, 5, 4, 4000)
+        monkeypatch.setattr(nf, "dim_cusp_forms", lambda N, k: 2)
+        traces = [2 * (b if isinstance(b, int) else b.a) for b in pair]
+        monkeypatch.setattr(nf, "eichler_selberg_trace", lambda N, k, m: traces[m - 1])
+        with pytest.raises(InvariantViolation, match=(
+                r"^Sturm's theorem counts 0 real roots of T_2's characteristic "
+                r"polynomial, not 2, at N = 5$")):
+            nf.newforms(5, 4, 100)
 
     def test_too_few_coefficients_for_the_modularity_rows(self):
         with pytest.raises(InsufficientCoefficients, match=(
@@ -220,16 +226,16 @@ def test_labels_continue_past_z():
 
 
 class _QuadraticInteger:
-    """a + b sqrt(5), enough of a ring for ``hecke_extend``."""
+    """a + b sqrt(D), enough of a ring for ``hecke_extend``."""
 
-    def __init__(self, a, b):
-        self.a, self.b = a, b
+    def __init__(self, a, b, D=5):
+        self.a, self.b, self.D = a, b, D
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return _QuadraticInteger(self.a * other, self.b * other)
-        return _QuadraticInteger(self.a * other.a + 5 * self.b * other.b,
-                                 self.a * other.b + self.b * other.a)
+            return _QuadraticInteger(self.a * other, self.b * other, self.D)
+        return _QuadraticInteger(self.a * other.a + self.D * self.b * other.b,
+                                 self.a * other.b + self.b * other.a, self.D)
 
     __rmul__ = __mul__
 
@@ -238,8 +244,8 @@ class _QuadraticInteger:
 
     def __add__(self, other):
         if isinstance(other, int):
-            return _QuadraticInteger(self.a + other, self.b)
-        return _QuadraticInteger(self.a + other.a, self.b + other.b)
+            return _QuadraticInteger(self.a + other, self.b, self.D)
+        return _QuadraticInteger(self.a + other.a, self.b + other.b, self.D)
 
 
 class TestIntegerRootBesideIrrationalOnes:
@@ -252,7 +258,9 @@ class TestIntegerRootBesideIrrationalOnes:
         # c_2 = +-sqrt 5; the Fricke and modularity rows of level 5 cannot
         # hold such made-up forms, so they are left out
         base = {p: 0 for p in ar._primes_up_to(4000)}
-        f = ar.hecke_extend({**base, 2: 2, 3: 4}, 5, 4, 4000)
+        # c_7 = 1 only on the integer system, so A_7 vanishes at +-sqrt 5
+        # but is not the zero polynomial
+        f = ar.hecke_extend({**base, 2: 2, 3: 4, 7: 1}, 5, 4, 4000)
         pair = ar.hecke_extend({**base, 2: _QuadraticInteger(0, 1),
                                 3: _QuadraticInteger(1, 1)}, 5, 4, 4000)
         traces = [a + 2 * (b if isinstance(b, int) else b.a) for a, b in zip(f, pair)]
@@ -269,17 +277,17 @@ class TestIntegerRootBesideIrrationalOnes:
         assert [forms[label][2] for label in forms] == [
             pytest.approx(math.sqrt(5)), 2, pytest.approx(-math.sqrt(5))]
         assert forms["5.4.b"][3] == 4
+        assert [forms[label][7] for label in forms] == [0.0, 1, 0.0]
         for p in ar._primes_up_to(100):
             if p != 5:
                 assert abs(sum(c[p] for c in forms.values()) - fake_level[p - 1]) \
                     <= 3 * 2.0 ** -52 * p ** 1.5, p
 
     def test_doubled_form_refused(self, monkeypatch, fake_level):
-        # the first root's form given twice, as when it took the exact path
-        # at its neighbouring integer root: Tr T_p no longer holds
-        real = nf._float_coefficients
-        monkeypatch.setattr(nf, "_float_coefficients", lambda chi, krylov, table, lam: real(
-            chi, krylov, table, nf.Decimal(2) if lam < 0 else lam))
+        # the integer root's form given twice, in place of the root -sqrt 5
+        # beside it: Tr T_p no longer holds
+        real = nf._isolate
+        monkeypatch.setattr(nf, "_isolate", lambda P, s0: [*real(P, s0)[:2], real(P, s0)[1]])
         with pytest.raises(InvariantViolation,
                            match=r"^N = 5: the c_2 of the 3 forms sum to \S+, not Tr T_2 = 2$"):
             nf.newforms(5, 4, 100)
