@@ -161,30 +161,31 @@ def singular_upper_quadrature(k: int, s1: complex, s2: complex) -> complex:
     d 2^k Int Int b^(k/2+s2-1) a^(-s1-s2-1)
                   [ (b+1-ia)^(-k) - (b+1+ia)^(-k) ] da db
 
-    With b + 1 + ia = r e^(i theta) the bracket is 2i r^(-k) sin(k theta),
-    which keeps its relative accuracy as a -> 0.  The integrand is computed
-    in real arithmetic wherever the mathematics is real: log r is
-    1/2 log(a^2 + (b+1)^2), the exponent takes s1 and s2 as given, so a
-    real (s1, s2) gives a real exponent and a real exp, and the factor 2i
-    multiplies the finished product.  The nodes lie in [2.0e-31, 5.0e30],
-    so a^2 + (b+1)^2 <= 5.1e61 never overflows.
+    With b + 1 - ia = r e^(i theta) the bracket is -2i r^(-k) sin(k theta),
+    which keeps its relative accuracy as a -> 0.  The integrand is
+    r^(-k) sin(k theta) b^(k/2+s2-1) a^(-s1-s2-1), and -2i d 2^k multiplies
+    the finished integral.  It is computed in real arithmetic wherever the
+    mathematics is real: log r is 1/2 log(a^2 + (b+1)^2), the exponent takes
+    s1 and s2 as given, so a real (s1, s2) gives a real integrand.  The
+    nodes lie in [2.0e-31, 5.0e30], so a^2 + (b+1)^2 <= 5.1e61 never
+    overflows.
     """
     scale = _scale(k)
     s = s1 + s2
 
     def f(a, b):
-        theta = np.arctan2(a, b + 1.0)
+        theta = np.arctan2(-a, b + 1.0)
         exponent = (k / 2.0 + s2 - 1.0) * np.log(b) - (s + 1.0) * np.log(a)
         exponent -= (k / 2.0) * np.log(a * a + (b + 1.0) ** 2)
-        return 2.0j * (np.sin(k * theta) * np.exp(exponent))
+        return np.sin(k * theta) * np.exp(exponent)
 
-    # abs_tol holds for the returned value, after the factor d 2^k, so it
+    # abs_tol holds for the returned value, after the factor 2 d 2^k, so it
     # cannot swamp rel_tol at high weight, where the integral is tiny (about
     # 1e-300 at k = 1000).  The step gap grows with k as sin(k theta)
     # oscillates faster: 1.4e-8 relative at k = 200, whose value is within
     # 1e-13 of the closed form, hence rel_tol 1e-7; 5e-2 at k = 1000, refused
-    spec = QuadratureSpec(domain=quadrant(), rel_tol=1e-7, abs_tol=1e-12 / scale)
-    return scale * integrate(f, spec).require()
+    spec = QuadratureSpec(domain=quadrant(), rel_tol=1e-7, abs_tol=0.5e-12 / scale)
+    return -2j * scale * integrate(f, spec).require()
 
 
 def singular_lower_quadrature(k: int, s1: complex, s2: complex) -> complex:
@@ -195,9 +196,11 @@ def singular_lower_quadrature(k: int, s1: complex, s2: complex) -> complex:
 
     Satisfies lower(s1, s2) = -upper(-s2, -s1); the integrand is supported
     on a > 0.  With a + 1 + ib = r e^(i phi) the bracket is -2i r^(-k)
-    sin(k phi), in the real arithmetic of singular_upper_quadrature: log r
-    is 1/2 log((a+1)^2 + b^2), at most 1/2 log(5.1e61) on the nodes, and a
-    real (s1, s2) gives a real exponent.
+    sin(k phi), in the real arithmetic of singular_upper_quadrature: the
+    integrand is r^(-k) sin(k phi) a^(k/2-s1-1) b^(s1+s2-1), -2i d 2^k
+    multiplies the finished integral, log r is 1/2 log((a+1)^2 + b^2), at
+    most 1/2 log(5.1e61) on the nodes, and a real (s1, s2) gives a real
+    integrand.
     """
     scale = _scale(k)
     s = s1 + s2
@@ -206,11 +209,11 @@ def singular_lower_quadrature(k: int, s1: complex, s2: complex) -> complex:
         phi = np.arctan2(b, a + 1.0)
         exponent = (k / 2.0 - s1 - 1.0) * np.log(a) + (s - 1.0) * np.log(b)
         exponent -= (k / 2.0) * np.log((a + 1.0) ** 2 + b * b)
-        return -2.0j * (np.sin(k * phi) * np.exp(exponent))
+        return np.sin(k * phi) * np.exp(exponent)
 
     # the tolerances of singular_upper_quadrature
-    spec = QuadratureSpec(domain=quadrant(), rel_tol=1e-7, abs_tol=1e-12 / scale)
-    return scale * integrate(f, spec).require()
+    spec = QuadratureSpec(domain=quadrant(), rel_tol=1e-7, abs_tol=0.5e-12 / scale)
+    return -2j * scale * integrate(f, spec).require()
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +234,9 @@ def _regular_prefactor(k: int, x: float) -> float:
 REGULAR_REL_TOL, REGULAR_ABS_TOL = 1e-9, 1e-13
 
 
-def _quadrant_integral(k: int, x: float, eps: int, dlt: int, nu: int,
-                       s1: complex, s2: complex) -> IntegralResult:
-    """Int over (0,oo)^2 of a^(rho-1) b^(sigma-1) / (a x + eps b + dlt i (a b + nu))^k.
+def _quadrant_integral(k: int, x: float, s1: complex, s2: complex) -> IntegralResult:
+    """Int over (0,oo)^2 of a^(rho-1) b^(sigma-1) / (a x + eps b + i (1 - eps a b))^k,
+    eps = sign(x - 1), rho = k/2 - s1, sigma = k/2 + s2.
 
     With den = re + i im, log den is 1/2 log(re^2 + im^2) + i atan2(im, re):
     the real and imaginary parts of one exponent array are filled in and
@@ -242,12 +245,13 @@ def _quadrant_integral(k: int, x: float, eps: int, dlt: int, nu: int,
     and re^2 overflows only for x past about 2.7e123.  There the inf gives
     log = inf and a zero term, the integrand's limit, never a NaN.
     """
+    eps = 1 if x > 1.0 else -1
     rho = k / 2.0 - s1
     sigma = k / 2.0 + s2
 
     def f(a, b):
         re = a * x + eps * b
-        im = dlt * (a * b + nu)
+        im = 1.0 - eps * a * b
         out = np.empty(np.broadcast_shapes(a.shape, b.shape), complex)
         np.add((rho - 1.0) * np.log(a), (sigma - 1.0) * np.log(b), out=out)
         out.real -= (k / 2.0) * np.log(re * re + im * im)
@@ -262,19 +266,24 @@ def _quadrant_integral(k: int, x: float, eps: int, dlt: int, nu: int,
 def regular_integral_quadrature(k: int, x: float, s1: complex, s2: complex) -> complex:
     """Regular orbital integral at the real point x, by quadrature.
 
-    Zero for x < 0; for 0 < x < 1 and x > 1 the integral splits into the
-    two stated quadrant combinations.  Each quadrant integrand does real
-    arithmetic wherever the mathematics is real (see _quadrant_integral)
-    and never returns a NaN.  DomainError when |x - 1|^(k/2) overflows a
-    float, before any quadrature.  The value is accepted when its combined
-    error |x - 1|^(k/2) (err_1 + err_2) is within REGULAR_ABS_TOL +
-    REGULAR_REL_TOL |value|, else AccuracyError: at (4, x, 0.05, 0.03) it
-    accepts x <= 150 and refuses larger x, where the prefactor lifts the
-    quadrants' own errors past the tolerance of the product.  Once 1/x, the
-    scale of a in the quadrant integrands, lies below the smallest node
-    (about 2.0e-31), the integrands underflow on every node and the error
-    estimate shrinks with the value, so such x is AccuracyError before any
-    quadrature.
+    Zero for x < 0; for 0 < x < 1 and x > 1 it is |x - 1|^(k/2) (I_+ -
+    (-1)^k I_-), where I_+ is _quadrant_integral and I_- the same integral
+    with the denominator a x + eps b - i (1 - eps a b).  I_- at (s1, s2) is
+    the conjugate of I_+ at the conjugate exponents, node by node, so a
+    real (s1, s2) takes one quadrature and its conjugate, and a complex one
+    a second quadrature at (conj s1, conj s2).  Each quadrant integrand
+    does real arithmetic wherever the mathematics is real (see
+    _quadrant_integral) and never returns a NaN.  DomainError when
+    |x - 1|^(k/2) overflows a float, before any quadrature.  The value is
+    accepted when its combined error |x - 1|^(k/2) (err_+ + err_-), a
+    reused quadrature's error counted for both quadrants, is within
+    REGULAR_ABS_TOL + REGULAR_REL_TOL |value|, else AccuracyError: at
+    (4, x, 0.05, 0.03) it accepts x <= 150 and refuses larger x, where the
+    prefactor lifts the quadrants' own errors past the tolerance of the
+    product.  Once 1/x, the scale of a in the quadrant integrands, lies
+    below the smallest node (about 2.0e-31), the integrands underflow on
+    every node and the error estimate shrinks with the value, so such x is
+    AccuracyError before any quadrature.
     """
     _check_weight(k)
     if x == 0.0 or x == 1.0:
@@ -286,14 +295,13 @@ def regular_integral_quadrature(k: int, x: float, s1: complex, s2: complex) -> c
         raise AccuracyError(f"regular orbital integral at k = {k}, x = {x}: 1/x "
                             f"lies below the smallest quadrature node "
                             f"{_DE_NODES[0]:.1e}")
-    if x < 1.0:
-        i1 = _quadrant_integral(k, x, -1, +1, +1, s1, s2)
-        i2 = _quadrant_integral(k, x, -1, -1, +1, s1, s2)
+    plus = _quadrant_integral(k, x, s1, s2)
+    if complex(s1).imag or complex(s2).imag:
+        conj = _quadrant_integral(k, x, s1.conjugate(), s2.conjugate())
     else:
-        i1 = _quadrant_integral(k, x, +1, -1, -1, s1, s2)
-        i2 = _quadrant_integral(k, x, +1, +1, -1, s1, s2)
-    value = prefactor * (i1.value - (-1.0) ** k * i2.value)
-    error = prefactor * (i1.error + i2.error)
+        conj = plus
+    value = prefactor * (plus.value - (-1.0) ** k * conj.value.conjugate())
+    error = prefactor * (plus.error + conj.error)
     # an infinite or NaN error fails the comparison too
     if not error <= REGULAR_ABS_TOL + REGULAR_REL_TOL * abs(value):
         raise AccuracyError(f"regular orbital integral at k = {k}, x = {x}: "

@@ -143,7 +143,7 @@ def newforms(N: int, k: int, n_max: int) -> list:
     out, found = [], []
     for rank, root in enumerate(roots):
         label = f"{N}.{k}.{_tag(rank)}"
-        primes = _rounded(P, polys, root)
+        primes = _rounded(P, polys, root, label)
         if not root[2]:  # an integer root, where the coefficients are exact
             for p, c in primes.items():
                 if c.denominator != 1:
@@ -226,18 +226,54 @@ def _isolate(P: list, s0: int) -> list:
     return out
 
 
-def _rounded(P: list, polys: dict, root: tuple) -> dict:
+def _rounded(P: list, polys: dict, root: tuple, label: str) -> dict:
     """c_n = A_n(y)/A_1(y) for every n of polys but 1, at the root y of P in
     root's interval (see _isolate): a Fraction at a dyadic root, else the
-    float nearest c_n.  The interval is halved until _quotient decides."""
+    float nearest c_n.  The interval is halved until _quotient decides, and
+    refused (InvariantViolation) once it is narrower than _halving_cap
+    proves enough."""
     c, t, sigma = root
     out = {}
     for n in polys.keys() - {1}:
+        cap = 0
         # P never vanishes at the midpoint: a dyadic point is no irrational root
         while (value := _quotient(polys[n], polys[1], c, t, sigma)) is None:
+            if t >= cap and t >= (cap := _halving_cap(polys[n], polys[1], c, t)):
+                raise InvariantViolation(f"{label}: c_{n} undecided on the root's "
+                                         f"interval of width 2^-{t}, past the proved "
+                                         f"bound 2^-{cap}")
             c, t = 2 * c + (1 if _sign(_value(P, c, t)) != sigma else -1), t + 1
         out[n] = value
     return out
+
+
+def _halving_cap(num: list, den: list, c: int, t: int) -> int:
+    """A width 2^-cap of the root's interval (c, t) at which _quotient must
+    have decided num(y)/den(y), in the notation of _quotient.  With H and
+    L = sum_e e |a_e| of each polynomial, |A(y)| <= H, and a nonzero |A(y)|
+    is at least H^(1-d), the norm bound of _quotient's zero proof.  So
+    from 2^t > 2 L_n H_n^(d-1) on a zero num(y) is proved, and 53 bits
+    later r 2^52 < |v| and q 2^52 < |w|: the first cap.  Past it, |c_n| lies
+    in (2^(E-2), 2^(E+2)), E the bit length of v less that of w, so the
+    rounding boundaries on either side of c_n are midpoints m = M/2^j,
+    j = max(56 - E, 0), |M| < 2^(j+E+3).  G = 2^j num - M den has integer
+    coefficients summing to at most S = 2^j H_n + 2^(j+E+3) H_1, so
+    |c_n - m| = |G(y)|/(2^j |den(y)|) >= S^(1-d)/(2^j |den(y)|), while the
+    corners lie within 2^(1-t) (L_n + |c_n| L_1)/(|den(y)| - 2^(1-t) L_1)
+    of c_n.  They round to one float once 2^t > 2^(j+2) (L_n + 2^(E+2) L_1)
+    S^(d-1): the second cap."""
+    d = len(num)
+    (h_n, l_n), (h_1, l_1) = ((sum(map(abs, a)), sum(e * abs(x) for e, x in enumerate(a)))
+                              for a in (num, den))
+    cap = 53 + max((2 * l * h ** (d - 1)).bit_length() for h, l in ((h_n, l_n), (h_1, l_1)))
+    v, w = (abs(_value(a, c, t)) for a in (num, den))
+    if t < cap or not v or not w:
+        return cap
+    E = v.bit_length() - w.bit_length()
+    j = max(56 - E, 0)
+    S = (h_n << j) + (h_1 << j + E + 3)
+    return max(cap, j + 2 + (l_n + (l_1 << max(E + 2, 0))).bit_length()
+               + (d - 1) * S.bit_length())
 
 
 def _quotient(num: list, den: list, c: int, t: int, sigma: int):

@@ -1,9 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from modlavg import arch_local as al
+from modlavg import numerics as nm
 from modlavg.errors import AccuracyError, DomainError
 
 
@@ -87,6 +89,20 @@ class TestUpperSingular:
         closed = al.singular_upper_closed(6, 0.1 + 0.2j, -0.3j)
         quad = al.singular_upper_quadrature(6, 0.1 + 0.2j, -0.3j)
         assert abs(closed - quad) <= 1e-10 * abs(closed)
+
+    @pytest.mark.parametrize("s", [(0.0, 0.0), (0.1, -0.05)])
+    def test_high_weights_accepted_and_refused(self, s):
+        # the bracket's -2i multiplies the finished integral and abs_tol is
+        # halved with it, so the rule keeps its decisions: it accepts up to
+        # k = 220 and refuses from 230 on
+        accepted = []
+        for k in range(200, 241, 10):
+            try:
+                al.singular_upper_quadrature(k, *s)
+            except AccuracyError:
+                continue
+            accepted.append(k)
+        assert accepted == [200, 210, 220]
 
     @pytest.mark.parametrize("s", [(0.6, 0.5), (-2.5, 0.1), (0.1, -2.05)])
     def test_divergent_points_refused(self, s):
@@ -192,6 +208,28 @@ class TestRegularIntegrals:
         qd = al.regular_integral_quadrature(k, x, s1, s2)
         cl = al.regular_integral_closed(k, x, s1, s2)
         assert abs(qd - cl) <= 1e-10 * abs(cl)
+
+    @pytest.mark.parametrize("k, x, s1, s2", [(4, 0.4127, 0.0513, 0.0378),
+                                              (6, 1.8342, 0.03 + 0.1j, 0.02 - 0.05j)])
+    def test_second_quadrant_is_the_conjugate_route(self, k, x, s1, s2):
+        # the quadrant over a x + eps b - i (1 - eps a b), integrated on its
+        # own, against the conjugate of _quadrant_integral at the conjugate
+        # exponents, which regular_integral_quadrature takes in its place
+        eps = 1 if x > 1.0 else -1
+        rho, sigma = k / 2.0 - s1, k / 2.0 + s2
+
+        def f(a, b):
+            re, im = a * x + eps * b, -(1.0 - eps * a * b)
+            log_den = 0.5 * np.log(re * re + im * im) + 1j * np.arctan2(im, re)
+            return np.exp((rho - 1.0) * np.log(a) + (sigma - 1.0) * np.log(b) - k * log_den)
+
+        spec = nm.QuadratureSpec(domain=nm.quadrant(), rel_tol=al.REGULAR_REL_TOL,
+                                 abs_tol=al.REGULAR_ABS_TOL)
+        direct = nm.integrate(f, spec)
+        route = al._quadrant_integral(k, x, s1.conjugate(), s2.conjugate())
+        assert direct.converged and route.converged
+        assert abs(direct.value - route.value.conjugate()) <= 1e-15 * abs(direct.value)
+        assert direct.error == pytest.approx(route.error, rel=1e-12)
 
     def test_prefactor_overflow_refused_before_quadrature(self, monkeypatch):
         def no_quadrature(*args):

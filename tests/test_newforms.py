@@ -190,6 +190,15 @@ class TestRefusals:
                 r"polynomial, not 2, at N = 5$")):
             nf.newforms(5, 4, 100)
 
+    def test_undecided_coefficient_refused_not_halved_forever(self, monkeypatch):
+        # a _quotient that never decides stands for a regression in the zero
+        # proof or the corners: the halving stops at _halving_cap's width
+        monkeypatch.setattr(nf, "_quotient", lambda *args: None)
+        with pytest.raises(InvariantViolation, match=(
+                r"^11\.4\.a: c_\d+ undecided on the root's interval of width "
+                r"2\^-(\d+), past the proved bound 2\^-\1$")):
+            nf.newforms(11, 4, 400)
+
     def test_too_few_coefficients_for_the_modularity_rows(self):
         with pytest.raises(InsufficientCoefficients, match=(
                 r"^N = 13, k = 4: the Fricke and modularity rows need 109 coefficients "

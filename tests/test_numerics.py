@@ -312,16 +312,19 @@ class TestLineRule:
 
 def _criterion_points():
     """(name, closed form, quadrature call, prefactor of its integrals) at
-    the points of acceptance criteria 05 and 07."""
+    the points of acceptance criteria 05 and 07.  A singular integral is
+    multiplied by the bracket's 2 and d 2^k; at real (s1, s2) a regular
+    orbit takes one quadrant integral and its conjugate, so that one
+    integral's error counts twice."""
     points = []
     for k in (4, 6, 8):
         d = al.default_formal_degree(k)
         for s in ((0.0, 0.0), (0.1, -0.05), (-0.07, 0.02)):
             points.append((f"upper k={k} s={s}", al.singular_upper_closed(k, *s),
                            lambda k=k, s=s: al.singular_upper_quadrature(k, *s),
-                           d * 2.0 ** k))
+                           2.0 * d * 2.0 ** k))
     points.append(("lower k=4 s=(0.07, 0.02)", -al.singular_upper_closed(4, -0.02, -0.07),
-                   lambda: al.singular_lower_quadrature(4, 0.07, 0.02), 1.5 * 2.0 ** 4))
+                   lambda: al.singular_lower_quadrature(4, 0.07, 0.02), 2.0 * 1.5 * 2.0 ** 4))
     rng = random.Random(7)
     for _ in range(10):
         k = rng.choice([4, 6])
@@ -329,7 +332,7 @@ def _criterion_points():
         s1, s2 = rng.uniform(0.02, 0.09), rng.uniform(0.02, 0.09)
         points.append((f"regular k={k} x={x:.4f}", al.regular_integral_closed(k, x, s1, s2),
                        lambda k=k, x=x, s1=s1, s2=s2: al.regular_integral_quadrature(k, x, s1, s2),
-                       abs(1.0 - x) ** (k / 2.0)))
+                       2.0 * abs(1.0 - x) ** (k / 2.0)))
     return points
 
 
@@ -382,5 +385,6 @@ class TestQuadrantRule:
 
         monkeypatch.setattr(al, "integrate", recording)
         value = quadrature()
+        assert len(results) == 1, name
         error = scale * math.fsum(r.error for r in results)
         assert abs(value - closed) <= error, name
