@@ -170,7 +170,6 @@ def singular_upper_quadrature(k: int, s1: complex, s2: complex) -> complex:
     nodes lie in [2.0e-31, 5.0e30], so a^2 + (b+1)^2 <= 5.1e61 never
     overflows.
     """
-    scale = _scale(k)
     s = s1 + s2
 
     def f(a, b):
@@ -179,13 +178,7 @@ def singular_upper_quadrature(k: int, s1: complex, s2: complex) -> complex:
         exponent -= (k / 2.0) * np.log(a * a + (b + 1.0) ** 2)
         return np.sin(k * theta) * np.exp(exponent)
 
-    # abs_tol holds for the returned value, after the factor 2 d 2^k, so it
-    # cannot swamp rel_tol at high weight, where the integral is tiny (about
-    # 1e-300 at k = 1000).  The step gap grows with k as sin(k theta)
-    # oscillates faster: 1.4e-8 relative at k = 200, whose value is within
-    # 1e-13 of the closed form, hence rel_tol 1e-7; 5e-2 at k = 1000, refused
-    spec = QuadratureSpec(domain=quadrant(), rel_tol=1e-7, abs_tol=0.5e-12 / scale)
-    return -2j * scale * integrate(f, spec).require()
+    return _singular_value(k, s1, s2, f)
 
 
 def singular_lower_quadrature(k: int, s1: complex, s2: complex) -> complex:
@@ -202,7 +195,6 @@ def singular_lower_quadrature(k: int, s1: complex, s2: complex) -> complex:
     most 1/2 log(5.1e61) on the nodes, and a real (s1, s2) gives a real
     integrand.
     """
-    scale = _scale(k)
     s = s1 + s2
 
     def f(a, b):
@@ -211,9 +203,29 @@ def singular_lower_quadrature(k: int, s1: complex, s2: complex) -> complex:
         exponent -= (k / 2.0) * np.log((a + 1.0) ** 2 + b * b)
         return np.sin(k * phi) * np.exp(exponent)
 
-    # the tolerances of singular_upper_quadrature
+    return _singular_value(k, s1, s2, f)
+
+
+def _singular_value(k: int, s1: complex, s2: complex, f) -> complex:
+    """-2i d 2^k times the quadrant integral of f, the real integrand of
+    either singular orbit.  DomainError when d 2^k overflows, before any
+    quadrature; AccuracyError, naming k, (s1, s2), and the error and the
+    tolerance of the value the caller gets, when it does not converge."""
+    scale = _scale(k)
+    # abs_tol holds for the returned value, after the factor 2 d 2^k, so it
+    # cannot swamp rel_tol at high weight, where the integral is tiny (about
+    # 1e-300 at k = 1000).  The step gap grows with k as sin(k theta)
+    # oscillates faster: 1.4e-8 relative at k = 200, whose value is within
+    # 1e-13 of the closed form, hence rel_tol 1e-7; 5e-2 at k = 1000, refused
     spec = QuadratureSpec(domain=quadrant(), rel_tol=1e-7, abs_tol=0.5e-12 / scale)
-    return -2j * scale * integrate(f, spec).require()
+    result = integrate(f, spec)
+    if not result.converged:
+        tol = spec.abs_tol + spec.rel_tol * abs(result.value)
+        raise AccuracyError(
+            f"singular orbital integral at k = {k}, (s1, s2) = ({s1}, {s2}): "
+            f"error estimate {2.0 * scale * result.error:.3e} exceeds "
+            f"tolerance {2.0 * scale * tol:.3e}")
+    return -2j * scale * result.value
 
 
 # ---------------------------------------------------------------------------

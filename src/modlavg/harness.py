@@ -26,12 +26,16 @@ computation bear out.
 
 Only the spectral side depends on the interval J.  The per-form rows
 (``_FORM_CACHE``), L(1, chi_D) (``arith.dirichlet_l_one``), the bin masses
-(``_bin_masses``), the swap-orbit sweep (``_swap_cells``), the tail bounds
+(``_bin_masses``), the geometric audit of each level (``_audit_table``),
+the swap-orbit sweep (``_swap_cells``), the tail bounds
 (``reg_tail.tail_envelope``) and the density table
 (``measures.density_csv``) are kept for the process, keyed on checked
 integers and the frozen measure, so a warm ``run_experiment`` at a new J
 pays for the J-dependent work alone.  Every report is built from new dicts
-and lists: editing one changes no later call.  The three output files are
+and lists: editing one changes no later call.  ``report.json`` is written
+by the line writer ``_json_text``, whose bytes equal those of
+``json.dumps(indent=2, sort_keys=True)``; any indent sends the standard
+library to its slower pure-Python encoder.  The three output files are
 overwritten in place (``_replace``), so a rerun into the same directory
 leaves the bytes a fresh directory gets.
 """
@@ -44,6 +48,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from . import arch_local, measures, padic_local, reg_tail
 from .arith import (
@@ -324,11 +329,27 @@ def geometric_side_audit(cfg: ExperimentConfig, N: int) -> dict:
     """Itemized singular-orbit table at level N with the basic auxiliary
     test function, plus the truncated regular-tail bound.
 
-    Neither the swap-orbit cell count (_swap_cells) nor the tail bound
-    (reg_tail.tail_envelope) depends on J: each is built once per process
-    for its integers, and the table is new on every call."""
+    None of it depends on J: _audit_table builds it once per process for
+    each checked (N, D, k), and the dicts and lists are new on every call."""
     N = _as_int(N, "level N")
-    D, k = cfg.discriminant, cfg.weight
+    rows, gap, tail = _audit_table(N, _as_int(cfg.discriminant, "discriminant D"),
+                                   _as_int(cfg.weight, "weight k"))
+    return {
+        "level": N,
+        "rows": [{"orbit": orbit, "value": value, "status": status}
+                 for orbit, value, status in rows],
+        "upper_lower_gap": gap,
+        "regular_tail_bound": dict(tail),
+    }
+
+
+@lru_cache(maxsize=None)
+def _audit_table(N: int, D: int, k: int) -> tuple:
+    """(rows, upper_lower_gap, tail items) of geometric_side_audit, as
+    tuples: the Gauss sum, L(0, chi), I_upper(0, 0), the swap-orbit cell
+    count (_swap_cells) and the tail bound (reg_tail.tail_envelope) enter
+    once per process for each (N, D, k).  Its caller passes the three
+    through arith._as_int, so 7.0 and True never find 7's or 1's entry."""
     gauss = padic_local.gauss_sum(D)
     l_zero = dirichlet_l(D, 0)
     upper_arch = arch_local.singular_upper_closed(k, 0.0, 0.0)
@@ -340,24 +361,19 @@ def geometric_side_audit(cfg: ExperimentConfig, N: int) -> dict:
     lower_val = ((-upper_arch) / gauss).real * chi_n * vol_inv * 1.0 * l_zero
 
     tail = reg_tail.tail_envelope(N, abs(D), k, n_max=200 * N)
-    rows = [
-        {"orbit": "identity", "value": 0.0, "status": "axiom (nontrivial character)"},
-        {"orbit": "swap", "value": 0.0, "status": "axiom (nontrivial character)"},
-        {"orbit": "swap_upper", "value": 0.0,
-         "status": f"verified-by-oracle ({swap_cells} cells in window {AUDIT_WINDOW})"},
-        {"orbit": "swap_lower", "value": 0.0,
-         "status": f"verified-by-oracle ({swap_cells} cells in window {AUDIT_WINDOW})"},
-        {"orbit": "upper", "value": upper_val, "status": "evaluated"},
-        {"orbit": "lower", "value": lower_val, "status": "evaluated"},
-    ]
+    swept = f"verified-by-oracle ({swap_cells} cells in window {AUDIT_WINDOW})"
+    rows = (
+        ("identity", 0.0, "axiom (nontrivial character)"),
+        ("swap", 0.0, "axiom (nontrivial character)"),
+        ("swap_upper", 0.0, swept),
+        ("swap_lower", 0.0, swept),
+        ("upper", upper_val, "evaluated"),
+        ("lower", lower_val, "evaluated"),
+    )
     if swap_cells:
         raise InvariantViolation("swapped singular orbits have support at the level place")
-    return {
-        "level": N,
-        "rows": rows,
-        "upper_lower_gap": abs(upper_val - lower_val) / max(abs(upper_val), 1e-30),
-        "regular_tail_bound": tail,
-    }
+    gap = abs(upper_val - lower_val) / max(abs(upper_val), 1e-30)
+    return rows, gap, tuple(tail.items())
 
 
 @lru_cache(maxsize=None)
@@ -395,6 +411,9 @@ class AverageReport:
                 and env["assembled"]["ok"])
 
     def to_json(self) -> str:
+        """The report as JSON text: its bytes equal those of
+        ``json.dumps(payload, indent=2, sort_keys=True)``, written by the
+        line writer ``_json_text``."""
         payload = {
             "config": self.config,
             "constants": self.constants,
@@ -403,7 +422,99 @@ class AverageReport:
             "envelope": self.envelope,
             "normalization_ledger": self.normalization_ledger,
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return _json_text(payload)
+
+
+# ---------------------------------------------------------------------------
+# report.json
+# ---------------------------------------------------------------------------
+
+_INDENT = "  "
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    Any indent sends the standard library to its pure-Python generator
+    encoder; this writer appends one string per output line and joins them
+    once.  It follows ``json.encoder`` rule for rule: dict items sorted on
+    their original keys (int rows 7 before 11), each key then converted as
+    ``json`` converts it; values tested with isinstance in json's order
+    (str, None, True, False, int, float, list or tuple, dict); numbers by
+    ``int.__repr__`` and ``float.__repr__``, NaN and infinities as
+    ``NaN``, ``Infinity`` and ``-Infinity``; strings by
+    ``encode_basestring_ascii``; empty containers as ``{}`` and ``[]``; any
+    other type is TypeError."""
+    lines = []
+    _json_lines(obj, "", "", "", lines)
+    return "\n".join(lines)
+
+
+def _json_lines(obj, indent: str, head: str, tail: str, lines: list) -> None:
+    """Append the lines of obj at ``indent``: its first line starts with
+    ``head`` and its last ends with ``tail``."""
+    if isinstance(obj, str):
+        lines.append(head + encode_basestring_ascii(obj) + tail)
+    elif obj is None:
+        lines.append(head + "null" + tail)
+    elif obj is True:
+        lines.append(head + "true" + tail)
+    elif obj is False:
+        lines.append(head + "false" + tail)
+    elif isinstance(obj, int):
+        lines.append(head + int.__repr__(obj) + tail)
+    elif isinstance(obj, float):
+        lines.append(head + _json_float(obj) + tail)
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            lines.append(head + "[]" + tail)
+            return
+        inner = indent + _INDENT
+        lines.append(head + "[")
+        last = len(obj) - 1
+        for i, item in enumerate(obj):
+            _json_lines(item, inner, inner, "," if i < last else "", lines)
+        lines.append(indent + "]" + tail)
+    elif isinstance(obj, dict):
+        if not obj:
+            lines.append(head + "{}" + tail)
+            return
+        inner = indent + _INDENT
+        lines.append(head + "{")
+        last = len(obj) - 1
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            _json_lines(value, inner, inner + _json_key(key) + ": ",
+                        "," if i < last else "", lines)
+        lines.append(indent + "}" + tail)
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} "
+                        "is not JSON serializable")
+
+
+def _json_float(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: converted to a string, then quoted."""
+    if isinstance(key, str):
+        pass
+    elif isinstance(key, float):
+        key = _json_float(key)
+    elif key is True:
+        key = "true"
+    elif key is False:
+        key = "false"
+    elif key is None:
+        key = "null"
+    elif isinstance(key, int):
+        key = int.__repr__(key)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+    return encode_basestring_ascii(key)
 
 
 def identity_budget(rows: list, target: float, target_rel_error: float) -> float:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -134,6 +135,23 @@ class TestUpperSingular:
         except AccuracyError:
             return
         assert abs(quad - closed) <= 1e-6 * abs(closed)
+
+    @pytest.mark.parametrize("quadrature", [al.singular_upper_quadrature,
+                                            al.singular_lower_quadrature])
+    def test_refusal_states_the_callers_error_and_tolerance(self, quadrature):
+        # the error and the tolerance in the message are those of the value
+        # the caller would get, after the factor 2 d 2^k: about 12 against
+        # 1e-7 |I_upper(0, 0)|, not the 1e-303 of the integral before it
+        closed = abs(al.singular_upper_closed(1000, 0.0, 0.0))
+        with pytest.raises(AccuracyError) as info:
+            quadrature(1000, 0.0, 0.0)
+        message = str(info.value)
+        assert message.startswith(
+            "singular orbital integral at k = 1000, (s1, s2) = (0.0, 0.0): ")
+        err, tol = map(float, re.fullmatch(
+            r".*error estimate (\S+) exceeds tolerance (\S+)", message).groups())
+        assert tol == pytest.approx(1e-12 + 1e-7 * closed, rel=1e-3)
+        assert 1.0 < err < closed
 
     def test_purely_imaginary_at_origin(self):
         for k in (4, 6, 8):

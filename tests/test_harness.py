@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from modlavg import arith as ar
@@ -13,6 +14,7 @@ from modlavg import cli
 from modlavg import harness as hs
 from modlavg import lvalues as lv
 from modlavg import measures as ms
+from modlavg import padic_local as pl
 from modlavg import reg_tail as rt
 from modlavg.arith import dim_cusp_forms, dump_eigenforms, load_eigenforms
 from modlavg.errors import AccuracyError, DomainError, InvariantViolation
@@ -232,6 +234,22 @@ class TestAudit:
                     * 12.0 * dirichlet_l(-4, 0))
         assert up["value"] == pytest.approx(expected, rel=1e-12)
 
+    def test_audit_table_built_once_per_level(self, cfg, monkeypatch):
+        # the audit does not depend on J: two calls at different J build it
+        # once per level, so the Gauss sum is computed once per level
+        calls = []
+        gauss_sum = pl.gauss_sum
+
+        def counted(D):
+            calls.append(D)
+            return gauss_sum(D)
+
+        hs._audit_table.cache_clear()
+        monkeypatch.setattr(pl, "gauss_sum", counted)
+        for interval in [(-1.0, 0.5), (0.2, 1.9)]:
+            hs.run_experiment(dataclasses.replace(cfg, interval=interval))
+        assert len(calls) == len(cfg.levels)
+
 
 class TestRunExperiment:
     def test_deterministic_report(self, cfg, tmp_path):
@@ -292,8 +310,8 @@ class TestRunExperiment:
         # calls at other (J, bins) fill them, and the default config run
         # again reads them: its three files must equal the cold run's
         monkeypatch.setattr(hs, "_FORM_CACHE", {})
-        for table in (hs._bin_masses, hs._swap_cells, rt._tail_sum,
-                      ms._density_table, ar._l_one_table):
+        for table in (hs._bin_masses, hs._swap_cells, hs._audit_table,
+                      rt._tail_sum, ms._density_table, ar._l_one_table):
             table.cache_clear()
         names = ("report.json", "forms.csv", "density.csv")
 
@@ -372,6 +390,53 @@ class TestRunExperiment:
         for obj in containers:
             obj.clear()
         assert hs.run_experiment(cfg).to_json() == expected
+
+
+def _stdlib_json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+class TestReportWriter:
+    @pytest.mark.parametrize("changes", [
+        {},
+        {"interval": (-1.0, 0.5), "bins": 3},
+        {"interval": (0.2, 1.9), "bins": 7},
+        {"interval": (-2.0, 2.0), "bins": 2},
+        {"interval": (1.0, 1.0), "bins": 8},
+        {"interval": (-0.3, 2.0), "bins": 40},
+        {"bins": 1},
+        {"levels": []},
+    ], ids=["default", "J1", "J2", "J3", "J4", "J5", "one-bin", "no-levels"])
+    def test_report_bytes_equal_json_dumps(self, cfg, changes):
+        report = hs.run_experiment(dataclasses.replace(cfg, **changes))
+        payload = {field.name: getattr(report, field.name)
+                   for field in dataclasses.fields(report)}
+        assert report.to_json() == _stdlib_json(payload)
+
+    def test_synthetic_payload_equals_json_dumps(self):
+        payload = {
+            "floats": [math.nan, math.inf, -math.inf, -0.0, 0.1, 1e300, 5e-324,
+                       np.float64(2.5), np.float64(math.nan)],
+            "rows": {11: {"b": [], "a": {}}, 7: [{}, []], 2.5: "float key"},
+            "nested": {"empty": {"list": [], "dict": {}}, "deep": [[[]], [{}]]},
+            "tuple": (1, (2.0, "three"), ()),
+            "constants": [True, False, None, 0, -7, 2 ** 80],
+            "strings": ["é", "back\\slash", 'double "quote"', "new\nline",
+                        "é\\\"\n\t\x00"],
+            "é key\n": "\\",
+        }
+        assert hs._json_text(payload) == _stdlib_json(payload)
+        for top in ({}, [], (), "text", 3, math.inf, None):
+            assert hs._json_text(top) == _stdlib_json(top)
+
+    @pytest.mark.parametrize("value", [np.int64(7), object()],
+                             ids=["np.int64", "object"])
+    def test_other_types_raise_type_error(self, value):
+        for payload in ({"a": [1, value]}, {"a": {"b": value}}, value):
+            with pytest.raises(TypeError, match="is not JSON serializable"):
+                _stdlib_json(payload)
+            with pytest.raises(TypeError, match="is not JSON serializable"):
+                hs._json_text(payload)
 
 
 class TestIdentityCheck:
