@@ -148,17 +148,9 @@ def dirichlet_l_one(D: int) -> IntegralResult:
 
     L(1, chi_D) is the Abel sum of the character series, i.e. the integral
     of P(t) / (1 - t^|D|) over [0, 1] with P the character polynomial; the
-    integrand is smooth since the character has mean zero.  The quadrature
-    runs once per process for each D (_l_one_table).
+    integrand is smooth since the character has mean zero.
     """
-    return _l_one_table(_check_negative_fundamental(D))
-
-
-@lru_cache(maxsize=None)
-def _l_one_table(D: int) -> IntegralResult:
-    """The quadrature of dirichlet_l_one, whose caller checks D: only an int
-    may key this cache, so -4.0 and True never find -4's or 1's entry.  The
-    result is a frozen IntegralResult, safe to hand to every caller."""
+    D = _check_negative_fundamental(D)
     mod = abs(D)
     chi = [kronecker(D, a) for a in range(mod)]
     # the Abel integrand is P(t)/(1 - t^mod) with P(t) = sum chi(a) t^(a-1);

@@ -24,20 +24,18 @@ constant against an error budget (``identity_budget``,
 ``identity_check``) whose per-form terms the accuracy witnesses of the
 computation bear out.
 
-Only the spectral side depends on the interval J.  The per-form rows
-(``_FORM_CACHE``), L(1, chi_D) (``arith.dirichlet_l_one``), the bin masses
-(``_bin_masses``), the geometric audit of each level (``_audit_table``),
-the swap-orbit sweep (``_swap_cells``), the tail bounds
-(``reg_tail.tail_envelope``) and the density table
-(``measures.density_csv``) are kept for the process, keyed on checked
-integers and the frozen measure, so a warm ``run_experiment`` at a new J
-pays for the J-dependent work alone.  Every report is built from new dicts
-and lists: editing one changes no later call.  ``report.json`` is written
-by the line writer ``_json_text``, whose bytes equal those of
-``json.dumps(indent=2, sort_keys=True)``; any indent sends the standard
-library to its slower pure-Python encoder.  The three output files are
-overwritten in place (``_replace``), so a rerun into the same directory
-leaves the bytes a fresh directory gets.
+Only the spectral side depends on the interval J, and this module alone
+keeps what does not for the process: the per-form rows (``_FORM_CACHE``),
+the constants and density table of each (D, k, p) (``_constants``), the bin
+masses (``_bin_masses``) and the geometric audit of each level
+(``_audit_table``), keyed on checked integers and the frozen measure.  A
+warm ``run_experiment`` at a new J pays for the J-dependent work alone.
+Every report is built from new dicts and lists: editing one changes no
+later call.  ``report.json`` is written by the line writer ``_json_text``,
+whose bytes equal those of ``json.dumps(indent=2, sort_keys=True)``; any
+indent sends the standard library to its slower pure-Python encoder.  The
+three output files are overwritten in place (``_replace``), so a rerun into
+the same directory leaves the bytes a fresh directory gets.
 """
 
 from __future__ import annotations
@@ -346,16 +344,20 @@ def geometric_side_audit(cfg: ExperimentConfig, N: int) -> dict:
 @lru_cache(maxsize=None)
 def _audit_table(N: int, D: int, k: int) -> tuple:
     """(rows, upper_lower_gap, tail items) of geometric_side_audit, as
-    tuples: the Gauss sum, L(0, chi), I_upper(0, 0), the swap-orbit cell
-    count (_swap_cells) and the tail bound (reg_tail.tail_envelope) enter
-    once per process for each (N, D, k).  Its caller passes the three
-    through arith._as_int, so 7.0 and True never find 7's or 1's entry."""
+    tuples: the Gauss sum, L(0, chi), I_upper(0, 0), the swapped-orbit
+    sweep and the tail bound (reg_tail.tail_envelope) enter once per
+    process for each (N, D, k).  Its caller passes the three through
+    arith._as_int, so 7.0 and True never find 7's or 1's entry; the level
+    place itself proves N prime."""
     gauss = padic_local.gauss_sum(D)
     l_zero = dirichlet_l(D, 0)
     upper_arch = arch_local.singular_upper_closed(k, 0.0, 0.0)
     vol_inv = N + 1  # 1 / V_N
     chi_n = kronecker(D, N)
-    swap_cells = _swap_cells(N, chi_n)
+    place = padic_local.PlaceSpec(q=N, kind="level", chi_q=chi_n)
+    swap_cells = sum(len(padic_local.brute_force_integral(
+                         place, padic_local.OrbitDatum(kind=kind), AUDIT_WINDOW).cells)
+                     for kind in ("swap_upper", "swap_lower"))
 
     upper_val = (upper_arch / gauss).real * vol_inv * 1.0 * l_zero
     lower_val = ((-upper_arch) / gauss).real * chi_n * vol_inv * 1.0 * l_zero
@@ -374,19 +376,6 @@ def _audit_table(N: int, D: int, k: int) -> tuple:
         raise InvariantViolation("swapped singular orbits have support at the level place")
     gap = abs(upper_val - lower_val) / max(abs(upper_val), 1e-30)
     return rows, gap, tuple(tail.items())
-
-
-@lru_cache(maxsize=None)
-def _swap_cells(N: int, chi_n: int) -> int:
-    """Cells of the two swapped singular orbits at the level place q = N with
-    chi_q = chi_n, in the valuation window AUDIT_WINDOW: the sweep that shows
-    they vanish, run once per process for each (N, chi_n).  Its caller
-    passes N through arith._as_int, so 7.0 and True never find 7's or 1's
-    entry; the place itself proves N prime."""
-    place = padic_local.PlaceSpec(q=N, kind="level", chi_q=chi_n)
-    return sum(len(padic_local.brute_force_integral(
-                   place, padic_local.OrbitDatum(kind=kind), AUDIT_WINDOW).cells)
-               for kind in ("swap_upper", "swap_lower"))
 
 
 # ---------------------------------------------------------------------------
@@ -566,13 +555,22 @@ def identity_check(sums: dict, budgets: dict, k: int, c_printed: float,
             "assembled": _section(assembled, nonpositive)}
 
 
+@lru_cache(maxsize=None)
+def _constants(D: int, k: int, p: int) -> tuple:
+    """(L(1, chi_D) with its error, the printed and assembled constants,
+    the density.csv text) of a run, built once per process for each
+    (D, k, p): none of them depends on J.  The key is the config's
+    discriminant, weight and auxiliary prime, which ExperimentConfig
+    refuses unless they are ints."""
+    return (dirichlet_l_one(D), arch_local.leading_constant(k),
+            assembled_constant(k), measures.density_csv(p, 400))
+
+
 def run_experiment(cfg: ExperimentConfig) -> AverageReport:
     D, k, p = cfg.discriminant, cfg.weight, cfg.aux_prime
     lo, hi = cfg.interval
-    l_res = dirichlet_l_one(D)
+    l_res, c_printed, c_asm, density = _constants(D, k, p)
     l_one = l_res.require().real
-    c_printed = arch_local.leading_constant(k)
-    c_asm = assembled_constant(k)
     mass_j = measure_mass(cfg, lo, hi)
     g_printed = 2.0 * mass_j * c_printed * l_one
     g_asm = 2.0 * mass_j * c_asm * l_one
@@ -641,11 +639,11 @@ def run_experiment(cfg: ExperimentConfig) -> AverageReport:
         normalization_ledger=ledger,
     )
     if cfg.output_dir:
-        _write_outputs(cfg, report)
+        _write_outputs(cfg, report, density)
     return report
 
 
-def _write_outputs(cfg: ExperimentConfig, report: AverageReport) -> None:
+def _write_outputs(cfg: ExperimentConfig, report: AverageReport, density: str) -> None:
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     _replace(os.path.join(out, "report.json"), report.to_json() + "\n")
@@ -654,8 +652,7 @@ def _write_outputs(cfg: ExperimentConfig, report: AverageReport) -> None:
         + [f"{lvl['level']},{r['label']},{r['a_p']!r},{r['central']!r},"
            f"{r['central_twisted']!r},{r['norm']!r},{r['contribution']!r}\n"
            for lvl in report.levels for r in lvl["forms"]]))
-    _replace(os.path.join(out, "density.csv"),
-             measures.density_csv(cfg.aux_prime, 400))
+    _replace(os.path.join(out, "density.csv"), density)
 
 
 def _replace(path: str, text: str) -> None:

@@ -14,15 +14,13 @@ even/odd coefficient series.
 
 Every integral against a density on [-2, 2] (masses, moments) goes through
 one helper in the angle x = 2 cos(theta), which removes the square-root
-endpoint behaviour.  A density table (``density_csv``) depends on p and its
-grid alone, so a process builds it once for each pair.
+endpoint behaviour.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -93,20 +91,12 @@ def sato_tate_density(x):
 
 def density_csv(p: int, grid: int) -> str:
     """CSV table of the split, inert and Sato-Tate densities at the grid + 1
-    equally spaced points of [-2, 2], with a header line; grid >= 1.
-
-    p must be a prime and grid an int, checked before the table is looked
-    up: _density_table builds it once per process for each (p, grid)."""
+    equally spaced points of [-2, 2], with a header line; p must be a
+    prime and grid an int >= 1."""
     p = _check_prime(p)
     grid = _as_int(grid, "density grid")
     if grid < 1:
         raise DomainError(f"density grid {grid} must be >= 1")
-    return _density_table(p, grid)
-
-
-@lru_cache(maxsize=None)
-def _density_table(p: int, grid: int) -> str:
-    """The text of density_csv, keyed on the ints it has checked."""
     x = -2.0 + 4.0 * np.arange(grid + 1) / grid
     columns = (x, density(SatakeMeasure(p=p, sign=+1), x),
                density(SatakeMeasure(p=p, sign=-1), x), sato_tate_density(x))
@@ -267,7 +257,10 @@ def _sign_power_ratio(m: int, delta: complex) -> complex:
 
 
 def series_coefficient(n: int, p: int, delta: complex) -> complex:
-    """Coefficient C_n of p^(n(s - 1/2)) in the density series; C_0 = 1."""
+    """Coefficient C_n of p^(n(s - 1/2)) in the density series; C_0 = 1.
+    n must be an index n >= 0 and p a prime."""
+    n = _check_index(n)
+    _check_prime(p)
     if n == 0:
         return 1.0 + 0.0j
     d = complex(delta)
@@ -296,8 +289,10 @@ def spectral_density_series(p: int, delta: complex, s: complex) -> complex:
 
     SERIES_TERMS counts coefficients per parity part (even indices up to
     2*SERIES_TERMS, odd up to 2*SERIES_TERMS - 1), so the truncation error
-    is of order p^(-SERIES_TERMS) times a linear factor.
+    is of order p^(-SERIES_TERMS) times a linear factor.  p must be a
+    prime, as in spectral_density.
     """
+    _check_prime(p)
     t = p ** (complex(s) - 0.5)
     total = 1.0 + 0.0j
     tn = 1.0 + 0.0j

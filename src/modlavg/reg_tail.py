@@ -10,14 +10,13 @@ come from ``arith._factorize`` and, over a range, from its sieve
 ``arith._smallest_prime_factors``.  Ranges of n are handled as integer
 arrays (the table of g, the valuations behind each orbit's prime product);
 only the float terms and their running sum are formed one orbit at a time.
-The sum of a tail envelope depends on its four integers alone, so a process
-builds it once for each of them.
+Every integer argument is checked by ``arith._as_int`` before any
+arithmetic, and a level or orbit modulus below 1 is refused.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -42,6 +41,7 @@ __all__ = [
 def g_of_n(n: int) -> int:
     """Product of the exponents in the factorization of n; 1 on squarefree
     numbers and on n = 1 (empty product)."""
+    n = _as_int(n, "n")
     if n < 1:
         raise DomainError("n must be positive")
     out = 1
@@ -72,6 +72,7 @@ def _g_table(n_max: int) -> np.ndarray:
 def subpolynomial_check(epsilon: float, n_max: int) -> dict:
     """Scan g(n) / n^epsilon up to n_max; returns the maximum and argmax
     (the first n attaining it)."""
+    n_max = _as_int(n_max, "n_max")
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
     if n_max < 1:
@@ -99,8 +100,11 @@ def _check_at_least_one(x: int, what: str) -> None:
 def tail_sum(N: int, M: int, u: float, n_max: int) -> dict:
     """sum over m >= 1, mN + M <= n_max of (mN + M)^(-u), plus an
     integral-test bound for the truncated remainder, and the ratio of the
-    total against N^(-u)."""
+    total against N^(-u).  DomainError, before any arithmetic, for a
+    non-integer N, M or n_max or a level or modulus below 1."""
+    N, M, n_max = _as_int(N, "level N"), _as_int(M, "M"), _as_int(n_max, "n_max")
     _check_at_least_one(N, "level N")
+    _check_at_least_one(M, "orbit modulus M")
     if u <= 1:
         raise DomainError("need u > 1")
     total = 0.0
@@ -172,24 +176,13 @@ def tail_envelope(N: int, M: int, k: int, n_max: int) -> dict:
     the level-decay envelope N^(-k/2 + 0.1).
 
     DomainError, before any arithmetic, for a non-integer N, M or n_max, a
-    level or modulus below 1 or a weight that arith._check_weight refuses.
-    The sum comes from _tail_sum, built once per process for each (N, M, k,
-    n_max); the dict is new on every call."""
+    level or modulus below 1 or a weight that arith._check_weight refuses."""
     N, M = _as_int(N, "level N"), _as_int(M, "M")
     n_max, k = _as_int(n_max, "n_max"), _check_weight(k)
     _check_at_least_one(N, "level N")
     _check_at_least_one(M, "orbit modulus M")
-    total = _tail_sum(N, M, k, n_max)
-    env = N ** (-k / 2.0 + 0.1)
-    return {"sum": total, "envelope": env, "ratio": total / env}
-
-
-@lru_cache(maxsize=None)
-def _tail_sum(N: int, M: int, k: int, n_max: int) -> float:
-    """The running sum of tail_envelope, whose callers check the integers:
-    only an int may key this cache, so 7.0 and True never find 7's or 1's
-    entry."""
     total = 0.0
     for term in _term_bounds(np.arange(N + M, n_max + 1, N), M, k):
         total += term
-    return total
+    env = N ** (-k / 2.0 + 0.1)
+    return {"sum": total, "envelope": env, "ratio": total / env}

@@ -10,6 +10,7 @@ REFUSALS = {
     "dirichlet_l at s = 2": lambda: arith.dirichlet_l(-4, 2),
     # a float discriminant died in range() with an untyped TypeError
     "dirichlet_l_one at D = -4.0": lambda: arith.dirichlet_l_one(-4.0),
+    "dirichlet_l_one at D = True": lambda: arith.dirichlet_l_one(True),
     "dirichlet_l at D = -4.0, s = 0": lambda: arith.dirichlet_l(-4.0, 0),
     "dirichlet_l at D = -4.0, s = 1": lambda: arith.dirichlet_l(-4.0, 1),
     "l_zero_via_l_one at D = -4.0": lambda: arith.l_zero_via_l_one(-4.0),
@@ -42,6 +43,18 @@ REFUSALS = {
     "tail_envelope at M = 0": lambda: reg_tail.tail_envelope(7, 0, 4, 100),
     "tail_envelope at M = -4": lambda: reg_tail.tail_envelope(7, -4, 4, 100),
     "regular_term_bound at M = 0": lambda: reg_tail.regular_term_bound(9, 0, 4),
+    # tail_sum summed (mN + M)^(-u) as complex numbers at M = -10 and took
+    # N = True or 7.0; g_of_n(2.5) gave 1; subpolynomial_check(0.5, 10.5)
+    # died in numpy with an untyped TypeError
+    "tail_sum at M = -10": lambda: reg_tail.tail_sum(7, -10, 2.5, 100),
+    "tail_sum at M = 0": lambda: reg_tail.tail_sum(7, 0, 2.5, 100),
+    "tail_sum at N = True": lambda: reg_tail.tail_sum(True, 3, 2.0, 50),
+    "tail_sum at N = 7.0": lambda: reg_tail.tail_sum(7.0, 3, 2.0, 100),
+    "tail_sum at M = 3.0": lambda: reg_tail.tail_sum(7, 3.0, 2.0, 100),
+    "tail_sum at n_max = 100.0": lambda: reg_tail.tail_sum(7, 3, 2.0, 100.0),
+    "g_of_n at n = 2.5": lambda: reg_tail.g_of_n(2.5),
+    "g_of_n at n = True": lambda: reg_tail.g_of_n(True),
+    "subpolynomial_check at n_max = 10.5": lambda: reg_tail.subpolynomial_check(0.5, 10.5),
     "density_csv at grid 400.0": lambda: measures.density_csv(13, 400.0),
     "density_csv at p = 13.0": lambda: measures.density_csv(13.0, 400),
     "SatakeMeasure with sign 0": lambda: measures.SatakeMeasure(p=5, sign=0),
@@ -59,6 +72,14 @@ REFUSALS = {
     "basis_moment at n = -1":
         lambda: measures.basis_moment(measures.SatakeMeasure(p=13, sign=1), -1),
     "spectral_density at delta = 0": lambda: measures.spectral_density(5, 0, 0.1),
+    # the series gave -1.76 at p = 4, which the closed form refuses, and a
+    # float index died with an untyped TypeError
+    "spectral_density_series at p = 4": lambda: measures.spectral_density_series(4, 1, 0.1),
+    "spectral_density_series at p = 13.0":
+        lambda: measures.spectral_density_series(13.0, 1, 0.1),
+    "series_coefficient at n = 2.5": lambda: measures.series_coefficient(2.5, 3, 1),
+    "series_coefficient at n = -1": lambda: measures.series_coefficient(-1, 3, 1),
+    "series_coefficient at p = 4": lambda: measures.series_coefficient(3, 4, 1),
     "sato_tate_limit_check on decreasing primes":
         lambda: measures.sato_tate_limit_check(1, 2, [5, 3]),
     "QuadratureSpec with rel_tol 0": lambda: numerics.QuadratureSpec(rel_tol=0.0),
@@ -97,8 +118,9 @@ def test_non_integer_level_refused_after_a_trace_at_that_level():
 
 
 @pytest.mark.parametrize("filled, refused", [
-    # each table is built once per process for its ints; a float or a bool
-    # equal to one of them must be refused before the table is looked up
+    # a float or a bool equal to an int that has just been computed is
+    # refused as well: geometric_side_audit reads the harness's per-process
+    # audit table, and the other two compute on every call
     (lambda: reg_tail.tail_envelope(1, 4, 4, 200), [
         lambda: reg_tail.tail_envelope(True, 4, 4, 200),
         lambda: reg_tail.tail_envelope(1.0, 4, 4, 200),

@@ -9,15 +9,13 @@ import sys
 import numpy as np
 import pytest
 
-from modlavg import arith as ar
 from modlavg import cli
 from modlavg import harness as hs
 from modlavg import lvalues as lv
 from modlavg import measures as ms
 from modlavg import padic_local as pl
-from modlavg import reg_tail as rt
 from modlavg.arith import dim_cusp_forms, dump_eigenforms, load_eigenforms
-from modlavg.errors import AccuracyError, DomainError, InvariantViolation
+from modlavg.errors import AccuracyError, InvariantViolation
 from modlavg.newforms import newforms
 
 
@@ -305,22 +303,30 @@ class TestRunExperiment:
             assert sorted(report.envelope[key]["rows"]) == [7, 11]
         assert "ok" not in json.loads(report.to_json())
 
-    def test_warm_calls_write_the_cold_files(self, monkeypatch, tmp_path):
-        # the per-process tables start empty, so the first run is cold; five
-        # calls at other (J, bins) fill them, and the default config run
-        # again reads them: its three files must equal the cold run's
+    @staticmethod
+    def _cold_runner(monkeypatch, tmp_path):
+        # empties the harness's per-process tables, the only ones in the
+        # package, so the first run is cold; returns a runner that writes a
+        # default-config run with changes and reads back its three files
         monkeypatch.setattr(hs, "_FORM_CACHE", {})
-        for table in (hs._bin_masses, hs._swap_cells, hs._audit_table,
-                      rt._tail_sum, ms._density_table, ar._l_one_table):
+        for table in (hs._constants, hs._bin_masses, hs._audit_table):
             table.cache_clear()
         names = ("report.json", "forms.csv", "density.csv")
 
         def run(out, **changes):
-            hs.run_experiment(hs.ExperimentConfig(
-                discriminant=-4, weight=4, aux_prime=13,
-                output_dir=str(tmp_path / out), **changes))
+            report = hs.run_experiment(hs.ExperimentConfig(**{
+                "discriminant": -4, "weight": 4, "aux_prime": 13,
+                "output_dir": str(tmp_path / out), **changes}))
+            assert report.ok
             return {name: (tmp_path / out / name).read_bytes() for name in names}
 
+        return run
+
+    def test_warm_calls_write_the_cold_files(self, monkeypatch, tmp_path):
+        # five calls at other (J, bins) fill the tables, and the default
+        # config run again reads them: its three files must equal the cold
+        # run's
+        run = self._cold_runner(monkeypatch, tmp_path)
         cold = run("cold")
         for i, (interval, bins) in enumerate([((-1.0, 0.5), 3), ((0.2, 1.9), 7),
                                               ((-2.0, 2.0), 2), ((1.0, 1.0), 8),
@@ -329,6 +335,33 @@ class TestRunExperiment:
             assert warm["forms.csv"] == cold["forms.csv"]
             assert warm["density.csv"] == cold["density.csv"]
         assert run("again") == cold
+
+    def test_a_warm_call_at_another_discriminant_leaves_the_cold_files(
+            self, monkeypatch, tmp_path):
+        # D = -3 fills the constants table under another key (default levels
+        # 2, 5 and 11); the default config must still write the cold bytes
+        run = self._cold_runner(monkeypatch, tmp_path)
+        cold = run("cold")
+        assert hs.ExperimentConfig(discriminant=-3, weight=4,
+                                   aux_prime=13).levels == [2, 5, 11]
+        other = run("other", discriminant=-3)
+        assert other["report.json"] != cold["report.json"]
+        assert other["density.csv"] == cold["density.csv"]  # p = 13 alone
+        assert run("again") == cold
+
+    def test_warm_call_computes_no_constant(self, cfg, monkeypatch):
+        # L(1, chi_D), the two leading constants and the density table do
+        # not depend on J: a warm call reads them from the harness's table
+        expected = hs.run_experiment(cfg).to_json()
+        calls = []
+        for module, name in [(hs, "dirichlet_l_one"), (hs.arch_local, "leading_constant"),
+                             (hs, "assembled_constant"), (ms, "density_csv")]:
+            def counted(*args, name=name, original=getattr(module, name)):
+                calls.append(name)
+                return original(*args)
+            monkeypatch.setattr(module, name, counted)
+        assert hs.run_experiment(cfg).to_json() == expected
+        assert calls == []
 
     def test_longer_files_are_replaced_without_a_stale_tail(self, tmp_path):
         names = ("report.json", "forms.csv", "density.csv")
@@ -363,16 +396,6 @@ class TestRunExperiment:
         for name in names:
             assert ((tmp_path / "shared" / name).read_bytes()
                     == (tmp_path / "fresh" / name).read_bytes())
-
-    def test_l_one_table_refuses_a_float_or_bool_after_the_int(self):
-        # L(1, chi_D) is built once per process for each D: -4.0 and True
-        # must be refused before the table, which the int call has filled
-        assert ar.dirichlet_l_one(-4).require().real == pytest.approx(math.pi / 4)
-        entries = ar._l_one_table.cache_info().currsize
-        for D in (-4.0, True):
-            with pytest.raises(DomainError, match="is not an integer"):
-                ar.dirichlet_l_one(D)
-        assert ar._l_one_table.cache_info().currsize == entries
 
     def test_editing_a_report_leaves_the_next_call_alone(self, cfg):
         first = hs.run_experiment(cfg)
