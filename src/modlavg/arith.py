@@ -7,11 +7,18 @@ It is written with Hurwitz class numbers H(n), the count of all reduced
 forms of discriminant -n with x^2 + y^2 and x^2 + xy + y^2 (and multiples)
 weighted 1/2 and 1/3, and H(0) = -1/12; one sieve over reduced forms gives
 the table of 12 H(n) up to a bound, and ``_root_counts`` the table of root
-counts 1 + (-n | N) for one level and bound (proving N prime once), so
-every trace is an integer sum.  Each Hecke rule has one home:
-``hecke_extend`` (recursion and multiplicativity; ``Eigenform.validate``
-checks stored tables against it), ``hecke_coefficient`` (T_m and U_N on
-coefficients) and ``admissible_levels``.  Exact row reduction over Q,
+counts 1 + (-n | N) for one level and bound (proving N prime once).
+``_trace_table`` sums the formula for a whole octave X/8 < m <= X/4 at
+once, one table per (N, k, X): numpy integer arrays, a loop over t alone,
+the sums taken modulo 2^64 and, where the bound (2T + 1)(k - 1)
+m^((k-2)/2) max|g| on them reaches 2^63, modulo primes below 2^31 as
+well, and lifted back to integers by the Chinese remainder theorem (the
+multimodular method of Stein, Modular Forms: A Computational Approach,
+2007, ch. 7); a lift outside the bound is refused.  Each Hecke rule has
+one home: ``hecke_extend`` (recursion and multiplicativity;
+``Eigenform.validate`` checks stored tables against it),
+``hecke_coefficient`` (T_m and U_N on coefficients) and
+``admissible_levels``.  Exact row reduction over Q,
 trial-division factorization and one smallest-prime-factor sieve serve the
 newform generator, the Hecke extension and the local and regular-tail
 modules.
@@ -285,6 +292,167 @@ def _root_counts(N: int, X: int) -> tuple:
     return M, bytes(1 + kronecker(-n, N) for n in range(min(M, X + 1)))
 
 
+# the first modulus of the trace sums: uint64 arithmetic wraps modulo it
+_WORD = 1 << 64
+
+
+@lru_cache(maxsize=None)
+def _crt_primes(count: int) -> tuple:
+    """The ``count`` largest primes below 2^31, descending, by trial
+    division by the primes up to isqrt(2^31 - 1) = 46340."""
+    small = np.array(_primes_up_to(46340))
+    out, c = [], (1 << 31) - 1
+    while len(out) < count:
+        if np.all(c % small):
+            out.append(c)
+        c -= 2
+    return tuple(out)
+
+
+def _moment_residues(g: np.ndarray, k: int, X: int, q: int) -> np.ndarray:
+    """sum_t P_k(t, m) g[4m - t^2] mod q, as uint64, for X/8 < m <= X/4.
+
+    With J = (k - 2)/2 and P_k(t, m) = sum_i (-1)^i C(2J - i, i)
+    t^(2J - 2i) m^i, the sum is sum_i (-1)^i C(2J - i, i) m^i S_(J-i)(m)
+    in the moments S_j(m) = sum_(t >= 0) w_t t^(2j) g[4m - t^2], w_0 = 1
+    and w_t = 2 (P_k is even in t).  The loop runs over t alone: each t
+    adds its J + 1 terms to every m with t^2 <= 4m through one slice of
+    g[4m - t^2], m ascending, which is contiguous in the table of g over
+    n = 0 mod 4 (t even) or n = 3 mod 4 (t odd).  At q = 2^64 the uint64
+    products wrap, which is reduction mod q.  At a prime q < 2^31 the
+    factors are residues below q, so a product is below 2^62, and the
+    sums are reduced after every third t (a residue and three products
+    stay below 2^64) and once at the end.
+    """
+    lo, hi, J = X // 8, X // 4, (k - 2) // 2
+    wrap = q == _WORD
+
+    def red(a):
+        return a if wrap else a % q
+
+    gq = g.view(np.uint64) if wrap else (g % q).astype(np.uint64)
+    T = math.isqrt(X)
+    tt = red(np.arange(T + 1, dtype=np.uint64) ** 2)
+    coeff = np.empty((T + 1, J + 1), dtype=np.uint64)  # w_t t^(2j) mod q
+    coeff[:, 0] = 2
+    coeff[0, 0] = 1
+    for j in range(1, J + 1):
+        coeff[:, j] = red(coeff[:, j - 1] * tt)
+    # n = 4m - t^2 is 0 mod 4 at even t and 3 mod 4 at odd t, so g[n] is
+    # quarter[t % 2][m - s] with s = ceil(t^2 / 4), read contiguously
+    quarter = (gq[0::4].copy(), gq[3::4].copy())
+    S = np.zeros((J + 1, hi - lo), dtype=np.uint64)
+    for t in range(T + 1):
+        s = (t * t + 3) // 4
+        m0 = max(lo + 1, s)
+        part = S[:, m0 - lo - 1:]
+        part += coeff[t, :, None] * quarter[t % 2][m0 - s:hi - s + 1]
+        if not wrap and t % 3 == 2:
+            part %= q
+    S = red(S)
+    ms = red(np.arange(lo + 1, hi + 1, dtype=np.uint64))
+    acc = np.zeros(hi - lo, dtype=np.uint64)
+    for i in range(J, -1, -1):  # Horner in m
+        c = (-1) ** i * math.comb(2 * J - i, i) % q
+        acc = red(red(acc * ms) + red(c * S[J - i]))
+    return acc
+
+
+def _lift(residues: list, moduli: tuple) -> np.ndarray:
+    """The integers x with -Q/2 <= x < Q/2, Q the product of ``moduli``
+    (2^64 first, then primes below 2^31), and x = residues[i] mod moduli[i].
+
+    One modulus is the int64 view of the uint64 residues.  More take
+    Garner's mixed-radix digits d_i < moduli[i] in uint64 arithmetic (no
+    product reaches 2^62) and sum d_0 + q_0 (d_1 + q_1 (d_2 + ...)) in
+    Python ints, as an object array.
+    """
+    if len(moduli) == 1:
+        return residues[0].view(np.int64)
+    digits = [residues[0]]
+    for i in range(1, len(moduli)):
+        q = moduli[i]
+        acc = np.zeros_like(residues[i])  # the digits so far, mod q
+        for d, r in zip(reversed(digits), reversed(moduli[:i])):
+            acc = (acc * (r % q) + d % q) % q
+        inv = pow(math.prod(moduli[:i]) % q, -1, q)
+        digits.append((residues[i] + (q - acc)) % q * inv % q)
+    x = digits[-1].astype(object)
+    for d, r in zip(reversed(digits[:-1]), reversed(moduli[:-1])):
+        x = x * r + d.astype(object)
+    Q = math.prod(moduli)
+    return np.where(x >= Q // 2, x - Q, x)
+
+
+def _divisor_term(k: int, lo: int, hi: int) -> np.ndarray:
+    """sum_(d | m) min(d, m/d)^(k-1) for lo < m <= hi: each d <= sqrt(m)
+    stands for d and m/d, so 2 d^(k-1) lands on its multiples m >= d^2,
+    less d^(k-1) at m = d^2.  The sum is at most 2 m^(k/2); int64 when
+    that stays below 2^62 at hi, else Python ints."""
+    out = np.zeros(hi - lo, dtype=np.int64 if 2 * hi ** (k // 2) < 1 << 62 else object)
+    for d in range(1, math.isqrt(hi) + 1):
+        power = d ** (k - 1)
+        out[max(d * d, (lo // d + 1) * d) - lo - 1::d] += 2 * power
+        if d * d > lo:
+            out[d * d - lo - 1] -= power
+    return out
+
+
+@lru_cache(maxsize=None)
+def _trace_table(N: int, k: int, X: int) -> tuple:
+    """Tr T_m on weight-k cusp forms of prime level N for X/8 < m <= X/4
+    (X a power of 2 >= 4), at index m - X/8 - 1; None where N | m.
+
+    The two class-number terms of the formula fuse into one integer table
+    g[n] = r(n) 12H(n) + N 12H(n/N^2) [N^2 | n] for n <= X: where N^2 | n,
+    N | n and r = 1, so r (12H(n) - 12H(n/N^2)) + (N + 1) 12H(n/N^2) is
+    that.  Then
+
+        24 Tr T_m = -sum_(t^2 <= 4m) P_k(t, m) g[4m - t^2]
+                    - 24 sum_(d | m) min(d, m/d)^(k-1).
+
+    Exactness comes from a bound, not from Python ints in the loop:
+    |P_k(t, m)| <= (k - 1) m^((k-2)/2) for t^2 <= 4m (a Chebyshev
+    polynomial of the second kind, scaled), so the sum is at most
+    B(m) = (2T + 1) (k - 1) m^((k-2)/2) max|g|, T = isqrt(X).  It runs
+    modulo 2^64 (``_moment_residues``), and also modulo as many primes
+    below 2^31 (``_crt_primes``) as make the product of the moduli exceed
+    2 B(X/4); ``_lift`` recovers it.  A lifted sum outside +-B(m) is
+    refused (InvariantViolation), and so is one that 24 does not divide
+    at m prime to N (AccuracyError).  The divisor term runs over d alone
+    (``_divisor_term``).  ``_root_counts`` gives r and proves N prime,
+    once per (N, X).
+    """
+    _, roots = _root_counts(N, X)
+    h = np.array(_hurwitz12(X), dtype=np.int64)
+    g = np.resize(np.frombuffer(roots, dtype=np.uint8), X + 1) * h
+    g[::N * N] += N * h[:X // (N * N) + 1]
+    lo, hi, J = X // 8, X // 4, (k - 2) // 2
+    base = (2 * math.isqrt(X) + 1) * (k - 1) * int(np.abs(g).max())
+    count = 0
+    while _WORD * math.prod(_crt_primes(count)) <= 2 * base * hi ** J:
+        count += 1
+    moduli = (_WORD,) + _crt_primes(count)
+    x = _lift([_moment_residues(g, k, X, q) for q in moduli], moduli)
+    ms = np.arange(lo + 1, hi + 1)
+    limit = base * (ms if count == 0 else ms.astype(object)) ** J
+    bad = np.flatnonzero((x > limit) | (x < -limit))
+    if bad.size:
+        i = bad[0]
+        raise InvariantViolation(
+            f"trace sum at N = {N}, k = {k}, m = {lo + 1 + i} lifts to {x[i]}, "
+            f"outside the bound +-{limit[i]}")
+    coprime = ms % N != 0
+    bad = np.flatnonzero((x % 24 != 0) & coprime)
+    if bad.size:
+        i = bad[0]
+        raise AccuracyError(f"trace formula returned non-integer "
+                            f"{Fraction(-int(x[i]), 24)} at N = {N}, k = {k}, m = {lo + 1 + i}")
+    out = (-x // 24 - _divisor_term(k, lo, hi)).astype(object)
+    out[~coprime] = None
+    return tuple(out.tolist())
+
+
 def eichler_selberg_trace(N: int, k: int, m: int) -> int:
     """Trace of the m-th Hecke operator on weight-k cusp forms of prime
     level N, trivial character, for gcd(m, N) = 1 and even k >= 4.
@@ -298,50 +466,21 @@ def eichler_selberg_trace(N: int, k: int, m: int) -> int:
     where r = 1 + ((t^2 - 4m) / N) counts the roots of x^2 - t x + m mod N
     (orders maximal at N), H(n/N^2) is 0 unless N^2 | n (orders whose
     conductor N divides embed N + 1 times), and H(0) = -1/12 makes the
-    t^2 = 4m term the identity's index term.  The sum runs in integers
-    over one sieved table of 12 H; the result is exact.
+    t^2 = 4m term the identity's index term.  The result is an exact int.
 
-    No term calls a Python function.  r is read from ``_root_counts``, one
-    cached table per (N, X) of at most min(M, X + 1) bytes, M the period
-    of the symbol (N, or 8 at N = 2) and X the bound of the 12 H table;
-    building it proves N prime.  A term with r = 0 is skipped, which is
-    exact: r = 0 means N does not divide n, so H(n/N^2) = 0 and the term
-    is 0.  P_k(-t, m) = P_k(t, m) at even k, so the loop runs over t >= 0
-    and counts each t > 0 twice.  P_k runs the recursion
-    P_j = t P_(j-1) - m P_(j-2) from P_2 = 1, P_3 = t in place.  The
-    divisor sum takes d up to s = isqrt(m) once: each d < sqrt(m) stands
-    for itself and m/d, so it is twice the sum of d^(k-1) over d <= s,
-    less s^(k-1) when s^2 = m.
+    After the input checks this is one lookup: ``_trace_table(N, k, X)``
+    holds Tr T_m for the whole octave X/8 < m <= X/4 of m, X =
+    2^bit_length(4m - 1) (the bound of the 12 H table the sum reads), and
+    is built once per (N, k, X) from vectorized sums exact by a modular
+    lift (see there).
     """
     # an int before the cached table, so that 7.0 never finds 7's entry
     N, k = _as_int(N, "N"), _check_weight(k)
     m = _as_int(m, "m")
     if m < 1 or math.gcd(m, N) != 1:
         raise DomainError("need m >= 1 with gcd(m, N) = 1")
-
     X = 1 << (4 * m - 1).bit_length()
-    M, roots = _root_counts(N, X)
-    h12 = _hurwitz12(X)
-    NN, steps, total = N * N, range(k - 3), 0
-    for t in range(math.isqrt(4 * m), -1, -1):
-        n = 4 * m - t * t
-        r = roots[n % M]
-        if not r:
-            continue
-        prev, p = 1, t
-        for _ in steps:
-            prev, p = p, t * p - m * prev
-        if n % NN:
-            term = p * r * h12[n]
-        else:
-            h_nN = h12[n // NN]
-            term = p * (r * (h12[n] - h_nN) + (N + 1) * h_nN)
-        total += 2 * term if t else term
-    if total % 24:
-        raise AccuracyError(f"trace formula returned non-integer {Fraction(-total, 24)}")
-    s = math.isqrt(m)
-    mins = 2 * sum(d ** (k - 1) for d in range(1, s + 1) if m % d == 0)
-    return -total // 24 - mins + (s ** (k - 1) if s * s == m else 0)
+    return _trace_table(N, k, X)[m - X // 8 - 1]
 
 
 def _divisors(m: int) -> list:

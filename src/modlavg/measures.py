@@ -19,6 +19,7 @@ endpoint behaviour.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -256,23 +257,31 @@ def _sign_power_ratio(m: int, delta: complex) -> complex:
     return sum(complex(delta) ** (m - 1 - 2 * j) for j in range(m))
 
 
+def _check_delta(delta) -> complex:
+    """delta as a complex number; zero, infinite or NaN is DomainError (the
+    one rule of the closed form and the series)."""
+    d = complex(delta)
+    if d == 0 or not cmath.isfinite(d):
+        raise DomainError(f"delta = {delta!r} must be finite and nonzero")
+    return d
+
+
 def series_coefficient(n: int, p: int, delta: complex) -> complex:
     """Coefficient C_n of p^(n(s - 1/2)) in the density series; C_0 = 1.
-    n must be an index n >= 0 and p a prime."""
+    n must be an index n >= 0, p a prime and delta finite and nonzero."""
     n = _check_index(n)
     _check_prime(p)
+    d = _check_delta(delta)
     if n == 0:
         return 1.0 + 0.0j
-    d = complex(delta)
     return d ** n + d ** (-n) - (p - 1) * _sign_power_ratio(n - 1, d)
 
 
 def spectral_density(p: int, delta: complex, s: complex) -> complex:
-    """Closed form (1 - p^(2s)) / ((1 - T/delta)(1 - delta T)), T = p^(s-1/2)."""
+    """Closed form (1 - p^(2s)) / ((1 - T/delta)(1 - delta T)), T = p^(s-1/2);
+    delta must be finite and nonzero."""
     _check_prime(p)
-    d = complex(delta)
-    if d == 0:
-        raise DomainError("delta must be nonzero")
+    d = _check_delta(delta)
     t = p ** (complex(s) - 0.5)
     denom = (1.0 - t / d) * (1.0 - d * t)
     if abs(denom) < 1e-14:
@@ -290,9 +299,10 @@ def spectral_density_series(p: int, delta: complex, s: complex) -> complex:
     SERIES_TERMS counts coefficients per parity part (even indices up to
     2*SERIES_TERMS, odd up to 2*SERIES_TERMS - 1), so the truncation error
     is of order p^(-SERIES_TERMS) times a linear factor.  p must be a
-    prime, as in spectral_density.
+    prime and delta finite and nonzero, as in spectral_density.
     """
     _check_prime(p)
+    _check_delta(delta)
     t = p ** (complex(s) - 0.5)
     total = 1.0 + 0.0j
     tn = 1.0 + 0.0j

@@ -71,10 +71,10 @@ def _g_table(n_max: int) -> np.ndarray:
 
 def subpolynomial_check(epsilon: float, n_max: int) -> dict:
     """Scan g(n) / n^epsilon up to n_max; returns the maximum and argmax
-    (the first n attaining it)."""
+    (the first n attaining it).  epsilon must be positive and finite."""
     n_max = _as_int(n_max, "n_max")
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:  # false at NaN too
+        raise DomainError(f"epsilon = {epsilon!r} must be positive and finite")
     if n_max < 1:
         raise DomainError("n_max must be positive")
     g = _g_table(n_max)
@@ -101,12 +101,13 @@ def tail_sum(N: int, M: int, u: float, n_max: int) -> dict:
     """sum over m >= 1, mN + M <= n_max of (mN + M)^(-u), plus an
     integral-test bound for the truncated remainder, and the ratio of the
     total against N^(-u).  DomainError, before any arithmetic, for a
-    non-integer N, M or n_max or a level or modulus below 1."""
+    non-integer N, M or n_max, a level or modulus below 1 or an exponent u
+    that is not a finite number > 1."""
     N, M, n_max = _as_int(N, "level N"), _as_int(M, "M"), _as_int(n_max, "n_max")
     _check_at_least_one(N, "level N")
     _check_at_least_one(M, "orbit modulus M")
-    if u <= 1:
-        raise DomainError("need u > 1")
+    if not 1 < u < math.inf:  # false at NaN too
+        raise DomainError(f"need a finite u > 1, got {u!r}")
     total = 0.0
     m = 1
     while m * N + M <= n_max:

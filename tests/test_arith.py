@@ -138,6 +138,34 @@ class TestFactorize:
         assert ar._primes_up_to(-3) == []
 
 
+@functools.lru_cache(maxsize=None)
+def hurwitz12(n):
+    """12 H(n), an integer, as the sum of h_w(-n/f^2) over f^2 | n."""
+    if n == 0:
+        return -1
+    h = sum((ar.class_number_weighted(-n // (f * f))
+             for f in range(1, math.isqrt(n) + 1)
+             if n % (f * f) == 0 and (-n // (f * f)) % 4 in (0, 1)), Fraction(0))
+    assert (12 * h).denominator == 1
+    return int(12 * h)
+
+
+def literal_trace(N, k, m):
+    """The docstring's formula at one (N, k, m), term by term, t of both
+    signs: the symbol by kronecker, P_k by its recursion, every divisor."""
+    total = 0
+    for t in range(-math.isqrt(4 * m), math.isqrt(4 * m) + 1):
+        n = 4 * m - t * t
+        r = 1 + ar.kronecker(t * t - 4 * m, N)
+        h_nN = hurwitz12(n // (N * N)) if n % (N * N) == 0 else 0
+        prev, p = 1, t  # P_2, P_3
+        for _ in range(k - 3):
+            prev, p = p, t * p - m * prev
+        total += p * (r * (hurwitz12(n) - h_nN) + (N + 1) * h_nN)
+    return (Fraction(-total, 24)
+            - sum(min(d, m // d) ** (k - 1) for d in range(1, m + 1) if m % d == 0))
+
+
 class TestEichlerSelberg:
     def test_t1_equals_dimension(self):
         for N in (3, 5, 7, 11, 13, 19, 23, 31, 41):
@@ -158,16 +186,6 @@ class TestEichlerSelberg:
                     seq.append(t * seq[-1] - m * seq[-2])
                 gegenbauer[t, m] = {k: seq[k - 2] for k in ks}
 
-        @functools.lru_cache(maxsize=None)
-        def hurwitz12(n):  # 12 H(n), an integer
-            if n == 0:
-                return -1
-            h = sum((ar.class_number_weighted(-n // (f * f))
-                     for f in range(1, math.isqrt(n) + 1)
-                     if n % (f * f) == 0 and (-n // (f * f)) % 4 in (0, 1)), Fraction(0))
-            assert (12 * h).denominator == 1
-            return int(12 * h)
-
         cases = [(N, bound, ks) for N in (2, 3, 13, 59, 61)]
         # a level far above every bound: its root table is indexed by n itself
         cases.append((99991, 60, (4, 6)))
@@ -187,6 +205,34 @@ class TestEichlerSelberg:
                              - sum(min(d, m // d) ** (k - 1) for d in divisors[m]))
                     assert ar.eichler_selberg_trace(N, k, m) == trace, (N, k, m)
         assert {(2, 1, 0), (3, 7, 1), (13, 127, 1)} <= nonmaximal
+
+    @pytest.mark.parametrize("N, k, X, moduli", [(2, 10, 1 << 13, 2), (19, 14, 1 << 14, 3)])
+    def test_multimodular_octave_against_the_literal_sum(self, monkeypatch, N, k, X, moduli):
+        # an octave X/8 < m <= X/4 whose bound needs 2^64 and one or two
+        # primes: sampled traces equal the docstring's sum
+        counts = []
+        lift = ar._lift
+        monkeypatch.setattr(ar, "_lift", lambda res, mods: counts.append(len(mods))
+                            or lift(res, mods))
+        ar._trace_table.cache_clear()
+        for m in (X // 8 + 1, X // 8 + 3, 3 * X // 16 + 1, X // 4 - 1):
+            assert ar.eichler_selberg_trace(N, k, m) == literal_trace(N, k, m), (N, k, m)
+        assert counts == [moduli]
+
+    def test_corrupted_residue_refused_by_the_lift(self, monkeypatch):
+        # one residue off by one moves the lift far outside the bound
+        N, k, m = 19, 10, 1500  # X = 2^13: 2^64 and one prime
+        lift = ar._lift
+
+        def corrupted(residues, moduli):
+            assert len(moduli) == 2
+            residues[1][m - 1024 - 1] = (residues[1][m - 1024 - 1] + 1) % moduli[1]
+            return lift(residues, moduli)
+
+        monkeypatch.setattr(ar, "_lift", corrupted)
+        ar._trace_table.cache_clear()
+        with pytest.raises(InvariantViolation, match=rf"N = 19, k = 10, m = {m}\b.*bound"):
+            ar.eichler_selberg_trace(N, k, m)
 
     def test_root_tables(self):
         # r(n) = 1 + (-n | N) at table[n % M] for every n <= X, in at most

@@ -52,6 +52,14 @@ REFUSALS = {
     "tail_sum at N = 7.0": lambda: reg_tail.tail_sum(7.0, 3, 2.0, 100),
     "tail_sum at M = 3.0": lambda: reg_tail.tail_sum(7, 3.0, 2.0, 100),
     "tail_sum at n_max = 100.0": lambda: reg_tail.tail_sum(7, 3, 2.0, 100.0),
+    # a NaN exponent gave NaN in every field of tail_sum and {'max': 1.0,
+    # 'argmax': 1} from subpolynomial_check; u = inf gave a sum of 0.0
+    "tail_sum at u = nan": lambda: reg_tail.tail_sum(7, 3, float("nan"), 100),
+    "tail_sum at u = inf": lambda: reg_tail.tail_sum(7, 3, float("inf"), 100),
+    "subpolynomial_check at epsilon = nan":
+        lambda: reg_tail.subpolynomial_check(float("nan"), 100),
+    "subpolynomial_check at epsilon = inf":
+        lambda: reg_tail.subpolynomial_check(float("inf"), 100),
     "g_of_n at n = 2.5": lambda: reg_tail.g_of_n(2.5),
     "g_of_n at n = True": lambda: reg_tail.g_of_n(True),
     "subpolynomial_check at n_max = 10.5": lambda: reg_tail.subpolynomial_check(0.5, 10.5),
@@ -72,6 +80,28 @@ REFUSALS = {
     "basis_moment at n = -1":
         lambda: measures.basis_moment(measures.SatakeMeasure(p=13, sign=1), -1),
     "spectral_density at delta = 0": lambda: measures.spectral_density(5, 0, 0.1),
+    # one delta rule: delta = 0 died in the two series functions with a
+    # ZeroDivisionError and +-inf with an OverflowError; +-inf in the closed
+    # form and NaN in all three gave nan+nanj
+    "spectral_density at delta = nan": lambda: measures.spectral_density(5, float("nan"), 0.1),
+    "spectral_density at delta = inf": lambda: measures.spectral_density(5, float("inf"), 0.1),
+    "spectral_density at delta = -inf":
+        lambda: measures.spectral_density(5, float("-inf"), 0.1),
+    "series_coefficient at delta = 0": lambda: measures.series_coefficient(3, 13, 0),
+    "series_coefficient at delta = nan":
+        lambda: measures.series_coefficient(3, 13, float("nan")),
+    "series_coefficient at delta = inf":
+        lambda: measures.series_coefficient(3, 13, float("inf")),
+    "series_coefficient at delta = -inf":
+        lambda: measures.series_coefficient(3, 13, float("-inf")),
+    "spectral_density_series at delta = 0":
+        lambda: measures.spectral_density_series(13, 0, 0.1),
+    "spectral_density_series at delta = nan":
+        lambda: measures.spectral_density_series(13, float("nan"), 0.1),
+    "spectral_density_series at delta = inf":
+        lambda: measures.spectral_density_series(13, float("inf"), 0.1),
+    "spectral_density_series at delta = -inf":
+        lambda: measures.spectral_density_series(13, complex("-inf"), 0.1),
     # the series gave -1.76 at p = 4, which the closed form refuses, and a
     # float index died with an untyped TypeError
     "spectral_density_series at p = 4": lambda: measures.spectral_density_series(4, 1, 0.1),
