@@ -8,13 +8,14 @@ forms of discriminant -n with x^2 + y^2 and x^2 + xy + y^2 (and multiples)
 weighted 1/2 and 1/3, and H(0) = -1/12; one sieve over reduced forms gives
 the table of 12 H(n) up to a bound, and ``_root_counts`` the table of root
 counts 1 + (-n | N) for one level and bound (proving N prime once).
-``_trace_table`` sums the formula for a whole octave X/8 < m <= X/4 at
-once, one table per (N, k, X): numpy integer arrays, a loop over t alone,
-the sums taken modulo 2^64 and, where the bound (2T + 1)(k - 1)
-m^((k-2)/2) max|g| on them reaches 2^63, modulo primes below 2^31 as
-well, and lifted back to integers by the Chinese remainder theorem (the
-multimodular method of Stein, Modular Forms: A Computational Approach,
-2007, ch. 7); a lift outside the bound is refused.  Each Hecke rule has
+``_trace_table`` sums the formula for every m <= 512 at once, then for
+each octave X/8 < m <= X/4 above that, one table per (N, k, X): numpy
+integer arrays, a loop over t alone, the sums taken modulo 2^64 and,
+where the bound (2T + 1)(k - 1) m^((k-2)/2) max|g| on them reaches 2^63,
+modulo primes below 2^31 as well, and lifted back to integers by the
+Chinese remainder theorem (the multimodular method of Stein, Modular
+Forms: A Computational Approach, 2007, ch. 7); a lift outside the bound
+is refused.  Each Hecke rule has
 one home: ``hecke_extend`` (recursion and multiplicativity;
 ``Eigenform.validate`` checks stored tables against it),
 ``hecke_coefficient`` (T_m and U_N on coefficients) and
@@ -257,8 +258,9 @@ def _check_weight(k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _hurwitz12(X: int) -> tuple:
-    """12 H(n) for 0 <= n <= X, H the Hurwitz class number; 12 H(0) = -1.
+def _hurwitz12(X: int) -> np.ndarray:
+    """12 H(n) for 0 <= n <= X, H the Hurwitz class number; 12 H(0) = -1,
+    as one read-only int64 array (the cache hands it to every caller).
 
     One sieve over the reduced forms (a, b, c), |b| <= a <= c, primitive or
     not, with 4ac - b^2 <= X: each adds 12 at n = 4ac - b^2, except the
@@ -275,7 +277,9 @@ def _hurwitz12(X: int) -> tuple:
         keep = n <= X
         h += np.bincount(n[keep], weights=w[keep], minlength=X + 1)
     h[0] = -1
-    return tuple(h.astype(np.int64).tolist())
+    h = h.astype(np.int64)
+    h.flags.writeable = False
+    return h
 
 
 @lru_cache(maxsize=None)
@@ -294,12 +298,25 @@ def _root_counts(N: int, X: int) -> tuple:
 
 # the first modulus of the trace sums: uint64 arithmetic wraps modulo it
 _WORD = 1 << 64
+# the bound X of the first trace table of each (N, k), which holds every
+# m <= X/4 = 512: below it a table costs about one pass of the t-loop
+# whatever its width, so one table is cheaper than an octave each
+_FIRST_BOUND = 1 << 11
+
+
+def _table_low(X: int) -> int:
+    """lo of the trace table of bound X, which holds lo < m <= X/4: 0 for
+    the first table, X/8 for each octave above it."""
+    return 0 if X == _FIRST_BOUND else X // 8
 
 
 @lru_cache(maxsize=None)
 def _crt_primes(count: int) -> tuple:
     """The ``count`` largest primes below 2^31, descending, by trial
-    division by the primes up to isqrt(2^31 - 1) = 46340."""
+    division by the primes up to isqrt(2^31 - 1) = 46340; no sieve when
+    none is asked for."""
+    if count == 0:
+        return ()
     small = np.array(_primes_up_to(46340))
     out, c = [], (1 << 31) - 1
     while len(out) < count:
@@ -310,7 +327,8 @@ def _crt_primes(count: int) -> tuple:
 
 
 def _moment_residues(g: np.ndarray, k: int, X: int, q: int) -> np.ndarray:
-    """sum_t P_k(t, m) g[4m - t^2] mod q, as uint64, for X/8 < m <= X/4.
+    """sum_t P_k(t, m) g[4m - t^2] mod q, as uint64, for lo < m <= X/4,
+    lo = ``_table_low(X)``.
 
     With J = (k - 2)/2 and P_k(t, m) = sum_i (-1)^i C(2J - i, i)
     t^(2J - 2i) m^i, the sum is sum_i (-1)^i C(2J - i, i) m^i S_(J-i)(m)
@@ -324,7 +342,7 @@ def _moment_residues(g: np.ndarray, k: int, X: int, q: int) -> np.ndarray:
     sums are reduced after every third t (a residue and three products
     stay below 2^64) and once at the end.
     """
-    lo, hi, J = X // 8, X // 4, (k - 2) // 2
+    lo, hi, J = _table_low(X), X // 4, (k - 2) // 2
     wrap = q == _WORD
 
     def red(a):
@@ -400,8 +418,10 @@ def _divisor_term(k: int, lo: int, hi: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _trace_table(N: int, k: int, X: int) -> tuple:
-    """Tr T_m on weight-k cusp forms of prime level N for X/8 < m <= X/4
-    (X a power of 2 >= 4), at index m - X/8 - 1; None where N | m.
+    """Tr T_m on weight-k cusp forms of prime level N for lo < m <= X/4,
+    at index m - lo - 1, lo = ``_table_low(X)``; None where N | m.  X is
+    ``_FIRST_BOUND`` (every m <= 512, lo = 0) or a larger power of 2 (the
+    octave X/8 < m <= X/4).
 
     The two class-number terms of the formula fuse into one integer table
     g[n] = r(n) 12H(n) + N 12H(n/N^2) [N^2 | n] for n <= X: where N^2 | n,
@@ -424,10 +444,10 @@ def _trace_table(N: int, k: int, X: int) -> tuple:
     once per (N, X).
     """
     _, roots = _root_counts(N, X)
-    h = np.array(_hurwitz12(X), dtype=np.int64)
+    h = _hurwitz12(X)
     g = np.resize(np.frombuffer(roots, dtype=np.uint8), X + 1) * h
     g[::N * N] += N * h[:X // (N * N) + 1]
-    lo, hi, J = X // 8, X // 4, (k - 2) // 2
+    lo, hi, J = _table_low(X), X // 4, (k - 2) // 2
     base = (2 * math.isqrt(X) + 1) * (k - 1) * int(np.abs(g).max())
     count = 0
     while _WORD * math.prod(_crt_primes(count)) <= 2 * base * hi ** J:
@@ -468,19 +488,19 @@ def eichler_selberg_trace(N: int, k: int, m: int) -> int:
     conductor N divides embed N + 1 times), and H(0) = -1/12 makes the
     t^2 = 4m term the identity's index term.  The result is an exact int.
 
-    After the input checks this is one lookup: ``_trace_table(N, k, X)``
-    holds Tr T_m for the whole octave X/8 < m <= X/4 of m, X =
-    2^bit_length(4m - 1) (the bound of the 12 H table the sum reads), and
-    is built once per (N, k, X) from vectorized sums exact by a modular
-    lift (see there).
+    After the input checks this is one lookup: ``_trace_table(N, k, X)``,
+    X = max(2^11, 2^bit_length(4m - 1)) (the bound of the 12 H table the
+    sum reads), holds Tr T_m for every m <= 512 at X = 2^11 and for the
+    whole octave X/8 < m <= X/4 of m above that, and is built once per
+    (N, k, X) from vectorized sums exact by a modular lift (see there).
     """
     # an int before the cached table, so that 7.0 never finds 7's entry
     N, k = _as_int(N, "N"), _check_weight(k)
     m = _as_int(m, "m")
     if m < 1 or math.gcd(m, N) != 1:
         raise DomainError("need m >= 1 with gcd(m, N) = 1")
-    X = 1 << (4 * m - 1).bit_length()
-    return _trace_table(N, k, X)[m - X // 8 - 1]
+    X = max(_FIRST_BOUND, 1 << (4 * m - 1).bit_length())
+    return _trace_table(N, k, X)[m - _table_low(X) - 1]
 
 
 def _divisors(m: int) -> list:

@@ -7,6 +7,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from modlavg import arith as ar
@@ -118,7 +119,14 @@ class TestHurwitzSieve:
 
     def test_table_is_cached_per_bound(self):
         assert ar._hurwitz12(64) is ar._hurwitz12(64)
-        assert ar._hurwitz12(64) == ar._hurwitz12(128)[:65]
+        assert np.array_equal(ar._hurwitz12(64), ar._hurwitz12(128)[:65])
+
+    def test_cached_table_is_read_only(self):
+        # every caller gets the one cached array, so none may write into it
+        h12 = ar._hurwitz12(64)
+        with pytest.raises(ValueError, match="read-only"):
+            h12[5] = 0
+        assert h12[0] == -1 and h12[3] == 4
 
 
 class TestFactorize:
@@ -251,11 +259,36 @@ class TestEichlerSelberg:
         monkeypatch.setattr(ar, "_check_prime",
                             lambda N: proofs.append(N) or check_prime(N))
         ar._root_counts.cache_clear()
-        ar.eichler_selberg_trace(101, 4, 100)   # X = 512
-        ar.eichler_selberg_trace(101, 6, 90)    # X = 512 again
+        ar.eichler_selberg_trace(101, 4, 600)   # X = 2^12
+        ar.eichler_selberg_trace(101, 6, 590)   # X = 2^12 again
         assert proofs == [101]
-        ar.eichler_selberg_trace(101, 4, 200)   # X = 1024
+        ar.eichler_selberg_trace(101, 4, 1100)  # X = 2^13
         assert proofs == [101, 101]
+
+    @pytest.mark.parametrize("N", [3, 59, 61])
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_first_table_holds_every_m_to_512(self, N, k):
+        # one table for every m <= 512; 513 (514 at N = 3) opens the first
+        # octave above it, 512 < m <= 1024
+        ar._trace_table.cache_clear()
+        for m in range(1, 513):
+            if m % N:
+                ar.eichler_selberg_trace(N, k, m)
+        assert ar._trace_table.cache_info().misses == 1
+        first_above = 513 if 513 % N else 514
+        for m in (1, 511, 512, first_above):
+            assert ar.eichler_selberg_trace(N, k, m) == literal_trace(N, k, m), (N, k, m)
+        assert ar._trace_table.cache_info().misses == 2
+
+    def test_no_prime_sieve_when_the_word_suffices(self, monkeypatch):
+        # a k = 4 table at m <= 512 needs 2^64 alone: no CRT prime, no sieve
+        def no_sieve(n):
+            raise RuntimeError(f"prime sieve up to {n} built")
+
+        monkeypatch.setattr(ar, "_primes_up_to", no_sieve)
+        ar._crt_primes.cache_clear()
+        ar._trace_table.cache_clear()
+        assert ar.eichler_selberg_trace(59, 4, 500) == literal_trace(59, 4, 500)
 
     @pytest.mark.parametrize("N", [9, 91])
     def test_composite_level_refused_on_every_call(self, N):
