@@ -15,11 +15,13 @@ where the bound (2T + 1)(k - 1) m^((k-2)/2) max|g| on them reaches 2^63,
 modulo primes below 2^31 as well, and lifted back to integers by the
 Chinese remainder theorem (the multimodular method of Stein, Modular
 Forms: A Computational Approach, 2007, ch. 7); a lift outside the bound
-is refused.  Each Hecke rule has
-one home: ``hecke_extend`` (recursion and multiplicativity;
-``Eigenform.validate`` checks stored tables against it),
-``hecke_coefficient`` (T_m and U_N on coefficients) and
-``admissible_levels``.  Exact row reduction over Q,
+is refused.  The divisor term of the formula does not depend on N: one
+read-only table per (k, X) serves every level, and the primes below 2^31
+come from one trial-division sieve per process.  A trace at m <= 512 is
+one read of the first table.  Each Hecke rule has one home:
+``hecke_extend`` (recursion and multiplicativity; ``Eigenform.validate``
+checks stored tables against it), ``hecke_coefficient`` (T_m and U_N on
+coefficients) and ``admissible_levels``.  Exact row reduction over Q,
 trial-division factorization and one smallest-prime-factor sieve serve the
 newform generator, the Hecke extension and the local and regular-tail
 modules.
@@ -234,7 +236,10 @@ def class_number_weighted(disc: int) -> Fraction:
 
 def _as_int(x, what: str) -> int:
     """x as an int; a bool, or anything operator.index refuses (a float, a
-    string), is DomainError naming ``what``."""
+    string), is DomainError naming ``what``.  An exact int (the common
+    case) returns at once."""
+    if type(x) is int:
+        return x
     if not isinstance(x, bool):
         try:
             return operator.index(x)
@@ -251,7 +256,8 @@ def _check_prime(N: int) -> int:
 
 
 def _check_weight(k: int) -> int:
-    k = _as_int(k, "weight k")
+    if type(k) is not int:
+        k = _as_int(k, "weight k")
     if k % 2 != 0 or k < 4:
         raise DomainError(f"weight k = {k} must be an even integer >= 4")
     return k
@@ -311,19 +317,24 @@ def _table_low(X: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _trial_primes() -> np.ndarray:
+    """The primes up to isqrt(2^31 - 1) = 46340, sieved once per process."""
+    return np.array(_primes_up_to(46340))
+
+
+@lru_cache(maxsize=None)
 def _crt_primes(count: int) -> tuple:
-    """The ``count`` largest primes below 2^31, descending, by trial
-    division by the primes up to isqrt(2^31 - 1) = 46340; no sieve when
-    none is asked for."""
+    """The ``count`` largest primes below 2^31, descending:
+    ``_crt_primes(count - 1)`` and the next prime below it, by trial
+    division by ``_trial_primes``.  Count 0 builds no sieve."""
     if count == 0:
         return ()
-    small = np.array(_primes_up_to(46340))
-    out, c = [], (1 << 31) - 1
-    while len(out) < count:
-        if np.all(c % small):
-            out.append(c)
+    out = _crt_primes(count - 1)
+    c = out[-1] - 2 if out else (1 << 31) - 1
+    small = _trial_primes()
+    while not np.all(c % small):
         c -= 2
-    return tuple(out)
+    return out + (c,)
 
 
 def _moment_residues(g: np.ndarray, k: int, X: int, q: int) -> np.ndarray:
@@ -402,17 +413,20 @@ def _lift(residues: list, moduli: tuple) -> np.ndarray:
     return np.where(x >= Q // 2, x - Q, x)
 
 
+@lru_cache(maxsize=None)
 def _divisor_term(k: int, lo: int, hi: int) -> np.ndarray:
     """sum_(d | m) min(d, m/d)^(k-1) for lo < m <= hi: each d <= sqrt(m)
     stands for d and m/d, so 2 d^(k-1) lands on its multiples m >= d^2,
     less d^(k-1) at m = d^2.  The sum is at most 2 m^(k/2); int64 when
-    that stays below 2^62 at hi, else Python ints."""
+    that stays below 2^62 at hi, else Python ints.  It does not depend on
+    the level, so one read-only table per (k, lo, hi) serves every N."""
     out = np.zeros(hi - lo, dtype=np.int64 if 2 * hi ** (k // 2) < 1 << 62 else object)
     for d in range(1, math.isqrt(hi) + 1):
         power = d ** (k - 1)
         out[max(d * d, (lo // d + 1) * d) - lo - 1::d] += 2 * power
         if d * d > lo:
             out[d * d - lo - 1] -= power
+    out.flags.writeable = False
     return out
 
 
@@ -488,18 +502,22 @@ def eichler_selberg_trace(N: int, k: int, m: int) -> int:
     conductor N divides embed N + 1 times), and H(0) = -1/12 makes the
     t^2 = 4m term the identity's index term.  The result is an exact int.
 
-    After the input checks this is one lookup: ``_trace_table(N, k, X)``,
-    X = max(2^11, 2^bit_length(4m - 1)) (the bound of the 12 H table the
-    sum reads), holds Tr T_m for every m <= 512 at X = 2^11 and for the
-    whole octave X/8 < m <= X/4 of m above that, and is built once per
-    (N, k, X) from vectorized sums exact by a modular lift (see there).
+    After the input checks (an exact int passes each at once) this is one
+    lookup: ``_trace_table(N, k, X)`` holds Tr T_m for every m <= 512 at
+    X = 2^11, read directly at index m - 1, and for the whole octave
+    X/8 < m <= X/4 of m above that, X = 2^bit_length(4m - 1) (the bound of
+    the 12 H table the sum reads).  It is built once per (N, k, X) from
+    vectorized sums exact by a modular lift, with the divisor term of
+    (k, X) shared by every level (see there).
     """
     # an int before the cached table, so that 7.0 never finds 7's entry
     N, k = _as_int(N, "N"), _check_weight(k)
     m = _as_int(m, "m")
     if m < 1 or math.gcd(m, N) != 1:
         raise DomainError("need m >= 1 with gcd(m, N) = 1")
-    X = max(_FIRST_BOUND, 1 << (4 * m - 1).bit_length())
+    if m <= _FIRST_BOUND // 4:  # the first table, at index m - 1
+        return _trace_table(N, k, _FIRST_BOUND)[m - 1]
+    X = 1 << (4 * m - 1).bit_length()
     return _trace_table(N, k, X)[m - _table_low(X) - 1]
 
 

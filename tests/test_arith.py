@@ -290,6 +290,76 @@ class TestEichlerSelberg:
         ar._trace_table.cache_clear()
         assert ar.eichler_selberg_trace(59, 4, 500) == literal_trace(59, 4, 500)
 
+    def test_one_prime_sieve_per_process(self, monkeypatch):
+        # the first k = 40 table needs 2^64 and five primes below 2^31: each
+        # count extends the one before from one list of trial primes
+        sieves = []
+        primes_up_to = ar._primes_up_to
+        monkeypatch.setattr(ar, "_primes_up_to",
+                            lambda n: sieves.append(n) or primes_up_to(n))
+        for cached in (ar._trial_primes, ar._crt_primes, ar._trace_table):
+            cached.cache_clear()
+        assert ar.eichler_selberg_trace(3, 40, 100) == literal_trace(3, 40, 100)
+        assert sieves == [46340]
+        assert ar._crt_primes.cache_info().currsize == 6  # counts 0 .. 5
+
+    def test_crt_primes_are_the_largest_below_2_31(self):
+        def is_prime(n):  # Miller-Rabin, deterministic below 3.2e9 at these bases
+            d, s = n - 1, 0
+            while d % 2 == 0:
+                d, s = d // 2, s + 1
+            for a in (2, 3, 5, 7):
+                x = pow(a, d, n)
+                if x not in (1, n - 1) and all(
+                        pow(x, 2 ** r, n) != n - 1 for r in range(1, s)):
+                    return False
+            return True
+
+        primes = [c for c in range((1 << 31) - 1, (1 << 31) - 200, -1) if is_prime(c)]
+        ar._crt_primes.cache_clear()
+        assert ar._crt_primes(6) == tuple(primes[:6])
+        assert ar._crt_primes(3) == tuple(primes[:3])
+
+    @pytest.mark.parametrize("value", [True, 4.0, "4"], ids=repr)
+    @pytest.mark.parametrize("position, what", [(0, "N"), (1, "weight k"), (2, "m")])
+    def test_non_int_arguments_refused(self, position, what, value):
+        # the exact-int fast path leaves every other type on the checked path
+        args = [7, 4, 5]
+        args[position] = value
+        with pytest.raises(DomainError,
+                           match=re.escape(f"{what} = {value!r} is not an integer")):
+            ar.eichler_selberg_trace(*args)
+
+    def test_numpy_ints_accepted(self):
+        trace = ar.eichler_selberg_trace(np.int64(7), np.int64(4), np.int64(5))
+        assert type(trace) is int and trace == ar.eichler_selberg_trace(7, 4, 5)
+
+    @pytest.mark.parametrize("N", [3, 59])
+    def test_either_side_of_the_first_table(self, N):
+        # 511 and 512 read the first table directly; 513 and 1024 the
+        # octave 512 < m <= 1024, and 1025 the next one
+        for m in (511, 512, 513, 1024, 1025):
+            if m % N:
+                assert ar.eichler_selberg_trace(N, 4, m) == literal_trace(N, 4, m), (N, m)
+            else:
+                with pytest.raises(DomainError, match="gcd"):
+                    ar.eichler_selberg_trace(N, 4, m)
+
+    def test_divisor_table_shared_by_every_level(self):
+        ar._divisor_term.cache_clear()
+        ar._trace_table.cache_clear()
+        ar.eichler_selberg_trace(3, 6, 1)
+        ar.eichler_selberg_trace(59, 6, 1)
+        info = ar._divisor_term.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        for k, lo, hi in ((6, 0, 512), (40, 0, 512), (4, 512, 1024)):
+            table = ar._divisor_term(k, lo, hi)
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+            assert table.tolist() == [
+                sum(min(d, m // d) ** (k - 1) for d in range(1, m + 1) if m % d == 0)
+                for m in range(lo + 1, hi + 1)], (k, lo, hi)
+
     @pytest.mark.parametrize("N", [9, 91])
     def test_composite_level_refused_on_every_call(self, N):
         # lru_cache keeps no exception, so no call finds a table for N
