@@ -31,11 +31,12 @@ masses (``_bin_masses``) and the geometric audit of each level
 (``_audit_table``), keyed on checked integers and the frozen measure.  A
 warm ``run_experiment`` at a new J pays for the J-dependent work alone.
 Every report is built from new dicts and lists: editing one changes no
-later call.  ``report.json`` is written by the line writer ``_json_text``,
+later call.  ``report.json`` is written in one pass by ``_json_text``,
 whose bytes equal those of ``json.dumps(indent=2, sort_keys=True)``; any
 indent sends the standard library to its slower pure-Python encoder.  The
-three output files are overwritten in place (``_replace``), so a rerun into
-the same directory leaves the bytes a fresh directory gets.
+three output files are encoded once and their bytes overwritten in place
+(``_replace``), so a rerun into the same directory leaves the bytes a fresh
+directory gets.
 """
 
 from __future__ import annotations
@@ -401,8 +402,8 @@ class AverageReport:
 
     def to_json(self) -> str:
         """The report as JSON text: its bytes equal those of
-        ``json.dumps(payload, indent=2, sort_keys=True)``, written by the
-        line writer ``_json_text``."""
+        ``json.dumps(payload, indent=2, sort_keys=True)``, written in one
+        pass by ``_json_text`` from the report's current contents."""
         payload = {
             "config": self.config,
             "constants": self.constants,
@@ -418,92 +419,74 @@ class AverageReport:
 # report.json
 # ---------------------------------------------------------------------------
 
-_INDENT = "  "
-
-
 def _json_text(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
 
     Any indent sends the standard library to its pure-Python generator
-    encoder; this writer appends one string per output line and joins them
-    once.  It follows ``json.encoder`` rule for rule: dict items sorted on
-    their original keys (int rows 7 before 11), each key then converted as
-    ``json`` converts it; values tested with isinstance in json's order
-    (str, None, True, False, int, float, list or tuple, dict); numbers by
-    ``int.__repr__`` and ``float.__repr__``, NaN and infinities as
-    ``NaN``, ``Infinity`` and ``-Infinity``; strings by
-    ``encode_basestring_ascii``; empty containers as ``{}`` and ``[]``; any
-    other type is TypeError."""
-    lines = []
-    _json_lines(obj, "", "", "", lines)
-    return "\n".join(lines)
+    encoder; this writer makes one pass, appending tokens to one list that
+    it joins once (``_json_emit``)."""
+    out = []
+    _json_emit(obj, "\n", out)
+    return "".join(out)
 
 
-def _json_lines(obj, indent: str, head: str, tail: str, lines: list) -> None:
-    """Append the lines of obj at ``indent``: its first line starts with
-    ``head`` and its last ends with ``tail``."""
+def _json_emit(obj, nl: str, out: list) -> None:
+    """Append the tokens of obj to out; ``nl`` is a newline and the indent
+    of the line obj starts on.
+
+    It follows ``json.encoder`` rule for rule: values tested with isinstance
+    in json's order (str, None, True, False, int, float, list or tuple,
+    dict); numbers by ``int.__repr__`` and ``float.__repr__``, NaN and
+    infinities as ``NaN``, ``Infinity`` and ``-Infinity``; strings by
+    ``encode_basestring_ascii``; dict items sorted on their original keys
+    (int rows 7 before 11), each key then converted as json converts it;
+    any other type is TypeError.  A container writes its items of exact
+    type float, str or int, and True, False and None, in its own loop; any
+    other item (np.float64, a str subclass, a container) takes one call."""
     if isinstance(obj, str):
-        lines.append(head + encode_basestring_ascii(obj) + tail)
-    elif obj is None:
-        lines.append(head + "null" + tail)
-    elif obj is True:
-        lines.append(head + "true" + tail)
-    elif obj is False:
-        lines.append(head + "false" + tail)
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
     elif isinstance(obj, int):
-        lines.append(head + int.__repr__(obj) + tail)
+        out.append(int.__repr__(obj))
     elif isinstance(obj, float):
-        lines.append(head + _json_float(obj) + tail)
-    elif isinstance(obj, (list, tuple)):
+        out.append(float.__repr__(obj) if obj - obj == 0.0 else  # finite
+                   "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity")
+    elif isinstance(obj, (list, tuple, dict)):
+        is_dict = isinstance(obj, dict)
         if not obj:
-            lines.append(head + "[]" + tail)
+            out.append("{}" if is_dict else "[]")
             return
-        inner = indent + _INDENT
-        lines.append(head + "[")
-        last = len(obj) - 1
-        for i, item in enumerate(obj):
-            _json_lines(item, inner, inner, "," if i < last else "", lines)
-        lines.append(indent + "]" + tail)
-    elif isinstance(obj, dict):
-        if not obj:
-            lines.append(head + "{}" + tail)
-            return
-        inner = indent + _INDENT
-        lines.append(head + "{")
-        last = len(obj) - 1
-        for i, (key, value) in enumerate(sorted(obj.items())):
-            _json_lines(value, inner, inner + _json_key(key) + ": ",
-                        "," if i < last else "", lines)
-        lines.append(indent + "}" + tail)
+        inner = nl + "  "
+        sep = inner
+        out.append("{" if is_dict else "[")
+        for value in (sorted(obj.items()) if is_dict else obj):
+            out.append(sep)
+            sep = "," + inner
+            if is_dict:
+                key, value = value
+                if isinstance(key, str):
+                    out.append(encode_basestring_ascii(key))
+                elif key is None or isinstance(key, (int, float)):
+                    _json_emit(key, inner, out)  # its JSON text, then quoted
+                    out.append(encode_basestring_ascii(out.pop()))
+                else:
+                    raise TypeError(f"keys must be str, int, float, bool or None, "
+                                    f"not {key.__class__.__name__}")
+                out.append(": ")
+            t = type(value)
+            if t is int or (t is float and value - value == 0.0):
+                out.append(repr(value))
+            elif t is str:
+                out.append(encode_basestring_ascii(value))
+            elif value is None or value is True or value is False:
+                out.append("null" if value is None else "true" if value else "false")
+            else:
+                _json_emit(value, inner, out)
+        out.append(nl + ("}" if is_dict else "]"))
     else:
         raise TypeError(f"Object of type {obj.__class__.__name__} "
                         "is not JSON serializable")
-
-
-def _json_float(x: float) -> str:
-    if math.isfinite(x):
-        return float.__repr__(x)
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-
-
-def _json_key(key) -> str:
-    """A dict key as json writes it: converted to a string, then quoted."""
-    if isinstance(key, str):
-        pass
-    elif isinstance(key, float):
-        key = _json_float(key)
-    elif key is True:
-        key = "true"
-    elif key is False:
-        key = "false"
-    elif key is None:
-        key = "null"
-    elif isinstance(key, int):
-        key = int.__repr__(key)
-    else:
-        raise TypeError(f"keys must be str, int, float, bool or None, "
-                        f"not {key.__class__.__name__}")
-    return encode_basestring_ascii(key)
 
 
 def identity_budget(rows: list, target: float, target_rel_error: float) -> float:
@@ -656,13 +639,21 @@ def _write_outputs(cfg: ExperimentConfig, report: AverageReport, density: str) -
 
 
 def _replace(path: str, text: str) -> None:
-    """Make the file at path hold text, creating it if it is missing.
+    """Make the file at path hold text, UTF-8 encoded, creating it if it is
+    missing.
 
-    An existing file is written over in place and then cut to the new
-    length, never truncated first: replacing a file through O_TRUNC makes
-    ext4 (auto_da_alloc) start its writeback at close, about ten times the
-    cost of the write itself for these files."""
+    The text is encoded once and its bytes go straight to the descriptor,
+    written in a loop until every byte is down.  An existing file is written
+    over in place and then cut to the new length, never truncated first:
+    replacing a file through O_TRUNC makes ext4 (auto_da_alloc) start its
+    writeback at close, about ten times the cost of the write itself for
+    these files."""
+    data = memoryview(text.encode("utf-8"))
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.truncate()
+    try:
+        done = 0
+        while done < len(data):
+            done += os.write(fd, data[done:])
+        os.ftruncate(fd, done)
+    finally:
+        os.close(fd)

@@ -296,8 +296,11 @@ CENTRAL_WITNESS_TOL = 1e-13
 
 
 def _twisted_coeffs(coeffs: list, D: int) -> list:
-    """chi_D(n) c_n for n >= 1.  For fundamental D (and D = 1) chi_D is a
-    character mod |D|, so it takes one Kronecker symbol per residue."""
+    """chi_D(n) c_n for n >= 1: the coefficients themselves at D = 1.  For
+    fundamental D chi_D is a character mod |D|, so it takes one Kronecker
+    symbol per residue."""
+    if D == 1:
+        return coeffs
     chi = [kronecker(D, r) for r in range(abs(D))]
     return [chi[n % abs(D)] * c for n, c in enumerate(coeffs, start=1)]
 
@@ -342,27 +345,39 @@ class CompletedL:
 
     def _afe_sums(self, s: float, t_split: float) -> tuple:
         """The two incomplete-Gamma sums at arithmetic s, split point t,
-        computed once for each pair."""
-        if (s, t_split) in self._sums:
-            return self._sums[s, t_split]
+        computed once for each pair.  A point of SPLIT_POINTS brings in the
+        other two: the sums at all three take one gamma_upper call for each
+        exponent, s and k - s."""
+        if (s, t_split) not in self._sums:
+            splits = SPLIT_POINTS if t_split in SPLIT_POINTS else (t_split,)
+            self._sums.update(zip(((s, t) for t in splits), self._sums_at(s, splits)))
+        return self._sums[s, t_split]
+
+    def _sums_at(self, s: float, splits: tuple) -> list:
+        """The two sums at arithmetic s for each split point of splits."""
         k = self.form.weight
         q_root = math.sqrt(self.conductor)
         coeffs = self.series.coeffs
         x_cut = 50.0
-        n_stop = int(x_cut * q_root / (2.0 * math.pi * min(t_split, 1.0 / t_split))) + 2
-        if n_stop > len(coeffs):
+        stops = [int(x_cut * q_root / (2.0 * math.pi * min(t, 1.0 / t))) + 2
+                 for t in splits]
+        if max(stops) > len(coeffs):
             raise InsufficientCoefficients(
-                f"{self.series.label}: need {n_stop} coefficients for the "
+                f"{self.series.label}: need {max(stops)} coefficients for the "
                 f"functional-equation sums, have {len(coeffs)}"
             )
-        n = np.arange(1, n_stop + 1, dtype=float)
-        c = np.asarray(coeffs[:n_stop], dtype=float)
-        x1 = 2.0 * math.pi * n * t_split / q_root
-        x2 = 2.0 * math.pi * n / (t_split * q_root)
-        sum1 = float(np.sum(c * (2.0 * math.pi * n) ** (-s) * gamma_upper(s, x1)))
-        sum2 = float(np.sum(c * (2.0 * math.pi * n) ** (s - k) * gamma_upper(k - s, x2)))
-        self._sums[s, t_split] = sum1, sum2
-        return sum1, sum2
+        n = [np.arange(1, n_stop + 1, dtype=float) for n_stop in stops]
+        x1 = [2.0 * math.pi * nt * t / q_root for nt, t in zip(n, splits)]
+        x2 = [2.0 * math.pi * nt / (t * q_root) for nt, t in zip(n, splits)]
+        ends = np.cumsum(stops)[:-1]
+        g1 = np.split(gamma_upper(s, np.concatenate(x1)), ends)
+        g2 = np.split(gamma_upper(k - s, np.concatenate(x2)), ends)
+        sums = []
+        for nt, n_stop, a, b in zip(n, stops, g1, g2):
+            c = np.asarray(coeffs[:n_stop], dtype=float)
+            sums.append((float(np.sum(c * (2.0 * math.pi * nt) ** (-s) * a)),
+                         float(np.sum(c * (2.0 * math.pi * nt) ** (s - k) * b))))
+        return sums
 
     def _split_value(self, s: float, t_split: float, eps: int) -> float:
         """Completed value at arithmetic s by the smoothed sum split at t,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +124,12 @@ def _integrate_against(dens, f, lo: float = -2.0, hi: float = 2.0) -> float:
 
 
 def mass(m: SatakeMeasure, lo: float = -2.0, hi: float = 2.0) -> float:
-    """Mass of the measure on [lo, hi] (clamped to [-2, 2])."""
+    """Mass of the measure on [lo, hi] (clamped to [-2, 2]).  Each bound must
+    be a real number, infinities included; a string, bool, None, complex or
+    NaN bound is DomainError."""
+    for name, x in (("lo", lo), ("hi", hi)):
+        if isinstance(x, bool) or not isinstance(x, numbers.Real) or x != x:
+            raise DomainError(f"mass bound {name} = {x!r} is not a real number")
     return _integrate_against(lambda x: density(m, x), lambda x: 1.0, lo, hi)
 
 

@@ -6,6 +6,8 @@ from modlavg import (arch_local, arith, harness, measures, modforms, newforms,
                      numerics, padic_local, reg_tail)
 from modlavg.errors import DomainError, InvariantViolation, ModlavgError
 
+SPLIT_13 = measures.SatakeMeasure(p=13, sign=1)
+
 REFUSALS = {
     "dirichlet_l at s = 2": lambda: arith.dirichlet_l(-4, 2),
     # a float discriminant died in range() with an untyped TypeError
@@ -63,6 +65,16 @@ REFUSALS = {
     "g_of_n at n = 2.5": lambda: reg_tail.g_of_n(2.5),
     "g_of_n at n = True": lambda: reg_tail.g_of_n(True),
     "subpolynomial_check at n_max = 10.5": lambda: reg_tail.subpolynomial_check(0.5, 10.5),
+    # mass compared a str bound with a float (untyped TypeError) and read
+    # True as 1
+    "mass at lo = 'a'": lambda: measures.mass(SPLIT_13, "a", 1.0),
+    "mass at hi = 'a'": lambda: measures.mass(SPLIT_13, -1.0, "a"),
+    "mass at lo = True": lambda: measures.mass(SPLIT_13, True, 2.0),
+    "mass at hi = False": lambda: measures.mass(SPLIT_13, -2.0, False),
+    "mass at lo = None": lambda: measures.mass(SPLIT_13, None, 2.0),
+    "mass at hi = 1j": lambda: measures.mass(SPLIT_13, -2.0, 1j),
+    "mass at lo = nan": lambda: measures.mass(SPLIT_13, float("nan"), 2.0),
+    "mass at hi = nan": lambda: measures.mass(SPLIT_13, -2.0, float("nan")),
     "density_csv at grid 400.0": lambda: measures.density_csv(13, 400.0),
     "density_csv at p = 13.0": lambda: measures.density_csv(13.0, 400),
     "SatakeMeasure with sign 0": lambda: measures.SatakeMeasure(p=5, sign=0),

@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import enum
 import json
 import math
 import os
@@ -397,6 +399,47 @@ class TestRunExperiment:
             assert ((tmp_path / "shared" / name).read_bytes()
                     == (tmp_path / "fresh" / name).read_bytes())
 
+    def test_short_writes_leave_the_fresh_bytes(self, monkeypatch, tmp_path):
+        # os.write may write less than it is given; _replace loops until
+        # every byte is down, over files both fresh and longer than the new
+        names = ("report.json", "forms.csv", "density.csv")
+        cfg = hs.ExperimentConfig(discriminant=-4, weight=4, aux_prime=13,
+                                  output_dir=str(tmp_path / "fresh"))
+        hs.run_experiment(cfg)
+        fresh = {name: (tmp_path / "fresh" / name).read_bytes() for name in names}
+        assert max(len(data) for data in fresh.values()) > 3 * 4096
+        write, sizes = os.write, []
+
+        def short_write(fd, data):
+            sizes.append(len(data))
+            return write(fd, bytes(data[:4096]))
+
+        monkeypatch.setattr(os, "write", short_write)
+        (tmp_path / "old").mkdir()
+        for name in names:
+            (tmp_path / "old" / name).write_bytes(b"x" * 40_000)
+        for out in ("short", "old"):
+            hs.run_experiment(dataclasses.replace(cfg, output_dir=str(tmp_path / out)))
+            for name in names:
+                assert (tmp_path / out / name).read_bytes() == fresh[name]
+        assert sum(1 for size in sizes if size > 4096) > 3
+
+    def test_non_ascii_label_is_written_as_utf8(self, tmp_path):
+        forms = load_eigenforms(hs.default_data_path())
+        renamed = [dataclasses.replace(f, label="7.4.é") if f.level == 7 else f
+                   for f in forms]
+        assert sum(f.level == 7 for f in forms) == 1
+        path = tmp_path / "forms.jsonl"
+        dump_eigenforms(renamed, path)
+        hs.run_experiment(hs.ExperimentConfig(
+            discriminant=-4, weight=4, aux_prime=13, data_path=str(path),
+            output_dir=str(tmp_path / "out")))
+        rows = (tmp_path / "out" / "forms.csv").read_bytes().splitlines()
+        assert [row for row in rows if row.startswith(b"7,")][0].startswith(
+            "7,7.4.é,".encode("utf-8"))
+        report = (tmp_path / "out" / "report.json").read_bytes()
+        assert b'"7.4.\\u00e9"' in report and report.isascii()
+
     def test_editing_a_report_leaves_the_next_call_alone(self, cfg):
         first = hs.run_experiment(cfg)
         expected = first.to_json()
@@ -451,6 +494,39 @@ class TestReportWriter:
         assert hs._json_text(payload) == _stdlib_json(payload)
         for top in ({}, [], (), "text", 3, math.inf, None):
             assert hs._json_text(top) == _stdlib_json(top)
+
+        # items of any type but exact float, str, int, True, False and None
+        # leave the container loop and are tested in json's isinstance order
+        class Level(enum.IntEnum):
+            SEVEN = 7
+            ELEVEN = 11
+
+        class Label(str):
+            pass
+
+        class Mass(float):
+            pass
+
+        fallback = {
+            "enum": {Level.ELEVEN: Level.SEVEN, Level.SEVEN: [Level.ELEVEN], 3: "int"},
+            "str subclass": {Label("b"): Label("é"), "a": [Label("x\n")]},
+            "float subclass": [Mass(0.1), Mass(math.nan), Mass(-math.inf),
+                               {Mass(2.5): Mass(1e300)}],
+            "ordered": collections.OrderedDict([("z", 1), ("a", [2]), ("m", {})]),
+            "true key": {True: "t", 0: "zero"},
+            "false key": {False: [], 2: {}},
+            "none key": {None: None},
+            "nan key": {math.nan: 1.0, 0.5: 2.0, -math.inf: 3.0},
+            "deep": {"a": {"b": {"c": {}, "d": [], "e": ()}},
+                     "f": [[[[], {}, ()]], [{"g": [{}]}]]},
+        }
+        assert hs._json_text(fallback) == _stdlib_json(fallback)
+        # keys that do not sort: mixed int and str
+        for mixed in ({1: "a", "b": 2}, {"rows": [{"x": 1}, {7: 1, "7": 2}]}):
+            with pytest.raises(TypeError):
+                _stdlib_json(mixed)
+            with pytest.raises(TypeError):
+                hs._json_text(mixed)
 
     @pytest.mark.parametrize("value", [np.int64(7), object()],
                              ids=["np.int64", "object"])

@@ -220,6 +220,25 @@ class TestFunctionalEquation:
                     rhs = comp.eps * comp._split_value(s, 1.0 / t, comp.eps)
                     assert abs(lhs - rhs) <= 1e-14 * comp._scale
 
+    def test_split_points_share_one_gamma_call_per_exponent(self, forms, monkeypatch):
+        # the sums at all three SPLIT_POINTS take one gamma_upper call for
+        # each exponent s and k - s; another split point takes its own
+        calls = []
+        gamma_upper = lv.gamma_upper
+
+        def counted(a, x):
+            calls.append(a)
+            return gamma_upper(a, x)
+
+        monkeypatch.setattr(lv, "gamma_upper", counted)
+        comp = lv.CompletedL(forms["7.4.a"], twist=-4)
+        assert calls == [2.35, 4 - 2.35]  # the sign is measured at k/2 + 0.35
+        comp.fe_residual(2.0)
+        comp.lambda_afe(2.0)
+        assert calls[2:] == [2.0, 2.0]
+        comp._split_value(2.0, 0.85, comp.eps)
+        assert len(calls) == 6
+
     def test_twisted_conductor(self, forms):
         comp = lv.CompletedL(forms["7.4.a"], twist=-4)
         assert comp.conductor == 7 * 16
@@ -304,6 +323,10 @@ class TestCentralValues:
         for f in forms.values():
             assert lv._twisted_coeffs(f.coeffs, D) == [
                 kronecker(D, n) * f.c(n) for n in range(1, f.n_max + 1)]
+
+    def test_trivial_character_keeps_the_coefficients(self, forms):
+        for f in forms.values():
+            assert lv._twisted_coeffs(f.coeffs, 1) is f.coeffs
 
     def test_mellin_refuses_noisy_integrand(self, forms, monkeypatch):
         # relative noise of 1e-6 on every evaluation keeps the Fricke sign

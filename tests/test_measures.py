@@ -76,6 +76,15 @@ class TestMass:
         assert ms.mass(m, -5.0, 7.0) == ms.mass(m)
         assert ms.mass(m, -3.0, 0.5) == ms.mass(m, -2.0, 0.5)
         assert ms.mass(m, 2.5, 3.0) == 0.0
+        assert ms.mass(m, -math.inf, math.inf) == ms.mass(m)
+
+    def test_real_bounds_of_other_types(self):
+        # ints and numpy reals are real numbers; bools are refused
+        m = ms.SatakeMeasure(p=13, sign=+1)
+        assert ms.mass(m, -1, 1) == ms.mass(m, -1.0, 1.0)
+        assert ms.mass(m, np.float64(-1.0), np.int64(1)) == ms.mass(m, -1.0, 1.0)
+        with pytest.raises(DomainError, match=r"mass bound lo = True"):
+            ms.mass(m, True, 2.0)
 
     def test_empty_range(self):
         m = ms.SatakeMeasure(p=5, sign=+1)
