@@ -295,11 +295,15 @@ def _root_counts(N: int, X: int) -> tuple:
     The Kronecker symbol (-n | N) has period M = N in n at odd N and M = 8
     at N = 2.  The table holds its first min(M, X + 1) values, so it is
     never longer than the 12 H table up to X; when M > X + 1, n itself is
-    the index.  N is proved prime here, once per (N, X).
+    the index.  At odd N it is Euler's criterion: (-n)^((N-1)/2) is 0, 1 or
+    N - 1 mod N, and one more than that, mod N, is 1 + (-n | N).  N is
+    proved prime here, once per (N, X).
     """
     N = _check_prime(N)
-    M = 8 if N == 2 else N
-    return M, bytes(1 + kronecker(-n, N) for n in range(min(M, X + 1)))
+    if N == 2:
+        return 8, bytes(1 + kronecker(-n, 2) for n in range(min(8, X + 1)))
+    e = (N - 1) // 2
+    return N, bytes((pow(-n, e, N) + 1) % N for n in range(min(N, X + 1)))
 
 
 # the first modulus of the trace sums: uint64 arithmetic wraps modulo it
@@ -511,8 +515,11 @@ def eichler_selberg_trace(N: int, k: int, m: int) -> int:
     (k, X) shared by every level (see there).
     """
     # an int before the cached table, so that 7.0 never finds 7's entry
-    N, k = _as_int(N, "N"), _check_weight(k)
-    m = _as_int(m, "m")
+    if type(N) is not int:
+        N = _as_int(N, "N")
+    k = _check_weight(k)
+    if type(m) is not int:
+        m = _as_int(m, "m")
     if m < 1 or math.gcd(m, N) != 1:
         raise DomainError("need m >= 1 with gcd(m, N) = 1")
     if m <= _FIRST_BOUND // 4:  # the first table, at index m - 1

@@ -188,7 +188,7 @@ def _side_budget(form: Eigenform, w: np.ndarray) -> np.ndarray:
     deligne = _divisor_counts(n)[1:] * m ** ((form.weight - 1) / 2.0)
     terms = np.stack([4.0 * (n + 1) * u * c, 2.0 * np.pi * u * m * c, HECKE_REL_TOL * deligne])
     powers = np.exp(-2.0 * np.pi * np.multiply.outer(w.imag, m))
-    horner, point, data = np.moveaxis(powers @ terms.T, -1, 0)
+    horner, point, data = (np.sum(powers * t, axis=-1) for t in terms)
     return horner + (3.0 * np.abs(w) + 1.0) * point + data + QEXP_TAIL_TOL
 
 
@@ -439,8 +439,10 @@ class CompletedL:
                 raise AccuracyError(f"{series.label}: Mellin quadrature error {res.error:.2e}")
             return res.real
 
-        return (cond ** (s / 2.0) * j_integral(s)
-                + self.predicted_eps(w) * cond ** ((k - s) / 2.0) * j_integral(k - s))
+        # at the center k - s = s, and the two integrals are one
+        low = j_integral(s)
+        high = low if k - s == s else j_integral(k - s)
+        return cond ** (s / 2.0) * low + self.predicted_eps(w) * cond ** ((k - s) / 2.0) * high
 
 
 @dataclass(frozen=True)
@@ -495,18 +497,29 @@ def central_value(form: Eigenform, w: int, twist: int | None = None) -> CentralV
 # ---------------------------------------------------------------------------
 
 def _gl_panels(a: float, b: float, panels: int, rule: tuple):
-    """Composite Gauss-Legendre mesh on [a, b] from ``rule`` = leggauss(order)."""
+    """Composite Gauss-Legendre mesh on [a, b] from ``rule``, the (nodes,
+    weights) of one Gauss-Legendre rule on [-1, 1]."""
     nodes, weights = rule
     edges = np.linspace(a, b, panels + 1)[:, None]
     half, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[1:] + edges[:-1])
     return (mid + half * nodes).ravel(), (half * weights).ravel()
 
 
+# the 12-point Gauss-Legendre rule on [-1, 1], nodes ascending: the values
+# numpy.polynomial.legendre.leggauss(12) returns, bit for bit, written out
+# so that no call builds it (the nodes are odd in x, the weights even)
+_GL12_NODES = np.array([0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+                        0.7699026741943047, 0.9041172563704748, 0.9815606342467192])
+_GL12_WEIGHTS = np.array([0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+                          0.16007832854334642, 0.10693932599531907, 0.04717533638651141])
+NORM_RULE = (np.concatenate((-_GL12_NODES[::-1], _GL12_NODES)),
+             np.concatenate((_GL12_WEIGHTS[::-1], _GL12_WEIGHTS)))
+
 # Gauss-Legendre mesh of the band below height 1: panels across the strip,
 # panels up the band, and nodes per panel
 NORM_X_PANELS = 6
 NORM_Y_PANELS = 2
-NORM_ORDER = 12
+NORM_ORDER = len(NORM_RULE[0])
 # largest relative change of the norm allowed when every panel count doubles
 NORM_TOL = 1e-13
 
@@ -563,18 +576,18 @@ def petersson_norm(form: Eigenform) -> float:
     y^k |phi|^2) carries to (F + j)/N.  F above height 1 and the (F + j)/N
     above height 1/N each fill one period strip, given exactly by Parseval.
     The band |x| <= 1/2, sqrt(1 - x^2) <= y <= 1 and its N images are
-    meshed (NORM_X_PANELS x NORM_Y_PANELS panels of NORM_ORDER nodes): one
+    meshed (NORM_X_PANELS x NORM_Y_PANELS panels of the NORM_ORDER = 12
+    nodes of NORM_RULE, the pinned 12-point Gauss-Legendre rule): one
     evaluator call for the band and one pass over the residue classes mod N
     of the coefficients for all its images (_cusp_images); the same mesh
     with every panel count doubled gives the value, and a change beyond
     NORM_TOL of the norm raises AccuracyError.
     """
     N, k = form.level, form.weight
-    rule = np.polynomial.legendre.leggauss(NORM_ORDER)
     bands = []
     for m in (1, 2):
-        xs, wxs = _gl_panels(-0.5, 0.5, m * NORM_X_PANELS, rule)
-        ts, wts = _gl_panels(0.0, 1.0, m * NORM_Y_PANELS, rule)
+        xs, wxs = _gl_panels(-0.5, 0.5, m * NORM_X_PANELS, NORM_RULE)
+        ts, wts = _gl_panels(0.0, 1.0, m * NORM_Y_PANELS, NORM_RULE)
         y_low = np.sqrt(1.0 - xs * xs)[:, None]
         ys = y_low + (1.0 - y_low) * ts
         z = xs[:, None] + 1j * ys

@@ -299,8 +299,8 @@ def beta(z: complex, w: complex) -> complex:
 # upper incomplete Gamma
 # ---------------------------------------------------------------------------
 
-# the series and the continued fraction stop once every new term or factor
-# is within _GAMMA_INC_TOL of nothing or of 1; a few ulps, since a factor
+# the series and the continued fraction stop at each x once its new term or
+# factor is within _GAMMA_INC_TOL of nothing or of 1; a few ulps, since a factor
 # that has converged still rounds to 1 +- eps
 _GAMMA_INC_TOL = 4.0 * np.finfo(float).eps
 _GAMMA_INC_MAX_TERMS = 400
@@ -308,16 +308,23 @@ _GAMMA_INC_MAX_TERMS = 400
 
 def _gamma_lower_series(a: float, x: np.ndarray) -> np.ndarray:
     """gamma(a, x) = x^a e^-x sum_n x^n / (a (a+1) ... (a+n)) (DLMF sec. 8.7),
-    for x < a + 1, where the terms fall from the first.  The last term
-    relative to the sum grows with x, so the largest x decides the stop."""
+    for x < a + 1, where the terms fall from the first.  Each x stops at
+    its own first small term, so its value does not depend on the others
+    in the array."""
     term = np.full_like(x, 1.0 / a)
     total = term.copy()
-    top = int(np.argmax(x))
+    out = np.empty_like(x)
+    live, xs = np.arange(x.size), x
     for n in range(1, _GAMMA_INC_MAX_TERMS):
-        term *= x / (a + n)
+        term *= xs / (a + n)
         total += term
-        if term[top] <= _GAMMA_INC_TOL * total[top]:
-            return np.exp(a * np.log(x) - x) * total
+        done = term <= _GAMMA_INC_TOL * total
+        if done.any():
+            out[live[done]] = total[done]
+            keep = ~done
+            live, xs, term, total = live[keep], xs[keep], term[keep], total[keep]
+            if not live.size:
+                return np.exp(a * np.log(x) - x) * out
     raise ConvergenceError(f"incomplete Gamma series did not converge at a = {a}")
 
 
@@ -325,11 +332,15 @@ def _gamma_upper_fraction(a: float, x: np.ndarray) -> np.ndarray:
     """Gamma(a, x) = x^a e^-x / (x + 1 - a - 1 (1 - a) / (x + 3 - a - ...))
     (Legendre; DLMF sec. 8.9) by the modified Lentz method, for x >= a + 1.
     There the Lentz divisors stay above half the partial denominators
-    (checked for 0 < a <= 30), so they need no guard against 0."""
+    (checked for 0 < a <= 30), so they need no guard against 0.  Each x
+    stops at its own first factor within _GAMMA_INC_TOL of 1, so its value
+    does not depend on the others in the array."""
     b = x + 1.0 - a
-    c = math.inf
+    c = np.full_like(x, math.inf)
     d = 1.0 / b
     h = d.copy()
+    out = np.empty_like(x)
+    live = np.arange(x.size)
     for i in range(1, _GAMMA_INC_MAX_TERMS):
         an = -i * (i - a)
         b += 2.0
@@ -337,8 +348,13 @@ def _gamma_upper_fraction(a: float, x: np.ndarray) -> np.ndarray:
         c = b + an / c
         step = d * c
         h *= step
-        if np.abs(step - 1.0).max() <= _GAMMA_INC_TOL:
-            return np.exp(a * np.log(x) - x) * h
+        done = np.abs(step - 1.0) <= _GAMMA_INC_TOL
+        if done.any():
+            out[live[done]] = h[done]
+            keep = ~done
+            live, b, c, d, h = live[keep], b[keep], c[keep], d[keep], h[keep]
+            if not live.size:
+                return np.exp(a * np.log(x) - x) * out
     raise ConvergenceError(f"incomplete Gamma fraction did not converge at a = {a}")
 
 

@@ -7,6 +7,8 @@ output of a failure).  Tolerances are fixed here, not tuned at runtime.
 import math
 import random
 
+import numpy as np
+
 from modlavg import arch_local as al
 from modlavg import arith as ar
 from modlavg import harness as hs
@@ -254,7 +256,7 @@ def test_criterion_11_lvalue_machinery(monkeypatch):
         for s_an in (0.3, 0.5, 0.7):
             fe_gap = max(fe_gap, comp.fe_residual(s_an + 1.5))
     f = forms["7.4.a"]
-    monkeypatch.setattr(lv, "NORM_ORDER", 8)
+    monkeypatch.setattr(lv, "NORM_RULE", np.polynomial.legendre.leggauss(8))
     monkeypatch.setattr(lv, "NORM_X_PANELS", 4)
     monkeypatch.setattr(lv, "NORM_Y_PANELS", 7)
     coarse = lv.petersson_norm(f)

@@ -245,13 +245,24 @@ class TestEichlerSelberg:
     def test_root_tables(self):
         # r(n) = 1 + (-n | N) at table[n % M] for every n <= X, in at most
         # min(M, X + 1) bytes: never more than the 12 H table up to X
-        for N in (2, 3, 59, 99991, 10 ** 9 + 7):
-            for X in (4, 8, 64, 4096):
+        for N in (2, 3, 5, 7, 11, 13, 59, 97, 101, 99991, 10 ** 9 + 7):
+            for X in (4, 5, 8, 64, 100, 2048, 4096):
                 M, table = ar._root_counts(N, X)
                 assert M == (8 if N == 2 else N)
                 assert len(table) == min(M, X + 1), (N, X)
                 assert [table[n % M] for n in range(X + 1)] == [
                     1 + ar.kronecker(-n, N) for n in range(X + 1)], (N, X)
+
+    def test_exact_ints_pass_the_checks_at_once(self, monkeypatch):
+        expected = ar.eichler_selberg_trace(7, 4, 600)
+        converted = []
+        as_int = ar._as_int
+        monkeypatch.setattr(ar, "_as_int",
+                            lambda x, what: converted.append(what) or as_int(x, what))
+        assert ar.eichler_selberg_trace(7, 4, 600) == expected
+        assert converted == []
+        assert ar.eichler_selberg_trace(np.int64(7), 4, np.int64(600)) == expected
+        assert converted == ["N", "m"]
 
     def test_primality_proved_once_per_table(self, monkeypatch):
         proofs = []

@@ -1,3 +1,5 @@
+import ast
+import glob
 import importlib
 import json
 import os
@@ -17,23 +19,20 @@ def test_every_export_resolves(name):
     assert not missing, f"modlavg.{name}.__all__ names {missing}"
 
 
-def _generator_loaded_after(code: str, cwd) -> bool:
-    """Whether modlavg.newforms, the generator of the shipped data, which no
-    command uses, is imported after ``code`` runs in a fresh interpreter."""
-    probe = f"import sys\n{code}\nprint('modlavg.newforms' in sys.modules, file=sys.stderr)"
+def _modules_after(code: str, cwd) -> set:
+    """The names in sys.modules after ``code`` runs in a fresh interpreter."""
+    probe = f"import sys\n{code}\nprint(' '.join(sys.modules), file=sys.stderr)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, timeout=120, cwd=cwd,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    return out.stderr.strip().splitlines()[-1] == "True"
+    return set(out.stderr.strip().splitlines()[-1].split())
 
 
-def test_import_leaves_out_the_generator(tmp_path):
-    assert not _generator_loaded_after("import modlavg", tmp_path)
-
-
-def test_average_leaves_out_the_generator(tmp_path):
-    # what `python -m modlavg.cli average --config cfg.json` runs, on the
-    # demo config
+@pytest.fixture(scope="module")
+def average_modules(tmp_path_factory):
+    """The modules a fresh interpreter holds after what `python -m
+    modlavg.cli average --config cfg.json` runs, on the demo config."""
+    tmp_path = tmp_path_factory.mktemp("average")
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "demos",
                            "config_example.json"), encoding="utf-8") as fh:
         config = json.load(fh)
@@ -44,5 +43,42 @@ def test_average_leaves_out_the_generator(tmp_path):
             "    runpy.run_module('modlavg.cli', run_name='__main__', alter_sys=True)\n"
             "except SystemExit as exc:\n"
             "    assert exc.code == 0, exc.code")
-    assert not _generator_loaded_after(code, tmp_path)
+    modules = _modules_after(code, tmp_path)
     assert (tmp_path / config["output_dir"] / "report.json").is_file()
+    return modules
+
+
+def test_import_leaves_out_the_generator(tmp_path):
+    # modlavg.newforms, the generator of the shipped data, which no command uses
+    assert "modlavg.newforms" not in _modules_after("import modlavg", tmp_path)
+
+
+def test_average_leaves_out_the_generator(average_modules):
+    assert "modlavg.newforms" not in average_modules
+
+
+def test_average_leaves_out_numpy_polynomial(average_modules):
+    # the Petersson norm's Gauss-Legendre rule is a table, not a leggauss call
+    assert "numpy.polynomial" not in average_modules
+
+
+# calls into BLAS or LAPACK, or into numpy.polynomial, which the package
+# leaves to the tests as an oracle
+_LINEAR_ALGEBRA = {"dot", "vdot", "inner", "matmul", "tensordot", "linalg", "polynomial"}
+
+
+def test_no_linear_algebra_in_the_package():
+    found = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(modlavg.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append((path, node.lineno, "@"))
+            elif isinstance(node, ast.Attribute) and node.attr in _LINEAR_ALGEBRA:
+                found.append((path, node.lineno, node.attr))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+                found += [(path, node.lineno, n) for n in names
+                          if set(n.split(".")) & _LINEAR_ALGEBRA]
+    assert not found

@@ -342,6 +342,17 @@ class TestCentralValues:
         with pytest.raises(AccuracyError, match=r"7\.4\.a: Mellin quadrature"):
             lv.central_value(forms["7.4.a"], +1)
 
+    def test_one_mellin_integral_at_the_center(self, forms, monkeypatch):
+        # at s = k/2 the integrals at s and k - s are one quadrature
+        calls = []
+        integrate = lv.integrate
+        monkeypatch.setattr(lv, "integrate",
+                            lambda f, spec: calls.append(spec) or integrate(f, spec))
+        lv.central_value(forms["7.4.a"], +1, twist=-4)
+        assert len(calls) == 1
+        lv.CompletedL(forms["7.4.a"]).lambda_mellin(2.3, +1)
+        assert len(calls) == 3
+
     def test_spot_value_positive(self, forms):
         cv = lv.central_value(forms["5.4.a"], +1)
         assert cv.value > 0.3  # frozen location; exact digits tracked below
@@ -349,13 +360,20 @@ class TestCentralValues:
 
 
 class TestPeterssonNorm:
+    def test_rule_is_leggauss_12(self):
+        # numpy.polynomial is a test oracle only: the package pins its rule
+        nodes, weights = np.polynomial.legendre.leggauss(12)
+        assert lv.NORM_ORDER == 12
+        assert lv.NORM_RULE[0].tobytes() == nodes.tobytes()
+        assert lv.NORM_RULE[1].tobytes() == weights.tobytes()
+
     def test_positive(self, forms):
         for label in ("5.4.a", "7.4.a"):
             assert lv.petersson_norm(forms[label]) > 0.0
 
     def test_mesh_refinement(self, forms, monkeypatch):
         f = forms["7.4.a"]
-        monkeypatch.setattr(lv, "NORM_ORDER", 8)
+        monkeypatch.setattr(lv, "NORM_RULE", np.polynomial.legendre.leggauss(8))
         monkeypatch.setattr(lv, "NORM_X_PANELS", 4)
         monkeypatch.setattr(lv, "NORM_Y_PANELS", 7)
         coarse = lv.petersson_norm(f)
@@ -431,6 +449,6 @@ class TestPeterssonNorm:
     def test_coarse_mesh_refused(self, forms, monkeypatch):
         monkeypatch.setattr(lv, "NORM_X_PANELS", 2)
         monkeypatch.setattr(lv, "NORM_Y_PANELS", 1)
-        monkeypatch.setattr(lv, "NORM_ORDER", 4)
+        monkeypatch.setattr(lv, "NORM_RULE", np.polynomial.legendre.leggauss(4))
         with pytest.raises(AccuracyError, match="7.4.a: Petersson norm moves"):
             lv.petersson_norm(forms["7.4.a"])

@@ -108,6 +108,14 @@ class TestGammaUpper:
         oracle = gammaincc(a, x) * gamma(a)
         assert np.all(np.abs(nm.gamma_upper(a, x) - oracle) <= 1e-13 * oracle)
 
+    @pytest.mark.parametrize("a", [0.5, 1.65, 2.35, 5.5])
+    def test_value_independent_of_the_batch(self, a):
+        # each x takes its own number of terms or factors, so its value is
+        # the one it gets alone, on both sides of the switch at a + 1
+        batch = nm.gamma_upper(a, self.X)
+        alone = [nm.gamma_upper(a, self.X[i:i + 1])[0] for i in range(self.X.size)]
+        assert batch.tolist() == alone
+
     @pytest.mark.parametrize("a", [0.0, -1.5, math.nan])
     def test_a_refused(self, a):
         with pytest.raises(DomainError):
