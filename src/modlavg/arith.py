@@ -8,8 +8,8 @@ forms of discriminant -n with x^2 + y^2 and x^2 + xy + y^2 (and multiples)
 weighted 1/2 and 1/3, and H(0) = -1/12; one sieve over reduced forms gives
 the table of 12 H(n) up to a bound, and ``_root_counts`` the table of root
 counts 1 + (-n | N) for one level and bound (proving N prime once).
-``_trace_table`` sums the formula for every m <= 512 at once, then for
-each octave X/8 < m <= X/4 above that, one table per (N, k, X): numpy
+``_trace_table`` sums the formula for every m <= X/4 at once, one table
+per (N, k, X), X a power of 2 from 2^11, each a prefix of the next: numpy
 integer arrays, a loop over t alone, the sums taken modulo 2^64 and,
 where the bound (2T + 1)(k - 1) m^((k-2)/2) max|g| on them reaches 2^63,
 modulo primes below 2^31 as well, and lifted back to integers by the
@@ -289,35 +289,29 @@ def _hurwitz12(X: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _root_counts(N: int, X: int) -> tuple:
-    """(M, table) with table[n % M] = 1 + (-n | N) for 0 <= n <= X, N prime.
+def _root_counts(N: int, X: int) -> bytes:
+    """The bytes 1 + (-n | N), N prime, for n below min(M, X + 1), M the
+    period of the Kronecker symbol (-n | N) in n: N at odd N, 8 at N = 2.
 
-    The Kronecker symbol (-n | N) has period M = N in n at odd N and M = 8
-    at N = 2.  The table holds its first min(M, X + 1) values, so it is
-    never longer than the 12 H table up to X; when M > X + 1, n itself is
-    the index.  At odd N it is Euler's criterion: (-n)^((N-1)/2) is 0, 1 or
-    N - 1 mod N, and one more than that, mod N, is 1 + (-n | N).  N is
-    proved prime here, once per (N, X).
+    Tiled to length X + 1 (``np.resize``) it holds r(n) at index n for
+    0 <= n <= X, and it is never longer than the 12 H table up to X.  At
+    odd N it is Euler's criterion: (-n)^((N-1)/2) is 0, 1 or N - 1 mod N,
+    and one more than that, mod N, is 1 + (-n | N).  N is proved prime
+    here, once per (N, X).
     """
     N = _check_prime(N)
     if N == 2:
-        return 8, bytes(1 + kronecker(-n, 2) for n in range(min(8, X + 1)))
+        return bytes(1 + kronecker(-n, 2) for n in range(min(8, X + 1)))
     e = (N - 1) // 2
-    return N, bytes((pow(-n, e, N) + 1) % N for n in range(min(N, X + 1)))
+    return bytes((pow(-n, e, N) + 1) % N for n in range(min(N, X + 1)))
 
 
 # the first modulus of the trace sums: uint64 arithmetic wraps modulo it
 _WORD = 1 << 64
-# the bound X of the first trace table of each (N, k), which holds every
+# the bound X of the smallest trace table of each (N, k), which holds every
 # m <= X/4 = 512: below it a table costs about one pass of the t-loop
-# whatever its width, so one table is cheaper than an octave each
+# whatever its width, so one table is cheaper than one per smaller bound
 _FIRST_BOUND = 1 << 11
-
-
-def _table_low(X: int) -> int:
-    """lo of the trace table of bound X, which holds lo < m <= X/4: 0 for
-    the first table, X/8 for each octave above it."""
-    return 0 if X == _FIRST_BOUND else X // 8
 
 
 @lru_cache(maxsize=None)
@@ -342,8 +336,8 @@ def _crt_primes(count: int) -> tuple:
 
 
 def _moment_residues(g: np.ndarray, k: int, X: int, q: int) -> np.ndarray:
-    """sum_t P_k(t, m) g[4m - t^2] mod q, as uint64, for lo < m <= X/4,
-    lo = ``_table_low(X)``.
+    """sum_t P_k(t, m) g[4m - t^2] mod q, as uint64, for 1 <= m <= X/4 at
+    index m - 1.
 
     With J = (k - 2)/2 and P_k(t, m) = sum_i (-1)^i C(2J - i, i)
     t^(2J - 2i) m^i, the sum is sum_i (-1)^i C(2J - i, i) m^i S_(J-i)(m)
@@ -357,7 +351,7 @@ def _moment_residues(g: np.ndarray, k: int, X: int, q: int) -> np.ndarray:
     sums are reduced after every third t (a residue and three products
     stay below 2^64) and once at the end.
     """
-    lo, hi, J = _table_low(X), X // 4, (k - 2) // 2
+    hi, J = X // 4, (k - 2) // 2
     wrap = q == _WORD
 
     def red(a):
@@ -374,17 +368,17 @@ def _moment_residues(g: np.ndarray, k: int, X: int, q: int) -> np.ndarray:
     # n = 4m - t^2 is 0 mod 4 at even t and 3 mod 4 at odd t, so g[n] is
     # quarter[t % 2][m - s] with s = ceil(t^2 / 4), read contiguously
     quarter = (gq[0::4].copy(), gq[3::4].copy())
-    S = np.zeros((J + 1, hi - lo), dtype=np.uint64)
+    S = np.zeros((J + 1, hi), dtype=np.uint64)
     for t in range(T + 1):
         s = (t * t + 3) // 4
-        m0 = max(lo + 1, s)
-        part = S[:, m0 - lo - 1:]
+        m0 = max(1, s)
+        part = S[:, m0 - 1:]
         part += coeff[t, :, None] * quarter[t % 2][m0 - s:hi - s + 1]
         if not wrap and t % 3 == 2:
             part %= q
     S = red(S)
-    ms = red(np.arange(lo + 1, hi + 1, dtype=np.uint64))
-    acc = np.zeros(hi - lo, dtype=np.uint64)
+    ms = red(np.arange(1, hi + 1, dtype=np.uint64))
+    acc = np.zeros(hi, dtype=np.uint64)
     for i in range(J, -1, -1):  # Horner in m
         c = (-1) ** i * math.comb(2 * J - i, i) % q
         acc = red(red(acc * ms) + red(c * S[J - i]))
@@ -418,28 +412,27 @@ def _lift(residues: list, moduli: tuple) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _divisor_term(k: int, lo: int, hi: int) -> np.ndarray:
-    """sum_(d | m) min(d, m/d)^(k-1) for lo < m <= hi: each d <= sqrt(m)
-    stands for d and m/d, so 2 d^(k-1) lands on its multiples m >= d^2,
-    less d^(k-1) at m = d^2.  The sum is at most 2 m^(k/2); int64 when
-    that stays below 2^62 at hi, else Python ints.  It does not depend on
-    the level, so one read-only table per (k, lo, hi) serves every N."""
-    out = np.zeros(hi - lo, dtype=np.int64 if 2 * hi ** (k // 2) < 1 << 62 else object)
+def _divisor_term(k: int, hi: int) -> np.ndarray:
+    """sum_(d | m) min(d, m/d)^(k-1) for 1 <= m <= hi at index m - 1: each
+    d <= sqrt(m) stands for d and m/d, so 2 d^(k-1) lands on its multiples
+    m >= d^2, less d^(k-1) at m = d^2.  The sum is at most 2 m^(k/2); int64
+    when that stays below 2^62 at hi, else Python ints.  It does not depend
+    on the level, so one read-only table per (k, hi) serves every N."""
+    out = np.zeros(hi, dtype=np.int64 if 2 * hi ** (k // 2) < 1 << 62 else object)
     for d in range(1, math.isqrt(hi) + 1):
         power = d ** (k - 1)
-        out[max(d * d, (lo // d + 1) * d) - lo - 1::d] += 2 * power
-        if d * d > lo:
-            out[d * d - lo - 1] -= power
+        out[d * d - 1::d] += 2 * power
+        out[d * d - 1] -= power
     out.flags.writeable = False
     return out
 
 
 @lru_cache(maxsize=None)
 def _trace_table(N: int, k: int, X: int) -> tuple:
-    """Tr T_m on weight-k cusp forms of prime level N for lo < m <= X/4,
-    at index m - lo - 1, lo = ``_table_low(X)``; None where N | m.  X is
-    ``_FIRST_BOUND`` (every m <= 512, lo = 0) or a larger power of 2 (the
-    octave X/8 < m <= X/4).
+    """Tr T_m on weight-k cusp forms of prime level N for 1 <= m <= X/4,
+    at index m - 1; None where N | m.  X is ``_FIRST_BOUND`` (every
+    m <= 512) or a larger power of 2, so each table is a prefix of the
+    next.
 
     The two class-number terms of the formula fuse into one integer table
     g[n] = r(n) 12H(n) + N 12H(n/N^2) [N^2 | n] for n <= X: where N^2 | n,
@@ -461,32 +454,31 @@ def _trace_table(N: int, k: int, X: int) -> tuple:
     (``_divisor_term``).  ``_root_counts`` gives r and proves N prime,
     once per (N, X).
     """
-    _, roots = _root_counts(N, X)
     h = _hurwitz12(X)
-    g = np.resize(np.frombuffer(roots, dtype=np.uint8), X + 1) * h
+    g = np.resize(np.frombuffer(_root_counts(N, X), dtype=np.uint8), X + 1) * h
     g[::N * N] += N * h[:X // (N * N) + 1]
-    lo, hi, J = _table_low(X), X // 4, (k - 2) // 2
+    hi, J = X // 4, (k - 2) // 2
     base = (2 * math.isqrt(X) + 1) * (k - 1) * int(np.abs(g).max())
     count = 0
     while _WORD * math.prod(_crt_primes(count)) <= 2 * base * hi ** J:
         count += 1
     moduli = (_WORD,) + _crt_primes(count)
     x = _lift([_moment_residues(g, k, X, q) for q in moduli], moduli)
-    ms = np.arange(lo + 1, hi + 1)
+    ms = np.arange(1, hi + 1)
     limit = base * (ms if count == 0 else ms.astype(object)) ** J
     bad = np.flatnonzero((x > limit) | (x < -limit))
     if bad.size:
         i = bad[0]
         raise InvariantViolation(
-            f"trace sum at N = {N}, k = {k}, m = {lo + 1 + i} lifts to {x[i]}, "
+            f"trace sum at N = {N}, k = {k}, m = {i + 1} lifts to {x[i]}, "
             f"outside the bound +-{limit[i]}")
     coprime = ms % N != 0
     bad = np.flatnonzero((x % 24 != 0) & coprime)
     if bad.size:
         i = bad[0]
         raise AccuracyError(f"trace formula returned non-integer "
-                            f"{Fraction(-int(x[i]), 24)} at N = {N}, k = {k}, m = {lo + 1 + i}")
-    out = (-x // 24 - _divisor_term(k, lo, hi)).astype(object)
+                            f"{Fraction(-int(x[i]), 24)} at N = {N}, k = {k}, m = {i + 1}")
+    out = (-x // 24 - _divisor_term(k, hi)).astype(object)
     out[~coprime] = None
     return tuple(out.tolist())
 
@@ -507,12 +499,12 @@ def eichler_selberg_trace(N: int, k: int, m: int) -> int:
     t^2 = 4m term the identity's index term.  The result is an exact int.
 
     After the input checks (an exact int passes each at once) this is one
-    lookup: ``_trace_table(N, k, X)`` holds Tr T_m for every m <= 512 at
-    X = 2^11, read directly at index m - 1, and for the whole octave
-    X/8 < m <= X/4 of m above that, X = 2^bit_length(4m - 1) (the bound of
-    the 12 H table the sum reads).  It is built once per (N, k, X) from
-    vectorized sums exact by a modular lift, with the divisor term of
-    (k, X) shared by every level (see there).
+    lookup at index m - 1 of ``_trace_table(N, k, X)``, which holds Tr T_m
+    for every m <= X/4: X = 2^11 for every m <= 512, read directly, and
+    X = 2^bit_length(4m - 1) (the bound of the 12 H table the sum reads)
+    above that.  It is built once per (N, k, X) from vectorized sums exact
+    by a modular lift, with the divisor term of (k, X) shared by every
+    level (see there).
     """
     # an int before the cached table, so that 7.0 never finds 7's entry
     if type(N) is not int:
@@ -522,10 +514,9 @@ def eichler_selberg_trace(N: int, k: int, m: int) -> int:
         m = _as_int(m, "m")
     if m < 1 or math.gcd(m, N) != 1:
         raise DomainError("need m >= 1 with gcd(m, N) = 1")
-    if m <= _FIRST_BOUND // 4:  # the first table, at index m - 1
+    if m <= _FIRST_BOUND // 4:  # the first table, with no bound to compute
         return _trace_table(N, k, _FIRST_BOUND)[m - 1]
-    X = 1 << (4 * m - 1).bit_length()
-    return _trace_table(N, k, X)[m - _table_low(X) - 1]
+    return _trace_table(N, k, 1 << (4 * m - 1).bit_length())[m - 1]
 
 
 def _divisors(m: int) -> list:

@@ -50,6 +50,7 @@ import numpy as np
 from .arith import (
     HECKE_REL_TOL,
     Eigenform,
+    _as_int,
     _divisor_counts,
     is_fundamental_discriminant,
     kronecker,
@@ -131,16 +132,16 @@ def _certified_count(form: Eigenform, y: float) -> int:
 
 
 def q_expansion_eval(form: Eigenform, z):
-    """Value of the form at z (Im z > 0), a point or an array of points,
-    from its stored coefficients.
+    """Value of the form at finite z (Im z > 0), a point or an array of
+    points, from its stored coefficients.
 
     Sums the first n coefficients, n the fewest whose certified tail at the
     lowest point is within QEXP_TAIL_TOL; raises InsufficientCoefficients
     when the stored coefficients cannot reach that bound.
     """
     zs = np.asarray(z, dtype=complex)
-    if zs.size == 0 or not np.all(zs.imag > 0):
-        raise DomainError("need Im z > 0")
+    if zs.size == 0 or not np.all(np.isfinite(zs) & (zs.imag > 0)):
+        raise DomainError("need a finite z with Im z > 0")
     n = _certified_count(form, float(zs.imag.min()))
     # a point goes through the same array arithmetic as a batch, so both
     # give the same bits
@@ -319,7 +320,8 @@ class CompletedL:
         if self.twist is None:
             D, label = 1, form.label  # the trivial character
         else:
-            D, label = self.twist, f"{form.label} twisted by {self.twist}"
+            D = _as_int(self.twist, "twist")  # a float or a bool is refused
+            label = f"{form.label} twisted by {D}"
             if not is_fundamental_discriminant(D):
                 raise DomainError(f"twist {D} is not a fundamental discriminant")
             if math.gcd(form.level, D) != 1:

@@ -60,7 +60,7 @@ class SatakeMeasure:
 
     def __post_init__(self):
         _check_prime(self.p)
-        if self.sign not in (+1, -1):
+        if _as_int(self.sign, "sign") not in (+1, -1):  # True is refused
             raise DomainError("sign must be +1 or -1")
 
 

@@ -76,8 +76,9 @@ class QuadratureSpec:
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise DomainError("tolerances must be strictly positive")
+        if not (self.rel_tol > 0 and self.abs_tol > 0):  # NaN fails too
+            raise DomainError(f"tolerances must be strictly positive, got rel_tol = "
+                              f"{self.rel_tol}, abs_tol = {self.abs_tol}")
 
 
 @dataclass(frozen=True)
@@ -304,6 +305,9 @@ def beta(z: complex, w: complex) -> complex:
 # that has converged still rounds to 1 +- eps
 _GAMMA_INC_TOL = 4.0 * np.finfo(float).eps
 _GAMMA_INC_MAX_TERMS = 400
+# the largest a whose Gamma(a) is a finite float (1.79769e308); Gamma(a, x)
+# is refused above it, where Gamma(a) and (a - 1)! overflow
+_GAMMA_MAX_A = 171.6243769563027
 
 
 def _gamma_lower_series(a: float, x: np.ndarray) -> np.ndarray:
@@ -360,7 +364,8 @@ def _gamma_upper_fraction(a: float, x: np.ndarray) -> np.ndarray:
 
 def gamma_upper(a: float, x) -> np.ndarray:
     """Upper incomplete Gamma(a, x), the integral of t^(a-1) e^-t over
-    [x, oo), for real a > 0 at every point of an array of x > 0.
+    [x, oo), for real 0 < a <= _GAMMA_MAX_A at every point of an array of
+    finite x > 0; any other a or x is DomainError.
 
     Integer a is the finite sum (a-1)! e^-x sum_(j<a) x^j / j! (DLMF sec. 8.4);
     other a take Gamma(a) less the series of gamma(a, x) below x = a + 1,
@@ -368,10 +373,10 @@ def gamma_upper(a: float, x) -> np.ndarray:
     """
     a = float(a)
     x = np.asarray(x, dtype=float)
-    if not a > 0.0:
-        raise DomainError(f"gamma_upper needs a > 0, got a = {a}")
-    if not np.all(x > 0.0):
-        raise DomainError("gamma_upper needs every x > 0")
+    if not 0.0 < a <= _GAMMA_MAX_A:  # NaN and infinities fail too
+        raise DomainError(f"gamma_upper needs 0 < a <= {_GAMMA_MAX_A}, got a = {a}")
+    if not np.all((x > 0.0) & (x < math.inf)):
+        raise DomainError("gamma_upper needs every x finite and > 0")
     if a.is_integer():
         acc = np.ones_like(x)
         for j in range(int(a) - 1, 0, -1):

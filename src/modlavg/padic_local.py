@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import _check_negative_fundamental, _check_prime, _factorize, kronecker
+from .arith import _as_int, _check_negative_fundamental, _check_prime, _factorize, kronecker
 from .errors import DomainError, InvariantViolation, PoleError, WindowError
 
 __all__ = [
@@ -72,9 +72,11 @@ class PlaceSpec:
         _check_prime(self.q)
         if self.kind not in ("unramified", "level", "hecke"):
             raise DomainError(f"unknown place kind {self.kind!r}")
-        if self.kind == "hecke" and self.r < self.r2:
+        # a float or a bool is refused (_as_int) before any comparison
+        chi_q, r, r2 = _as_int(self.chi_q, "chi_q"), _as_int(self.r, "r"), _as_int(self.r2, "r2")
+        if self.kind == "hecke" and r < r2:
             raise DomainError("hecke signature requires r >= r'")
-        if self.chi_q not in (+1, -1):
+        if chi_q not in (+1, -1):
             raise DomainError("chi_q must be +1 or -1")
 
 
@@ -94,6 +96,8 @@ class OrbitDatum:
     def __post_init__(self):
         if self.kind not in ("regular", "upper", "lower", "swap_upper", "swap_lower"):
             raise DomainError(f"unknown orbit kind {self.kind!r}")
+        for value, name in ((self.vx, "vx"), (self.v1mx, "v1mx")):
+            _as_int(value, name)  # a float or a bool is refused
         if self.kind == "regular":
             # x + (1 - x) = 1 forces the valuation pattern below
             ok = (
@@ -343,7 +347,7 @@ def hecke_singular_window(q: int, n: int, side: str, window: int) -> LaurentValu
     on the upper side, exponents exchanged on the lower), for exact comparison
     against the brute-force enumeration; the cells do not depend on chi(q)."""
     _check_hecke(+1, n, side)
-    if window < n + 1:
+    if _as_int(window, "window") < n + 1:
         raise DomainError("need window > n")
     heads, middle = _upper_cells(n)
     cells = middle | {(m + j, k - j) for m, k in heads for j in range(window - m + 1)}

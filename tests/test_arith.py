@@ -215,17 +215,30 @@ class TestEichlerSelberg:
         assert {(2, 1, 0), (3, 7, 1), (13, 127, 1)} <= nonmaximal
 
     @pytest.mark.parametrize("N, k, X, moduli", [(2, 10, 1 << 13, 2), (19, 14, 1 << 14, 3)])
-    def test_multimodular_octave_against_the_literal_sum(self, monkeypatch, N, k, X, moduli):
-        # an octave X/8 < m <= X/4 whose bound needs 2^64 and one or two
-        # primes: sampled traces equal the docstring's sum
+    def test_multimodular_table_against_the_literal_sum(self, monkeypatch, N, k, X, moduli):
+        # a table m <= X/4 whose bound needs 2^64 and one or two primes:
+        # sampled traces equal the docstring's sum, those at m <= X/8 read
+        # from the table directly, the rest through eichler_selberg_trace
         counts = []
         lift = ar._lift
         monkeypatch.setattr(ar, "_lift", lambda res, mods: counts.append(len(mods))
                             or lift(res, mods))
         ar._trace_table.cache_clear()
+        table = ar._trace_table(N, k, X)
+        for m in (1, 3, X // 16 + 1, X // 8 - 1):
+            assert table[m - 1] == literal_trace(N, k, m), (N, k, m)
         for m in (X // 8 + 1, X // 8 + 3, 3 * X // 16 + 1, X // 4 - 1):
             assert ar.eichler_selberg_trace(N, k, m) == literal_trace(N, k, m), (N, k, m)
         assert counts == [moduli]
+
+    @pytest.mark.parametrize("N, k", [(3, 4), (59, 6), (19, 10)])
+    @pytest.mark.parametrize("X", [1 << 11, 1 << 12, 1 << 13])
+    def test_every_trace_table_is_a_prefix_of_the_next(self, N, k, X):
+        # one table shape: the table of bound 2X holds the table of bound X
+        # at its start, and so does its divisor term
+        assert ar._trace_table(N, k, 2 * X)[:X // 4] == ar._trace_table(N, k, X)
+        assert (ar._divisor_term(k, X // 2)[:X // 4].tolist()
+                == ar._divisor_term(k, X // 4).tolist())
 
     def test_corrupted_residue_refused_by_the_lift(self, monkeypatch):
         # one residue off by one moves the lift far outside the bound
@@ -234,7 +247,7 @@ class TestEichlerSelberg:
 
         def corrupted(residues, moduli):
             assert len(moduli) == 2
-            residues[1][m - 1024 - 1] = (residues[1][m - 1024 - 1] + 1) % moduli[1]
+            residues[1][m - 1] = (residues[1][m - 1] + 1) % moduli[1]
             return lift(residues, moduli)
 
         monkeypatch.setattr(ar, "_lift", corrupted)
@@ -247,8 +260,7 @@ class TestEichlerSelberg:
         # min(M, X + 1) bytes: never more than the 12 H table up to X
         for N in (2, 3, 5, 7, 11, 13, 59, 97, 101, 99991, 10 ** 9 + 7):
             for X in (4, 5, 8, 64, 100, 2048, 4096):
-                M, table = ar._root_counts(N, X)
-                assert M == (8 if N == 2 else N)
+                M, table = (8 if N == 2 else N), ar._root_counts(N, X)
                 assert len(table) == min(M, X + 1), (N, X)
                 assert [table[n % M] for n in range(X + 1)] == [
                     1 + ar.kronecker(-n, N) for n in range(X + 1)], (N, X)
@@ -279,8 +291,8 @@ class TestEichlerSelberg:
     @pytest.mark.parametrize("N", [3, 59, 61])
     @pytest.mark.parametrize("k", [4, 6])
     def test_first_table_holds_every_m_to_512(self, N, k):
-        # one table for every m <= 512; 513 (514 at N = 3) opens the first
-        # octave above it, 512 < m <= 1024
+        # one table for every m <= 512; 513 (514 at N = 3) opens the next
+        # table, m <= 1024
         ar._trace_table.cache_clear()
         for m in range(1, 513):
             if m % N:
@@ -348,7 +360,7 @@ class TestEichlerSelberg:
     @pytest.mark.parametrize("N", [3, 59])
     def test_either_side_of_the_first_table(self, N):
         # 511 and 512 read the first table directly; 513 and 1024 the
-        # octave 512 < m <= 1024, and 1025 the next one
+        # table of m <= 1024, and 1025 the one of m <= 2048
         for m in (511, 512, 513, 1024, 1025):
             if m % N:
                 assert ar.eichler_selberg_trace(N, 4, m) == literal_trace(N, 4, m), (N, m)
@@ -363,13 +375,13 @@ class TestEichlerSelberg:
         ar.eichler_selberg_trace(59, 6, 1)
         info = ar._divisor_term.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-        for k, lo, hi in ((6, 0, 512), (40, 0, 512), (4, 512, 1024)):
-            table = ar._divisor_term(k, lo, hi)
+        for k, hi in ((6, 512), (40, 512), (4, 1024)):
+            table = ar._divisor_term(k, hi)
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0
             assert table.tolist() == [
                 sum(min(d, m // d) ** (k - 1) for d in range(1, m + 1) if m % d == 0)
-                for m in range(lo + 1, hi + 1)], (k, lo, hi)
+                for m in range(1, hi + 1)], (k, hi)
 
     @pytest.mark.parametrize("N", [9, 91])
     def test_composite_level_refused_on_every_call(self, N):

@@ -1,12 +1,24 @@
 """Every refusal of bad input is a typed error under ModlavgError."""
 
+import functools
+import math
+
+import numpy as np
 import pytest
 
-from modlavg import (arch_local, arith, harness, measures, modforms, newforms,
+from modlavg import (arch_local, arith, harness, lvalues, measures, modforms, newforms,
                      numerics, padic_local, reg_tail)
 from modlavg.errors import DomainError, InvariantViolation, ModlavgError
 
 SPLIT_13 = measures.SatakeMeasure(p=13, sign=1)
+NAN, INF = math.nan, math.inf
+
+
+@functools.lru_cache(maxsize=None)
+def form_5():
+    """The seed file's form 5.4.a, loaded on first use."""
+    return arith.load_eigenforms(harness.default_data_path())[0]
+
 
 REFUSALS = {
     "dirichlet_l at s = 2": lambda: arith.dirichlet_l(-4, 2),
@@ -125,6 +137,36 @@ REFUSALS = {
     "sato_tate_limit_check on decreasing primes":
         lambda: measures.sato_tate_limit_check(1, 2, [5, 3]),
     "QuadratureSpec with rel_tol 0": lambda: numerics.QuadratureSpec(rel_tol=0.0),
+    # a NaN tolerance was accepted, and integrate then never converged
+    "QuadratureSpec with rel_tol nan": lambda: numerics.QuadratureSpec(rel_tol=NAN),
+    "QuadratureSpec with abs_tol nan": lambda: numerics.QuadratureSpec(abs_tol=NAN),
+    # x = inf gave NaN with a RuntimeWarning at integer a and a
+    # ConvergenceError at other a; a = inf gave NaN, and an a whose Gamma
+    # passes the largest float a bare OverflowError
+    "gamma_upper at a = 2, x = inf": lambda: numerics.gamma_upper(2, [INF]),
+    "gamma_upper at a = 2.5, x = inf": lambda: numerics.gamma_upper(2.5, [INF]),
+    "gamma_upper at a = inf": lambda: numerics.gamma_upper(INF, [1.0]),
+    "gamma_upper at a = 172": lambda: numerics.gamma_upper(172, [1.0]),
+    "gamma_upper at a = 400.5": lambda: numerics.gamma_upper(400.5, [1.0]),
+    "lambda_afe at s = 200": lambda: lvalues.CompletedL(form_5()).lambda_afe(200.0),
+    # a NaN real part gave a NaN value
+    "q_expansion_eval at z = nan + i":
+        lambda: lvalues.q_expansion_eval(form_5(), complex(NAN, 1.0)),
+    # is_fundamental_discriminant(-4.0) is True, and math.gcd then raised
+    # a bare TypeError
+    "central_value twisted by -4.0": lambda: lvalues.central_value(form_5(), 1, twist=-4.0),
+    # a bool sign was kept as +1, and a float valuation, signature or
+    # window was accepted or died with a bare TypeError further on
+    "SatakeMeasure with sign True": lambda: measures.SatakeMeasure(5, True),
+    "PlaceSpec with chi_q True": lambda: padic_local.PlaceSpec(3, chi_q=True),
+    "PlaceSpec with r = 1.5": lambda: padic_local.PlaceSpec(3, kind="hecke", r=1.5),
+    "PlaceSpec with r2 = 0.5": lambda: padic_local.PlaceSpec(3, kind="hecke", r=1, r2=0.5),
+    "OrbitDatum with vx = 0.5": lambda: padic_local.OrbitDatum(vx=0.5),
+    "OrbitDatum with v1mx = -1.0": lambda: padic_local.OrbitDatum(vx=-1, v1mx=-1.0),
+    "regular_closed_form at vx = 1.5":
+        lambda: padic_local.regular_closed_form(padic_local.PlaceSpec(3, "level"), 1.5, 0),
+    "hecke_singular_window at window = 3.5":
+        lambda: padic_local.hecke_singular_window(3, 1, "upper", 3.5),
     "integrate over an unknown domain kind": lambda: numerics.integrate(
         lambda x: x, numerics.QuadratureSpec(domain=("disc", 0.0))),
     "CuspSpace of weight 12": lambda: modforms.CuspSpace(7, 12),
@@ -139,6 +181,20 @@ def test_refusal_is_typed(case):
     with pytest.raises(ModlavgError) as info:
         REFUSALS[case]()
     assert isinstance(info.value, DomainError)
+
+
+def test_numpy_ints_accepted_by_the_local_data():
+    # the bool and float refusals above take numpy integers as ints
+    one, two = np.int64(1), np.int64(2)
+    assert measures.SatakeMeasure(5, -one).sign == -1
+    place = padic_local.PlaceSpec(3, kind="hecke", chi_q=-one, r=two, r2=one)
+    assert (place.chi_q, place.r, place.r2) == (-1, 2, 1)
+    assert padic_local.OrbitDatum(vx=two, v1mx=np.int64(0)).vx == 2
+    assert padic_local.regular_closed_form(padic_local.PlaceSpec(3), two, 0) == \
+        padic_local.regular_closed_form(padic_local.PlaceSpec(3), 2, 0)
+    assert padic_local.hecke_singular_window(3, 1, "upper", np.int64(4)) == \
+        padic_local.hecke_singular_window(3, 1, "upper", 4)
+    assert lvalues.CompletedL(form_5(), twist=np.int64(-3)).series.label == "5.4.a twisted by -3"
 
 
 def test_float_n_max_refused_before_any_trace(monkeypatch):

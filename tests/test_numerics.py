@@ -108,6 +108,19 @@ class TestGammaUpper:
         oracle = gammaincc(a, x) * gamma(a)
         assert np.all(np.abs(nm.gamma_upper(a, x) - oracle) <= 1e-13 * oracle)
 
+    def test_largest_a(self):
+        # _GAMMA_MAX_A is the last float whose Gamma is finite: it is
+        # served, and the next float up is refused
+        a = nm._GAMMA_MAX_A
+        assert math.isfinite(math.gamma(a))
+        assert np.all(np.isfinite(nm.gamma_upper(a, [1.0, 100.0, 1000.0])))
+        assert math.isfinite(nm.gamma_upper(171, [1.0])[0])
+        above = float(np.nextafter(a, math.inf))
+        with pytest.raises(OverflowError):
+            math.gamma(above)
+        with pytest.raises(DomainError, match="gamma_upper needs 0 < a <= "):
+            nm.gamma_upper(above, [1.0])
+
     @pytest.mark.parametrize("a", [0.5, 1.65, 2.35, 5.5])
     def test_value_independent_of_the_batch(self, a):
         # each x takes its own number of terms or factors, so its value is
