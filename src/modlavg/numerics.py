@@ -310,6 +310,18 @@ _GAMMA_INC_MAX_TERMS = 400
 _GAMMA_MAX_A = 171.6243769563027
 
 
+def _times_power_exp(a: float, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """x^a e^-x s for s > 0: the direct product where it is a finite float,
+    and exp(a log x - x + log s) where it overflows, near _GAMMA_MAX_A,
+    where x^a e^-x alone passes the float range but s scales it back."""
+    with np.errstate(over="ignore"):
+        out = np.exp(a * np.log(x) - x) * s
+    big = np.isinf(out)
+    if big.any():
+        out[big] = np.exp(a * np.log(x[big]) - x[big] + np.log(s[big]))
+    return out
+
+
 def _gamma_lower_series(a: float, x: np.ndarray) -> np.ndarray:
     """gamma(a, x) = x^a e^-x sum_n x^n / (a (a+1) ... (a+n)) (DLMF sec. 8.7),
     for x < a + 1, where the terms fall from the first.  Each x stops at
@@ -328,7 +340,7 @@ def _gamma_lower_series(a: float, x: np.ndarray) -> np.ndarray:
             keep = ~done
             live, xs, term, total = live[keep], xs[keep], term[keep], total[keep]
             if not live.size:
-                return np.exp(a * np.log(x) - x) * out
+                return _times_power_exp(a, x, out)
     raise ConvergenceError(f"incomplete Gamma series did not converge at a = {a}")
 
 
@@ -358,7 +370,7 @@ def _gamma_upper_fraction(a: float, x: np.ndarray) -> np.ndarray:
             keep = ~done
             live, b, c, d, h = live[keep], b[keep], c[keep], d[keep], h[keep]
             if not live.size:
-                return np.exp(a * np.log(x) - x) * out
+                return _times_power_exp(a, x, out)
     raise ConvergenceError(f"incomplete Gamma fraction did not converge at a = {a}")
 
 

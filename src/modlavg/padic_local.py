@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -114,16 +115,17 @@ class OrbitDatum:
 def _entry_valuations(orbit: OrbitDatum, va, vb) -> tuple:
     """Valuations of the four matrix entries (None for a zero entry) and of
     the determinant, elementwise over integer arrays va, vb."""
-    if orbit.kind == "regular":
-        return (va + vb, va + orbit.vx, vb, 0), va + vb + orbit.v1mx
     if orbit.kind == "upper":      # [[b, a], [0, 1]]
         return (vb, va, None, 0), vb
     if orbit.kind == "lower":      # [[a, 0], [b, 1]]
         return (va, None, vb, 0), va
+    ab = va + vb
+    if orbit.kind == "regular":
+        return (ab, va + orbit.vx, vb, 0), ab + orbit.v1mx
     if orbit.kind == "swap_upper":  # [[0, a], [b, 1]]
-        return (None, va, vb, 0), va + vb
+        return (None, va, vb, 0), ab
     # swap_lower: [[ab, a], [b, 0]]
-    return (va + vb, va, vb, None), va + vb
+    return (ab, va, vb, None), ab
 
 
 def _weight_exponents(orbit: OrbitDatum, va, vb) -> tuple:
@@ -139,23 +141,25 @@ def _weight_exponents(orbit: OrbitDatum, va, vb) -> tuple:
 
 def _accepted(place: PlaceSpec, orbit: OrbitDatum, va, vb):
     """Elementwise over integer arrays va, vb: True iff some central scaling
-    lands the orbit matrix of the cell (va, vb) in the support."""
+    lands the orbit matrix of the cell (va, vb) in the support.
+
+    Scaling by q^lam adds lam to each entry valuation and 2 lam to the
+    determinant's, which the support fixes at R (r + r' at the Hecke place,
+    else 0): so lam2 = R - v(det) must be even, and lam = lam2 / 2.  Every
+    entry then lands in the support iff the smallest present one does, so
+    one test decides them all: low + lam >= 0, or == r' at the Hecke place,
+    whose content is exactly q^r'.  The level place adds the lower-left
+    test.  Parity and lam are `& 1` and `>> 1`, exact floors on int64 as on
+    Python ints; on Python ints (one cell) only operators and the builtin
+    min run, so a single cell takes no numpy call."""
     entries, det_v = _entry_valuations(orbit, va, vb)
     hecke = place.kind == "hecke"
-    floor = place.r2 if hecke else 0
     lam2 = (place.r + place.r2 if hecke else 0) - det_v
-    lam = lam2 // 2
-    # operators only, so a single cell (Python ints) takes no numpy call
-    ok = lam2 % 2 == 0
-    on_floor = False  # the Hecke content is exactly q^r': an entry on the floor
-    for e in entries:
-        if e is not None:
-            shifted = e + lam
-            ok = ok & (shifted >= floor)
-            if hecke:
-                on_floor = on_floor | (shifted == floor)
-    if hecke:
-        ok = ok & on_floor
+    lam = lam2 >> 1
+    low = reduce(min if type(lam2) is int else np.minimum,
+                 [e for e in entries if e is not None])
+    shifted = low + lam
+    ok = ((lam2 & 1) == 0) & (shifted == place.r2 if hecke else shifted >= 0)
     if place.kind == "level":
         # the lower-left entry must be nonzero and fall in the maximal ideal
         ok = ok & (entries[2] is not None and entries[2] + lam >= 1)
@@ -222,33 +226,34 @@ def brute_force_integral(place: PlaceSpec, orbit: OrbitDatum,
     """Sum accepted cell weights over |v(a)|, |v(b)| <= window, exactly.
 
     The cells are decided _BLOCK_ROWS rows of v(a) at a time, so the
-    temporaries stay bounded as the window grows.  Regular orbits have
-    bounded support; if it touches the window edge a WindowError is raised.
-    Singular orbits have one-sided infinite geometric support, so a touched
-    boundary is reported, not an error.
+    temporaries stay bounded as the window grows: one _accepted pass per
+    block, whose flat hit indices become the (v(a), v(b)) cells as Python
+    ints.  The boundary test and the weight counts read that cell list.
+    Regular orbits have bounded support; if it touches the window edge a
+    WindowError is raised.  Singular orbits have one-sided infinite
+    geometric support, so a touched boundary is reported, not an error.
     """
-    if type(window) is not int or window < 1:
+    window = _as_int(window, "window")
+    if window < 1:
         raise DomainError(f"window must be an int >= 1, got {window!r}")
+    width = 2 * window + 1
     vb_row = np.arange(-window, window + 1)
-    va_hits, vb_hits = [], []
+    cells = []
     for lo in range(-window, window + 1, _BLOCK_ROWS):
         va_col = np.arange(lo, min(lo + _BLOCK_ROWS, window + 1))[:, None]
-        rows, cols = np.nonzero(_accepted(place, orbit, va_col, vb_row))
-        va_hits.append(va_col[rows, 0])
-        vb_hits.append(vb_row[cols])
-    va, vb = np.concatenate(va_hits), np.concatenate(vb_hits)
-    touched = bool(np.any((np.abs(va) == window) | (np.abs(vb) == window)))
+        hits = _accepted(place, orbit, va_col, vb_row).ravel().nonzero()[0].tolist()
+        # blocks run up v(a) and the flat indices are row-major, so the
+        # cells come out sorted
+        cells += [(lo + i // width, i % width - window) for i in hits]
+    touched = any(max(abs(va), abs(vb)) == window for va, vb in cells)
     if touched and orbit.kind == "regular":
         raise WindowError(
             f"regular-orbit support touches the window boundary (B={window})"
         )
-    m, n = _weight_exponents(orbit, va, vb)
-    counts = Counter(zip(m.tolist(), n.tolist()))
+    counts = Counter(_weight_exponents(orbit, va, vb) for va, vb in cells)
     vol = _volume_factor(place)
     val = LaurentValue.from_dict({mn: vol * c for mn, c in counts.items()})
-    # blocks run up v(a) and np.nonzero is row-major, so the cells are sorted
-    return BruteForceResult(value=val, touched_boundary=touched,
-                            cells=tuple(zip(va.tolist(), vb.tolist())))
+    return BruteForceResult(value=val, touched_boundary=touched, cells=tuple(cells))
 
 
 def support_box(place: PlaceSpec, orbit: OrbitDatum) -> tuple:
@@ -297,14 +302,17 @@ def _local_l(delta: int, q: int, z: complex) -> complex:
     return 1.0 / den
 
 
-def _check_hecke(delta: int, n: int, side: str) -> None:
-    """Refuse delta other than +-1, n < 0 and an unknown side, before any arithmetic."""
+def _check_hecke(delta: int, n: int, side: str) -> int:
+    """Refuse delta other than +-1, n < 0 and an unknown side, before any
+    arithmetic; returns n as an int."""
     if delta not in (+1, -1):
         raise DomainError(f"delta must be +1 or -1, got {delta!r}")
-    if type(n) is not int or n < 0:
+    n = _as_int(n, "index n")
+    if n < 0:
         raise DomainError(f"index n must be an int >= 0, got {n!r}")
     if side not in ("upper", "lower"):
         raise DomainError(f"side must be 'upper' or 'lower', got {side!r}")
+    return n
 
 
 def _upper_cells(n: int) -> tuple:
@@ -323,7 +331,7 @@ def hecke_transform_quotient(q: int, delta: int, n: int, s1: complex, s2: comple
     the lower side delta^n times the upper side at (-s2, -s1).  Tends to 2
     (delta = +1) and 0 (delta = -1) for every n >= 1.
     """
-    _check_hecke(delta, n, side)
+    n = _check_hecke(delta, n, side)
     s1, s2 = complex(s1), complex(s2)
     if side == "lower":
         return delta ** n * hecke_transform_quotient(q, delta, n, -s2, -s1, "upper")
@@ -346,8 +354,8 @@ def hecke_singular_window(q: int, n: int, side: str, window: int) -> LaurentValu
     """Window-clipped Laurent data of the three coset families (v(a) <= window
     on the upper side, exponents exchanged on the lower), for exact comparison
     against the brute-force enumeration; the cells do not depend on chi(q)."""
-    _check_hecke(+1, n, side)
-    if _as_int(window, "window") < n + 1:
+    n, window = _check_hecke(+1, n, side), _as_int(window, "window")
+    if window < n + 1:
         raise DomainError("need window > n")
     heads, middle = _upper_cells(n)
     cells = middle | {(m + j, k - j) for m, k in heads for j in range(window - m + 1)}

@@ -194,6 +194,14 @@ def test_numpy_ints_accepted_by_the_local_data():
         padic_local.regular_closed_form(padic_local.PlaceSpec(3), 2, 0)
     assert padic_local.hecke_singular_window(3, 1, "upper", np.int64(4)) == \
         padic_local.hecke_singular_window(3, 1, "upper", 4)
+    assert padic_local.hecke_singular_window(3, one, "upper", 4) == \
+        padic_local.hecke_singular_window(3, 1, "upper", 4)
+    for side in ("upper", "lower"):
+        assert padic_local.hecke_transform_quotient(3, -1, two, 0.1, 0.2, side) == \
+            padic_local.hecke_transform_quotient(3, -1, 2, 0.1, 0.2, side)
+    basic, orbit = padic_local.PlaceSpec(3), padic_local.OrbitDatum()
+    assert padic_local.brute_force_integral(basic, orbit, np.int64(5)) == \
+        padic_local.brute_force_integral(basic, orbit, 5)
     assert lvalues.CompletedL(form_5(), twist=np.int64(-3)).series.label == "5.4.a twisted by -3"
 
 

@@ -121,6 +121,15 @@ class TestGammaUpper:
         with pytest.raises(DomainError, match="gamma_upper needs 0 < a <= "):
             nm.gamma_upper(above, [1.0])
 
+    @pytest.mark.parametrize("a", [171.5, 171.62])
+    def test_near_largest_a(self, a):
+        # x^a e^-x passes the float range near x = a + 1 here, on both sides
+        # of the switch, while Gamma(a, x) is a finite float
+        x = a + np.array([-1.0, 0.5, 1.0 - 1e-9, 1.0, 1.5, 3.0])
+        oracle = gammaincc(a, x) * gamma(a)
+        assert np.all(np.isfinite(oracle))
+        assert np.all(np.abs(nm.gamma_upper(a, x) - oracle) <= 1e-12 * oracle)
+
     @pytest.mark.parametrize("a", [0.5, 1.65, 2.35, 5.5])
     def test_value_independent_of_the_batch(self, a):
         # each x takes its own number of terms or factors, so its value is

@@ -53,6 +53,8 @@ class TestMembership:
 
 
 HECKE_SIGNATURES = [(r, r2) for r in range(4) for r2 in range(r + 1)]
+PLACE_KINDS = ([("unramified", 0, 0), ("level", 0, 0)]
+               + [("hecke", r, r2) for r, r2 in HECKE_SIGNATURES])
 SINGULAR_KINDS = ("upper", "lower", "swap_upper", "swap_lower")
 ENUMERATION_ORBITS = (
     [pl.OrbitDatum(kind="regular", vx=vx, v1mx=w) for vx, w in valid_orbit_data(4)]
@@ -84,27 +86,54 @@ def loop_enumeration(place, orbit, window, cells):
     return value, touched, cells
 
 
+def assert_matches_loop(place, orbit, windows, cells):
+    """brute_force_integral at each window equals loop_enumeration from the
+    accepted cells of the widest, or both raise WindowError."""
+    for window in windows:
+        try:
+            expected = loop_enumeration(place, orbit, window, cells)
+        except WindowError:
+            with pytest.raises(WindowError):
+                pl.brute_force_integral(place, orbit, window)
+            continue
+        res = pl.brute_force_integral(place, orbit, window)
+        assert (res.value, res.touched_boundary, res.cells) == expected
+        assert all(type(v) is int for cell in res.cells for v in cell)
+        assert all(type(v) is int for (m, n), c in res.value.terms for v in (m, n, c))
+
+
 class TestArrayEnumeration:
-    @pytest.mark.parametrize("kind, r, r2", [("unramified", 0, 0), ("level", 0, 0)]
-                             + [("hecke", r, r2) for r, r2 in HECKE_SIGNATURES])
+    @pytest.mark.parametrize("kind, r, r2", PLACE_KINDS)
     def test_matches_loop_over_oracle(self, kind, r, r2):
         for q in (2, 3, 5, 7):
             for delta in (+1, -1):
                 place = pl.PlaceSpec(q=q, kind=kind, chi_q=delta, r=r, r2=r2)
                 for orbit in ENUMERATION_ORBITS:
-                    cells = accepted_cells(place, orbit, 14)
-                    for window in (6, 10, 14):
-                        try:
-                            expected = loop_enumeration(place, orbit, window, cells)
-                        except WindowError:
-                            with pytest.raises(WindowError):
-                                pl.brute_force_integral(place, orbit, window)
-                            continue
-                        res = pl.brute_force_integral(place, orbit, window)
-                        assert (res.value, res.touched_boundary, res.cells) == expected
-                        assert all(type(v) is int for cell in res.cells for v in cell)
-                        assert all(type(v) is int
-                                   for (m, n), c in res.value.terms for v in (m, n, c))
+                    assert_matches_loop(place, orbit, (6, 10, 14),
+                                        accepted_cells(place, orbit, 14))
+
+    @pytest.mark.parametrize("kind, r, r2", PLACE_KINDS)
+    def test_matches_loop_over_oracle_across_blocks(self, kind, r, r2):
+        # windows 33 and 40 span two and three blocks of _BLOCK_ROWS rows,
+        # so cells of one orbit come from several blocks
+        assert pl._BLOCK_ROWS == 32
+        place = pl.PlaceSpec(q=3, kind=kind, chi_q=-1, r=r, r2=r2)
+        for orbit in ENUMERATION_ORBITS:
+            assert_matches_loop(place, orbit, (33, 40), accepted_cells(place, orbit, 40))
+
+    def test_oracle_makes_no_numpy_call(self, monkeypatch):
+        # one cell of Python ints is decided by operators and builtins
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"numpy.{name} called for one cell")
+
+        places = [pl.PlaceSpec(q=3, kind=kind, r=r, r2=r2) for kind, r, r2 in PLACE_KINDS]
+        grid = [(place, orbit, va, vb) for place in places for orbit in ENUMERATION_ORBITS
+                for va in range(-3, 4) for vb in range(-3, 4)]
+        expected = [pl.membership_oracle(*case) for case in grid]
+        assert any(expected) and not all(expected)
+        monkeypatch.setattr(pl, "np", NoNumpy())
+        assert [pl.membership_oracle(*case) for case in grid] == expected
 
     def test_oracle_returns_bool(self):
         place = pl.PlaceSpec(q=3, kind="hecke", r=2, r2=1)
