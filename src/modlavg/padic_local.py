@@ -303,9 +303,10 @@ def _local_l(delta: int, q: int, z: complex) -> complex:
 
 
 def _check_hecke(delta: int, n: int, side: str) -> int:
-    """Refuse delta other than +-1, n < 0 and an unknown side, before any
-    arithmetic; returns n as an int."""
-    if delta not in (+1, -1):
+    """Refuse delta other than +-1 (a bool, a float or a string too, by
+    _as_int), n < 0 and an unknown side, before any arithmetic; returns n as
+    an int."""
+    if _as_int(delta, "delta") not in (+1, -1):
         raise DomainError(f"delta must be +1 or -1, got {delta!r}")
     n = _as_int(n, "index n")
     if n < 0:
@@ -329,8 +330,10 @@ def hecke_transform_quotient(q: int, delta: int, n: int, s1: complex, s2: comple
         q^{-n s2} + delta^-n q^{-n s1} + (1 - delta q^{s1+s2})
             * sum_{alpha=1}^{n-1} delta^-alpha q^{-alpha s1 - (n-alpha) s2},
     the lower side delta^n times the upper side at (-s2, -s1).  Tends to 2
-    (delta = +1) and 0 (delta = -1) for every n >= 1.
+    (delta = +1) and 0 (delta = -1) for every n >= 1.  A q that is not prime
+    is DomainError.
     """
+    _check_prime(q)
     n = _check_hecke(delta, n, side)
     s1, s2 = complex(s1), complex(s2)
     if side == "lower":

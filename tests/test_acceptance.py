@@ -286,8 +286,7 @@ def test_criterion_12_average_trend():
 
     # (b) the finite-level identity at each level with forms, within its
     # error budget and with S_N > 0 (the report's one verdict)
-    failed = sorted(set(rep.envelope["printed"]["violations"])
-                    | set(rep.envelope["assembled"]["violations"]))
+    failed = rep.envelope["assembled"]["violations"]
     identity = ", ".join(
         f"{N}: {r['deviation']:.1e} / {r['budget']:.1e}"
         for N, r in sorted(rep.envelope["assembled"]["rows"].items()))

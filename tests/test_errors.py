@@ -167,6 +167,29 @@ REFUSALS = {
         lambda: padic_local.regular_closed_form(padic_local.PlaceSpec(3, "level"), 1.5, 0),
     "hecke_singular_window at window = 3.5":
         lambda: padic_local.hecke_singular_window(3, 1, "upper", 3.5),
+    # delta True and 1.0 gave the delta = +1 value; q = 4 gave a number
+    "hecke_transform_quotient with delta True":
+        lambda: padic_local.hecke_transform_quotient(3, True, 1, 0.1, 0.2, "upper"),
+    "hecke_transform_quotient with delta 1.0":
+        lambda: padic_local.hecke_transform_quotient(3, 1.0, 1, 0.1, 0.2, "upper"),
+    'hecke_transform_quotient with delta "1"':
+        lambda: padic_local.hecke_transform_quotient(3, "1", 1, 0.1, 0.2, "upper"),
+    "hecke_transform_quotient at q = 4":
+        lambda: padic_local.hecke_transform_quotient(4, 1, 1, 0.1, 0.2, "upper"),
+    "hecke_transform_quotient at q = 1":
+        lambda: padic_local.hecke_transform_quotient(1, 1, 1, 0.1, 0.2, "upper"),
+    "hecke_transform_quotient at q = True":
+        lambda: padic_local.hecke_transform_quotient(True, 1, 1, 0.1, 0.2, "upper"),
+    "hecke_transform_quotient at q = 3.0":
+        lambda: padic_local.hecke_transform_quotient(3.0, 1, 1, 0.1, 0.2, "upper"),
+    "hecke_transform_closed at q = 4":
+        lambda: padic_local.hecke_transform_closed(4, 1, 1, 0.1, 0.2, "upper"),
+    "hecke_transform_closed at q = 1":
+        lambda: padic_local.hecke_transform_closed(1, 1, 1, 0.1, 0.2, "upper"),
+    "hecke_transform_closed at q = True":
+        lambda: padic_local.hecke_transform_closed(True, 1, 1, 0.1, 0.2, "upper"),
+    "hecke_transform_closed at q = 3.0":
+        lambda: padic_local.hecke_transform_closed(3.0, 1, 1, 0.1, 0.2, "upper"),
     "integrate over an unknown domain kind": lambda: numerics.integrate(
         lambda x: x, numerics.QuadratureSpec(domain=("disc", 0.0))),
     "CuspSpace of weight 12": lambda: modforms.CuspSpace(7, 12),
@@ -198,6 +221,8 @@ def test_numpy_ints_accepted_by_the_local_data():
         padic_local.hecke_singular_window(3, 1, "upper", 4)
     for side in ("upper", "lower"):
         assert padic_local.hecke_transform_quotient(3, -1, two, 0.1, 0.2, side) == \
+            padic_local.hecke_transform_quotient(3, -1, 2, 0.1, 0.2, side)
+        assert padic_local.hecke_transform_quotient(3, -one, 2, 0.1, 0.2, side) == \
             padic_local.hecke_transform_quotient(3, -1, 2, 0.1, 0.2, side)
     basic, orbit = padic_local.PlaceSpec(3), padic_local.OrbitDatum()
     assert padic_local.brute_force_integral(basic, orbit, np.int64(5)) == \

@@ -178,10 +178,12 @@ class TestGeometricPrediction:
         assert arch_local.leading_constant(k) == pytest.approx(
             k * arch_local.alternating_weight_sum(k) * upper, rel=1e-13)
 
-    def test_printed_ratio_k4(self):
-        # c_assembled / c_printed = 4 / (k h(k) Gamma_C(k/2)), with h(4) = 5
-        assert hs.PRINTED_RATIO_K4 == pytest.approx(
-            4.0 / (4 * 5 * hs.gamma_c(2.0)), rel=1e-15)
+    def test_printed_ratio_k4(self, cfg):
+        # c_assembled / c_printed = 4 / (k h(k) Gamma_C(k/2)), with h(4) = 5,
+        # is 2 pi^2 / 5 at k = 4
+        ratio = hs.run_experiment(cfg).constants["assembled_over_printed"]
+        expected = 2.0 * math.pi ** 2 / 5.0
+        assert abs(ratio - expected) <= hs.CONSTANT_ULPS * math.ulp(expected)
 
 
 class TestSpectralSums:
@@ -301,8 +303,8 @@ class TestRunExperiment:
     def test_envelope_sections(self, cfg):
         report = hs.run_experiment(cfg)
         assert report.ok
-        for key in ("printed", "assembled"):
-            assert sorted(report.envelope[key]["rows"]) == [7, 11]
+        assert sorted(report.envelope) == ["assembled"]
+        assert sorted(report.envelope["assembled"]["rows"]) == [7, 11]
         assert "ok" not in json.loads(report.to_json())
 
     @staticmethod
@@ -557,26 +559,22 @@ class TestIdentityCheck:
                 if N == moved_level:
                     values[moved_form] *= 1.0 + 1e-9
                 sums[N] = math.fsum(values)
-            return hs.identity_check(sums, budgets, 4, c["c_printed"],
-                                     c["c_assembled"], c["L1"])
+            return hs.identity_check(sums, budgets, target)["assembled"]
 
-        shipped = check()
-        assert shipped["printed"]["ok"] and shipped["assembled"]["ok"]
+        assert check()["ok"]
         for N, values in contributions.items():
             for i in range(len(values)):
                 out = check(N, i)
-                for key in ("printed", "assembled"):
-                    assert not out[key]["ok"]
-                    assert out[key]["violations"] == [N]
+                assert not out["ok"]
+                assert out["violations"] == [N]
 
     def test_nonpositive_sum_fails(self, cfg):
         c = hs.run_experiment(cfg).constants
         # a budget wide enough to pass any deviation does not pass S_N <= 0
-        out = hs.identity_check({7: 0.0, 11: 1.0}, {7: 1e300, 11: 1e300}, 4,
-                                c["c_printed"], c["c_assembled"], c["L1"])
-        for key in ("printed", "assembled"):
-            assert out[key]["violations"] == [7]
-            assert not out[key]["ok"]
+        out = hs.identity_check({7: 0.0, 11: 1.0}, {7: 1e300, 11: 1e300},
+                                2.0 * c["c_assembled"] * c["L1"])["assembled"]
+        assert out["violations"] == [7]
+        assert not out["ok"]
 
     def test_inaccurate_central_value_refused(self, cfg, monkeypatch):
         # a 1e-12 AFE-vs-Mellin gap exceeds CENTRAL_WITNESS_TOL, the relative
@@ -631,6 +629,24 @@ def test_identity_holds_at_level_19_with_generated_forms(tmp_path):
         discriminant=-4, weight=4, aux_prime=13, levels=[19],
         data_path=str(path)))
     assert rep.ok
+
+
+def test_weight_6_reaches_the_gate_and_fails_there(tmp_path):
+    # no weight is refused before the gate; at k = 6 the sums miss the
+    # assembled target by a factor (2 pi)^(k/2 - 2) / Gamma(k/2) = pi, which
+    # the gate sees at both levels, and the CLI exits 1, not 2
+    path = tmp_path / "forms_k6.jsonl"
+    dump_eigenforms(newforms(7, 6, 800) + newforms(11, 6, 800), path)
+    rep = hs.run_experiment(hs.ExperimentConfig(
+        discriminant=-4, weight=6, aux_prime=13, levels=[7, 11],
+        data_path=str(path)))
+    assert rep.envelope["assembled"]["violations"] == [7, 11]
+    assert not rep.ok
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "discriminant": -4, "weight": 6, "aux_prime": 13, "levels": [7, 11],
+        "data_path": str(path), "output_dir": str(tmp_path / "out")}))
+    assert cli.main(["average", "--config", str(config)]) == 1
 
 
 class TestCLI:
