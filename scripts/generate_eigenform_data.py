@@ -3,8 +3,9 @@
 JSON-lines eigenform records.
 
 The forms come from the Eichler-Selberg trace formula (``modlavg.newforms``:
-Hecke translates of the trace form, the exact matrix of T_2 and its
-characteristic polynomial, one eigenvector per root, each root isolated by
+Hecke translates of the trace form, the matrix of T_2 and its
+characteristic polynomial modulo primes, lifted exactly within Deligne's
+bound, one eigenvector per root, each root isolated by
 Sturm sequences and its coefficients rounded correctly from exact interval
 bounds, exact integers at integer roots, the Atkin-Lehner sign that the
 measured Fricke sign accepts and the modularity rule).  The shipped file

@@ -21,10 +21,10 @@ come from one trial-division sieve per process.  A trace at m <= 512 is
 one read of the first table.  Each Hecke rule has one home:
 ``hecke_extend`` (recursion and multiplicativity; ``Eigenform.validate``
 checks stored tables against it), ``hecke_coefficient`` (T_m and U_N on
-coefficients) and ``admissible_levels``.  Exact row reduction over Q,
-trial-division factorization and one smallest-prime-factor sieve serve the
-newform generator, the Hecke extension and the local and regular-tail
-modules.
+coefficients) and ``admissible_levels``.  The newform generator reuses
+the primes and the lift for its linear algebra; trial-division
+factorization and one smallest-prime-factor sieve serve the Hecke
+extension and the local and regular-tail modules.
 """
 
 from __future__ import annotations
@@ -386,10 +386,10 @@ def _moment_residues(g: np.ndarray, k: int, X: int, q: int) -> np.ndarray:
 
 
 def _lift(residues: list, moduli: tuple) -> np.ndarray:
-    """The integers x with -Q/2 <= x < Q/2, Q the product of ``moduli``
-    (2^64 first, then primes below 2^31), and x = residues[i] mod moduli[i].
+    """The integers x with -Q/2 <= x < Q/2 and x = residues[i] mod moduli[i],
+    Q the product of the moduli: 2^64 or a prime below 2^31, then such primes.
 
-    One modulus is the int64 view of the uint64 residues.  More take
+    A lone modulus 2^64 is the int64 view of the uint64 residues.  More take
     Garner's mixed-radix digits d_i < moduli[i] in uint64 arithmetic (no
     product reaches 2^62) and sum d_0 + q_0 (d_1 + q_1 (d_2 + ...)) in
     Python ints, as an object array.
@@ -531,26 +531,6 @@ def _divisors(m: int) -> list:
     return sorted(out)
 
 
-def _rref(rows: list) -> tuple:
-    """Reduced row echelon form over Q and its pivot columns."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    for col in range(len(mat[0]) if mat else 0):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        if mat[r][col] != 1:  # rows passed in reduced keep their leading 1
-            mat[r] = [x / mat[r][col] for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(col)
-    return mat, pivots
-
-
 def dim_cusp_forms(N: int, k: int) -> int:
     """Dimension of the weight-k cusp space at prime level N by the
     genus/elliptic-point formula (independent of the trace formula)."""
@@ -677,14 +657,17 @@ def _parse_record(rec, where: str) -> Eigenform:
     """The Eigenform of one record; a malformed one is refused naming ``where``."""
     if not isinstance(rec, dict):
         raise InvariantViolation(f"{where}: record is not a JSON object")
-    if rec.get("schema") != SCHEMA_VERSION:
+    if type(rec.get("schema")) is not int or rec["schema"] != SCHEMA_VERSION:
         raise InvariantViolation(f"{where}: missing or unsupported schema version")
     missing = [key for key in ("level", "weight", "label", "coeffs") if key not in rec]
     if missing:
         raise InvariantViolation(f"{where}: record lacks {', '.join(missing)}")
     if not all(type(rec[key]) is int for key in ("level", "weight")):
         raise InvariantViolation(f"{where}: level and weight must be integers")
-    if rec.get("atkin_lehner") not in (None, 1, -1) or type(rec.get("atkin_lehner")) is bool:
+    if type(rec["label"]) is not str:
+        raise InvariantViolation(f"{where}: label must be a string")
+    sign = rec.get("atkin_lehner")
+    if sign is not None and (type(sign) is not int or sign not in (1, -1)):
         raise InvariantViolation(f"{where}: atkin_lehner must be 1 or -1")
     raw = rec["coeffs"]
     if not isinstance(raw, list) or not raw:
@@ -698,7 +681,7 @@ def _parse_record(rec, where: str) -> Eigenform:
         if not (type(c) is int or isinstance(c, float) and math.isfinite(c)):
             raise InvariantViolation(f"{where}: bad coefficient c_{n} = {entry!r}")
         coeffs.append(c)
-    return Eigenform(level=rec["level"], weight=rec["weight"], label=str(rec["label"]),
+    return Eigenform(level=rec["level"], weight=rec["weight"], label=rec["label"],
                      coeffs=coeffs, atkin_lehner=rec.get("atkin_lehner"))
 
 

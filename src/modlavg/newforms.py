@@ -8,10 +8,10 @@ trace formula alone,
 
     (T_m t)_n = Tr(T_m T_n) = sum_{d | (m, n)} d^(k-1) Tr T_(mn/d^2),
 
-``hecke_coefficient`` on the traces.  On a basis of translates the matrix
-of T_ell (ell = 2, or 3 at N = 2) is exact, and so are the Krylov vectors
-v_j = T_ell^j t, j <= dim, and the characteristic polynomial chi of T_ell
-that v_dim gives.  Every root lam has the one eigenvector
+``hecke_coefficient`` on the traces.  ``_krylov_traces`` gives T_ell's
+(ell = 2, or 3 at N = 2) characteristic polynomial chi and the Krylov
+vectors v_j = T_ell^j t exactly, from residues modulo primes lifted within
+Deligne's bound (ch. 7 below).  Every root lam has the one eigenvector
 sum_j b_j(lam) v_j, chi(x) = (x - lam) sum_j b_j(lam) x^j, so c_n =
 A_n(lam)/A_1(lam) for integer polynomials A_n (Stein, Modular Forms: A
 Computational Approach, 2007, ch. 7, on newforms from characteristic
@@ -38,8 +38,10 @@ import numpy as np
 from .arith import (
     Eigenform,
     _as_int,
+    _crt_primes,
+    _divisors,
+    _lift,
     _primes_up_to,
-    _rref,
     dim_cusp_forms,
     eichler_selberg_trace,
     hecke_coefficient,
@@ -55,12 +57,12 @@ def newforms(N: int, k: int, n_max: int) -> list:
     """The weight-k newforms of prime level N with n_max coefficients,
     labelled N.k.a, N.k.b, ... by descending T_ell eigenvalue.  Each c_p is
     the float nearest its exact value, and an exact integer for a rational
-    form.  A repeated eigenvalue, a characteristic polynomial without dim
-    real roots, a non-integral c_p at an integer root, a form whose
-    modularity residual exceeds its budget and forms whose c_p do not sum
-    to Tr T_p are refused (InvariantViolation); an n_max that is not an int
-    (DomainError) or is below what the Fricke and modularity rows need
-    (InsufficientCoefficients) is refused before any trace is computed."""
+    form.  A non-int trace, ``_krylov_traces``' refusals, a characteristic
+    polynomial without dim distinct real roots, a non-integral c_p at an
+    integer root, a form whose modularity residual exceeds its budget and
+    forms whose c_p do not sum to Tr T_p are refused (InvariantViolation);
+    an n_max that is not an int (DomainError) or below what the Fricke and
+    modularity rows need (InsufficientCoefficients) before any trace."""
     n_max = _as_int(n_max, "n_max")
     if k >= 12:
         raise DomainError("level-1 cusp forms enter the traces from weight 12 on")
@@ -72,55 +74,14 @@ def newforms(N: int, k: int, n_max: int) -> list:
         raise InsufficientCoefficients(
             f"N = {N}, k = {k}: the Fricke and modularity rows need {need} coefficients "
             f"(certified tail at Im z = {height:.4f}), n_max = {n_max}")
-    trace = lru_cache(maxsize=None)(lambda m: eichler_selberg_trace(N, k, m))
-    translate = partial(hecke_coefficient, trace, k=k, N=N)  # (T_m t)_n
 
-    cols = list(itertools.islice((n for n in itertools.count(1) if n % N),
-                                 4 * dim + 20))
-    # each candidate is reduced against the rows already in echelon form
-    basis, rows, red = [], [], []
-    for m in cols:
-        row = [translate(m, n) for n in cols]
-        grown, pivots = _rref(red + [row])
-        if len(pivots) > len(basis):
-            basis.append(m)
-            rows.append(row)
-            red = grown
-        if len(basis) == dim:
-            break
-    else:
-        raise InvariantViolation(
-            f"trace-form translates span {len(basis)} of {dim} dimensions at N = {N}")
-
-    # T_ell applied to each translate T_m t, solved in the basis: column i
-    # of M holds the coordinates of T_ell on basis[i]
+    def trace(m):  # exact ints alone: the eliminations take residues
+        if type(value := eichler_selberg_trace(N, k, m)) is not int:
+            raise InvariantViolation(f"Tr T_{m} = {value!r} at N = {N} is not an exact int")
+        return value
     ell = 3 if N == 2 else 2
-    images = [[hecke_coefficient(partial(translate, m), ell, n, k, N) for m in basis]
-              for n in cols]
-    red, pivots = _rref([[row[j] for row in rows] + img
-                         for j, img in enumerate(images)])
-    if pivots != list(range(dim)):
-        raise InvariantViolation(f"T_{ell} leaves the span of the translates at N = {N}")
-    M = [r[dim:] for r in red[:dim]]
-
-    # t has coordinate e_1 and meets every eigenline, so its T_ell-orbit
-    # v_j = T_ell^j t spans one dimension per distinct eigenvalue, and v_dim
-    # on v_0 .. v_(dim-1) gives the characteristic polynomial chi of T_ell
-    krylov = [[int(i == 0) for i in range(dim)]]
-    while len(krylov) <= dim:
-        krylov.append([sum(M[i][j] * krylov[-1][j] for j in range(dim))
-                       for i in range(dim)])
-    red, pivots = _rref([list(row) for row in zip(*krylov)])
-    if pivots != list(range(dim)):
-        raise InvariantViolation(f"repeated T_{ell} eigenvalue at N = {N}")
-    chi = [-r[dim] for r in red] + [1]  # chi[j] multiplies x^j
-    if any(a.denominator != 1 for a in chi):
-        raise InvariantViolation(f"T_{ell} has a non-integral characteristic "
-                                 f"polynomial at N = {N}")
-    chi = [int(a) for a in chi]
-    # eigenvectors count up to scale, so integer Krylov vectors serve
-    scale = math.lcm(*(x.denominator for v in krylov for x in v))
-    krylov = [[int(x * scale) for x in v] for v in krylov[:dim]]
+    ns = [1] + [p for p in _primes_up_to(n_max) if p != N]
+    chi, K = _krylov_traces(trace, N, k, ell, dim, ns)
 
     # x = B y with B a power of 2 above the Deligne bound 2 ell^((k-1)/2)
     # puts every root of P(y) = chi(B y) in (-1, 1), integers on dyadic points
@@ -131,14 +92,11 @@ def newforms(N: int, k: int, n_max: int) -> list:
         raise InvariantViolation(f"Sturm's theorem counts {len(roots)} real roots of "
                                  f"T_{ell}'s characteristic polynomial, not {dim}, at N = {N}")
     # the eigenvector sum_j b_j(x) v_j, chi(X) = (X - x) sum_j b_j(x) X^j, has
-    # coefficient n A_n(x) = sum_e a_e x^e, a_e = sum_j (v_j)_n chi_(j+e+1);
+    # coefficient n A_n(x) = sum_e a_e x^e, a_e = sum_j K_(j,n) chi_(j+e+1);
     # polys holds A_n(B y)
-    polys = {}
-    for n in [1] + [p for p in _primes_up_to(n_max) if p != N]:
-        row = [translate(m, n) for m in basis]
-        w = [sum(x * y for x, y in zip(v, row)) for v in krylov]
-        polys[n] = [bound ** e * sum(w[j] * chi[j + e + 1] for j in range(dim - e))
-                    for e in range(dim)]
+    polys = {n: [bound ** e * sum(w[j] * chi[j + e + 1] for j in range(dim - e))
+                 for e in range(dim)]
+             for n, w in zip(ns, zip(*K))}
 
     out, found = [], []
     for rank, root in enumerate(roots):
@@ -167,6 +125,64 @@ def newforms(N: int, k: int, n_max: int) -> list:
             raise InvariantViolation(f"N = {N}: the c_{p} of the {dim} forms sum to "
                                      f"{float(total)!r}, not Tr T_{p} = {trace(p)}")
     return out
+
+
+def _krylov_traces(trace, N: int, k: int, ell: int, dim: int, ns: list) -> tuple:
+    """chi (chi[j] multiplies x^j) and K[j][i] = Tr(T_ell^j T_n) = (T_ell^j t)_n,
+    j <= dim, n = ns[i].  Modulo each prime q of ``_crt_primes``, Gauss-Jordan
+    elimination takes the rows [T_m t | T_m t | T_ell T_m t] at (cols, ns,
+    cols), m in cols, until dim are independent on cols: they span.  A reduced
+    row is [u | u | T_ell u], 1 at u's pivot and 0 at the others', so a
+    form's values there are its coordinates.  With B = 2 ell^((k-1)/2),
+    K_(j,n)^2 <= (d sigma_0(n))^2 B^(2j) n^(k-1) by Deligne; all primes but
+    the first pin K, so one wrong residue lifts outside the bound.  Newton's
+    identities on the power sums K_(j,1) give chi."""
+    translate = partial(hecke_coefficient, trace, k=k, N=N)  # (T_m t)_n
+    cols = list(itertools.islice((n for n in itertools.count(1) if n % N), 4 * dim + 20))
+    L = len(cols)
+    row = lru_cache(maxsize=None)(lambda m: np.array([translate(m, n) for n in cols + ns] + [
+        hecke_coefficient(partial(translate, m), ell, n, k, N) for n in cols], dtype=object))
+    limit = np.array([[math.isqrt((dim * len(_divisors(n))) ** 2 * (4 * ell ** (k - 1)) ** j
+                       * n ** (k - 1)) for n in ns] for j in range(dim + 1)], dtype=object)
+    moduli = next(_crt_primes(c) for c in itertools.count(2)
+                  if math.prod(_crt_primes(c)[1:]) > 2 * limit.max())
+    basis, residues = cols, []
+    for q in moduli:
+        kept, pivots, E = [], [], np.zeros((0, 2 * L + len(ns)), dtype=np.int64)
+        for m in basis:
+            if len(kept) == dim:
+                break
+            r = (row(m) % q).astype(np.int64)
+            r = (r - _mul(r[pivots][None], E, q)[0]) % q
+            if r[:L].any():
+                p = int(np.flatnonzero(r[:L])[0])
+                r = r * pow(int(r[p]), -1, q) % q
+                E = np.vstack([(E - np.outer(E[:, p], r)) % q, r])
+                kept, pivots = kept + [m], pivots + [p]
+        if len(kept) < dim:
+            raise InvariantViolation(f"trace-form translates span {len(kept)} of {dim} "
+                                     f"dimensions modulo {q} at N = {N}")
+        basis = kept
+        M = E[:, -L:][:, pivots]  # M[i, i'] = coordinate i' of T_ell u_i
+        if np.any(_mul(M, E[:, :L], q) != E[:, -L:]):
+            raise InvariantViolation(f"T_{ell} leaves the span of the translates modulo {q}")
+        krylov = [(row(1)[pivots] % q).astype(np.int64)]  # t's coordinates
+        while len(krylov) <= dim:
+            krylov.append(_mul(krylov[-1][None], M, q)[0])
+        residues.append(_mul(np.array(krylov), E[:, L:-L], q).astype(np.uint64))
+    K = _lift(residues, moduli)
+    for j, i in np.argwhere(abs(K) > limit):
+        raise InvariantViolation(f"N = {N}: Tr(T_{ell}^{j} T_{ns[i]}) lifts to {K[j, i]}, "
+                                 f"outside +-{limit[j, i]}")
+    chi = [1]  # chi[j] multiplies x^(dim-j) here: j chi[j] = -sum_i chi[j-i] K_(i,1)
+    for j in range(1, dim + 1):
+        chi.append(-sum(chi[j - i] * K[i, 0] for i in range(1, j + 1)) // j)
+    return chi[::-1], K.tolist()
+
+
+def _mul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """a b modulo a prime q < 2^31: int64 products, each below 2^62, reduced first."""
+    return (a[:, :, None] * b[None] % q).sum(axis=1) % q
 
 
 def _sign(v: int) -> int:

@@ -556,6 +556,11 @@ class TestMalformedRecords:
           "coeffs": [1]}, "atkin_lehner must be 1 or -1"),
         # a form given twice passes a count of forms per level
         (json.loads(GOOD), "label 'ok' repeats line 1"),
+        # a bool, a float or a number where the first record has an int or a string
+        ({**json.loads(GOOD), "schema": True}, "missing or unsupported schema version"),
+        ({**json.loads(GOOD), "schema": 1.0}, "missing or unsupported schema version"),
+        ({**json.loads(GOOD), "atkin_lehner": 1.0}, "atkin_lehner must be 1 or -1"),
+        ({**json.loads(GOOD), "label": 7}, "label must be a string"),
     ], ids=lambda x: x if isinstance(x, str) else None)
     def test_refused_naming_path_and_line(self, tmp_path, capsys, record, match):
         path = tmp_path / "bad.jsonl"

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from modlavg import arith as ar
@@ -160,21 +162,44 @@ class TestRefusals:
         monkeypatch.setattr(nf, "dim_cusp_forms", lambda N, k: 2)
         monkeypatch.setattr(nf, "eichler_selberg_trace",
                             lambda N, k, m: f[m - 1] + g[m - 1])
-        with pytest.raises(InvariantViolation, match="repeated T_2 eigenvalue"):
+        # chi = (x + 4)^2 has one distinct root, which Sturm's theorem counts
+        with pytest.raises(InvariantViolation, match=(
+                r"^Sturm's theorem counts 1 real roots of T_2's characteristic "
+                r"polynomial, not 2, at N = 5$")):
             nf.newforms(5, 4, 100)
 
     def test_integer_root_with_non_integral_coefficient_refused(self, monkeypatch):
-        # the traces of two systems with integer T_2 eigenvalues 2 and -4, the
-        # first with c_3 = 1/2: its integer root gives exact coefficients,
-        # and c_3 must be refused rather than rounded
+        # the traces of two systems with T_2 eigenvalues 2 and -4 feed the
+        # elimination, and the lifted K is replaced by that of the same
+        # eigenvalues with c_3 = 1/2 and 3/2: K_(j,n) = sum lam^j c_n is an
+        # integer, though their traces are not (c_9 = c_3^2 - 27).  The
+        # integer root 2 gives exact coefficients, so c_3 must be refused
+        # rather than rounded
         base = {p: 0 for p in ar._primes_up_to(4000)}
-        f = ar.hecke_extend({**base, 2: 2, 3: Fraction(1, 2)}, 5, 4, 4000)
+        f = ar.hecke_extend({**base, 2: 2}, 5, 4, 4000)
         g = ar.hecke_extend({**base, 2: -4, 3: 2}, 5, 4, 4000)
         monkeypatch.setattr(nf, "dim_cusp_forms", lambda N, k: 2)
         monkeypatch.setattr(nf, "eichler_selberg_trace",
                             lambda N, k, m: f[m - 1] + g[m - 1])
+        ns = [1] + [p for p in ar._primes_up_to(100) if p != 5]
+        K = [[2 ** j * {1: 1, 2: 2, 3: Fraction(1, 2)}.get(n, 0)
+              + (-4) ** j * {1: 1, 2: -4, 3: Fraction(3, 2)}.get(n, 0) for n in ns]
+             for j in range(3)]
+        assert all(x.denominator == 1 for row in K for x in map(Fraction, row))
+        monkeypatch.setattr(nf, "_lift", lambda residues, moduli: np.array(
+            [[int(x) for x in row] for row in K], dtype=object))
         with pytest.raises(InvariantViolation, match=r"^5\.4\.a: non-integral c_3 = 1/2$"):
             nf.newforms(5, 4, 100)
+
+    @pytest.mark.parametrize("value", [7.0, Fraction(7)])
+    def test_trace_that_is_not_an_int_refused(self, monkeypatch, value):
+        # residues modulo a prime are taken of exact ints alone
+        real = ar.eichler_selberg_trace
+        monkeypatch.setattr(nf, "eichler_selberg_trace",
+                            lambda N, k, m: value if m == 6 else real(N, k, m))
+        with pytest.raises(InvariantViolation,
+                           match=rf"^Tr T_6 = {re.escape(repr(value))} at N = 13 is not an exact int$"):
+            nf.newforms(13, 4, 400)
 
     def test_complex_roots_refused(self, monkeypatch):
         # the traces of a conjugate pair with c_2 = 1 +- i: chi = x^2 - 2x + 2
@@ -300,3 +325,74 @@ class TestIntegerRootBesideIrrationalOnes:
         with pytest.raises(InvariantViolation,
                            match=r"^N = 5: the c_2 of the 3 forms sum to \S+, not Tr T_2 = 2$"):
             nf.newforms(5, 4, 100)
+
+
+def _rref(rows):
+    """Reduced row echelon form over Q and its pivot columns."""
+    mat, pivots = [[Fraction(x) for x in row] for row in rows], []
+    for col in range(len(mat[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if piv is not None:
+            mat[r], mat[piv] = mat[piv], mat[r]
+            mat[r] = [x / mat[r][col] for x in mat[r]]
+            mat = [row if i == r or not row[col] else
+                   [x - row[col] * y for x, y in zip(row, mat[r])] for i, row in enumerate(mat)]
+            pivots.append(col)
+    return mat, pivots
+
+
+def _fraction_route(N, k, ns):
+    """chi and K_(j,n) = Tr(T_2^j T_n), j <= dim, over Q: the first translates
+    T_m t that raise the rank, the matrix of T_2 on them from one solve, the
+    Krylov vectors v_j of t = T_1 t in their coordinates, and chi from v_dim
+    on v_0 .. v_(dim-1), which needs distinct eigenvalues."""
+    dim = ar.dim_cusp_forms(N, k)
+    trace = lambda m: ar.eichler_selberg_trace(N, k, m)  # noqa: E731
+    translate = lambda m, n: ar.hecke_coefficient(trace, m, n, k, N)  # noqa: E731
+    cols = [n for n in range(1, 10 * dim + 40) if n % N][:4 * dim + 20]
+    basis = []
+    for m in cols:
+        if len(_rref([[translate(b, n) for n in cols] for b in basis + [m]])[1]) > len(basis):
+            basis.append(m)
+        if len(basis) == dim:
+            break
+    red, pivots = _rref([[translate(b, n) for b in basis]
+                         + [ar.hecke_coefficient(lambda j: translate(b, j), 2, n, k, N)
+                            for b in basis] for n in cols])
+    assert pivots == list(range(dim))
+    krylov = [[Fraction(int(i == 0)) for i in range(dim)]]
+    while len(krylov) <= dim:
+        krylov.append([sum(red[i][dim + j] * krylov[-1][j] for j in range(dim))
+                       for i in range(dim)])
+    red, pivots = _rref([list(row) for row in zip(*krylov)])
+    assert pivots == list(range(dim))
+    chi = [-r[dim] for r in red] + [1]
+    K = [[sum(v[i] * translate(b, n) for i, b in enumerate(basis)) for n in ns] for v in krylov]
+    assert all(x.denominator == 1 for row in [chi] + K for x in row)
+    return [int(x) for x in chi], [[int(x) for x in row] for row in K]
+
+
+@pytest.mark.parametrize("N, n_max", [(13, 400), (19, 400), (53, 560), (59, 1400)])
+def test_lifts_equal_the_fraction_route(N, n_max):
+    # the levels whose forms tier-1 builds
+    ns = [1] + [p for p in ar._primes_up_to(n_max) if p != N]
+    trace = lambda m: ar.eichler_selberg_trace(N, 4, m)  # noqa: E731
+    dim = ar.dim_cusp_forms(N, 4)
+    assert nf._krylov_traces(trace, N, 4, 2, dim, ns) == _fraction_route(N, 4, ns)
+
+
+@pytest.mark.parametrize("prime, entry", [(0, (0, 0)), (1, (3, 0)), (-1, (2, 7)), (-1, (3, 20))])
+def test_one_corrupted_residue_refused(monkeypatch, prime, entry):
+    # all primes but the first pin every value, so a residue one off at any
+    # prime lifts outside the Deligne bound
+    real = ar._lift
+
+    def corrupt(residues, moduli):
+        residues = [r.copy() for r in residues]
+        residues[prime][entry] = (residues[prime][entry] + 1) % moduli[prime]
+        return real(residues, moduli)
+    monkeypatch.setattr(nf, "_lift", corrupt)
+    with pytest.raises(InvariantViolation,
+                       match=r"^N = 13: Tr\(T_2\^\d+ T_\d+\) lifts to -?\d+, outside \+-\d+$"):
+        nf.newforms(13, 4, 400)
