@@ -16,6 +16,17 @@ With s = s1 + s2 that product is I_upper = i sqrt(pi) d 2^(k-s) Gamma(k/2+s1)
 Gamma(k/2+s2) Gamma((1-s)/2) / (Gamma(k) Gamma(1+s/2)) on the convergence
 domain Re s < 1, Re(k/2 + s_i) > 0: two Beta integrals, reflection, duplication.
 
+The three quadratures evaluate their integrands in power form
+(_power_integrand).  Per node one division gives v = A(a) B(b) / D, where
+D is the orbit's linear denominator and A, B are 1-d powers of the nodes
+that hold sqrt a or sqrt b and the real parts of the exponents over k, so
+|v|^k is exactly the integrand's modulus; the integrand is Im v^k (the
+singular orbits) or v^k (the regular ones), by squaring, times a
+unit-modulus phase only when (s1, s2) is complex.  Without the folded
+powers |v| <= 1/2, or 1/(2 sqrt x) for a regular orbit at x > 1, and every
+partial power lies between |v| and |v|^k, so nothing overflows before the
+integrand itself does.
+
 Every closed form here is cross-checked against quadrature in the test
 suite; the quadrature path is the ground truth.
 """
@@ -122,6 +133,75 @@ def leading_constant(k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# quadrant integrands in power form
+# ---------------------------------------------------------------------------
+
+# log of the largest float, less a margin: the parts of a complex square
+# can overflow a little before its modulus does
+_LOG_HUGE = math.log(np.finfo(float).max) - 1.0
+
+
+def _power(v: np.ndarray, k: int) -> np.ndarray:
+    """v^k in place, by squaring from the leading bit of k."""
+    base = v.copy() if k & (k - 1) else None
+    for bit in bin(k)[3:]:
+        v *= v
+        if bit == "1":
+            v *= base
+    return v
+
+
+def _power_integrand(k: int, fold_a: tuple, fold_b: tuple, parts, imag: bool):
+    """The quadrant integrand a^(r_a k/2 + e_a) b^(r_b k/2 + e_b) D^(-k), or
+    the powers times Im D^(-k) when imag, for fold_a = (r_a, e_a), fold_b =
+    (r_b, e_b), each r a bool, and D = re + i im, (re, im) = parts(a, b).
+
+    Per node it takes v = A(a) B(b) / D as A B (re - i im) / (re^2 + im^2),
+    one division.  A = a^(Re e_a / k), times sqrt a when r_a, and B likewise,
+    so |v|^k is exactly the modulus of the integrand.  Then v^k by squaring
+    in place (_power), its imaginary part when imag, and the unit-modulus
+    1-d phase a^(i Im e_a) b^(i Im e_b) only when an exponent is complex:
+    no log, atan2, sin or exp per node, and a real exponent pair with imag
+    gives a real integrand.
+
+    Nothing overflows early.  Each caller's D keeps the folded square roots
+    at |sqrt(a^r_a b^r_b) / D| <= 1/2, so on the nodes, which lie in
+    [2.0e-31, 5.0e30], |v| is at most top, the largest a^(Re e_a / k) times
+    the largest b^(Re e_b / k) over 2, and every partial power of v lies
+    between |v| and |v|^k.
+    Only where top^k passes the float range can a square meet inf - inf or
+    0 inf; there a NaN node is set to inf, as its modulus is, so the
+    integrand never returns NaN.
+    """
+    (r_a, e_a), (r_b, e_b) = ((r, complex(e)) for r, e in (fold_a, fold_b))
+    ends = (math.log(_DE_NODES[0]), math.log(_DE_NODES[-1]))
+    log_top = sum(max(e.real / k * end for end in ends) for e in (e_a, e_b)) - math.log(2.0)
+    may_overflow = k * log_top > _LOG_HUGE
+
+    def fold(t, r, e):
+        power = t ** (e.real / k)
+        return power * np.sqrt(t) if r else power
+
+    def f(a, b):
+        re, im = parts(a, b)
+        m = fold(a, r_a, e_a) * fold(b, r_b, e_b)
+        m /= re * re + im * im
+        v = np.empty(m.shape, complex)
+        np.multiply(m, re, out=v.real)
+        np.multiply(m, -im, out=v.imag)
+        _power(v, k)
+        out = v.imag if imag else v
+        if e_a.imag or e_b.imag:
+            out = out * np.exp(1j * e_a.imag * np.log(a))
+            out *= np.exp(1j * e_b.imag * np.log(b))
+        if may_overflow:
+            out[np.isnan(out)] = math.inf
+        return out
+
+    return f
+
+
+# ---------------------------------------------------------------------------
 # singular integrals: upper and lower triangular orbits
 # ---------------------------------------------------------------------------
 
@@ -161,24 +241,15 @@ def singular_upper_quadrature(k: int, s1: complex, s2: complex) -> complex:
     d 2^k Int Int b^(k/2+s2-1) a^(-s1-s2-1)
                   [ (b+1-ia)^(-k) - (b+1+ia)^(-k) ] da db
 
-    With b + 1 - ia = r e^(i theta) the bracket is -2i r^(-k) sin(k theta),
-    which keeps its relative accuracy as a -> 0.  The integrand is
-    r^(-k) sin(k theta) b^(k/2+s2-1) a^(-s1-s2-1), and -2i d 2^k multiplies
-    the finished integral.  It is computed in real arithmetic wherever the
-    mathematics is real: log r is 1/2 log(a^2 + (b+1)^2), the exponent takes
-    s1 and s2 as given, so a real (s1, s2) gives a real integrand.  The
-    nodes lie in [2.0e-31, 5.0e30], so a^2 + (b+1)^2 <= 5.1e61 never
-    overflows.
+    The bracket is -2i Im D^(-k), D = (b+1) + ia, which keeps its relative
+    accuracy as a -> 0, and -2i d 2^k multiplies the finished integral.  The
+    integrand b^(k/2+s2-1) a^(-s1-s2-1) Im D^(-k) is _power_integrand's,
+    with sqrt b folded into v: |sqrt b / D| <= sqrt b / (b+1) <= 1/2.  A
+    real (s1, s2) gives a real integrand.
     """
     s = s1 + s2
-
-    def f(a, b):
-        theta = np.arctan2(-a, b + 1.0)
-        exponent = (k / 2.0 + s2 - 1.0) * np.log(b) - (s + 1.0) * np.log(a)
-        exponent -= (k / 2.0) * np.log(a * a + (b + 1.0) ** 2)
-        return np.sin(k * theta) * np.exp(exponent)
-
-    return _singular_value(k, s1, s2, f)
+    return _singular_value(k, s1, s2, _power_integrand(
+        k, (False, -s - 1.0), (True, s2 - 1.0), lambda a, b: (b + 1.0, a), imag=True))
 
 
 def singular_lower_quadrature(k: int, s1: complex, s2: complex) -> complex:
@@ -188,22 +259,14 @@ def singular_lower_quadrature(k: int, s1: complex, s2: complex) -> complex:
                   [ (a+1+ib)^(-k) - (a+1-ib)^(-k) ] db da
 
     Satisfies lower(s1, s2) = -upper(-s2, -s1); the integrand is supported
-    on a > 0.  With a + 1 + ib = r e^(i phi) the bracket is -2i r^(-k)
-    sin(k phi), in the real arithmetic of singular_upper_quadrature: the
-    integrand is r^(-k) sin(k phi) a^(k/2-s1-1) b^(s1+s2-1), -2i d 2^k
-    multiplies the finished integral, log r is 1/2 log((a+1)^2 + b^2), at
-    most 1/2 log(5.1e61) on the nodes, and a real (s1, s2) gives a real
-    integrand.
+    on a > 0.  The bracket is -2i Im D^(-k), D = (a+1) - ib, as in
+    singular_upper_quadrature: the integrand a^(k/2-s1-1) b^(s1+s2-1)
+    Im D^(-k) is _power_integrand's, with sqrt a folded into v,
+    |sqrt a / D| <= 1/2, and a real (s1, s2) gives a real integrand.
     """
     s = s1 + s2
-
-    def f(a, b):
-        phi = np.arctan2(b, a + 1.0)
-        exponent = (k / 2.0 - s1 - 1.0) * np.log(a) + (s - 1.0) * np.log(b)
-        exponent -= (k / 2.0) * np.log((a + 1.0) ** 2 + b * b)
-        return np.sin(k * phi) * np.exp(exponent)
-
-    return _singular_value(k, s1, s2, f)
+    return _singular_value(k, s1, s2, _power_integrand(
+        k, (True, -s1 - 1.0), (False, s - 1.0), lambda a, b: (a + 1.0, -b), imag=True))
 
 
 def _singular_value(k: int, s1: complex, s2: complex, f) -> complex:
@@ -250,26 +313,17 @@ def _quadrant_integral(k: int, x: float, s1: complex, s2: complex) -> IntegralRe
     """Int over (0,oo)^2 of a^(rho-1) b^(sigma-1) / (a x + eps b + i (1 - eps a b))^k,
     eps = sign(x - 1), rho = k/2 - s1, sigma = k/2 + s2.
 
-    With den = re + i im, log den is 1/2 log(re^2 + im^2) + i atan2(im, re):
-    the real and imaginary parts of one exponent array are filled in and
-    exponentiated in place, and a real (s1, s2) adds no complex arithmetic
-    before the exp.  The nodes lie in [2.0e-31, 5.0e30], so im^2 <= 6.4e122,
-    and re^2 overflows only for x past about 2.7e123.  There the inf gives
-    log = inf and a zero term, the integrand's limit, never a NaN.
+    The integrand is _power_integrand's with sqrt a and sqrt b folded into
+    v: for x < 1, |D| >= 1 + ab >= 2 sqrt(ab), and for x > 1, |D| >=
+    a x + b >= 2 sqrt(a b x), so |sqrt(ab) / D| <= 1/2, or 1/(2 sqrt x).
+    |D|^2 overflows only for x past about 2.7e123, far above the 5.0e30
+    that regular_integral_quadrature accepts; there it gives a zero term,
+    the integrand's limit.
     """
     eps = 1 if x > 1.0 else -1
-    rho = k / 2.0 - s1
-    sigma = k / 2.0 + s2
-
-    def f(a, b):
-        re = a * x + eps * b
-        im = 1.0 - eps * a * b
-        out = np.empty(np.broadcast_shapes(a.shape, b.shape), complex)
-        np.add((rho - 1.0) * np.log(a), (sigma - 1.0) * np.log(b), out=out)
-        out.real -= (k / 2.0) * np.log(re * re + im * im)
-        out.imag -= k * np.arctan2(im, re)
-        return np.exp(out, out=out)
-
+    f = _power_integrand(k, (True, -s1 - 1.0), (True, s2 - 1.0),
+                         lambda a, b: (a * x + eps * b, 1.0 - eps * a * b),
+                         imag=False)
     spec = QuadratureSpec(domain=quadrant(), rel_tol=REGULAR_REL_TOL,
                           abs_tol=REGULAR_ABS_TOL)
     return integrate(f, spec)
@@ -284,15 +338,14 @@ def regular_integral_quadrature(k: int, x: float, s1: complex, s2: complex) -> c
     the conjugate of I_+ at the conjugate exponents, node by node, so a
     real (s1, s2) takes one quadrature and its conjugate, and a complex one
     a second quadrature at (conj s1, conj s2).  Each quadrant integrand
-    does real arithmetic wherever the mathematics is real (see
-    _quadrant_integral) and never returns a NaN.  DomainError when
-    |x - 1|^(k/2) overflows a float, before any quadrature.  The value is
-    accepted when its combined error |x - 1|^(k/2) (err_+ + err_-), a
-    reused quadrature's error counted for both quadrants, is within
-    REGULAR_ABS_TOL + REGULAR_REL_TOL |value|, else AccuracyError: at
-    (4, x, 0.05, 0.03) it accepts x <= 150 and refuses larger x, where the
-    prefactor lifts the quadrants' own errors past the tolerance of the
-    product.  Once 1/x, the scale of a in the quadrant integrands, lies
+    is a power of one complex quotient per node (see _quadrant_integral)
+    and never returns a NaN.  DomainError when |x - 1|^(k/2) overflows a
+    float, before any quadrature.  The value is accepted when its combined
+    error |x - 1|^(k/2) (err_+ + err_-), a reused quadrature's error
+    counted for both quadrants, is within REGULAR_ABS_TOL + REGULAR_REL_TOL
+    |value|, else AccuracyError: at (4, x, 0.05, 0.03) it accepts x up to
+    about 195.1 and refuses larger x, where the prefactor lifts the
+    quadrants' own errors past the tolerance of the product.  Once 1/x, the scale of a in the quadrant integrands, lies
     below the smallest node (about 2.0e-31), the integrands underflow on
     every node and the error estimate shrinks with the value, so such x is
     AccuracyError before any quadrature.
@@ -342,8 +395,12 @@ def regular_integral_closed(k: int, x: float, s1: complex, s2: complex) -> compl
         * beta(rho, k - rho)
         * hyp2f1(k - sigma, rho, k, 1.0 - x)
     )
+    # the phase is sin(pi (rho - sigma - k)/2) = (-1)^(k/2) sin(-pi s/2) for
+    # x < 1 and sin(pi (rho + sigma - k)/2) = sin(pi (s2 - s1)/2) for x > 1,
+    # taken from s1 and s2: through rho and sigma the rounding of k/2 cost
+    # 2.2e-14 of the value at (4, 10, 0.05, 0.03)
     if x < 1.0:
-        phase = cmath.sin(cmath.pi * (rho - sigma - k) / 2.0)
-        return prefactor * common * 2.0j * phase
-    phase = cmath.sin(cmath.pi * (rho + sigma - k) / 2.0)
+        phase = (-1) ** (k // 2) * cmath.sin(-cmath.pi * (s1 + s2) / 2.0)
+    else:
+        phase = cmath.sin(cmath.pi * (s2 - s1) / 2.0)
     return prefactor * common * 2.0j * phase

@@ -389,12 +389,13 @@ def _lift(residues: list, moduli: tuple) -> np.ndarray:
     """The integers x with -Q/2 <= x < Q/2 and x = residues[i] mod moduli[i],
     Q the product of the moduli: 2^64 or a prime below 2^31, then such primes.
 
-    A lone modulus 2^64 is the int64 view of the uint64 residues.  More take
-    Garner's mixed-radix digits d_i < moduli[i] in uint64 arithmetic (no
-    product reaches 2^62) and sum d_0 + q_0 (d_1 + q_1 (d_2 + ...)) in
-    Python ints, as an object array.
+    A lone modulus 2^64 is the int64 view of the uint64 residues.  Any other
+    takes Garner's mixed-radix digits d_i < moduli[i] in uint64 arithmetic
+    (no product reaches 2^62), sums d_0 + q_0 (d_1 + q_1 (d_2 + ...)) in
+    Python ints, as an object array, and subtracts Q where 2x >= Q; a lone
+    prime q is its one digit, centred.
     """
-    if len(moduli) == 1:
+    if moduli == (_WORD,):
         return residues[0].view(np.int64)
     digits = [residues[0]]
     for i in range(1, len(moduli)):
@@ -408,7 +409,7 @@ def _lift(residues: list, moduli: tuple) -> np.ndarray:
     for d, r in zip(reversed(digits[:-1]), reversed(moduli[:-1])):
         x = x * r + d.astype(object)
     Q = math.prod(moduli)
-    return np.where(x >= Q // 2, x - Q, x)
+    return np.where(2 * x >= Q, x - Q, x)
 
 
 @lru_cache(maxsize=None)

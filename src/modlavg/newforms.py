@@ -97,11 +97,13 @@ def newforms(N: int, k: int, n_max: int) -> list:
     polys = {n: [bound ** e * sum(w[j] * chi[j + e + 1] for j in range(dim - e))
                  for e in range(dim)]
              for n, w in zip(ns, zip(*K))}
+    norms = {n: (sum(map(abs, a)), sum(e * abs(x) for e, x in enumerate(a)))
+             for n, a in polys.items()}
 
     out, found = [], []
     for rank, root in enumerate(roots):
         label = f"{N}.{k}.{_tag(rank)}"
-        primes = _rounded(P, polys, root, label)
+        primes = _rounded(P, polys, norms, root, label)
         if not root[2]:  # an integer root, where the coefficients are exact
             for p, c in primes.items():
                 if c.denominator != 1:
@@ -242,47 +244,51 @@ def _isolate(P: list, s0: int) -> list:
     return out
 
 
-def _rounded(P: list, polys: dict, root: tuple, label: str) -> dict:
+def _rounded(P: list, polys: dict, norms: dict, root: tuple, label: str) -> dict:
     """c_n = A_n(y)/A_1(y) for every n of polys but 1, at the root y of P in
     root's interval (see _isolate): a Fraction at a dyadic root, else the
-    float nearest c_n.  The interval is halved until _quotient decides, and
-    refused (InvariantViolation) once it is narrower than _halving_cap
-    proves enough."""
+    float nearest c_n.  norms[n] holds sum_e |a_e| and sum_e e |a_e| of
+    polys[n].  The interval is halved until _quotient decides, and refused
+    (InvariantViolation) once it is narrower than _halving_cap proves
+    enough.  A_1's value is taken once per interval, for every n."""
     c, t, sigma = root
+    d = len(polys[1])
+    w = _value(polys[1], c, t)
     out = {}
     for n in polys.keys() - {1}:
         cap = 0
         # P never vanishes at the midpoint: a dyadic point is no irrational root
-        while (value := _quotient(polys[n], polys[1], c, t, sigma)) is None:
-            if t >= cap and t >= (cap := _halving_cap(polys[n], polys[1], c, t)):
+        while (value := _quotient(v := _value(polys[n], c, t), w, t, sigma, d,
+                                  norms[n], norms[1])) is None:
+            if t >= cap and t >= (cap := _halving_cap(v, w, t, d, norms[n], norms[1])):
                 raise InvariantViolation(f"{label}: c_{n} undecided on the root's "
                                          f"interval of width 2^-{t}, past the proved "
                                          f"bound 2^-{cap}")
             c, t = 2 * c + (1 if _sign(_value(P, c, t)) != sigma else -1), t + 1
+            w = _value(polys[1], c, t)
         out[n] = value
     return out
 
 
-def _halving_cap(num: list, den: list, c: int, t: int) -> int:
+def _halving_cap(v: int, w: int, t: int, d: int, norm_n: tuple, norm_1: tuple) -> int:
     """A width 2^-cap of the root's interval (c, t) at which _quotient must
-    have decided num(y)/den(y), in the notation of _quotient.  With H and
-    L = sum_e e |a_e| of each polynomial, |A(y)| <= H, and a nonzero |A(y)|
-    is at least H^(1-d), the norm bound of _quotient's zero proof.  So
-    from 2^t > 2 L_n H_n^(d-1) on a zero num(y) is proved, and 53 bits
-    later r 2^52 < |v| and q 2^52 < |w|: the first cap.  Past it, |c_n| lies
-    in (2^(E-2), 2^(E+2)), E the bit length of v less that of w, so the
-    rounding boundaries on either side of c_n are midpoints m = M/2^j,
-    j = max(56 - E, 0), |M| < 2^(j+E+3).  G = 2^j num - M den has integer
-    coefficients summing to at most S = 2^j H_n + 2^(j+E+3) H_1, so
-    |c_n - m| = |G(y)|/(2^j |den(y)|) >= S^(1-d)/(2^j |den(y)|), while the
-    corners lie within 2^(1-t) (L_n + |c_n| L_1)/(|den(y)| - 2^(1-t) L_1)
-    of c_n.  They round to one float once 2^t > 2^(j+2) (L_n + 2^(E+2) L_1)
-    S^(d-1): the second cap."""
-    d = len(num)
-    (h_n, l_n), (h_1, l_1) = ((sum(map(abs, a)), sum(e * abs(x) for e, x in enumerate(a)))
-                              for a in (num, den))
-    cap = 53 + max((2 * l * h ** (d - 1)).bit_length() for h, l in ((h_n, l_n), (h_1, l_1)))
-    v, w = (abs(_value(a, c, t)) for a in (num, den))
+    have decided num(y)/den(y), in the notation of _quotient: v and w are
+    the values of num and den at (c, t), norm_n = (H_n, L_n) and norm_1 =
+    (H_1, L_1).  With H and L = sum_e e |a_e| of each polynomial, |A(y)| <=
+    H, and a nonzero |A(y)| is at least H^(1-d), the norm bound of
+    _quotient's zero proof.  So from 2^t > 2 L_n H_n^(d-1) on a zero num(y)
+    is proved, and 53 bits later r 2^52 < |v| and q 2^52 < |w|: the first
+    cap.  Past it, |c_n| lies in (2^(E-2), 2^(E+2)), E the bit length of v
+    less that of w, so the rounding boundaries on either side of c_n are
+    midpoints m = M/2^j, j = max(56 - E, 0), |M| < 2^(j+E+3).  G = 2^j num
+    - M den has integer coefficients summing to at most S = 2^j H_n +
+    2^(j+E+3) H_1, so |c_n - m| = |G(y)|/(2^j |den(y)|) >= S^(1-d)/(2^j
+    |den(y)|), while the corners lie within 2^(1-t) (L_n + |c_n| L_1)/(|den(y)|
+    - 2^(1-t) L_1) of c_n.  They round to one float once 2^t > 2^(j+2) (L_n
+    + 2^(E+2) L_1) S^(d-1): the second cap."""
+    (h_n, l_n), (h_1, l_1) = norm_n, norm_1
+    cap = 53 + max((2 * l * h ** (d - 1)).bit_length() for h, l in (norm_n, norm_1))
+    v, w = abs(v), abs(w)
     if t < cap or not v or not w:
         return cap
     E = v.bit_length() - w.bit_length()
@@ -292,26 +298,27 @@ def _halving_cap(num: list, den: list, c: int, t: int) -> int:
                + (d - 1) * S.bit_length())
 
 
-def _quotient(num: list, den: list, c: int, t: int, sigma: int):
+def _quotient(v: int, w: int, t: int, sigma: int, d: int, norm_n: tuple, norm_1: tuple):
     """num(y)/den(y) at the root y in the interval (c, t, sigma) of
-    _isolate: exact at a dyadic root, else the float nearest it, or None
-    while the interval is too wide to tell.  For a polynomial A of degree
-    below d = len(num), 2^(t d) A(y) lies within r = 2^(t d) 2^-t sum_e e
-    |a_e| of v = 2^(t d) A(c/2^t), since |y| < 1.  With w +- q of one sign
-    the quotient lies between the four corners (v +- r)/(w +- q), so when
-    they round to one float, so does the quotient."""
+    _isolate, from v = _value(num, c, t), w = _value(den, c, t), the degree
+    bound d = len(num) and the norms (sum_e |a_e|, sum_e e |a_e|) of num and
+    den: exact at a dyadic root, else the float nearest it, or None while
+    the interval is too wide to tell.  For a polynomial A of degree below d,
+    2^(t d) A(y) lies within r = 2^(t d) 2^-t sum_e e |a_e| of 2^t times its
+    value, since |y| < 1.  With w +- q of one sign the quotient lies between
+    the four corners (v +- r)/(w +- q), so when they round to one float, so
+    does the quotient."""
     if not sigma:
-        return Fraction(_value(num, c, t), _value(den, c, t))
-    d = len(num)
-    v, w = (_value(a, c, t) << t for a in (num, den))
-    r, q = (sum(e * abs(x) for e, x in enumerate(a)) << t * (d - 1) for a in (num, den))
+        return Fraction(v, w)
+    v, w = v << t, w << t
+    r, q = (norm[1] << t * (d - 1) for norm in (norm_n, norm_1))
     if r << 52 < abs(v) and q << 52 < abs(w):  # every corner near v/w: no overflow
         corners = {(v + i) / (w + j) for i in (-r, r) for j in (-q, q)}
         return corners.pop() if len(corners) == 1 else None
     # num(y) = A_n(x) is an algebraic integer; unless 0, its norm, a product
     # over conjugate roots, is at least 1, and each of at most d - 1 other
     # factors is at most sum_e |a_e|
-    if (abs(v) + r) * sum(map(abs, num)) ** (d - 1) < 1 << t * d:
+    if (abs(v) + r) * norm_n[0] ** (d - 1) < 1 << t * d:
         return 0.0
     return None
 

@@ -283,6 +283,12 @@ class TestRegularIntegrals:
             with pytest.raises(AccuracyError, match="error estimate"):
                 al.regular_integral_quadrature(4, x, 0.05, 0.03)
 
+    def test_acceptance_boundary_in_x(self):
+        # the combined error crosses the tolerance near x = 195.1
+        al.regular_integral_quadrature(4, 151.0, 0.05, 0.03)
+        with pytest.raises(AccuracyError, match="error estimate"):
+            al.regular_integral_quadrature(4, 200.0, 0.05, 0.03)
+
     def test_decay_in_orbit_parameter(self):
         # |I((n - M)/n)| <= c / n^(k/2) along the surviving orbit family
         k, M, s1, s2 = 4, 3, 0.05, 0.04
@@ -307,3 +313,135 @@ def test_real_exponents_as_floats_or_complex(quadrature, args):
     as_float = quadrature(*head, s1, s2)
     as_complex = quadrature(*head, complex(s1), complex(s2))
     assert abs(as_float - as_complex) <= 1e-14 * abs(as_float)
+
+
+# ---------------------------------------------------------------------------
+# the power-form quadrant integrands against the log-space ones they replace
+# ---------------------------------------------------------------------------
+
+LD = np.longdouble
+NODES = nm._DE_NODES
+# the exponents of a and b in each integrand: FOLDS k/2 plus the small
+# parts, as functions of (s1, s2)
+FOLDS = {"upper": (0, 1), "lower": (1, 0), "regular": (1, 1)}
+SMALL_EXPONENTS = {"upper": lambda s1, s2: (-(s1 + s2) - 1.0, s2 - 1.0),
+                   "lower": lambda s1, s2: (-s1 - 1.0, s1 + s2 - 1.0),
+                   "regular": lambda s1, s2: (-s1 - 1.0, s2 - 1.0)}
+
+
+def _log_space_parts(kind, x):
+    """The node tables of the log-space integrand of each quadrature, as it
+    was computed before the power form (log, atan2, sin and exp per node),
+    in long double: log a, log b, log |D|^2 and the angle of D."""
+    a, b = LD(1) * NODES[:, None], LD(1) * NODES[None, :]
+    if kind == "upper":
+        re, im = b + 1, -a
+    elif kind == "lower":
+        re, im = a + 1, b
+    else:
+        eps = 1 if x > 1.0 else -1
+        re, im = a * LD(x) + eps * b, 1 - eps * a * b
+    return np.log(a), np.log(b), np.log(re * re + im * im), np.arctan2(im, re)
+
+
+def _log_space(kind, k, s1, s2, parts):
+    """The log-space integrand at (k, s1, s2) from its node tables: (value,
+    modulus exp(Re exponent), sum of the moduli of the exponent's terms,
+    whose rounding bounds the oracle's own error).  The singular brackets
+    are sin(k angle) r^(-k); the regular one is D^(-k)."""
+    log_a, log_b, log_d2, angle = parts
+    k2 = LD(k) / 2
+    t_a, t_b = ((k2 * fold + np.clongdouble(e)) * log for fold, e, log in
+                zip(FOLDS[kind], SMALL_EXPONENTS[kind](s1, s2), (log_a, log_b)))
+    modulus = np.exp(t_a.real + t_b.real - k2 * log_d2)
+    size = np.abs(t_a) + np.abs(t_b) + k2 * np.abs(log_d2) + k * np.abs(angle)
+    phase = t_a.imag + t_b.imag - (k * angle if kind == "regular" else 0)
+    value = modulus if kind == "regular" else np.sin(k * angle) * modulus
+    if phase.any():
+        value = value * (np.cos(phase) + 1j * np.sin(phase))
+    return value, modulus, size
+
+
+def _integrand(monkeypatch, kind, k, x, s1, s2):
+    """The integrand the quadrature of kind hands to the rule."""
+    kernels = []
+
+    def capture(f, spec):
+        kernels.append(f)
+        return nm.IntegralResult(value=1.0, error=0.0, converged=True)
+
+    with monkeypatch.context() as m:
+        m.setattr(al, "integrate", capture)
+        if kind == "regular":
+            al._quadrant_integral(k, x, s1, s2)
+        else:
+            {"upper": al.singular_upper_quadrature,
+             "lower": al.singular_lower_quadrature}[kind](k, s1, s2)
+    return kernels[0]
+
+
+def _worst_gap(f, kind, k, s1, s2, parts):
+    """f on the rule's blocks of nodes against the long-double log-space
+    integrand: the largest |f - oracle| over its bound.  Where the oracle's
+    modulus M is a normal float the bound is (8k + 2F) ulps of M, F =
+    |Re e_a ln a| + |Re e_b ln b| for the small exponents e: one ulp of v
+    costs k of v^k, and the rounding of e/k costs up to F/2.  The oracle's
+    own rounding, 8 long-double ulps of M per unit of the exponent's terms,
+    is added.  Below the normal range the bound is the smallest normal
+    float.  No node may be NaN, and M must be finite."""
+    rows = nm._DE_BLOCK_ROWS
+    with np.errstate(all="ignore"):
+        got = np.vstack([np.broadcast_to(f(NODES[lo:lo + rows, None], NODES[None, :]),
+                                         (min(rows, NODES.size - lo), NODES.size))
+                         for lo in range(0, NODES.size, rows)])
+        value, modulus, size = _log_space(kind, k, s1, s2, parts)
+    assert not np.isnan(got).any()
+    modulus = modulus.astype(float)
+    assert np.isfinite(modulus).all()
+    e_a, e_b = (abs(complex(e).real) for e in SMALL_EXPONENTS[kind](s1, s2))
+    logs = np.abs(np.log(NODES))
+    ulps = 8 * k + 2 * (e_a * logs[:, None] + e_b * logs[None, :])
+    bound = (ulps * np.finfo(float).eps + 8 * size.astype(float) * np.finfo(LD).eps) * modulus
+    tiny = np.finfo(float).tiny
+    bound = np.where(modulus >= tiny, bound, tiny)
+    return float(np.max(np.abs(got - value.astype(complex)) / bound))
+
+
+KERNEL_CASES = [("upper", None, [(0.1, -0.05), (0.1 + 0.2j, -0.3j)]),
+                ("lower", None, [(0.07, 0.02), (0.07 + 0.1j, 0.02 - 0.2j)])] + [
+    ("regular", x, [(0.0513, 0.0378), (0.03 + 0.1j, 0.02 - 0.05j)])
+    for x in (1e-20, 0.4127, 1.8342, 150.0, 1e100)]
+
+
+class TestPowerFormIntegrands:
+    @pytest.mark.parametrize("kind, x, points", KERNEL_CASES,
+                             ids=[f"{kind}-{x}" for kind, x, _ in KERNEL_CASES])
+    def test_node_by_node_against_the_log_space_form(self, monkeypatch, kind, x, points):
+        parts = _log_space_parts(kind, x)
+        for k in (4, 6, 8, 40, 200, 1000):
+            for s1, s2 in points:
+                f = _integrand(monkeypatch, kind, k, x, s1, s2)
+                assert _worst_gap(f, kind, k, s1, s2, parts) <= 1.0, (k, s1, s2)
+                if kind != "regular" and not isinstance(s1, complex):
+                    # a real (s1, s2) gives a real singular integrand
+                    assert not np.iscomplexobj(f(NODES[:2, None], NODES[None, :]))
+
+    @pytest.mark.parametrize("k", [4, 40])
+    def test_a_kernel_without_the_sqrt_b_fold_fails(self, k):
+        # the upper integrand with b^(k/2) left out of v, as if sqrt b were
+        # not folded into B: the comparison must see it
+        s1, s2 = 0.1, -0.05
+        mutant = al._power_integrand(k, (False, -(s1 + s2) - 1.0), (False, s2 - 1.0),
+                                     lambda a, b: (b + 1.0, a), imag=True)
+        assert _worst_gap(mutant, "upper", k, s1, s2, _log_space_parts("upper", None)) > 1e3
+
+    @pytest.mark.parametrize("quadrature, args", [
+        (al.singular_lower_quadrature, (100, -49.0, -49.0)),
+        (al.singular_upper_quadrature, (16, 0.0, 40.0))])
+    def test_overflowing_powers_refused_not_nan(self, quadrature, args):
+        # |v|^k passes the float range at the outermost nodes, where the
+        # squares meet inf - inf; those nodes read inf, as the log-space
+        # form's exp did, so the rule refuses the integral with an
+        # infinite error rather than as a NaN integrand (DomainError)
+        with pytest.raises(AccuracyError, match="error estimate"):
+            quadrature(*args)

@@ -255,6 +255,15 @@ class TestEichlerSelberg:
         with pytest.raises(InvariantViolation, match=rf"N = 19, k = 10, m = {m}\b.*bound"):
             ar.eichler_selberg_trace(N, k, m)
 
+    def test_lone_modulus_lift_is_centred(self):
+        # a lone prime q lifts into [-q/2, q/2) like a product of moduli;
+        # a lone 2^64 is the int64 view
+        q = (1 << 31) - 1
+        residues = np.array([(-5) % q, 5, q // 2, q // 2 + 1], dtype=np.uint64)
+        assert ar._lift([residues], (q,)).tolist() == [-5, 5, q // 2, -(q // 2)]
+        word = np.array([-5, 5], dtype=np.int64).view(np.uint64)
+        assert ar._lift([word], (ar._WORD,)).tolist() == [-5, 5]
+
     def test_root_tables(self):
         # r(n) = 1 + (-n | N) at table[n % M] for every n <= X, in at most
         # min(M, X + 1) bytes: never more than the 12 H table up to X

@@ -315,6 +315,17 @@ class TestLineRule:
             nm.integrate(lambda t: np.where(t > 0.5, np.nan, np.exp(-t)),
                          nm.QuadratureSpec(domain=domain))
 
+    @pytest.mark.parametrize("domain", [nm.interval(0.0, 1.0), nm.half_line(0.0)],
+                             ids=["interval", "half_line"])
+    def test_inf_minus_inf_not_converged(self, domain):
+        # +inf at one node and -inf at another: the sum is NaN though no
+        # term is, so not converged rather than DomainError
+        x = nm._DE_NODES[100:102]
+        x = domain[1] + (x if domain[0] == "half_line" else x / (1.0 + x))
+        res = nm.integrate(lambda t: np.where(t == x[0], np.inf, np.where(
+            t == x[1], -np.inf, np.exp(-t))), nm.QuadratureSpec(domain=domain))
+        assert not res.converged and res.error == math.inf
+
     def test_no_runtime_warning_escapes(self):
         # exp(t) overflows and exp(-1/t) underflows at the extreme nodes
         with warnings.catch_warnings():
@@ -388,6 +399,23 @@ class TestQuadrantRule:
     def test_nan_flagged(self):
         with pytest.raises(DomainError):
             nm.integrate(lambda a, b: np.where(a > 2.0, np.nan, np.exp(-a - b)), self.SPEC)
+
+    def test_one_nan_node_flagged(self):
+        # a NaN term makes its block's sum NaN, and only then are the terms
+        # searched: one node is enough
+        a0, b0 = nm._DE_NODES[150], nm._DE_NODES[40]
+        with pytest.raises(DomainError, match="NaN"):
+            nm.integrate(lambda a, b: np.where((a == a0) & (b == b0), np.nan,
+                                               np.exp(-a - b)), self.SPEC)
+
+    def test_inf_minus_inf_not_converged(self):
+        # a column of +inf and one of -inf, no NaN: each block's sum is
+        # inf - inf = NaN with no NaN term, so the integral comes back not
+        # converged, with an infinite error, and no DomainError
+        plus, minus = nm._DE_NODES[40], nm._DE_NODES[41]
+        res = nm.integrate(lambda a, b: np.where(b == plus, np.inf, np.where(
+            b == minus, -np.inf, np.exp(-a - b))), self.SPEC)
+        assert not res.converged and res.error == math.inf
 
     def test_no_runtime_warning_escapes(self):
         # exp(a) overflows and exp(-1/b) underflows at the extreme nodes
