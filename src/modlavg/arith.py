@@ -1,5 +1,8 @@
 """Quadratic characters, Dirichlet L-values, trace formula, eigenforms.
 
+No quadrature enters: L(0, chi_D) and L(1, chi_D) come from the exact
+weighted class number by the class number formula (``dirichlet_l``), with
+the character sum ``l_zero_finite_sum`` as their independent oracle.
 The eigenform data shipped with the package is the primary source of Hecke
 eigenvalues; the Eichler-Selberg trace formula implemented here serves as an
 independent cross-check and as the dimension/trace oracle for small spaces.
@@ -29,25 +32,24 @@ extension and the local and regular-tail modules.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, InvariantViolation
-from .numerics import IntegralResult, QuadratureSpec, integrate, interval
+from .errors import AccuracyError, DomainError, InsufficientCoefficients, InvariantViolation
 
 __all__ = [
     "kronecker",
     "is_fundamental_discriminant",
     "dirichlet_l",
-    "dirichlet_l_one",
     "l_zero_finite_sum",
-    "l_zero_via_l_one",
     "class_number_weighted",
     "eichler_selberg_trace",
     "dim_cusp_forms",
@@ -127,7 +129,7 @@ def _factorize(n: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Dirichlet L-values at s = 1 and s = 0
+# Dirichlet L-values at s = 0 and s = 1
 # ---------------------------------------------------------------------------
 
 def _check_negative_fundamental(D: int) -> int:
@@ -140,49 +142,21 @@ def _check_negative_fundamental(D: int) -> int:
 
 
 def dirichlet_l(D: int, s: float) -> float:
-    """L(s, chi_D) for s in {0, 1} (fundamental D < 0).
-
-    s = 1 is the value of ``dirichlet_l_one``; s = 0 uses the finite
-    character sum.
+    """L(s, chi_D) for s in {0, 1} (fundamental D < 0), by the class number
+    formula: L(0, chi_D) = h_w(D) and L(1, chi_D) = pi h_w(D) / sqrt|D|,
+    with h_w = h(D) / u_D the exact ``class_number_weighted`` (u_D = 3 at
+    D = -3, 2 at D = -4, else 1; Davenport, Multiplicative Number Theory,
+    ch. 6).  s = 0 is float(h_w), correctly rounded.  s = 1 rounds at most
+    five times (h_w, pi, the square root, the product, the quotient), so it
+    is within 2.5 u of the true value (u = 2^-53), and at D = -4 it is pi/4
+    bit for bit.  ``l_zero_finite_sum``, the character sum, is the
+    independent oracle of both.
     """
-    if s == 0:
-        return l_zero_finite_sum(D)  # which checks D
     D = _check_negative_fundamental(D)
-    if s != 1:
+    if s not in (0, 1):
         raise DomainError("only s = 0 and s = 1 are supported")
-    return dirichlet_l_one(D).require().real
-
-
-def dirichlet_l_one(D: int) -> IntegralResult:
-    """L(1, chi_D) with the error estimate of the quadrature that gives it.
-
-    L(1, chi_D) is the Abel sum of the character series, i.e. the integral
-    of P(t) / (1 - t^|D|) over [0, 1] with P the character polynomial; the
-    integrand is smooth since the character has mean zero.
-    """
-    D = _check_negative_fundamental(D)
-    mod = abs(D)
-    chi = [kronecker(D, a) for a in range(mod)]
-    # the Abel integrand is P(t)/(1 - t^mod) with P(t) = sum chi(a) t^(a-1);
-    # both factors vanish at t = 1, so divide the common (1 - t) out exactly:
-    # P = (1 - t) R with r_j the character partial sums, 1 - t^mod = (1 - t) Q
-    r = []
-    acc = 0
-    for a in range(1, mod - 1):
-        acc += chi[a]
-        r.append(acc)
-
-    def f(t):
-        num = 0.0
-        for cj in reversed(r):
-            num = num * t + cj
-        den = 0.0
-        for _ in range(mod):
-            den = den * t + 1.0
-        return num / den
-
-    spec = QuadratureSpec(domain=interval(0.0, 1.0), rel_tol=1e-13, abs_tol=1e-14)
-    return integrate(f, spec)
+    h = float(class_number_weighted(D))
+    return h if s == 0 else math.pi * h / math.sqrt(-D)
 
 
 def l_zero_finite_sum(D: int) -> float:
@@ -194,12 +168,6 @@ def l_zero_finite_sum(D: int) -> float:
     return -total / mod
 
 
-def l_zero_via_l_one(D: int) -> float:
-    """L(0, chi) from L(1, chi) through the odd functional equation:
-    L(0, chi) = sqrt(|D|) / pi * L(1, chi)."""
-    return math.sqrt(abs(D)) / math.pi * dirichlet_l(D, 1)
-
-
 # ---------------------------------------------------------------------------
 # class numbers and the trace formula
 # ---------------------------------------------------------------------------
@@ -208,7 +176,8 @@ def l_zero_via_l_one(D: int) -> float:
 def class_number_weighted(disc: int) -> Fraction:
     """Weighted class number h_w of a discriminant disc < 0 (0 or 1 mod 4):
     reduced primitive forms counted one discriminant at a time, discs -3
-    and -4 weighted 1/3 and 1/2 (the tests' oracle for the Hurwitz sieve)."""
+    and -4 weighted 1/3 and 1/2: the L-values of ``dirichlet_l`` and the
+    tests' oracle for the Hurwitz sieve."""
     if disc >= 0 or disc % 4 not in (0, 1):
         raise DomainError(f"invalid discriminant {disc}")
     n = -disc
@@ -585,8 +554,13 @@ class Eigenform:
         return len(self.coeffs)
 
     def c(self, n: int) -> float:
+        """c_n; InsufficientCoefficients past n_max, DomainError below 1."""
         if not 1 <= n <= self.n_max:
-            raise IndexError(f"coefficient c_{n} not available (n_max = {self.n_max})")
+            if n < 1:
+                raise DomainError(f"{self.label}: no coefficient c_{n} (n < 1)")
+            raise InsufficientCoefficients(
+                f"{self.label}: c_{n} is past the stored coefficients "
+                f"(n = {n}, n_max = {self.n_max})")
         return self.coeffs[n - 1]
 
     def a(self, n: int) -> float:
@@ -654,6 +628,9 @@ def _primes_up_to(n: int) -> list:
     return np.flatnonzero(_smallest_prime_factors(n) == np.arange(n + 1))[2:].tolist()
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 def _parse_record(rec, where: str) -> Eigenform:
     """The Eigenform of one record; a malformed one is refused naming ``where``."""
     if not isinstance(rec, dict):
@@ -673,13 +650,14 @@ def _parse_record(rec, where: str) -> Eigenform:
     raw = rec["coeffs"]
     if not isinstance(raw, list) or not raw:
         raise InvariantViolation(f"{where}: coeffs must be a non-empty list")
-    coeffs = []  # ints, finite floats and decimal strings of them
+    coeffs = []  # ints and finite floats in the float range, decimal strings of them
     for n, entry in enumerate(raw, 1):
         try:
             c = float(entry) if isinstance(entry, str) else entry
         except ValueError:
             c = None
-        if not (type(c) is int or isinstance(c, float) and math.isfinite(c)):
+        if not (type(c) is int and -_FLOAT_MAX <= c <= _FLOAT_MAX
+                or isinstance(c, float) and math.isfinite(c)):
             raise InvariantViolation(f"{where}: bad coefficient c_{n} = {entry!r}")
         coeffs.append(c)
     return Eigenform(level=rec["level"], weight=rec["weight"], label=rec["label"],
@@ -691,26 +669,34 @@ def load_eigenforms(path) -> list:
 
     Each line holds a flat object {schema, level, weight, label,
     atkin_lehner (optional), coeffs}; coefficients are exact integers for
-    rational forms and decimal strings otherwise; a malformed record, or
-    one whose label repeats an earlier one, is refused naming path:line.
+    rational forms and decimal strings otherwise; a file that is not UTF-8,
+    a malformed record, or one whose label repeats an earlier one, is
+    refused naming path:line.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise InvariantViolation(f"{path}:{lineno}: not UTF-8: {exc}") from exc
     forms, seen = [], {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InvariantViolation(f"{path}:{lineno}: parse error: {exc}") from exc
-            form = _parse_record(rec, f"{path}:{lineno}")
-            if form.label in seen:
-                raise InvariantViolation(f"{path}:{lineno}: label {form.label!r} repeats "
-                                         f"line {seen[form.label]}")
-            seen[form.label] = lineno
-            form.validate()
-            forms.append(form)
+    # the lines of a text-mode file: \n, \r and \r\n all end one
+    for lineno, line in enumerate(io.StringIO(text, newline=None), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+            raise InvariantViolation(f"{path}:{lineno}: parse error: {exc}") from exc
+        form = _parse_record(rec, f"{path}:{lineno}")
+        if form.label in seen:
+            raise InvariantViolation(f"{path}:{lineno}: label {form.label!r} repeats "
+                                     f"line {seen[form.label]}")
+        seen[form.label] = lineno
+        form.validate()
+        forms.append(form)
     return forms
 
 

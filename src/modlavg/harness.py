@@ -3,7 +3,8 @@
 The spectral side sums L(1/2, f) L(1/2, f x chi) / <f, f> over newforms of
 each admissible prime level, binned by the normalized Hecke eigenvalue at
 the auxiliary prime.  The geometric side is the split/inert measure mass of
-the bin times twice the leading constant times L(1, chi).
+the bin times twice the leading constant times L(1, chi), which the class
+number formula gives as pi h_w(D) / sqrt|D| (arith.dirichlet_l).
 
 Two versions of the leading constant are carried: the printed
 combinatorial one (see arch_local.leading_constant) and the constant
@@ -24,7 +25,8 @@ forms outside it, and its default selection leaves such levels out.  The
 report's ``envelope`` checks, at every level with forms,
 |S_N - 2 c_assembled L(1, chi)| against an error budget
 (``identity_budget``, ``identity_check``) whose per-form terms the accuracy
-witnesses of the computation bear out.
+witnesses of the computation bear out; the target's term is CONSTANT_ULPS
+units of roundoff, counted in ``identity_budget``.
 
 Only the spectral side depends on the interval J, and this module alone
 keeps what does not for the process: the per-form rows (``_FORM_CACHE``),
@@ -58,7 +60,6 @@ from .arith import (
     admissible_levels,
     dim_cusp_forms,
     dirichlet_l,
-    dirichlet_l_one,
     is_fundamental_discriminant,
     kronecker,
     load_eigenforms,
@@ -163,7 +164,7 @@ class ExperimentConfig:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or a file that is not UTF-8
                 raise InvariantViolation(f"{path}: parse error: {exc}") from exc
         if not isinstance(raw, dict):
             raise InvariantViolation(f"{path}: config is not a JSON object")
@@ -211,9 +212,9 @@ def assembled_constant(k: int) -> float:
 _FORM_CACHE: dict = {}
 
 UNIT_ROUNDOFF = 2.0 ** -53
-# the closed-form constants, the product 2 c L(1, chi) and the rounding of
-# the compensated sum S_N, in units of roundoff
-CONSTANT_ULPS = 4
+# the target 2 c_assembled L(1, chi) and the rounding of S_N, in units of
+# roundoff, counted in identity_budget
+CONSTANT_ULPS = 12
 
 
 def _form_key(cfg: ExperimentConfig, N: int) -> tuple:
@@ -487,18 +488,25 @@ def _json_emit(obj, nl: str, out: list) -> None:
                         "is not JSON serializable")
 
 
-def identity_budget(rows: list, target: float, target_rel_error: float) -> float:
+def identity_budget(rows: list, target: float) -> float:
     """Absolute error budget for |S_N - target| at one level.
 
     Each contribution L(1/2, f) L(1/2, f x chi) / <f, f> carries, relative
     to itself, CENTRAL_WITNESS_TOL for each of its two central values and
     NORM_TOL for its norm, whose mesh-doubling witness covers the mesh
-    error; the target carries ``target_rel_error``.  Only constants enter,
-    so rows from any source get the same budget.
+    error.  The target 2 c_assembled L(1, chi) and the rounding of S_N
+    carry CONSTANT_ULPS = 12 units of roundoff u = 2^-53, term by term:
+    L(1, chi) from the class number 2.5 u (``dirichlet_l``; 2.0 u measured
+    over |D| < 400), ``assembled_constant`` 8 u at k <= 10 (7.2 u measured
+    at k = 10 against a 40-digit value; 28 u at k = 12, which this count
+    does not cover), the product 0.5 u and the
+    correctly rounded sum S_N 0.5 u, which leaves 0.5 u for the products
+    of these relative errors.  Only constants enter, so rows from any
+    source get the same budget.
     """
     form_rel = 2.0 * CENTRAL_WITNESS_TOL + NORM_TOL
     return (math.fsum(abs(r["contribution"]) for r in rows) * form_rel
-            + abs(target) * target_rel_error)
+            + abs(target) * CONSTANT_ULPS * UNIT_ROUNDOFF)
 
 
 def identity_check(sums: dict, budgets: dict, target: float) -> dict:
@@ -521,26 +529,24 @@ def identity_check(sums: dict, budgets: dict, target: float) -> dict:
 
 @lru_cache(maxsize=None)
 def _constants(D: int, k: int, p: int) -> tuple:
-    """(L(1, chi_D) with its error, the printed and assembled constants,
-    the density.csv text) of a run, built once per process for each
-    (D, k, p): none of them depends on J.  The key is the config's
+    """(L(1, chi_D), the printed and assembled constants, the density.csv
+    text) of a run, built once per process for each (D, k, p): none of
+    them depends on J.  The key is the config's
     discriminant, weight and auxiliary prime, which ExperimentConfig
     refuses unless they are ints."""
-    return (dirichlet_l_one(D), arch_local.leading_constant(k),
+    return (dirichlet_l(D, 1), arch_local.leading_constant(k),
             assembled_constant(k), measures.density_csv(p, 400))
 
 
 def run_experiment(cfg: ExperimentConfig) -> AverageReport:
     D, k, p = cfg.discriminant, cfg.weight, cfg.aux_prime
     lo, hi = cfg.interval
-    l_res, c_printed, c_asm, density = _constants(D, k, p)
-    l_one = l_res.require().real
+    l_one, c_printed, c_asm, density = _constants(D, k, p)
     mass_j = measure_mass(cfg, lo, hi)
     g_printed = 2.0 * mass_j * c_printed * l_one
     g_asm = 2.0 * mass_j * c_asm * l_one
 
     target = 2.0 * c_asm * l_one
-    target_rel_error = abs(l_res.error / l_one) + CONSTANT_ULPS * UNIT_ROUNDOFF
     level_reports = []
     sums, budgets = {}, {}
     # one read of the data file serves every level the cache lacks
@@ -567,7 +573,7 @@ def run_experiment(cfg: ExperimentConfig) -> AverageReport:
         })
         if rows:
             sums[N] = s_full
-            budgets[N] = identity_budget(rows, target, target_rel_error)
+            budgets[N] = identity_budget(rows, target)
 
     prop = proportionality_test(cfg) if len(cfg.levels) >= 3 else {}
     envelope = identity_check(sums, budgets, target)

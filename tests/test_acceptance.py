@@ -218,7 +218,7 @@ def test_criterion_09_gauss_sums():
 def test_criterion_10_arithmetic_layer():
     l1_gap = max(abs(ar.dirichlet_l(-4, 1) - math.pi / 4.0),
                  abs(ar.dirichlet_l(-3, 1) - math.pi / (3.0 * math.sqrt(3.0))))
-    l0_gap = max(abs(ar.l_zero_finite_sum(D) - ar.l_zero_via_l_one(D))
+    l0_gap = max(abs(ar.l_zero_finite_sum(D) - ar.dirichlet_l(D, 0))
                  for D in (-3, -4, -7, -8, -11, -19))
     forms = ar.load_eigenforms(default_data_path())  # validation on load
     trace_ok = True

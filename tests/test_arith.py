@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,8 @@ import pytest
 from modlavg import arith as ar
 from modlavg import cli
 from modlavg import modforms as mf
-from modlavg.errors import DomainError, InvariantViolation
+from modlavg import numerics as nm
+from modlavg.errors import DomainError, InsufficientCoefficients, InvariantViolation
 from modlavg.harness import default_data_path
 
 
@@ -58,6 +60,27 @@ class TestKronecker:
                 assert (ar.kronecker(D, -N) == 1) == (ar.kronecker(D, N) == -1)
 
 
+def abel_l_one(D):
+    """L(1, chi_D) as the integral over [0, 1] of P(t) / (1 - t^|D|), P the
+    character polynomial sum chi(a) t^(a-1): both vanish at t = 1, and the
+    common factor 1 - t divides out exactly, leaving R(t) / Q(t) with R the
+    character's partial sums and Q = 1 + t + ... + t^(|D|-1)."""
+    mod = abs(D)
+    partial = np.cumsum([ar.kronecker(D, a) for a in range(1, mod - 1)])
+
+    def f(t):
+        num = 0.0
+        for r in partial[::-1]:
+            num = num * t + float(r)
+        den = 0.0
+        for _ in range(mod):
+            den = den * t + 1.0
+        return num / den
+
+    return nm.integrate(f, nm.QuadratureSpec(domain=nm.interval(0.0, 1.0),
+                                             rel_tol=1e-13, abs_tol=1e-14))
+
+
 class TestDirichlet:
     def test_classical_values(self):
         assert abs(ar.dirichlet_l(-4, 1) - math.pi / 4.0) <= 1e-10
@@ -66,11 +89,30 @@ class TestDirichlet:
     def test_zero_value_relation(self):
         for D in (-3, -4, -7, -8, -11, -19):
             direct = ar.l_zero_finite_sum(D)
-            via = ar.l_zero_via_l_one(D)
+            via = ar.dirichlet_l(D, 0)
             assert abs(direct - via) <= 1e-10
 
     def test_l_zero_minus_four(self):
         assert ar.l_zero_finite_sum(-4) == pytest.approx(0.5)
+
+    def test_class_number_formula_at_zero(self):
+        # L(0, chi_D) = h_w(D), both correctly rounded from the same rational
+        discs = [D for D in range(-3, -1001, -1) if ar.is_fundamental_discriminant(D)]
+        assert len(discs) == 305
+        for D in discs:
+            assert ar.l_zero_finite_sum(D) == ar.dirichlet_l(D, 0), D
+
+    def test_l_one_within_the_abel_integral(self):
+        # the numerical oracle: L(1, chi_D) as the Abel integral of the
+        # character series, within its error estimate and 8 ulps
+        for D in range(-3, -201, -1):
+            if ar.is_fundamental_discriminant(D):
+                res = abel_l_one(D)
+                value = ar.dirichlet_l(D, 1)
+                assert abs(value - res.value) <= res.error + 8 * math.ulp(value), D
+
+    def test_l_one_minus_four_is_pi_over_four(self):
+        assert ar.dirichlet_l(-4, 1) == math.pi / 4.0
 
     def test_unsupported_s(self):
         with pytest.raises(ValueError):
@@ -459,6 +501,27 @@ class TestEigenforms:
             assert f.c(1) == 1
             assert f.n_max == 2000
 
+    def test_coefficient_past_n_max_or_below_one_is_refused(self, shipped):
+        f = shipped["7.4.a"]
+        assert f.c(2000) == f.coeffs[-1]
+        with pytest.raises(InsufficientCoefficients,
+                           match=r"^7\.4\.a: c_2001 .* \(n = 2001, n_max = 2000\)$"):
+            f.c(2001)
+        with pytest.raises(InsufficientCoefficients, match="n = 2003"):
+            f.a(2003)
+        for n in (0, -1):
+            with pytest.raises(DomainError, match=f"7.4.a: no coefficient c_{n}"):
+                f.c(n)
+
+    def test_not_utf8_refused_naming_path_and_line(self, tmp_path, capsys):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b"\n\n" + '{"label": "f\u00e9"}\n'.encode("latin-1"))
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(str(path))}:3: not UTF-8"):
+            ar.load_eigenforms(path)
+        assert cli.main(["lvalues", "--forms", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{path}:3: not UTF-8" in err, err
+
     def test_deligne_bound_loaded(self):
         forms = ar.load_eigenforms(default_data_path())
         for f in forms:
@@ -580,6 +643,39 @@ class TestMalformedRecords:
         assert cli.main(["lvalues", "--forms", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{path}:2: " in err, err
+
+    @pytest.mark.parametrize("big", [10 ** 400, -(10 ** 400), int(sys.float_info.max) + 1],
+                             ids=["10^400", "-10^400", "float max + 1"])
+    def test_integer_coefficient_past_the_float_range(self, tmp_path, capsys, big):
+        # np.array(coeffs, dtype=float) in validate raised OverflowError
+        record = {**json.loads(self.GOOD), "label": "x", "coeffs": [1, big]}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(self.GOOD + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(InvariantViolation,
+                           match=f"^{re.escape(str(path))}:2: bad coefficient c_2 = -?1"):
+            ar.load_eigenforms(path)
+        assert cli.main(["lvalues", "--forms", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "bad coefficient c_2" in err, err
+
+    def test_largest_float_integer_is_parsed(self, tmp_path):
+        # in the float range, so the record is refused by the eigenvalue bound
+        record = {**json.loads(self.GOOD), "coeffs": [1, int(sys.float_info.max)]}
+        path = tmp_path / "big.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(InvariantViolation, match="relation = deligne"):
+            ar.load_eigenforms(path)
+
+    def test_integer_past_the_digit_limit(self, tmp_path):
+        # json.loads raises a plain ValueError past the int digit limit
+        # (sys.get_int_max_str_digits, 4300 by default): a parse error; an
+        # interpreter without the limit parses it, past the float range
+        record = self.GOOD.replace("-4", "1" * 5000)
+        path = tmp_path / "digits.jsonl"
+        path.write_text(record + "\n")
+        with pytest.raises(InvariantViolation,
+                           match=f"^{re.escape(str(path))}:1: (parse error|bad coefficient)"):
+            ar.load_eigenforms(path)
 
 
 class TestHeckeCoefficient:

@@ -23,11 +23,9 @@ def form_5():
 REFUSALS = {
     "dirichlet_l at s = 2": lambda: arith.dirichlet_l(-4, 2),
     # a float discriminant died in range() with an untyped TypeError
-    "dirichlet_l_one at D = -4.0": lambda: arith.dirichlet_l_one(-4.0),
-    "dirichlet_l_one at D = True": lambda: arith.dirichlet_l_one(True),
     "dirichlet_l at D = -4.0, s = 0": lambda: arith.dirichlet_l(-4.0, 0),
     "dirichlet_l at D = -4.0, s = 1": lambda: arith.dirichlet_l(-4.0, 1),
-    "l_zero_via_l_one at D = -4.0": lambda: arith.l_zero_via_l_one(-4.0),
+    "dirichlet_l at D = True, s = 1": lambda: arith.dirichlet_l(True, 1),
     # l_zero_finite_sum died in range() at -4.0 and gave 0.0, 0.667 and -1.0
     # at D = 5 (positive), -12 (not fundamental) and True
     "l_zero_finite_sum at D = -4.0": lambda: arith.l_zero_finite_sum(-4.0),
