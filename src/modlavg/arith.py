@@ -583,15 +583,20 @@ class Eigenform:
             raise InvariantViolation(
                 f"{self.label}: c_{N} = {self.c(N)!r} is not -w {N}^{k // 2 - 1} for "
                 f"w = {'+1 or -1' if w is None else w} (n = {N}, relation = atkin-lehner)")
-        primes = _primes_up_to(n_max)
-        for p in primes:
-            if p != N and abs(self.a(p)) > 2.0 + 1e-9:
-                raise InvariantViolation(
-                    f"{self.label}: |a_{p}| = {abs(self.a(p)):.6f} violates the "
-                    f"eigenvalue bound (n = {p}, relation = deligne)")
-        extended = hecke_extend({p: self.c(p) for p in primes}, N, k, n_max)
-        gap = np.abs(np.array(self.coeffs, dtype=float) - np.array(extended, dtype=float))
-        bound = _divisor_counts(n_max)[1:] * np.arange(1, n_max + 1) ** ((k - 1) / 2.0)
+        _, primes, divisors = _sieve_tables(n_max)
+        coeffs = np.array(self.coeffs, dtype=float)
+        # the bound at every prime in one comparison; the message takes the
+        # first prime past it through a(p)
+        over = (primes != N) & (np.abs(coeffs[primes - 1]) / primes ** ((k - 1) / 2.0)
+                                > 2.0 + 1e-9)
+        if over.any():
+            p = int(primes[over.argmax()])
+            raise InvariantViolation(
+                f"{self.label}: |a_{p}| = {abs(self.a(p)):.6f} violates the "
+                f"eigenvalue bound (n = {p}, relation = deligne)")
+        extended = hecke_extend({p: self.coeffs[p - 1] for p in primes.tolist()}, N, k, n_max)
+        gap = np.abs(coeffs - np.array(extended, dtype=float))
+        bound = divisors[1:] * np.arange(1, n_max + 1) ** ((k - 1) / 2.0)
         bad = np.flatnonzero(~(gap <= HECKE_REL_TOL * bound))  # NaN gaps fail too
         if bad.size:
             n = int(bad[0]) + 1
@@ -619,6 +624,20 @@ def _smallest_prime_factors(n: int) -> np.ndarray:
             multiples = spf[p * p::p]
             np.minimum(multiples, p, out=multiples)
     return spf
+
+
+@lru_cache(maxsize=4)
+def _sieve_tables(n: int) -> tuple:
+    """The smallest-prime-factor sieve up to n as a tuple, the primes up to
+    n and d(m) for m <= n as read-only arrays: one of each for every n_max
+    that Eigenform.validate and hecke_extend meet, which a data file's
+    forms share."""
+    spf = _smallest_prime_factors(n)
+    primes = np.flatnonzero(spf == np.arange(n + 1))[2:]
+    divisors = _divisor_counts(n)
+    for a in (primes, divisors):
+        a.flags.writeable = False  # cached: every caller shares them
+    return tuple(spf.tolist()), primes, divisors
 
 
 def _primes_up_to(n: int) -> list:
@@ -650,7 +669,29 @@ def _parse_record(rec, where: str) -> Eigenform:
     raw = rec["coeffs"]
     if not isinstance(raw, list) or not raw:
         raise InvariantViolation(f"{where}: coeffs must be a non-empty list")
-    coeffs = []  # ints and finite floats in the float range, decimal strings of them
+    return Eigenform(level=rec["level"], weight=rec["weight"], label=rec["label"],
+                     coeffs=_coefficients(raw, where), atkin_lehner=rec.get("atkin_lehner"))
+
+
+def _coefficients(raw: list, where: str) -> list:
+    """The coefficients of a record's list: ints and finite floats in the
+    float range, and decimal strings of them read as floats.  One typing
+    pass and one array comparison accept a whole list; a list they do not
+    accept goes through the entries one at a time, which refuses the first
+    bad one naming ``where``."""
+    kinds = set(map(type, raw))
+    if kinds <= {int, float, str}:
+        try:
+            coeffs = ([float(e) if type(e) is str else e for e in raw] if str in kinds
+                      else list(raw))
+            # an int past the float range raises or rounds to the largest
+            # float, which fails the test with NaN and the infinities: the
+            # loop decides those lists
+            if (np.abs(np.array(coeffs, dtype=float)) < _FLOAT_MAX).all():
+                return coeffs
+        except (ValueError, OverflowError):
+            pass
+    coeffs = []
     for n, entry in enumerate(raw, 1):
         try:
             c = float(entry) if isinstance(entry, str) else entry
@@ -660,8 +701,7 @@ def _parse_record(rec, where: str) -> Eigenform:
                 or isinstance(c, float) and math.isfinite(c)):
             raise InvariantViolation(f"{where}: bad coefficient c_{n} = {entry!r}")
         coeffs.append(c)
-    return Eigenform(level=rec["level"], weight=rec["weight"], label=rec["label"],
-                     coeffs=coeffs, atkin_lehner=rec.get("atkin_lehner"))
+    return coeffs
 
 
 def load_eigenforms(path) -> list:
@@ -724,7 +764,7 @@ def hecke_extend(prime_coeffs: dict, N: int, k: int, n_max: int) -> list:
     in one ascending pass over the smallest-prime-factor sieve: prime
     powers by the weight-k Hecke recursion (c(N^(r+1)) = c(N) c(N^r) at
     the level), the rest by multiplicativity c(p^e m) = c(p^e) c(m)."""
-    spf = _smallest_prime_factors(n_max).tolist()
+    spf = _sieve_tables(n_max)[0]
     c = [None, 1] + [None] * (n_max - 1)
     power = [1] * (n_max + 1)  # power[n] = p^e, the part of n at p = spf[n]
     for n in range(2, n_max + 1):

@@ -41,12 +41,12 @@ panel count doubled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
+from ._record import Record, set_field
 from .arith import (
     HECKE_REL_TOL,
     Eigenform,
@@ -146,10 +146,14 @@ def q_expansion_eval(form: Eigenform, z):
     # a point goes through the same array arithmetic as a batch, so both
     # give the same bits
     q = np.exp(2j * np.pi * np.atleast_1d(zs))
-    acc = np.zeros_like(q)
+    # Horner in two buffers, with no array made per step: an in-place
+    # product (acc *= q) of one-element arrays takes numpy's scalar complex
+    # product, whose bits differ from the array product's
+    acc, prod = np.zeros_like(q), np.empty_like(q)
     for c in reversed(form.coeffs[:n]):
-        acc = acc * q + c
-    values = acc * q
+        np.multiply(acc, q, out=prod)
+        np.add(prod, c, out=acc)
+    values = np.multiply(acc, q, out=prod)
     return complex(values[0]) if zs.ndim == 0 else values
 
 
@@ -219,15 +223,27 @@ def _exact_images(z: np.ndarray, mats: list, k: int) -> tuple:
     return gz, J
 
 
+@lru_cache(maxsize=None)
+def _fricke_rows(N: int, k: int) -> tuple:
+    """The points FRICKE_POINTS / sqrt(N), their images under W_N = [[0,
+    -1], [N, 0]] and the factors J of both signs, a row each, once per (N,
+    k) for every form of that space."""
+    z = np.array([FRICKE_POINTS]) / math.sqrt(N)
+    gz, J = _exact_images(z, [(0, -1, N, 0)], k)
+    arrays = (z[0], gz[0], np.array([[1.0], [-1.0]]) * J)
+    for a in arrays:
+        a.flags.writeable = False  # cached: every caller shares them
+    return arrays
+
+
 def fricke_sign(form: Eigenform) -> int:
     """Sign w in phi(-1/(N z)) = w N^{k/2} z^k phi(z), measured numerically:
-    the rows of W_N = [[0, -1], [N, 0]] at FRICKE_POINTS / sqrt(N) go through
-    _automorphy_rows once, with J for both signs.  The sign whose rows are
-    all within budget while the other sign's are not is the measured one;
-    anything else, or a stored sign it contradicts, is InvariantViolation."""
-    z = np.array([FRICKE_POINTS]) / math.sqrt(form.level)
-    gz, J = _exact_images(z, [(0, -1, form.level, 0)], form.weight)
-    residual, budget = _automorphy_rows(form, z[0], gz[0], np.array([[1.0], [-1.0]]) * J)
+    the rows of W_N = [[0, -1], [N, 0]] at FRICKE_POINTS / sqrt(N)
+    (_fricke_rows) go through _automorphy_rows once, with J for both signs.
+    The sign whose rows are all within budget while the other sign's are
+    not is the measured one; anything else, or a stored sign it
+    contradicts, is InvariantViolation."""
+    residual, budget = _automorphy_rows(form, *_fricke_rows(form.level, form.weight))
     ratios = np.max(residual / budget, axis=1)
     passed = [w for w, ratio in zip((+1, -1), ratios) if ratio <= 1.0]
     if len(passed) != 1:
@@ -306,32 +322,35 @@ def _twisted_coeffs(coeffs: list, D: int) -> list:
     return [chi[n % abs(D)] * c for n, c in enumerate(coeffs, start=1)]
 
 
-@dataclass
-class CompletedL:
-    """Completed L-function of a form, optionally twisted by chi_D."""
+class CompletedL(Record):
+    """Completed L-function of a form, optionally twisted by chi_D: twist is
+    a fundamental discriminant D of either sign, prime to N, or None.  The
+    functional-equation sign eps (arithmetic center) is measured at
+    construction."""
 
-    form: Eigenform
-    twist: int | None = None  # fundamental discriminant D of either sign, prime to N
-    # functional-equation sign (arithmetic center), measured at construction
-    eps: int = field(init=False)
+    __slots__ = ("form", "twist", "eps", "series", "_chi_minus_level", "_sums", "_scale")
+    _fields = ("form", "twist", "eps")
 
-    def __post_init__(self):
-        form = self.form
-        if self.twist is None:
+    def __init__(self, form: Eigenform, twist: int | None = None):
+        set_field(self, "form", form)
+        set_field(self, "twist", twist)
+        if twist is None:
             D, label = 1, form.label  # the trivial character
         else:
-            D = _as_int(self.twist, "twist")  # a float or a bool is refused
+            D = _as_int(twist, "twist")  # a float or a bool is refused
             label = f"{form.label} twisted by {D}"
             if not is_fundamental_discriminant(D):
                 raise DomainError(f"twist {D} is not a fundamental discriminant")
             if math.gcd(form.level, D) != 1:
                 raise DomainError(f"twist {D} is not prime to the level {form.level}")
-        self._chi_minus_level = kronecker(D, -form.level)
+        set_field(self, "_chi_minus_level", kronecker(D, -form.level))
         # f x chi_D, a newform of level N D^2 (Atkin-Li 1978)
-        self.series = Eigenform(level=form.level * D * D, weight=form.weight,
-                                label=label, coeffs=_twisted_coeffs(form.coeffs, D))
-        self._sums = {}  # (s, t) -> the two sums; eps does not enter
-        self.eps, self._scale = self._determine_eps()
+        set_field(self, "series", Eigenform(level=form.level * D * D, weight=form.weight,
+                                            label=label, coeffs=_twisted_coeffs(form.coeffs, D)))
+        set_field(self, "_sums", {})  # (s, t) -> the two sums; eps does not enter
+        eps, scale = self._determine_eps()
+        set_field(self, "eps", eps)
+        set_field(self, "_scale", scale)
 
     @property
     def conductor(self) -> int:
@@ -348,8 +367,8 @@ class CompletedL:
     def _afe_sums(self, s: float, t_split: float) -> tuple:
         """The two incomplete-Gamma sums at arithmetic s, split point t,
         computed once for each pair.  A point of SPLIT_POINTS brings in the
-        other two: the sums at all three take one gamma_upper call for each
-        exponent, s and k - s."""
+        other two: the sums at all three, for both exponents s and k - s,
+        take one gamma_upper call."""
         if (s, t_split) not in self._sums:
             splits = SPLIT_POINTS if t_split in SPLIT_POINTS else (t_split,)
             self._sums.update(zip(((s, t) for t in splits), self._sums_at(s, splits)))
@@ -371,9 +390,10 @@ class CompletedL:
         n = [np.arange(1, n_stop + 1, dtype=float) for n_stop in stops]
         x1 = [2.0 * math.pi * nt * t / q_root for nt, t in zip(n, splits)]
         x2 = [2.0 * math.pi * nt / (t * q_root) for nt, t in zip(n, splits)]
-        ends = np.cumsum(stops)[:-1]
-        g1 = np.split(gamma_upper(s, np.concatenate(x1)), ends)
-        g2 = np.split(gamma_upper(k - s, np.concatenate(x2)), ends)
+        # the exponent s at the points of x1, k - s at those of x2
+        a = np.repeat((s, k - s), sum(stops))
+        g = np.split(gamma_upper(a, np.concatenate(x1 + x2)), np.cumsum(stops * 2)[:-1])
+        g1, g2 = g[:len(splits)], g[len(splits):]
         sums = []
         for nt, n_stop, a, b in zip(n, stops, g1, g2):
             c = np.asarray(coeffs[:n_stop], dtype=float)
@@ -447,13 +467,18 @@ class CompletedL:
         return cond ** (s / 2.0) * low + self.predicted_eps(w) * cond ** ((k - s) / 2.0) * high
 
 
-@dataclass(frozen=True)
-class CentralValue:
-    value: float  # the AFE value, or 0 when eps = -1
-    eps: int
-    afe: float
-    mellin: float
-    spread: float  # split-point spread at the center
+class CentralValue(Record):
+    """value is the AFE value, or 0 when eps = -1; spread is the split-point
+    spread at the center."""
+
+    __slots__ = ("value", "eps", "afe", "mellin", "spread")
+
+    def __init__(self, value: float, eps: int, afe: float, mellin: float, spread: float):
+        set_field(self, "value", value)
+        set_field(self, "eps", eps)
+        set_field(self, "afe", afe)
+        set_field(self, "mellin", mellin)
+        set_field(self, "spread", spread)
 
 
 def central_value(form: Eigenform, w: int, twist: int | None = None) -> CentralValue:
@@ -561,12 +586,14 @@ def _cusp_images(form: Eigenform, z: np.ndarray) -> np.ndarray:
     n = _certified_count(form, float(ys.min()) / N)
     q = np.exp(2j * np.pi * z)
     total = np.zeros(z.shape)
-    # one class at a time on mesh-sized arrays: an (N, mesh) batch costs
-    # memory and is no faster
+    # one class at a time on mesh-sized arrays, in place in one buffer: an
+    # (N, mesh) batch costs memory and is no faster
+    acc = np.empty_like(q)
     for r in range(1, N + 1):
-        acc = np.zeros_like(q)
+        acc.fill(0.0)
         for c in reversed(form.coeffs[r - 1:n:N]):
-            acc = acc * q + c
+            acc *= q
+            acc += c
         total += np.exp(-4.0 * np.pi * r / N * ys) * np.abs(acc) ** 2
     return N * total
 

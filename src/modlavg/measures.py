@@ -22,10 +22,10 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record, set_field
 from .arith import _as_int, _check_prime
 from .errors import DomainError, PoleError
 from .numerics import QuadratureSpec, integrate, interval
@@ -51,16 +51,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SatakeMeasure:
-    """Measure on [-2, 2] attached to a prime p and a sign chi(p)."""
+class SatakeMeasure(Record):
+    """Measure on [-2, 2] attached to a prime p and a sign chi(p), +1
+    (split) or -1 (inert / Plancherel)."""
 
-    p: int
-    sign: int  # chi(p), +1 (split) or -1 (inert / Plancherel)
+    __slots__ = ("p", "sign")
 
-    def __post_init__(self):
-        _check_prime(self.p)
-        if _as_int(self.sign, "sign") not in (+1, -1):  # True is refused
+    def __init__(self, p: int, sign: int):
+        set_field(self, "p", p)
+        set_field(self, "sign", sign)
+        _check_prime(p)
+        if _as_int(sign, "sign") not in (+1, -1):  # True is refused
             raise DomainError("sign must be +1 or -1")
 
 
@@ -147,18 +148,21 @@ def chebyshev_x(j: int, x):
     return cur
 
 
-@dataclass(frozen=True)
-class SatakePolynomial:
+class SatakePolynomial(Record):
     """p-normalized trace polynomial of the n-th Hecke double coset.
 
-    Stored on the basis {1, X_1, X_2, ...}: coefficient 1 on X_n and
-    (1 - 1/p) on every lower index of the same parity (index 0 standing for
-    the constant 1, not X_0 = 2).  The full transfer is p^(n/2) times this.
+    Stored on the basis {1, X_1, X_2, ...} as coeffs, pairs (j,
+    coefficient): coefficient 1 on X_n and (1 - 1/p) on every lower index
+    of the same parity (index 0 standing for the constant 1, not X_0 = 2).
+    The full transfer is p^(n/2) times this.
     """
 
-    n: int
-    p: int
-    coeffs: tuple  # pairs (j, coefficient)
+    __slots__ = ("n", "p", "coeffs")
+
+    def __init__(self, n: int, p: int, coeffs: tuple):
+        set_field(self, "n", n)
+        set_field(self, "p", p)
+        set_field(self, "coeffs", coeffs)
 
     def evaluate(self, x):
         total = 0.0 if not isinstance(x, complex) else 0.0j

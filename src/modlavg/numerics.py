@@ -19,17 +19,19 @@ formula below Re z = 1/2 (DLMF 5.11.1, 5.5.1, 5.5.3); on the real axis it
 is math.lgamma.  The upper incomplete Gamma(a, x) is a finite sum for
 integer a (DLMF sec. 8.4).  For other a it is Gamma(a) less the power
 series of gamma(a, x) below x = a + 1, and Legendre's continued fraction,
-by the modified Lentz method, from there on (DLMF secs. 8.7, 8.9).
+by the modified Lentz method, from there on (DLMF secs. 8.7, 8.9); one
+call takes an a for each x, so both exponents of a functional equation
+share one pass.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import Record, set_field
 from .errors import AccuracyError, ConvergenceError, DomainError, PoleError
 
 __all__ = [
@@ -67,25 +69,28 @@ def quadrant() -> tuple:
     return ("quadrant",)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(Record):
     """Tolerances and domain for one integral."""
 
-    domain: tuple = field(default_factory=lambda: interval(0.0, 1.0))
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
+    __slots__ = ("domain", "rel_tol", "abs_tol")
 
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):  # NaN fails too
+    def __init__(self, domain: tuple = interval(0.0, 1.0), rel_tol: float = 1e-10,
+                 abs_tol: float = 1e-12):
+        set_field(self, "domain", domain)
+        set_field(self, "rel_tol", rel_tol)
+        set_field(self, "abs_tol", abs_tol)
+        if not (rel_tol > 0 and abs_tol > 0):  # NaN fails too
             raise DomainError(f"tolerances must be strictly positive, got rel_tol = "
-                              f"{self.rel_tol}, abs_tol = {self.abs_tol}")
+                              f"{rel_tol}, abs_tol = {abs_tol}")
 
 
-@dataclass(frozen=True)
-class IntegralResult:
-    value: complex
-    error: float
-    converged: bool
+class IntegralResult(Record):
+    __slots__ = ("value", "error", "converged")
+
+    def __init__(self, value: complex, error: float, converged: bool):
+        set_field(self, "value", value)
+        set_field(self, "error", error)
+        set_field(self, "converged", converged)
 
     @property
     def real(self) -> float:
@@ -321,55 +326,57 @@ _GAMMA_INC_MAX_TERMS = 400
 _GAMMA_MAX_A = 171.6243769563027
 
 
-def _times_power_exp(a: float, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """x^a e^-x s for s > 0: the direct product where it is a finite float,
-    and exp(a log x - x + log s) where it overflows, near _GAMMA_MAX_A,
-    where x^a e^-x alone passes the float range but s scales it back."""
+def _times_power_exp(a: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """x^a e^-x s for s > 0, elementwise: the direct product where it is a
+    finite float, and exp(a log x - x + log s) where it overflows, near
+    _GAMMA_MAX_A, where x^a e^-x alone passes the float range but s scales
+    it back."""
     with np.errstate(over="ignore"):
         out = np.exp(a * np.log(x) - x) * s
     big = np.isinf(out)
     if big.any():
-        out[big] = np.exp(a * np.log(x[big]) - x[big] + np.log(s[big]))
+        out[big] = np.exp(a[big] * np.log(x[big]) - x[big] + np.log(s[big]))
     return out
 
 
-def _gamma_lower_series(a: float, x: np.ndarray) -> np.ndarray:
-    """gamma(a, x) = x^a e^-x sum_n x^n / (a (a+1) ... (a+n)) (DLMF sec. 8.7),
-    for x < a + 1, where the terms fall from the first.  Each x stops at
-    its own first small term, so its value does not depend on the others
-    in the array."""
-    term = np.full_like(x, 1.0 / a)
+def _gamma_lower_series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """gamma(a, x) = x^a e^-x sum_n x^n / (a (a+1) ... (a+n)) (DLMF sec. 8.7)
+    at each pair of the arrays a, x, for x < a + 1, where the terms fall
+    from the first.  Each point stops at its own first small term, so its
+    value does not depend on the others in the arrays."""
+    term = 1.0 / a
     total = term.copy()
     out = np.empty_like(x)
-    live, xs = np.arange(x.size), x
+    live, az, xs = np.arange(x.size), a, x
     for n in range(1, _GAMMA_INC_MAX_TERMS):
-        term *= xs / (a + n)
+        term *= xs / (az + n)
         total += term
         done = term <= _GAMMA_INC_TOL * total
         if done.any():
             out[live[done]] = total[done]
             keep = ~done
-            live, xs, term, total = live[keep], xs[keep], term[keep], total[keep]
+            live, az, xs, term, total = live[keep], az[keep], xs[keep], term[keep], total[keep]
             if not live.size:
                 return _times_power_exp(a, x, out)
-    raise ConvergenceError(f"incomplete Gamma series did not converge at a = {a}")
+    raise ConvergenceError(f"incomplete Gamma series did not converge at a = {float(az[0])}")
 
 
-def _gamma_upper_fraction(a: float, x: np.ndarray) -> np.ndarray:
+def _gamma_upper_fraction(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Gamma(a, x) = x^a e^-x / (x + 1 - a - 1 (1 - a) / (x + 3 - a - ...))
-    (Legendre; DLMF sec. 8.9) by the modified Lentz method, for x >= a + 1.
-    There the Lentz divisors stay above half the partial denominators
-    (checked for 0 < a <= 30), so they need no guard against 0.  Each x
-    stops at its own first factor within _GAMMA_INC_TOL of 1, so its value
-    does not depend on the others in the array."""
+    (Legendre; DLMF sec. 8.9) by the modified Lentz method, at each pair of
+    the arrays a, x, for x >= a + 1.  There the Lentz divisors stay above
+    half the partial denominators (checked for 0 < a <= 30), so they need
+    no guard against 0.  Each point stops at its own first factor within
+    _GAMMA_INC_TOL of 1, so its value does not depend on the others in the
+    arrays."""
     b = x + 1.0 - a
     c = np.full_like(x, math.inf)
     d = 1.0 / b
     h = d.copy()
     out = np.empty_like(x)
-    live = np.arange(x.size)
+    live, az = np.arange(x.size), a
     for i in range(1, _GAMMA_INC_MAX_TERMS):
-        an = -i * (i - a)
+        an = -i * (i - az)
         b += 2.0
         d = 1.0 / (an * d + b)
         c = b + an / c
@@ -379,38 +386,55 @@ def _gamma_upper_fraction(a: float, x: np.ndarray) -> np.ndarray:
         if done.any():
             out[live[done]] = h[done]
             keep = ~done
-            live, b, c, d, h = live[keep], b[keep], c[keep], d[keep], h[keep]
+            live, az, b, c, d, h = live[keep], az[keep], b[keep], c[keep], d[keep], h[keep]
             if not live.size:
                 return _times_power_exp(a, x, out)
-    raise ConvergenceError(f"incomplete Gamma fraction did not converge at a = {a}")
+    raise ConvergenceError(f"incomplete Gamma fraction did not converge at a = {float(az[0])}")
 
 
-def gamma_upper(a: float, x) -> np.ndarray:
+def gamma_upper(a, x) -> np.ndarray:
     """Upper incomplete Gamma(a, x), the integral of t^(a-1) e^-t over
-    [x, oo), for real 0 < a <= _GAMMA_MAX_A at every point of an array of
-    finite x > 0; any other a or x is DomainError.
+    [x, oo), at every point of an array of finite x > 0, for real
+    0 < a <= _GAMMA_MAX_A: one a for every point, or an array of x's shape
+    holding the a of each.  Any other a or x is DomainError.
 
-    Integer a is the finite sum (a-1)! e^-x sum_(j<a) x^j / j! (DLMF sec. 8.4);
-    other a take Gamma(a) less the series of gamma(a, x) below x = a + 1,
-    and the continued fraction from there on.
+    Integer a is the finite sum (a-1)! e^-x sum_(j<a) x^j / j! (DLMF sec.
+    8.4), one pass for each distinct integer a; every other a takes, in one
+    pass, Gamma(a) less the series of gamma(a, x) below x = a + 1 and the
+    continued fraction from there on.  A point's value depends on its own
+    a and x alone, so a batch gives each point the bits it gets alone.
     """
-    a = float(a)
+    a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
-    if not 0.0 < a <= _GAMMA_MAX_A:  # NaN and infinities fail too
-        raise DomainError(f"gamma_upper needs 0 < a <= {_GAMMA_MAX_A}, got a = {a}")
+    if a.ndim and a.shape != x.shape:
+        raise DomainError(f"gamma_upper needs one a, or one a per x, not a of shape "
+                          f"{a.shape} against x of shape {x.shape}")
+    outside = ~((0.0 < a) & (a <= _GAMMA_MAX_A))  # NaN and infinities fail too
+    if outside.any():
+        raise DomainError(f"gamma_upper needs 0 < a <= {_GAMMA_MAX_A}, "
+                          f"got a = {float(a[outside].flat[0])}")
     if not np.all((x > 0.0) & (x < math.inf)):
         raise DomainError("gamma_upper needs every x finite and > 0")
-    if a.is_integer():
-        acc = np.ones_like(x)
-        for j in range(int(a) - 1, 0, -1):
-            acc = 1.0 + acc * x / j
-        return math.factorial(int(a) - 1) * np.exp(-x) * acc
-    out = np.empty_like(x)
-    low = x < a + 1.0
+    exponents = {float(a)} if a.ndim == 0 else set(a.ravel().tolist())
+    a = np.broadcast_to(a, x.shape)
+    out, gammas = np.empty_like(x), np.empty_like(x)  # Gamma(a) at each other a
+    for j in exponents:
+        at = a == j
+        if not j.is_integer():
+            gammas[at] = math.gamma(j)
+            continue
+        xs = x[at]
+        acc = np.ones_like(xs)
+        for i in range(int(j) - 1, 0, -1):
+            acc = 1.0 + acc * xs / i
+        out[at] = math.factorial(int(j) - 1) * np.exp(-xs) * acc
+    whole = a == np.floor(a)
+    low = ~whole & (x < a + 1.0)
     if low.any():
-        out[low] = math.gamma(a) - _gamma_lower_series(a, x[low])
-    if not low.all():
-        out[~low] = _gamma_upper_fraction(a, x[~low])
+        out[low] = gammas[low] - _gamma_lower_series(a[low], x[low])
+    high = ~(whole | low)
+    if high.any():
+        out[high] = _gamma_upper_fraction(a[high], x[high])
     return out
 
 

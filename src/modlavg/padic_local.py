@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
 
+from ._record import Record, set_field
 from .arith import _as_int, _check_negative_fundamental, _check_prime, _factorize, kronecker
 from .errors import DomainError, InvariantViolation, PoleError, WindowError
 
@@ -61,28 +61,31 @@ _BLOCK_ROWS = 32  # rows of v(a) that brute_force_integral decides at once
 # places and orbits
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PlaceSpec:
-    q: int
-    kind: str = "unramified"  # unramified | level | hecke
-    chi_q: int = +1           # character value at q
-    r: int = 0                # Hecke signature, r >= r2
-    r2: int = 0
+class PlaceSpec(Record):
+    """A place q of kind unramified, level or hecke, the character value
+    chi_q at q, and at a Hecke place its signature r >= r2."""
 
-    def __post_init__(self):
-        _check_prime(self.q)
-        if self.kind not in ("unramified", "level", "hecke"):
-            raise DomainError(f"unknown place kind {self.kind!r}")
+    __slots__ = ("q", "kind", "chi_q", "r", "r2")
+
+    def __init__(self, q: int, kind: str = "unramified", chi_q: int = +1, r: int = 0,
+                 r2: int = 0):
+        set_field(self, "q", q)
+        set_field(self, "kind", kind)
+        set_field(self, "chi_q", chi_q)
+        set_field(self, "r", r)
+        set_field(self, "r2", r2)
+        _check_prime(q)
+        if kind not in ("unramified", "level", "hecke"):
+            raise DomainError(f"unknown place kind {kind!r}")
         # a float or a bool is refused (_as_int) before any comparison
-        chi_q, r, r2 = _as_int(self.chi_q, "chi_q"), _as_int(self.r, "r"), _as_int(self.r2, "r2")
-        if self.kind == "hecke" and r < r2:
+        chi_q, r, r2 = _as_int(chi_q, "chi_q"), _as_int(r, "r"), _as_int(r2, "r2")
+        if kind == "hecke" and r < r2:
             raise DomainError("hecke signature requires r >= r'")
         if chi_q not in (+1, -1):
             raise DomainError("chi_q must be +1 or -1")
 
 
-@dataclass(frozen=True)
-class OrbitDatum:
+class OrbitDatum(Record):
     """Regular orbit (valuations of x and 1-x) or a singular representative.
 
     kind: "regular" | "upper" | "lower" | "swap_upper" | "swap_lower",
@@ -90,25 +93,26 @@ class OrbitDatum:
     triangular and their two swapped companions.
     """
 
-    kind: str = "regular"
-    vx: int = 0
-    v1mx: int = 0
+    __slots__ = ("kind", "vx", "v1mx")
 
-    def __post_init__(self):
-        if self.kind not in ("regular", "upper", "lower", "swap_upper", "swap_lower"):
-            raise DomainError(f"unknown orbit kind {self.kind!r}")
-        for value, name in ((self.vx, "vx"), (self.v1mx, "v1mx")):
+    def __init__(self, kind: str = "regular", vx: int = 0, v1mx: int = 0):
+        set_field(self, "kind", kind)
+        set_field(self, "vx", vx)
+        set_field(self, "v1mx", v1mx)
+        if kind not in ("regular", "upper", "lower", "swap_upper", "swap_lower"):
+            raise DomainError(f"unknown orbit kind {kind!r}")
+        for value, name in ((vx, "vx"), (v1mx, "v1mx")):
             _as_int(value, name)  # a float or a bool is refused
-        if self.kind == "regular":
+        if kind == "regular":
             # x + (1 - x) = 1 forces the valuation pattern below
             ok = (
-                (self.v1mx < 0 and self.vx == self.v1mx)
-                or (self.v1mx == 0 and self.vx >= 0)
-                or (self.v1mx > 0 and self.vx == 0)
+                (v1mx < 0 and vx == v1mx)
+                or (v1mx == 0 and vx >= 0)
+                or (v1mx > 0 and vx == 0)
             )
             if not ok:
                 raise InvariantViolation(
-                    f"impossible orbit valuations v(x)={self.vx}, v(1-x)={self.v1mx}"
+                    f"impossible orbit valuations v(x)={vx}, v(1-x)={v1mx}"
                 )
 
 
@@ -175,11 +179,14 @@ def membership_oracle(place: PlaceSpec, orbit: OrbitDatum, va: int, vb: int) -> 
 # exact Laurent bookkeeping
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LaurentValue:
-    """Finite integer combination of terms (chi(q) q^{s1})^m q^{-n s2}."""
+class LaurentValue(Record):
+    """Finite integer combination of terms (chi(q) q^{s1})^m q^{-n s2},
+    held as sorted pairs ((m, n), coeff)."""
 
-    terms: tuple = ()  # sorted pairs ((m, n), coeff)
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple = ()):
+        set_field(self, "terms", terms)
 
     @staticmethod
     def from_dict(d: dict) -> "LaurentValue":
@@ -214,11 +221,14 @@ def _volume_factor(place: PlaceSpec) -> int:
     return 1
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
-    value: LaurentValue
-    touched_boundary: bool
-    cells: tuple = field(default=(), repr=False)
+class BruteForceResult(Record):
+    __slots__ = ("value", "touched_boundary", "cells")
+    _shown = ("value", "touched_boundary")
+
+    def __init__(self, value: LaurentValue, touched_boundary: bool, cells: tuple = ()):
+        set_field(self, "value", value)
+        set_field(self, "touched_boundary", touched_boundary)
+        set_field(self, "cells", cells)
 
 
 def brute_force_integral(place: PlaceSpec, orbit: OrbitDatum,

@@ -546,6 +546,52 @@ class TestEigenforms:
         with pytest.raises(InvariantViolation, match="deligne"):
             ar.load_eigenforms(path)
 
+    def test_deligne_violation_names_the_first_prime(self, shipped):
+        # every prime is compared at once; the message is the one the
+        # prime loop gave, at the smallest prime past the bound
+        coeffs = list(shipped["7.4.a"].coeffs)
+        coeffs[13 - 1] = 3.0 * 13 ** 1.5
+        coeffs[11 - 1] = -2.5 * 11 ** 1.5
+        bad = dataclasses.replace(shipped["7.4.a"], coeffs=coeffs)
+        with pytest.raises(InvariantViolation, match=r"^7\.4\.a: \|a_11\| = 2\.500000 violates "
+                           r"the eigenvalue bound \(n = 11, relation = deligne\)$"):
+            bad.validate()
+
+    @pytest.mark.parametrize("p", [2, 3, 13, 997, 1999])
+    @pytest.mark.parametrize("factor", [1 - 1e-12, 1 + 1e-12])
+    def test_deligne_bound_as_the_prime_loop_decides(self, shipped, p, factor):
+        # |a_p| within 1e-12 of the bound 2 + 1e-9 on either side: the
+        # array comparison refuses the table exactly when the loop over
+        # the primes, abs(c_p / p^((k-1)/2)) > 2 + 1e-9, does
+        form = shipped["5.4.a"]
+        coeffs = [float(c) for c in form.coeffs]
+        coeffs[p - 1] = -(2.0 + 1e-9) * factor * p ** 1.5
+        bad = dataclasses.replace(form, coeffs=coeffs)
+        over = [q for q in ar._primes_up_to(bad.n_max)
+                if q != bad.level and abs(bad.coeffs[q - 1] / q ** 1.5) > 2.0 + 1e-9]
+        assert over == ([p] if factor > 1 else [])
+        if over:
+            with pytest.raises(InvariantViolation, match=f"n = {p}, relation = deligne"):
+                bad.validate()
+            return
+        try:  # c_2p and c_p^2 no longer extend the primes below the bound
+            bad.validate()
+        except InvariantViolation as exc:
+            assert "relation = hecke" in str(exc)
+
+    def test_one_sieve_for_the_file(self):
+        # the four forms share n_max = 2000: validate and hecke_extend read
+        # one smallest-prime-factor sieve and one divisor table
+        ar._sieve_tables.cache_clear()
+        ar.load_eigenforms(default_data_path())
+        info = ar._sieve_tables.cache_info()
+        assert (info.misses, info.hits) == (1, 7)
+        spf, primes, divisors = ar._sieve_tables(2000)
+        assert not primes.flags.writeable and not divisors.flags.writeable
+        assert list(spf) == ar._smallest_prime_factors(2000).tolist()
+        assert primes.tolist() == ar._primes_up_to(2000)
+        assert divisors.tolist() == ar._divisor_counts(2000).tolist()
+
     @pytest.mark.parametrize("label, n, delta", [
         ("5.4.a", 4, 1),  # prime-power recursion
         ("5.4.a", 25, 1),  # recursion at p = N
@@ -676,6 +722,46 @@ class TestMalformedRecords:
         with pytest.raises(InvariantViolation,
                            match=f"^{re.escape(str(path))}:1: (parse error|bad coefficient)"):
             ar.load_eigenforms(path)
+
+    @pytest.mark.parametrize("entry, shown", [
+        ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"),
+        ('"1e400"', "'1e400'"), ("true", "True"),
+    ], ids=["NaN", "Infinity", "-Infinity", "1e400", "true"])
+    def test_refused_after_1999_ints(self, tmp_path, capsys, entry, shown):
+        # one bad entry at the end of a long list: the whole-list pass must
+        # not let it through, and the entry loop names it
+        text = ('{"schema": 1, "level": 5, "weight": 4, "label": "x", "coeffs": ['
+                + ", ".join(["1"] + ["0"] * 1998 + [entry]) + "]}")
+        path = tmp_path / "bad.jsonl"
+        path.write_text(self.GOOD + "\n" + text + "\n")
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(str(path))}:2: "
+                           f"bad coefficient c_2000 = {re.escape(shown)}$"):
+            ar.load_eigenforms(path)
+        assert cli.main(["lvalues", "--forms", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "bad coefficient c_2000" in err, err
+
+    @staticmethod
+    def _one_at_a_time(raw: list) -> list:
+        """The coefficients as the entry loop reads them, one at a time."""
+        out = []
+        for entry in raw:
+            c = float(entry) if isinstance(entry, str) else entry
+            assert (type(c) is int and -sys.float_info.max <= c <= sys.float_info.max
+                    or type(c) is float and math.isfinite(c)), entry
+            out.append(c)
+        return out
+
+    @pytest.mark.parametrize("raw", [
+        [1, 2.5, "3.25", -4, "-1e300", 1e308, "1_000", " 7 ", 10 ** 30, "-0.0", -0.0],
+        # the ends of the float range leave the whole-list pass to the loop
+        [1, sys.float_info.max, "-1.7976931348623157e308", -int(sys.float_info.max), 2],
+    ], ids=["mixed", "float range ends"])
+    def test_mixed_list_loads_as_one_entry_at_a_time(self, raw):
+        rec = {"schema": 1, "level": 5, "weight": 4, "label": "x", "coeffs": raw}
+        coeffs = ar._parse_record(rec, "here").coeffs
+        expected = self._one_at_a_time(raw)
+        assert [(type(c), repr(c)) for c in coeffs] == [(type(c), repr(c)) for c in expected]
 
 
 class TestHeckeCoefficient:

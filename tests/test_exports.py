@@ -19,19 +19,31 @@ def test_every_export_resolves(name):
     assert not missing, f"modlavg.{name}.__all__ names {missing}"
 
 
-def _modules_after(code: str, cwd) -> set:
-    """The names in sys.modules after ``code`` runs in a fresh interpreter."""
+def _stderr_after(code: str, cwd) -> list:
+    """The stderr lines of a fresh interpreter that runs ``code``, the last
+    one naming what sys.modules then holds."""
     probe = f"import sys\n{code}\nprint(' '.join(sys.modules), file=sys.stderr)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, timeout=120, cwd=cwd,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    return set(out.stderr.strip().splitlines()[-1].split())
+    return out.stderr.strip().splitlines()
+
+
+def _modules_after(code: str, cwd) -> set:
+    """The names in sys.modules after ``code`` runs in a fresh interpreter."""
+    return set(_stderr_after(code, cwd)[-1].split())
+
+
+# the stderr line of the cold-average interpreter that names the package's
+# dataclasses, after the run
+_DATACLASSES = "dataclasses:"
 
 
 @pytest.fixture(scope="module")
-def average_modules(tmp_path_factory):
+def average_run(tmp_path_factory):
     """The modules a fresh interpreter holds after what `python -m
-    modlavg.cli average --config cfg.json` runs, on the demo config."""
+    modlavg.cli average --config cfg.json` runs, on the demo config, and the
+    classes of the package that hold dataclass fields there."""
     tmp_path = tmp_path_factory.mktemp("average")
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "demos",
                            "config_example.json"), encoding="utf-8") as fh:
@@ -42,10 +54,21 @@ def average_modules(tmp_path_factory):
             "try:\n"
             "    runpy.run_module('modlavg.cli', run_name='__main__', alter_sys=True)\n"
             "except SystemExit as exc:\n"
-            "    assert exc.code == 0, exc.code")
-    modules = _modules_after(code, tmp_path)
+            "    assert exc.code == 0, exc.code\n"
+            "found = [f'{name}.{cls.__qualname__}' for name, module in list(sys.modules.items())\n"
+            "         if name.split('.')[0] == 'modlavg' for cls in vars(module).values()\n"
+            "         if isinstance(cls, type) and cls.__module__ == name\n"
+            "         and hasattr(cls, '__dataclass_fields__')]\n"
+            f"print({_DATACLASSES!r}, *found, file=sys.stderr)")
+    stderr = _stderr_after(code, tmp_path)
     assert (tmp_path / config["output_dir"] / "report.json").is_file()
-    return modules
+    found = next(line for line in stderr if line.startswith(_DATACLASSES))
+    return set(stderr[-1].split()), set(found.split()[1:])
+
+
+@pytest.fixture(scope="module")
+def average_modules(average_run):
+    return average_run[0]
 
 
 def test_import_leaves_out_the_generator(tmp_path):
@@ -55,6 +78,14 @@ def test_import_leaves_out_the_generator(tmp_path):
 
 def test_average_leaves_out_the_generator(average_modules):
     assert "modlavg.newforms" not in average_modules
+
+
+def test_average_generates_three_dataclasses(average_run):
+    # the records of numerics, measures, padic_local and lvalues are slotted
+    # classes, whose methods are written out, not generated at import; the
+    # three that take dataclasses.fields and dataclasses.replace stay
+    assert average_run[1] == {"modlavg.harness.ExperimentConfig", "modlavg.arith.Eigenform",
+                              "modlavg.harness.AverageReport"}
 
 
 def test_average_leaves_out_numpy_polynomial(average_modules):

@@ -47,6 +47,22 @@ class TestQExpansion:
                 for z, v in zip(zs, values):
                     assert lv.q_expansion_eval(f, z) == v
 
+    def test_buffers_give_the_out_of_place_bits(self, forms):
+        # the Horner sum acc = acc q + c with a new array at each step, as the
+        # evaluator summed before it ran in two buffers, is the reference:
+        # the same bits at a point, a one-point array, a row and a mesh
+        xs = np.linspace(-0.5, 0.5, 7)
+        points = [0.13 + 0.3j, np.array([0.13 + 0.3j]), xs + 0.5j,
+                  xs[:, None] + 1j * np.linspace(0.2, 1.0, 4)]
+        for f in forms.values():
+            for z in points:
+                zs = np.asarray(z, dtype=complex)
+                q = np.exp(2j * np.pi * np.atleast_1d(zs))
+                acc = np.zeros_like(q)
+                for c in reversed(f.coeffs[:lv._certified_count(f, float(zs.imag.min()))]):
+                    acc = acc * q + c
+                assert np.atleast_1d(lv.q_expansion_eval(f, z)).tobytes() == (acc * q).tobytes()
+
     def test_truncated_tail_within_tolerance(self, forms):
         # the full Horner sum over all stored coefficients is the reference;
         # sqrt(3)/118 is the norm's lowest height at level 59
@@ -104,6 +120,21 @@ class TestFrickeSign:
                             coeffs=list(f.coeffs), atkin_lehner=-1)
         with pytest.raises(InvariantViolation, match="contradicts"):
             lv.fricke_sign(flipped)
+
+    def test_rows_built_once_per_space(self, forms):
+        # the W_N images are exact rationals rounded once, shared by every
+        # form of the same level and weight, and read-only
+        lv._fricke_rows.cache_clear()
+        for label in ("11.4.a", "11.4.b", "7.4.a"):
+            lv.fricke_sign(forms[label])
+        info = lv._fricke_rows.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
+        z, gz, J = lv._fricke_rows(11, 4)
+        assert not (z.flags.writeable or gz.flags.writeable or J.flags.writeable)
+        fresh_z = np.array([lv.FRICKE_POINTS]) / math.sqrt(11)
+        fresh_gz, fresh_J = lv._exact_images(fresh_z, [(0, -1, 11, 0)], 4)
+        assert z.tobytes() == fresh_z[0].tobytes() and gz.tobytes() == fresh_gz[0].tobytes()
+        assert J.tobytes() == (np.array([[1.0], [-1.0]]) * fresh_J).tobytes()
 
     def test_one_evaluator_call_per_side(self, forms, monkeypatch):
         calls = []
@@ -220,24 +251,47 @@ class TestFunctionalEquation:
                     rhs = comp.eps * comp._split_value(s, 1.0 / t, comp.eps)
                     assert abs(lhs - rhs) <= 1e-14 * comp._scale
 
-    def test_split_points_share_one_gamma_call_per_exponent(self, forms, monkeypatch):
-        # the sums at all three SPLIT_POINTS take one gamma_upper call for
-        # each exponent s and k - s; another split point takes its own
+    def test_one_gamma_pass_equals_a_call_per_exponent(self, forms, monkeypatch):
+        # the (a, x) sets of the demo's cold run: the sign test at k/2 + 0.35
+        # and the center k/2, for its forms at levels 7 and 11, untwisted
+        # and twisted by -4; each exponent's points alone give the same bits
+        calls = []
+        gamma_upper = lv.gamma_upper
+
+        def recorded(a, x):
+            calls.append((np.array(a), np.array(x)))
+            return gamma_upper(a, x)
+
+        monkeypatch.setattr(lv, "gamma_upper", recorded)
+        for label in ("7.4.a", "11.4.a", "11.4.b"):
+            for twist in (None, -4):
+                lv.CompletedL(forms[label], twist=twist).lambda_afe(2.0)
+        assert len(calls) == 12
+        for a, x in calls:
+            apart = np.empty_like(x)
+            for exponent in set(a.tolist()):
+                at = a == exponent
+                apart[at] = gamma_upper(exponent, x[at])
+            assert gamma_upper(a, x).tobytes() == apart.tobytes()
+
+    def test_split_points_share_one_gamma_call(self, forms, monkeypatch):
+        # the sums at all three SPLIT_POINTS, for both exponents s and
+        # k - s, take one gamma_upper call; another split point takes its own
         calls = []
         gamma_upper = lv.gamma_upper
 
         def counted(a, x):
-            calls.append(a)
+            calls.append(sorted(set(np.asarray(a).tolist())))
             return gamma_upper(a, x)
 
         monkeypatch.setattr(lv, "gamma_upper", counted)
         comp = lv.CompletedL(forms["7.4.a"], twist=-4)
-        assert calls == [2.35, 4 - 2.35]  # the sign is measured at k/2 + 0.35
+        assert calls == [[4 - 2.35, 2.35]]  # the sign is measured at k/2 + 0.35
         comp.fe_residual(2.0)
         comp.lambda_afe(2.0)
-        assert calls[2:] == [2.0, 2.0]
+        assert calls[1:] == [[2.0]]
         comp._split_value(2.0, 0.85, comp.eps)
-        assert len(calls) == 6
+        assert len(calls) == 3
 
     def test_twisted_conductor(self, forms):
         comp = lv.CompletedL(forms["7.4.a"], twist=-4)
@@ -388,6 +442,23 @@ class TestPeterssonNorm:
                         coeffs=list(f.coeffs[:50]))
         with pytest.raises(InsufficientCoefficients, match="cut: tail at Im z"):
             lv.petersson_norm(cut)
+
+    def test_class_sums_give_the_out_of_place_bits(self, forms):
+        # the class sums with a new array at each Horner step, as they ran
+        # before they shared one buffer, are the reference
+        xs = np.linspace(-0.5, 0.5, 7)
+        z = xs[:, None] + 1j * np.linspace(0.9, 1.0, 3)
+        for f in forms.values():
+            N = f.level
+            n = lv._certified_count(f, float(z.imag.min()) / N)
+            q = np.exp(2j * np.pi * z)
+            total = np.zeros(z.shape)
+            for r in range(1, N + 1):
+                acc = np.zeros_like(q)
+                for c in reversed(f.coeffs[r - 1:n:N]):
+                    acc = acc * q + c
+                total += np.exp(-4.0 * np.pi * r / N * z.imag) * np.abs(acc) ** 2
+            assert lv._cusp_images(f, z).tobytes() == (N * total).tobytes()
 
     def test_class_sum_equals_image_sum(self, forms):
         # the oracle: one evaluator call for each image (z + j)/N

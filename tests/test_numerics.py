@@ -137,6 +137,27 @@ class TestGammaUpper:
         alone = [nm.gamma_upper(a, self.X[i:i + 1])[0] for i in range(self.X.size)]
         assert batch.tolist() == alone
 
+    def test_one_a_per_point_equals_a_call_per_a(self):
+        # both sides of the switch at x = a + 1, and the integer a of the
+        # finite sum, in one call: each a's points alone give the same bits
+        a = np.array([1.65, 2.35, 2.0, 5.5, 3.0])
+        x = (a + 1.0)[:, None] + np.array([-1e-9, 0.0, 1e-9, -0.5, 0.5, 40.0])
+        a = np.broadcast_to(a[:, None], x.shape).ravel()
+        x = x.ravel()
+        apart = np.concatenate([nm.gamma_upper(v, x[i:i + 6]) for i, v in
+                                zip(range(0, x.size, 6), a[::6].tolist())])
+        assert nm.gamma_upper(a, x).tobytes() == apart.tobytes()
+        # and each point's value is the one it gets alone
+        batch = nm.gamma_upper(a, x)
+        assert batch.tolist() == [nm.gamma_upper(a[i:i + 1], x[i:i + 1])[0]
+                                  for i in range(x.size)]
+
+    def test_one_a_per_point_refused(self):
+        with pytest.raises(DomainError, match=r"got a = -1\.0$"):
+            nm.gamma_upper(np.array([2.35, -1.0, 0.5]), np.ones(3))
+        with pytest.raises(DomainError, match="one a per x"):
+            nm.gamma_upper(np.array([2.35, 1.65]), np.ones(3))
+
     @pytest.mark.parametrize("a", [0.0, -1.5, math.nan])
     def test_a_refused(self, a):
         with pytest.raises(DomainError):
