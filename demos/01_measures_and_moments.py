@@ -6,10 +6,11 @@ probability density on the Satake segment [-2, 2]: the inert one is the
 familiar unramified Plancherel density, the split one is tilted toward
 positive eigenvalues.  Both converge to the semicircle as p grows.
 
-This script prints the density at a few points, verifies the unit mass,
-tabulates the Hecke-transfer moments (the defining property: the measure of
-the n-th double-coset function is 2 for split, 0 for inert), and shows the
-drift of the first moment toward the symmetric semicircle value.
+This script prints the density at a few points, verifies the unit mass (the
+closed form and its quadrature), tabulates the Hecke-transfer moments (the
+defining property: the measure of the n-th double-coset function is 2 for
+split, 0 for inert), and shows the drift of the first moment toward the
+symmetric semicircle value.
 """
 
 import math
@@ -26,11 +27,12 @@ for p in (2, 3, 5, 13):
           f"semicircle ({ms.sato_tate_density(0.0):.6f}, "
           f"{ms.sato_tate_density(1.0):.6f})")
 
-print("\nunit mass (quadrature):")
+print("\nunit mass (closed form, and the quadrature of moment 0):")
 for p in (2, 7, 13):
     for sign in (+1, -1):
         m = ms.SatakeMeasure(p=p, sign=sign)
-        print(f"  p = {p:2d}, sign = {sign:+d}: mass = {ms.mass(m):.14f}")
+        print(f"  p = {p:2d}, sign = {sign:+d}: mass = {ms.mass(m)!r}, "
+              f"quadrature = {ms.moment(m, 0)!r}")
 
 print("\ntransfer moments (target: 1, then 2,2,... split / 0,0,... inert):")
 for p in (3, 5):

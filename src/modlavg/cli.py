@@ -29,8 +29,11 @@ def _cmd_measures(args) -> int:
         return 0
     m = measures.SatakeMeasure(p=args.p, sign=args.delta)
     print(f"p = {args.p}, sign = {args.delta:+d}")
-    print(f"mass = {measures.mass(m)!r}")
-    ok = True
+    # moment 0 is the quadrature of 1 against the density: the closed-form
+    # mass's oracle
+    mass, quad = measures.mass(m), measures.moment(m, 0)
+    ok = abs(mass - quad) <= 1e-14
+    print(f"mass = {mass!r}   quadrature {quad!r}   {'ok' if ok else 'FAIL'}")
     for n in range(args.max_n + 1):
         mom = measures.moment(m, n)
         target = 1.0 if n == 0 else (2.0 if args.delta > 0 else 0.0)

@@ -16,6 +16,7 @@ from modlavg import cli
 from modlavg import harness as hs
 from modlavg import lvalues as lv
 from modlavg import measures as ms
+from modlavg import numerics
 from modlavg import padic_local as pl
 from modlavg.arith import (class_number_weighted, dim_cusp_forms, dirichlet_l,
                             dump_eigenforms, load_eigenforms)
@@ -388,6 +389,25 @@ class TestRunExperiment:
         assert hs.run_experiment(cfg).to_json() == expected
         assert calls == []
 
+    def test_warm_call_runs_no_quadrature(self, monkeypatch, tmp_path):
+        # the masses of J and of the bins are closed forms: after one cold
+        # call, a warm call at a (J, bins) pair not seen before integrates
+        # nothing, through the measures' helper or any binding of the rule
+        run = self._cold_runner(monkeypatch, tmp_path)
+        run("cold")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature on the warm path")
+
+        monkeypatch.setattr(ms, "_integrate_against", refuse)
+        rule = numerics.integrate
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "modlavg" and getattr(module, "integrate", None) is rule:
+                monkeypatch.setattr(module, "integrate", refuse)
+        assert numerics.integrate is refuse
+        warm = json.loads(run("warm", interval=(-0.37, 1.61), bins=11)["report.json"])
+        assert len(warm["proportionality"]["measure_masses"]) == 11
+
     def test_longer_files_are_replaced_without_a_stale_tail(self, tmp_path):
         names = ("report.json", "forms.csv", "density.csv")
         cfg = hs.ExperimentConfig(discriminant=-4, weight=4, aux_prime=13,
@@ -681,6 +701,12 @@ class TestCLI:
                          "--max-n", "3"]) == 0
         out = capsys.readouterr().out
         assert "ok" in out
+        assert out.splitlines()[1].startswith("mass = 1.0   quadrature ")
+
+    def test_measures_exits_1_when_the_mass_leaves_its_oracle(self, capsys, monkeypatch):
+        monkeypatch.setattr(ms, "mass", lambda m: 1.0 + 2e-14)
+        assert cli.main(["measures", "--p", "3", "--delta", "-1", "--max-n", "3"]) == 1
+        assert "FAIL" in capsys.readouterr().out.splitlines()[1]
 
     def test_verify_local(self, capsys):
         assert cli.main(["verify-local", "--q", "2", "--vmax", "2"]) == 0

@@ -1,8 +1,10 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from modlavg import measures as ms
 from modlavg.errors import DomainError, PoleError
@@ -63,6 +65,10 @@ class TestDensity:
         assert ms.density_csv(2, 1).count("\n") == 3  # header and x = -2, 2
 
 
+# the primes of the closed-form mass checks, 2 to past 10^9
+CLOSED_FORM_PRIMES = [2, 3, 5, 13, 101, 10007, 10**6 + 3, 10**9 + 7]
+
+
 class TestMass:
     @pytest.mark.parametrize("p,sign", [(2, +1), (3, -1), (13, +1), (13, -1)])
     def test_additive_across_split_points(self, p, sign):
@@ -90,6 +96,110 @@ class TestMass:
         m = ms.SatakeMeasure(p=5, sign=+1)
         assert ms.mass(m, 0.3, 0.3) == 0.0
         assert ms.mass(m, 1.0, -1.0) == 0.0
+
+    @pytest.mark.parametrize("p", CLOSED_FORM_PRIMES)
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_closed_form_against_quadrature(self, p, sign):
+        # two oracles: the angle-coordinate DE rule of the moments and
+        # scipy's Gauss-Kronrod in x, with the square-root ends as weights
+        m = ms.SatakeMeasure(p=p, sign=sign)
+        for lo, hi in _mass_intervals(p):
+            closed = ms.mass(m, lo, hi)
+            assert abs(closed - _quadrature_mass(m, lo, hi)) <= 1e-14, (lo, hi)
+            assert abs(closed - _scipy_mass(m, lo, hi)) <= 1e-14, (lo, hi)
+
+    def test_textbook_form_misses_the_tolerance(self):
+        # -theta + c I_1 - 2 sin/(c - 2 cos) is right at small p but loses
+        # about p ulps, so the 1e-14 above would catch a return to it
+        def worst(p):
+            m = ms.SatakeMeasure(p=p, sign=+1)
+            return max(abs(_textbook_split_mass(p, lo, hi) - _quadrature_mass(m, lo, hi))
+                       for lo, hi in _mass_intervals(p))
+
+        assert worst(13) <= 1e-14
+        assert worst(10**6 + 3) > 1e-12
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_unit_mass_is_exact(self, sign):
+        for p in CLOSED_FORM_PRIMES:
+            m = ms.SatakeMeasure(p=p, sign=sign)
+            assert ms.mass(m) == ms.mass(m, -math.inf, math.inf) == 1.0
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_bin_tables_sum_to_one(self, sign):
+        for p in CLOSED_FORM_PRIMES:
+            m = ms.SatakeMeasure(p=p, sign=sign)
+            for bins in range(1, 9):
+                edges = [-2.0 + 4.0 * i / bins for i in range(bins + 1)]
+                total = math.fsum(ms.mass(m, lo, hi) for lo, hi in zip(edges, edges[1:]))
+                assert abs(total - 1.0) <= 2 * math.ulp(1.0), (p, bins)
+
+    @pytest.mark.parametrize("p", CLOSED_FORM_PRIMES)
+    def test_inert_measure_is_even(self, p):
+        m = ms.SatakeMeasure(p=p, sign=-1)
+        for lo, hi in _mass_intervals(p):
+            assert abs(ms.mass(m, -hi, -lo) - ms.mass(m, lo, hi)) <= 1e-15
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_large_prime_is_the_semicircle(self, sign):
+        p = 10**9 + 7
+        m = ms.SatakeMeasure(p=p, sign=sign)
+        for lo, hi in _mass_intervals(p):
+            semicircle = ms._integrate_against(ms.sato_tate_density, lambda x: 1.0, lo, hi)
+            assert abs(ms.mass(m, lo, hi) - semicircle) <= 1e-4
+
+
+def _mass_intervals(seed):
+    """Fixed intervals (ends at -2 and 2, across 0, width below 1e-9) and
+    seeded ones of every width."""
+    rng = random.Random(seed)
+    out = [(-2.0, 2.0), (-2.0, -1.3), (0.4, 2.0), (-0.7, 0.9), (-1e-10, 3e-10),
+           (2.0 - 4e-10, 2.0), (-2.0, -2.0 + 7e-10), (1.234, 1.234 + 5e-10)]
+    for _ in range(12):
+        out.append(tuple(sorted(rng.uniform(-2.0, 2.0) for _ in range(2))))
+    for _ in range(4):
+        lo = rng.uniform(-2.0, 2.0 - 1e-9)
+        out.append((lo, lo + rng.uniform(0.0, 1e-9)))
+    return out
+
+
+def _quadrature_mass(m, lo, hi):
+    return ms._integrate_against(lambda x: ms.density(m, x), lambda x: 1.0, lo, hi)
+
+
+def _scipy_mass(m, lo, hi):
+    """The mass by scipy's quad in x; an end at -2 or 2 goes into the
+    algebraic weight (x - lo)^(1/2) (hi - x)^(1/2)."""
+    p = m.p
+    c = math.sqrt(p) + 1.0 / math.sqrt(p)
+    scale = (p - 1 if m.sign == +1 else p + 1) / (2.0 * math.pi)
+    alpha = 0.5 if lo == -2.0 else 0.0
+    beta = 0.5 if hi == 2.0 else 0.0
+
+    def f(x):
+        root = (1.0 if alpha else math.sqrt(2.0 + x)) * (1.0 if beta else math.sqrt(2.0 - x))
+        return scale * root / ((c - x) ** 2 if m.sign == +1 else c * c - x * x)
+
+    with warnings.catch_warnings():
+        # tolerances at the float floor: quad warns of roundoff, and the
+        # comparison above holds its values to 1e-14
+        warnings.simplefilter("ignore")
+        return quad(f, lo, hi, weight="alg", wvar=(alpha, beta),
+                    epsabs=1e-15, epsrel=1e-14, limit=200)[0]
+
+
+def _textbook_split_mass(p, lo, hi):
+    """(p - 1)/(2 pi) (-theta + c I_1 - 2 sin(theta)/(c - 2 cos(theta)))
+    between the angles of hi and lo, I_1 = int_0^theta dt/(c - 2 cos t)."""
+    c = math.sqrt(p) + 1.0 / math.sqrt(p)
+    k = math.sqrt((c + 2.0) / (c - 2.0))
+
+    def upper(x):
+        th = math.acos(x / 2.0)
+        i1 = 2.0 / (math.sqrt(p) - 1.0 / math.sqrt(p)) * math.atan(k * math.tan(th / 2.0))
+        return (p - 1) / (2.0 * math.pi) * (-th + c * i1 - 2.0 * math.sin(th) / (c - 2.0 * math.cos(th)))
+
+    return upper(lo) - upper(hi)
 
 
 class TestSatakePolynomials:
