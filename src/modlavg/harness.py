@@ -28,19 +28,32 @@ report's ``envelope`` checks, at every level with forms,
 witnesses of the computation bear out; the target's term is CONSTANT_ULPS
 units of roundoff, counted in ``identity_budget``.
 
-Only the spectral side depends on the interval J, and this module alone
-keeps what does not for the process: the per-form rows (``_FORM_CACHE``),
-the constants and density table of each (D, k, p) (``_constants``), the bin
-masses (``_bin_masses``) and the geometric audit of each level
-(``_audit_table``), keyed on checked integers and the frozen measure.  A
-warm ``run_experiment`` at a new J pays for the J-dependent work alone.
+Only the spectral side depends on the interval J.  This module keeps for
+the process what does not: the per-form rows (``_FORM_CACHE``), the
+constants and density table of each (D, k, p) (``_constants``), the bin
+masses (``_bin_masses``), the geometric audit of each level
+(``_audit_table``) and the output text of each run key (``_text_entry``),
+keyed on checked integers and the frozen measure.  (``arith`` and
+``lvalues`` keep tables of their own, keyed on integers: the sieve, the
+class numbers and trace tables, and the point rows of the Fricke and
+modularity checks.)  A warm ``run_experiment`` at a new J
+computes J's numbers and renders only them.  ``report.json`` is written
+from a frame: the text ``_json_emit`` writes for the first report of a run
+key (data file, D, k, p, levels, bins) with the marker ``_SLOT`` at each
+J-dependent leaf (the ends of J, its mass and seven numbers per level, 24
+at three levels), cut at the markers.  Each call writes the frame with its
+own leaves in the cuts, by ``_json_emit``'s scalar rules, and the key's
+``forms.csv`` text.  A frame is reused only while its rows are the very
+lists ``_FORM_CACHE`` holds: the key holds their ids and the entry the
+lists, so rows replaced under an unchanged config miss.  Rows are never
+compared by value: 0.0 == -0.0, but they are written differently.
 Every report is built from new dicts and lists: editing one changes no
-later call.  ``report.json`` is written in one pass by ``_json_text``,
-whose bytes equal those of ``json.dumps(indent=2, sort_keys=True)``; any
-indent sends the standard library to its slower pure-Python encoder.  The
-three output files are encoded once and their bytes overwritten in place
-(``_replace``), so a rerun into the same directory leaves the bytes a fresh
-directory gets.
+later call, and ``AverageReport.to_json`` renders its current contents in
+one pass (``_json_text``), with the bytes of
+``json.dumps(indent=2, sort_keys=True)``; any indent sends the standard
+library to its slower pure-Python encoder.  The three output files are
+encoded once and their bytes overwritten in place (``_replace``), so a
+rerun into the same directory leaves the bytes a fresh directory gets.
 """
 
 from __future__ import annotations
@@ -403,7 +416,10 @@ class AverageReport:
         """The report as JSON text: its bytes equal those of
         ``json.dumps(payload, indent=2, sort_keys=True)``, written in one
         pass by ``_json_text`` from the report's current contents."""
-        payload = {
+        return _json_text(self._payload())
+
+    def _payload(self) -> dict:
+        return {
             "config": self.config,
             "constants": self.constants,
             "levels": self.levels,
@@ -411,7 +427,6 @@ class AverageReport:
             "envelope": self.envelope,
             "normalization_ledger": self.normalization_ledger,
         }
-        return _json_text(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +454,11 @@ def _json_emit(obj, nl: str, out: list) -> None:
     infinities as ``NaN``, ``Infinity`` and ``-Infinity``; strings by
     ``encode_basestring_ascii``; dict items sorted on their original keys
     (int rows 7 before 11), each key then converted as json converts it;
-    any other type is TypeError.  A container writes its items of exact
-    type float, str or int, and True, False and None, in its own loop; any
-    other item (np.float64, a str subclass, a container) takes one call."""
+    ``_SLOT`` as a NUL, where ``_frame`` cuts its text (no JSON text here
+    holds one: ``encode_basestring_ascii`` escapes it); any other type is
+    TypeError.  A container writes its items of exact type float, str or
+    int, and True, False and None, in its own loop; any other item
+    (np.float64, a str subclass, a container) takes one call."""
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif obj is None or obj is True or obj is False:
@@ -483,9 +500,49 @@ def _json_emit(obj, nl: str, out: list) -> None:
             else:
                 _json_emit(value, inner, out)
         out.append(nl + ("}" if is_dict else "]"))
+    elif obj is _SLOT:
+        out.append("\0")
     else:
         raise TypeError(f"Object of type {obj.__class__.__name__} "
                         "is not JSON serializable")
+
+
+# the J-dependent leaves of each level of report.json, in key order
+_J_LEVEL_KEYS = ("interval_mass", "interval_share", "prediction_assembled",
+                 "prediction_printed", "ratio_assembled", "ratio_printed",
+                 "spectral_interval")
+# a J-dependent leaf in the report that _frame renders
+_SLOT = object()
+
+
+def _j_leaves(report: AverageReport) -> list:
+    """The J-dependent leaves of the report in the order report.json writes
+    them: the ends of J, its mass and the _J_LEVEL_KEYS of each level.
+    Everything else in it depends only on the run key of ``_text_entry``
+    and the per-form rows."""
+    return [*report.config["interval"], report.constants["interval_mass"],
+            *[lvl[key] for lvl in report.levels for key in _J_LEVEL_KEYS]]
+
+
+def _frame(report: AverageReport) -> tuple:
+    """The report.json text of the report, newline included, cut at its
+    J-dependent leaves: ``_json_emit`` writes it with _SLOT at each."""
+    payload = report._payload()
+    payload["config"] = dict(report.config, interval=[_SLOT, _SLOT])
+    payload["constants"] = dict(report.constants, interval_mass=_SLOT)
+    payload["levels"] = [dict(lvl, **dict.fromkeys(_J_LEVEL_KEYS, _SLOT))
+                         for lvl in report.levels]
+    return tuple((_json_text(payload) + "\n").split("\0"))
+
+
+def _fill(frame: tuple, leaves: list) -> str:
+    """The frame's text with its leaves in the cuts, each written by
+    _json_emit's scalar rules."""
+    out = [frame[0]]
+    for leaf, text in zip(leaves, frame[1:]):
+        _json_emit(leaf, "", out)
+        out.append(text)
+    return "".join(out)
 
 
 def identity_budget(rows: list, target: float) -> float:
@@ -617,13 +674,36 @@ def run_experiment(cfg: ExperimentConfig) -> AverageReport:
 def _write_outputs(cfg: ExperimentConfig, report: AverageReport, density: str) -> None:
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    _replace(os.path.join(out, "report.json"), report.to_json() + "\n")
-    _replace(os.path.join(out, "forms.csv"), "".join(
-        ["level,label,a_p,central,central_twisted,norm,contribution\n"]
-        + [f"{lvl['level']},{r['label']},{r['a_p']!r},{r['central']!r},"
-           f"{r['central_twisted']!r},{r['norm']!r},{r['contribution']!r}\n"
-           for lvl in report.levels for r in lvl["forms"]]))
+    rows = tuple(_level_rows(cfg, N) for N in cfg.levels)
+    entry = _text_entry(cfg.data_path, cfg.discriminant, cfg.weight, cfg.aux_prime,
+                        tuple(cfg.levels), cfg.bins, tuple(map(id, rows)))
+    if not entry:
+        entry += [rows, _frame(report), "".join(
+            ["level,label,a_p,central,central_twisted,norm,contribution\n"]
+            + [f"{lvl['level']},{r['label']},{r['a_p']!r},{r['central']!r},"
+               f"{r['central_twisted']!r},{r['norm']!r},{r['contribution']!r}\n"
+               for lvl in report.levels for r in lvl["forms"]])]
+    _, frame, forms = entry
+    _replace(os.path.join(out, "report.json"), _fill(frame, _j_leaves(report)))
+    _replace(os.path.join(out, "forms.csv"), forms)
     _replace(os.path.join(out, "density.csv"), density)
+
+
+@lru_cache(maxsize=32)
+def _text_entry(data_path, D: int, k: int, p: int, levels: tuple, bins: int,
+                row_ids: tuple) -> list:
+    """The output text of one run key, which _write_outputs fills on the
+    key's first call: [the per-form row lists, the report.json frame, the
+    forms.csv text].
+
+    Neither text depends on J.  The key holds the ints of _constants,
+    _audit_table and _bin_masses, and the ids of the _FORM_CACHE row lists
+    the report was built from: rows replaced under an unchanged config (a
+    new _FORM_CACHE, rows written into it) miss.  The entry holds those
+    lists, so no id in its key can be reused while it lives; rows are
+    compared by identity, never by value (0.0 == -0.0, but they are
+    written differently)."""
+    return []
 
 
 def _replace(path: str, text: str) -> None:

@@ -78,19 +78,27 @@ def density(m: SatakeMeasure, x):
     the endpoints."""
     _check_support(x)
     p = m.p
-    root = np.sqrt(np.maximum(4.0 - x * x, 0.0))
-    c = math.sqrt(p) + 1.0 / math.sqrt(p)
+    root = _semicircle_root(x)
+    # c -+ x with c = sqrt(p) + 1/sqrt(p) = b^2 + 2, b = p^(1/4) - p^(-1/4):
+    # b^2 + (2 -+ x) cancels nothing near x = +-2
+    b2 = (p ** 0.25 - p ** -0.25) ** 2
     if m.sign == +1:
         # float_power is libm pow, as a float's ** 2, so a point and a batch
         # give the same bits (numpy's ** 2 on arrays squares instead)
-        return (p - 1) / (2.0 * math.pi) * root / np.float_power(c - x, 2)
-    return (p + 1) / (2.0 * math.pi) * root / (c * c - x * x)
+        return (p - 1) / (2.0 * math.pi) * root / np.float_power(b2 + (2.0 - x), 2)
+    return (p + 1) / (2.0 * math.pi) * root / ((b2 + (2.0 - x)) * (b2 + (2.0 + x)))
+
+
+def _semicircle_root(x):
+    """sqrt(4 - x^2) as sqrt((2 - x)(2 + x)), which cancels nothing near
+    x = +-2; x in [-2, 2]."""
+    return np.sqrt((2.0 - x) * (2.0 + x))
 
 
 def sato_tate_density(x):
     """Semicircle density, the large-p limit of both measures."""
     _check_support(x)
-    return np.sqrt(np.maximum(4.0 - x * x, 0.0)) / (2.0 * math.pi)
+    return _semicircle_root(x) / (2.0 * math.pi)
 
 
 def density_csv(p: int, grid: int) -> str:

@@ -4,6 +4,7 @@ import enum
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -331,11 +332,17 @@ class TestRunExperiment:
 
     @staticmethod
     def _cold_runner(monkeypatch, tmp_path):
-        # empties the harness's per-process tables, the only ones in the
-        # package, so the first run is cold; returns a runner that writes a
-        # default-config run with changes and reads back its three files
+        # empties the harness's per-process tables, _FORM_CACHE and every
+        # lru_cache on the module (the output texts of _write_outputs
+        # included), so the first run is cold in the harness; the exact
+        # tables of arith and lvalues (the sieve, the trace tables, the
+        # Fricke and modularity rows) stay warm.  Returns a runner that
+        # writes a default-config run with changes and reads back its three
+        # files
         monkeypatch.setattr(hs, "_FORM_CACHE", {})
-        for table in (hs._constants, hs._bin_masses, hs._audit_table):
+        tables = [value for value in vars(hs).values() if hasattr(value, "cache_clear")]
+        assert hs._text_entry in tables and hs._constants in tables
+        for table in tables:
             table.cache_clear()
         names = ("report.json", "forms.csv", "density.csv")
 
@@ -374,6 +381,105 @@ class TestRunExperiment:
         assert other["report.json"] != cold["report.json"]
         assert other["density.csv"] == cold["density.csv"]  # p = 13 alone
         assert run("again") == cold
+
+    @staticmethod
+    def _dumped(report) -> str:
+        # the standard library's text of the returned report
+        return json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n"
+
+    def test_warm_calls_write_the_report_they_return(self, monkeypatch, tmp_path):
+        # 200 seeded calls over three level lists, bins 1 to 40 and J of
+        # every kind (float and int ends, all of [-2, 2], a point, a J no
+        # form lies in); the frames of 120 (levels, bins) keys cycle through
+        # the bounded table.  Each written report.json is the standard
+        # library's text of the report the call returns, and forms.csv is
+        # the cold call's of its levels
+        self._cold_runner(monkeypatch, tmp_path)
+        rng = random.Random(43)
+        out = tmp_path / "out"
+        level_lists = ([3, 7, 11], [7, 11], [])
+        cold_forms = {}
+        for levels in level_lists:
+            hs.run_experiment(hs.ExperimentConfig(
+                discriminant=-4, weight=4, aux_prime=13, levels=levels,
+                output_dir=str(out)))
+            cold_forms[tuple(levels)] = (out / "forms.csv").read_bytes()
+        a_ps = sorted(r["a_p"] for N in (7, 11) for r in hs._level_rows(
+            hs.ExperimentConfig(discriminant=-4, weight=4, aux_prime=13), N))
+        empty = ((a_ps[0] + a_ps[1]) / 2.0, (2.0 * a_ps[1] + a_ps[0]) / 3.0)
+        fixed = [(-2.0, 2.0), (-2, 2), (0, 1.5), (0.25, 0.25), empty]
+        for i in range(200):
+            interval = (fixed[i] if i < len(fixed)
+                        else tuple(sorted(rng.uniform(-2.0, 2.0) for _ in range(2))))
+            bins = 1 if i % 10 == 0 else 40 if i % 10 == 1 else rng.randint(1, 40)
+            levels = level_lists[i % 3]
+            report = hs.run_experiment(hs.ExperimentConfig(
+                discriminant=-4, weight=4, aux_prime=13, levels=list(levels),
+                interval=interval, bins=bins, output_dir=str(out)))
+            if interval == empty and levels:
+                assert [lvl["spectral_interval"] for lvl in report.levels] == [0.0] * len(levels)
+            assert (out / "report.json").read_text(encoding="utf-8") == self._dumped(report)
+            assert (out / "forms.csv").read_bytes() == cold_forms[tuple(levels)]
+        info = hs._text_entry.cache_info()  # frames reused, and evicted
+        assert info.hits > 0 and info.misses > info.maxsize
+
+    def test_replaced_rows_are_written(self, monkeypatch, tmp_path):
+        # the rows are replaced under an unchanged config: a new _FORM_CACHE
+        # whose norms are twice the old.  The written files show the new
+        # rows, which a frame keyed on the config alone would not
+        cfg = hs.ExperimentConfig(discriminant=-4, weight=4, aux_prime=13,
+                                  output_dir=str(tmp_path))
+        old = hs.run_experiment(cfg)
+        norm = hs.petersson_norm
+        monkeypatch.setattr(hs, "_FORM_CACHE", {})
+        monkeypatch.setattr(hs, "petersson_norm", lambda form: 2.0 * norm(form))
+        new = hs.run_experiment(cfg)
+        assert [r["norm"] for lvl in new.levels for r in lvl["forms"]] == [
+            2.0 * r["norm"] for lvl in old.levels for r in lvl["forms"]]
+        assert (tmp_path / "report.json").read_text(encoding="utf-8") == self._dumped(new)
+        forms = (tmp_path / "forms.csv").read_text().splitlines()[1:]
+        assert [float(line.split(",")[5]) for line in forms] == [
+            r["norm"] for lvl in new.levels for r in lvl["forms"]]
+
+    def test_a_negative_zero_contribution_is_written_as_such(self, cfg, monkeypatch, tmp_path):
+        # rows with a contribution 0.0, then the same rows with -0.0: the
+        # two compare equal, but the second run must write -0.0
+        run_cfg = dataclasses.replace(cfg, output_dir=str(tmp_path))
+        written = []
+        for zero in (0.0, -0.0):
+            cache = {}
+            for N in cfg.levels:
+                rows = [dict(r) for r in hs._level_rows(cfg, N)]
+                if N == 7:
+                    rows[0]["contribution"] = zero
+                cache[hs._form_key(cfg, N)] = rows
+            monkeypatch.setattr(hs, "_FORM_CACHE", cache)
+            report = hs.run_experiment(run_cfg)
+            written.append((tmp_path / "report.json").read_text(encoding="utf-8"))
+            assert written[-1] == self._dumped(report)
+            line = (tmp_path / "forms.csv").read_text().splitlines()[1]
+            assert line.startswith("7,7.4.a,") and line.endswith("," + repr(zero))
+        assert ['"contribution": -0.0' in text for text in written] == [False, True]
+
+    def test_a_warm_frame_renders_only_its_slots(self, cfg, monkeypatch, tmp_path):
+        # at a (run key, bins) already seen, _json_emit writes the 24
+        # J-dependent leaves (the ends of J, its mass, seven per level) and
+        # nothing else
+        run_cfg = dataclasses.replace(cfg, output_dir=str(tmp_path))
+        hs.run_experiment(dataclasses.replace(run_cfg, interval=(-1.0, 0.5)))
+        calls = []
+        emit = hs._json_emit
+
+        def counted(obj, nl, out):
+            calls.append(obj)
+            return emit(obj, nl, out)
+
+        monkeypatch.setattr(hs, "_json_emit", counted)
+        report = hs.run_experiment(dataclasses.replace(run_cfg, interval=(0.2, 1.9)))
+        assert len(hs._j_leaves(report)) == 3 + 7 * len(cfg.levels) == 24
+        assert len(calls) <= 24
+        monkeypatch.undo()
+        assert (tmp_path / "report.json").read_text(encoding="utf-8") == self._dumped(report)
 
     def test_warm_call_computes_no_constant(self, cfg, monkeypatch):
         # L(1, chi_D), the two leading constants and the density table do

@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from scipy.integrate import quad
 
 from modlavg import measures as ms
 from modlavg.errors import DomainError, PoleError
+
+
+_PI_40 = Decimal("3.141592653589793238462643383279502884197")
 
 
 class TestDensity:
@@ -43,6 +47,25 @@ class TestDensity:
     def test_probability(self, p, sign):
         m = ms.SatakeMeasure(p=p, sign=sign)
         assert abs(ms.mass(m) - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("p", [2, 3, 13, 10007])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_density_against_a_40_digit_reference(self, p, sign):
+        # near x = +-2 both c - x and sqrt(4 - x^2) cancel; unfactored, the
+        # split density at p = 2 was 6.5e-15 off at density.csv's grid
+        m = ms.SatakeMeasure(p=p, sign=sign)
+        xs = (-2.0 + 4.0 * np.arange(401) / 400)[1:-1]
+        worst = Decimal(0)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            root_p = Decimal(p).sqrt()
+            c = root_p + 1 / root_p
+            for x, value in zip(xs.tolist(), ms.density(m, xs).tolist()):
+                x = Decimal(x)  # exact
+                factor = (p - 1) / (c - x) ** 2 if sign == +1 else (p + 1) / (c * c - x * x)
+                ref = factor * (4 - x * x).sqrt() / (2 * _PI_40)
+                worst = max(worst, abs(Decimal(value) - ref) / ref)
+        assert worst <= Decimal("2e-15"), worst
 
     def test_inert_density_is_plancherel_formula(self):
         # transcription equality against an independently typed formula
