@@ -7,8 +7,8 @@ matrices.  This module evaluates:
   * the two singular torus integrals (over the upper and lower triangular
     degenerate orbits) by direct 2-d quadrature of the defining double
     integral, and the upper one in closed form as one Gamma product;
-  * the printed constant h(k) and the leading constant c_k built from it,
-    in exact integer arithmetic;
+  * the main term's factors, each an exact rational times a power of pi
+    (main_term), and their floats (_pi_float);
   * the regular orbital integrals, by quadrature over the positive quadrant
     and via a Beta * Beta * 2F1 closed form.
 
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -57,6 +58,7 @@ __all__ = [
     "matrix_coefficient",
     "alternating_weight_sum",
     "leading_constant",
+    "main_term",
     "singular_upper_closed",
     "singular_upper_display",
     "singular_upper_quadrature",
@@ -69,15 +71,6 @@ __all__ = [
 def default_formal_degree(k: int) -> float:
     """Formal degree (k-1)/2 under the hyperbolic-area normalization."""
     return (k - 1) / 2.0
-
-
-def _scale(k: int) -> float:
-    """d 2^k, in front of c_k and both singular integrals; DomainError on overflow."""
-    _check_weight(k)
-    try:
-        return math.ldexp(default_formal_degree(k), k)
-    except OverflowError:
-        raise DomainError(f"d 2^k overflows a float at weight k = {k}") from None
 
 
 def matrix_coefficient(g, k: int) -> complex:
@@ -97,7 +90,7 @@ def matrix_coefficient(g, k: int) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# printed constants
+# the main term and the printed constants
 # ---------------------------------------------------------------------------
 
 def alternating_weight_sum(k: int) -> int:
@@ -116,20 +109,37 @@ def alternating_weight_sum(k: int) -> int:
     )
 
 
-def leading_constant(k: int) -> float:
-    """c_k = d 2^k pi (k ((k/2-1)!)^2 / (k-1)!) h(k), with d the formal
-    degree and h the printed sum.  Raises DomainError when c_k overflows a
-    float."""
-    _check_weight(k)
-    m = k // 2
-    ratio = k * math.factorial(m - 1) ** 2 / math.factorial(k - 1)
+def main_term(k: int) -> dict:
+    """The main term's factors at weight k, name -> (q, n) for q pi^n, q a
+    Fraction: upper = |I_upper(0, 0)| = (k-1) 2^(k-1) ((k/2-1)!)^2 / (k-1)! pi,
+    singular_upper_closed's Gamma quotient at the origin; gamma_c =
+    Gamma_C(k/2) = 2 (k/2-1)! (2 pi)^(-k/2); c_k = k h(k) upper; c_assembled =
+    4 upper / gamma_c = 2^(3k/2) (k/2-1)! / (k-2)! pi^(k/2+1)."""
+    k = _check_weight(k)
+    m, f = k // 2, math.factorial(k // 2 - 1)
+    upper = Fraction((k - 1) * 2 ** (k - 1) * f * f, math.factorial(k - 1))
+    return {"upper": (upper, 1), "gamma_c": (Fraction(f, 2 ** (m - 1)), -m),
+            "c_k": (k * alternating_weight_sum(k) * upper, 1),
+            "c_assembled": (Fraction(2 ** (3 * m) * f, math.factorial(k - 2)), m + 1)}
+
+
+def _pi_float(term: tuple, name: str, k: int) -> float:
+    """float(q) * math.pi ** n for term = (q, n), each factor rounded once;
+    DomainError naming ``name`` and k if it or a factor is no normal float."""
     try:
-        c = _scale(k) * math.pi * ratio * alternating_weight_sum(k)
-    except OverflowError:  # h(k) itself is too large for a float
-        c = math.inf
-    if not math.isfinite(c):
-        raise DomainError(f"c_k overflows a float at weight k = {k}")
-    return c
+        values = [float(term[0]), math.pi ** term[1]]
+    except OverflowError:
+        values = [math.inf]
+    values.append(math.prod(values))
+    if not all(2.0 ** -1022 <= abs(x) < math.inf for x in values):
+        way = "overflows" if math.inf in map(abs, values) else "underflows"
+        raise DomainError(f"{name} {way} a float at weight k = {k}")
+    return values[-1]
+
+
+def leading_constant(k: int) -> float:
+    """c_k = k h(k) |I_upper(0, 0)|, h the printed sum, from main_term."""
+    return _pi_float(main_term(k)["c_k"], "c_k", k)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +284,8 @@ def _singular_value(k: int, s1: complex, s2: complex, f) -> complex:
     either singular orbit.  DomainError when d 2^k overflows, before any
     quadrature; AccuracyError, naming k, (s1, s2), and the error and the
     tolerance of the value the caller gets, when it does not converge."""
-    scale = _scale(k)
+    k = _check_weight(k)
+    scale = _pi_float(((k - 1) << (k - 1), 0), "d 2^k", k)  # d 2^k = (k-1) 2^(k-1)
     # abs_tol holds for the returned value, after the factor 2 d 2^k, so it
     # cannot swamp rel_tol at high weight, where the integral is tiny (about
     # 1e-300 at k = 1000).  The step gap grows with k as sin(k theta)

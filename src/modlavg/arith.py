@@ -146,11 +146,11 @@ def dirichlet_l(D: int, s: float) -> float:
     formula: L(0, chi_D) = h_w(D) and L(1, chi_D) = pi h_w(D) / sqrt|D|,
     with h_w = h(D) / u_D the exact ``class_number_weighted`` (u_D = 3 at
     D = -3, 2 at D = -4, else 1; Davenport, Multiplicative Number Theory,
-    ch. 6).  s = 0 is float(h_w), correctly rounded.  s = 1 rounds at most
-    five times (h_w, pi, the square root, the product, the quotient), so it
-    is within 2.5 u of the true value (u = 2^-53), and at D = -4 it is pi/4
-    bit for bit.  ``l_zero_finite_sum``, the character sum, is the
-    independent oracle of both.
+    ch. 6).  s = 0 is float(h_w), correctly rounded.  s = 1 is within 3.85 u
+    of the true value (u = 2^-53): math.pi's own 0.35 u, h_w's 0.5 u at
+    D = -3 (the one D it rounds at) and three roundings of 1 u at most; at
+    D = -4 it is pi/4 bit for bit.  ``l_zero_finite_sum``, the character
+    sum, is the independent oracle of both.
     """
     D = _check_negative_fundamental(D)
     if s not in (0, 1):

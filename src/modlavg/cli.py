@@ -11,13 +11,12 @@ line on stderr.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import arch_local, measures, padic_local
 from .arith import load_eigenforms
 from .errors import DomainError, ModlavgError
-from .harness import ExperimentConfig, run_experiment
+from .harness import ExperimentConfig, assembled_constant, run_experiment
 from .lvalues import central_value, fricke_sign, petersson_norm
 
 
@@ -88,11 +87,13 @@ def _cmd_verify_arch(args) -> int:
 
 def _cmd_constants(args) -> int:
     k = args.k
-    h = arch_local.alternating_weight_sum(k)
-    c = arch_local.leading_constant(k)
-    print(f"k = {k}: h(k) = {h}, "
-          f"formal degree = {arch_local.default_formal_degree(k)}, "
-          f"c_k = {c!r} (= {c / math.pi!r} * pi)")
+    (q_k, n_k), (q_asm, n_asm) = map(arch_local.main_term(k).get, ("c_k", "c_assembled"))
+    c_k, c_asm = arch_local.leading_constant(k), assembled_constant(k)
+    print(f"k = {k}: h(k) = {arch_local.alternating_weight_sum(k)}, "
+          f"formal degree = {arch_local.default_formal_degree(k)}")
+    for name, q, n, c in [("c_k", q_k, n_k, c_k), ("c_assembled", q_asm, n_asm, c_asm),
+                          ("c_assembled/c_k", q_asm / q_k, n_asm - n_k, c_asm / c_k)]:
+        print(f"{name} = {q}*pi{'' if n == 1 else f'^{n}'} = {c!r}")
     return 0
 
 

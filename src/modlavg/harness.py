@@ -6,18 +6,16 @@ the auxiliary prime.  The geometric side is the split/inert measure mass of
 the bin times twice the leading constant times L(1, chi), which the class
 number formula gives as pi h_w(D) / sqrt|D| (arith.dirichlet_l).
 
-Two versions of the leading constant are carried: the printed
-combinatorial one (see arch_local.leading_constant) and the constant
-assembled from the verified local integrals,
-
-    c_assembled = 4 |I_upper(0, 0)| / Gamma_C(k/2),
-
-where Gamma_C(s) = 2 (2 pi)^(-s) Gamma(s) is the archimedean factor that
-the source bookkeeping leaves implicit.  Since c_printed =
-k h(k) |I_upper(0, 0)|, their ratio is 4 / (k h(k) Gamma_C(k/2)), 2 pi^2 / 5
-at k = 4.  The report records both constants, that ratio
-(``assembled_over_printed``) and the observed ratios against each, so no
-normalization dispute is hidden.
+Each factor of the main term is a rational times a power of pi, held once
+in arch_local.main_term.  The constant of the verified local integrals,
+c_assembled = 4 |I_upper(0, 0)| / Gamma_C(k/2) = q_k pi^(k/2+1) with
+q_k = 2^(3k/2) (k/2-1)! / (k-2)! and Gamma_C(s) = 2 (2 pi)^(-s) Gamma(s)
+the archimedean factor the source bookkeeping leaves implicit, gives the
+target T = 2 c_assembled L(1, chi) = 2 q_k h_w(D) pi^(k/2+2) / sqrt|D|,
+16 pi^4 at (D, k) = (-4, 4).  The report records c_assembled, the printed
+constant c_printed = k h(k) |I_upper(0, 0)| (arch_local.leading_constant),
+their ratio ``assembled_over_printed`` (2 pi^2 / 5 at k = 4) and the
+observed ratios against each: no normalization dispute is hidden.
 
 With the basic auxiliary test function the identity is exact at finite
 level in the stable range N > |D|.  ExperimentConfig refuses a level with
@@ -71,6 +69,7 @@ from .arith import (
     _as_int,
     _factorize,
     admissible_levels,
+    class_number_weighted,
     dim_cusp_forms,
     dirichlet_l,
     is_fundamental_discriminant,
@@ -206,16 +205,9 @@ def measure_mass(cfg: ExperimentConfig, lo: float, hi: float) -> float:
     return measures.mass(cfg.measure, lo, hi)
 
 
-def gamma_c(s: float) -> float:
-    """Gamma_C(s) = 2 (2 pi)^(-s) Gamma(s)."""
-    return 2.0 * (2.0 * math.pi) ** (-s) * math.gamma(s)
-
-
 def assembled_constant(k: int) -> float:
-    """Leading constant assembled from the verified local integrals,
-    including the implicit archimedean factor."""
-    upper = arch_local.singular_upper_closed(k, 0.0, 0.0)
-    return 4.0 * abs(upper) / gamma_c(k / 2.0)
+    """c_assembled = 4 |I_upper(0, 0)| / Gamma_C(k/2), from arch_local.main_term."""
+    return arch_local._pi_float(arch_local.main_term(k)["c_assembled"], "c_assembled", k)
 
 
 # ---------------------------------------------------------------------------
@@ -358,23 +350,20 @@ def geometric_side_audit(cfg: ExperimentConfig, N: int) -> dict:
 @lru_cache(maxsize=None)
 def _audit_table(N: int, D: int, k: int) -> tuple:
     """(rows, upper_lower_gap, tail items) of geometric_side_audit, as
-    tuples: the Gauss sum, L(0, chi), I_upper(0, 0), the swapped-orbit
-    sweep and the tail bound (reg_tail.tail_envelope) enter once per
-    process for each (N, D, k).  Its caller passes the three through
-    arith._as_int, so 7.0 and True never find 7's or 1's entry; the level
-    place itself proves N prime."""
-    gauss = padic_local.gauss_sum(D)
-    l_zero = dirichlet_l(D, 0)
-    upper_arch = arch_local.singular_upper_closed(k, 0.0, 0.0)
-    vol_inv = N + 1  # 1 / V_N
+    tuples, built once per process for each (N, D, k).  The upper row is
+    the product of local factors I_upper(0, 0) / g(chi_D) = |I_upper(0, 0)|
+    / sqrt|D|, 1/V_N = N + 1 and L(0, chi_D) = h_w(D): T (1/V_N)
+    Gamma_C(k/2) / (8 pi) for the target T.  The lower row is -chi_D(N)
+    times it.  Its caller passes the three through arith._as_int, so 7.0
+    and True never find 7's or 1's entry; the level place proves N prime."""
     chi_n = kronecker(D, N)
+    upper, n = arch_local.main_term(k)["upper"]
+    upper_val = arch_local._pi_float((upper * (N + 1) * class_number_weighted(D), n),
+                                    "the upper audit row", k) / math.sqrt(-D)
     place = padic_local.PlaceSpec(q=N, kind="level", chi_q=chi_n)
     swap_cells = sum(len(padic_local.brute_force_integral(
                          place, padic_local.OrbitDatum(kind=kind), AUDIT_WINDOW).cells)
                      for kind in ("swap_upper", "swap_lower"))
-
-    upper_val = (upper_arch / gauss).real * vol_inv * 1.0 * l_zero
-    lower_val = ((-upper_arch) / gauss).real * chi_n * vol_inv * 1.0 * l_zero
 
     tail = reg_tail.tail_envelope(N, abs(D), k, n_max=200 * N)
     swept = f"verified-by-oracle ({swap_cells} cells in window {AUDIT_WINDOW})"
@@ -384,12 +373,11 @@ def _audit_table(N: int, D: int, k: int) -> tuple:
         ("swap_upper", 0.0, swept),
         ("swap_lower", 0.0, swept),
         ("upper", upper_val, "evaluated"),
-        ("lower", lower_val, "evaluated"),
+        ("lower", -chi_n * upper_val, "evaluated"),
     )
     if swap_cells:
         raise InvariantViolation("swapped singular orbits have support at the level place")
-    gap = abs(upper_val - lower_val) / max(abs(upper_val), 1e-30)
-    return rows, gap, tuple(tail.items())
+    return rows, abs(1.0 + chi_n), tuple(tail.items())  # the rows' relative gap
 
 
 # ---------------------------------------------------------------------------
@@ -552,14 +540,14 @@ def identity_budget(rows: list, target: float) -> float:
     to itself, CENTRAL_WITNESS_TOL for each of its two central values and
     NORM_TOL for its norm, whose mesh-doubling witness covers the mesh
     error.  The target 2 c_assembled L(1, chi) and the rounding of S_N
-    carry CONSTANT_ULPS = 12 units of roundoff u = 2^-53, term by term:
-    L(1, chi) from the class number 2.5 u (``dirichlet_l``; 2.0 u measured
-    over |D| < 400), ``assembled_constant`` 8 u at k <= 10 (7.2 u measured
-    at k = 10 against a 40-digit value; 28 u at k = 12, which this count
-    does not cover), the product 0.5 u and the
-    correctly rounded sum S_N 0.5 u, which leaves 0.5 u for the products
-    of these relative errors.  Only constants enter, so rows from any
-    source get the same budget.
+    carry CONSTANT_ULPS = 12 units of roundoff u = 2^-53, a correct
+    rounding costing 1 u at most, term by term: L(1, chi) 3.85 u
+    (``dirichlet_l``; 2.0 u measured over |D| < 400), c_assembled
+    3 u + (k/2 + 1) 0.35 u (the roundings of q_k, the pow and the product,
+    and math.pi's own 0.35 u raised to the power), the product 1 u and the
+    sum S_N 1 u: within 12 u up to k = 14.  Measured, the target is within
+    8.1 u of a 50-digit value at every even k <= 40 and the tests' eight D.
+    Only constants enter, so rows from any source get the same budget.
     """
     form_rel = 2.0 * CENTRAL_WITNESS_TOL + NORM_TOL
     return (math.fsum(abs(r["contribution"]) for r in rows) * form_rel
@@ -586,19 +574,19 @@ def identity_check(sums: dict, budgets: dict, target: float) -> dict:
 
 @lru_cache(maxsize=None)
 def _constants(D: int, k: int, p: int) -> tuple:
-    """(L(1, chi_D), the printed and assembled constants, the density.csv
-    text) of a run, built once per process for each (D, k, p): none of
-    them depends on J.  The key is the config's
-    discriminant, weight and auxiliary prime, which ExperimentConfig
-    refuses unless they are ints."""
-    return (dirichlet_l(D, 1), arch_local.leading_constant(k),
-            assembled_constant(k), measures.density_csv(p, 400))
+    """(L(1, chi_D), c_printed, c_assembled, Gamma_C(k/2), density.csv text)
+    of a run, built once per process for each (D, k, p): none depends on J.
+    The key is the config's discriminant, weight and auxiliary prime, which
+    ExperimentConfig refuses unless they are ints."""
+    return (dirichlet_l(D, 1), arch_local.leading_constant(k), assembled_constant(k),
+            arch_local._pi_float(arch_local.main_term(k)["gamma_c"], "Gamma_C(k/2)", k),
+            measures.density_csv(p, 400))
 
 
 def run_experiment(cfg: ExperimentConfig) -> AverageReport:
     D, k, p = cfg.discriminant, cfg.weight, cfg.aux_prime
     lo, hi = cfg.interval
-    l_one, c_printed, c_asm, density = _constants(D, k, p)
+    l_one, c_printed, c_asm, gamma_c, density = _constants(D, k, p)
     mass_j = measure_mass(cfg, lo, hi)
     g_printed = 2.0 * mass_j * c_printed * l_one
     g_asm = 2.0 * mass_j * c_asm * l_one
@@ -645,7 +633,7 @@ def run_experiment(cfg: ExperimentConfig) -> AverageReport:
         f"assembled constant = 4 |I_upper(0,0)| / Gamma_C(k/2) = {c_asm!r}; "
         "the 1/(4 pi) of the kernel identity and the V_N of the adelic "
         "pairing cancel in this assembly, leaving one archimedean factor "
-        f"Gamma_C(k/2) = {gamma_c(k / 2.0)!r}",
+        f"Gamma_C(k/2) = {gamma_c!r}",
         "observed full-interval ratios against both constants are in the "
         "per-level rows; the bin-share proportionality test is "
         "normalization-free",

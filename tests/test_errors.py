@@ -33,6 +33,9 @@ REFUSALS = {
     "l_zero_finite_sum at D = -12": lambda: arith.l_zero_finite_sum(-12),
     "l_zero_finite_sum at D = True": lambda: arith.l_zero_finite_sum(True),
     "gauss_sum at D = -4.0": lambda: padic_local.gauss_sum(-4.0),
+    # the log-Gamma assembly raised a bare OverflowError from math.gamma
+    "assembled_constant at k = 400": lambda: harness.assembled_constant(400),
+    "assembled_constant at k = 1000": lambda: harness.assembled_constant(1000),
     "class_number_weighted of disc > 0": lambda: arith.class_number_weighted(5),
     "eichler_selberg_trace at m = 0": lambda: arith.eichler_selberg_trace(7, 4, 0),
     "eichler_selberg_trace at m = 3.0": lambda: arith.eichler_selberg_trace(7, 4, 3.0),
@@ -202,6 +205,14 @@ def test_refusal_is_typed(case):
     with pytest.raises(ModlavgError) as info:
         REFUSALS[case]()
     assert isinstance(info.value, DomainError)
+
+
+def test_main_term_refusals_name_the_weight():
+    # q_k = 2^(3k/2) (k/2-1)! / (k-2)! is no normal float from k = 398 on
+    for k in (400, 1000):
+        message = f"^c_assembled underflows a float at weight k = {k}$"
+        with pytest.raises(DomainError, match=message):
+            harness.assembled_constant(k)
 
 
 def test_numpy_ints_accepted_by_the_local_data():

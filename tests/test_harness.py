@@ -182,13 +182,14 @@ class TestGeometricPrediction:
         assert arch_local.leading_constant(k) == pytest.approx(
             k * arch_local.alternating_weight_sum(k) * upper, rel=1e-13)
 
-    @pytest.mark.parametrize("k", [4, 6, 8, 10])
+    @pytest.mark.parametrize("k", range(4, 42, 2))
     def test_target_within_its_budget_term(self, k):
         # 2 c_assembled L(1, chi_D) against a 50-digit reference: c_assembled
         # = (k-1) 2^k (k/2-1)! (2 pi)^(k/2) pi / (k-1)!, 32 pi^3 at k = 4, and
         # L(1, chi_D) = pi h_w(D) / sqrt|D|; identity_budget of no rows is the
-        # target's term alone.  The worst case, 8.35 u at (-15, 10), needs
-        # more than 4 units of roundoff
+        # target's term alone.  The worst case, 8.07 u at k = 30, needs more
+        # than 8 units of roundoff; the log-Gamma assembly was 28 u off at
+        # k = 12
         with localcontext() as ctx:
             ctx.prec = 50
             pi = Decimal("3.1415926535897932384626433832795028841971693993751")
@@ -200,6 +201,37 @@ class TestGeometricPrediction:
                 target = 2.0 * hs.assembled_constant(k) * dirichlet_l(D, 1)
                 gap = abs(Decimal(target) - exact)
                 assert gap <= Decimal(hs.identity_budget([], target)), (D, k)
+
+    @pytest.mark.parametrize("k", range(4, 22, 2))
+    def test_main_term_exact_values(self, k):
+        # |I_upper(0, 0)| against its Gamma closed form and its quadrature,
+        # Gamma_C(k/2) against math.gamma, c_k and c_assembled against them,
+        # and the audit's upper row against the target T as rationals times
+        # powers of pi: row / T = (N + 1) Gamma_C(k/2) / (8 pi)
+        al = hs.arch_local
+        term = al.main_term(k)
+        (upper, n_upper), (gamma_c, n_gamma) = term["upper"], term["gamma_c"]
+        q_asm, n_asm = term["c_assembled"]
+        value = float(upper) * math.pi
+        assert (n_upper, n_gamma, n_asm) == (1, -k // 2, k // 2 + 1)
+        assert value == pytest.approx(abs(al.singular_upper_closed(k, 0.0, 0.0)), rel=1e-13)
+        assert value == pytest.approx(abs(al.singular_upper_quadrature(k, 0.0, 0.0)), rel=1e-7)
+        assert float(gamma_c) * math.pi ** n_gamma == pytest.approx(
+            2.0 * (2.0 * math.pi) ** (-k / 2) * math.gamma(k / 2), rel=1e-13)
+        assert term["c_k"] == (k * al.alternating_weight_sum(k) * upper, 1)
+        assert q_asm == 4 * upper / gamma_c
+        for D, N in [(-4, 7), (-3, 5), (-7, 13), (-8, 13)]:
+            # the row |I_upper| (N + 1) pi and T = 2 c_assembled pi, each
+            # times h_w(D) / sqrt|D|
+            h = class_number_weighted(D)
+            row, target = (upper * (N + 1) * h, n_upper), (2 * q_asm * h, n_asm + 1)
+            ratio = ((N + 1) * gamma_c / 8, n_gamma - 1)
+            assert (row[0] / target[0], row[1] - target[1]) == ratio
+            cfg = hs.ExperimentConfig(discriminant=D, weight=k, aux_prime=13, levels=[])
+            audit = hs.geometric_side_audit(cfg, N)
+            up = [r["value"] for r in audit["rows"] if r["orbit"] == "upper"][0]
+            t = 2.0 * hs.assembled_constant(k) * dirichlet_l(D, 1)
+            assert up / t == pytest.approx(float(ratio[0]) * math.pi ** ratio[1], rel=1e-14)
 
     def test_printed_ratio_k4(self, cfg):
         # c_assembled / c_printed = 4 / (k h(k) Gamma_C(k/2)), with h(4) = 5,
@@ -261,19 +293,20 @@ class TestAudit:
 
     def test_audit_table_built_once_per_level(self, cfg, monkeypatch):
         # the audit does not depend on J: two calls at different J build it
-        # once per level, so the Gauss sum is computed once per level
+        # once per level, so the swapped orbits are enumerated once per level,
+        # one enumeration for each of the two
         calls = []
-        gauss_sum = pl.gauss_sum
+        enumerate_cells = pl.brute_force_integral
 
-        def counted(D):
-            calls.append(D)
-            return gauss_sum(D)
+        def counted(*args):
+            calls.append(args)
+            return enumerate_cells(*args)
 
         hs._audit_table.cache_clear()
-        monkeypatch.setattr(pl, "gauss_sum", counted)
+        monkeypatch.setattr(pl, "brute_force_integral", counted)
         for interval in [(-1.0, 0.5), (0.2, 1.9)]:
             hs.run_experiment(dataclasses.replace(cfg, interval=interval))
-        assert len(calls) == len(cfg.levels)
+        assert len(calls) == 2 * len(cfg.levels)
 
 
 class TestRunExperiment:
@@ -482,12 +515,12 @@ class TestRunExperiment:
         assert (tmp_path / "report.json").read_text(encoding="utf-8") == self._dumped(report)
 
     def test_warm_call_computes_no_constant(self, cfg, monkeypatch):
-        # L(1, chi_D), the two leading constants and the density table do
-        # not depend on J: a warm call reads them from the harness's table
+        # L(1, chi_D), the main term's floats and the density table do not
+        # depend on J: a warm call reads them from the harness's table
         expected = hs.run_experiment(cfg).to_json()
         calls = []
-        for module, name in [(hs, "dirichlet_l"), (hs.arch_local, "leading_constant"),
-                             (hs, "assembled_constant"), (ms, "density_csv")]:
+        for module, name in [(hs, "dirichlet_l"), (hs.arch_local, "main_term"),
+                             (ms, "density_csv")]:
             def counted(*args, name=name, original=getattr(module, name)):
                 calls.append(name)
                 return original(*args)
@@ -798,9 +831,16 @@ def test_weight_6_reaches_the_gate_and_fails_there(tmp_path):
 
 class TestCLI:
     def test_constants(self, capsys):
-        assert cli.main(["constants", "--k", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "h(k) = 5" in out
+        # the exact forms next to the floats the report carries
+        for k, h, forms in [(4, 5, ("80*pi", "32*pi^3", "2/5*pi^2")),
+                            (6, 109, ("3488*pi", "128/3*pi^4", "4/327*pi^3"))]:
+            assert cli.main(["constants", "--k", str(k)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert f"h(k) = {h}" in lines[0]
+            c_k, c_asm = hs.arch_local.leading_constant(k), hs.assembled_constant(k)
+            assert lines[1:] == [f"c_k = {forms[0]} = {c_k!r}",
+                                 f"c_assembled = {forms[1]} = {c_asm!r}",
+                                 f"c_assembled/c_k = {forms[2]} = {c_asm / c_k!r}"]
 
     def test_measures_table(self, capsys):
         assert cli.main(["measures", "--p", "3", "--delta", "-1",
