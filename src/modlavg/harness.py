@@ -15,7 +15,9 @@ target T = 2 c_assembled L(1, chi) = 2 q_k h_w(D) pi^(k/2+2) / sqrt|D|,
 16 pi^4 at (D, k) = (-4, 4).  The report records c_assembled, the printed
 constant c_printed = k h(k) |I_upper(0, 0)| (arch_local.leading_constant),
 their ratio ``assembled_over_printed`` (2 pi^2 / 5 at k = 4) and the
-observed ratios against each: no normalization dispute is hidden.
+observed ratios against each: no normalization dispute is hidden.  Only
+c_assembled is gated; from k = 170 on c_printed is no float, and it and
+what derives from it are written null (``_constants``).
 
 With the basic auxiliary test function the identity is exact at finite
 level in the stable range N > |D|.  ExperimentConfig refuses a level with
@@ -28,20 +30,23 @@ units of roundoff, counted in ``identity_budget``.
 
 Only the spectral side depends on the interval J.  This module keeps for
 the process what does not: the per-form rows (``_FORM_CACHE``), the
-constants and density table of each (D, k, p) (``_constants``), the bin
-masses (``_bin_masses``), the geometric audit of each level
-(``_audit_table``) and the output text of each run key (``_text_entry``),
-keyed on checked integers and the frozen measure.  (``arith`` and
-``lvalues`` keep tables of their own, keyed on integers: the sieve, the
-class numbers and trace tables, and the point rows of the Fricke and
-modularity checks.)  A warm ``run_experiment`` at a new J
-computes J's numbers and renders only them.  ``report.json`` is written
+constants, ledger and density table of each (D, k, p) (``_constants``),
+the measure of each (p, D) (``_satake_measure``), the bin masses
+(``_bin_masses``), the geometric audit of each level (``_audit_table``)
+and the entry of each run key (``_run_entry``: the full sums S_N, the bin
+shares of ``proportionality_test``, the ``identity_check`` envelope, and
+the output text once the key is written), keyed on checked integers and
+the frozen measure.  (``arith`` and ``lvalues`` keep tables of their own,
+keyed on integers: the sieve, the class numbers and trace tables, and the
+point rows of the Fricke and modularity checks.)  A warm
+``run_experiment`` at a new J computes J's numbers alone, the mass of J
+and S_J at each level, and renders only them.  ``report.json`` is written
 from a frame: the text ``_json_emit`` writes for the first report of a run
 key (data file, D, k, p, levels, bins) with the marker ``_SLOT`` at each
 J-dependent leaf (the ends of J, its mass and seven numbers per level, 24
 at three levels), cut at the markers.  Each call writes the frame with its
 own leaves in the cuts, by ``_json_emit``'s scalar rules, and the key's
-``forms.csv`` text.  A frame is reused only while its rows are the very
+``forms.csv`` text.  An entry is reused only while its rows are the very
 lists ``_FORM_CACHE`` holds: the key holds their ids and the entry the
 lists, so rows replaced under an unchanged config miss.  Rows are never
 compared by value: 0.0 == -0.0, but they are written differently.
@@ -60,6 +65,7 @@ import dataclasses
 import json
 import math
 import os
+import pickle
 from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -76,7 +82,7 @@ from .arith import (
     kronecker,
     load_eigenforms,
 )
-from .errors import InvariantViolation
+from .errors import DomainError, InvariantViolation
 from .lvalues import (
     CENTRAL_WITNESS_TOL,
     NORM_TOL,
@@ -192,8 +198,15 @@ class ExperimentConfig:
 
     @property
     def measure(self) -> measures.SatakeMeasure:
-        return measures.SatakeMeasure(p=self.aux_prime,
-                                      sign=kronecker(self.discriminant, self.aux_prime))
+        return _satake_measure(self.aux_prime, self.discriminant)
+
+
+@lru_cache(maxsize=None)
+def _satake_measure(p: int, D: int) -> measures.SatakeMeasure:
+    """The split/inert measure of a config, built once per process for each
+    (p, D), the config's checked ints: the record is frozen, so every
+    config with them shares it."""
+    return measures.SatakeMeasure(p=p, sign=kronecker(D, p))
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +346,11 @@ def geometric_side_audit(cfg: ExperimentConfig, N: int) -> dict:
     """Itemized singular-orbit table at level N with the basic auxiliary
     test function, plus the truncated regular-tail bound.
 
+    ``upper_lower_gap`` checks nothing: the lower row is -chi_D(N) times the
+    upper one by construction, so the gap is |1 + chi_D(N)|, 0.0 at every
+    admissible level (chi_D(-N) = 1 and chi_D(-1) = -1).  It is kept so the
+    report keeps its fields; an independent lower row is ROADMAP work.
+
     None of it depends on J: _audit_table builds it once per process for
     each checked (N, D, k), and the dicts and lists are new on every call."""
     N = _as_int(N, "level N")
@@ -354,8 +372,12 @@ def _audit_table(N: int, D: int, k: int) -> tuple:
     the product of local factors I_upper(0, 0) / g(chi_D) = |I_upper(0, 0)|
     / sqrt|D|, 1/V_N = N + 1 and L(0, chi_D) = h_w(D): T (1/V_N)
     Gamma_C(k/2) / (8 pi) for the target T.  The lower row is -chi_D(N)
-    times it.  Its caller passes the three through arith._as_int, so 7.0
-    and True never find 7's or 1's entry; the level place proves N prime."""
+    times it, not computed on its own, so the gap |1 + chi_D(N)| is 0.0 at
+    every admissible level and compares nothing; an independent lower row
+    would take singular_lower_quadrature or the reflection lower(s1, s2) =
+    -upper(-s2, -s1) at the level place.  Its caller passes the three
+    through arith._as_int, so 7.0 and True never find 7's or 1's entry; the
+    level place proves N prime."""
     chi_n = kronecker(D, N)
     upper, n = arch_local.main_term(k)["upper"]
     upper_val = arch_local._pi_float((upper * (N + 1) * class_number_weighted(D), n),
@@ -506,7 +528,7 @@ _SLOT = object()
 def _j_leaves(report: AverageReport) -> list:
     """The J-dependent leaves of the report in the order report.json writes
     them: the ends of J, its mass and the _J_LEVEL_KEYS of each level.
-    Everything else in it depends only on the run key of ``_text_entry``
+    Everything else in it depends only on the run key of ``_run_entry``
     and the per-form rows."""
     return [*report.config["interval"], report.constants["interval_mass"],
             *[lvl[key] for lvl in report.levels for key in _J_LEVEL_KEYS]]
@@ -525,10 +547,14 @@ def _frame(report: AverageReport) -> tuple:
 
 def _fill(frame: tuple, leaves: list) -> str:
     """The frame's text with its leaves in the cuts, each written by
-    _json_emit's scalar rules."""
+    _json_emit's scalar rules: a finite leaf of exact type float, as most
+    are, by float.__repr__ here."""
     out = [frame[0]]
     for leaf, text in zip(leaves, frame[1:]):
-        _json_emit(leaf, "", out)
+        if type(leaf) is float and leaf - leaf == 0.0:
+            out.append(float.__repr__(leaf))
+        else:
+            _json_emit(leaf, "", out)
         out.append(text)
     return "".join(out)
 
@@ -574,38 +600,79 @@ def identity_check(sums: dict, budgets: dict, target: float) -> dict:
 
 @lru_cache(maxsize=None)
 def _constants(D: int, k: int, p: int) -> tuple:
-    """(L(1, chi_D), c_printed, c_assembled, Gamma_C(k/2), density.csv text)
-    of a run, built once per process for each (D, k, p): none depends on J.
-    The key is the config's discriminant, weight and auxiliary prime, which
-    ExperimentConfig refuses unless they are ints."""
-    return (dirichlet_l(D, 1), arch_local.leading_constant(k), assembled_constant(k),
-            arch_local._pi_float(arch_local.main_term(k)["gamma_c"], "Gamma_C(k/2)", k),
-            measures.density_csv(p, 400))
+    """(L(1, chi_D), c_printed, c_assembled, the normalization ledger,
+    density.csv text) of a run, built once per process for each (D, k, p):
+    none depends on J.  The key is the config's discriminant, weight and
+    auxiliary prime, which ExperimentConfig refuses unless they are ints.
+
+    c_printed is only reported, so where it is no normal float (from
+    k = 170 on) it is None, written null with everything derived from it,
+    and the ledger says why; the gated c_assembled still refuses."""
+    c_asm = assembled_constant(k)
+    gamma_c = arch_local._pi_float(arch_local.main_term(k)["gamma_c"], "Gamma_C(k/2)", k)
+    try:
+        c_printed = arch_local.leading_constant(k)
+    except DomainError as exc:
+        c_printed = None
+        printed = (f"printed constant c_k (combinatorial closed form): {exc}, so "
+                   "c_printed, assembled_over_printed, prediction_printed and "
+                   "ratio_printed are null")
+    else:
+        printed = f"printed constant c_k = {c_printed!r} (combinatorial closed form)"
+    ledger = (
+        "local volumes: vol(unit-group) = 1 at every finite place; "
+        "level volume V_N = 1/(N+1), carried as the factor N+1 = 1/V_N",
+        "level closed forms carry the 1/V_N prefactor (the displayed sums do "
+        "not); the enumeration oracle fixed this choice",
+        "spectral comparison uses finite L-values in the analytic "
+        "normalization and the classical Petersson norm",
+        printed,
+        f"assembled constant = 4 |I_upper(0,0)| / Gamma_C(k/2) = {c_asm!r}; "
+        "the 1/(4 pi) of the kernel identity and the V_N of the adelic "
+        "pairing cancel in this assembly, leaving one archimedean factor "
+        f"Gamma_C(k/2) = {gamma_c!r}",
+        "observed full-interval ratios against both constants are in the "
+        "per-level rows; the bin-share proportionality test is "
+        "normalization-free",
+    )
+    return dirichlet_l(D, 1), c_printed, c_asm, ledger, measures.density_csv(p, 400)
 
 
 def run_experiment(cfg: ExperimentConfig) -> AverageReport:
     D, k, p = cfg.discriminant, cfg.weight, cfg.aux_prime
     lo, hi = cfg.interval
-    l_one, c_printed, c_asm, gamma_c, density = _constants(D, k, p)
+    l_one, c_printed, c_asm, ledger, density = _constants(D, k, p)
     mass_j = measure_mass(cfg, lo, hi)
-    g_printed = 2.0 * mass_j * c_printed * l_one
+    g_printed = None if c_printed is None else 2.0 * mass_j * c_printed * l_one
     g_asm = 2.0 * mass_j * c_asm * l_one
 
-    target = 2.0 * c_asm * l_one
-    level_reports = []
-    sums, budgets = {}, {}
     # one read of the data file serves every level the cache lacks
     cold = any(_form_key(cfg, N) not in _FORM_CACHE for N in cfg.levels)
     forms = load_eigenforms(cfg.data_path) if cold else None
-    for N in cfg.levels:
-        rows = _level_rows(cfg, N, forms)
-        s_full = math.fsum(r["contribution"] for r in rows)
+    rows = tuple(_level_rows(cfg, N, forms) for N in cfg.levels)
+    entry = _run_entry(cfg.data_path, D, k, p, tuple(cfg.levels), cfg.bins,
+                       tuple(map(id, rows)))
+    if not entry:
+        target = 2.0 * c_asm * l_one
+        full, sums, budgets = [], {}, {}
+        for N, level in zip(cfg.levels, rows):
+            full.append(math.fsum(r["contribution"] for r in level))
+            if level:
+                sums[N] = full[-1]
+                budgets[N] = identity_budget(level, target)
+        envelope = identity_check(sums, budgets, target)
+        prop = proportionality_test(cfg) if len(cfg.levels) >= 3 else {}
+        entry += [rows, tuple(full), pickle.dumps((prop, envelope))]
+    full, frozen = entry[1:3]
+    prop, envelope = pickle.loads(frozen)  # new dicts and lists on every call
+
+    level_reports = []
+    for N, level, s_full in zip(cfg.levels, rows, full):
         s_j = spectral_sum(cfg, N, lo, hi)["value"]
-        audit = geometric_side_audit(cfg, N)
         level_reports.append({
             "level": N,
             # copies: an edit to the report must not reach _FORM_CACHE
-            "forms": [dict(r) for r in rows],
+            "forms": [dict(r) for r in level],
             "spectral_full": s_full,
             "spectral_interval": s_j,
             "interval_share": (s_j / s_full) if s_full else None,
@@ -614,30 +681,8 @@ def run_experiment(cfg: ExperimentConfig) -> AverageReport:
             "prediction_assembled": g_asm,
             "ratio_printed": (s_j / g_printed) if g_printed else None,
             "ratio_assembled": (s_j / g_asm) if g_asm else None,
-            "audit": audit,
+            "audit": geometric_side_audit(cfg, N),
         })
-        if rows:
-            sums[N] = s_full
-            budgets[N] = identity_budget(rows, target)
-
-    prop = proportionality_test(cfg) if len(cfg.levels) >= 3 else {}
-    envelope = identity_check(sums, budgets, target)
-    ledger = [
-        "local volumes: vol(unit-group) = 1 at every finite place; "
-        f"level volume V_N = 1/(N+1), carried as the factor N+1 = 1/V_N",
-        "level closed forms carry the 1/V_N prefactor (the displayed sums do "
-        "not); the enumeration oracle fixed this choice",
-        "spectral comparison uses finite L-values in the analytic "
-        "normalization and the classical Petersson norm",
-        f"printed constant c_k = {c_printed!r} (combinatorial closed form)",
-        f"assembled constant = 4 |I_upper(0,0)| / Gamma_C(k/2) = {c_asm!r}; "
-        "the 1/(4 pi) of the kernel identity and the V_N of the adelic "
-        "pairing cancel in this assembly, leaving one archimedean factor "
-        f"Gamma_C(k/2) = {gamma_c!r}",
-        "observed full-interval ratios against both constants are in the "
-        "per-level rows; the bin-share proportionality test is "
-        "normalization-free",
-    ]
     report = AverageReport(
         config={
             "discriminant": D, "weight": k, "aux_prime": p,
@@ -646,51 +691,52 @@ def run_experiment(cfg: ExperimentConfig) -> AverageReport:
         },
         constants={
             "L1": l_one, "c_printed": c_printed, "c_assembled": c_asm,
-            "assembled_over_printed": c_asm / c_printed,
+            "assembled_over_printed": None if c_printed is None else c_asm / c_printed,
             "measure_sign": kronecker(D, p), "interval_mass": mass_j,
         },
         levels=level_reports,
         proportionality=prop,
         envelope=envelope,
-        normalization_ledger=ledger,
+        normalization_ledger=list(ledger),
     )
     if cfg.output_dir:
-        _write_outputs(cfg, report, density)
+        _write_outputs(cfg, report, entry, density)
     return report
 
 
-def _write_outputs(cfg: ExperimentConfig, report: AverageReport, density: str) -> None:
+def _write_outputs(cfg: ExperimentConfig, report: AverageReport, entry: list,
+                   density: str) -> None:
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    rows = tuple(_level_rows(cfg, N) for N in cfg.levels)
-    entry = _text_entry(cfg.data_path, cfg.discriminant, cfg.weight, cfg.aux_prime,
-                        tuple(cfg.levels), cfg.bins, tuple(map(id, rows)))
-    if not entry:
-        entry += [rows, _frame(report), "".join(
+    if len(entry) == 3:  # the run key's first write
+        entry += [_frame(report), "".join(
             ["level,label,a_p,central,central_twisted,norm,contribution\n"]
-            + [f"{lvl['level']},{r['label']},{r['a_p']!r},{r['central']!r},"
+            + [f"{N},{r['label']},{r['a_p']!r},{r['central']!r},"
                f"{r['central_twisted']!r},{r['norm']!r},{r['contribution']!r}\n"
-               for lvl in report.levels for r in lvl["forms"]])]
-    _, frame, forms = entry
+               for N, level in zip(cfg.levels, entry[0]) for r in level])]
+    frame, forms = entry[3:]
     _replace(os.path.join(out, "report.json"), _fill(frame, _j_leaves(report)))
     _replace(os.path.join(out, "forms.csv"), forms)
     _replace(os.path.join(out, "density.csv"), density)
 
 
 @lru_cache(maxsize=32)
-def _text_entry(data_path, D: int, k: int, p: int, levels: tuple, bins: int,
-                row_ids: tuple) -> list:
-    """The output text of one run key, which _write_outputs fills on the
-    key's first call: [the per-form row lists, the report.json frame, the
-    forms.csv text].
+def _run_entry(data_path, D: int, k: int, p: int, levels: tuple, bins: int,
+               row_ids: tuple) -> list:
+    """What a run key has that does not depend on J, filled on the key's
+    first call: [the per-form row lists, the full sum S_N of each level,
+    the pickled (proportionality_test, identity_check) results], which
+    run_experiment adds, then [the report.json frame, the forms.csv text],
+    which _write_outputs adds on the key's first write.  Every value but
+    the row lists is immutable, and each call unpickles new dicts and
+    lists from the bytes.
 
-    Neither text depends on J.  The key holds the ints of _constants,
-    _audit_table and _bin_masses, and the ids of the _FORM_CACHE row lists
-    the report was built from: rows replaced under an unchanged config (a
-    new _FORM_CACHE, rows written into it) miss.  The entry holds those
-    lists, so no id in its key can be reused while it lives; rows are
-    compared by identity, never by value (0.0 == -0.0, but they are
-    written differently)."""
+    The key holds the ints of _constants, _audit_table and _bin_masses, the
+    levels and bins, and the ids of the _FORM_CACHE row lists the sums were
+    taken from: rows replaced under an unchanged config (a new _FORM_CACHE,
+    rows written into it) miss.  The entry holds those lists, so no id in
+    its key can be reused while it lives; rows are compared by identity,
+    never by value (0.0 == -0.0, but they are written differently)."""
     return []
 
 

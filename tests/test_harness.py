@@ -366,7 +366,7 @@ class TestRunExperiment:
     @staticmethod
     def _cold_runner(monkeypatch, tmp_path):
         # empties the harness's per-process tables, _FORM_CACHE and every
-        # lru_cache on the module (the output texts of _write_outputs
+        # lru_cache on the module (the run-key entries of _run_entry
         # included), so the first run is cold in the harness; the exact
         # tables of arith and lvalues (the sieve, the trace tables, the
         # Fricke and modularity rows) stay warm.  Returns a runner that
@@ -374,7 +374,7 @@ class TestRunExperiment:
         # files
         monkeypatch.setattr(hs, "_FORM_CACHE", {})
         tables = [value for value in vars(hs).values() if hasattr(value, "cache_clear")]
-        assert hs._text_entry in tables and hs._constants in tables
+        assert hs._run_entry in tables and hs._constants in tables
         for table in tables:
             table.cache_clear()
         names = ("report.json", "forms.csv", "density.csv")
@@ -453,13 +453,15 @@ class TestRunExperiment:
                 assert [lvl["spectral_interval"] for lvl in report.levels] == [0.0] * len(levels)
             assert (out / "report.json").read_text(encoding="utf-8") == self._dumped(report)
             assert (out / "forms.csv").read_bytes() == cold_forms[tuple(levels)]
-        info = hs._text_entry.cache_info()  # frames reused, and evicted
+        info = hs._run_entry.cache_info()  # frames reused, and evicted
         assert info.hits > 0 and info.misses > info.maxsize
 
     def test_replaced_rows_are_written(self, monkeypatch, tmp_path):
         # the rows are replaced under an unchanged config: a new _FORM_CACHE
         # whose norms are twice the old.  The written files show the new
-        # rows, which a frame keyed on the config alone would not
+        # rows, which a frame keyed on the config alone would not, and the
+        # run key's entry is rebuilt: the full sums, the bin shares' full
+        # sums and the envelope are the new rows', which miss the target
         cfg = hs.ExperimentConfig(discriminant=-4, weight=4, aux_prime=13,
                                   output_dir=str(tmp_path))
         old = hs.run_experiment(cfg)
@@ -469,6 +471,10 @@ class TestRunExperiment:
         new = hs.run_experiment(cfg)
         assert [r["norm"] for lvl in new.levels for r in lvl["forms"]] == [
             2.0 * r["norm"] for lvl in old.levels for r in lvl["forms"]]
+        full = [math.fsum(r["contribution"] for r in lvl["forms"]) for lvl in new.levels]
+        assert [lvl["spectral_full"] for lvl in new.levels] == full
+        assert [new.proportionality["levels"][N]["full"] for N in cfg.levels] == full
+        assert old.ok and new.envelope["assembled"]["violations"] == [7, 11]
         assert (tmp_path / "report.json").read_text(encoding="utf-8") == self._dumped(new)
         forms = (tmp_path / "forms.csv").read_text().splitlines()[1:]
         assert [float(line.split(",")[5]) for line in forms] == [
@@ -493,6 +499,44 @@ class TestRunExperiment:
             line = (tmp_path / "forms.csv").read_text().splitlines()[1]
             assert line.startswith("7,7.4.a,") and line.endswith("," + repr(zero))
         assert ['"contribution": -0.0' in text for text in written] == [False, True]
+
+    def test_printed_constant_past_the_floats_is_null(self, cfg, monkeypatch, tmp_path):
+        # c_k overflows a float from k = 170 on, while the gated c_assembled
+        # stays a normal float: the run goes on, with c_printed and what
+        # derives from it written null and one ledger line saying why
+        report = hs.run_experiment(hs.ExperimentConfig(
+            discriminant=-4, weight=170, aux_prime=13, levels=[],
+            output_dir=str(tmp_path / "k170")))
+        c = report.constants
+        assert c["c_printed"] is None and c["assembled_over_printed"] is None
+        assert 2.0 ** -1022 <= c["c_assembled"] < math.inf
+        assert len(report.normalization_ledger) == 6
+        assert report.normalization_ledger[3] == (
+            "printed constant c_k (combinatorial closed form): c_k overflows a float "
+            "at weight k = 170, so c_printed, assembled_over_printed, "
+            "prediction_printed and ratio_printed are null")
+        text = (tmp_path / "k170" / "report.json").read_text(encoding="utf-8")
+        assert text == self._dumped(report) and '"c_printed": null' in text
+        # the per-level rows, at k = 4 with c_k refused as at k = 170; the
+        # gate reads c_assembled alone
+        expected = hs.run_experiment(cfg)
+
+        def refused(k):
+            raise hs.DomainError(f"c_k overflows a float at weight k = {k}")
+
+        monkeypatch.setattr(hs.arch_local, "leading_constant", refused)
+        self._cold_runner(monkeypatch, tmp_path)
+        try:
+            report = hs.run_experiment(dataclasses.replace(cfg, output_dir=str(tmp_path / "k4")))
+        finally:  # no later test may read the null constant or its frame
+            hs._constants.cache_clear()
+            hs._run_entry.cache_clear()
+        assert report.ok
+        for lvl, before in zip(report.levels, expected.levels):
+            assert lvl["prediction_printed"] is None and lvl["ratio_printed"] is None
+            assert lvl["ratio_assembled"] == before["ratio_assembled"]
+        text = (tmp_path / "k4" / "report.json").read_text(encoding="utf-8")
+        assert text == self._dumped(report)
 
     def test_a_warm_frame_renders_only_its_slots(self, cfg, monkeypatch, tmp_path):
         # at a (run key, bins) already seen, _json_emit writes the 24
@@ -527,6 +571,69 @@ class TestRunExperiment:
             monkeypatch.setattr(module, name, counted)
         assert hs.run_experiment(cfg).to_json() == expected
         assert calls == []
+
+    def test_warm_call_recomputes_no_share_sum_or_envelope(self, monkeypatch, tmp_path):
+        # the bin shares, the full sums, the identity envelope and the
+        # measure do not depend on J: after one call at another J, a warm
+        # call reads them from its run key's entry, and its report is a
+        # cold run's
+        def config(interval):
+            return hs.ExperimentConfig(discriminant=-4, weight=4, aux_prime=13,
+                                       interval=interval, bins=5)
+
+        self._cold_runner(monkeypatch, tmp_path)
+        cold = hs.run_experiment(config((0.2, 1.9))).to_json()
+        self._cold_runner(monkeypatch, tmp_path)
+        hs.run_experiment(config((-1.0, 0.5)))
+        calls = []
+
+        def counted(name, original):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return call
+
+        for module, name in [(hs, "proportionality_test"), (hs, "identity_budget"),
+                             (hs, "identity_check"), (ms, "SatakeMeasure")]:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        assert hs.run_experiment(config((0.2, 1.9))).to_json() == cold
+        assert calls == []
+
+    def test_editing_a_warm_report_leaves_the_written_files(self, monkeypatch, tmp_path):
+        # every list and dict of a warm report is changed in place: the bin
+        # shares and masses, the envelope's rows and violations, the audit
+        # rows, the forms rows, the config's levels and the ledger.  The
+        # next warm call, the run key's first write, must still write the
+        # cold run's three files
+        cold = self._cold_runner(monkeypatch, tmp_path)("cold")
+        run = self._cold_runner(monkeypatch, tmp_path)
+        config = hs.ExperimentConfig(discriminant=-4, weight=4, aux_prime=13)
+        hs.run_experiment(dataclasses.replace(config, interval=(-1.0, 0.5)))
+        report = hs.run_experiment(config)
+        edited = []
+
+        def edit(obj):
+            edited.append(obj)
+            for key in (list(obj) if isinstance(obj, dict) else range(len(obj))):
+                if isinstance(obj[key], (dict, list)):
+                    edit(obj[key])
+                else:
+                    obj[key] = "edited"
+            if isinstance(obj, dict):
+                obj["edited"] = "edited"
+            else:
+                obj.append("edited")
+
+        for field in dataclasses.fields(report):
+            edit(getattr(report, field.name))
+        prop, env = report.proportionality, report.envelope["assembled"]
+        assert prop["levels"][7]["shares"][0] == prop["measure_masses"][0] == "edited"
+        assert env["rows"][7]["budget"] == env["violations"][-1] == "edited"
+        assert report.levels[1]["audit"]["rows"][0]["value"] == "edited"
+        assert report.levels[1]["forms"][0]["contribution"] == "edited"
+        assert report.config["levels"][-1] == report.normalization_ledger[0] == "edited"
+        assert len(edited) > 40
+        assert run("again") == cold
 
     def test_warm_call_runs_no_quadrature(self, monkeypatch, tmp_path):
         # the masses of J and of the bins are closed forms: after one cold
