@@ -8,7 +8,7 @@ matrices.  This module evaluates:
     degenerate orbits) by direct 2-d quadrature of the defining double
     integral, and the upper one in closed form as one Gamma product;
   * the main term's factors, each an exact rational times a power of pi
-    (main_term), and their floats (_pi_float);
+    (main_term), their floats (_pi_float) and their text (_pi_text);
   * the regular orbital integrals, by quadrature over the positive quadrant
     and via a Beta * Beta * 2F1 closed form.
 
@@ -114,27 +114,43 @@ def main_term(k: int) -> dict:
     Fraction: upper = |I_upper(0, 0)| = (k-1) 2^(k-1) ((k/2-1)!)^2 / (k-1)! pi,
     singular_upper_closed's Gamma quotient at the origin; gamma_c =
     Gamma_C(k/2) = 2 (k/2-1)! (2 pi)^(-k/2); c_k = k h(k) upper; c_assembled =
-    4 upper / gamma_c = 2^(3k/2) (k/2-1)! / (k-2)! pi^(k/2+1)."""
+    4 upper / gamma_c = 2^(3k/2) (k/2-1)! / (k-2)! pi^(k/2+1); and their
+    ratio assembled_over_printed = c_assembled / c_k = 4 / (k h(k) gamma_c)."""
     k = _check_weight(k)
     m, f = k // 2, math.factorial(k // 2 - 1)
     upper = Fraction((k - 1) * 2 ** (k - 1) * f * f, math.factorial(k - 1))
+    c_k = k * alternating_weight_sum(k) * upper
+    c_asm = Fraction(2 ** (3 * m) * f, math.factorial(k - 2))
     return {"upper": (upper, 1), "gamma_c": (Fraction(f, 2 ** (m - 1)), -m),
-            "c_k": (k * alternating_weight_sum(k) * upper, 1),
-            "c_assembled": (Fraction(2 ** (3 * m) * f, math.factorial(k - 2)), m + 1)}
+            "c_k": (c_k, 1), "c_assembled": (c_asm, m + 1),
+            "assembled_over_printed": (c_asm / c_k, m)}
 
 
 def _pi_float(term: tuple, name: str, k: int) -> float:
-    """float(q) * math.pi ** n for term = (q, n), each factor rounded once;
-    DomainError naming ``name`` and k if it or a factor is no normal float."""
+    """q pi^n for term = (q, n), q an int or Fraction, as a normal float.
+
+    q 2^s, scaled into [1/2, 2), is rounded once, times math.pi ** n, and
+    the product rounded once and scaled back by 2^-s: the bits of
+    float(q) * math.pi ** n wherever q, pi^n and the product are normal
+    floats, and the value also where q alone is not.  DomainError naming
+    ``name`` and k unless the value and pi^n are normal floats."""
+    num, den = term[0].numerator, term[0].denominator
+    s = den.bit_length() - num.bit_length()
     try:
-        values = [float(term[0]), math.pi ** term[1]]
+        power = math.pi ** term[1]
+        value = math.ldexp((num << max(s, 0)) / (den << max(-s, 0)) * power, -s)
     except OverflowError:
-        values = [math.inf]
-    values.append(math.prod(values))
-    if not all(2.0 ** -1022 <= abs(x) < math.inf for x in values):
-        way = "overflows" if math.inf in map(abs, values) else "underflows"
+        power = value = math.inf
+    if not (2.0 ** -1022 <= abs(value) < math.inf and 2.0 ** -1022 <= power < math.inf):
+        way = "overflows" if abs(value) >= 1.0 else "underflows"
         raise DomainError(f"{name} {way} a float at weight k = {k}")
-    return values[-1]
+    return value
+
+
+def _pi_text(term: tuple) -> str:
+    """The exact form of term = (q, n), q pi^n, as ``q*pi^n``."""
+    q, n = term
+    return f"{q}*pi{'' if n == 1 else f'^{n}'}"
 
 
 def leading_constant(k: int) -> float:

@@ -663,6 +663,8 @@ def _parse_record(rec, where: str) -> Eigenform:
         raise InvariantViolation(f"{where}: level and weight must be integers")
     if type(rec["label"]) is not str:
         raise InvariantViolation(f"{where}: label must be a string")
+    if any(c < " " for c in rec["label"]):  # report.json's frame marks its cuts with "\0"
+        raise InvariantViolation(f"{where}: label {rec['label']!r} holds a control character")
     sign = rec.get("atkin_lehner")
     if sign is not None and (type(sign) is not int or sign not in (1, -1)):
         raise InvariantViolation(f"{where}: atkin_lehner must be 1 or -1")

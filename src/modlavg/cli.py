@@ -87,13 +87,17 @@ def _cmd_verify_arch(args) -> int:
 
 def _cmd_constants(args) -> int:
     k = args.k
-    (q_k, n_k), (q_asm, n_asm) = map(arch_local.main_term(k).get, ("c_k", "c_assembled"))
-    c_k, c_asm = arch_local.leading_constant(k), assembled_constant(k)
+    term = arch_local.main_term(k)
+    assembled_constant(k)  # the gated constant: refused past the floats
     print(f"k = {k}: h(k) = {arch_local.alternating_weight_sum(k)}, "
           f"formal degree = {arch_local.default_formal_degree(k)}")
-    for name, q, n, c in [("c_k", q_k, n_k, c_k), ("c_assembled", q_asm, n_asm, c_asm),
-                          ("c_assembled/c_k", q_asm / q_k, n_asm - n_k, c_asm / c_k)]:
-        print(f"{name} = {q}*pi{'' if n == 1 else f'^{n}'} = {c!r}")
+    for name, key in [("c_k", "c_k"), ("c_assembled", "c_assembled"),
+                      ("c_assembled/c_k", "assembled_over_printed")]:
+        try:
+            value = f"= {arch_local._pi_float(term[key], name, k)!r}"
+        except DomainError as exc:  # only reported: the report writes it null
+            value = f"({exc})"
+        print(f"{name} = {arch_local._pi_text(term[key])} {value}")
     return 0
 
 

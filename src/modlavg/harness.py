@@ -14,10 +14,14 @@ the archimedean factor the source bookkeeping leaves implicit, gives the
 target T = 2 c_assembled L(1, chi) = 2 q_k h_w(D) pi^(k/2+2) / sqrt|D|,
 16 pi^4 at (D, k) = (-4, 4).  The report records c_assembled, the printed
 constant c_printed = k h(k) |I_upper(0, 0)| (arch_local.leading_constant),
-their ratio ``assembled_over_printed`` (2 pi^2 / 5 at k = 4) and the
-observed ratios against each: no normalization dispute is hidden.  Only
-c_assembled is gated; from k = 170 on c_printed is no float, and it and
-what derives from it are written null (``_constants``).
+their exact ratio ``assembled_over_printed`` = 4 / (k h(k) Gamma_C(k/2)),
+a rational times pi^(k/2) (2 pi^2 / 5 at k = 4), and each level's observed
+ratio against c_assembled; the ratio against c_printed is that one times
+``assembled_over_printed``.  Only c_assembled is gated.  The two printed
+numbers are only reported: each is a normal float or null, with the reason
+in the ledger (the ratio from k = 150 on, c_printed from k = 170 on), and
+the ledger writes Gamma_C(k/2) in its exact form, so no reported number
+refuses a run (``_constants``).
 
 With the basic auxiliary test function the identity is exact at finite
 level in the stable range N > |D|.  ExperimentConfig refuses a level with
@@ -41,22 +45,20 @@ keyed on integers: the sieve, the class numbers and trace tables, and the
 point rows of the Fricke and modularity checks.)  A warm
 ``run_experiment`` at a new J computes J's numbers alone, the mass of J
 and S_J at each level, and renders only them.  ``report.json`` is written
-from a frame: the text ``_json_emit`` writes for the first report of a run
-key (data file, D, k, p, levels, bins) with the marker ``_SLOT`` at each
-J-dependent leaf (the ends of J, its mass and seven numbers per level, 24
-at three levels), cut at the markers.  Each call writes the frame with its
-own leaves in the cuts, by ``_json_emit``'s scalar rules, and the key's
-``forms.csv`` text.  An entry is reused only while its rows are the very
-lists ``_FORM_CACHE`` holds: the key holds their ids and the entry the
-lists, so rows replaced under an unchanged config miss.  Rows are never
-compared by value: 0.0 == -0.0, but they are written differently.
-Every report is built from new dicts and lists: editing one changes no
-later call, and ``AverageReport.to_json`` renders its current contents in
-one pass (``_json_text``), with the bytes of
-``json.dumps(indent=2, sort_keys=True)``; any indent sends the standard
-library to its slower pure-Python encoder.  The three output files are
-encoded once and their bytes overwritten in place (``_replace``), so a
-rerun into the same directory leaves the bytes a fresh directory gets.
+from a frame: the text ``json.dumps(indent=2, sort_keys=True)`` writes for
+the first report of a run key (data file, D, k, p, levels, bins) with the
+marker ``_SLOT`` at each J-dependent leaf (the ends of J, its mass and five
+numbers per level, 18 at three levels), cut at the markers.  Each call
+writes the frame with its own leaves in the cuts, each as json writes it,
+and the key's ``forms.csv`` text.  An entry is reused only while its rows
+are the very lists ``_FORM_CACHE`` holds: the key holds their ids and the
+entry the lists, so rows replaced under an unchanged config miss.  Rows
+are never compared by value: 0.0 == -0.0, but they are written
+differently.  Every report is built from new dicts and lists: editing one
+changes no later call, and ``AverageReport.to_json`` is ``json.dumps`` of
+its current contents.  The three output files are encoded once and their
+bytes overwritten in place (``_replace``), so a rerun into the same
+directory leaves the bytes a fresh directory gets.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ import os
 import pickle
 from dataclasses import dataclass
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii
 
 from . import arch_local, measures, padic_local, reg_tail
 from .arith import (
@@ -423,10 +424,8 @@ class AverageReport:
         return bool(env["rows"]) and env["ok"]
 
     def to_json(self) -> str:
-        """The report as JSON text: its bytes equal those of
-        ``json.dumps(payload, indent=2, sort_keys=True)``, written in one
-        pass by ``_json_text`` from the report's current contents."""
-        return _json_text(self._payload())
+        """The report's current contents as JSON text."""
+        return json.dumps(self._payload(), indent=2, sort_keys=True)
 
     def _payload(self) -> dict:
         return {
@@ -443,84 +442,9 @@ class AverageReport:
 # report.json
 # ---------------------------------------------------------------------------
 
-def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
-
-    Any indent sends the standard library to its pure-Python generator
-    encoder; this writer makes one pass, appending tokens to one list that
-    it joins once (``_json_emit``)."""
-    out = []
-    _json_emit(obj, "\n", out)
-    return "".join(out)
-
-
-def _json_emit(obj, nl: str, out: list) -> None:
-    """Append the tokens of obj to out; ``nl`` is a newline and the indent
-    of the line obj starts on.
-
-    It follows ``json.encoder`` rule for rule: values tested with isinstance
-    in json's order (str, None, True, False, int, float, list or tuple,
-    dict); numbers by ``int.__repr__`` and ``float.__repr__``, NaN and
-    infinities as ``NaN``, ``Infinity`` and ``-Infinity``; strings by
-    ``encode_basestring_ascii``; dict items sorted on their original keys
-    (int rows 7 before 11), each key then converted as json converts it;
-    ``_SLOT`` as a NUL, where ``_frame`` cuts its text (no JSON text here
-    holds one: ``encode_basestring_ascii`` escapes it); any other type is
-    TypeError.  A container writes its items of exact type float, str or
-    int, and True, False and None, in its own loop; any other item
-    (np.float64, a str subclass, a container) takes one call."""
-    if isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif obj is None or obj is True or obj is False:
-        out.append("null" if obj is None else "true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        out.append(float.__repr__(obj) if obj - obj == 0.0 else  # finite
-                   "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity")
-    elif isinstance(obj, (list, tuple, dict)):
-        is_dict = isinstance(obj, dict)
-        if not obj:
-            out.append("{}" if is_dict else "[]")
-            return
-        inner = nl + "  "
-        sep = inner
-        out.append("{" if is_dict else "[")
-        for value in (sorted(obj.items()) if is_dict else obj):
-            out.append(sep)
-            sep = "," + inner
-            if is_dict:
-                key, value = value
-                if isinstance(key, str):
-                    out.append(encode_basestring_ascii(key))
-                elif key is None or isinstance(key, (int, float)):
-                    _json_emit(key, inner, out)  # its JSON text, then quoted
-                    out.append(encode_basestring_ascii(out.pop()))
-                else:
-                    raise TypeError(f"keys must be str, int, float, bool or None, "
-                                    f"not {key.__class__.__name__}")
-                out.append(": ")
-            t = type(value)
-            if t is int or (t is float and value - value == 0.0):
-                out.append(repr(value))
-            elif t is str:
-                out.append(encode_basestring_ascii(value))
-            elif value is None or value is True or value is False:
-                out.append("null" if value is None else "true" if value else "false")
-            else:
-                _json_emit(value, inner, out)
-        out.append(nl + ("}" if is_dict else "]"))
-    elif obj is _SLOT:
-        out.append("\0")
-    else:
-        raise TypeError(f"Object of type {obj.__class__.__name__} "
-                        "is not JSON serializable")
-
-
 # the J-dependent leaves of each level of report.json, in key order
 _J_LEVEL_KEYS = ("interval_mass", "interval_share", "prediction_assembled",
-                 "prediction_printed", "ratio_assembled", "ratio_printed",
-                 "spectral_interval")
+                 "ratio_assembled", "spectral_interval")
 # a J-dependent leaf in the report that _frame renders
 _SLOT = object()
 
@@ -534,27 +458,35 @@ def _j_leaves(report: AverageReport) -> list:
             *[lvl[key] for lvl in report.levels for key in _J_LEVEL_KEYS]]
 
 
+def _slot_text(obj) -> str:
+    """json's ``default`` hook in _frame: _SLOT becomes the string "\\0",
+    which json writes "\\u0000" (no label holds a control character,
+    ``arith._parse_record``); any other type is TypeError."""
+    if obj is _SLOT:
+        return "\0"
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
 def _frame(report: AverageReport) -> tuple:
     """The report.json text of the report, newline included, cut at its
-    J-dependent leaves: ``_json_emit`` writes it with _SLOT at each."""
+    J-dependent leaves: json writes it with _SLOT at each."""
     payload = report._payload()
     payload["config"] = dict(report.config, interval=[_SLOT, _SLOT])
     payload["constants"] = dict(report.constants, interval_mass=_SLOT)
     payload["levels"] = [dict(lvl, **dict.fromkeys(_J_LEVEL_KEYS, _SLOT))
                          for lvl in report.levels]
-    return tuple((_json_text(payload) + "\n").split("\0"))
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_slot_text)
+    return tuple((text + "\n").split('"\\u0000"'))
 
 
 def _fill(frame: tuple, leaves: list) -> str:
-    """The frame's text with its leaves in the cuts, each written by
-    _json_emit's scalar rules: a finite leaf of exact type float, as most
-    are, by float.__repr__ here."""
+    """The frame's text with its leaves in the cuts, each as json writes
+    it: a finite leaf of exact type float, as most are, by float.__repr__
+    here."""
     out = [frame[0]]
     for leaf, text in zip(leaves, frame[1:]):
-        if type(leaf) is float and leaf - leaf == 0.0:
-            out.append(float.__repr__(leaf))
-        else:
-            _json_emit(leaf, "", out)
+        out.append(float.__repr__(leaf) if type(leaf) is float and leaf - leaf == 0.0
+                   else json.dumps(leaf))
         out.append(text)
     return "".join(out)
 
@@ -600,25 +532,30 @@ def identity_check(sums: dict, budgets: dict, target: float) -> dict:
 
 @lru_cache(maxsize=None)
 def _constants(D: int, k: int, p: int) -> tuple:
-    """(L(1, chi_D), c_printed, c_assembled, the normalization ledger,
-    density.csv text) of a run, built once per process for each (D, k, p):
-    none depends on J.  The key is the config's discriminant, weight and
-    auxiliary prime, which ExperimentConfig refuses unless they are ints.
+    """(L(1, chi_D), c_printed, c_assembled, assembled_over_printed, the
+    normalization ledger, density.csv text) of a run, built once per
+    process for each (D, k, p): none depends on J.  The key is the config's
+    discriminant, weight and auxiliary prime, which ExperimentConfig refuses
+    unless they are ints.
 
-    c_printed is only reported, so where it is no normal float (from
-    k = 170 on) it is None, written null with everything derived from it,
-    and the ledger says why; the gated c_assembled still refuses."""
+    c_printed and assembled_over_printed, the exact c_assembled / c_k, are
+    only reported: each is a normal float, or None (written null) with the
+    reason in the ledger's printed-constant line.  Gamma_C(k/2) only feeds
+    the ledger, in its exact form.  The gated c_assembled still refuses."""
+    term = arch_local.main_term(k)
     c_asm = assembled_constant(k)
-    gamma_c = arch_local._pi_float(arch_local.main_term(k)["gamma_c"], "Gamma_C(k/2)", k)
+    nulls = []
     try:
         c_printed = arch_local.leading_constant(k)
     except DomainError as exc:
         c_printed = None
-        printed = (f"printed constant c_k (combinatorial closed form): {exc}, so "
-                   "c_printed, assembled_over_printed, prediction_printed and "
-                   "ratio_printed are null")
-    else:
-        printed = f"printed constant c_k = {c_printed!r} (combinatorial closed form)"
+        nulls.append(f"; {exc}, so c_printed is null")
+    try:
+        ratio = arch_local._pi_float(term["assembled_over_printed"],
+                                     "assembled_over_printed", k)
+    except DomainError as exc:
+        ratio = None
+        nulls.append(f"; {exc}, so it is null")
     ledger = (
         "local volumes: vol(unit-group) = 1 at every finite place; "
         "level volume V_N = 1/(N+1), carried as the factor N+1 = 1/V_N",
@@ -626,24 +563,26 @@ def _constants(D: int, k: int, p: int) -> tuple:
         "not); the enumeration oracle fixed this choice",
         "spectral comparison uses finite L-values in the analytic "
         "normalization and the classical Petersson norm",
-        printed,
+        "printed constant c_k" + ("" if c_printed is None else f" = {c_printed!r}")
+        + " (combinatorial closed form)" + "".join(nulls),
         f"assembled constant = 4 |I_upper(0,0)| / Gamma_C(k/2) = {c_asm!r}; "
         "the 1/(4 pi) of the kernel identity and the V_N of the adelic "
         "pairing cancel in this assembly, leaving one archimedean factor "
-        f"Gamma_C(k/2) = {gamma_c!r}",
-        "observed full-interval ratios against both constants are in the "
-        "per-level rows; the bin-share proportionality test is "
+        f"Gamma_C(k/2) = {arch_local._pi_text(term['gamma_c'])}",
+        "observed full-interval ratios against the assembled constant are in "
+        "the per-level rows, and against the printed one they are those "
+        "times assembled_over_printed; the bin-share proportionality test is "
         "normalization-free",
     )
-    return dirichlet_l(D, 1), c_printed, c_asm, ledger, measures.density_csv(p, 400)
+    return (dirichlet_l(D, 1), c_printed, c_asm, ratio, ledger,
+            measures.density_csv(p, 400))
 
 
 def run_experiment(cfg: ExperimentConfig) -> AverageReport:
     D, k, p = cfg.discriminant, cfg.weight, cfg.aux_prime
     lo, hi = cfg.interval
-    l_one, c_printed, c_asm, ledger, density = _constants(D, k, p)
+    l_one, c_printed, c_asm, ratio, ledger, density = _constants(D, k, p)
     mass_j = measure_mass(cfg, lo, hi)
-    g_printed = None if c_printed is None else 2.0 * mass_j * c_printed * l_one
     g_asm = 2.0 * mass_j * c_asm * l_one
 
     # one read of the data file serves every level the cache lacks
@@ -677,9 +616,7 @@ def run_experiment(cfg: ExperimentConfig) -> AverageReport:
             "spectral_interval": s_j,
             "interval_share": (s_j / s_full) if s_full else None,
             "interval_mass": mass_j,
-            "prediction_printed": g_printed,
             "prediction_assembled": g_asm,
-            "ratio_printed": (s_j / g_printed) if g_printed else None,
             "ratio_assembled": (s_j / g_asm) if g_asm else None,
             "audit": geometric_side_audit(cfg, N),
         })
@@ -691,7 +628,7 @@ def run_experiment(cfg: ExperimentConfig) -> AverageReport:
         },
         constants={
             "L1": l_one, "c_printed": c_printed, "c_assembled": c_asm,
-            "assembled_over_printed": None if c_printed is None else c_asm / c_printed,
+            "assembled_over_printed": ratio,
             "measure_sign": kronecker(D, p), "interval_mass": mass_j,
         },
         levels=level_reports,

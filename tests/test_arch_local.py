@@ -58,6 +58,47 @@ class TestConstants:
             with pytest.raises(DomainError, match="overflows"):
                 al.leading_constant(k)
 
+    def test_pi_float_keeps_the_factor_rule_bits(self, monkeypatch):
+        # float(q) * math.pi ** n, accepted only where both factors and the
+        # product are normal floats, was the rule before the value alone
+        # decided; on every term that rule accepts the bits are the same.
+        # h(k) enters only c_k and the ratio, no float past k = 168 by
+        # either rule, and takes seconds to sum up to k = 1200: past k = 300
+        # the scan leaves those two out and stands 1 in for h
+        h = al.alternating_weight_sum
+        monkeypatch.setattr(al, "alternating_weight_sum", lambda k: h(k) if k <= 300 else 1)
+
+        def factor_rule(q, n):
+            try:
+                values = [float(q), math.pi ** n]
+            except OverflowError:
+                return None
+            values.append(values[0] * values[1])
+            return values[-1] if all(2.0 ** -1022 <= abs(x) < math.inf
+                                     for x in values) else None
+
+        accepted, last = 0, {}
+        for k in range(4, 1202, 2):
+            terms = dict(al.main_term(k), d_2k=((k - 1) << (k - 1), 0))
+            if k > 300:
+                del terms["c_k"], terms["assembled_over_printed"]
+            for name, term in terms.items():
+                old = factor_rule(*term)
+                try:
+                    new = al._pi_float(term, name, k)
+                except DomainError:
+                    assert old is None, (k, name)
+                    continue
+                assert 2.0 ** -1022 <= abs(new) < math.inf
+                last[name] = k
+                if old is not None:
+                    accepted += 1
+                    assert new.hex() == old.hex(), (k, name)
+        assert accepted > 1000
+        # float(q) alone is subnormal past these weights, the values are not
+        assert last == {"upper": 1200, "gamma_c": 520, "c_k": 168, "c_assembled": 524,
+                        "assembled_over_printed": 148, "d_2k": 1014}
+
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             al.alternating_weight_sum(5)

@@ -679,6 +679,10 @@ class TestMalformedRecords:
         ({**json.loads(GOOD), "schema": 1.0}, "missing or unsupported schema version"),
         ({**json.loads(GOOD), "atkin_lehner": 1.0}, "atkin_lehner must be 1 or -1"),
         ({**json.loads(GOOD), "label": 7}, "label must be a string"),
+        # report.json's frame marks its cuts with the string "\0"
+        ({**json.loads(GOOD), "label": "\x00"}, "label '\\x00' holds a control character"),
+        ({**json.loads(GOOD), "label": "7.4.a\n"},
+         "label '7.4.a\\n' holds a control character"),
     ], ids=lambda x: x if isinstance(x, str) else None)
     def test_refused_naming_path_and_line(self, tmp_path, capsys, record, match):
         path = tmp_path / "bad.jsonl"

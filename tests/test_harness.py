@@ -1,6 +1,4 @@
-import collections
 import dataclasses
-import enum
 import json
 import math
 import os
@@ -163,11 +161,17 @@ class TestMeasureMass:
 
 class TestGeometricPrediction:
     def test_full_interval_printed_constant(self, cfg):
-        # 2 * c_4 * L(1, chi) with c_4 = 80 pi and L = pi/4, at every level
+        # 2 * c_4 * L(1, chi) with c_4 = 80 pi and L = pi/4, at every level:
+        # the assembled prediction over assembled_over_printed, which the
+        # report carries in place of a per-level printed column
         assert cfg.interval == (-2.0, 2.0)
-        for lvl in hs.run_experiment(cfg).levels:
-            assert lvl["prediction_printed"] == pytest.approx(40.0 * math.pi ** 2,
-                                                              rel=1e-10)
+        report = hs.run_experiment(cfg)
+        c = report.constants
+        assert 2.0 * c["c_printed"] * c["L1"] == pytest.approx(40.0 * math.pi ** 2, rel=1e-10)
+        for lvl in report.levels:
+            assert lvl["prediction_assembled"] / c["assembled_over_printed"] == pytest.approx(
+                40.0 * math.pi ** 2, rel=1e-10)
+            assert not {"prediction_printed", "ratio_printed"} & set(lvl)
 
     def test_assembled_constant_value(self, cfg):
         # 4 |I_upper| / Gamma_C(2) = 4 * 4 pi * 2 pi^2 = 32 pi^3 at k = 4
@@ -502,8 +506,9 @@ class TestRunExperiment:
 
     def test_printed_constant_past_the_floats_is_null(self, cfg, monkeypatch, tmp_path):
         # c_k overflows a float from k = 170 on, while the gated c_assembled
-        # stays a normal float: the run goes on, with c_printed and what
-        # derives from it written null and one ledger line saying why
+        # stays a normal float: the run goes on, with c_printed and the
+        # exact ratio (no float from k = 150 on) written null and the
+        # ledger's printed-constant line saying why
         report = hs.run_experiment(hs.ExperimentConfig(
             discriminant=-4, weight=170, aux_prime=13, levels=[],
             output_dir=str(tmp_path / "k170")))
@@ -512,13 +517,14 @@ class TestRunExperiment:
         assert 2.0 ** -1022 <= c["c_assembled"] < math.inf
         assert len(report.normalization_ledger) == 6
         assert report.normalization_ledger[3] == (
-            "printed constant c_k (combinatorial closed form): c_k overflows a float "
-            "at weight k = 170, so c_printed, assembled_over_printed, "
-            "prediction_printed and ratio_printed are null")
+            "printed constant c_k (combinatorial closed form); c_k overflows a float "
+            "at weight k = 170, so c_printed is null; assembled_over_printed "
+            "underflows a float at weight k = 170, so it is null")
         text = (tmp_path / "k170" / "report.json").read_text(encoding="utf-8")
         assert text == self._dumped(report) and '"c_printed": null' in text
-        # the per-level rows, at k = 4 with c_k refused as at k = 170; the
-        # gate reads c_assembled alone
+        # the per-level rows, at k = 4 with c_k refused as at k = 170: the
+        # exact ratio does not read c_k's float, and the gate reads
+        # c_assembled alone
         expected = hs.run_experiment(cfg)
 
         def refused(k):
@@ -531,30 +537,34 @@ class TestRunExperiment:
         finally:  # no later test may read the null constant or its frame
             hs._constants.cache_clear()
             hs._run_entry.cache_clear()
-        assert report.ok
+        assert report.ok and report.constants["c_printed"] is None
+        assert report.constants["assembled_over_printed"] == \
+            expected.constants["assembled_over_printed"]
         for lvl, before in zip(report.levels, expected.levels):
-            assert lvl["prediction_printed"] is None and lvl["ratio_printed"] is None
-            assert lvl["ratio_assembled"] == before["ratio_assembled"]
+            assert lvl == before
         text = (tmp_path / "k4" / "report.json").read_text(encoding="utf-8")
         assert text == self._dumped(report)
 
     def test_a_warm_frame_renders_only_its_slots(self, cfg, monkeypatch, tmp_path):
-        # at a (run key, bins) already seen, _json_emit writes the 24
-        # J-dependent leaves (the ends of J, its mass, seven per level) and
-        # nothing else
+        # at a (run key, bins) already seen, the write renders the 18
+        # J-dependent leaves (the ends of J, its mass, five per level) and
+        # nothing else: json.dumps sees only the leaves that are no finite
+        # float, here the int ends of J and the null share of level 3, which
+        # has no forms
         run_cfg = dataclasses.replace(cfg, output_dir=str(tmp_path))
         hs.run_experiment(dataclasses.replace(run_cfg, interval=(-1.0, 0.5)))
         calls = []
-        emit = hs._json_emit
+        dumps = json.dumps
 
-        def counted(obj, nl, out):
+        def counted(obj, *args, **kwargs):
             calls.append(obj)
-            return emit(obj, nl, out)
+            return dumps(obj, *args, **kwargs)
 
-        monkeypatch.setattr(hs, "_json_emit", counted)
-        report = hs.run_experiment(dataclasses.replace(run_cfg, interval=(0.2, 1.9)))
-        assert len(hs._j_leaves(report)) == 3 + 7 * len(cfg.levels) == 24
-        assert len(calls) <= 24
+        monkeypatch.setattr(hs.json, "dumps", counted)
+        report = hs.run_experiment(dataclasses.replace(run_cfg, interval=(0, 1)))
+        leaves = hs._j_leaves(report)
+        assert len(leaves) == 3 + 5 * len(cfg.levels) == 18
+        assert calls == [leaf for leaf in leaves if type(leaf) is not float] == [0, 1, None]
         monkeypatch.undo()
         assert (tmp_path / "report.json").read_text(encoding="utf-8") == self._dumped(report)
 
@@ -768,63 +778,45 @@ class TestReportWriter:
                    for field in dataclasses.fields(report)}
         assert report.to_json() == _stdlib_json(payload)
 
-    def test_synthetic_payload_equals_json_dumps(self):
-        payload = {
-            "floats": [math.nan, math.inf, -math.inf, -0.0, 0.1, 1e300, 5e-324,
-                       np.float64(2.5), np.float64(math.nan)],
-            "rows": {11: {"b": [], "a": {}}, 7: [{}, []], 2.5: "float key"},
-            "nested": {"empty": {"list": [], "dict": {}}, "deep": [[[]], [{}]]},
-            "tuple": (1, (2.0, "three"), ()),
-            "constants": [True, False, None, 0, -7, 2 ** 80],
-            "strings": ["é", "back\\slash", 'double "quote"', "new\nline",
-                        "é\\\"\n\t\x00"],
-            "é key\n": "\\",
-        }
-        assert hs._json_text(payload) == _stdlib_json(payload)
-        for top in ({}, [], (), "text", 3, math.inf, None):
-            assert hs._json_text(top) == _stdlib_json(top)
-
-        # items of any type but exact float, str, int, True, False and None
-        # leave the container loop and are tested in json's isinstance order
-        class Level(enum.IntEnum):
-            SEVEN = 7
-            ELEVEN = 11
-
-        class Label(str):
-            pass
-
-        class Mass(float):
-            pass
-
-        fallback = {
-            "enum": {Level.ELEVEN: Level.SEVEN, Level.SEVEN: [Level.ELEVEN], 3: "int"},
-            "str subclass": {Label("b"): Label("é"), "a": [Label("x\n")]},
-            "float subclass": [Mass(0.1), Mass(math.nan), Mass(-math.inf),
-                               {Mass(2.5): Mass(1e300)}],
-            "ordered": collections.OrderedDict([("z", 1), ("a", [2]), ("m", {})]),
-            "true key": {True: "t", 0: "zero"},
-            "false key": {False: [], 2: {}},
-            "none key": {None: None},
-            "nan key": {math.nan: 1.0, 0.5: 2.0, -math.inf: 3.0},
-            "deep": {"a": {"b": {"c": {}, "d": [], "e": ()}},
-                     "f": [[[[], {}, ()]], [{"g": [{}]}]]},
-        }
-        assert hs._json_text(fallback) == _stdlib_json(fallback)
-        # keys that do not sort: mixed int and str
-        for mixed in ({1: "a", "b": 2}, {"rows": [{"x": 1}, {7: 1, "7": 2}]}):
-            with pytest.raises(TypeError):
-                _stdlib_json(mixed)
-            with pytest.raises(TypeError):
-                hs._json_text(mixed)
+    @pytest.mark.parametrize("k", [138, 148, 150, 156, 168, 170, 396])
+    def test_large_weight_numbers_are_normal_or_null(self, k, tmp_path):
+        # every reported number is a normal float, or null with its reason
+        # in the ledger: the ratio was subnormal at k = 150 and 0.0 at 156
+        # and 168, and the ledger's float of Gamma_C(k/2) refused k = 396
+        report = hs.run_experiment(hs.ExperimentConfig(
+            discriminant=-4, weight=k, aux_prime=13, levels=[], output_dir=str(tmp_path)))
+        payload = {field.name: getattr(report, field.name)
+                   for field in dataclasses.fields(report)}
+        assert report.to_json() == _stdlib_json(payload)
+        assert (tmp_path / "report.json").read_text(encoding="utf-8") == \
+            _stdlib_json(payload) + "\n"
+        c, printed = report.constants, report.normalization_ledger[3]
+        nulls = {"c_printed": f"c_k overflows a float at weight k = {k}, so c_printed is null",
+                 "assembled_over_printed": "assembled_over_printed underflows a float "
+                                           f"at weight k = {k}, so it is null"}
+        for name, reason in nulls.items():
+            if c[name] is None:
+                assert reason in printed
+            else:
+                assert 2.0 ** -1022 <= c[name] < math.inf and reason not in printed
+        assert [name for name in nulls if c[name] is None] == (
+            [] if k < 150 else ["assembled_over_printed"] if k < 170 else list(nulls))
+        gamma_c = hs.arch_local._pi_text(hs.arch_local.main_term(k)["gamma_c"])
+        assert report.normalization_ledger[4].endswith(f"Gamma_C(k/2) = {gamma_c}")
 
     @pytest.mark.parametrize("value", [np.int64(7), object()],
                              ids=["np.int64", "object"])
-    def test_other_types_raise_type_error(self, value):
-        for payload in ({"a": [1, value]}, {"a": {"b": value}}, value):
+    def test_other_types_raise_type_error(self, cfg, value):
+        # _frame's default= hook turns _SLOT into the marker and refuses any
+        # other type, as json.dumps does without it
+        assert hs._slot_text(hs._SLOT) == "\0"
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            hs._slot_text(value)
+        report = hs.run_experiment(cfg)
+        report.levels[0]["audit"]["rows"][0]["value"] = value
+        for render in (report.to_json, lambda: hs._frame(report)):
             with pytest.raises(TypeError, match="is not JSON serializable"):
-                _stdlib_json(payload)
-            with pytest.raises(TypeError, match="is not JSON serializable"):
-                hs._json_text(payload)
+                render()
 
 
 class TestIdentityCheck:
@@ -945,9 +937,30 @@ class TestCLI:
             lines = capsys.readouterr().out.splitlines()
             assert f"h(k) = {h}" in lines[0]
             c_k, c_asm = hs.arch_local.leading_constant(k), hs.assembled_constant(k)
+            ratio = hs.run_experiment(hs.ExperimentConfig(
+                discriminant=-4, weight=k, aux_prime=13, levels=[])).constants[
+                    "assembled_over_printed"]
             assert lines[1:] == [f"c_k = {forms[0]} = {c_k!r}",
                                  f"c_assembled = {forms[1]} = {c_asm!r}",
-                                 f"c_assembled/c_k = {forms[2]} = {c_asm / c_k!r}"]
+                                 f"c_assembled/c_k = {forms[2]} = {ratio!r}"]
+        # past the floats a reported-only constant prints its exact form and
+        # the reason, as the report writes it null; the exit stays 0
+        for k, refused in [(150, {"c_assembled/c_k": "underflows"}),
+                           (160, {"c_assembled/c_k": "underflows"}),
+                           (170, {"c_k": "overflows", "c_assembled/c_k": "underflows"})]:
+            assert cli.main(["constants", "--k", str(k)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 4
+            term = hs.arch_local.main_term(k)
+            for line, (name, key) in zip(lines[1:], [
+                    ("c_k", "c_k"), ("c_assembled", "c_assembled"),
+                    ("c_assembled/c_k", "assembled_over_printed")]):
+                head = f"{name} = {hs.arch_local._pi_text(term[key])} "
+                tail = (f"({name} {refused[name]} a float at weight k = {k})"
+                        if name in refused else
+                        f"= {hs.arch_local._pi_float(term[key], name, k)!r}")
+                assert line == head + tail
+                assert not line.endswith("= 0.0")
 
     def test_measures_table(self, capsys):
         assert cli.main(["measures", "--p", "3", "--delta", "-1",
@@ -1072,7 +1085,7 @@ class TestCLI:
         ["measures", "--max-n", "-2"],
         pytest.param(["verify-arch", "--s1", "nan"], id="verify-arch --s1 nan"),
         pytest.param(["verify-arch", "--s1", "inf"], id="verify-arch --s1 inf"),
-        pytest.param(["constants", "--k", "400"], id="constants --k 400"),
+        pytest.param(["constants", "--k", "526"], id="constants --k 526"),
         pytest.param(["verify-arch", "--k", "1100"], id="verify-arch --k 1100"),
         pytest.param(["verify-arch", "--s1", "0.6", "--s2", "0.5"],
                      id="verify-arch --s1 0.6 --s2 0.5"),
