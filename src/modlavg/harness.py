@@ -21,7 +21,7 @@ ratio against c_assembled; the ratio against c_printed is that one times
 numbers are only reported: each is a normal float or null, with the reason
 in the ledger (the ratio from k = 150 on, c_printed from k = 170 on), and
 the ledger writes Gamma_C(k/2) in its exact form, so no reported number
-refuses a run (``_constants``).
+refuses a run (``_build_entry``).
 
 With the basic auxiliary test function the identity is exact at finite
 level in the stable range N > |D|.  ExperimentConfig refuses a level with
@@ -32,33 +32,33 @@ report's ``envelope`` checks, at every level with forms,
 witnesses of the computation bear out; the target's term is CONSTANT_ULPS
 units of roundoff, counted in ``identity_budget``.
 
-Only the spectral side depends on the interval J.  This module keeps for
-the process what does not: the per-form rows (``_FORM_CACHE``), the
-constants, ledger and density table of each (D, k, p) (``_constants``),
-the measure of each (p, D) (``_satake_measure``), the bin masses
-(``_bin_masses``), the geometric audit of each level (``_audit_table``)
-and the entry of each run key (``_run_entry``: the full sums S_N, the bin
-shares of ``proportionality_test``, the ``identity_check`` envelope, and
-the output text once the key is written), keyed on checked integers and
-the frozen measure.  (``arith`` and ``lvalues`` keep tables of their own,
-keyed on integers: the sieve, the class numbers and trace tables, and the
-point rows of the Fricke and modularity checks.)  A warm
-``run_experiment`` at a new J computes J's numbers alone, the mass of J
-and S_J at each level, and renders only them.  ``report.json`` is written
-from a frame: the text ``json.dumps(indent=2, sort_keys=True)`` writes for
-the first report of a run key (data file, D, k, p, levels, bins) with the
-marker ``_SLOT`` at each J-dependent leaf (the ends of J, its mass and five
-numbers per level, 18 at three levels), cut at the markers.  Each call
-writes the frame with its own leaves in the cuts, each as json writes it,
-and the key's ``forms.csv`` text.  An entry is reused only while its rows
-are the very lists ``_FORM_CACHE`` holds: the key holds their ids and the
-entry the lists, so rows replaced under an unchanged config miss.  Rows
-are never compared by value: 0.0 == -0.0, but they are written
-differently.  Every report is built from new dicts and lists: editing one
-changes no later call, and ``AverageReport.to_json`` is ``json.dumps`` of
-its current contents.  The three output files are encoded once and their
-bytes overwritten in place (``_replace``), so a rerun into the same
-directory leaves the bytes a fresh directory gets.
+Only the spectral side depends on the interval J: J enters through which
+a_p fall in it and through its mass.  This module keeps two tables for the
+process: the per-form rows (``_FORM_CACHE``) and one entry per run key
+(data file, D, k, p, levels, bins; ``_run_entry``), which ``_build_entry``
+fills on the key's first call with everything else: the measure, the
+pickled report payload without its J-dependent leaves (L(1, chi), the
+constants and ledger, the full sums S_N, the audits, the bin shares of
+``proportionality_test`` and the ``identity_check`` envelope), the
+``report.json`` frame and the ``forms.csv`` and ``density.csv`` texts.
+(``arith`` and ``lvalues`` keep tables of their own, keyed on integers:
+the sieve, the class numbers and trace tables, and the point rows of the
+Fricke and modularity checks.)  Every call, the first of its key included,
+unpickles the payload, so each report is built from new dicts and lists:
+editing one changes no later call, and ``AverageReport.to_json`` is
+``json.dumps`` of its current contents.  It then computes J's numbers
+alone, the mass of J and S_J at each level, and renders only them: the
+frame is the text ``json.dumps(indent=2, sort_keys=True)`` writes for the
+payload with the marker ``_SLOT`` at each J-dependent leaf (the ends of
+J, its mass and five numbers per level, 18 at three levels), cut at the
+markers, and each call writes it with its own leaves in the cuts, each as
+json writes it.  An entry is reused only while its rows are the very
+lists ``_FORM_CACHE`` holds: the key holds their ids and the entry the
+lists, so rows replaced under an unchanged config miss.  Rows are never
+compared by value: 0.0 == -0.0, but they are written differently.  The
+three output files are encoded once and their bytes overwritten in place
+(``_replace``), so a rerun into the same directory leaves the bytes a
+fresh directory gets.
 """
 
 from __future__ import annotations
@@ -116,6 +116,10 @@ def default_data_path() -> str:
 DEFAULT_LEVEL_BOUND, DEFAULT_MAX_DIM = 60, 2
 # bounds the sieve over configured levels: no data file holds N (k - 1) / 12 forms
 MAX_LEVEL = 10 ** 6
+# bounds the bins: proportionality_test allocates bins + 1 edges and bins
+# masses, and report.json writes bins shares per level, so a count in the
+# billions would exhaust memory; 10^4 bins are 4e-4 wide
+MAX_BINS = 10 ** 4
 
 
 @dataclass
@@ -142,6 +146,8 @@ class ExperimentConfig:
             raise InvariantViolation(f"auxiliary prime {p} must be a prime not dividing D")
         if self.bins < 1:
             raise InvariantViolation("bins must be >= 1")
+        if self.bins > MAX_BINS:
+            raise InvariantViolation(f"bins must be <= {MAX_BINS}")
         for name in ("data_path", "output_dir"):
             if not isinstance(getattr(self, name), (str, os.PathLike, type(None))):
                 raise InvariantViolation(f"{name} must be a path or null")
@@ -199,15 +205,8 @@ class ExperimentConfig:
 
     @property
     def measure(self) -> measures.SatakeMeasure:
-        return _satake_measure(self.aux_prime, self.discriminant)
-
-
-@lru_cache(maxsize=None)
-def _satake_measure(p: int, D: int) -> measures.SatakeMeasure:
-    """The split/inert measure of a config, built once per process for each
-    (p, D), the config's checked ints: the record is frozen, so every
-    config with them shares it."""
-    return measures.SatakeMeasure(p=p, sign=kronecker(D, p))
+        return measures.SatakeMeasure(p=self.aux_prime,
+                                      sign=kronecker(self.discriminant, self.aux_prime))
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +280,15 @@ def _level_rows(cfg: ExperimentConfig, N: int, forms: list | None = None) -> lis
 
 
 def spectral_sum(cfg: ExperimentConfig, N: int, lo: float, hi: float) -> dict:
-    """Sum of weighted central products over newforms with a_p in [lo, hi]."""
-    rows = _level_rows(cfg, N)
-    chosen = [r for r in rows if lo <= r["a_p"] <= hi]
+    """Sum of weighted central products over newforms with a_p in [lo, hi].
+    The rows are copies: editing them changes no later call."""
+    chosen = [r for r in _level_rows(cfg, N) if lo <= r["a_p"] <= hi]
     return {
         "level": N,
         "interval": (lo, hi),
         "value": math.fsum(r["contribution"] for r in chosen),
         "count": len(chosen),
-        "rows": chosen,
+        "rows": [dict(r) for r in chosen],
     }
 
 
@@ -297,13 +296,13 @@ def proportionality_test(cfg: ExperimentConfig) -> dict:
     """Bin-share vectors of the spectral mass against the measure masses.
 
     Binning is exhaustive and exclusive (last bin closed).  Levels with an
-    empty or zero full-interval sum are flagged degenerate.  The measure
-    masses of the bins come from the per-process table _bin_masses.
+    empty or zero full-interval sum are flagged degenerate.
     """
     if len(cfg.levels) < 3:
         raise InvariantViolation("need at least 3 levels")
-    edges = _bin_edges(cfg.bins)
-    masses = list(_bin_masses(cfg.measure, cfg.bins))
+    edges = [-2.0 + 4.0 * i / cfg.bins for i in range(cfg.bins + 1)]
+    measure = cfg.measure
+    masses = [measures.mass(measure, lo, hi) for lo, hi in zip(edges, edges[1:])]
     out = {"edges": edges, "measure_masses": masses, "levels": {}}
     for N in cfg.levels:
         rows = _level_rows(cfg, N)
@@ -323,18 +322,6 @@ def proportionality_test(cfg: ExperimentConfig) -> dict:
     return out
 
 
-def _bin_edges(bins: int) -> list:
-    return [-2.0 + 4.0 * i / bins for i in range(bins + 1)]
-
-
-@lru_cache(maxsize=None)
-def _bin_masses(measure: measures.SatakeMeasure, bins: int) -> tuple:
-    """Masses of the measure on the bins equal parts of [-2, 2], built once
-    per process for each (measure, bins): they do not depend on J."""
-    edges = _bin_edges(bins)
-    return tuple(measures.mass(measure, lo, hi) for lo, hi in zip(edges, edges[1:]))
-
-
 # ---------------------------------------------------------------------------
 # geometric audit
 # ---------------------------------------------------------------------------
@@ -347,38 +334,17 @@ def geometric_side_audit(cfg: ExperimentConfig, N: int) -> dict:
     """Itemized singular-orbit table at level N with the basic auxiliary
     test function, plus the truncated regular-tail bound.
 
-    ``upper_lower_gap`` checks nothing: the lower row is -chi_D(N) times the
-    upper one by construction, so the gap is |1 + chi_D(N)|, 0.0 at every
-    admissible level (chi_D(-N) = 1 and chi_D(-1) = -1).  It is kept so the
-    report keeps its fields; an independent lower row is ROADMAP work.
-
-    None of it depends on J: _audit_table builds it once per process for
-    each checked (N, D, k), and the dicts and lists are new on every call."""
-    N = _as_int(N, "level N")
-    rows, gap, tail = _audit_table(N, _as_int(cfg.discriminant, "discriminant D"),
-                                   _as_int(cfg.weight, "weight k"))
-    return {
-        "level": N,
-        "rows": [{"orbit": orbit, "value": value, "status": status}
-                 for orbit, value, status in rows],
-        "upper_lower_gap": gap,
-        "regular_tail_bound": dict(tail),
-    }
-
-
-@lru_cache(maxsize=None)
-def _audit_table(N: int, D: int, k: int) -> tuple:
-    """(rows, upper_lower_gap, tail items) of geometric_side_audit, as
-    tuples, built once per process for each (N, D, k).  The upper row is
-    the product of local factors I_upper(0, 0) / g(chi_D) = |I_upper(0, 0)|
-    / sqrt|D|, 1/V_N = N + 1 and L(0, chi_D) = h_w(D): T (1/V_N)
-    Gamma_C(k/2) / (8 pi) for the target T.  The lower row is -chi_D(N)
-    times it, not computed on its own, so the gap |1 + chi_D(N)| is 0.0 at
-    every admissible level and compares nothing; an independent lower row
-    would take singular_lower_quadrature or the reflection lower(s1, s2) =
-    -upper(-s2, -s1) at the level place.  Its caller passes the three
-    through arith._as_int, so 7.0 and True never find 7's or 1's entry; the
-    level place proves N prime."""
+    The upper row is the product of local factors I_upper(0, 0) / g(chi_D) =
+    |I_upper(0, 0)| / sqrt|D|, 1/V_N = N + 1 and L(0, chi_D) = h_w(D):
+    T (1/V_N) Gamma_C(k/2) / (8 pi) for the target T.  The lower row is
+    -chi_D(N) times it, not computed on its own, so ``upper_lower_gap`` =
+    |1 + chi_D(N)| checks nothing: it is 0.0 at every admissible level
+    (chi_D(-N) = 1 and chi_D(-1) = -1).  It is kept so the report keeps its
+    fields; an independent lower row would take singular_lower_quadrature
+    or the reflection lower(s1, s2) = -upper(-s2, -s1) at the level place,
+    which proves N prime.  None of it depends on J: run_experiment calls
+    this once per level for each run key."""
+    N, D, k = _as_int(N, "level N"), cfg.discriminant, cfg.weight
     chi_n = kronecker(D, N)
     upper, n = arch_local.main_term(k)["upper"]
     upper_val = arch_local._pi_float((upper * (N + 1) * class_number_weighted(D), n),
@@ -387,8 +353,8 @@ def _audit_table(N: int, D: int, k: int) -> tuple:
     swap_cells = sum(len(padic_local.brute_force_integral(
                          place, padic_local.OrbitDatum(kind=kind), AUDIT_WINDOW).cells)
                      for kind in ("swap_upper", "swap_lower"))
-
-    tail = reg_tail.tail_envelope(N, abs(D), k, n_max=200 * N)
+    if swap_cells:
+        raise InvariantViolation("swapped singular orbits have support at the level place")
     swept = f"verified-by-oracle ({swap_cells} cells in window {AUDIT_WINDOW})"
     rows = (
         ("identity", 0.0, "axiom (nontrivial character)"),
@@ -398,9 +364,13 @@ def _audit_table(N: int, D: int, k: int) -> tuple:
         ("upper", upper_val, "evaluated"),
         ("lower", -chi_n * upper_val, "evaluated"),
     )
-    if swap_cells:
-        raise InvariantViolation("swapped singular orbits have support at the level place")
-    return rows, abs(1.0 + chi_n), tuple(tail.items())  # the rows' relative gap
+    return {
+        "level": N,
+        "rows": [{"orbit": orbit, "value": value, "status": status}
+                 for orbit, value, status in rows],
+        "upper_lower_gap": abs(1.0 + chi_n),  # the rows' relative gap
+        "regular_tail_bound": reg_tail.tail_envelope(N, abs(D), k, n_max=200 * N),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -467,14 +437,14 @@ def _slot_text(obj) -> str:
     raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
-def _frame(report: AverageReport) -> tuple:
-    """The report.json text of the report, newline included, cut at its
-    J-dependent leaves: json writes it with _SLOT at each."""
-    payload = report._payload()
-    payload["config"] = dict(report.config, interval=[_SLOT, _SLOT])
-    payload["constants"] = dict(report.constants, interval_mass=_SLOT)
-    payload["levels"] = [dict(lvl, **dict.fromkeys(_J_LEVEL_KEYS, _SLOT))
-                         for lvl in report.levels]
+def _frame(payload: dict) -> tuple:
+    """The report.json text of a report payload, newline included, cut at
+    its J-dependent leaves: json writes it with _SLOT at each, whether the
+    payload holds the leaves or not."""
+    payload = dict(payload, config=dict(payload["config"], interval=[_SLOT, _SLOT]),
+                   constants=dict(payload["constants"], interval_mass=_SLOT),
+                   levels=[dict(lvl, **dict.fromkeys(_J_LEVEL_KEYS, _SLOT))
+                           for lvl in payload["levels"]])
     text = json.dumps(payload, indent=2, sort_keys=True, default=_slot_text)
     return tuple((text + "\n").split('"\\u0000"'))
 
@@ -530,20 +500,19 @@ def identity_check(sums: dict, budgets: dict, target: float) -> dict:
                           "ok": not violations}}
 
 
-@lru_cache(maxsize=None)
-def _constants(D: int, k: int, p: int) -> tuple:
-    """(L(1, chi_D), c_printed, c_assembled, assembled_over_printed, the
-    normalization ledger, density.csv text) of a run, built once per
-    process for each (D, k, p): none depends on J.  The key is the config's
-    discriminant, weight and auxiliary prime, which ExperimentConfig refuses
-    unless they are ints.
+def _build_entry(cfg: ExperimentConfig, rows: tuple) -> tuple:
+    """The entry of the config's run key (``_run_entry``), built from the
+    per-form row lists of its levels: (the row lists, the measure, the
+    pickled report payload without its J-dependent leaves, the report.json
+    frame, the forms.csv text, the density.csv text).
 
     c_printed and assembled_over_printed, the exact c_assembled / c_k, are
     only reported: each is a normal float, or None (written null) with the
     reason in the ledger's printed-constant line.  Gamma_C(k/2) only feeds
     the ledger, in its exact form.  The gated c_assembled still refuses."""
-    term = arch_local.main_term(k)
-    c_asm = assembled_constant(k)
+    D, k, p = cfg.discriminant, cfg.weight, cfg.aux_prime
+    measure, term = cfg.measure, arch_local.main_term(k)
+    l_one, c_asm = dirichlet_l(D, 1), assembled_constant(k)
     nulls = []
     try:
         c_printed = arch_local.leading_constant(k)
@@ -556,7 +525,7 @@ def _constants(D: int, k: int, p: int) -> tuple:
     except DomainError as exc:
         ratio = None
         nulls.append(f"; {exc}, so it is null")
-    ledger = (
+    ledger = [
         "local volumes: vol(unit-group) = 1 at every finite place; "
         "level volume V_N = 1/(N+1), carried as the factor N+1 = 1/V_N",
         "level closed forms carry the 1/V_N prefactor (the displayed sums do "
@@ -573,86 +542,70 @@ def _constants(D: int, k: int, p: int) -> tuple:
         "the per-level rows, and against the printed one they are those "
         "times assembled_over_printed; the bin-share proportionality test is "
         "normalization-free",
-    )
-    return (dirichlet_l(D, 1), c_printed, c_asm, ratio, ledger,
+    ]
+    target = 2.0 * c_asm * l_one
+    levels, sums, budgets = [], {}, {}
+    for N, level in zip(cfg.levels, rows):
+        full = math.fsum(r["contribution"] for r in level)
+        if level:
+            sums[N], budgets[N] = full, identity_budget(level, target)
+        levels.append({"level": N, "forms": level, "spectral_full": full,
+                       "audit": geometric_side_audit(cfg, N)})
+    payload = {
+        "config": {"discriminant": D, "weight": k, "aux_prime": p,
+                   "levels": list(cfg.levels), "bins": cfg.bins,
+                   "data_path": os.path.basename(cfg.data_path)},
+        "constants": {"L1": l_one, "c_printed": c_printed, "c_assembled": c_asm,
+                      "assembled_over_printed": ratio, "measure_sign": measure.sign},
+        "levels": levels,
+        "proportionality": proportionality_test(cfg) if len(cfg.levels) >= 3 else {},
+        "envelope": identity_check(sums, budgets, target),
+        "normalization_ledger": ledger,
+    }
+    forms = "".join(
+        ["level,label,a_p,central,central_twisted,norm,contribution\n"]
+        + [f"{N},{r['label']},{r['a_p']!r},{r['central']!r},"
+           f"{r['central_twisted']!r},{r['norm']!r},{r['contribution']!r}\n"
+           for N, level in zip(cfg.levels, rows) for r in level])
+    return (rows, measure, pickle.dumps(payload), _frame(payload), forms,
             measures.density_csv(p, 400))
 
 
 def run_experiment(cfg: ExperimentConfig) -> AverageReport:
-    D, k, p = cfg.discriminant, cfg.weight, cfg.aux_prime
-    lo, hi = cfg.interval
-    l_one, c_printed, c_asm, ratio, ledger, density = _constants(D, k, p)
-    mass_j = measure_mass(cfg, lo, hi)
-    g_asm = 2.0 * mass_j * c_asm * l_one
-
     # one read of the data file serves every level the cache lacks
     cold = any(_form_key(cfg, N) not in _FORM_CACHE for N in cfg.levels)
     forms = load_eigenforms(cfg.data_path) if cold else None
     rows = tuple(_level_rows(cfg, N, forms) for N in cfg.levels)
-    entry = _run_entry(cfg.data_path, D, k, p, tuple(cfg.levels), cfg.bins,
-                       tuple(map(id, rows)))
+    entry = _run_entry(cfg.data_path, cfg.discriminant, cfg.weight, cfg.aux_prime,
+                       tuple(cfg.levels), cfg.bins, tuple(map(id, rows)))
     if not entry:
-        target = 2.0 * c_asm * l_one
-        full, sums, budgets = [], {}, {}
-        for N, level in zip(cfg.levels, rows):
-            full.append(math.fsum(r["contribution"] for r in level))
-            if level:
-                sums[N] = full[-1]
-                budgets[N] = identity_budget(level, target)
-        envelope = identity_check(sums, budgets, target)
-        prop = proportionality_test(cfg) if len(cfg.levels) >= 3 else {}
-        entry += [rows, tuple(full), pickle.dumps((prop, envelope))]
-    full, frozen = entry[1:3]
-    prop, envelope = pickle.loads(frozen)  # new dicts and lists on every call
+        entry += _build_entry(cfg, rows)
+    _, measure, frozen, frame, forms_csv, density = entry
+    payload = pickle.loads(frozen)  # new dicts and lists on every call
 
-    level_reports = []
-    for N, level, s_full in zip(cfg.levels, rows, full):
-        s_j = spectral_sum(cfg, N, lo, hi)["value"]
-        level_reports.append({
-            "level": N,
-            # copies: an edit to the report must not reach _FORM_CACHE
-            "forms": [dict(r) for r in level],
-            "spectral_full": s_full,
-            "spectral_interval": s_j,
-            "interval_share": (s_j / s_full) if s_full else None,
-            "interval_mass": mass_j,
-            "prediction_assembled": g_asm,
-            "ratio_assembled": (s_j / g_asm) if g_asm else None,
-            "audit": geometric_side_audit(cfg, N),
-        })
-    report = AverageReport(
-        config={
-            "discriminant": D, "weight": k, "aux_prime": p,
-            "interval": [lo, hi], "levels": list(cfg.levels),
-            "bins": cfg.bins, "data_path": os.path.basename(cfg.data_path),
-        },
-        constants={
-            "L1": l_one, "c_printed": c_printed, "c_assembled": c_asm,
-            "assembled_over_printed": ratio,
-            "measure_sign": kronecker(D, p), "interval_mass": mass_j,
-        },
-        levels=level_reports,
-        proportionality=prop,
-        envelope=envelope,
-        normalization_ledger=list(ledger),
-    )
+    lo, hi = cfg.interval
+    mass_j = measures.mass(measure, lo, hi)
+    constants = payload["constants"]
+    g_asm = 2.0 * mass_j * constants["c_assembled"] * constants["L1"]
+    payload["config"]["interval"] = [lo, hi]
+    constants["interval_mass"] = mass_j
+    for lvl, level in zip(payload["levels"], rows):
+        s_j = math.fsum(r["contribution"] for r in level if lo <= r["a_p"] <= hi)
+        s_full = lvl["spectral_full"]
+        lvl.update(spectral_interval=s_j,
+                   interval_share=(s_j / s_full) if s_full else None,
+                   interval_mass=mass_j, prediction_assembled=g_asm,
+                   ratio_assembled=(s_j / g_asm) if g_asm else None)
+    report = AverageReport(**payload)
     if cfg.output_dir:
-        _write_outputs(cfg, report, entry, density)
+        _write_outputs(cfg.output_dir, _fill(frame, _j_leaves(report)), forms_csv, density)
     return report
 
 
-def _write_outputs(cfg: ExperimentConfig, report: AverageReport, entry: list,
-                   density: str) -> None:
-    out = cfg.output_dir
+def _write_outputs(out: str, report: str, forms: str, density: str) -> None:
+    """Write report.json, forms.csv and density.csv into the directory out."""
     os.makedirs(out, exist_ok=True)
-    if len(entry) == 3:  # the run key's first write
-        entry += [_frame(report), "".join(
-            ["level,label,a_p,central,central_twisted,norm,contribution\n"]
-            + [f"{N},{r['label']},{r['a_p']!r},{r['central']!r},"
-               f"{r['central_twisted']!r},{r['norm']!r},{r['contribution']!r}\n"
-               for N, level in zip(cfg.levels, entry[0]) for r in level])]
-    frame, forms = entry[3:]
-    _replace(os.path.join(out, "report.json"), _fill(frame, _j_leaves(report)))
+    _replace(os.path.join(out, "report.json"), report)
     _replace(os.path.join(out, "forms.csv"), forms)
     _replace(os.path.join(out, "density.csv"), density)
 
@@ -660,20 +613,17 @@ def _write_outputs(cfg: ExperimentConfig, report: AverageReport, entry: list,
 @lru_cache(maxsize=32)
 def _run_entry(data_path, D: int, k: int, p: int, levels: tuple, bins: int,
                row_ids: tuple) -> list:
-    """What a run key has that does not depend on J, filled on the key's
-    first call: [the per-form row lists, the full sum S_N of each level,
-    the pickled (proportionality_test, identity_check) results], which
-    run_experiment adds, then [the report.json frame, the forms.csv text],
-    which _write_outputs adds on the key's first write.  Every value but
-    the row lists is immutable, and each call unpickles new dicts and
-    lists from the bytes.
+    """What a run key has that does not depend on J: an empty list, which
+    run_experiment fills with _build_entry on the key's first call.  Every
+    value but the row lists is immutable, and each call unpickles new dicts
+    and lists from the payload's bytes.
 
-    The key holds the ints of _constants, _audit_table and _bin_masses, the
-    levels and bins, and the ids of the _FORM_CACHE row lists the sums were
-    taken from: rows replaced under an unchanged config (a new _FORM_CACHE,
-    rows written into it) miss.  The entry holds those lists, so no id in
-    its key can be reused while it lives; rows are compared by identity,
-    never by value (0.0 == -0.0, but they are written differently)."""
+    The key holds the config's checked ints, the levels and bins, and the
+    ids of the _FORM_CACHE row lists the entry was built from: rows
+    replaced under an unchanged config (a new _FORM_CACHE, rows written
+    into it) miss.  The entry holds those lists, so no id in its key can be
+    reused while it lives; rows are compared by identity, never by value
+    (0.0 == -0.0, but they are written differently)."""
     return []
 
 

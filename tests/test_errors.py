@@ -262,8 +262,7 @@ def test_non_integer_level_refused_after_a_trace_at_that_level():
 
 @pytest.mark.parametrize("filled, refused", [
     # a float or a bool equal to an int that has just been computed is
-    # refused as well: geometric_side_audit reads the harness's per-process
-    # audit table, and the other two compute on every call
+    # refused as well: each of the three computes on every call
     (lambda: reg_tail.tail_envelope(1, 4, 4, 200), [
         lambda: reg_tail.tail_envelope(True, 4, 4, 200),
         lambda: reg_tail.tail_envelope(1.0, 4, 4, 200),

@@ -71,6 +71,7 @@ class TestConfig:
         ({"bins": -2}, "bins must be >= 1"),
         ({"bins": True}, "bins must be an integer"),
         ({"bins": 2.0}, "bins must be an integer"),
+        ({"bins": 10 ** 4 + 1}, "bins must be <= 10000"),
         ({"weight": 4.0}, "weight must be an integer"),
         ({"discriminant": "-4"}, "discriminant must be an integer"),
         ({"aux_prime": 4}, "auxiliary prime 4 must be a prime not dividing D"),
@@ -128,6 +129,13 @@ class TestConfig:
                 aux_prime=cfg.aux_prime, interval=(-1.25, 0.5),
                 levels=list(cfg.levels), data_path=cfg.data_path, bins=bins)
             assert c.interval == (-1.25, 0.5) and c.levels == [3, 7, 11]
+
+    def test_bins_at_the_bound_run(self, cfg):
+        # a run allocates bins + 1 edges and bins masses, and writes bins
+        # shares per level: MAX_BINS itself runs, and one more is refused
+        # when the config is built (above), before any of them
+        report = hs.run_experiment(dataclasses.replace(cfg, bins=hs.MAX_BINS))
+        assert len(report.proportionality["measure_masses"]) == hs.MAX_BINS == 10 ** 4
 
     def test_eight_settable_fields(self):
         assert [f.name for f in dataclasses.fields(hs.ExperimentConfig)] == [
@@ -267,6 +275,19 @@ class TestSpectralSums:
         prop = hs.proportionality_test(cfg)
         assert sum(prop["measure_masses"]) == pytest.approx(1.0, abs=1e-9)
 
+    def test_editing_returned_rows_leaves_later_calls(self, cfg, monkeypatch):
+        # spectral_sum hands out copies of the cached rows: doubling a
+        # returned contribution doubled the cached one, so the next run key
+        # reported twice the full sum at level 7 and failed the identity
+        monkeypatch.setattr(hs, "_FORM_CACHE", {key: [dict(r) for r in rows]
+                                                for key, rows in hs._FORM_CACHE.items()})
+        expected = hs.run_experiment(cfg).to_json()
+        value = hs.spectral_sum(cfg, 7, -2, 2)["value"]
+        hs.spectral_sum(cfg, 7, -2, 2)["rows"][0]["contribution"] *= 2.0
+        assert hs.spectral_sum(cfg, 7, -2, 2)["value"] == value
+        assert hs.run_experiment(dataclasses.replace(cfg, bins=5)).ok
+        assert hs.run_experiment(cfg).to_json() == expected
+
     def test_degenerate_level_flagged(self, cfg):
         prop = hs.proportionality_test(cfg)
         assert prop["levels"][3]["degenerate"] is True
@@ -295,10 +316,11 @@ class TestAudit:
                     * 12.0 * dirichlet_l(-4, 0))
         assert up["value"] == pytest.approx(expected, rel=1e-12)
 
-    def test_audit_table_built_once_per_level(self, cfg, monkeypatch):
+    def test_audit_built_once_per_level_per_run_key(self, cfg, monkeypatch):
         # the audit does not depend on J: two calls at different J build it
         # once per level, so the swapped orbits are enumerated once per level,
-        # one enumeration for each of the two
+        # one enumeration for each of the two; another bin count is another
+        # run key, which builds it again
         calls = []
         enumerate_cells = pl.brute_force_integral
 
@@ -306,11 +328,14 @@ class TestAudit:
             calls.append(args)
             return enumerate_cells(*args)
 
-        hs._audit_table.cache_clear()
+        hs._run_entry.cache_clear()
         monkeypatch.setattr(pl, "brute_force_integral", counted)
         for interval in [(-1.0, 0.5), (0.2, 1.9)]:
             hs.run_experiment(dataclasses.replace(cfg, interval=interval))
         assert len(calls) == 2 * len(cfg.levels)
+        for interval in [(-1.0, 0.5), (0.2, 1.9)]:
+            hs.run_experiment(dataclasses.replace(cfg, interval=interval, bins=5))
+        assert len(calls) == 2 * 2 * len(cfg.levels)
 
 
 class TestRunExperiment:
@@ -369,18 +394,17 @@ class TestRunExperiment:
 
     @staticmethod
     def _cold_runner(monkeypatch, tmp_path):
-        # empties the harness's per-process tables, _FORM_CACHE and every
-        # lru_cache on the module (the run-key entries of _run_entry
-        # included), so the first run is cold in the harness; the exact
-        # tables of arith and lvalues (the sieve, the trace tables, the
-        # Fricke and modularity rows) stay warm.  Returns a runner that
-        # writes a default-config run with changes and reads back its three
-        # files
+        # empties the harness's two per-process tables, _FORM_CACHE and the
+        # run-key entries of _run_entry, its one lru_cache, so the first run
+        # is cold in the harness; the exact tables of arith and lvalues (the
+        # sieve, the trace tables, the Fricke and modularity rows) stay
+        # warm.  Returns a runner that writes a default-config run with
+        # changes and reads back its three files
         monkeypatch.setattr(hs, "_FORM_CACHE", {})
-        tables = [value for value in vars(hs).values() if hasattr(value, "cache_clear")]
-        assert hs._run_entry in tables and hs._constants in tables
-        for table in tables:
-            table.cache_clear()
+        tables = [value for value in vars(hs).values() if hasattr(value, "cache_clear")
+                  and value.__module__ == hs.__name__]
+        assert tables == [hs._run_entry]
+        hs._run_entry.cache_clear()
         names = ("report.json", "forms.csv", "density.csv")
 
         def run(out, **changes):
@@ -535,7 +559,6 @@ class TestRunExperiment:
         try:
             report = hs.run_experiment(dataclasses.replace(cfg, output_dir=str(tmp_path / "k4")))
         finally:  # no later test may read the null constant or its frame
-            hs._constants.cache_clear()
             hs._run_entry.cache_clear()
         assert report.ok and report.constants["c_printed"] is None
         assert report.constants["assembled_over_printed"] == \
@@ -570,7 +593,7 @@ class TestRunExperiment:
 
     def test_warm_call_computes_no_constant(self, cfg, monkeypatch):
         # L(1, chi_D), the main term's floats and the density table do not
-        # depend on J: a warm call reads them from the harness's table
+        # depend on J: a warm call reads them from its run key's entry
         expected = hs.run_experiment(cfg).to_json()
         calls = []
         for module, name in [(hs, "dirichlet_l"), (hs.arch_local, "main_term"),
@@ -583,18 +606,14 @@ class TestRunExperiment:
         assert calls == []
 
     def test_warm_call_recomputes_no_share_sum_or_envelope(self, monkeypatch, tmp_path):
-        # the bin shares, the full sums, the identity envelope and the
-        # measure do not depend on J: after one call at another J, a warm
-        # call reads them from its run key's entry, and its report is a
-        # cold run's
-        def config(interval):
-            return hs.ExperimentConfig(discriminant=-4, weight=4, aux_prime=13,
-                                       interval=interval, bins=5)
-
-        self._cold_runner(monkeypatch, tmp_path)
-        cold = hs.run_experiment(config((0.2, 1.9))).to_json()
-        self._cold_runner(monkeypatch, tmp_path)
-        hs.run_experiment(config((-1.0, 0.5)))
+        # the bin shares, the full sums, the identity envelope, the measure,
+        # the audits, the constants and the density table do not depend on
+        # J: after one call at another J, a warm call reads them from its
+        # run key's entry, and its report and files are a cold run's
+        run = self._cold_runner(monkeypatch, tmp_path)
+        cold = run("cold", interval=(0.2, 1.9), bins=5)
+        run = self._cold_runner(monkeypatch, tmp_path)
+        run("other", interval=(-1.0, 0.5), bins=5)
         calls = []
 
         def counted(name, original):
@@ -604,9 +623,11 @@ class TestRunExperiment:
             return call
 
         for module, name in [(hs, "proportionality_test"), (hs, "identity_budget"),
-                             (hs, "identity_check"), (ms, "SatakeMeasure")]:
+                             (hs, "identity_check"), (ms, "SatakeMeasure"),
+                             (hs, "geometric_side_audit"), (hs, "dirichlet_l"),
+                             (hs.arch_local, "leading_constant"), (ms, "density_csv")]:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        assert hs.run_experiment(config((0.2, 1.9))).to_json() == cold
+        assert run("warm", interval=(0.2, 1.9), bins=5) == cold
         assert calls == []
 
     def test_editing_a_warm_report_leaves_the_written_files(self, monkeypatch, tmp_path):
@@ -814,7 +835,7 @@ class TestReportWriter:
             hs._slot_text(value)
         report = hs.run_experiment(cfg)
         report.levels[0]["audit"]["rows"][0]["value"] = value
-        for render in (report.to_json, lambda: hs._frame(report)):
+        for render in (report.to_json, lambda: hs._frame(report._payload())):
             with pytest.raises(TypeError, match="is not JSON serializable"):
                 render()
 

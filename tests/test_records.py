@@ -10,7 +10,6 @@ import re
 
 import pytest
 
-from modlavg import harness as hs
 from modlavg import lvalues as lv
 from modlavg import measures as ms
 from modlavg import numerics as nm
@@ -183,15 +182,6 @@ def test_completed_l_equality(form):
     # dataclass's __hash__ = None made it
     with pytest.raises(TypeError, match="unhashable"):
         hash(twisted)
-
-
-def test_satake_measure_keys_the_bin_masses():
-    # harness._bin_masses is an lru_cache over (measure, bins): an equal
-    # measure built anew reads the stored masses
-    first = hs._bin_masses(ms.SatakeMeasure(13, 1), 3)
-    hits = hs._bin_masses.cache_info().hits
-    assert hs._bin_masses(ms.SatakeMeasure(p=13, sign=1), 3) is first
-    assert hs._bin_masses.cache_info().hits == hits + 1
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
